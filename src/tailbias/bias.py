@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
@@ -244,7 +244,3 @@ def bias_from_json(text: str) -> tuple[BiasSpec, Bias]:
     fallback = BiasVector(np.asarray(doc["fallback"], dtype=np.float64))
     return spec, PairBiasTable(entries=entries, fallback=fallback)
 
-
-def with_exponent(spec: BiasSpec, a_eval: float) -> BiasSpec:
-    """Copy of ``spec`` with a different inference exponent."""
-    return replace(spec, a_eval=a_eval)

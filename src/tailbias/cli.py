@@ -280,7 +280,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:
         raise exc
-    except (CliError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (
+        CliError, ValueError, ArithmeticError, OSError, KeyError, json.JSONDecodeError
+    ) as exc:
         print(
             json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
             file=sys.stderr,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .losses import BaselineSpec, baseline_loss, biased_ce, ce
 from .model import (
-    DualEncoderConfig,
+    ModelSpec,
     ObjectProposal,
     all_ordered_pairs,
     backward,
@@ -24,12 +24,14 @@ from .model import (
     init_dual_encoder,
 )
 from .numerics import (
+    GradCheckReport,
     attention,
     attention_backward,
     encoder_layer,
     encoder_layer_backward,
     flatten,
     grad_check,
+    init_attention_params,
     init_encoder_layer_params,
     matmul_backward,
     multi_head_attention,
@@ -38,7 +40,14 @@ from .numerics import (
 )
 from .stats import LabelSpace
 
-__all__ = ["CheckResult", "certify_losses", "certify_numerics", "certify_model", "run_certification"]
+__all__ = [
+    "CheckResult",
+    "certify_losses",
+    "certify_numerics",
+    "check_model_instance",
+    "certify_model",
+    "run_certification",
+]
 
 
 @dataclass
@@ -136,7 +145,7 @@ def certify_numerics(
     for _ in range(mha_instances):
         d = 8
         x = rng.normal(0.0, 1.0, (4, d))
-        attn = init_attention(rng, d)
+        attn = init_attention_params(d, rng)
         go = rng.normal(0.0, 1.0, x.shape)
         out, cache = multi_head_attention(x, attn, 2)
         dx, grads = multi_head_attention_backward(go, cache)
@@ -190,18 +199,13 @@ def certify_numerics(
     return [CheckResult(f"numerics/{k}", counts[k], v, tol) for k, v in worst.items()]
 
 
-def init_attention(rng: np.random.Generator, d: int):
-    from .numerics import init_attention_params
-
-    return init_attention_params(d, rng)
-
-
 def _toy_setup(rng: np.random.Generator):
     ls = LabelSpace(num_object_classes=3, num_relations=3)
-    config = DualEncoderConfig(
-        label_space=ls, d_model=16, d_v=4, d_e=4, d_pos=4, n_h=2, n_o=2, n_r=1, d_ff=16
+    spec = ModelSpec(
+        kind="dual_encoder", d_model=16, d_e=4, d_pos=4, n_h=2, n_o=2, n_r=1, d_ff=16
     )
-    params = init_dual_encoder(config, rng)
+    d_v = 4
+    params = init_dual_encoder(spec, ls, d_v, rng)
     n = 3
     proposals = []
     for _ in range(n):
@@ -211,21 +215,22 @@ def _toy_setup(rng: np.random.Generator):
         proposals.append(
             ObjectProposal(
                 box=(float(x1), float(y1), float(x1 + rng.uniform(0.1, 0.4)), float(y1 + rng.uniform(0.1, 0.4))),
-                feature=rng.normal(0.0, 1.0, config.d_v),
+                feature=rng.normal(0.0, 1.0, d_v),
                 label=int(rng.integers(0, ls.num_object_classes)),
                 scores=scores,
             )
         )
     pairs = all_ordered_pairs(n)
-    unions = rng.normal(0.0, 1.0, (len(pairs), config.d_v))
+    unions = rng.normal(0.0, 1.0, (len(pairs), d_v))
     targets = rng.integers(0, ls.num_relations + 1, len(pairs))
     bias_row = rng.uniform(-1.0, 1.0, ls.num_relations + 1)
-    return config, params, proposals, pairs, unions, targets, bias_row
+    return spec, params, proposals, pairs, unions, targets, bias_row
 
 
-def _model_loss_and_grads(config, params, proposals, pairs, unions, targets, bias_row):
-    out = forward(proposals, unions, pairs, params, config, "predcls")
-    m = len(pairs)
+def _toy_loss(out, proposals, targets, bias_row):
+    """Mean biased relation loss plus mean object cross-entropy, with the
+    gradients at both classifier outputs."""
+    m = len(targets)
     n = len(proposals)
     total = 0.0
     d_rel = np.zeros_like(out.relation_logits)
@@ -238,8 +243,38 @@ def _model_loss_and_grads(config, params, proposals, pairs, unions, targets, bia
         res = ce(out.object_logits[i], p.label)
         total += res.value / n
         d_obj[i] = res.grad_logits / n
-    grads = backward(d_obj, d_rel, out, params, config)
-    return total, grads
+    return total, d_obj, d_rel
+
+
+def check_model_instance(
+    rng: np.random.Generator,
+    coords_per_instance: int | None = None,
+    h: float = 1e-5,
+    tol: float = 1e-3,
+) -> GradCheckReport:
+    """Draw one toy dual-encoder problem and check its analytic gradient.
+
+    The finite differences run the forward pass only. ``coords_per_instance``
+    checks a seeded random subset of coordinates instead of all of them.
+    """
+    spec, params, proposals, pairs, unions, targets, bias_row = _toy_setup(rng)
+    out = forward(proposals, unions, pairs, params, spec, "predcls")
+    _, d_obj, d_rel = _toy_loss(out, proposals, targets, bias_row)
+    grads = backward(d_obj, d_rel, out, params, spec)
+    vec = flatten(params)
+
+    def loss_at(v):
+        write_flat(params, v)
+        try:
+            out = forward(proposals, unions, pairs, params, spec, "predcls")
+            return _toy_loss(out, proposals, targets, bias_row)[0]
+        finally:
+            write_flat(params, vec)
+
+    coords = None
+    if coords_per_instance is not None:
+        coords = rng.choice(vec.size, size=min(coords_per_instance, vec.size), replace=False)
+    return grad_check(loss_at, vec, flatten(grads), h=h, tol=tol, coords=coords)
 
 
 def certify_model(
@@ -261,26 +296,8 @@ def certify_model(
     worst = 0.0
     total = full_instances + sampled_instances
     for inst in range(total):
-        config, params, proposals, pairs, unions, targets, bias_row = _toy_setup(rng)
-        _, grads = _model_loss_and_grads(
-            config, params, proposals, pairs, unions, targets, bias_row
-        )
-        vec = flatten(params)
-
-        def f(v):
-            write_flat(params, v)
-            try:
-                value, _ = _model_loss_and_grads(
-                    config, params, proposals, pairs, unions, targets, bias_row
-                )
-                return value
-            finally:
-                write_flat(params, vec)
-
-        coords = None
-        if inst >= full_instances:
-            coords = rng.choice(vec.size, size=min(coords_per_instance, vec.size), replace=False)
-        report = grad_check(f, vec, flatten(grads), h=h, tol=tol, coords=coords)
+        coords = None if inst < full_instances else coords_per_instance
+        report = check_model_instance(rng, coords, h=h, tol=tol)
         worst = max(worst, report.max_rel_error)
     return [CheckResult("model/dual_encoder", total, worst, tol)]
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -40,17 +41,15 @@ from .metrics import (
     score_triplets,
 )
 from .model import (
-    DualEncoderConfig,
+    MODES,
     DualEncoderParams,
     LinearParams,
-    ModelOutput,
+    ModelSpec,
     all_ordered_pairs,
-    backward,
-    forward,
-    init_dual_encoder,
-    init_linear,
-    linear_backward,
-    linear_forward,
+    class_labels,
+    feature_width,
+    forward,  # noqa: F401 - perfbench/tests check that tracing restores this binding
+    model_for,
 )
 from .numerics import flatten, leaves, write_flat, zeros_like_tree
 from .stats import LabelSpace, TripletStats, ingest, marginal_counts
@@ -113,23 +112,6 @@ class LossConfig:
 
 
 @dataclass(frozen=True)
-class ModelSpec:
-    kind: str = "linear"
-    d_model: int = 32
-    n_h: int = 2
-    n_o: int = 2
-    n_r: int = 1
-    d_ff: int = 64
-    d_e: int = 16
-    d_pos: int = 16
-    object_loss_weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("linear", "dual_encoder"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     label_space: LabelSpace
     task: str = "predcls"
@@ -143,7 +125,7 @@ class TrainConfig:
     background_ratio: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.task not in ("predcls", "sgcls"):
+        if self.task not in MODES:
             raise ValueError(f"unknown task {self.task!r}")
         if not self.eval_ks or list(self.eval_ks) != sorted(set(self.eval_ks)):
             raise ValueError("eval_ks must be nonempty and strictly ascending")
@@ -214,12 +196,6 @@ def training_stats(images: Sequence[SynthImage], label_space: LabelSpace) -> Tri
     return ingest(images_to_triplets(images), label_space)
 
 
-def _lookup_labels(img: SynthImage, task: str) -> list[int]:
-    if task == "predcls":
-        return [p.label for p in img.proposals]
-    return [int(np.argmax(p.scores)) for p in img.proposals]
-
-
 def _bias_row(bias: Bias, s_class: int, o_class: int) -> np.ndarray:
     if isinstance(bias, BiasVector):
         return bias.values
@@ -281,42 +257,6 @@ def _training_pairs(
     return pairs, targets
 
 
-def _forward_image(
-    img: SynthImage,
-    pairs: list[tuple[int, int]],
-    params,
-    config: TrainConfig,
-    enc_config: DualEncoderConfig | None,
-) -> ModelOutput:
-    unions = np.stack([img.unions[p] for p in pairs])
-    if config.model.kind == "linear":
-        return linear_forward(img.proposals, unions, pairs, params)
-    return forward(img.proposals, unions, pairs, params, enc_config, config.task)
-
-
-def _encoder_config(config: TrainConfig, d_v: int) -> DualEncoderConfig:
-    m = config.model
-    return DualEncoderConfig(
-        label_space=config.label_space,
-        d_model=m.d_model,
-        d_v=d_v,
-        d_e=m.d_e,
-        d_pos=m.d_pos,
-        n_h=m.n_h,
-        n_o=m.n_o,
-        n_r=m.n_r,
-        d_ff=m.d_ff,
-    )
-
-
-def _init_params(config: TrainConfig, d_v: int):
-    rng = _rng(config.seed, INIT_DOMAIN)
-    if config.model.kind == "linear":
-        return init_linear(3 * d_v, config.label_space.num_relations, rng), None
-    enc = _encoder_config(config, d_v)
-    return init_dual_encoder(enc, rng), enc
-
-
 def train(
     config: TrainConfig,
     train_images: Sequence[SynthImage],
@@ -344,7 +284,8 @@ def train(
         loss_fn = make_loss_fn(config, bias, _class_counts(train_images, stats))
 
     d_v = train_images[0].proposals[0].feature.shape[0]
-    params, enc_config = _init_params(config, d_v)
+    net = model_for(config.model)
+    params = net.init(config.model, ls, d_v, _rng(config.seed, INIT_DOMAIN))
     velocity = zeros_like_tree(params)
 
     shuffle_rng = _rng(config.seed, SHUFFLE_DOMAIN)
@@ -369,8 +310,11 @@ def train(
         per_image = []
         for img in batch:
             pairs, targets = _training_pairs(img, config.background_ratio, sample_rng)
-            out = _forward_image(img, pairs, params, config, enc_config)
-            lookup = _lookup_labels(img, config.task)
+            unions = np.stack([img.unions[p] for p in pairs])
+            out = net.forward(
+                img.proposals, unions, pairs, params, config.model, config.task
+            )
+            lookup = class_labels(img.proposals, config.task).tolist()
             d_rel = np.zeros_like(out.relation_logits)
             for q, (s, o) in enumerate(pairs):
                 res = loss_fn(
@@ -382,14 +326,12 @@ def train(
             per_image.append((img, out, d_rel))
 
         w_obj = config.model.object_loss_weight
-        use_obj = config.model.kind == "dual_encoder" and w_obj > 0
+        # Only a model with an object head returns object logits.
+        use_obj = w_obj > 0 and out.object_logits is not None
         if use_obj:
             obj_count = sum(len(img.proposals) for img in batch)
         for img, out, d_rel in per_image:
             d_rel = d_rel / rel_count
-            if config.model.kind == "linear":
-                linear_backward(d_rel, out, grads)
-                continue
             d_obj = None
             if use_obj:
                 d_obj = np.zeros_like(out.object_logits)
@@ -397,7 +339,7 @@ def train(
                     res = ce(out.object_logits[i], p.label)
                     obj_loss_sum += res.value
                     d_obj[i] = res.grad_logits * (w_obj / obj_count)
-            backward(d_obj, d_rel, out, params, enc_config, grads)
+            net.backward(d_obj, d_rel, out, params, config.model, grads)
 
         loss_value = rel_loss_sum / rel_count
         if use_obj and obj_count:
@@ -469,17 +411,17 @@ def evaluate(
     if inference_bias is not None:
         _check_bias_compatible(inference_bias, config.label_space)
     ks = list(config.eval_ks if ks is None else ks)
-    d_v = images[0].proposals[0].feature.shape[0]
-    enc_config = (
-        _encoder_config(config, d_v) if config.model.kind == "dual_encoder" else None
-    )
+    net = model_for(config.model)
     per_image: dict[str, list] = {c: [] for c in CONSTRAINTS}
     for img in images:
         pairs = all_ordered_pairs(len(img.proposals))
-        out = _forward_image(img, pairs, checkpoint.params, config, enc_config)
+        unions = np.stack([img.unions[p] for p in pairs])
+        out = net.forward(
+            img.proposals, unions, pairs, checkpoint.params, config.model, config.task
+        )
         logits = out.relation_logits
         if inference_bias is not None:
-            lookup = _lookup_labels(img, config.task)
+            lookup = class_labels(img.proposals, config.task).tolist()
             rows = np.stack(
                 [_bias_row(inference_bias, lookup[s], lookup[o]) for s, o in pairs]
             )
@@ -540,17 +482,23 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Rebuild the parameter tree through the model's ``init``, as ``train``
+    does, and fill it from the file.
+
+    Every stored shape must equal the rebuilt tree's shape at the same leaf.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     config = TrainConfig.from_dict(doc["config"])
-    shapes = [tuple(s) for s in doc["param_shapes"]]
-    if config.model.kind == "linear":
-        params = LinearParams(w=np.zeros(shapes[0]), b=np.zeros(shapes[1]))
-    else:
-        d_in = shapes[2][0]  # w_in rows = d_pos + d_v + d_e
-        d_v = d_in - config.model.d_pos - config.model.d_e
-        params = init_dual_encoder(
-            _encoder_config(config, d_v), np.random.Generator(np.random.PCG64(0))
-        )
-    write_flat(params, np.asarray(doc["param_data"], dtype=np.float64))
+    spec, ls = config.model, config.label_space
+    data = np.asarray(doc["param_data"], dtype=np.float64)
+    params = model_for(spec).init(spec, ls, feature_width(spec, ls, data.size))
+    expected = [a.shape for a in leaves(params)]
+    stored = [tuple(s) for s in doc["param_shapes"]]
+    for i, (want, got) in enumerate(zip_longest(expected, stored)):
+        if want != got:
+            raise ValueError(
+                f"checkpoint parameter {i} has shape {got}; the model needs {want}"
+            )
+    write_flat(params, data)
     return Checkpoint(config=config, iterations=int(doc["iterations"]), params=params)

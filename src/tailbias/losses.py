@@ -23,11 +23,11 @@ from typing import Mapping
 import numpy as np
 
 from .bias import BiasVector
+from .numerics import row_softmax
 
 __all__ = [
     "LossOutput",
     "BaselineSpec",
-    "softmax",
     "ce",
     "biased_ce",
     "bias_gap",
@@ -62,14 +62,6 @@ def _logsumexp(z: np.ndarray) -> float:
     return m + float(np.log(np.sum(np.exp(z - m))))
 
 
-def softmax(z) -> np.ndarray:
-    """Probability vector ``exp(z_i) / sum_j exp(z_j)`` with overflow guarding."""
-    z = np.asarray(z, dtype=np.float64)
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _check_target(z: np.ndarray, y: int) -> int:
     y = int(y)
     if not 0 <= y < z.shape[0]:
@@ -82,7 +74,7 @@ def ce(z, y: int) -> LossOutput:
     z = _as_array(z)
     y = _check_target(z, y)
     value = _logsumexp(z) - float(z[y])
-    grad = softmax(z)
+    grad = row_softmax(z[np.newaxis])[0]
     grad[y] -= 1.0
     return LossOutput(value=value, grad_logits=grad)
 
@@ -182,7 +174,7 @@ def _scaled_ce(z: np.ndarray, y: int, weight: float) -> LossOutput:
 
 def _focal(spec: BaselineSpec, z: np.ndarray, y: int) -> LossOutput:
     ce_val = _logsumexp(z) - float(z[y])
-    p = softmax(z)
+    p = row_softmax(z[np.newaxis])[0]
     u = float(p[y])
     f = (1.0 - u) ** spec.gamma
     value = spec.alpha * f * ce_val

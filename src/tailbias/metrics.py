@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import softmax
+from .numerics import row_softmax
 from .stats import LabelSpace
 
 __all__ = [
@@ -74,7 +74,7 @@ def score_triplets(
     """Candidate triplets in (pair, relation) order."""
     if relation_logits.shape[0] != len(pairs):
         raise ValueError("one logit row is required per pair")
-    rel_probs = softmax(relation_logits[:, 1:])
+    rel_probs = row_softmax(relation_logits[:, 1:])
     if mode == "predcls":
         obj_score = None
     elif mode == "sgcls":

@@ -1,12 +1,17 @@
 """Relation classifiers over detected object proposals.
 
-Two models share one interface. The dual-stack encoder builds object tokens
-from box geometry, visual features, and a learned label embedding, runs them
-through a stack of encoder layers, classifies objects, fuses ordered pairs
-with their union-box features, runs a second encoder stack over the pair
+Two models share one protocol, resolved from a :class:`ModelSpec` by
+:func:`model_for`: ``init(spec, label_space, d_v, rng)`` builds the parameter
+tree, ``forward(proposals, union_features, pairs, params, spec, mode)`` gives
+a :class:`ModelOutput`, and ``backward(d_obj, d_rel, output, params, spec,
+grads)`` accumulates parameter gradients. The dual-stack encoder builds object
+tokens from box geometry, visual features, and a learned label embedding, runs
+them through a stack of encoder layers, classifies objects, fuses ordered
+pairs with their union-box features, runs a second encoder stack over the pair
 tokens, and classifies relations. Every stage has a hand-written backward
 pass, so the whole network is certifiable by finite differences. The linear
-model is a single affine relation head over the raw fused pair features.
+model is a single affine relation head over the raw fused pair features; it
+has no object head, so its ``object_logits`` are None.
 
 Task modes: ``predcls`` looks up label embeddings with the annotated object
 labels; ``sgcls`` uses the argmax of the detector scores.
@@ -15,7 +20,7 @@ labels; ``sgcls`` uses the argmax of the detector scores.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,23 +28,30 @@ from .numerics import (
     EncoderLayerParams,
     encoder_layer,
     encoder_layer_backward,
+    flatten,
     init_encoder_layer_params,
+    normal_init,
     row_softmax,
+    tree_add,
     zeros_like_tree,
 )
 from .stats import LabelSpace
 
 __all__ = [
     "MODES",
+    "MODEL_KINDS",
+    "ModelSpec",
+    "Model",
+    "model_for",
+    "feature_width",
     "ObjectProposal",
-    "DualEncoderConfig",
     "DualEncoderParams",
     "LinearParams",
     "ModelOutput",
     "box_features",
+    "class_labels",
     "embed_objects",
     "encode_objects",
-    "classify_objects",
     "fuse_pairs",
     "encode_relations_and_classify",
     "forward",
@@ -52,6 +64,35 @@ __all__ = [
 ]
 
 MODES = ("predcls", "sgcls")
+MODEL_KINDS = ("linear", "dual_encoder")
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Options of either model kind.
+
+    The dimension fields shape the dual encoder only; the linear model reads
+    none of them. The label space and the union-feature width ``d_v`` come
+    from the data and are passed next to the spec, not stored in it.
+    """
+
+    kind: str = "linear"
+    d_model: int = 32
+    n_h: int = 2
+    n_o: int = 2
+    n_r: int = 1
+    d_ff: int = 64
+    d_e: int = 16
+    d_pos: int = 16
+    object_loss_weight: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.d_model % self.n_h != 0:
+            raise ValueError("d_model must be divisible by n_h")
+        if self.n_o < 1 or self.n_r < 1:
+            raise ValueError("encoder stacks need at least one layer")
 
 
 @dataclass(frozen=True)
@@ -71,42 +112,6 @@ class ObjectProposal:
         object.__setattr__(self, "scores", np.asarray(self.scores, dtype=np.float64))
         if abs(float(self.scores.sum()) - 1.0) > 1e-6:
             raise ValueError("detector scores must sum to 1")
-
-
-@dataclass(frozen=True)
-class DualEncoderConfig:
-    label_space: LabelSpace
-    d_model: int = 32
-    d_v: int = 16
-    d_e: int = 16
-    d_pos: int = 16
-    n_h: int = 2
-    n_o: int = 2
-    n_r: int = 1
-    d_ff: int = 64
-
-    def __post_init__(self) -> None:
-        if self.d_model % self.n_h != 0:
-            raise ValueError("d_model must be divisible by n_h")
-        if self.n_o < 1 or self.n_r < 1:
-            raise ValueError("encoder stacks need at least one layer")
-
-    def to_dict(self) -> dict:
-        d = {
-            "d_model": self.d_model,
-            "d_v": self.d_v,
-            "d_e": self.d_e,
-            "d_pos": self.d_pos,
-            "n_h": self.n_h,
-            "n_o": self.n_o,
-            "n_r": self.n_r,
-            "d_ff": self.d_ff,
-        }
-        return d
-
-    @classmethod
-    def from_dict(cls, label_space: LabelSpace, d: Mapping) -> "DualEncoderConfig":
-        return cls(label_space=label_space, **{k: int(v) for k, v in d.items()})
 
 
 @dataclass
@@ -132,42 +137,85 @@ class ModelOutput:
     object_logits: np.ndarray | None
     object_probs: np.ndarray
     relation_logits: np.ndarray
-    pairs: list[tuple[int, int]]
     cache: tuple = field(repr=False, default=())
 
 
+class Model(NamedTuple):
+    """The three entry points of one model kind."""
+
+    init: Callable
+    forward: Callable
+    backward: Callable
+
+
+def model_for(spec: ModelSpec) -> Model:
+    """The entry points of ``spec.kind``; the one place that reads the kind."""
+    if spec.kind == "linear":
+        return Model(init_linear, linear_forward, linear_backward)
+    return Model(init_dual_encoder, forward, backward)
+
+
+def feature_width(spec: ModelSpec, label_space: LabelSpace, num_params: int) -> int:
+    """The union-feature width ``d_v`` at which ``spec`` has ``num_params`` parameters.
+
+    Checkpoints store parameter shapes but not ``d_v``. Every parameter count
+    is affine in ``d_v``, so the sizes of two undrawn trees solve for it.
+    """
+    init = model_for(spec).init
+    one, two = (flatten(init(spec, label_space, d_v)).size for d_v in (1, 2))
+    extra, rest = divmod(num_params - one, two - one)
+    if rest or extra < 0:
+        raise ValueError(
+            f"{num_params} parameters fit no feature width of a {spec.kind} model"
+        )
+    return 1 + extra
+
+
 def init_dual_encoder(
-    config: DualEncoderConfig, rng: np.random.Generator
+    spec: ModelSpec,
+    label_space: LabelSpace,
+    d_v: int,
+    rng: np.random.Generator | None = None,
 ) -> DualEncoderParams:
-    ls = config.label_space
-    d_in = config.d_pos + config.d_v + config.d_e
-    d_fuse = config.d_v + 2 * config.d_model
+    """Seeded initial parameters; with ``rng`` None, a tree of the same shapes
+    and no random draws, to be filled from a checkpoint."""
+    d_in = spec.d_pos + d_v + spec.d_e
+    d_fuse = d_v + 2 * spec.d_model
     return DualEncoderParams(
-        w_pos=rng.normal(0.0, 1.0 / np.sqrt(8), (8, config.d_pos)),
-        embed=rng.normal(0.0, 0.02, (ls.num_object_classes, config.d_e)),
-        w_in=rng.normal(0.0, 1.0 / np.sqrt(d_in), (d_in, config.d_model)),
+        w_pos=normal_init(rng, 1.0 / np.sqrt(8), (8, spec.d_pos)),
+        embed=normal_init(rng, 0.02, (label_space.num_object_classes, spec.d_e)),
+        w_in=normal_init(rng, 1.0 / np.sqrt(d_in), (d_in, spec.d_model)),
         obj_layers=[
-            init_encoder_layer_params(config.d_model, config.d_ff, rng)
-            for _ in range(config.n_o)
+            init_encoder_layer_params(spec.d_model, spec.d_ff, rng)
+            for _ in range(spec.n_o)
         ],
-        w_clf_obj=rng.normal(
-            0.0, 1.0 / np.sqrt(config.d_model), (config.d_model, ls.num_object_classes)
+        w_clf_obj=normal_init(
+            rng, 1.0 / np.sqrt(spec.d_model), (spec.d_model, label_space.num_object_classes)
         ),
-        w_fuse=rng.normal(0.0, 1.0 / np.sqrt(d_fuse), (d_fuse, config.d_model)),
+        w_fuse=normal_init(rng, 1.0 / np.sqrt(d_fuse), (d_fuse, spec.d_model)),
         rel_layers=[
-            init_encoder_layer_params(config.d_model, config.d_ff, rng)
-            for _ in range(config.n_r)
+            init_encoder_layer_params(spec.d_model, spec.d_ff, rng)
+            for _ in range(spec.n_r)
         ],
-        w_clf_rel=rng.normal(
-            0.0, 1.0 / np.sqrt(config.d_model), (config.d_model, ls.num_relations + 1)
+        w_clf_rel=normal_init(
+            rng, 1.0 / np.sqrt(spec.d_model), (spec.d_model, label_space.num_relations + 1)
         ),
     )
 
 
-def init_linear(d_in: int, num_relations: int, rng: np.random.Generator) -> LinearParams:
+def init_linear(
+    spec: ModelSpec,
+    label_space: LabelSpace,
+    d_v: int,
+    rng: np.random.Generator | None = None,
+) -> LinearParams:
+    """Seeded weights over ``[union, subject, object]`` features and a zero bias;
+    with ``rng`` None, zero weights of the same shapes."""
+    d_in = 3 * d_v
+    width = label_space.num_relations + 1
     return LinearParams(
-        w=rng.normal(0.0, 1.0 / np.sqrt(d_in), (d_in, num_relations + 1)),
-        b=np.zeros(num_relations + 1),
+        w=normal_init(rng, 1.0 / np.sqrt(d_in), (d_in, width)),
+        b=np.zeros(width),
     )
 
 
@@ -179,7 +227,8 @@ def box_features(box: tuple[float, float, float, float]) -> np.ndarray:
     return np.array([x1, y1, x2, y2, w, h, (x1 + x2) / 2, (y1 + y2) / 2])
 
 
-def _embed_labels(proposals: Sequence[ObjectProposal], mode: str) -> np.ndarray:
+def class_labels(proposals: Sequence[ObjectProposal], mode: str) -> np.ndarray:
+    """Object classes as the task sees them: annotated in ``predcls``, detector argmax in ``sgcls``."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "predcls":
@@ -197,7 +246,7 @@ def embed_objects(
         raise ValueError("no proposals to embed")
     boxes = np.stack([box_features(p.box) for p in proposals])
     feats = np.stack([p.feature for p in proposals])
-    labels = _embed_labels(proposals, mode)
+    labels = class_labels(proposals, mode)
     pos = boxes @ params.w_pos
     concat = np.concatenate([pos, feats, params.embed[labels]], axis=1)
     tokens = concat @ params.w_in
@@ -223,11 +272,6 @@ def encode_objects(
         x, cache = encoder_layer(x, layer, n_h)
         caches.append(cache)
     return x, caches
-
-
-def classify_objects(e_final: np.ndarray, params: DualEncoderParams) -> np.ndarray:
-    """Row-stochastic object class probabilities."""
-    return row_softmax(e_final @ params.w_clf_obj)
 
 
 def fuse_pairs(
@@ -285,24 +329,23 @@ def forward(
     union_features: np.ndarray,
     pairs: Sequence[tuple[int, int]],
     params: DualEncoderParams,
-    config: DualEncoderConfig,
+    spec: ModelSpec,
     mode: str = "predcls",
 ) -> ModelOutput:
     """Full pipeline: object encoding, object head, pair fusion, relation head."""
     if len(proposals) < 2:
         raise ValueError("no pairs: need at least two objects")
     tokens, embed_cache = embed_objects(proposals, params, mode)
-    e_final, obj_caches = encode_objects(tokens, params, config.n_h)
+    e_final, obj_caches = encode_objects(tokens, params, spec.n_h)
     object_logits = e_final @ params.w_clf_obj
     pair_tokens, fuse_cache = fuse_pairs(e_final, union_features, pairs, params)
     relation_logits, rel_cache = encode_relations_and_classify(
-        pair_tokens, params, config.n_h
+        pair_tokens, params, spec.n_h
     )
     return ModelOutput(
         object_logits=object_logits,
         object_probs=row_softmax(object_logits),
         relation_logits=relation_logits,
-        pairs=list(pairs),
         cache=(embed_cache, obj_caches, e_final, fuse_cache, rel_cache),
     )
 
@@ -312,7 +355,7 @@ def backward(
     d_relation_logits: np.ndarray,
     output: ModelOutput,
     params: DualEncoderParams,
-    config: DualEncoderConfig,
+    spec: ModelSpec,
     grads: DualEncoderParams | None = None,
 ) -> DualEncoderParams:
     """Accumulate exact parameter gradients for one forward pass.
@@ -328,9 +371,9 @@ def backward(
 
     grads.w_clf_rel += rel_final.T @ d_relation_logits
     dx = d_relation_logits @ params.w_clf_rel.T
-    for layer_grads_idx in range(config.n_r - 1, -1, -1):
+    for layer_grads_idx in range(spec.n_r - 1, -1, -1):
         dx, layer_grads = encoder_layer_backward(dx, rel_layer_caches[layer_grads_idx])
-        _accumulate_layer(grads.rel_layers[layer_grads_idx], layer_grads)
+        tree_add(grads.rel_layers[layer_grads_idx], layer_grads)
     de_final = fuse_pairs_backward(dx, params, fuse_cache, grads)
 
     if d_object_logits is not None:
@@ -338,26 +381,11 @@ def backward(
         de_final = de_final + d_object_logits @ params.w_clf_obj.T
 
     dx = de_final
-    for layer_grads_idx in range(config.n_o - 1, -1, -1):
+    for layer_grads_idx in range(spec.n_o - 1, -1, -1):
         dx, layer_grads = encoder_layer_backward(dx, obj_caches[layer_grads_idx])
-        _accumulate_layer(grads.obj_layers[layer_grads_idx], layer_grads)
+        tree_add(grads.obj_layers[layer_grads_idx], layer_grads)
     embed_objects_backward(dx, params, embed_cache, grads)
     return grads
-
-
-def _accumulate_layer(dst: EncoderLayerParams, src: EncoderLayerParams) -> None:
-    dst.attn.wq += src.attn.wq
-    dst.attn.wk += src.attn.wk
-    dst.attn.wv += src.attn.wv
-    dst.attn.wo += src.attn.wo
-    dst.ln1_gain += src.ln1_gain
-    dst.ln1_bias += src.ln1_bias
-    dst.ln2_gain += src.ln2_gain
-    dst.ln2_bias += src.ln2_bias
-    dst.w1 += src.w1
-    dst.b1 += src.b1
-    dst.w2 += src.w2
-    dst.b2 += src.b2
 
 
 def linear_forward(
@@ -365,8 +393,14 @@ def linear_forward(
     union_features: np.ndarray,
     pairs: Sequence[tuple[int, int]],
     params: LinearParams,
+    spec: ModelSpec,
+    mode: str = "predcls",
 ) -> ModelOutput:
-    """Affine relation head over ``[union, subject feature, object feature]``."""
+    """Affine relation head over ``[union, subject feature, object feature]``.
+
+    ``spec`` and ``mode`` complete the shared protocol; the linear head reads
+    neither, and its object probabilities are the detector scores.
+    """
     if len(proposals) < 2:
         raise ValueError("no pairs: need at least two objects")
     feats = np.stack([p.feature for p in proposals])
@@ -379,22 +413,22 @@ def linear_forward(
         object_logits=None,
         object_probs=scores,
         relation_logits=logits,
-        pairs=list(pairs),
         cache=(x,),
     )
 
 
 def linear_backward(
+    d_object_logits: None,
     d_relation_logits: np.ndarray,
     output: ModelOutput,
+    params: LinearParams,
+    spec: ModelSpec,
     grads: LinearParams | None = None,
 ) -> LinearParams:
+    """Accumulate the gradients of the affine head; it has no object head."""
     (x,) = output.cache
     if grads is None:
-        grads = LinearParams(
-            w=np.zeros((x.shape[1], d_relation_logits.shape[1])),
-            b=np.zeros(d_relation_logits.shape[1]),
-        )
+        grads = zeros_like_tree(params)
     grads.w += x.T @ d_relation_logits
     grads.b += d_relation_logits.sum(axis=0)
     return grads

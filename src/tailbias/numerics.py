@@ -23,7 +23,6 @@ __all__ = [
     "AttentionParams",
     "EncoderLayerParams",
     "GradCheckReport",
-    "matmul",
     "matmul_backward",
     "row_softmax",
     "row_softmax_backward",
@@ -36,6 +35,7 @@ __all__ = [
     "encoder_layer",
     "encoder_layer_backward",
     "grad_check",
+    "normal_init",
     "init_attention_params",
     "init_encoder_layer_params",
     "leaves",
@@ -43,7 +43,6 @@ __all__ = [
     "write_flat",
     "zeros_like_tree",
     "tree_add",
-    "tree_scale",
 ]
 
 LN_EPS = 1e-6
@@ -83,14 +82,6 @@ def _as_matrix(x, name: str) -> np.ndarray:
     if x.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got shape {x.shape}")
     return x
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def matmul_backward(
@@ -275,18 +266,23 @@ def encoder_layer_backward(
     return dx, grads
 
 
-def init_attention_params(d: int, rng: np.random.Generator) -> AttentionParams:
+def normal_init(rng: np.random.Generator | None, scale: float, shape) -> np.ndarray:
+    """``N(0, scale^2)`` weights; zeros when ``rng`` is None, for a tree about to be overwritten."""
+    return np.zeros(shape) if rng is None else rng.normal(0.0, scale, shape)
+
+
+def init_attention_params(d: int, rng: np.random.Generator | None) -> AttentionParams:
     s = 1.0 / np.sqrt(d)
     return AttentionParams(
-        wq=rng.normal(0.0, s, (d, d)),
-        wk=rng.normal(0.0, s, (d, d)),
-        wv=rng.normal(0.0, s, (d, d)),
-        wo=rng.normal(0.0, s, (d, d)),
+        wq=normal_init(rng, s, (d, d)),
+        wk=normal_init(rng, s, (d, d)),
+        wv=normal_init(rng, s, (d, d)),
+        wo=normal_init(rng, s, (d, d)),
     )
 
 
 def init_encoder_layer_params(
-    d: int, d_ff: int, rng: np.random.Generator
+    d: int, d_ff: int, rng: np.random.Generator | None
 ) -> EncoderLayerParams:
     return EncoderLayerParams(
         attn=init_attention_params(d, rng),
@@ -294,9 +290,9 @@ def init_encoder_layer_params(
         ln1_bias=np.zeros(d),
         ln2_gain=np.ones(d),
         ln2_bias=np.zeros(d),
-        w1=rng.normal(0.0, 1.0 / np.sqrt(d), (d, d_ff)),
+        w1=normal_init(rng, 1.0 / np.sqrt(d), (d, d_ff)),
         b1=np.zeros(d_ff),
-        w2=rng.normal(0.0, 1.0 / np.sqrt(d_ff), (d_ff, d)),
+        w2=normal_init(rng, 1.0 / np.sqrt(d_ff), (d_ff, d)),
         b2=np.zeros(d),
     )
 
@@ -318,8 +314,10 @@ def _collect(node, out: list[np.ndarray]) -> None:
     if isinstance(node, np.ndarray):
         out.append(node)
     elif is_dataclass(node):
-        for f in fields(node):
-            _collect(getattr(node, f.name), out)
+        # The field mapping in definition order; cheaper than fields(), and
+        # tree_add walks two trees per encoder layer of every backward pass.
+        for name in node.__dataclass_fields__:
+            _collect(getattr(node, name), out)
     elif isinstance(node, (list, tuple)):
         for item in node:
             _collect(item, out)
@@ -361,11 +359,6 @@ def tree_add(dst, src) -> None:
     """Accumulate ``src`` into ``dst`` elementwise, in place."""
     for d, s in zip(leaves(dst), leaves(src), strict=True):
         d += s
-
-
-def tree_scale(tree, factor: float) -> None:
-    for a in leaves(tree):
-        a *= factor
 
 
 def grad_check(

@@ -33,7 +33,6 @@ __all__ = [
     "World",
     "zipf_weights",
     "build_world",
-    "generate",
     "generate_split",
     "write_images_jsonl",
     "read_images_jsonl",
@@ -227,16 +226,6 @@ def generate_split(config: SynthConfig, split: str) -> list[SynthImage]:
     return [
         _sample_image(config, world, _rng(config.seed, domain, i)) for i in range(count)
     ]
-
-
-def generate(
-    config: SynthConfig,
-) -> tuple[list[SynthImage], list[SynthImage], list[SynthImage]]:
-    return (
-        generate_split(config, "train"),
-        generate_split(config, "val"),
-        generate_split(config, "test"),
-    )
 
 
 def images_to_triplets(images: list[SynthImage]) -> list[tuple[int, int, int]]:

@@ -216,11 +216,11 @@ class TestLookupAndApply:
         assert out == pytest.approx([-LOG2, 0.0], abs=1e-15)
 
     def test_apply_shift_preserves_softmax(self):
-        from tailbias.losses import softmax
+        from tailbias.numerics import row_softmax
 
-        z = np.array([1.0, 2.0, 3.0])
-        out = apply_bias(z, BiasVector(np.ones(3)))
-        assert softmax(out) == pytest.approx(softmax(z), abs=1e-12)
+        z = np.array([[1.0, 2.0, 3.0]])
+        out = apply_bias(z[0], BiasVector(np.ones(3)))
+        assert row_softmax(out[np.newaxis]) == pytest.approx(row_softmax(z), abs=1e-12)
 
     def test_apply_length_mismatch(self):
         with pytest.raises(ValueError):

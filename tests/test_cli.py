@@ -219,6 +219,38 @@ class TestErrors:
         doc = json.loads(capsys.readouterr().err.strip())
         assert doc["error"]["type"] == "usage"
 
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered:RuntimeWarning",
+        "ignore:invalid value encountered:RuntimeWarning",
+    )
+    def test_diverging_dual_encoder_gives_json_error(self, tmp_path, capsys):
+        # At learning rate 0.3 the encoder's attention overflows within 30 steps.
+        ls = LabelSpace(num_object_classes=5, num_relations=6)
+        synth_cfg = tmp_path / "synth.json"
+        synth_cfg.write_text(json.dumps({
+            "label_space": ls.to_dict(), "num_train": 20, "num_val": 0, "num_test": 0,
+            "objects_min": 3, "objects_max": 4, "d_v": 8, "seed": 31,
+        }))
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--config", str(synth_cfg), "--out", str(data_dir)]) == 0
+        train_cfg = tmp_path / "train.json"
+        train_cfg.write_text(json.dumps({
+            "label_space": ls.to_dict(),
+            "model": {"kind": "dual_encoder", "d_model": 16, "n_h": 2, "n_o": 1,
+                      "n_r": 1, "d_ff": 16, "d_e": 4, "d_pos": 4},
+            "loss": {"kind": "ce"},
+            "optimizer": {"learning_rate": 0.3, "momentum": 0.9, "iterations": 30,
+                          "batch_size": 4},
+            "seed": 5,
+            "data": [["train", str(data_dir / "train.jsonl")]],
+        }))
+        capsys.readouterr()
+        code = main(["train", "--config", str(train_cfg), "--out", str(tmp_path / "run")])
+        assert code == 1
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == "FloatingPointError"
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_loss_kind_rejected(self, workspace, tmp_path, capsys):
         root, data_dir, _, _, _ = workspace
         bad_cfg = json.loads((root / "train.json").read_text())

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailbias.losses import softmax
 from tailbias.metrics import (
     METRICS_CSV_HEADER,
     TripletPrediction,
@@ -15,6 +14,7 @@ from tailbias.metrics import (
     recall_at_k,
     score_triplets,
 )
+from tailbias.numerics import row_softmax
 from tailbias.stats import LabelSpace
 
 
@@ -31,7 +31,7 @@ class TestScoreTriplets:
     def test_predcls_scores_are_relation_probs(self, rng):
         logits = rng.normal(size=(2, 4))
         out = score_triplets(None, logits, [(0, 1), (1, 0)], "predcls")
-        expected = softmax(logits[:, 1:])
+        expected = row_softmax(logits[:, 1:])
         got = np.array([p.score for p in out]).reshape(2, 3)
         assert got == pytest.approx(expected, abs=1e-12)
 

@@ -13,7 +13,6 @@ from tailbias.numerics import (
     init_attention_params,
     init_encoder_layer_params,
     leaves,
-    matmul,
     matmul_backward,
     multi_head_attention,
     multi_head_attention_backward,
@@ -25,17 +24,6 @@ from tailbias.numerics import (
 
 
 class TestMatmul:
-    def test_identity(self, rng):
-        a = rng.normal(size=(3, 3))
-        assert np.array_equal(matmul(a, np.eye(3)), a)
-
-    def test_scalar_case(self):
-        assert matmul(np.array([[2.0]]), np.array([[3.0]]))[0, 0] == 6.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
     def test_backward_fd(self, rng):
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(4, 2))
