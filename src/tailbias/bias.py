@@ -12,7 +12,9 @@ the largest one. Four weight choices are supported: per-relation sample counts
 (``cb``), distinct valid-pair counts (``vb``), pair-conditional counts
 (``pb``), and the geometric-mean estimated counts (``eb``). ``cb``/``vb``
 yield one global vector; ``pb``/``eb`` yield a table keyed by ordered class
-pair with a uniform-weight fallback.
+pair with a uniform-weight fallback. :func:`bias_table` turns either into one
+dense ``(L_e, L_e, C)`` array, from which training and evaluation gather the
+rows of whole label arrays at once.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "compute_bias",
     "soft_bias",
     "lookup_pair_bias",
+    "bias_table",
     "apply_bias",
     "bias_to_json",
     "bias_from_json",
@@ -208,6 +211,25 @@ def soft_bias(spec: BiasSpec, stats: TripletStats) -> Bias:
 def lookup_pair_bias(table: PairBiasTable, s: int, o: int) -> BiasVector:
     """Bias vector for the ordered class pair ``(s, o)``, or the fallback."""
     return table.entries.get((s, o), table.fallback)
+
+
+def bias_table(bias: Bias, num_object_classes: int) -> np.ndarray:
+    """The bias as a dense ``(L_e, L_e, C)`` table of rows.
+
+    ``table[s_classes, o_classes]`` gathers the rows for arrays of (subject,
+    object) class labels in one step. A global vector is broadcast to every
+    pair as a read-only view; a pair table holds its stored entries and the
+    fallback row everywhere else.
+    """
+    n = num_object_classes
+    if isinstance(bias, BiasVector):
+        return np.broadcast_to(bias.values, (n, n, bias.values.shape[0]))
+    table = np.tile(bias.fallback.values, (n, n, 1))
+    for (s, o), vec in bias.entries.items():
+        if not (0 <= s < n and 0 <= o < n):
+            raise ValueError(f"bias entry for class pair {(s, o)} outside {n} object classes")
+        table[s, o] = vec.values
+    return table
 
 
 def apply_bias(logits: np.ndarray, bias: BiasVector) -> np.ndarray:

@@ -4,9 +4,15 @@ Training is plain SGD with momentum over seeded shuffled image batches. Each
 batch draws every annotated (foreground) pair of its images plus a subsample
 of background pairs at a configurable ratio; the optimized scalar is the mean
 relation loss over the drawn pairs, plus a weighted mean object-classification
-cross-entropy when the model has an object head. Pair-keyed biases are looked
-up by the pair's class labels: annotated labels in ``predcls``, detector
-argmax in ``sgcls``.
+cross-entropy when the model has an object head. Bias rows are gathered from
+a dense class-pair table by the pair's class labels: annotated labels in
+``predcls``, detector argmax in ``sgcls``. A step whose loss or any gradient
+is non-finite stops training with a ``FloatingPointError`` that names the
+iteration and, for a gradient, the parameter leaf.
+
+Evaluation forwards each image once and ranks its ``(pairs, relations)``
+score matrix (see :mod:`tailbias.metrics`); the sweep reuses those logits at
+every grid point and only re-biases, re-scores and re-ranks.
 
 All randomness derives from ``SeedSequence(config.seed, spawn_key=(domain,))``
 so identical configs produce bitwise-identical checkpoints. Checkpoints and
@@ -19,24 +25,19 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__
-from .bias import (
-    Bias,
-    BiasSpec,
-    BiasVector,
-    compute_bias,
-    lookup_pair_bias,
-    soft_bias,
-)
+from .bias import Bias, BiasSpec, BiasVector, bias_table, compute_bias, soft_bias
 from .losses import BaselineSpec, LossOutput, baseline_loss, biased_ce, ce
 from .metrics import (
     CONSTRAINTS,
     EvalResult,
+    candidate_index,
     evaluate_split,
+    object_pair_scores,
     rank,
     score_triplets,
 )
@@ -44,14 +45,16 @@ from .model import (
     MODES,
     DualEncoderParams,
     LinearParams,
+    Model,
     ModelSpec,
+    ObjectProposal,
     all_ordered_pairs,
     class_labels,
     feature_width,
     forward,  # noqa: F401 - perfbench/tests check that tracing restores this binding
     model_for,
 )
-from .numerics import flatten, leaves, write_flat, zeros_like_tree
+from .numerics import flatten, leaf_names, leaves, write_flat, zeros_like_tree
 from .stats import LabelSpace, TripletStats, ingest, marginal_counts
 from .synth import SynthImage, images_to_triplets
 
@@ -196,12 +199,6 @@ def training_stats(images: Sequence[SynthImage], label_space: LabelSpace) -> Tri
     return ingest(images_to_triplets(images), label_space)
 
 
-def _bias_row(bias: Bias, s_class: int, o_class: int) -> np.ndarray:
-    if isinstance(bias, BiasVector):
-        return bias.values
-    return lookup_pair_bias(bias, s_class, o_class).values
-
-
 def _class_counts(images: Sequence[SynthImage], stats: TripletStats) -> np.ndarray:
     """Per-class counts over the full logit space; index 0 counts background pairs."""
     counts, _ = marginal_counts(stats)
@@ -224,9 +221,8 @@ def make_loss_fn(
     if kind == "rtpb":
         if bias is None:
             raise ValueError("rtpb loss needs a bias")
-        return lambda z, y, s_class, o_class: biased_ce(
-            z, _bias_row(bias, s_class, o_class), y
-        )
+        table = bias_table(bias, config.label_space.num_object_classes)
+        return lambda z, y, s_class, o_class: biased_ce(z, table[s_class, o_class], y)
     spec = BaselineSpec(
         kind=kind,
         class_counts=class_counts,
@@ -237,6 +233,15 @@ def make_loss_fn(
         reweight_normalize=config.loss.reweight_normalize,
     )
     return lambda z, y, s_class, o_class: baseline_loss(spec, z, y)
+
+
+def _class_labels(proposals: Sequence[ObjectProposal], config: TrainConfig) -> np.ndarray:
+    """The task's object class labels, which index the dense bias table."""
+    labels = class_labels(proposals, config.task)
+    n = config.label_space.num_object_classes
+    if labels.size and (labels.min() < 0 or labels.max() >= n):
+        raise ValueError(f"object class label outside 0..{n - 1}")
+    return labels
 
 
 def _training_pairs(
@@ -255,6 +260,68 @@ def _training_pairs(
     pairs = fg + bg
     targets = [gt.get(p, 0) for p in pairs]
     return pairs, targets
+
+
+def _batch_loss(
+    config: TrainConfig,
+    net: Model,
+    params: LinearParams | DualEncoderParams,
+    loss_fn: Callable[[np.ndarray, int, int, int], LossOutput],
+    batch: Sequence[SynthImage],
+    sample_rng: np.random.Generator,
+) -> tuple[float, LinearParams | DualEncoderParams]:
+    """The batch's mean relation loss, plus the weighted mean object loss when
+    the model has an object head, and its parameter gradients."""
+    grads = zeros_like_tree(params)
+    rel_loss_sum = 0.0
+    rel_count = 0
+    obj_loss_sum = 0.0
+    obj_count = 0
+    per_image = []
+    for img in batch:
+        pairs, targets = _training_pairs(img, config.background_ratio, sample_rng)
+        unions = np.stack([img.unions[p] for p in pairs])
+        out = net.forward(img.proposals, unions, pairs, params, config.model, config.task)
+        lookup = _class_labels(img.proposals, config).tolist()
+        d_rel = np.zeros_like(out.relation_logits)
+        for q, (s, o) in enumerate(pairs):
+            res = loss_fn(out.relation_logits[q], targets[q], lookup[s], lookup[o])
+            rel_loss_sum += res.value
+            d_rel[q] = res.grad_logits
+            rel_count += 1
+        per_image.append((img, out, d_rel))
+
+    w_obj = config.model.object_loss_weight
+    # Only a model with an object head returns object logits.
+    use_obj = w_obj > 0 and out.object_logits is not None
+    if use_obj:
+        obj_count = sum(len(img.proposals) for img in batch)
+    for img, out, d_rel in per_image:
+        d_rel = d_rel / rel_count
+        d_obj = None
+        if use_obj:
+            d_obj = np.zeros_like(out.object_logits)
+            for i, p in enumerate(img.proposals):
+                res = ce(out.object_logits[i], p.label)
+                obj_loss_sum += res.value
+                d_obj[i] = res.grad_logits * (w_obj / obj_count)
+        net.backward(d_obj, d_rel, out, params, config.model, grads)
+
+    loss_value = rel_loss_sum / rel_count
+    if use_obj and obj_count:
+        loss_value += w_obj * obj_loss_sum / obj_count
+    return float(loss_value), grads
+
+
+def _check_finite_step(step: int, loss_value: float, grads) -> None:
+    """Name a diverging step: its non-finite loss or first non-finite gradient leaf."""
+    if not np.isfinite(loss_value):
+        raise FloatingPointError(f"iteration {step}: non-finite loss")
+    for i, g in enumerate(leaves(grads)):
+        if not np.isfinite(g).all():
+            raise FloatingPointError(
+                f"iteration {step}: non-finite gradient of {leaf_names(grads)[i]}"
+            )
 
 
 def train(
@@ -295,56 +362,19 @@ def train(
     val_metrics: list[dict] = []
     opt = config.optimizer
 
-    for iteration in range(opt.iterations):
+    for step in range(1, opt.iterations + 1):
         batch: list[SynthImage] = []
         while len(batch) < opt.batch_size:
             if not order:
                 order = shuffle_rng.permutation(len(train_images)).tolist()
             batch.append(train_images[order.pop(0)])
 
-        grads = zeros_like_tree(params)
-        rel_loss_sum = 0.0
-        rel_count = 0
-        obj_loss_sum = 0.0
-        obj_count = 0
-        per_image = []
-        for img in batch:
-            pairs, targets = _training_pairs(img, config.background_ratio, sample_rng)
-            unions = np.stack([img.unions[p] for p in pairs])
-            out = net.forward(
-                img.proposals, unions, pairs, params, config.model, config.task
-            )
-            lookup = class_labels(img.proposals, config.task).tolist()
-            d_rel = np.zeros_like(out.relation_logits)
-            for q, (s, o) in enumerate(pairs):
-                res = loss_fn(
-                    out.relation_logits[q], targets[q], lookup[s], lookup[o]
-                )
-                rel_loss_sum += res.value
-                d_rel[q] = res.grad_logits
-                rel_count += 1
-            per_image.append((img, out, d_rel))
-
-        w_obj = config.model.object_loss_weight
-        # Only a model with an object head returns object logits.
-        use_obj = w_obj > 0 and out.object_logits is not None
-        if use_obj:
-            obj_count = sum(len(img.proposals) for img in batch)
-        for img, out, d_rel in per_image:
-            d_rel = d_rel / rel_count
-            d_obj = None
-            if use_obj:
-                d_obj = np.zeros_like(out.object_logits)
-                for i, p in enumerate(img.proposals):
-                    res = ce(out.object_logits[i], p.label)
-                    obj_loss_sum += res.value
-                    d_obj[i] = res.grad_logits * (w_obj / obj_count)
-            net.backward(d_obj, d_rel, out, params, config.model, grads)
-
-        loss_value = rel_loss_sum / rel_count
-        if use_obj and obj_count:
-            loss_value += w_obj * obj_loss_sum / obj_count
-        losses.append(float(loss_value))
+        try:
+            loss_value, grads = _batch_loss(config, net, params, loss_fn, batch, sample_rng)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"iteration {step}: {exc}") from None
+        _check_finite_step(step, loss_value, grads)
+        losses.append(loss_value)
 
         for p_leaf, v_leaf, g_leaf in zip(
             leaves(params), leaves(velocity), leaves(grads), strict=True
@@ -353,12 +383,12 @@ def train(
             v_leaf += g_leaf
             p_leaf -= opt.learning_rate * v_leaf
 
-        if eval_every and val_images and (iteration + 1) % eval_every == 0:
-            snapshot = Checkpoint(config=config, iterations=iteration + 1, params=params)
+        if eval_every and val_images and step % eval_every == 0:
+            snapshot = Checkpoint(config=config, iterations=step, params=params)
             results = evaluate(snapshot, val_images)
             val_metrics.append(
                 {
-                    "iteration": iteration + 1,
+                    "iteration": step,
                     "with": _result_summary(results["with"]),
                     "without": _result_summary(results["without"]),
                 }
@@ -392,6 +422,82 @@ def _check_bias_compatible(bias: Bias, ls: LabelSpace) -> None:
         )
 
 
+class _ScoredImage(NamedTuple):
+    """What ranking an image needs from its one forward pass."""
+
+    relation_logits: np.ndarray  # (P, C), pairs in all_ordered_pairs order
+    pair_scores: np.ndarray | None  # object-score products in sgcls
+    subject_classes: np.ndarray  # (P,) class label of each pair's subject
+    object_classes: np.ndarray
+    gt_index: np.ndarray  # flat candidate index of each gt triplet
+    gt_relations: np.ndarray
+
+
+def _forward_split(checkpoint: Checkpoint, images: Sequence[SynthImage]) -> list[_ScoredImage]:
+    """Forward every image once; invalid ground truth or class labels, and
+    non-finite logits, raise ``ValueError`` naming the image's index."""
+    if not images:
+        raise ValueError("empty evaluation split")
+    config = checkpoint.config
+    num_relations = config.label_space.num_relations
+    net = model_for(config.model)
+    out = []
+    for i, img in enumerate(images):
+        try:
+            n = len(img.proposals)
+            gt_index = candidate_index(img.gt_triplets, n, num_relations)
+            labels = _class_labels(img.proposals, config)
+            pairs = all_ordered_pairs(n)
+            unions = np.stack([img.unions[p] for p in pairs])
+            fwd = net.forward(
+                img.proposals, unions, pairs, checkpoint.params, config.model, config.task
+            )
+            if not np.isfinite(fwd.relation_logits).all():
+                raise ValueError("non-finite relation logits")
+        except ValueError as exc:
+            raise ValueError(f"image {i}: {exc}") from None
+        pair_idx = np.array(pairs, dtype=np.int64)
+        out.append(
+            _ScoredImage(
+                relation_logits=fwd.relation_logits,
+                pair_scores=object_pair_scores(fwd.object_probs, pair_idx, config.task),
+                subject_classes=labels[pair_idx[:, 0]],
+                object_classes=labels[pair_idx[:, 1]],
+                gt_index=gt_index,
+                gt_relations=gt_index % num_relations + 1,
+            )
+        )
+    return out
+
+
+def _rank_split(
+    config: TrainConfig,
+    scored: list[_ScoredImage],
+    inference_bias: Bias | None,
+    ks: Sequence[int] | None,
+) -> dict[str, EvalResult]:
+    """Subtract the inference bias, score, rank, and aggregate per constraint."""
+    ls = config.label_space
+    ks = list(config.eval_ks if ks is None else ks)
+    table = None
+    if inference_bias is not None:
+        _check_bias_compatible(inference_bias, ls)
+        table = bias_table(inference_bias, ls.num_object_classes)
+    per_image: dict[str, list] = {c: [] for c in CONSTRAINTS}
+    for im in scored:
+        logits = im.relation_logits
+        if table is not None:
+            logits = logits - table[im.subject_classes, im.object_classes]
+        scores = score_triplets(im.pair_scores, logits)
+        for constraint in CONSTRAINTS:
+            positions = rank(scores, im.gt_index, constraint)
+            per_image[constraint].append((im.gt_relations, positions))
+    return {
+        constraint: evaluate_split(per_image[constraint], ks, ls.num_relations, constraint)
+        for constraint in CONSTRAINTS
+    }
+
+
 def evaluate(
     checkpoint: Checkpoint,
     images: Sequence[SynthImage],
@@ -405,38 +511,9 @@ def evaluate(
     logits are used as produced, since the training bias is training-only.
     Returns one result per ranking constraint.
     """
-    if not images:
-        raise ValueError("empty evaluation split")
-    config = checkpoint.config
-    if inference_bias is not None:
-        _check_bias_compatible(inference_bias, config.label_space)
-    ks = list(config.eval_ks if ks is None else ks)
-    net = model_for(config.model)
-    per_image: dict[str, list] = {c: [] for c in CONSTRAINTS}
-    for img in images:
-        pairs = all_ordered_pairs(len(img.proposals))
-        unions = np.stack([img.unions[p] for p in pairs])
-        out = net.forward(
-            img.proposals, unions, pairs, checkpoint.params, config.model, config.task
-        )
-        logits = out.relation_logits
-        if inference_bias is not None:
-            lookup = class_labels(img.proposals, config.task).tolist()
-            rows = np.stack(
-                [_bias_row(inference_bias, lookup[s], lookup[o]) for s, o in pairs]
-            )
-            logits = logits - rows
-        candidates = score_triplets(out.object_probs, logits, pairs, config.task)
-        for constraint in CONSTRAINTS:
-            per_image[constraint].append(
-                (img.gt_triplets, rank(candidates, constraint))
-            )
-    return {
-        constraint: evaluate_split(
-            per_image[constraint], ks, config.label_space.num_relations, constraint
-        )
-        for constraint in CONSTRAINTS
-    }
+    return _rank_split(
+        checkpoint.config, _forward_split(checkpoint, images), inference_bias, ks
+    )
 
 
 def sweep(
@@ -447,13 +524,19 @@ def sweep(
     images: Sequence[SynthImage],
     ks: Sequence[int] | None = None,
 ) -> list[tuple[float, dict[str, EvalResult]]]:
-    """Evaluate with the weakened inference bias at each exponent in ``grid``."""
-    rows = []
+    """Evaluate with the weakened inference bias at each exponent in ``grid``.
+
+    Each image is forwarded once; every grid point reuses its logits and
+    only re-biases, re-scores and re-ranks.
+    """
     for a_e in grid:
         if a_e > spec.a:
             raise ValueError(f"a_eval {a_e} exceeds a {spec.a}")
+    scored = _forward_split(checkpoint, images)
+    rows = []
+    for a_e in grid:
         soft = soft_bias(replace(spec, a_eval=float(a_e)), stats)
-        rows.append((float(a_e), evaluate(checkpoint, images, inference_bias=soft, ks=ks)))
+        rows.append((float(a_e), _rank_split(checkpoint.config, scored, soft, ks)))
     return rows
 
 
@@ -470,7 +553,12 @@ def sweep_csv(rows: list[tuple[float, dict[str, EvalResult]]], ks: Sequence[int]
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
+    """Write the checkpoint as JSON; non-finite parameters raise ``ValueError``
+    naming the leaf, before the file is opened."""
     arrays = leaves(checkpoint.params)
+    for name, a in zip(leaf_names(checkpoint.params), arrays):
+        if not np.isfinite(a).all():
+            raise ValueError(f"checkpoint parameter {name} is not finite")
     doc = {
         "config": checkpoint.config.to_dict(),
         "iterations": checkpoint.iterations,

@@ -1,28 +1,45 @@
-"""Triplet ranking and recall metrics.
+"""Triplet ranking and recall metrics over score matrices.
 
-Candidates are every (ordered pair, foreground relation) combination, scored
-by the product of the two object probabilities and the relation probability;
-``predcls`` fixes the object probabilities to 1. Relation probabilities
-renormalize the softmax over foreground labels only, so adding any constant to
-the foreground logits (for example a uniform inference bias) leaves every
-ranking unchanged, and the background logit never influences scores.
+An image's candidates are every (ordered pair, foreground relation)
+combination. :func:`score_triplets` scores them into a ``(P, L)`` matrix,
+one row per pair in pair order and column ``r - 1`` for relation ``r``; a
+candidate's flat index is ``q * L + (r - 1)``. A score is the product of the
+two object probabilities and the relation probability; ``predcls`` fixes the
+object probabilities to 1. Relation probabilities renormalize the softmax
+over foreground labels only, so adding any constant to the foreground logits
+(for example a uniform inference bias) leaves every ranking unchanged, and
+the background logit never influences scores.
 
-Two ranking protocols: ``with`` graph constraint keeps only the single best
-relation per ordered pair before ranking; ``without`` ranks all candidates.
-Ties are broken by candidate construction order, i.e. (pair position, relation
-label) ascending.
+Two ranking protocols, both by stable sorts, so exact ties are broken by
+(pair position, relation label) ascending. ``without`` graph constraint
+ranks all candidates: ``np.argsort(-scores.ravel(), kind="stable")``.
+``with`` keeps only each pair's best relation, the first maximum of its row
+(``argmax``), and ranks the pairs by a stable argsort of those scores.
 
-``recall@k`` is the fraction of ground-truth triplets, matched on exact
-``(s, o, relation)``, found in an image's top-k; the dataset value averages
+Recall needs only the rank position of each ground-truth triplet, which
+:func:`rank` computes once per image and constraint; the triplet is in the
+top k exactly when its position is below k, so one ranking serves every k.
+Under ``with`` a triplet whose relation is not its pair's best is never
+retrieved (position :data:`MISS`).
+
+``recall@k`` is the fraction of an image's ground-truth triplets, matched on
+exact ``(s, o, relation)``, found in its top k; the dataset value averages
 over images that have ground truth. ``mean recall@k`` pools instances per
-relation across the whole split and averages the per-relation recalls over
-relations that occur at least once.
+relation across the whole split, ``hits_r / instances_r``, and averages the
+per-relation recalls over relations that occur at least once. Tang et al.
+(arXiv 2002.11949) instead take each relation's recall per image and average
+it over the images that contain the relation. Pooling weights every instance
+equally: a relation's recall does not depend on how its instances are spread
+over images, and it is the same figure the per-relation CSV reports beside
+the instance count. The two agree whenever each image holds at most one
+instance of each relation.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -31,12 +48,13 @@ from .stats import LabelSpace
 
 __all__ = [
     "CONSTRAINTS",
-    "TripletPrediction",
+    "MISS",
     "EvalResult",
+    "object_pair_scores",
     "score_triplets",
+    "candidate_index",
+    "ranking",
     "rank",
-    "recall_at_k",
-    "mean_recall_at_k",
     "evaluate_split",
     "metrics_csv",
     "per_relation_csv",
@@ -45,14 +63,8 @@ __all__ = [
 
 CONSTRAINTS = ("with", "without")
 METRICS_CSV_HEADER = "mode,constraint,k,R,mR"
-
-
-@dataclass(frozen=True)
-class TripletPrediction:
-    s: int
-    o: int
-    relation: int
-    score: float
+# Rank position of a candidate the protocol drops; it is above every k.
+MISS = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -65,124 +77,113 @@ class EvalResult:
     constraint_mode: str
 
 
-def score_triplets(
-    object_probs: np.ndarray,
-    relation_logits: np.ndarray,
-    pairs: list[tuple[int, int]],
-    mode: str = "predcls",
-) -> list[TripletPrediction]:
-    """Candidate triplets in (pair, relation) order."""
-    if relation_logits.shape[0] != len(pairs):
-        raise ValueError("one logit row is required per pair")
-    rel_probs = row_softmax(relation_logits[:, 1:])
+def object_pair_scores(
+    object_probs: np.ndarray, pairs: Sequence[tuple[int, int]] | np.ndarray, mode: str
+) -> np.ndarray | None:
+    """``p(s) * p(o)`` per pair from each object's top probability in
+    ``sgcls``; None in ``predcls``, where object scores are fixed to 1."""
     if mode == "predcls":
-        obj_score = None
-    elif mode == "sgcls":
-        obj_score = object_probs.max(axis=1)
-    else:
+        return None
+    if mode != "sgcls":
         raise ValueError(f"unknown mode {mode!r}")
-    out = []
-    for q, (s, o) in enumerate(pairs):
-        base = 1.0 if obj_score is None else float(obj_score[s] * obj_score[o])
-        for r in range(1, relation_logits.shape[1]):
-            out.append(
-                TripletPrediction(s=s, o=o, relation=r, score=base * float(rel_probs[q, r - 1]))
-            )
-    return out
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    top = object_probs.max(axis=1)
+    return top[pairs[:, 0]] * top[pairs[:, 1]]
 
 
-def rank(
-    predictions: list[TripletPrediction], constraint: str = "with"
-) -> list[TripletPrediction]:
-    """Sort candidates by descending score under the chosen protocol.
+def score_triplets(
+    pair_scores: np.ndarray | None, relation_logits: np.ndarray
+) -> np.ndarray:
+    """``(P, L)`` candidate scores in (pair, relation) order.
 
-    Relies on the input being in construction order: the stable sort then
-    breaks exact ties by (pair position, relation label) ascending.
+    ``pair_scores`` is the :func:`object_pair_scores` of the same pairs.
     """
-    if constraint not in CONSTRAINTS:
+    rel_probs = row_softmax(relation_logits[:, 1:])
+    if pair_scores is None:
+        return rel_probs
+    if pair_scores.shape != (relation_logits.shape[0],):
+        raise ValueError("one object score is required per pair")
+    return pair_scores[:, None] * rel_probs
+
+
+def candidate_index(
+    gt: Sequence[tuple[int, int, int]], num_objects: int, num_relations: int
+) -> np.ndarray:
+    """Flat candidate index of each ground-truth triplet ``(s, o, r)``.
+
+    Ordered pairs enumerate subjects, then objects, skipping ``s == o``, so
+    pair ``(s, o)`` sits at ``s * (n - 1) + o - (o > s)``. That formula picks
+    a wrong pair for ``s == o`` or indices out of range, so those raise.
+    """
+    n = num_objects
+    for s, o, r in gt:
+        if not (0 <= s < n and 0 <= o < n):
+            why = f"an object index outside 0..{n - 1}"
+        elif s == o:
+            why = "the same subject and object"
+        elif not 1 <= r <= num_relations:
+            why = f"a relation outside 1..{num_relations}"
+        else:
+            continue
+        raise ValueError(f"ground-truth triplet {(int(s), int(o), int(r))} has {why}")
+    t = np.asarray(gt, dtype=np.int64).reshape(-1, 3)
+    s, o, r = t[:, 0], t[:, 1], t[:, 2]
+    return (s * (n - 1) + o - (o > s)) * num_relations + (r - 1)
+
+
+def ranking(scores: np.ndarray, constraint: str = "with") -> np.ndarray:
+    """Flat indices of the ranked candidates, best first."""
+    if constraint == "without":
+        return np.argsort(-scores.ravel(), kind="stable")
+    if constraint != "with":
         raise ValueError(f"unknown constraint {constraint!r}")
-    pool = predictions
-    if constraint == "with":
-        best: dict[tuple[int, int], TripletPrediction] = {}
-        for p in predictions:
-            cur = best.get((p.s, p.o))
-            if cur is None or p.score > cur.score:
-                best[(p.s, p.o)] = p
-        seen = set()
-        pool = []
-        for p in predictions:  # preserve first-appearance pair order
-            key = (p.s, p.o)
-            if key not in seen:
-                seen.add(key)
-                pool.append(best[key])
-    return sorted(pool, key=lambda p: -p.score)
+    best = scores.argmax(axis=1)
+    pairs = np.argsort(-scores[np.arange(best.shape[0]), best], kind="stable")
+    return pairs * scores.shape[1] + best[pairs]
 
 
-def recall_at_k(
-    gt: list[tuple[int, int, int]], ranked: list[TripletPrediction], k: int
-) -> float:
-    """Fraction of ground-truth triplets present in the top-k, for one image."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not gt:
-        raise ValueError("image has no ground truth")
-    top = {(p.s, p.o, p.relation) for p in ranked[:k]}
-    return sum(1 for t in gt if tuple(t) in top) / len(gt)
-
-
-def mean_recall_at_k(
-    images: list[tuple[list[tuple[int, int, int]], list[TripletPrediction]]],
-    k: int,
-    num_relations: int,
-) -> tuple[float, np.ndarray]:
-    """Pooled per-relation recall and its mean over relations present in gt.
-
-    Returns ``(mR, per_relation)`` where ``per_relation`` has length
-    ``num_relations + 1``, is indexed by relation label, and holds NaN for
-    relations without any ground-truth instance (they are excluded from the
-    mean; index 0 is always NaN).
-    """
-    hits = np.zeros(num_relations + 1)
-    totals = np.zeros(num_relations + 1)
-    for gt, ranked in images:
-        top = {(p.s, p.o, p.relation) for p in ranked[:k]}
-        for s, o, r in gt:
-            totals[r] += 1
-            if (s, o, r) in top:
-                hits[r] += 1
-    per_relation = np.full(num_relations + 1, np.nan)
-    present = totals > 0
-    per_relation[present] = hits[present] / totals[present]
-    if not present.any():
-        return 0.0, per_relation
-    return float(np.mean(per_relation[present])), per_relation
+def rank(scores: np.ndarray, index: np.ndarray, constraint: str = "with") -> np.ndarray:
+    """0-based rank position of the candidates at flat ``index``; :data:`MISS`
+    for candidates the protocol drops."""
+    order = ranking(scores, constraint)
+    position = np.full(scores.size, MISS, dtype=np.int64)
+    position[order] = np.arange(order.shape[0])
+    return position[index]
 
 
 def evaluate_split(
-    per_image: list[tuple[list[tuple[int, int, int]], list[TripletPrediction]]],
-    ks: list[int],
+    per_image: Sequence[tuple[np.ndarray, np.ndarray]],
+    ks: Sequence[int],
     num_relations: int,
     constraint: str,
 ) -> EvalResult:
-    """Aggregate ranked predictions for one split under one constraint.
+    """Aggregate R@k and mR@k for one split under one constraint.
 
-    ``per_image`` pairs each image's ground truth with its candidates ranked
-    under ``constraint``; images without ground truth are skipped for R@k.
+    ``per_image`` holds, per image, the relation label and the rank position
+    (from :func:`rank` under ``constraint``) of each ground-truth triplet;
+    images without ground truth are skipped for R@k.
     """
-    with_gt = [(gt, ranked) for gt, ranked in per_image if gt]
-    gt_counts = np.zeros(num_relations + 1, dtype=np.int64)
-    for gt, _ in with_gt:
-        for _, _, r in gt:
-            gt_counts[r] += 1
+    with_gt = [(rel, pos) for rel, pos in per_image if len(rel)]
+    empty = [np.zeros(0, dtype=np.int64)]
+    rel = np.concatenate(empty + [np.asarray(r, dtype=np.int64) for r, _ in with_gt])
+    pos = np.concatenate(empty + [np.asarray(p, dtype=np.int64) for _, p in with_gt])
+    sizes = np.array([len(r) for r, _ in with_gt], dtype=np.int64)
+    image = np.repeat(np.arange(sizes.shape[0]), sizes)
+    gt_counts = np.bincount(rel, minlength=num_relations + 1)
+    present = gt_counts > 0
     recall = {}
     mean_recall = {}
     per_rel = {}
     for k in ks:
-        if with_gt:
-            recall[k] = float(np.mean([recall_at_k(gt, ranked, k) for gt, ranked in with_gt]))
-        else:
-            recall[k] = 0.0
-        mean_recall[k], per_rel[k] = mean_recall_at_k(with_gt, k, num_relations)
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        hit = pos < k
+        per_image_hits = np.bincount(image, weights=hit, minlength=sizes.shape[0])
+        recall[k] = float(np.mean(per_image_hits / sizes)) if with_gt else 0.0
+        hits = np.bincount(rel[hit], minlength=num_relations + 1)
+        per_rel[k] = np.full(num_relations + 1, np.nan)
+        per_rel[k][present] = hits[present] / gt_counts[present]
+        mean_recall[k] = float(np.mean(per_rel[k][present])) if present.any() else 0.0
     return EvalResult(
         recall_at=recall,
         mean_recall_at=mean_recall,

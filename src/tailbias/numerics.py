@@ -39,6 +39,7 @@ __all__ = [
     "init_attention_params",
     "init_encoder_layer_params",
     "leaves",
+    "leaf_names",
     "flatten",
     "write_flat",
     "zeros_like_tree",
@@ -323,6 +324,23 @@ def _collect(node, out: list[np.ndarray]) -> None:
             _collect(item, out)
     else:
         raise TypeError(f"unsupported parameter node {type(node)!r}")
+
+
+def leaf_names(tree, prefix: str = "") -> list[str]:
+    """Dotted path of each leaf, in :func:`leaves` order (``obj_layers.0.attn.wq``)."""
+    if isinstance(tree, np.ndarray):
+        return [prefix]
+    if is_dataclass(tree):
+        children = [(name, getattr(tree, name)) for name in tree.__dataclass_fields__]
+    elif isinstance(tree, (list, tuple)):
+        children = list(enumerate(tree))
+    else:
+        raise TypeError(f"unsupported parameter node {type(tree)!r}")
+    return [
+        path
+        for key, child in children
+        for path in leaf_names(child, f"{prefix}.{key}" if prefix else str(key))
+    ]
 
 
 def flatten(tree) -> np.ndarray:

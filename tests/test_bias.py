@@ -12,6 +12,7 @@ from tailbias.bias import (
     PairBiasTable,
     apply_bias,
     bias_from_json,
+    bias_table,
     bias_to_json,
     compute_bias,
     lookup_pair_bias,
@@ -205,6 +206,30 @@ class TestLookupAndApply:
         assert lookup_pair_bias(table, 2, 2).foreground == pytest.approx(
             [LOG50] * 50, abs=1e-12
         )
+
+    def test_dense_table_matches_lookup(self, small_space):
+        stats = ingest([(1, 2, 3)] * 2 + [(4, 0, 1)], small_space)
+        table = compute_bias(BiasSpec(kind="pb", a=1.0, epsilon=1e-3), stats)
+        dense = bias_table(table, small_space.num_object_classes)
+        assert dense.shape == (6, 6, small_space.num_relations + 1)
+        for s in range(6):
+            for o in range(6):
+                assert np.array_equal(dense[s, o], lookup_pair_bias(table, s, o).values)
+        rows = dense[np.array([1, 4, 0]), np.array([2, 0, 0])]
+        assert np.array_equal(rows[1], table.entries[(4, 0)].values)
+
+    def test_dense_table_broadcasts_a_vector(self, skewed_stats):
+        vec = compute_bias(BiasSpec(kind="cb", a=1.0), skewed_stats)
+        dense = bias_table(vec, 2)
+        assert dense.shape == (2, 2, 3)
+        assert np.shares_memory(dense, vec.values)
+        assert np.array_equal(dense[1, 0], vec.values)
+
+    def test_dense_table_rejects_entry_outside_classes(self, small_space):
+        stats = ingest([(5, 2, 3)], small_space)
+        table = compute_bias(BiasSpec(kind="pb", a=1.0, epsilon=1e-3), stats)
+        with pytest.raises(ValueError, match="outside 4 object classes"):
+            bias_table(table, 4)
 
     def test_apply_identity(self):
         z = np.array([1.0, 2.0, 3.0])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -249,7 +250,29 @@ class TestErrors:
         assert code == 1
         doc = json.loads(capsys.readouterr().err.strip())
         assert doc["error"]["type"] == "FloatingPointError"
+        assert re.match(r"iteration \d+: ", doc["error"]["message"])
         assert not (tmp_path / "run").exists()
+
+    def test_invalid_ground_truth_gives_json_error(self, workspace, tmp_path, capsys):
+        _, data_dir, _, _, run_dir = workspace
+        lines = (data_dir / "test.jsonl").read_text().splitlines()
+        doc = json.loads(lines[2])
+        doc["gt"].append([0, 0, 1])
+        lines[2] = json.dumps(doc)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main([
+            "eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+            "--data", str(bad), "--out", str(tmp_path / "eval"),
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"] == (
+            "image 2: ground-truth triplet (0, 0, 1) has the same subject and object"
+        )
+        assert not (tmp_path / "eval").exists()
 
     def test_unknown_loss_kind_rejected(self, workspace, tmp_path, capsys):
         root, data_dir, _, _, _ = workspace

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from tailbias.harness import (
     train,
     training_stats,
 )
-from tailbias.losses import biased_ce
+from tailbias.losses import LossOutput, biased_ce, ce
 from tailbias.metrics import metrics_csv
 from tailbias.model import LinearParams, ObjectProposal, init_linear
 from tailbias.numerics import flatten
@@ -122,6 +123,32 @@ class TestTrain:
     def test_empty_dataset_rejected(self, space):
         with pytest.raises(ValueError, match="empty"):
             train(linear_config(space), [])
+
+    def test_non_finite_loss_names_the_iteration(self, space, data):
+        train_images, _ = data
+        calls = []
+
+        def loss_fn(z, y, s_class, o_class):
+            calls.append(1)
+            res = ce(z, y)
+            value = np.nan if len(calls) > 20 else res.value
+            return LossOutput(value=value, grad_logits=res.grad_logits)
+
+        with pytest.raises(FloatingPointError, match=r"^iteration \d+: non-finite loss$"):
+            train(linear_config(space), train_images, loss_fn=loss_fn)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_gradient_names_the_iteration_and_leaf(self, space, data):
+        train_images, _ = data
+
+        def loss_fn(z, y, s_class, o_class):
+            res = ce(z, y)
+            return LossOutput(value=res.value, grad_logits=res.grad_logits * np.inf)
+
+        with pytest.raises(
+            FloatingPointError, match=r"^iteration 1: non-finite gradient of w$"
+        ):
+            train(linear_config(space), train_images, loss_fn=loss_fn)
 
     def test_single_step_matches_hand_gradient(self, space, data):
         train_images, _ = data
@@ -307,6 +334,55 @@ class TestEvaluate:
             evaluate(ck, [])
 
 
+    @pytest.mark.parametrize(
+        "triplet, why",
+        [
+            ((0, 3, 1), "object index outside 0..2"),
+            ((-1, 1, 1), "object index outside 0..2"),
+            ((1, 1, 1), "same subject and object"),
+            ((0, 1, 0), "relation outside 1..8"),
+            ((0, 1, 9), "relation outside 1..8"),
+        ],
+    )
+    def test_invalid_ground_truth_names_the_image(self, space, triplet, why):
+        images = perfect_split(space)
+        images[1] = replace(images[1], gt_triplets=[(0, 1, 1), triplet])
+        ck = perfect_checkpoint(space)
+        with pytest.raises(ValueError, match=f"image 1: .*{why}"):
+            evaluate(ck, images)
+        with pytest.raises(ValueError, match=f"image 1: .*{why}"):
+            stats = training_stats(images[:1], space)
+            sweep(ck, stats, BiasSpec(kind="cb", epsilon=1e-3), [0.0], images)
+
+    def test_object_class_outside_label_space_names_the_image(self, space, data):
+        images = perfect_split(space)
+        proposals = list(images[1].proposals)
+        proposals[2] = replace(proposals[2], label=space.num_object_classes)
+        images[1] = replace(images[1], proposals=proposals)
+        with pytest.raises(ValueError, match="image 1: object class label outside 0..5"):
+            evaluate(perfect_checkpoint(space), images)
+        # Training statistics check annotated objects; an unannotated one is
+        # caught when its pairs are drawn.
+        train_images = list(data[0])
+        for i, img in enumerate(train_images):
+            annotated = {t[0] for t in img.gt_triplets} | {t[1] for t in img.gt_triplets}
+            free = [j for j in range(len(img.proposals)) if j not in annotated]
+            if free:
+                proposals = list(img.proposals)
+                proposals[free[0]] = replace(proposals[free[0]], label=-1)
+                train_images[i] = replace(img, proposals=proposals)
+        with pytest.raises(ValueError, match="object class label outside 0..5"):
+            train(linear_config(space), train_images)
+
+    def test_non_finite_logits_name_the_image(self, space):
+        images = perfect_split(space)
+        unions = dict(images[2].unions)
+        unions[(1, 0)] = np.full_like(unions[(1, 0)], np.nan)
+        images[2] = replace(images[2], unions=unions)
+        with pytest.raises(ValueError, match="image 2: non-finite relation logits"):
+            evaluate(perfect_checkpoint(space), images)
+
+
 class TestSweep:
     def test_grid_zero_equals_plain_evaluate(self, space, data):
         train_images, test_images = data
@@ -377,6 +453,15 @@ class TestCheckpointIo:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="parameter 0 has shape"):
             load_checkpoint(str(path))
+
+    def test_non_finite_parameter_is_refused(self, space, data, tmp_path):
+        train_images, _ = data
+        ck, _ = train(linear_config(space), train_images)
+        ck.params.b[2] = np.inf
+        path = tmp_path / "ck.json"
+        with pytest.raises(ValueError, match="parameter b is not finite"):
+            save_checkpoint(ck, str(path))
+        assert not path.exists()
 
     def test_save_is_byte_stable(self, space, data, tmp_path):
         train_images, _ = data

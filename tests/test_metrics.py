@@ -3,88 +3,80 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import mean_recall_at_k, preds, recall_at_k
 from tailbias.metrics import (
+    MISS,
     METRICS_CSV_HEADER,
-    TripletPrediction,
+    candidate_index,
     evaluate_split,
-    mean_recall_at_k,
     metrics_csv,
+    object_pair_scores,
     per_relation_csv,
     rank,
-    recall_at_k,
+    ranking,
     score_triplets,
 )
 from tailbias.numerics import row_softmax
 from tailbias.stats import LabelSpace
 
 
-def preds(*rows):
-    return [TripletPrediction(s=s, o=o, relation=r, score=sc) for s, o, r, sc in rows]
-
-
 class TestScoreTriplets:
     def test_enumerates_pair_relation_grid(self, rng):
         logits = rng.normal(size=(1, 3))  # background + 2 relations
-        out = score_triplets(None, logits, [(0, 1)], "predcls")
-        assert [(p.s, p.o, p.relation) for p in out] == [(0, 1, 1), (0, 1, 2)]
+        assert score_triplets(None, logits).shape == (1, 2)
+        assert candidate_index([(0, 1, 1), (0, 1, 2)], 2, 2).tolist() == [0, 1]
+        # pairs of three objects: (0,1) (0,2) (1,0) (1,2) (2,0) (2,1)
+        gt = [(s, o, 2) for s in range(3) for o in range(3) if s != o]
+        assert candidate_index(gt, 3, 2).tolist() == [1, 3, 5, 7, 9, 11]
 
     def test_predcls_scores_are_relation_probs(self, rng):
         logits = rng.normal(size=(2, 4))
-        out = score_triplets(None, logits, [(0, 1), (1, 0)], "predcls")
-        expected = row_softmax(logits[:, 1:])
-        got = np.array([p.score for p in out]).reshape(2, 3)
-        assert got == pytest.approx(expected, abs=1e-12)
+        assert object_pair_scores(None, [(0, 1), (1, 0)], "predcls") is None
+        got = score_triplets(None, logits)
+        assert got == pytest.approx(row_softmax(logits[:, 1:]), abs=1e-12)
 
     def test_sgcls_hand_product(self):
         # object probabilities 0.5 and 0.4; relation probability 0.3
         object_probs = np.array([[0.5, 0.3, 0.2], [0.4, 0.35, 0.25]])
-        third = np.log(np.array([[0.2, 0.3, 0.5]]))  # fg softmax over cols 1:
         logits = np.concatenate([[[0.0]], np.log([[0.3, 0.7]])], axis=1)
-        out = score_triplets(object_probs, logits, [(0, 1)], "sgcls")
-        assert out[0].score == pytest.approx(0.5 * 0.4 * 0.3, abs=1e-12)
+        pair_scores = object_pair_scores(object_probs, [(0, 1)], "sgcls")
+        assert score_triplets(pair_scores, logits)[0, 0] == pytest.approx(
+            0.5 * 0.4 * 0.3, abs=1e-12
+        )
 
     def test_foreground_renormalization_ignores_background(self, rng):
         logits = rng.normal(size=(2, 4))
         shifted = logits.copy()
         shifted[:, 0] += 123.0  # background slot must not matter
-        a = score_triplets(None, logits, [(0, 1), (1, 0)], "predcls")
-        b = score_triplets(None, shifted, [(0, 1), (1, 0)], "predcls")
-        for pa, pb in zip(a, b):
-            assert pa.score == pytest.approx(pb.score, abs=1e-12)
+        a = score_triplets(None, logits)
+        b = score_triplets(None, shifted)
+        assert a == pytest.approx(b, abs=1e-12)
 
 
 class TestRank:
     def test_with_constraint_keeps_best_per_pair(self):
-        out = rank(preds((0, 1, 1, 0.2), (0, 1, 2, 0.7)), "with")
-        assert [(p.relation, p.score) for p in out] == [(2, 0.7)]
+        scores = np.array([[0.2, 0.7]])
+        assert ranking(scores, "with").tolist() == [1]
+        assert rank(scores, np.array([0, 1]), "with").tolist() == [MISS, 0]
 
     def test_without_constraint_keeps_all(self):
-        out = rank(preds((0, 1, 1, 0.2), (0, 1, 2, 0.7)), "without")
-        assert [p.relation for p in out] == [2, 1]
+        scores = np.array([[0.2, 0.7]])
+        assert ranking(scores, "without").tolist() == [1, 0]
+        assert rank(scores, np.array([0, 1]), "without").tolist() == [1, 0]
 
     def test_tie_breaks_by_construction_order(self):
-        out = rank(preds((0, 1, 1, 0.5), (0, 1, 2, 0.5), (1, 0, 1, 0.5)), "without")
-        assert [(p.s, p.o, p.relation) for p in out] == [(0, 1, 1), (0, 1, 2), (1, 0, 1)]
-        out = rank(preds((0, 1, 1, 0.5), (0, 1, 2, 0.5)), "with")
-        assert [(p.relation,) for p in out] == [(1,)]
+        scores = np.array([[0.5, 0.5], [0.5, 0.1]])
+        assert ranking(scores, "without").tolist() == [0, 1, 2, 3]
+        assert ranking(scores[:1], "with").tolist() == [0]
+        assert ranking(scores, "with").tolist() == [0, 2]
 
     def test_with_is_subset_of_without(self, rng):
-        candidates = preds(
-            *[
-                (s, o, r, float(rng.uniform()))
-                for s in range(3)
-                for o in range(3)
-                if s != o
-                for r in (1, 2, 3)
-            ]
-        )
-        with_set = {(p.s, p.o, p.relation) for p in rank(candidates, "with")}
-        without_set = {(p.s, p.o, p.relation) for p in rank(candidates, "without")}
-        assert with_set <= without_set
+        scores = rng.uniform(size=(6, 3))
+        assert set(ranking(scores, "with").tolist()) <= set(ranking(scores, "without").tolist())
 
     def test_unknown_constraint(self):
         with pytest.raises(ValueError):
-            rank([], "sometimes")
+            rank(np.zeros((1, 2)), np.array([0]), "sometimes")
 
 
 class TestRecallAtK:
@@ -140,15 +132,19 @@ class TestMeanRecall:
         assert r == 0.9
 
 
+def image(relations, positions):
+    """One image's ground truth as evaluate_split takes it."""
+    return np.array(relations, dtype=np.int64), np.array(positions, dtype=np.int64)
+
+
 class TestEvaluateSplit:
-    def _random_images(self, rng, n_images, num_relations=4):
+    def _random_images(self, rng, n_images, num_relations=4, constraint="with"):
         images = []
         for _ in range(n_images):
             gt = [(0, 1, int(rng.integers(1, num_relations + 1)))]
-            candidates = preds(
-                *[(0, 1, r, float(rng.uniform())) for r in range(1, num_relations + 1)]
-            )
-            images.append((gt, rank(candidates, "with")))
+            scores = rng.uniform(size=(2, num_relations))
+            index = candidate_index(gt, 2, num_relations)
+            images.append(image([gt[0][2]], rank(scores, index, constraint)))
         return images
 
     def test_monotone_in_k(self, rng):
@@ -175,35 +171,31 @@ class TestEvaluateSplit:
         per_without = []
         for _ in range(25):
             gt = [(0, 1, int(rng.integers(1, 5))), (1, 0, int(rng.integers(1, 5)))]
-            candidates = preds(
-                *[
-                    (s, o, r, float(rng.uniform()))
-                    for (s, o) in ((0, 1), (1, 0))
-                    for r in range(1, 5)
-                ]
-            )
-            per_with.append((gt, rank(candidates, "with")))
-            per_without.append((gt, rank(candidates, "without")))
+            scores = rng.uniform(size=(2, num_relations))
+            index = candidate_index(gt, 2, num_relations)
+            relations = [r for _, _, r in gt]
+            per_with.append(image(relations, rank(scores, index, "with")))
+            per_without.append(image(relations, rank(scores, index, "without")))
         res_with = evaluate_split(per_with, [1, 2, 4, 8], num_relations, "with")
         res_without = evaluate_split(per_without, [1, 2, 4, 8], num_relations, "without")
         for k in (1, 2, 4, 8):
             assert res_without.recall_at[k] >= res_with.recall_at[k] - 1e-12
 
     def test_images_without_gt_are_excluded(self):
-        images = [([], []), ([(0, 1, 1)], preds((0, 1, 1, 0.9)))]
+        images = [image([], []), image([1], [0])]
         res = evaluate_split(images, [1], 2, "with")
         assert res.recall_at[1] == 1.0
         assert res.num_images == 2
 
     def test_gt_counts(self):
-        images = [([(0, 1, 1), (1, 0, 1), (0, 1, 2)], [])]
+        images = [image([1, 1, 2], [MISS, MISS, MISS])]
         res = evaluate_split(images, [1], 3, "with")
         assert res.gt_relation_counts.tolist() == [0, 2, 1, 0]
 
 
 class TestCsv:
     def test_metrics_csv_schema(self, rng):
-        images = [([(0, 1, 1)], preds((0, 1, 1, 0.9)))]
+        images = [image([1], [0])]
         results = {
             "with": evaluate_split(images, [1, 5], 2, "with"),
             "without": evaluate_split(images, [1, 5], 2, "without"),
@@ -216,8 +208,7 @@ class TestCsv:
 
     def test_per_relation_csv(self):
         ls = LabelSpace(num_object_classes=2, num_relations=2)
-        images = [([(0, 1, 1)], preds((0, 1, 1, 0.9)))]
-        res = evaluate_split(images, [1], 2, "with")
+        res = evaluate_split([image([1], [0])], [1], 2, "with")
         text = per_relation_csv(ls, res, [1])
         lines = text.strip().split("\n")
         assert lines[0] == "relation,name,gt_count,recall@1"
@@ -225,18 +216,11 @@ class TestCsv:
         assert lines[2] == "2,rel_2,0,"  # absent relation: empty recall cell
 
 
-@given(
-    st.lists(
-        st.tuples(st.integers(1, 3), st.floats(0.0, 1.0)), min_size=1, max_size=30
-    )
-)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
 @settings(max_examples=80, deadline=None)
-def test_rank_is_sorted_and_stable(items):
-    candidates = [
-        TripletPrediction(s=0, o=1, relation=r, score=s) for r, s in items
-    ]
+def test_rank_is_sorted_and_stable(row):
+    scores = np.array([row])  # a single pair
     for constraint in ("with", "without"):
-        ranked = rank(candidates, constraint)
-        scores = [p.score for p in ranked]
-        assert scores == sorted(scores, reverse=True)
-    assert len(rank(candidates, "with")) == 1  # single pair
+        ranked = scores.ravel()[ranking(scores, constraint)]
+        assert ranked.tolist() == sorted(ranked.tolist(), reverse=True)
+    assert len(ranking(scores, "with")) == 1

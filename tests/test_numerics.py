@@ -12,6 +12,7 @@ from tailbias.numerics import (
     grad_check,
     init_attention_params,
     init_encoder_layer_params,
+    leaf_names,
     leaves,
     matmul_backward,
     multi_head_attention,
@@ -247,6 +248,13 @@ class TestParameterTrees:
         params = init_attention_params(4, rng)
         assert [a.shape for a in leaves(params)] == [(4, 4)] * 4
         assert leaves(params)[0] is params.wq
+
+    def test_leaf_names_follow_leaf_order(self, rng):
+        params = [init_encoder_layer_params(4, 8, rng)]
+        names = leaf_names(params)
+        assert len(names) == len(leaves(params))
+        assert names[:5] == ["0.attn.wq", "0.attn.wk", "0.attn.wv", "0.attn.wo", "0.ln1_gain"]
+        assert names[-1] == "0.b2"
 
     def test_write_flat_length_check(self, rng):
         params = init_attention_params(4, rng)
