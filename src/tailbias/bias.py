@@ -133,22 +133,23 @@ Bias = Union[BiasVector, PairBiasTable]
 
 
 def weights_to_bias(w: np.ndarray, a: float, epsilon: float) -> np.ndarray:
-    """Foreground bias vector ``-log(w**a / sum(w**a) + epsilon)``.
+    """Foreground bias ``-log(w**a / sum(w**a) + epsilon)`` over the last axis.
 
-    Uses the ``0**0 = 1`` convention so ``a = 0`` ignores the weights entirely
-    and yields the constant ``-log(1/len(w) + epsilon)``. Weights must be
-    nonnegative; all-zero weights are rejected unless ``a = 0``. With
+    ``w`` is one weight vector or a stack of them; each is normalized on its
+    own. Uses the ``0**0 = 1`` convention so ``a = 0`` ignores the weights
+    entirely and yields the constant ``-log(1/len(w) + epsilon)``. Weights
+    must be nonnegative; all-zero weights are rejected unless ``a = 0``. With
     ``epsilon = 0`` a zero weight produces an infinite entry, which
     :class:`BiasVector` refuses to store.
     """
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or w.shape[0] < 1:
-        raise ValueError("weights must be a nonempty 1-D vector")
+    if w.ndim < 1 or w.shape[-1] < 1:
+        raise ValueError("weights must be nonempty vectors")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
     powered = w**float(a)
-    norm = powered.sum()
-    if norm == 0.0:
+    norm = powered.sum(axis=-1, keepdims=True)
+    if np.any(norm == 0.0):
         raise ValueError("degenerate weights: all zero with a > 0")
     with np.errstate(divide="ignore"):
         return -np.log(powered / norm + epsilon)
@@ -175,22 +176,18 @@ def _build(spec: BiasSpec, stats: TripletStats, a: float) -> Bias:
             raise ValueError(f"{spec.kind} bias needs nonempty statistics when a > 0")
         return _assemble(spec, weights_to_bias(w, a, spec.epsilon), n_rel)
 
-    entries: dict[tuple[int, int], BiasVector] = {}
-    if spec.kind == "pb":
-        pairs = sorted({(s, o) for (s, o, _) in stats.counts})
-        weight_fn = pair_counts
-    else:
-        # eb estimates a distribution for every pair whose side marginals
-        # intersect, including pairs never annotated together.
-        subjects = sorted({s for (s, _, _) in stats.counts})
-        objects = sorted({o for (_, o, _) in stats.counts})
-        pairs = [(s, o) for s in subjects for o in objects]
-        weight_fn = sppo_counts
-    for s, o in pairs:
-        w = weight_fn(stats, s, o)[1:]
-        if w.sum() == 0:
-            continue  # nothing observed: lookup falls back to uniform
-        entries[(s, o)] = _assemble(spec, weights_to_bias(w, a, spec.epsilon), n_rel)
+    # One weight row per ordered class pair. eb estimates a distribution for
+    # every pair whose side marginals intersect, including pairs never
+    # annotated together; a pair with no weight falls back to uniform.
+    subjects, objects = np.indices((ls.num_object_classes,) * 2)
+    weight_fn = pair_counts if spec.kind == "pb" else sppo_counts
+    weights = weight_fn(stats, subjects, objects)[..., 1:]
+    stored = weights.sum(axis=-1) > 0
+    rows = weights_to_bias(weights[stored], a, spec.epsilon)
+    entries = {
+        (int(s), int(o)): _assemble(spec, row, n_rel)
+        for (s, o), row in zip(np.argwhere(stored), rows)
+    }
     return PairBiasTable(entries=entries, fallback=uniform)
 
 

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import BaselineSpec, baseline_loss, biased_ce, ce
-from .model import (
-    ModelSpec,
-    ObjectProposal,
-    all_ordered_pairs,
-    backward,
-    forward,
-    init_dual_encoder,
-)
+from .model import ModelSpec, backward, forward, init_dual_encoder
 from .numerics import (
     GradCheckReport,
     attention,
@@ -39,6 +32,7 @@ from .numerics import (
     write_flat,
 )
 from .stats import LabelSpace
+from .synth import SynthImage, all_ordered_pairs
 
 __all__ = [
     "CheckResult",
@@ -207,31 +201,28 @@ def _toy_setup(rng: np.random.Generator):
     d_v = 4
     params = init_dual_encoder(spec, ls, d_v, rng)
     n = 3
-    proposals = []
+    rows = []
     for _ in range(n):
         x1, y1 = rng.uniform(0.0, 0.5, 2)
         scores = rng.uniform(0.1, 1.0, ls.num_object_classes)
         scores /= scores.sum()
-        proposals.append(
-            ObjectProposal(
-                box=(float(x1), float(y1), float(x1 + rng.uniform(0.1, 0.4)), float(y1 + rng.uniform(0.1, 0.4))),
-                feature=rng.normal(0.0, 1.0, d_v),
-                label=int(rng.integers(0, ls.num_object_classes)),
-                scores=scores,
-            )
-        )
+        box = [x1, y1, x1 + rng.uniform(0.1, 0.4), y1 + rng.uniform(0.1, 0.4)]
+        feature = rng.normal(0.0, 1.0, d_v)
+        rows.append((box, feature, int(rng.integers(0, ls.num_object_classes)), scores))
+    boxes, features, labels, scores = (np.array(col) for col in zip(*rows))
     pairs = all_ordered_pairs(n)
     unions = rng.normal(0.0, 1.0, (len(pairs), d_v))
+    image = SynthImage(boxes, features, labels, scores, unions, gt_triplets=[])
     targets = rng.integers(0, ls.num_relations + 1, len(pairs))
     bias_row = rng.uniform(-1.0, 1.0, ls.num_relations + 1)
-    return spec, params, proposals, pairs, unions, targets, bias_row
+    return spec, params, image, pairs, targets, bias_row
 
 
-def _toy_loss(out, proposals, targets, bias_row):
+def _toy_loss(out, image, targets, bias_row):
     """Mean biased relation loss plus mean object cross-entropy, with the
     gradients at both classifier outputs."""
     m = len(targets)
-    n = len(proposals)
+    n = len(image.labels)
     total = 0.0
     d_rel = np.zeros_like(out.relation_logits)
     for q in range(m):
@@ -239,8 +230,8 @@ def _toy_loss(out, proposals, targets, bias_row):
         total += res.value / m
         d_rel[q] = res.grad_logits / m
     d_obj = np.zeros_like(out.object_logits)
-    for i, p in enumerate(proposals):
-        res = ce(out.object_logits[i], p.label)
+    for i, label in enumerate(image.labels.tolist()):
+        res = ce(out.object_logits[i], label)
         total += res.value / n
         d_obj[i] = res.grad_logits / n
     return total, d_obj, d_rel
@@ -257,17 +248,17 @@ def check_model_instance(
     The finite differences run the forward pass only. ``coords_per_instance``
     checks a seeded random subset of coordinates instead of all of them.
     """
-    spec, params, proposals, pairs, unions, targets, bias_row = _toy_setup(rng)
-    out = forward(proposals, unions, pairs, params, spec, "predcls")
-    _, d_obj, d_rel = _toy_loss(out, proposals, targets, bias_row)
+    spec, params, image, pairs, targets, bias_row = _toy_setup(rng)
+    out = forward(image, image.unions, pairs, params, spec, "predcls")
+    _, d_obj, d_rel = _toy_loss(out, image, targets, bias_row)
     grads = backward(d_obj, d_rel, out, params, spec)
     vec = flatten(params)
 
     def loss_at(v):
         write_flat(params, v)
         try:
-            out = forward(proposals, unions, pairs, params, spec, "predcls")
-            return _toy_loss(out, proposals, targets, bias_row)[0]
+            out = forward(image, image.unions, pairs, params, spec, "predcls")
+            return _toy_loss(out, image, targets, bias_row)[0]
         finally:
             write_flat(params, vec)
 

@@ -12,7 +12,10 @@ iteration and, for a gradient, the parameter leaf.
 
 Evaluation forwards each image once and ranks its ``(pairs, relations)``
 score matrix (see :mod:`tailbias.metrics`); the sweep reuses those logits at
-every grid point and only re-biases, re-scores and re-ranks.
+every grid point and only re-biases, re-scores and re-ranks. In ``sgcls`` a
+ground-truth triplet can be recalled only when the argmax of the model's
+object probabilities equals the annotated label of both its subject and its
+object; otherwise its rank position is :data:`~tailbias.metrics.MISS`.
 
 All randomness derives from ``SeedSequence(config.seed, spawn_key=(domain,))``
 so identical configs produce bitwise-identical checkpoints. Checkpoints and
@@ -34,6 +37,7 @@ from .bias import Bias, BiasSpec, BiasVector, bias_table, compute_bias, soft_bia
 from .losses import BaselineSpec, LossOutput, baseline_loss, biased_ce, ce
 from .metrics import (
     CONSTRAINTS,
+    MISS,
     EvalResult,
     candidate_index,
     evaluate_split,
@@ -47,8 +51,6 @@ from .model import (
     LinearParams,
     Model,
     ModelSpec,
-    ObjectProposal,
-    all_ordered_pairs,
     class_labels,
     feature_width,
     forward,  # noqa: F401 - perfbench/tests check that tracing restores this binding
@@ -56,7 +58,7 @@ from .model import (
 )
 from .numerics import flatten, leaf_names, leaves, write_flat, zeros_like_tree
 from .stats import LabelSpace, TripletStats, ingest, marginal_counts
-from .synth import SynthImage, images_to_triplets
+from .synth import SynthImage, all_ordered_pairs, images_to_triplets
 
 __all__ = [
     "LOSS_KINDS",
@@ -204,7 +206,7 @@ def _class_counts(images: Sequence[SynthImage], stats: TripletStats) -> np.ndarr
     counts, _ = marginal_counts(stats)
     background = 0
     for img in images:
-        n = len(img.proposals)
+        n = len(img.labels)
         background += n * (n - 1) - len(img.gt_triplets)
     counts = counts.copy()
     counts[0] = background
@@ -235,9 +237,9 @@ def make_loss_fn(
     return lambda z, y, s_class, o_class: baseline_loss(spec, z, y)
 
 
-def _class_labels(proposals: Sequence[ObjectProposal], config: TrainConfig) -> np.ndarray:
+def _class_labels(image: SynthImage, config: TrainConfig) -> np.ndarray:
     """The task's object class labels, which index the dense bias table."""
-    labels = class_labels(proposals, config.task)
+    labels = class_labels(image, config.task)
     n = config.label_space.num_object_classes
     if labels.size and (labels.min() < 0 or labels.max() >= n):
         raise ValueError(f"object class label outside 0..{n - 1}")
@@ -245,21 +247,19 @@ def _class_labels(proposals: Sequence[ObjectProposal], config: TrainConfig) -> n
 
 
 def _training_pairs(
-    img: SynthImage, ratio: float, rng: np.random.Generator
-) -> tuple[list[tuple[int, int]], list[int]]:
-    """Foreground pairs plus a seeded subsample of background pairs."""
-    gt = {(s, o): r for s, o, r in img.gt_triplets}
-    fg = sorted(gt)
-    bg = [p for p in all_ordered_pairs(len(img.proposals)) if p not in gt]
-    take = min(len(bg), int(round(ratio * max(len(fg), 1))))
-    if take and bg:
-        chosen = rng.choice(len(bg), size=take, replace=False)
-        bg = [bg[i] for i in sorted(chosen.tolist())]
-    else:
-        bg = []
-    pairs = fg + bg
-    targets = [gt.get(p, 0) for p in pairs]
-    return pairs, targets
+    img: SynthImage, config: TrainConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Foreground pairs plus a seeded subsample of background pairs, as
+    positions in :func:`all_ordered_pairs` order, and their target labels."""
+    num_relations = config.label_space.num_relations
+    gt = np.sort(candidate_index(img.gt_triplets, len(img.labels), num_relations))
+    fg, fg_targets = np.divmod(gt, num_relations)
+    is_bg = np.ones(len(img.unions), dtype=bool)
+    is_bg[fg] = False
+    bg = np.flatnonzero(is_bg)
+    take = min(len(bg), int(round(config.background_ratio * max(len(fg), 1))))
+    bg = bg[np.sort(rng.choice(len(bg), size=take, replace=False))] if take else bg[:0]
+    return np.concatenate([fg, bg]), np.concatenate([fg_targets + 1, np.zeros_like(bg)])
 
 
 def _batch_loss(
@@ -279,13 +279,15 @@ def _batch_loss(
     obj_count = 0
     per_image = []
     for img in batch:
-        pairs, targets = _training_pairs(img, config.background_ratio, sample_rng)
-        unions = np.stack([img.unions[p] for p in pairs])
-        out = net.forward(img.proposals, unions, pairs, params, config.model, config.task)
-        lookup = _class_labels(img.proposals, config).tolist()
+        positions, targets = _training_pairs(img, config, sample_rng)
+        pairs = all_ordered_pairs(len(img.labels))[positions]
+        out = net.forward(
+            img, img.unions[positions], pairs, params, config.model, config.task
+        )
+        classes = _class_labels(img, config)[pairs].tolist()
         d_rel = np.zeros_like(out.relation_logits)
-        for q, (s, o) in enumerate(pairs):
-            res = loss_fn(out.relation_logits[q], targets[q], lookup[s], lookup[o])
+        for q, (y, (s_class, o_class)) in enumerate(zip(targets.tolist(), classes)):
+            res = loss_fn(out.relation_logits[q], y, s_class, o_class)
             rel_loss_sum += res.value
             d_rel[q] = res.grad_logits
             rel_count += 1
@@ -295,14 +297,14 @@ def _batch_loss(
     # Only a model with an object head returns object logits.
     use_obj = w_obj > 0 and out.object_logits is not None
     if use_obj:
-        obj_count = sum(len(img.proposals) for img in batch)
+        obj_count = sum(len(img.labels) for img in batch)
     for img, out, d_rel in per_image:
         d_rel = d_rel / rel_count
         d_obj = None
         if use_obj:
             d_obj = np.zeros_like(out.object_logits)
-            for i, p in enumerate(img.proposals):
-                res = ce(out.object_logits[i], p.label)
+            for i, label in enumerate(img.labels.tolist()):
+                res = ce(out.object_logits[i], label)
                 obj_loss_sum += res.value
                 d_obj[i] = res.grad_logits * (w_obj / obj_count)
         net.backward(d_obj, d_rel, out, params, config.model, grads)
@@ -350,7 +352,7 @@ def train(
     if loss_fn is None:
         loss_fn = make_loss_fn(config, bias, _class_counts(train_images, stats))
 
-    d_v = train_images[0].proposals[0].feature.shape[0]
+    d_v = train_images[0].features.shape[1]
     net = model_for(config.model)
     params = net.init(config.model, ls, d_v, _rng(config.seed, INIT_DOMAIN))
     velocity = zeros_like_tree(params)
@@ -431,6 +433,7 @@ class _ScoredImage(NamedTuple):
     object_classes: np.ndarray
     gt_index: np.ndarray  # flat candidate index of each gt triplet
     gt_relations: np.ndarray
+    gt_matched: np.ndarray  # False where a predicted object label is wrong (sgcls)
 
 
 def _forward_split(checkpoint: Checkpoint, images: Sequence[SynthImage]) -> list[_ScoredImage]:
@@ -444,27 +447,30 @@ def _forward_split(checkpoint: Checkpoint, images: Sequence[SynthImage]) -> list
     out = []
     for i, img in enumerate(images):
         try:
-            n = len(img.proposals)
+            n = len(img.labels)
             gt_index = candidate_index(img.gt_triplets, n, num_relations)
-            labels = _class_labels(img.proposals, config)
+            labels = _class_labels(img, config)
             pairs = all_ordered_pairs(n)
-            unions = np.stack([img.unions[p] for p in pairs])
             fwd = net.forward(
-                img.proposals, unions, pairs, checkpoint.params, config.model, config.task
+                img, img.unions, pairs, checkpoint.params, config.model, config.task
             )
             if not np.isfinite(fwd.relation_logits).all():
                 raise ValueError("non-finite relation logits")
         except ValueError as exc:
             raise ValueError(f"image {i}: {exc}") from None
-        pair_idx = np.array(pairs, dtype=np.int64)
+        matched = np.ones(len(gt_index), dtype=bool)
+        if config.task == "sgcls":
+            correct = fwd.object_probs.argmax(axis=1) == img.labels
+            matched = correct[pairs[gt_index // num_relations]].all(axis=1)
         out.append(
             _ScoredImage(
                 relation_logits=fwd.relation_logits,
-                pair_scores=object_pair_scores(fwd.object_probs, pair_idx, config.task),
-                subject_classes=labels[pair_idx[:, 0]],
-                object_classes=labels[pair_idx[:, 1]],
+                pair_scores=object_pair_scores(fwd.object_probs, pairs, config.task),
+                subject_classes=labels[pairs[:, 0]],
+                object_classes=labels[pairs[:, 1]],
                 gt_index=gt_index,
                 gt_relations=gt_index % num_relations + 1,
+                gt_matched=matched,
             )
         )
     return out
@@ -490,7 +496,7 @@ def _rank_split(
             logits = logits - table[im.subject_classes, im.object_classes]
         scores = score_triplets(im.pair_scores, logits)
         for constraint in CONSTRAINTS:
-            positions = rank(scores, im.gt_index, constraint)
+            positions = np.where(im.gt_matched, rank(scores, im.gt_index, constraint), MISS)
             per_image[constraint].append((im.gt_relations, positions))
     return {
         constraint: evaluate_split(per_image[constraint], ks, ls.num_relations, constraint)

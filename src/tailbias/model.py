@@ -1,10 +1,15 @@
-"""Relation classifiers over detected object proposals.
+"""Relation classifiers over the detected objects of one image.
 
 Two models share one protocol, resolved from a :class:`ModelSpec` by
 :func:`model_for`: ``init(spec, label_space, d_v, rng)`` builds the parameter
-tree, ``forward(proposals, union_features, pairs, params, spec, mode)`` gives
-a :class:`ModelOutput`, and ``backward(d_obj, d_rel, output, params, spec,
-grads)`` accumulates parameter gradients. The dual-stack encoder builds object
+tree, ``forward(image, union_features, pairs, params, spec, mode)`` gives a
+:class:`ModelOutput`, and ``backward(d_obj, d_rel, output, params, spec,
+grads)`` accumulates parameter gradients. ``image`` is a packed
+:class:`~tailbias.synth.SynthImage`, whose object rows (boxes, features,
+labels, detector scores) are read whole; ``pairs`` is a ``(P, 2)`` array of
+(subject, object) row indices and ``union_features`` its ``(P, d_v)`` union
+rows, so a caller may forward any subset of an image's ordered pairs, such as
+the pairs drawn for a training step. The dual-stack encoder builds object
 tokens from box geometry, visual features, and a learned label embedding, runs
 them through a stack of encoder layers, classifies objects, fuses ordered
 pairs with their union-box features, runs a second encoder stack over the pair
@@ -20,7 +25,7 @@ labels; ``sgcls`` uses the argmax of the detector scores.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,6 +41,7 @@ from .numerics import (
     zeros_like_tree,
 )
 from .stats import LabelSpace
+from .synth import SynthImage
 
 __all__ = [
     "MODES",
@@ -44,7 +50,6 @@ __all__ = [
     "Model",
     "model_for",
     "feature_width",
-    "ObjectProposal",
     "DualEncoderParams",
     "LinearParams",
     "ModelOutput",
@@ -60,7 +65,6 @@ __all__ = [
     "init_linear",
     "linear_forward",
     "linear_backward",
-    "all_ordered_pairs",
 ]
 
 MODES = ("predcls", "sgcls")
@@ -93,25 +97,6 @@ class ModelSpec:
             raise ValueError("d_model must be divisible by n_h")
         if self.n_o < 1 or self.n_r < 1:
             raise ValueError("encoder stacks need at least one layer")
-
-
-@dataclass(frozen=True)
-class ObjectProposal:
-    """One detected object: box, visual feature, label, and detector scores."""
-
-    box: tuple[float, float, float, float]
-    feature: np.ndarray
-    label: int
-    scores: np.ndarray
-
-    def __post_init__(self) -> None:
-        x1, y1, x2, y2 = self.box
-        if not (0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0):
-            raise ValueError(f"degenerate or unnormalized box {self.box}")
-        object.__setattr__(self, "feature", np.asarray(self.feature, dtype=np.float64))
-        object.__setattr__(self, "scores", np.asarray(self.scores, dtype=np.float64))
-        if abs(float(self.scores.sum()) - 1.0) > 1e-6:
-            raise ValueError("detector scores must sum to 1")
 
 
 @dataclass
@@ -219,34 +204,33 @@ def init_linear(
     )
 
 
-def box_features(box: tuple[float, float, float, float]) -> np.ndarray:
-    """Eight geometry features: corners, width, height, center."""
-    x1, y1, x2, y2 = box
-    w = x2 - x1
-    h = y2 - y1
-    return np.array([x1, y1, x2, y2, w, h, (x1 + x2) / 2, (y1 + y2) / 2])
+def box_features(boxes: np.ndarray) -> np.ndarray:
+    """Eight geometry features per ``[x1, y1, x2, y2]`` row: corners, width,
+    height, center."""
+    x1, y1, x2, y2 = boxes.T
+    return np.stack([x1, y1, x2, y2, x2 - x1, y2 - y1, (x1 + x2) / 2, (y1 + y2) / 2], axis=1)
 
 
-def class_labels(proposals: Sequence[ObjectProposal], mode: str) -> np.ndarray:
+def class_labels(image: SynthImage, mode: str) -> np.ndarray:
     """Object classes as the task sees them: annotated in ``predcls``, detector argmax in ``sgcls``."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "predcls":
-        return np.array([p.label for p in proposals], dtype=np.int64)
-    return np.array([int(np.argmax(p.scores)) for p in proposals], dtype=np.int64)
+        return image.labels
+    return image.scores.argmax(axis=1)
 
 
 def embed_objects(
-    proposals: Sequence[ObjectProposal],
+    image: SynthImage,
     params: DualEncoderParams,
     mode: str = "predcls",
 ) -> tuple[np.ndarray, tuple]:
     """Fuse box geometry, visual feature, and label embedding into one token per object."""
-    if not proposals:
-        raise ValueError("no proposals to embed")
-    boxes = np.stack([box_features(p.box) for p in proposals])
-    feats = np.stack([p.feature for p in proposals])
-    labels = class_labels(proposals, mode)
+    if not len(image.labels):
+        raise ValueError("no objects to embed")
+    boxes = box_features(image.boxes)
+    feats = image.features
+    labels = class_labels(image, mode)
     pos = boxes @ params.w_pos
     concat = np.concatenate([pos, feats, params.embed[labels]], axis=1)
     tokens = concat @ params.w_in
@@ -277,20 +261,19 @@ def encode_objects(
 def fuse_pairs(
     e_final: np.ndarray,
     union_features: np.ndarray,
-    pairs: Sequence[tuple[int, int]],
+    pairs: np.ndarray,
     params: DualEncoderParams,
 ) -> tuple[np.ndarray, tuple]:
     """One token per ordered pair: ``[union, subject, object] @ w_fuse``."""
     n = e_final.shape[0]
-    for s, o in pairs:
-        if s == o:
-            raise ValueError(f"pair ({s}, {o}) relates an object to itself")
-        if not (0 <= s < n and 0 <= o < n):
-            raise ValueError(f"pair ({s}, {o}) out of range for {n} objects")
+    s_idx, o_idx = pairs[:, 0], pairs[:, 1]
+    bad = np.flatnonzero((s_idx == o_idx) | ((pairs < 0) | (pairs >= n)).any(axis=1))
+    if bad.size:
+        s, o = pairs[bad[0]].tolist()
+        why = "relates an object to itself" if s == o else f"out of range for {n} objects"
+        raise ValueError(f"pair ({s}, {o}) {why}")
     if len(pairs) != union_features.shape[0]:
         raise ValueError("one union feature row is required per pair")
-    s_idx = np.array([p[0] for p in pairs], dtype=np.int64)
-    o_idx = np.array([p[1] for p in pairs], dtype=np.int64)
     concat = np.concatenate([union_features, e_final[s_idx], e_final[o_idx]], axis=1)
     return concat @ params.w_fuse, (concat, s_idx, o_idx, union_features.shape[1], n)
 
@@ -320,22 +303,18 @@ def encode_relations_and_classify(
     return logits, [caches, x]
 
 
-def all_ordered_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
-
-
 def forward(
-    proposals: Sequence[ObjectProposal],
+    image: SynthImage,
     union_features: np.ndarray,
-    pairs: Sequence[tuple[int, int]],
+    pairs: np.ndarray,
     params: DualEncoderParams,
     spec: ModelSpec,
     mode: str = "predcls",
 ) -> ModelOutput:
     """Full pipeline: object encoding, object head, pair fusion, relation head."""
-    if len(proposals) < 2:
+    if len(image.labels) < 2:
         raise ValueError("no pairs: need at least two objects")
-    tokens, embed_cache = embed_objects(proposals, params, mode)
+    tokens, embed_cache = embed_objects(image, params, mode)
     e_final, obj_caches = encode_objects(tokens, params, spec.n_h)
     object_logits = e_final @ params.w_clf_obj
     pair_tokens, fuse_cache = fuse_pairs(e_final, union_features, pairs, params)
@@ -389,9 +368,9 @@ def backward(
 
 
 def linear_forward(
-    proposals: Sequence[ObjectProposal],
+    image: SynthImage,
     union_features: np.ndarray,
-    pairs: Sequence[tuple[int, int]],
+    pairs: np.ndarray,
     params: LinearParams,
     spec: ModelSpec,
     mode: str = "predcls",
@@ -401,17 +380,14 @@ def linear_forward(
     ``spec`` and ``mode`` complete the shared protocol; the linear head reads
     neither, and its object probabilities are the detector scores.
     """
-    if len(proposals) < 2:
+    if len(image.labels) < 2:
         raise ValueError("no pairs: need at least two objects")
-    feats = np.stack([p.feature for p in proposals])
-    s_idx = np.array([p[0] for p in pairs], dtype=np.int64)
-    o_idx = np.array([p[1] for p in pairs], dtype=np.int64)
-    x = np.concatenate([union_features, feats[s_idx], feats[o_idx]], axis=1)
+    feats = image.features
+    x = np.concatenate([union_features, feats[pairs[:, 0]], feats[pairs[:, 1]]], axis=1)
     logits = x @ params.w + params.b
-    scores = np.stack([p.scores for p in proposals])
     return ModelOutput(
         object_logits=None,
-        object_probs=scores,
+        object_probs=image.scores,
         relation_logits=logits,
         cache=(x,),
     )

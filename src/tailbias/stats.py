@@ -1,8 +1,9 @@
 """Triplet annotation statistics.
 
-Counts are kept sparsely as a map ``(subject_class, object_class, relation)
--> n`` so pair-conditional lookups stay cheap; dense marginals are cached on
-first use. Object classes are ``0..num_object_classes-1``. Relation labels are
+Counts are kept as a sparse map ``(subject_class, object_class, relation)
+-> n`` and, filled once from it, as one dense ``(L_e, L_e, L + 1)`` tensor
+from which every marginal and pair lookup is read. Object classes are
+``0..num_object_classes-1``. Relation labels are
 ``1..num_relations`` (label 0 is the background slot of downstream logit
 vectors and never appears in annotations), so every count vector returned here
 has length ``num_relations + 1`` and is indexed directly by relation label,
@@ -98,12 +99,7 @@ class TripletStats:
     label_space: LabelSpace
     counts: dict[tuple[int, int, int], int]
     total: int
-    _marginal_cache: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
-    _side_cache: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
+    dense: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ls = self.label_space
@@ -113,6 +109,10 @@ class TripletStats:
             _check_key(s, o, r, ls)
         if self.total != sum(self.counts.values()):
             raise ValueError("total does not match the sum of stored counts")
+        ne = ls.num_object_classes
+        self.dense = np.zeros((ne, ne, ls.num_relations + 1), dtype=np.int64)
+        keys = np.array(list(self.counts), dtype=np.int64).reshape(-1, 3)
+        self.dense[keys[:, 0], keys[:, 1], keys[:, 2]] = list(self.counts.values())
 
 
 def _check_key(s: int, o: int, r: int, ls: LabelSpace) -> None:
@@ -154,60 +154,37 @@ def marginal_counts(stats: TripletStats) -> tuple[np.ndarray, np.ndarray]:
     ``valid_pair_counts[i]`` counts the distinct ordered class pairs observed
     with relation ``i`` at least once, regardless of multiplicity.
     """
-    if stats._marginal_cache is None:
-        n = stats.label_space.num_relations
-        rel = np.zeros(n + 1, dtype=np.int64)
-        valid = np.zeros(n + 1, dtype=np.int64)
-        for (_, _, r), c in stats.counts.items():
-            rel[r] += c
-            valid[r] += 1
-        stats._marginal_cache = (rel, valid)
-    rel, valid = stats._marginal_cache
-    return rel.copy(), valid.copy()
+    return stats.dense.sum(axis=(0, 1)), (stats.dense > 0).sum(axis=(0, 1))
 
 
-def pair_counts(stats: TripletStats, s: int, o: int) -> np.ndarray:
-    """Counts of each relation observed for the ordered class pair ``(s, o)``."""
+def pair_counts(stats: TripletStats, s, o) -> np.ndarray:
+    """Counts of each relation observed for the ordered class pair ``(s, o)``.
+
+    ``s`` and ``o`` may be equal-shaped index arrays; the result then has
+    their shape plus a trailing relation axis.
+    """
     _check_pair(stats, s, o)
-    out = np.zeros(stats.label_space.num_relations + 1, dtype=np.int64)
-    for r in range(1, stats.label_space.num_relations + 1):
-        c = stats.counts.get((s, o, r))
-        if c:
-            out[r] = c
-    return out
+    return stats.dense[s, o].copy()
 
 
-def _side_marginals(stats: TripletStats) -> tuple[np.ndarray, np.ndarray]:
-    # subject_side[s, i] = sum over o' of n[s, o', i]; object_side[o, i] likewise.
-    if stats._side_cache is None:
-        ls = stats.label_space
-        subj = np.zeros((ls.num_object_classes, ls.num_relations + 1), dtype=np.int64)
-        obj = np.zeros((ls.num_object_classes, ls.num_relations + 1), dtype=np.int64)
-        for (s, o, r), c in stats.counts.items():
-            subj[s, r] += c
-            obj[o, r] += c
-        stats._side_cache = (subj, obj)
-    return stats._side_cache
-
-
-def sppo_counts(stats: TripletStats, s: int, o: int) -> np.ndarray:
+def sppo_counts(stats: TripletStats, s, o) -> np.ndarray:
     """Geometric-mean estimate of per-relation counts for the pair ``(s, o)``.
 
     Entry ``i`` is ``sqrt(subject_marginal[s, i] * object_marginal[o, i])``:
     zero exactly when relation ``i`` was never seen with subject ``s`` or never
-    seen with object ``o``.
+    seen with object ``o``. Index arrays work as in :func:`pair_counts`.
     """
     _check_pair(stats, s, o)
-    subj, obj = _side_marginals(stats)
-    return np.sqrt(subj[s].astype(np.float64) * obj[o].astype(np.float64))
+    subject_side = stats.dense.sum(axis=1).astype(np.float64)
+    object_side = stats.dense.sum(axis=0).astype(np.float64)
+    return np.sqrt(subject_side[s] * object_side[o])
 
 
-def _check_pair(stats: TripletStats, s: int, o: int) -> None:
+def _check_pair(stats: TripletStats, s, o) -> None:
     ne = stats.label_space.num_object_classes
-    if not 0 <= s < ne:
-        raise ValueError(f"subject class {s} out of range [0, {ne})")
-    if not 0 <= o < ne:
-        raise ValueError(f"object class {o} out of range [0, {ne})")
+    for side, idx in (("subject", s), ("object", o)):
+        if not np.all((np.asarray(idx) >= 0) & (np.asarray(idx) < ne)):
+            raise ValueError(f"{side} class {idx} out of range [0, {ne})")
 
 
 def read_triplets_jsonl(path: str) -> list[tuple[int, int, int]]:

@@ -24,12 +24,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import ObjectProposal, all_ordered_pairs
 from .stats import LabelSpace
 
 __all__ = [
     "SynthConfig",
     "SynthImage",
+    "all_ordered_pairs",
     "World",
     "zipf_weights",
     "build_world",
@@ -93,11 +93,53 @@ class SynthConfig:
         return cls(**d)
 
 
+def all_ordered_pairs(n: int) -> np.ndarray:
+    """The ``(n(n-1), 2)`` ordered pairs ``(s, o)``, ``s != o``, subjects first."""
+    return np.argwhere(~np.eye(n, dtype=bool))
+
+
 @dataclass
 class SynthImage:
-    proposals: list[ObjectProposal]
-    unions: dict[tuple[int, int], np.ndarray]
+    """One image as packed arrays, one row per object or ordered pair.
+
+    ``boxes`` ``(n, 4)`` are normalised ``[x1, y1, x2, y2]`` with ``x1 < x2``
+    and ``y1 < y2``; ``features`` ``(n, d_v)``; ``labels`` ``(n,)`` annotated
+    classes; ``scores`` ``(n, L_e)`` detector probabilities, each row summing
+    to 1. ``unions`` ``(n(n-1), d_v)`` holds the union-box feature of each
+    ordered pair in :func:`all_ordered_pairs` order. ``gt_triplets`` lists the
+    annotated ``(s, o, relation)`` triplets by object index.
+    """
+
+    boxes: np.ndarray
+    features: np.ndarray
+    labels: np.ndarray
+    scores: np.ndarray
+    unions: np.ndarray
     gt_triplets: list[tuple[int, int, int]]
+
+    def __post_init__(self) -> None:
+        self.boxes = np.asarray(self.boxes, dtype=np.float64)
+        self.features = np.asarray(self.features, dtype=np.float64)
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.scores = np.asarray(self.scores, dtype=np.float64)
+        self.unions = np.asarray(self.unions, dtype=np.float64)
+        n = len(self.labels)
+        if self.labels.ndim != 1 or self.boxes.shape != (n, 4):
+            raise ValueError(f"need one label and one 4-number box per object, {n} labels")
+        for name in ("features", "scores"):
+            if getattr(self, name).ndim != 2 or getattr(self, name).shape[0] != n:
+                raise ValueError(f"{name} need one row per object ({n})")
+        want = (n * (n - 1), self.features.shape[1])
+        if self.unions.shape != want:
+            raise ValueError(
+                f"unions have shape {self.unions.shape}; {n} objects need {want}"
+            )
+        x1, y1, x2, y2 = self.boxes.T
+        bad = ~((0.0 <= x1) & (x1 < x2) & (x2 <= 1.0) & (0.0 <= y1) & (y1 < y2) & (y2 <= 1.0))
+        if bad.any():
+            raise ValueError(f"degenerate or unnormalized box {self.boxes[bad][0].tolist()}")
+        if not (np.abs(self.scores.sum(axis=1) - 1.0) <= 1e-6).all():
+            raise ValueError("detector scores must sum to 1")
 
 
 @dataclass
@@ -176,42 +218,26 @@ def _sample_image(
     det_logits -= det_logits.max(axis=1, keepdims=True)
     e = np.exp(det_logits)
     scores = e / e.sum(axis=1, keepdims=True)
-
-    proposals = [
-        ObjectProposal(
-            box=(
-                float(cx[i] - bw[i] / 2),
-                float(cy[i] - bh[i] / 2),
-                float(cx[i] + bw[i] / 2),
-                float(cy[i] + bh[i] / 2),
-            ),
-            feature=feats[i],
-            label=int(labels[i]),
-            scores=scores[i],
-        )
-        for i in range(n)
-    ]
+    boxes = np.stack([cx - bw / 2, cy - bh / 2, cx + bw / 2, cy + bh / 2], axis=1)
 
     pairs = all_ordered_pairs(n)
     num_fg = math.ceil((1.0 - config.background_fraction) * len(pairs))
-    fg_positions = sorted(rng.permutation(len(pairs))[:num_fg].tolist())
-    relation_of: dict[tuple[int, int], int] = {}
+    fg_positions = np.sort(rng.permutation(len(pairs))[:num_fg])
+    relations = np.zeros(len(pairs), dtype=np.int64)
     for pos in fg_positions:
-        s, o = pairs[pos]
-        row = world.relation_table[labels[s], labels[o]]
-        relation_of[pairs[pos]] = int(rng.choice(ls.num_relations, p=row)) + 1
+        row = world.relation_table[labels[pairs[pos, 0]], labels[pairs[pos, 1]]]
+        relations[pos] = int(rng.choice(ls.num_relations, p=row)) + 1
 
-    unions: dict[tuple[int, int], np.ndarray] = {}
-    for s, o in pairs:
-        r = relation_of.get((s, o), 0)
-        base = 0.5 * (world.object_prototypes[labels[s]] + world.object_prototypes[labels[o]])
-        unions[(s, o)] = (
-            base
-            + world.relation_prototypes[r]
-            + rng.normal(0.0, config.noise_sigma, config.d_v)
-        )
-    gt = [(s, o, r) for (s, o), r in sorted(relation_of.items())]
-    return SynthImage(proposals=proposals, unions=unions, gt_triplets=gt)
+    s_labels, o_labels = labels[pairs[:, 0]], labels[pairs[:, 1]]
+    unions = (
+        0.5 * (world.object_prototypes[s_labels] + world.object_prototypes[o_labels])
+        + world.relation_prototypes[relations]
+        + rng.normal(0.0, config.noise_sigma, (len(pairs), config.d_v))
+    )
+    gt = [(*pairs[q].tolist(), int(relations[q])) for q in fg_positions]
+    return SynthImage(
+        boxes=boxes, features=feats, labels=labels, scores=scores, unions=unions, gt_triplets=gt
+    )
 
 
 def generate_split(config: SynthConfig, split: str) -> list[SynthImage]:
@@ -232,8 +258,9 @@ def images_to_triplets(images: list[SynthImage]) -> list[tuple[int, int, int]]:
     """Class-level annotation records ``(s_class, o_class, relation)`` from gt."""
     records = []
     for img in images:
+        labels = img.labels.tolist()
         for s, o, r in img.gt_triplets:
-            records.append((img.proposals[s].label, img.proposals[o].label, r))
+            records.append((labels[s], labels[o], r))
     return records
 
 
@@ -242,44 +269,66 @@ def write_images_jsonl(images: list[SynthImage], path: str) -> None:
         for img in images:
             doc = {
                 "objects": [
-                    {
-                        "box": list(p.box),
-                        "feat": p.feature.tolist(),
-                        "label": p.label,
-                        "scores": p.scores.tolist(),
-                    }
-                    for p in img.proposals
+                    {"box": box, "feat": feat, "label": label, "scores": scores}
+                    for box, feat, label, scores in zip(
+                        img.boxes.tolist(),
+                        img.features.tolist(),
+                        img.labels.tolist(),
+                        img.scores.tolist(),
+                    )
                 ],
                 "unions": [
-                    [s, o, img.unions[(s, o)].tolist()]
-                    for (s, o) in sorted(img.unions)
+                    [s, o, vec]
+                    for (s, o), vec in zip(
+                        all_ordered_pairs(len(img.labels)).tolist(), img.unions.tolist()
+                    )
                 ],
                 "gt": [list(t) for t in img.gt_triplets],
             }
             fh.write(json.dumps(doc) + "\n")
 
 
+def _matrix(rows: list, name: str, width: int = 0) -> np.ndarray:
+    """Equal-length number lists as one float array; ``(0, width)`` when empty."""
+    try:
+        out = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} rows are ragged or not numeric") from None
+    return out if rows else out.reshape(0, width)
+
+
+def _image_from_doc(doc: dict) -> SynthImage:
+    objects = doc["objects"]
+    n = len(objects)
+    features = _matrix([obj["feat"] for obj in objects], "feat")
+    union_pairs = [[s, o] for s, o, _ in doc["unions"]]
+    if union_pairs != all_ordered_pairs(n).tolist():
+        raise ValueError(f"union pairs are not the ordered pairs of {n} objects in order")
+    return SynthImage(
+        boxes=_matrix([obj["box"] for obj in objects], "box", 4),
+        features=features,
+        labels=np.array([int(obj["label"]) for obj in objects], dtype=np.int64),
+        scores=_matrix([obj["scores"] for obj in objects], "scores"),
+        unions=_matrix([vec for _, _, vec in doc["unions"]], "union", features.shape[1]),
+        gt_triplets=[(int(s), int(o), int(r)) for s, o, r in doc["gt"]],
+    )
+
+
 def read_images_jsonl(path: str) -> list[SynthImage]:
+    """Read images written by :func:`write_images_jsonl`.
+
+    A malformed document raises ``ValueError`` starting ``"<path>:<line>: "``.
+    """
     images = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            doc = json.loads(line)
-            proposals = [
-                ObjectProposal(
-                    box=tuple(obj["box"]),
-                    feature=np.asarray(obj["feat"], dtype=np.float64),
-                    label=int(obj["label"]),
-                    scores=np.asarray(obj["scores"], dtype=np.float64),
-                )
-                for obj in doc["objects"]
-            ]
-            unions = {
-                (int(s), int(o)): np.asarray(vec, dtype=np.float64)
-                for s, o, vec in doc["unions"]
-            }
-            gt = [(int(s), int(o), int(r)) for s, o, r in doc["gt"]]
-            images.append(SynthImage(proposals=proposals, unions=unions, gt_triplets=gt))
+            try:
+                images.append(_image_from_doc(json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{line_no}: missing key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
     return images

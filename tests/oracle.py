@@ -6,6 +6,10 @@ kept only as a test oracle: one :class:`TripletPrediction` per (pair,
 relation) candidate, a Python sort, and set membership for recall. The array
 path must reproduce its rankings, ties included, and its R@k / mR@k values
 exactly.
+
+In ``sgcls`` a candidate also carries the predicted labels of its two
+objects (the argmax of each object's probabilities) and a ground-truth
+triplet the annotated ones; a hit must match on both.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ import numpy as np
 
 from tailbias.bias import BiasVector, lookup_pair_bias, soft_bias
 from tailbias.metrics import CONSTRAINTS, EvalResult
-from tailbias.model import all_ordered_pairs, class_labels, model_for
+from tailbias.model import class_labels, model_for
 from tailbias.numerics import row_softmax
+from tailbias.synth import all_ordered_pairs
 
 
 @dataclass(frozen=True)
@@ -26,6 +31,12 @@ class TripletPrediction:
     o: int
     relation: int
     score: float
+    labels: tuple[int, int] | tuple[()] = ()
+
+    @property
+    def key(self) -> tuple:
+        """What a ground-truth tuple must equal for this prediction to hit it."""
+        return (self.s, self.o, self.relation, *self.labels)
 
 
 def preds(*rows):
@@ -84,7 +95,7 @@ def recall_at_k(gt, ranked, k):
         raise ValueError("k must be >= 1")
     if not gt:
         raise ValueError("image has no ground truth")
-    top = {(p.s, p.o, p.relation) for p in ranked[:k]}
+    top = {p.key for p in ranked[:k]}
     return sum(1 for t in gt if tuple(t) in top) / len(gt)
 
 
@@ -93,11 +104,11 @@ def mean_recall_at_k(images, k, num_relations):
     hits = np.zeros(num_relations + 1)
     totals = np.zeros(num_relations + 1)
     for gt, ranked in images:
-        top = {(p.s, p.o, p.relation) for p in ranked[:k]}
-        for s, o, r in gt:
-            totals[r] += 1
-            if (s, o, r) in top:
-                hits[r] += 1
+        top = {p.key for p in ranked[:k]}
+        for t in gt:
+            totals[t[2]] += 1
+            if tuple(t) in top:
+                hits[t[2]] += 1
     per_relation = np.full(num_relations + 1, np.nan)
     present = totals > 0
     per_relation[present] = hits[present] / totals[present]
@@ -111,8 +122,8 @@ def evaluate_split(per_image, ks, num_relations, constraint):
     with_gt = [(gt, ranked) for gt, ranked in per_image if gt]
     gt_counts = np.zeros(num_relations + 1, dtype=np.int64)
     for gt, _ in with_gt:
-        for _, _, r in gt:
-            gt_counts[r] += 1
+        for t in gt:
+            gt_counts[t[2]] += 1
     recall = {}
     mean_recall = {}
     per_rel = {}
@@ -145,21 +156,29 @@ def evaluate(checkpoint, images, inference_bias=None, ks=None):
     net = model_for(config.model)
     per_image = {c: [] for c in CONSTRAINTS}
     for img in images:
-        pairs = all_ordered_pairs(len(img.proposals))
-        unions = np.stack([img.unions[p] for p in pairs])
+        pair_array = all_ordered_pairs(len(img.labels))
+        pairs = [tuple(p) for p in pair_array.tolist()]
         out = net.forward(
-            img.proposals, unions, pairs, checkpoint.params, config.model, config.task
+            img, img.unions, pair_array, checkpoint.params, config.model, config.task
         )
         logits = out.relation_logits
         if inference_bias is not None:
-            lookup = class_labels(img.proposals, config.task).tolist()
+            lookup = class_labels(img, config.task).tolist()
             rows = np.stack(
                 [_bias_row(inference_bias, lookup[s], lookup[o]) for s, o in pairs]
             )
             logits = logits - rows
         candidates = score_triplets(out.object_probs, logits, pairs, config.task)
+        gt = img.gt_triplets
+        if config.task == "sgcls":
+            predicted = [int(np.argmax(row)) for row in out.object_probs]
+            annotated = img.labels.tolist()
+            candidates = [
+                replace(p, labels=(predicted[p.s], predicted[p.o])) for p in candidates
+            ]
+            gt = [(s, o, r, annotated[s], annotated[o]) for s, o, r in gt]
         for constraint in CONSTRAINTS:
-            per_image[constraint].append((img.gt_triplets, rank(candidates, constraint)))
+            per_image[constraint].append((gt, rank(candidates, constraint)))
     return {
         c: evaluate_split(per_image[c], ks, config.label_space.num_relations, c)
         for c in CONSTRAINTS

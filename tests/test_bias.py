@@ -91,6 +91,16 @@ class TestWeightsToBias:
         b = weights_to_bias(np.array([90.0, 9.0, 1.0]), 1.0, 1e-3)
         assert b[0] < b[1] < b[2]
 
+    @pytest.mark.parametrize("a", [1.0, 0.5, 0.37])
+    def test_stacked_rows_bit_identical_to_single_rows(self, a):
+        # Pair tables build every row in one call; each row must equal the
+        # bits of building it alone.
+        w = np.random.default_rng(5).integers(0, 40, (20, 20, 30)).astype(np.float64)
+        stacked = weights_to_bias(w, a, 1e-3)
+        for s in range(20):
+            for o in range(20):
+                assert stacked[s, o].tobytes() == weights_to_bias(w[s, o], a, 1e-3).tobytes()
+
     @given(weight_vectors, st.floats(0.0, 4.0), st.floats(1e-6, 1.0))
     @settings(max_examples=120, deadline=None)
     def test_epsilon_bounds(self, w, a, eps):

@@ -274,6 +274,27 @@ class TestErrors:
         )
         assert not (tmp_path / "eval").exists()
 
+    def test_malformed_jsonl_gives_json_error_naming_the_line(
+        self, workspace, tmp_path, capsys
+    ):
+        _, data_dir, _, _, run_dir = workspace
+        lines = (data_dir / "test.jsonl").read_text().splitlines()
+        doc = json.loads(lines[2])
+        del doc["unions"][4]
+        lines[2] = json.dumps(doc)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main([
+            "eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+            "--data", str(bad), "--out", str(tmp_path / "eval"),
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith(f"{bad}:3: union pairs are not the ordered pairs")
+        assert not (tmp_path / "eval").exists()
+
     def test_unknown_loss_kind_rejected(self, workspace, tmp_path, capsys):
         root, data_dir, _, _, _ = workspace
         bad_cfg = json.loads((root / "train.json").read_text())

@@ -23,10 +23,10 @@ from tailbias.harness import (
 )
 from tailbias.losses import LossOutput, biased_ce, ce
 from tailbias.metrics import metrics_csv
-from tailbias.model import LinearParams, ObjectProposal, init_linear
+from tailbias.model import LinearParams, init_linear
 from tailbias.numerics import flatten
 from tailbias.stats import LabelSpace
-from tailbias.synth import SynthConfig, SynthImage, generate_split
+from tailbias.synth import SynthConfig, SynthImage, all_ordered_pairs, generate_split
 
 
 @pytest.fixture(scope="module")
@@ -164,15 +164,15 @@ class TestTrain:
         from tailbias.harness import SAMPLE_DOMAIN, SHUFFLE_DOMAIN, _rng, _training_pairs
         from tailbias.losses import ce as ce_loss
 
-        d_v = train_images[0].proposals[0].feature.shape[0]
+        d_v = train_images[0].features.shape[1]
         init_params = init_linear(ModelSpec(), space, d_v, _rng(13, 10))
         first = train_images[_rng(13, SHUFFLE_DOMAIN).permutation(len(train_images))[0]]
-        pairs, targets = _training_pairs(first, 3.0, _rng(13, SAMPLE_DOMAIN))
-        feats = np.stack([p.feature for p in first.proposals])
+        positions, targets = _training_pairs(first, config, _rng(13, SAMPLE_DOMAIN))
+        pairs = all_ordered_pairs(len(first.labels))[positions]
         x = np.stack(
             [
-                np.concatenate([first.unions[(s, o)], feats[s], feats[o]])
-                for s, o in pairs
+                np.concatenate([first.unions[q], first.features[s], first.features[o]])
+                for q, (s, o) in zip(positions, pairs)
             ]
         )
         logits = x @ init_params.w + init_params.b
@@ -259,32 +259,27 @@ def perfect_split(space):
     num = space.num_relations + 1
     images = []
     for i in range(3):
-        proposals = [
-            ObjectProposal(
-                box=(0.1, 0.1, 0.4, 0.4),
-                feature=np.zeros(2),
-                label=j % space.num_object_classes,
-                scores=np.eye(space.num_object_classes)[j % space.num_object_classes],
-            )
-            for j in range(3)
-        ]
         gt = [(0, 1, (i % space.num_relations) + 1), (1, 2, ((i + 1) % space.num_relations) + 1)]
-        unions = {}
-        gt_map = {(s, o): r for s, o, r in gt}
-        for s in range(3):
-            for o in range(3):
-                if s == o:
-                    continue
-                onehot = np.zeros(num)
-                onehot[gt_map.get((s, o), 0)] = 1.0
-                unions[(s, o)] = onehot
-        images.append(SynthImage(proposals=proposals, unions=unions, gt_triplets=gt))
+        relation = np.zeros(3 * 2, dtype=np.int64)  # per ordered pair
+        for s, o, r in gt:
+            relation[s * 2 + o - (o > s)] = r
+        labels = np.arange(3) % space.num_object_classes
+        images.append(
+            SynthImage(
+                boxes=np.tile([0.1, 0.1, 0.4, 0.4], (3, 1)),
+                features=np.zeros((3, num)),
+                labels=labels,
+                scores=np.eye(space.num_object_classes)[labels],
+                unions=np.eye(num)[relation],
+                gt_triplets=gt,
+            )
+        )
     return images
 
 
 def perfect_checkpoint(space):
     num = space.num_relations + 1
-    w = np.zeros((num + 4, num))
+    w = np.zeros((3 * num, num))
     w[:num, :num] = 20.0 * np.eye(num)
     params = LinearParams(w=w, b=np.zeros(num))
     config = TrainConfig(
@@ -327,6 +322,28 @@ class TestEvaluate:
         b = metrics_csv("predcls", evaluate(ck, test_images), [5, 10, 20])
         assert a == b
 
+    def test_sgcls_recalls_only_triplets_whose_labels_are_right(self, space):
+        # At detector sharpness 1 many detector labels are wrong.
+        cfg = SynthConfig(
+            label_space=space, num_train=0, num_val=0, num_test=40, zipf_s=1.3,
+            objects_min=3, objects_max=4, d_v=8, detector_sharpness=1.0, seed=21,
+        )
+        images = generate_split(cfg, "test")
+        params = init_linear(ModelSpec(), space, 8, np.random.default_rng(0))
+        ck = Checkpoint(linear_config(space, task="sgcls"), iterations=0, params=params)
+        # k covers every candidate of a 4-object image, so without the graph
+        # constraint exactly the label-matched triplets are recalled.
+        k = 4 * 3 * space.num_relations
+        matched = []
+        for img in images:
+            # the linear model's object probabilities are the detector scores
+            right = img.scores.argmax(axis=1) == img.labels
+            if img.gt_triplets:
+                matched.append(np.mean([right[s] and right[o] for s, o, _ in img.gt_triplets]))
+        assert np.mean(matched) < 0.8
+        recall = evaluate(ck, images, ks=[k])["without"].recall_at[k]
+        assert recall == pytest.approx(np.mean(matched), abs=1e-12)
+
     def test_empty_split_rejected(self, space, data):
         train_images, _ = data
         ck, _ = train(linear_config(space), train_images)
@@ -356,9 +373,9 @@ class TestEvaluate:
 
     def test_object_class_outside_label_space_names_the_image(self, space, data):
         images = perfect_split(space)
-        proposals = list(images[1].proposals)
-        proposals[2] = replace(proposals[2], label=space.num_object_classes)
-        images[1] = replace(images[1], proposals=proposals)
+        labels = images[1].labels.copy()
+        labels[2] = space.num_object_classes
+        images[1] = replace(images[1], labels=labels)
         with pytest.raises(ValueError, match="image 1: object class label outside 0..5"):
             evaluate(perfect_checkpoint(space), images)
         # Training statistics check annotated objects; an unannotated one is
@@ -366,18 +383,18 @@ class TestEvaluate:
         train_images = list(data[0])
         for i, img in enumerate(train_images):
             annotated = {t[0] for t in img.gt_triplets} | {t[1] for t in img.gt_triplets}
-            free = [j for j in range(len(img.proposals)) if j not in annotated]
+            free = [j for j in range(len(img.labels)) if j not in annotated]
             if free:
-                proposals = list(img.proposals)
-                proposals[free[0]] = replace(proposals[free[0]], label=-1)
-                train_images[i] = replace(img, proposals=proposals)
+                labels = img.labels.copy()
+                labels[free[0]] = -1
+                train_images[i] = replace(img, labels=labels)
         with pytest.raises(ValueError, match="object class label outside 0..5"):
             train(linear_config(space), train_images)
 
     def test_non_finite_logits_name_the_image(self, space):
         images = perfect_split(space)
-        unions = dict(images[2].unions)
-        unions[(1, 0)] = np.full_like(unions[(1, 0)], np.nan)
+        unions = images[2].unions.copy()
+        unions[2] = np.nan  # pair (1, 0)
         images[2] = replace(images[2], unions=unions)
         with pytest.raises(ValueError, match="image 2: non-finite relation logits"):
             evaluate(perfect_checkpoint(space), images)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,6 @@ from tailbias.gradcert import check_model_instance
 from tailbias.model import (
     MODEL_KINDS,
     ModelSpec,
-    ObjectProposal,
-    all_ordered_pairs,
     backward,
     box_features,
     embed_objects,
@@ -23,25 +23,35 @@ from tailbias.model import (
 )
 from tailbias.numerics import flatten, leaves
 from tailbias.stats import LabelSpace
+from tailbias.synth import SynthImage, all_ordered_pairs
 
 LS = LabelSpace(num_object_classes=4, num_relations=3)
 D_V = 6
 
 
-def make_proposal(rng, num_classes, d_v, label=None):
-    x1, y1 = rng.uniform(0.05, 0.4, 2)
-    scores = rng.uniform(0.05, 1.0, num_classes)
-    scores = scores / scores.sum()
-    return ObjectProposal(
-        box=(
-            float(x1),
-            float(y1),
-            float(x1 + rng.uniform(0.1, 0.5)),
-            float(y1 + rng.uniform(0.1, 0.5)),
-        ),
-        feature=rng.normal(size=d_v),
-        label=int(rng.integers(0, num_classes)) if label is None else label,
-        scores=scores,
+def make_image(rng, n, num_classes, d_v):
+    """``n`` random object proposals with random union features."""
+    x1, y1 = rng.uniform(0.05, 0.4, (2, n))
+    scores = rng.uniform(0.05, 1.0, (n, num_classes))
+    return SynthImage(
+        boxes=np.stack([x1, y1, x1 + rng.uniform(0.1, 0.5, n), y1 + rng.uniform(0.1, 0.5, n)], 1),
+        features=rng.normal(size=(n, d_v)),
+        labels=rng.integers(0, num_classes, n),
+        scores=scores / scores.sum(axis=1, keepdims=True),
+        unions=rng.normal(size=(n * (n - 1), d_v)),
+        gt_triplets=[],
+    )
+
+
+def select(image, idx):
+    """The image made of its proposals ``idx``, in that order, with each
+    ordered pair keeping its union feature (any row when ``idx`` repeats)."""
+    idx = np.asarray(idx, dtype=np.int64)
+    n = len(image.labels)
+    s, o = idx[all_ordered_pairs(len(idx))].T
+    return SynthImage(
+        image.boxes[idx], image.features[idx], image.labels[idx], image.scores[idx],
+        image.unions[s * (n - 1) + o - (o > s)], gt_triplets=[],
     )
 
 
@@ -52,140 +62,157 @@ def toy():
     )
     rng = np.random.default_rng(7)
     params = init_dual_encoder(spec, LS, D_V, rng)
-    proposals = [make_proposal(rng, LS.num_object_classes, D_V) for _ in range(4)]
-    pairs = all_ordered_pairs(4)
-    unions = rng.normal(size=(len(pairs), D_V))
-    return spec, params, proposals, pairs, unions, rng
+    image = make_image(rng, 4, LS.num_object_classes, D_V)
+    return spec, params, image, all_ordered_pairs(4), image.unions, rng
+
+
+def one_proposal(box=(0.1, 0.1, 0.4, 0.4), scores=(1.0,), label=0, d_v=3):
+    return SynthImage(
+        boxes=[box], features=np.zeros((1, d_v)), labels=[label], scores=[scores],
+        unions=np.zeros((0, d_v)), gt_triplets=[],
+    )
 
 
 class TestProposal:
-    def test_rejects_degenerate_box(self, rng):
-        with pytest.raises(ValueError):
-            ObjectProposal(box=(0.5, 0.1, 0.2, 0.4), feature=np.zeros(3), label=0, scores=np.array([1.0]))
+    def test_rejects_degenerate_box(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            one_proposal(box=(0.5, 0.1, 0.2, 0.4))
+        with pytest.raises(ValueError, match="unnormalized"):
+            one_proposal(box=(0.1, 0.1, 0.4, 1.2))
 
     def test_rejects_unnormalized_scores(self):
-        with pytest.raises(ValueError):
-            ObjectProposal(box=(0.1, 0.1, 0.4, 0.4), feature=np.zeros(3), label=0, scores=np.array([0.7, 0.6]))
+        with pytest.raises(ValueError, match="sum to 1"):
+            one_proposal(scores=(0.7, 0.6))
+        with pytest.raises(ValueError, match="sum to 1"):
+            one_proposal(scores=(np.nan,))
+
+    def test_rejects_inconsistent_row_counts(self, toy):
+        _, _, image, _, _, _ = toy
+        with pytest.raises(ValueError, match="one row per object"):
+            replace(image, features=image.features[:3])
+        with pytest.raises(ValueError, match="unions have shape"):
+            replace(image, unions=image.unions[:-1])
+        with pytest.raises(ValueError, match="box per object"):
+            replace(image, boxes=image.boxes[:, :3])
 
     def test_box_features(self):
-        f = box_features((0.1, 0.2, 0.5, 0.8))
-        assert f == pytest.approx([0.1, 0.2, 0.5, 0.8, 0.4, 0.6, 0.3, 0.5])
+        f = box_features(np.array([[0.1, 0.2, 0.5, 0.8]]))
+        assert f.tolist() == [pytest.approx([0.1, 0.2, 0.5, 0.8, 0.4, 0.6, 0.3, 0.5])]
 
 
 class TestEmbedObjects:
     def test_shape(self, toy):
-        spec, params, proposals, _, _, _ = toy
-        tokens, _ = embed_objects(proposals, params)
+        spec, params, image, _, _, _ = toy
+        tokens, _ = embed_objects(image, params)
         assert tokens.shape == (4, spec.d_model)
 
     def test_identical_proposals_identical_rows(self, toy):
-        spec, params, proposals, _, _, _ = toy
-        tokens, _ = embed_objects([proposals[0], proposals[0]], params)
+        spec, params, image, _, _, _ = toy
+        tokens, _ = embed_objects(select(image, [0, 0]), params)
         assert np.array_equal(tokens[0], tokens[1])
 
     def test_zero_input_map_gives_zeros(self, toy):
-        spec, params, proposals, _, _, _ = toy
+        spec, params, image, _, _, _ = toy
         params.w_in[:] = 0.0
-        tokens, _ = embed_objects(proposals, params)
+        tokens, _ = embed_objects(image, params)
         assert not tokens.any()
 
     def test_empty_rejected(self, toy):
         _, params, _, _, _, _ = toy
         with pytest.raises(ValueError):
-            embed_objects([], params)
+            embed_objects(select(make_image(np.random.default_rng(0), 2, 4, D_V), []), params)
 
     def test_mode_switches_embedding_label(self, toy):
-        spec, params, proposals, _, _, rng = toy
+        spec, params, image, _, _, rng = toy
         # force disagreement between annotation and detector argmax
-        scores = np.array([0.1, 0.7, 0.1, 0.1])
-        p = ObjectProposal(box=(0.1, 0.1, 0.3, 0.3), feature=np.zeros(D_V), label=2, scores=scores)
-        t_pred, _ = embed_objects([p, p], params, mode="predcls")
-        t_sg, _ = embed_objects([p, p], params, mode="sgcls")
+        p = one_proposal(scores=(0.1, 0.7, 0.1, 0.1), label=2, d_v=D_V)
+        t_pred, _ = embed_objects(p, params, mode="predcls")
+        t_sg, _ = embed_objects(p, params, mode="sgcls")
         assert not np.array_equal(t_pred, t_sg)
 
 
 class TestEncodeObjects:
     def test_residual_passthrough(self, toy):
-        spec, params, proposals, _, _, _ = toy
+        spec, params, image, _, _, _ = toy
         for layer in params.obj_layers:
             layer.attn.wo[:] = 0.0
             layer.w2[:] = 0.0
-        tokens, _ = embed_objects(proposals, params)
+        tokens, _ = embed_objects(image, params)
         encoded, _ = encode_objects(tokens, params, spec.n_h)
         assert np.max(np.abs(encoded - tokens)) < 1e-12
 
     def test_permutation_equivariance(self, toy):
-        spec, params, proposals, _, _, _ = toy
-        tokens, _ = embed_objects(proposals, params)
+        spec, params, image, _, _, _ = toy
+        tokens, _ = embed_objects(image, params)
         out, _ = encode_objects(tokens, params, spec.n_h)
         perm = [2, 0, 3, 1]
-        tokens_p, _ = embed_objects([proposals[i] for i in perm], params)
+        tokens_p, _ = embed_objects(select(image, perm), params)
         out_p, _ = encode_objects(tokens_p, params, spec.n_h)
         assert out_p == pytest.approx(out[perm], abs=1e-10)
 
 
 class TestClassifyObjects:
     def test_rows_sum_to_one(self, toy):
-        spec, params, proposals, pairs, unions, _ = toy
-        probs = forward(proposals, unions, pairs, params, spec).object_probs
+        spec, params, image, pairs, unions, _ = toy
+        probs = forward(image, unions, pairs, params, spec).object_probs
         assert probs.shape == (4, LS.num_object_classes)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
 
     def test_zero_weights_uniform(self, toy):
-        spec, params, proposals, pairs, unions, _ = toy
+        spec, params, image, pairs, unions, _ = toy
         params.w_clf_obj[:] = 0.0
-        probs = forward(proposals, unions, pairs, params, spec).object_probs
+        probs = forward(image, unions, pairs, params, spec).object_probs
         assert probs == pytest.approx(1.0 / LS.num_object_classes)
 
 
 class TestFusePairs:
     def test_counts_all_directed_pairs(self, toy):
-        spec, params, proposals, pairs, unions, _ = toy
+        spec, params, image, pairs, unions, _ = toy
         assert len(pairs) == 12
-        tokens, _ = embed_objects(proposals, params)
+        tokens, _ = embed_objects(image, params)
         fused, _ = fuse_pairs(tokens, unions, pairs, params)
         assert fused.shape == (12, spec.d_model)
 
     def test_order_matters(self, toy):
-        spec, params, proposals, _, _, rng = toy
-        tokens, _ = embed_objects(proposals, params)
+        spec, params, image, _, _, rng = toy
+        tokens, _ = embed_objects(image, params)
         u = rng.normal(size=(1, D_V))
-        a, _ = fuse_pairs(tokens, u, [(0, 1)], params)
-        b, _ = fuse_pairs(tokens, u, [(1, 0)], params)
+        a, _ = fuse_pairs(tokens, u, np.array([[0, 1]]), params)
+        b, _ = fuse_pairs(tokens, u, np.array([[1, 0]]), params)
         assert not np.allclose(a, b)
 
     def test_zero_fusion_map(self, toy):
-        spec, params, proposals, pairs, unions, _ = toy
+        spec, params, image, pairs, unions, _ = toy
         params.w_fuse[:] = 0.0
-        tokens, _ = embed_objects(proposals, params)
+        tokens, _ = embed_objects(image, params)
         fused, _ = fuse_pairs(tokens, unions, pairs, params)
         assert not fused.any()
 
     def test_self_pair_rejected(self, toy):
-        spec, params, proposals, _, unions, _ = toy
-        tokens, _ = embed_objects(proposals, params)
+        spec, params, image, _, unions, _ = toy
+        tokens, _ = embed_objects(image, params)
         with pytest.raises(ValueError, match="itself"):
-            fuse_pairs(tokens, unions[:1], [(1, 1)], params)
+            fuse_pairs(tokens, unions[:2], np.array([[0, 1], [1, 1]]), params)
 
     def test_out_of_range_rejected(self, toy):
-        spec, params, proposals, _, unions, _ = toy
-        tokens, _ = embed_objects(proposals, params)
+        spec, params, image, _, unions, _ = toy
+        tokens, _ = embed_objects(image, params)
         with pytest.raises(ValueError, match="out of range"):
-            fuse_pairs(tokens, unions[:1], [(0, 9)], params)
+            fuse_pairs(tokens, unions[:2], np.array([[0, 1], [0, 9]]), params)
 
 
 class TestRelationHead:
     def test_logit_shape(self, toy):
-        spec, params, proposals, pairs, unions, _ = toy
-        out = forward(proposals, unions, pairs, params, spec)
+        spec, params, image, pairs, unions, _ = toy
+        out = forward(image, unions, pairs, params, spec)
         assert out.relation_logits.shape == (12, LS.num_relations + 1)
 
     def test_zeroed_encoder_is_linear_readout(self, toy):
-        spec, params, proposals, pairs, unions, _ = toy
+        spec, params, image, pairs, unions, _ = toy
         for layer in params.rel_layers:
             layer.attn.wo[:] = 0.0
             layer.w2[:] = 0.0
-        tokens, _ = embed_objects(proposals, params)
+        tokens, _ = embed_objects(image, params)
         e_final, _ = encode_objects(tokens, params, spec.n_h)
         fused, _ = fuse_pairs(e_final, unions, pairs, params)
         logits, _ = encode_relations_and_classify(fused, params, spec.n_h)
@@ -194,25 +221,22 @@ class TestRelationHead:
 
 class TestForward:
     def test_two_objects_two_pairs(self, toy):
-        spec, params, proposals, _, _, rng = toy
+        spec, params, image, _, _, rng = toy
         unions = rng.normal(size=(2, D_V))
-        out = forward(proposals[:2], unions, [(0, 1), (1, 0)], params, spec)
+        out = forward(select(image, [0, 1]), unions, all_ordered_pairs(2), params, spec)
         assert out.relation_logits.shape[0] == 2
 
     def test_too_few_objects(self, toy):
-        spec, params, proposals, _, _, _ = toy
+        spec, params, image, _, _, _ = toy
         with pytest.raises(ValueError, match="no pairs"):
-            forward(proposals[:1], np.zeros((0, D_V)), [], params, spec)
+            forward(select(image, [0]), np.zeros((0, D_V)), all_ordered_pairs(1), params, spec)
 
     def test_relation_logits_permutation_invariant(self, toy):
-        spec, params, proposals, pairs, unions, _ = toy
-        out = forward(proposals, unions, pairs, params, spec)
+        spec, params, image, pairs, unions, _ = toy
+        out = forward(image, unions, pairs, params, spec)
         perm = [3, 1, 0, 2]
-        inv = {orig: new for new, orig in enumerate(perm)}
-        pairs_p = [(inv[s], inv[o]) for s, o in pairs]
-        out_p = forward(
-            [proposals[i] for i in perm], unions, pairs_p, params, spec
-        )
+        pairs_p = np.argsort(perm)[pairs]
+        out_p = forward(select(image, perm), unions, pairs_p, params, spec)
         assert out_p.relation_logits == pytest.approx(out.relation_logits, abs=1e-10)
         assert out_p.object_probs == pytest.approx(out.object_probs[perm], abs=1e-10)
 
@@ -227,8 +251,8 @@ class TestFullGradients:
         assert report.passed, report
 
     def test_object_head_gradient_flows(self, toy):
-        spec, params, proposals, pairs, unions, _ = toy
-        out = forward(proposals, unions, pairs, params, spec)
+        spec, params, image, pairs, unions, _ = toy
+        out = forward(image, unions, pairs, params, spec)
         d_obj = np.zeros_like(out.object_logits)
         d_obj[0, 0] = 1.0
         grads = backward(d_obj, np.zeros_like(out.relation_logits), out, params, spec)
@@ -296,13 +320,13 @@ class TestSanityDescent:
 class TestLinearModel:
     def test_forward_and_hand_gradient(self, rng):
         ls = LabelSpace(num_object_classes=3, num_relations=2)
-        proposals = [make_proposal(rng, 3, 4) for _ in range(3)]
-        pairs = [(0, 1), (2, 0)]
+        image = make_image(rng, 3, 3, 4)
+        pairs = np.array([[0, 1], [2, 0]])
         unions = rng.normal(size=(2, 4))
         spec = ModelSpec()
         params = init_linear(spec, ls, 4, rng)
-        out = linear_forward(proposals, unions, pairs, params, spec)
-        feats = np.stack([p.feature for p in proposals])
+        out = linear_forward(image, unions, pairs, params, spec)
+        feats = image.features
         x0 = np.concatenate([unions[0], feats[0], feats[1]])
         assert out.relation_logits[0] == pytest.approx(x0 @ params.w + params.b, abs=1e-12)
 
@@ -313,8 +337,8 @@ class TestLinearModel:
         assert grads.b == pytest.approx(d_rel.sum(axis=0), abs=1e-12)
 
     def test_object_probs_are_detector_scores(self, rng):
-        proposals = [make_proposal(rng, 3, 4) for _ in range(2)]
+        image = make_image(rng, 2, 3, 4)
         spec = ModelSpec()
         params = init_linear(spec, LabelSpace(num_object_classes=3, num_relations=2), 4, rng)
-        out = linear_forward(proposals, rng.normal(size=(1, 4)), [(0, 1)], params, spec)
-        assert np.array_equal(out.object_probs[0], proposals[0].scores)
+        out = linear_forward(image, rng.normal(size=(1, 4)), np.array([[0, 1]]), params, spec)
+        assert np.array_equal(out.object_probs, image.scores)

@@ -22,9 +22,8 @@ from tailbias.harness import (
     training_stats,
 )
 from tailbias.metrics import CONSTRAINTS, candidate_index, evaluate_split, rank, ranking
-from tailbias.model import all_ordered_pairs
 from tailbias.stats import LabelSpace
-from tailbias.synth import SynthConfig, generate_split
+from tailbias.synth import SynthConfig, all_ordered_pairs, generate_split
 
 
 def assert_same_results(got, want):
@@ -48,7 +47,7 @@ def scored_image(draw, num_relations):
     """A score matrix quantised to few levels, so exact ties are common,
     with a random ground-truth list (duplicates allowed)."""
     n = draw(st.integers(2, 4))
-    pairs = all_ordered_pairs(n)
+    pairs = [tuple(p) for p in all_ordered_pairs(n).tolist()]
     levels = draw(st.integers(1, 4))
     cells = draw(
         st.lists(

@@ -1,9 +1,14 @@
+import hashlib
+import json
+import re
+
 import numpy as np
 import pytest
 
 from tailbias.stats import LabelSpace
 from tailbias.synth import (
     SynthConfig,
+    all_ordered_pairs,
     build_world,
     generate_split,
     images_to_triplets,
@@ -31,6 +36,12 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return SynthConfig(**defaults)
+
+
+def assert_same_image(a, b):
+    assert a.gt_triplets == b.gt_triplets
+    for name in ("boxes", "features", "labels", "scores", "unions"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 class TestZipfWeights:
@@ -94,13 +105,13 @@ class TestGenerate:
     def test_background_fraction_zero_fills_all_pairs(self):
         cfg = small_config(background_fraction=0.0, num_train=5)
         for img in generate_split(cfg, "train"):
-            n = len(img.proposals)
+            n = len(img.labels)
             assert len(img.gt_triplets) == n * (n - 1)
 
     def test_gt_structure(self):
         cfg = small_config()
         for img in generate_split(cfg, "train")[:10]:
-            n = len(img.proposals)
+            n = len(img.labels)
             assert cfg.objects_min <= n <= cfg.objects_max
             seen_pairs = set()
             for s, o, r in img.gt_triplets:
@@ -108,7 +119,7 @@ class TestGenerate:
                 assert 1 <= r <= cfg.label_space.num_relations
                 assert (s, o) not in seen_pairs
                 seen_pairs.add((s, o))
-            assert len(img.unions) == n * (n - 1)
+            assert img.unions.shape == (n * (n - 1), cfg.d_v)
 
     def test_train_histogram_tracks_zipf(self):
         cfg = small_config(num_train=2000, objects_min=4, objects_max=6, zipf_s=1.5)
@@ -127,13 +138,7 @@ class TestGenerate:
         b = [generate_split(cfg, split) for split in ("train", "val", "test")]
         for split_a, split_b in zip(a, b):
             for img_a, img_b in zip(split_a, split_b):
-                assert img_a.gt_triplets == img_b.gt_triplets
-                for pa, pb in zip(img_a.proposals, img_b.proposals):
-                    assert pa.box == pb.box
-                    assert np.array_equal(pa.feature, pb.feature)
-                    assert np.array_equal(pa.scores, pb.scores)
-                for key in img_a.unions:
-                    assert np.array_equal(img_a.unions[key], img_b.unions[key])
+                assert_same_image(img_a, img_b)
 
     def test_splits_are_independent_streams(self):
         cfg = small_config()
@@ -144,12 +149,10 @@ class TestGenerate:
         test_with_rest = generate_split(cfg, "test")
         for img_a, img_b in zip(test_alone, test_with_rest):
             assert img_a.gt_triplets == img_b.gt_triplets
-            assert np.array_equal(img_a.proposals[0].feature, img_b.proposals[0].feature)
+            assert np.array_equal(img_a.features, img_b.features)
         # different splits differ
         train = generate_split(cfg, "train")
-        assert not np.array_equal(
-            train[0].proposals[0].feature, test_alone[0].proposals[0].feature
-        )
+        assert not np.array_equal(train[0].features[0], test_alone[0].features[0])
 
     def test_class_separability(self):
         # nearest-prototype object classification must clear 95%
@@ -159,20 +162,15 @@ class TestGenerate:
         hits = 0
         total = 0
         for img in images:
-            for p in img.proposals:
-                d = np.linalg.norm(world.object_prototypes - p.feature, axis=1)
-                hits += int(np.argmin(d) == p.label)
-                total += 1
+            d = np.linalg.norm(world.object_prototypes - img.features[:, None], axis=2)
+            hits += int((d.argmin(axis=1) == img.labels).sum())
+            total += len(img.labels)
         assert hits / total > 0.95
 
     def test_detector_scores_rarely_disagree(self):
         cfg = small_config(num_train=200)
         images = generate_split(cfg, "train")
-        agree = [
-            int(np.argmax(p.scores)) == p.label
-            for img in images
-            for p in img.proposals
-        ]
+        agree = np.concatenate([img.scores.argmax(axis=1) == img.labels for img in images])
         assert np.mean(agree) > 0.95
 
 
@@ -185,13 +183,7 @@ class TestJsonl:
         again = read_images_jsonl(str(path))
         assert len(again) == len(images)
         for img_a, img_b in zip(images, again):
-            assert img_a.gt_triplets == img_b.gt_triplets
-            for pa, pb in zip(img_a.proposals, img_b.proposals):
-                assert pa.box == pb.box
-                assert np.array_equal(pa.feature, pb.feature)
-                assert pa.label == pb.label
-            for key in img_a.unions:
-                assert np.array_equal(img_a.unions[key], img_b.unions[key])
+            assert_same_image(img_a, img_b)
 
     def test_serialization_is_byte_stable(self, tmp_path):
         cfg = small_config(num_train=4)
@@ -200,6 +192,55 @@ class TestJsonl:
         write_images_jsonl(generate_split(cfg, "train"), str(p1))
         write_images_jsonl(generate_split(cfg, "train"), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_generator_output_is_pinned(self, tmp_path):
+        # sha256 of this split's JSONL as written before images were packed
+        # into arrays; the packed generator and writer must reproduce it.
+        cfg = small_config(num_train=6)
+        path = tmp_path / "a.jsonl"
+        write_images_jsonl(generate_split(cfg, "train"), str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "c87e47949c588ddbc7908568748eb337959428d3212fa125461b8eb64d25150b"
+        again = tmp_path / "b.jsonl"
+        write_images_jsonl(read_images_jsonl(str(path)), str(again))
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "corrupt, why",
+        [
+            (lambda d: d["objects"][1].pop("scores"), "missing key 'scores'"),
+            (lambda d: d.pop("gt"), "missing key 'gt'"),
+            (lambda d: d["objects"][1]["feat"].pop(), "feat rows are ragged"),
+            (lambda d: d["objects"][0]["scores"].append(0.0), "scores rows are ragged"),
+            (lambda d: d["unions"][2][2].pop(), "union rows are ragged"),
+            (lambda d: d["unions"].pop(), "union pairs are not the ordered pairs"),
+            (lambda d: d["unions"].reverse(), "union pairs are not the ordered pairs"),
+            (lambda d: d["objects"][2]["box"].__setitem__(2, 0.0), "degenerate"),
+            (lambda d: d["objects"][0]["box"].pop(), "box rows are ragged"),
+            (lambda d: d["objects"][1]["scores"].__setitem__(0, 2.0), "sum to 1"),
+        ],
+        ids=[
+            "missing-object-key", "missing-gt", "ragged-feat", "ragged-scores",
+            "ragged-union", "missing-union-pair", "union-pairs-out-of-order", "bad-box",
+            "short-box", "unnormalised-scores",
+        ],
+    )
+    def test_malformed_document_names_its_line(self, tmp_path, corrupt, why):
+        images = generate_split(small_config(num_train=3), "train")
+        path = tmp_path / "train.jsonl"
+        write_images_jsonl(images, str(path))
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[1])
+        corrupt(doc)
+        lines[1] = json.dumps(doc)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: .*{why}"):
+            read_images_jsonl(str(path))
+
+
+def test_all_ordered_pairs():
+    assert all_ordered_pairs(3).tolist() == [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]]
+    assert all_ordered_pairs(1).shape == all_ordered_pairs(0).shape == (0, 2)
 
 
 def test_config_validation():
