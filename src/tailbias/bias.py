@@ -39,7 +39,6 @@ __all__ = [
     "soft_bias",
     "lookup_pair_bias",
     "bias_table",
-    "apply_bias",
     "bias_to_json",
     "bias_from_json",
 ]
@@ -229,16 +228,6 @@ def bias_table(bias: Bias, num_object_classes: int) -> np.ndarray:
     return table
 
 
-def apply_bias(logits: np.ndarray, bias: BiasVector) -> np.ndarray:
-    """Subtract the bias from a logit vector of matching length."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.shape[-1] != bias.values.shape[0]:
-        raise ValueError(
-            f"logit length {logits.shape[-1]} != bias length {bias.values.shape[0]}"
-        )
-    return logits - bias.values
-
-
 def bias_to_json(spec: BiasSpec, bias: Bias) -> str:
     doc: dict = spec.to_dict()
     if isinstance(bias, BiasVector):
@@ -252,14 +241,29 @@ def bias_to_json(spec: BiasSpec, bias: Bias) -> str:
 
 
 def bias_from_json(text: str) -> tuple[BiasSpec, Bias]:
+    """Parse :func:`bias_to_json` output; a pair table's ``entries`` must be a
+    list of ``[s, o, values]`` with ``values`` as long as the fallback."""
     doc = json.loads(text)
     spec = BiasSpec.from_dict(doc)
     if "values" in doc:
         return spec, BiasVector(np.asarray(doc["values"], dtype=np.float64))
-    entries = {
-        (int(s), int(o)): BiasVector(np.asarray(v, dtype=np.float64))
-        for s, o, v in doc["entries"]
-    }
     fallback = BiasVector(np.asarray(doc["fallback"], dtype=np.float64))
+    raw = doc["entries"]
+    if not isinstance(raw, list):
+        raise ValueError("bias entries must be a list of [s, o, values]")
+    entries = {}
+    for i, entry in enumerate(raw):
+        s, o, values = entry if isinstance(entry, list) and len(entry) == 3 else (None,) * 3
+        if not (isinstance(s, int) and isinstance(o, int)):
+            raise ValueError(f"bias entry {i} is not [s, o, values]")
+        try:
+            vec = BiasVector(np.asarray(values, dtype=np.float64))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bias entry {i} for class pair {(s, o)}: {exc}") from None
+        if vec.values.shape != fallback.values.shape:
+            raise ValueError(
+                f"bias entry {i} for class pair {(s, o)} has {len(vec.values)} values; "
+                f"the fallback has {len(fallback.values)}"
+            )
+        entries[(s, o)] = vec
     return spec, PairBiasTable(entries=entries, fallback=fallback)
-

@@ -29,6 +29,7 @@ from .numerics import (
     matmul_backward,
     multi_head_attention,
     multi_head_attention_backward,
+    running_sum,
     write_flat,
 )
 from .stats import LabelSpace
@@ -223,18 +224,11 @@ def _toy_loss(out, image, targets, bias_row):
     gradients at both classifier outputs."""
     m = len(targets)
     n = len(image.labels)
-    total = 0.0
-    d_rel = np.zeros_like(out.relation_logits)
-    for q in range(m):
-        res = biased_ce(out.relation_logits[q], bias_row, int(targets[q]))
-        total += res.value / m
-        d_rel[q] = res.grad_logits / m
-    d_obj = np.zeros_like(out.object_logits)
-    for i, label in enumerate(image.labels.tolist()):
-        res = ce(out.object_logits[i], label)
-        total += res.value / n
-        d_obj[i] = res.grad_logits / n
-    return total, d_obj, d_rel
+    logits = out.relation_logits
+    rel = biased_ce(logits, np.broadcast_to(bias_row, logits.shape), targets)
+    obj = ce(out.object_logits, image.labels)
+    total = running_sum(np.concatenate([rel.value / m, obj.value / n]))
+    return total, obj.grad_logits / n, rel.grad_logits / m
 
 
 def check_model_instance(

@@ -12,10 +12,13 @@ iteration and, for a gradient, the parameter leaf.
 
 Evaluation forwards each image once and ranks its ``(pairs, relations)``
 score matrix (see :mod:`tailbias.metrics`); the sweep reuses those logits at
-every grid point and only re-biases, re-scores and re-ranks. In ``sgcls`` a
-ground-truth triplet can be recalled only when the argmax of the model's
-object probabilities equals the annotated label of both its subject and its
-object; otherwise its rank position is :data:`~tailbias.metrics.MISS`.
+every grid point and only re-biases, re-scores and re-ranks. In ``sgcls``
+evaluation the argmax of the model's object probabilities is the object label
+throughout: inference-bias rows are gathered by it, and a ground-truth
+triplet can be recalled only when it equals the annotated label of both its
+subject and its object; otherwise its rank position is
+:data:`~tailbias.metrics.MISS`. Training (and the dual encoder's label
+embedding) keeps the detector argmax.
 
 All randomness derives from ``SeedSequence(config.seed, spawn_key=(domain,))``
 so identical configs produce bitwise-identical checkpoints. Checkpoints and
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import zip_longest
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -56,7 +59,7 @@ from .model import (
     forward,  # noqa: F401 - perfbench/tests check that tracing restores this binding
     model_for,
 )
-from .numerics import flatten, leaf_names, leaves, write_flat, zeros_like_tree
+from .numerics import flatten, leaf_names, leaves, running_sum, write_flat, zeros_like_tree
 from .stats import LabelSpace, TripletStats, ingest, marginal_counts
 from .synth import SynthImage, all_ordered_pairs, images_to_triplets
 
@@ -116,6 +119,17 @@ class LossConfig:
             raise ValueError(f"unknown loss kind {self.kind!r}")
 
 
+def _section(cls, d: Mapping, name: str):
+    """Build ``cls`` from the mapping ``d[name]``, naming an unknown key."""
+    section = d.get(name, {})
+    if not isinstance(section, Mapping):
+        raise ValueError(f"config section {name!r} must be an object")
+    unknown = [key for key in section if key not in {f.name for f in fields(cls)}]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in config section {name!r}")
+    return cls(**section)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     label_space: LabelSpace
@@ -158,10 +172,10 @@ class TrainConfig:
         return cls(
             label_space=LabelSpace.from_dict(d["label_space"]),
             task=d.get("task", "predcls"),
-            model=ModelSpec(**d.get("model", {})),
-            loss=LossConfig(**d.get("loss", {})),
+            model=_section(ModelSpec, d, "model"),
+            loss=_section(LossConfig, d, "loss"),
             bias=None if d.get("bias") is None else BiasSpec.from_dict(d["bias"]),
-            optimizer=OptimizerConfig(**d.get("optimizer", {})),
+            optimizer=_section(OptimizerConfig, d, "optimizer"),
             seed=int(d.get("seed", 0)),
             data=tuple((str(k), str(v)) for k, v in d.get("data", [])),
             eval_ks=tuple(int(k) for k in d.get("eval_ks", (20, 50, 100))),
@@ -213,18 +227,24 @@ def _class_counts(images: Sequence[SynthImage], stats: TripletStats) -> np.ndarr
     return counts
 
 
-def make_loss_fn(
-    config: TrainConfig, bias: Bias | None, class_counts: np.ndarray
-) -> Callable[[np.ndarray, int, int, int], LossOutput]:
-    """Resolve the configured loss into ``f(logits, y, s_class, o_class)``."""
+LossFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], LossOutput]
+
+
+def make_loss_fn(config: TrainConfig, bias: Bias | None, class_counts: np.ndarray) -> LossFn:
+    """Resolve the configured loss into ``f(logits, targets, s_classes, o_classes)``.
+
+    ``logits`` is an ``(m, C)`` block of relation rows and the other three are
+    ``(m,)`` arrays: each row's target and its pair's subject and object
+    class, by which bias rows are gathered as ``table[s_classes, o_classes]``.
+    """
     kind = config.loss.kind
     if kind == "ce":
-        return lambda z, y, s_class, o_class: ce(z, y)
+        return lambda z, y, s_classes, o_classes: ce(z, y)
     if kind == "rtpb":
         if bias is None:
             raise ValueError("rtpb loss needs a bias")
         table = bias_table(bias, config.label_space.num_object_classes)
-        return lambda z, y, s_class, o_class: biased_ce(z, table[s_class, o_class], y)
+        return lambda z, y, s_classes, o_classes: biased_ce(z, table[s_classes, o_classes], y)
     spec = BaselineSpec(
         kind=kind,
         class_counts=class_counts,
@@ -234,7 +254,7 @@ def make_loss_fn(
         margin_c=config.loss.margin_c,
         reweight_normalize=config.loss.reweight_normalize,
     )
-    return lambda z, y, s_class, o_class: baseline_loss(spec, z, y)
+    return lambda z, y, s_classes, o_classes: baseline_loss(spec, z, y)
 
 
 def _class_labels(image: SynthImage, config: TrainConfig) -> np.ndarray:
@@ -266,17 +286,15 @@ def _batch_loss(
     config: TrainConfig,
     net: Model,
     params: LinearParams | DualEncoderParams,
-    loss_fn: Callable[[np.ndarray, int, int, int], LossOutput],
+    loss_fn: LossFn,
     batch: Sequence[SynthImage],
     sample_rng: np.random.Generator,
 ) -> tuple[float, LinearParams | DualEncoderParams]:
     """The batch's mean relation loss, plus the weighted mean object loss when
     the model has an object head, and its parameter gradients."""
     grads = zeros_like_tree(params)
-    rel_loss_sum = 0.0
-    rel_count = 0
-    obj_loss_sum = 0.0
-    obj_count = 0
+    w_obj = config.model.object_loss_weight
+    obj_count = sum(len(img.labels) for img in batch)
     per_image = []
     for img in batch:
         positions, targets = _training_pairs(img, config, sample_rng)
@@ -284,35 +302,22 @@ def _batch_loss(
         out = net.forward(
             img, img.unions[positions], pairs, params, config.model, config.task
         )
-        classes = _class_labels(img, config)[pairs].tolist()
-        d_rel = np.zeros_like(out.relation_logits)
-        for q, (y, (s_class, o_class)) in enumerate(zip(targets.tolist(), classes)):
-            res = loss_fn(out.relation_logits[q], y, s_class, o_class)
-            rel_loss_sum += res.value
-            d_rel[q] = res.grad_logits
-            rel_count += 1
-        per_image.append((img, out, d_rel))
-
-    w_obj = config.model.object_loss_weight
-    # Only a model with an object head returns object logits.
-    use_obj = w_obj > 0 and out.object_logits is not None
-    if use_obj:
-        obj_count = sum(len(img.labels) for img in batch)
-    for img, out, d_rel in per_image:
-        d_rel = d_rel / rel_count
-        d_obj = None
-        if use_obj:
-            d_obj = np.zeros_like(out.object_logits)
-            for i, label in enumerate(img.labels.tolist()):
-                res = ce(out.object_logits[i], label)
-                obj_loss_sum += res.value
-                d_obj[i] = res.grad_logits * (w_obj / obj_count)
+        classes = _class_labels(img, config)[pairs]
+        rel = loss_fn(out.relation_logits, targets, classes[:, 0], classes[:, 1])
+        # Only a model with an object head returns object logits.
+        use_obj = w_obj > 0 and out.object_logits is not None
+        obj = ce(out.object_logits, img.labels) if use_obj else None
+        per_image.append((out, rel, obj))
+    rel_values = np.concatenate([rel.value for _, rel, _ in per_image])
+    for out, rel, obj in per_image:
+        d_obj = None if obj is None else obj.grad_logits * (w_obj / obj_count)
+        d_rel = rel.grad_logits / len(rel_values)
         net.backward(d_obj, d_rel, out, params, config.model, grads)
-
-    loss_value = rel_loss_sum / rel_count
-    if use_obj and obj_count:
-        loss_value += w_obj * obj_loss_sum / obj_count
-    return float(loss_value), grads
+    loss_value = running_sum(rel_values) / len(rel_values)
+    if use_obj:
+        obj_values = np.concatenate([obj.value for _, _, obj in per_image])
+        loss_value += w_obj * running_sum(obj_values) / obj_count
+    return loss_value, grads
 
 
 def _check_finite_step(step: int, loss_value: float, grads) -> None:
@@ -329,14 +334,15 @@ def _check_finite_step(step: int, loss_value: float, grads) -> None:
 def train(
     config: TrainConfig,
     train_images: Sequence[SynthImage],
-    loss_fn: Callable[[np.ndarray, int, int, int], LossOutput] | None = None,
+    loss_fn: LossFn | None = None,
     val_images: Sequence[SynthImage] | None = None,
     eval_every: int = 0,
 ) -> tuple[Checkpoint, RunLog]:
     """SGD training; returns the final checkpoint and the per-iteration log.
 
     ``loss_fn`` overrides the configured loss (used by equivalence tests);
-    signature ``f(logits_row, target, s_class, o_class) -> LossOutput``.
+    it has the signature of :func:`make_loss_fn`'s result and is called once
+    per image with the ``(m, C)`` relation logits of the image's drawn pairs.
     With ``eval_every > 0`` and a validation split, R@k/mR@k snapshots are
     recorded in the log every that many iterations.
     """
@@ -429,7 +435,7 @@ class _ScoredImage(NamedTuple):
 
     relation_logits: np.ndarray  # (P, C), pairs in all_ordered_pairs order
     pair_scores: np.ndarray | None  # object-score products in sgcls
-    subject_classes: np.ndarray  # (P,) class label of each pair's subject
+    subject_classes: np.ndarray  # (P,) class label of each pair's subject, gathering bias rows
     object_classes: np.ndarray
     gt_index: np.ndarray  # flat candidate index of each gt triplet
     gt_relations: np.ndarray
@@ -460,8 +466,8 @@ def _forward_split(checkpoint: Checkpoint, images: Sequence[SynthImage]) -> list
             raise ValueError(f"image {i}: {exc}") from None
         matched = np.ones(len(gt_index), dtype=bool)
         if config.task == "sgcls":
-            correct = fwd.object_probs.argmax(axis=1) == img.labels
-            matched = correct[pairs[gt_index // num_relations]].all(axis=1)
+            labels = fwd.object_probs.argmax(axis=1)
+            matched = (labels == img.labels)[pairs[gt_index // num_relations]].all(axis=1)
         out.append(
             _ScoredImage(
                 relation_logits=fwd.relation_logits,
@@ -513,7 +519,8 @@ def evaluate(
     """Forward every image, rank candidates, and aggregate R@k and mR@k.
 
     ``inference_bias`` is subtracted from the relation logits before scoring
-    (pair tables looked up by the task's class-label rule); by default the
+    (pair tables gathered by annotated labels in ``predcls`` and by the
+    argmax of the object probabilities in ``sgcls``); by default the
     logits are used as produced, since the training bias is training-only.
     Returns one result per ranking constraint.
     """

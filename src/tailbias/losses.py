@@ -1,9 +1,16 @@
-"""Softmax cross-entropy variants with analytic gradients.
+"""Softmax cross-entropy variants with analytic gradients, over blocks of rows.
 
-Every loss returns the scalar value together with its exact gradient with
-respect to the logits; bias vectors are treated as constants. The biased
-cross-entropy subtracts a per-class bias from the logits before the softmax,
-which decomposes instance-wise as ``biased = plain + gap`` where the gap
+Every loss takes logits of shape ``(..., C)``, integer targets of the leading
+shape ``(...)`` and, where it has one, a bias of the logits' shape; the last
+axis holds the classes. It returns the per-row values, of the leading shape,
+together with their exact gradient with respect to the logits; biases are
+treated as constants. A single row of shape ``(C,)`` with a scalar target is
+a block of one, with a 0-d value. Training calls each loss once per image and
+head on the ``(m, C)`` logit block of its drawn pairs.
+
+The biased cross-entropy subtracts a per-class bias from the logits before
+the softmax, which decomposes instance-wise as ``biased = plain + gap`` where
+the gap
 
     gap = b[y] + log sum_j exp(-b[j]) * p[j]
 
@@ -18,11 +25,9 @@ one-hot bias of ``margin_c / n_y**0.25`` at the true class).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
-from .bias import BiasVector
 from .numerics import row_softmax
 
 __all__ = [
@@ -40,71 +45,77 @@ BASELINE_KINDS = ("reweight", "class_balanced", "focal", "ldam")
 
 @dataclass(frozen=True)
 class LossOutput:
-    value: float
-    grad_logits: np.ndarray
+    value: np.ndarray  # per-row values, of the logits' leading shape
+    grad_logits: np.ndarray  # same shape as the logits
 
 
 def _as_array(z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.shape[0] < 2:
-        raise ValueError("logits must be a 1-D vector with at least two entries")
+    if z.ndim < 1 or z.shape[-1] < 2:
+        raise ValueError("logits need a last axis of at least two classes")
     return z
 
 
-def _bias_values(bias) -> np.ndarray:
-    if isinstance(bias, BiasVector):
-        return bias.values
-    return np.asarray(bias, dtype=np.float64)
+def _as_bias(z: np.ndarray, bias) -> np.ndarray:
+    b = np.asarray(bias, dtype=np.float64)
+    if b.shape != z.shape:
+        raise ValueError(f"bias shape {b.shape} != logit shape {z.shape}")
+    return b
 
 
-def _logsumexp(z: np.ndarray) -> float:
-    m = float(np.max(z))
-    return m + float(np.log(np.sum(np.exp(z - m))))
+def _targets(z: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
+    """Checked targets and their one-hot mask over the last axis of ``z``."""
+    y = np.asarray(y, dtype=np.int64)
+    if y.shape != z.shape[:-1]:
+        raise ValueError(f"targets of shape {y.shape} for logits of shape {z.shape}")
+    hot = np.arange(z.shape[-1]) == y[..., np.newaxis]
+    if np.count_nonzero(hot) != y.size:
+        bad = y[(y < 0) | (y >= z.shape[-1])]
+        raise ValueError(f"target {int(bad[0])} out of range for {z.shape[-1]} classes")
+    return y, hot
 
 
-def _check_target(z: np.ndarray, y: int) -> int:
-    y = int(y)
-    if not 0 <= y < z.shape[0]:
-        raise ValueError(f"target {y} out of range for {z.shape[0]} classes")
-    return y
+def _logsumexp(z: np.ndarray) -> np.ndarray:
+    m = z.max(axis=-1)
+    return m + np.log(np.sum(np.exp(z - m[..., np.newaxis]), axis=-1))
 
 
-def ce(z, y: int) -> LossOutput:
+def _softmax(z: np.ndarray) -> np.ndarray:
+    return row_softmax(z.reshape(-1, z.shape[-1])).reshape(z.shape)
+
+
+def _at(a: np.ndarray, hot: np.ndarray) -> np.ndarray:
+    """Each row's entry at its target, of the leading shape."""
+    return a[hot].reshape(hot.shape[:-1])
+
+
+def ce(z, y) -> LossOutput:
     """Cross-entropy ``-log softmax(z)[y]`` and its gradient ``p - onehot(y)``."""
     z = _as_array(z)
-    y = _check_target(z, y)
-    value = _logsumexp(z) - float(z[y])
-    grad = row_softmax(z[np.newaxis])[0]
-    grad[y] -= 1.0
-    return LossOutput(value=value, grad_logits=grad)
+    _, hot = _targets(z, y)
+    return LossOutput(value=_logsumexp(z) - _at(z, hot), grad_logits=_softmax(z) - hot)
 
 
-def biased_ce(z, bias, y: int) -> LossOutput:
+def biased_ce(z, bias, y) -> LossOutput:
     """Cross-entropy on bias-shifted logits ``z - b``.
 
     The gradient is with respect to ``z``; the bias is a constant, so it is
     simply ``softmax(z - b) - onehot(y)``.
     """
     z = _as_array(z)
-    b = _bias_values(bias)
-    if b.shape != z.shape:
-        raise ValueError(f"bias shape {b.shape} != logit shape {z.shape}")
-    inner = ce(z - b, y)
-    return LossOutput(value=inner.value, grad_logits=inner.grad_logits)
+    return ce(z - _as_bias(z, bias), y)
 
 
-def bias_gap(z, bias, y: int) -> float:
-    """Additive gap between the biased and plain cross-entropy on one instance.
+def bias_gap(z, bias, y) -> np.ndarray:
+    """Additive gap between the biased and plain cross-entropy of each row.
 
     Evaluates ``b[y] + log sum_j exp(-b[j]) p[j]`` with ``p = softmax(z)``,
     which equals ``logsumexp(z - b) - logsumexp(z) + b[y]``.
     """
     z = _as_array(z)
-    b = _bias_values(bias)
-    if b.shape != z.shape:
-        raise ValueError(f"bias shape {b.shape} != logit shape {z.shape}")
-    y = _check_target(z, y)
-    return float(b[y]) + _logsumexp(z - b) - _logsumexp(z)
+    b = _as_bias(z, bias)
+    _, hot = _targets(z, y)
+    return _at(b, hot) + _logsumexp(z - b) - _logsumexp(z)
 
 
 @dataclass(frozen=True)
@@ -133,49 +144,21 @@ class BaselineSpec:
         if np.any(counts < 0):
             raise ValueError("class counts must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "class_counts": self.class_counts.tolist(),
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "alpha": self.alpha,
-            "margin_c": self.margin_c,
-            "reweight_normalize": self.reweight_normalize,
-        }
 
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "BaselineSpec":
-        return cls(
-            kind=str(d["kind"]),
-            class_counts=np.asarray(d.get("class_counts", []), dtype=np.int64),
-            beta=float(d.get("beta", 0.999)),
-            gamma=float(d.get("gamma", 2.0)),
-            alpha=float(d.get("alpha", 0.25)),
-            margin_c=float(d.get("margin_c", 0.5)),
-            reweight_normalize=bool(d.get("reweight_normalize", True)),
-        )
-
-
-def _require_count(spec: BaselineSpec, z: np.ndarray, y: int) -> int:
+def _require_counts(spec: BaselineSpec, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     counts = spec.class_counts
-    if counts.shape[0] != z.shape[0]:
+    if counts.shape[0] != z.shape[-1]:
         raise ValueError("class_counts length must match the number of classes")
-    n_y = int(counts[y])
-    if n_y == 0:
-        raise ValueError(f"unobserved class {y}: count is zero")
+    n_y = counts[y]
+    if np.any(n_y == 0):
+        raise ValueError(f"unobserved class {int(y[n_y == 0][0])}: count is zero")
     return n_y
 
 
-def _scaled_ce(z: np.ndarray, y: int, weight: float) -> LossOutput:
-    inner = ce(z, y)
-    return LossOutput(value=weight * inner.value, grad_logits=weight * inner.grad_logits)
-
-
-def _focal(spec: BaselineSpec, z: np.ndarray, y: int) -> LossOutput:
-    ce_val = _logsumexp(z) - float(z[y])
-    p = row_softmax(z[np.newaxis])[0]
-    u = float(p[y])
+def _focal(spec: BaselineSpec, z: np.ndarray, hot: np.ndarray) -> LossOutput:
+    ce_val = _logsumexp(z) - _at(z, hot)
+    p = _softmax(z)
+    u = _at(p, hot)
     f = (1.0 - u) ** spec.gamma
     value = spec.alpha * f * ce_val
     # scale = -u * dL/du; sharing p keeps the gamma=0, alpha=1 case equal to ce.
@@ -185,31 +168,27 @@ def _focal(spec: BaselineSpec, z: np.ndarray, y: int) -> LossOutput:
         scale = spec.alpha * (
             spec.gamma * u * (1.0 - u) ** (spec.gamma - 1.0) * ce_val + f
         )
-    grad = p
-    grad[y] -= 1.0
-    grad *= scale
-    return LossOutput(value=value, grad_logits=grad)
+    return LossOutput(value=value, grad_logits=(p - hot) * scale[..., np.newaxis])
 
 
-def baseline_loss(spec: BaselineSpec, z, y: int) -> LossOutput:
-    """Evaluate the reference loss named by ``spec.kind`` on one instance."""
+def baseline_loss(spec: BaselineSpec, z, y) -> LossOutput:
+    """Evaluate the reference loss named by ``spec.kind`` on every row."""
     z = _as_array(z)
-    y = _check_target(z, y)
+    y, hot = _targets(z, y)
+    if spec.kind == "focal":
+        return _focal(spec, z, hot)
+    n_y = _require_counts(spec, z, y)
+    if spec.kind == "ldam":
+        # per-class margin: biased cross-entropy with a one-hot bias at the target
+        return biased_ce(z, hot * (spec.margin_c / n_y**0.25)[..., np.newaxis], y)
     if spec.kind == "reweight":
-        n_y = _require_count(spec, z, y)
         weight = 1.0 / n_y
         if spec.reweight_normalize:
             observed = spec.class_counts[spec.class_counts > 0].astype(np.float64)
-            weight *= observed.shape[0] / float(np.sum(1.0 / observed))
-        return _scaled_ce(z, y, weight)
-    if spec.kind == "class_balanced":
-        n_y = _require_count(spec, z, y)
+            weight = weight * (observed.shape[0] / float(np.sum(1.0 / observed)))
+    else:
         weight = (1.0 - spec.beta) / (1.0 - spec.beta**n_y)
-        return _scaled_ce(z, y, weight)
-    if spec.kind == "focal":
-        return _focal(spec, z, y)
-    # per-class margin: biased cross-entropy with a one-hot bias at the target
-    n_y = _require_count(spec, z, y)
-    b = np.zeros_like(z)
-    b[y] = spec.margin_c / n_y**0.25
-    return biased_ce(z, b, y)
+    inner = ce(z, y)
+    return LossOutput(
+        value=weight * inner.value, grad_logits=weight[..., np.newaxis] * inner.grad_logits
+    )

@@ -26,6 +26,7 @@ __all__ = [
     "matmul_backward",
     "row_softmax",
     "row_softmax_backward",
+    "running_sum",
     "layer_norm",
     "layer_norm_backward",
     "attention",
@@ -101,6 +102,11 @@ def row_softmax(x: np.ndarray) -> np.ndarray:
 
 def row_softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     return p * (g - np.sum(g * p, axis=1, keepdims=True))
+
+
+def running_sum(x: np.ndarray) -> float:
+    """Sum in index order, as a running total adds (``np.sum`` adds pairwise)."""
+    return float(np.cumsum(x)[-1]) if np.size(x) else 0.0
 
 
 def layer_norm(

@@ -1,15 +1,22 @@
-"""Scalar reference implementation of triplet scoring, ranking and recall.
+"""Scalar reference implementations of the losses, triplet scoring, ranking
+and recall.
 
-This is the object-per-candidate evaluation that ``tailbias.metrics`` and
-``tailbias.harness`` replaced with score matrices and rank positions. It is
-kept only as a test oracle: one :class:`TripletPrediction` per (pair,
-relation) candidate, a Python sort, and set membership for recall. The array
-path must reproduce its rankings, ties included, and its R@k / mR@k values
-exactly.
+The losses are the one-row-at-a-time code that the block losses of
+``tailbias.losses`` replaced: a logit vector, an integer target and a bias
+vector in, a float value and a gradient vector out. The block losses must
+reproduce them row by row: ``ce``, ``biased_ce`` and ``bias_gap`` bit for
+bit, the baselines within 1e-12.
+
+The evaluation is the object-per-candidate code that ``tailbias.metrics`` and
+``tailbias.harness`` replaced with score matrices and rank positions: one
+:class:`TripletPrediction` per (pair, relation) candidate, a Python sort, and
+set membership for recall. The array path must reproduce its rankings, ties
+included, and its R@k / mR@k values exactly.
 
 In ``sgcls`` a candidate also carries the predicted labels of its two
 objects (the argmax of each object's probabilities) and a ground-truth
-triplet the annotated ones; a hit must match on both.
+triplet the annotated ones; a hit must match on both. Inference-bias rows
+are looked up by the predicted labels too.
 """
 
 from __future__ import annotations
@@ -19,10 +26,124 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from tailbias.bias import BiasVector, lookup_pair_bias, soft_bias
+from tailbias.losses import LossOutput
 from tailbias.metrics import CONSTRAINTS, EvalResult
-from tailbias.model import class_labels, model_for
+from tailbias.model import model_for
 from tailbias.numerics import row_softmax
 from tailbias.synth import all_ordered_pairs
+
+
+# --- losses, one row at a time ------------------------------------------------
+
+
+def _as_row(z) -> np.ndarray:
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 1 or z.shape[0] < 2:
+        raise ValueError("logits must be a 1-D vector with at least two entries")
+    return z
+
+
+def _logsumexp(z: np.ndarray) -> float:
+    m = float(np.max(z))
+    return m + float(np.log(np.sum(np.exp(z - m))))
+
+
+def _check_target(z: np.ndarray, y: int) -> int:
+    y = int(y)
+    if not 0 <= y < z.shape[0]:
+        raise ValueError(f"target {y} out of range for {z.shape[0]} classes")
+    return y
+
+
+def ce(z, y: int) -> LossOutput:
+    z = _as_row(z)
+    y = _check_target(z, y)
+    value = _logsumexp(z) - float(z[y])
+    grad = row_softmax(z[np.newaxis])[0]
+    grad[y] -= 1.0
+    return LossOutput(value=value, grad_logits=grad)
+
+
+def biased_ce(z, b, y: int) -> LossOutput:
+    z = _as_row(z)
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != z.shape:
+        raise ValueError(f"bias shape {b.shape} != logit shape {z.shape}")
+    return ce(z - b, y)
+
+
+def bias_gap(z, b, y: int) -> float:
+    z = _as_row(z)
+    b = np.asarray(b, dtype=np.float64)
+    y = _check_target(z, y)
+    return float(b[y]) + _logsumexp(z - b) - _logsumexp(z)
+
+
+def _require_count(spec, z: np.ndarray, y: int) -> int:
+    counts = spec.class_counts
+    if counts.shape[0] != z.shape[0]:
+        raise ValueError("class_counts length must match the number of classes")
+    n_y = int(counts[y])
+    if n_y == 0:
+        raise ValueError(f"unobserved class {y}: count is zero")
+    return n_y
+
+
+def _scaled_ce(z: np.ndarray, y: int, weight: float) -> LossOutput:
+    inner = ce(z, y)
+    return LossOutput(value=weight * inner.value, grad_logits=weight * inner.grad_logits)
+
+
+def _focal(spec, z: np.ndarray, y: int) -> LossOutput:
+    ce_val = _logsumexp(z) - float(z[y])
+    p = row_softmax(z[np.newaxis])[0]
+    u = float(p[y])
+    f = (1.0 - u) ** spec.gamma
+    value = spec.alpha * f * ce_val
+    if spec.gamma == 0.0:
+        scale = spec.alpha * f
+    else:
+        scale = spec.alpha * (
+            spec.gamma * u * (1.0 - u) ** (spec.gamma - 1.0) * ce_val + f
+        )
+    grad = p
+    grad[y] -= 1.0
+    grad *= scale
+    return LossOutput(value=value, grad_logits=grad)
+
+
+def baseline_loss(spec, z, y: int) -> LossOutput:
+    z = _as_row(z)
+    y = _check_target(z, y)
+    if spec.kind == "reweight":
+        n_y = _require_count(spec, z, y)
+        weight = 1.0 / n_y
+        if spec.reweight_normalize:
+            observed = spec.class_counts[spec.class_counts > 0].astype(np.float64)
+            weight *= observed.shape[0] / float(np.sum(1.0 / observed))
+        return _scaled_ce(z, y, weight)
+    if spec.kind == "class_balanced":
+        n_y = _require_count(spec, z, y)
+        weight = (1.0 - spec.beta) / (1.0 - spec.beta**n_y)
+        return _scaled_ce(z, y, weight)
+    if spec.kind == "focal":
+        return _focal(spec, z, y)
+    n_y = _require_count(spec, z, y)
+    b = np.zeros_like(z)
+    b[y] = spec.margin_c / n_y**0.25
+    return biased_ce(z, b, y)
+
+
+def row_by_row(f, z, y) -> LossOutput:
+    """Stack ``f(q, z[q], y[q])`` over the rows ``q`` of an ``(m, C)`` block."""
+    outs = [f(q, row, int(t)) for q, (row, t) in enumerate(zip(z, y))]
+    return LossOutput(
+        value=np.array([o.value for o in outs]),
+        grad_logits=np.array([o.grad_logits for o in outs]).reshape(np.shape(z)),
+    )
+
+
+# --- evaluation -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -143,7 +264,8 @@ def evaluate_split(per_image, ks, num_relations, constraint):
     )
 
 
-def _bias_row(bias, s_class, o_class):
+def bias_row(bias, s_class, o_class):
+    """One bias row by dict lookup: the vector, or the pair entry or fallback."""
     if isinstance(bias, BiasVector):
         return bias.values
     return lookup_pair_bias(bias, s_class, o_class).values
@@ -162,16 +284,16 @@ def evaluate(checkpoint, images, inference_bias=None, ks=None):
             img, img.unions, pair_array, checkpoint.params, config.model, config.task
         )
         logits = out.relation_logits
+        predicted = [int(np.argmax(row)) for row in out.object_probs]
         if inference_bias is not None:
-            lookup = class_labels(img, config.task).tolist()
+            lookup = predicted if config.task == "sgcls" else img.labels.tolist()
             rows = np.stack(
-                [_bias_row(inference_bias, lookup[s], lookup[o]) for s, o in pairs]
+                [bias_row(inference_bias, lookup[s], lookup[o]) for s, o in pairs]
             )
             logits = logits - rows
         candidates = score_triplets(out.object_probs, logits, pairs, config.task)
         gt = img.gt_triplets
         if config.task == "sgcls":
-            predicted = [int(np.argmax(row)) for row in out.object_probs]
             annotated = img.labels.tolist()
             candidates = [
                 replace(p, labels=(predicted[p.s], predicted[p.o])) for p in candidates

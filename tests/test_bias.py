@@ -10,7 +10,6 @@ from tailbias.bias import (
     BiasSpec,
     BiasVector,
     PairBiasTable,
-    apply_bias,
     bias_from_json,
     bias_table,
     bias_to_json,
@@ -241,26 +240,6 @@ class TestLookupAndApply:
         with pytest.raises(ValueError, match="outside 4 object classes"):
             bias_table(table, 4)
 
-    def test_apply_identity(self):
-        z = np.array([1.0, 2.0, 3.0])
-        out = apply_bias(z, BiasVector(np.zeros(3)))
-        assert np.array_equal(out, z)
-
-    def test_apply_subtracts(self):
-        out = apply_bias(np.array([0.0, 0.0]), BiasVector(np.array([LOG2, 0.0])))
-        assert out == pytest.approx([-LOG2, 0.0], abs=1e-15)
-
-    def test_apply_shift_preserves_softmax(self):
-        from tailbias.numerics import row_softmax
-
-        z = np.array([[1.0, 2.0, 3.0]])
-        out = apply_bias(z[0], BiasVector(np.ones(3)))
-        assert row_softmax(out[np.newaxis]) == pytest.approx(row_softmax(z), abs=1e-12)
-
-    def test_apply_length_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_bias(np.zeros(3), BiasVector(np.zeros(4)))
-
 
 class TestSerialization:
     def test_global_round_trip(self, skewed_stats):
@@ -283,6 +262,38 @@ class TestSerialization:
         for key, vec in table.entries.items():
             assert np.array_equal(table2.entries[key].values, vec.values)
         assert np.array_equal(table2.fallback.values, table.fallback.values)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (None, r"bias entries must be a list of \[s, o, values\]"),
+            ({"0,1": [0.0] * 3}, r"bias entries must be a list"),
+            ([[0, 1]], r"bias entry 0 is not \[s, o, values\]"),
+            ([[0, 1, [0.0] * 3], ["0", 1, [0.0] * 3]], r"bias entry 1 is not"),
+            ([[0, 1, 0.5]], r"bias entry 0 for class pair \(0, 1\): bias vector must be 1-D"),
+            (
+                [[0, 1, [0.0] * 3], [2, 3, [0.0] * 2]],
+                r"bias entry 1 for class pair \(2, 3\) has 2 values; the fallback has 3",
+            ),
+            ([[0, 1, [0.0, "x", 0.0]]], r"bias entry 0 for class pair \(0, 1\): "),
+            ([[0, 1, [0.0, None, 0.0]]], r"bias entry 0 .*non-finite"),
+            ([[0, 1, [[0.0], [0.0], [0.0]]]], r"bias entry 0 .*1-D"),
+        ],
+    )
+    def test_malformed_pair_table_names_the_entry(self, entries, message):
+        doc = {"kind": "pb", "a": 1.0, "entries": entries, "fallback": [0.0, 1.0, 2.0]}
+        with pytest.raises(ValueError, match=message):
+            bias_from_json(json.dumps(doc))
+
+    def test_entry_length_checked_beyond_the_fallback(self, small_space):
+        # Evaluation checks only the fallback against the label space, so
+        # every entry must match the fallback's length when it is read.
+        stats = ingest([(1, 2, 3), (0, 1, 2)], small_space)
+        spec = BiasSpec(kind="pb", a=1.0, epsilon=1e-3)
+        doc = json.loads(bias_to_json(spec, compute_bias(spec, stats)))
+        doc["entries"][0][2] = doc["entries"][0][2][:-1]
+        with pytest.raises(ValueError, match=r"bias entry 0 for class pair \(0, 1\) has 4"):
+            bias_from_json(json.dumps(doc))
 
 
 def test_bias_vector_rejects_nonfinite():

@@ -295,6 +295,51 @@ class TestErrors:
         assert err["message"].startswith(f"{bad}:3: union pairs are not the ordered pairs")
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("section", ["model", "loss", "optimizer"])
+    def test_unknown_config_key_gives_json_error(self, workspace, tmp_path, capsys, section):
+        root, _, _, _, _ = workspace
+        bad_cfg = json.loads((root / "train.json").read_text())
+        bad_cfg[section] = {**bad_cfg.get(section, {}), "d_modle": 8}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad_cfg))
+        capsys.readouterr()
+        code = main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {
+            "type": "ValueError",
+            "message": f"unknown key 'd_modle' in config section '{section}'",
+        }
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (None, "bias entries must be a list of [s, o, values]"),
+            ([[0, 1, [0.0, 0.0, 0.0]]], "bias entry 0 for class pair (0, 1) has 3 values; "
+             "the fallback has 7"),
+        ],
+        ids=["null-entries", "short-entry"],
+    )
+    def test_malformed_bias_json_gives_json_error(
+        self, workspace, tmp_path, capsys, entries, message
+    ):
+        _, data_dir, _, _, run_dir = workspace
+        bias = tmp_path / "bias.json"
+        bias.write_text(json.dumps(
+            {"kind": "pb", "a": 1.0, "entries": entries, "fallback": [0.0] * 7}
+        ))
+        capsys.readouterr()
+        code = main([
+            "eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+            "--data", str(data_dir / "test.jsonl"), "--bias", str(bias),
+            "--out", str(tmp_path / "eval"),
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {"type": "ValueError", "message": message}
+        assert not (tmp_path / "eval").exists()
+
     def test_unknown_loss_kind_rejected(self, workspace, tmp_path, capsys):
         root, data_dir, _, _, _ = workspace
         bad_cfg = json.loads((root / "train.json").read_text())

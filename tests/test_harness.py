@@ -5,13 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tailbias.bias import BiasSpec, BiasVector
+import oracle
+from tailbias.bias import BiasSpec, BiasVector, compute_bias
 from tailbias.harness import (
     Checkpoint,
     LossConfig,
     ModelSpec,
     OptimizerConfig,
     TrainConfig,
+    _forward_split,
     evaluate,
     load_checkpoint,
     make_loss_fn,
@@ -23,7 +25,7 @@ from tailbias.harness import (
 )
 from tailbias.losses import LossOutput, biased_ce, ce
 from tailbias.metrics import metrics_csv
-from tailbias.model import LinearParams, init_linear
+from tailbias.model import LinearParams, class_labels, forward, init_dual_encoder, init_linear
 from tailbias.numerics import flatten
 from tailbias.stats import LabelSpace
 from tailbias.synth import SynthConfig, SynthImage, all_ordered_pairs, generate_split
@@ -110,8 +112,60 @@ class TestConfig:
         with pytest.raises(ValueError, match="divisible"):
             TrainConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("section", ["model", "loss", "optimizer"])
+    def test_unknown_key_is_named(self, space, section):
+        doc = linear_config(space).to_dict()
+        doc[section] = {**doc[section], "d_modle": 8}
+        message = f"unknown key 'd_modle' in config section '{section}'"
+        with pytest.raises(ValueError, match=message):
+            TrainConfig.from_dict(doc)
+        doc[section] = [8]
+        with pytest.raises(ValueError, match=f"config section '{section}' must be an object"):
+            TrainConfig.from_dict(doc)
+
+
+def scalar_loss_fn(config, train_images):
+    """The configured ce or rtpb loss as the scalar oracle, one row at a time,
+    with bias rows looked up pair by pair."""
+    if config.loss.kind == "ce":
+        return lambda z, y, s, o: oracle.row_by_row(lambda q, row, t: oracle.ce(row, t), z, y)
+    bias = compute_bias(config.bias, training_stats(train_images, config.label_space))
+
+    def loss_fn(z, y, s, o):
+        return oracle.row_by_row(
+            lambda q, row, t: oracle.biased_ce(
+                row, oracle.bias_row(bias, int(s[q]), int(o[q])), t
+            ),
+            z,
+            y,
+        )
+
+    return loss_fn
+
 
 class TestTrain:
+    @pytest.mark.parametrize(
+        "kind, loss, bias, task",
+        [
+            ("linear", "ce", None, "predcls"),
+            ("linear", "rtpb", "cb", "predcls"),
+            ("linear", "rtpb", "pb", "sgcls"),
+            ("dual_encoder", "rtpb", "pb", "sgcls"),
+        ],
+    )
+    def test_block_losses_train_like_the_scalar_oracle(self, space, data, kind, loss, bias, task):
+        train_images, _ = data
+        config = replace(
+            model_config(space, kind),
+            task=task,
+            loss=LossConfig(kind=loss),
+            bias=None if bias is None else BiasSpec(kind=bias, a=1.0, epsilon=1e-3),
+        )
+        ck, log = train(config, train_images)
+        ck_ref, log_ref = train(config, train_images, loss_fn=scalar_loss_fn(config, train_images))
+        assert np.array_equal(flatten(ck.params), flatten(ck_ref.params))
+        assert log.losses == log_ref.losses
+
     def test_deterministic_checkpoints(self, space, data):
         train_images, _ = data
         config = linear_config(space)
@@ -128,10 +182,10 @@ class TestTrain:
         train_images, _ = data
         calls = []
 
-        def loss_fn(z, y, s_class, o_class):
+        def loss_fn(z, y, s_classes, o_classes):
             calls.append(1)
             res = ce(z, y)
-            value = np.nan if len(calls) > 20 else res.value
+            value = np.full_like(res.value, np.nan) if len(calls) > 20 else res.value
             return LossOutput(value=value, grad_logits=res.grad_logits)
 
         with pytest.raises(FloatingPointError, match=r"^iteration \d+: non-finite loss$"):
@@ -141,7 +195,7 @@ class TestTrain:
     def test_non_finite_gradient_names_the_iteration_and_leaf(self, space, data):
         train_images, _ = data
 
-        def loss_fn(z, y, s_class, o_class):
+        def loss_fn(z, y, s_classes, o_classes):
             res = ce(z, y)
             return LossOutput(value=res.value, grad_logits=res.grad_logits * np.inf)
 
@@ -216,9 +270,9 @@ class TestTrain:
 
         counts = _class_counts(train_images, stats)
 
-        def indicator_loss(z, y, s_class, o_class):
+        def indicator_loss(z, y, s_classes, o_classes):
             b = np.zeros_like(z)
-            b[y] = 0.5 / counts[y] ** 0.25
+            b[np.arange(len(y)), y] = 0.5 / counts[y] ** 0.25
             return biased_ce(z, b, y)
 
         _, log_ind = train(ldam_cfg, train_images, loss_fn=indicator_loss)
@@ -343,6 +397,24 @@ class TestEvaluate:
         assert np.mean(matched) < 0.8
         recall = evaluate(ck, images, ks=[k])["without"].recall_at[k]
         assert recall == pytest.approx(np.mean(matched), abs=1e-12)
+
+    def test_sgcls_bias_rows_follow_the_predicted_labels(self, space, data):
+        # An untrained dual encoder's object head often disagrees with the
+        # detector. Inference-bias rows are gathered by the head's argmax,
+        # the labels that score and match the triplets.
+        _, test_images = data
+        config = replace(model_config(space, "dual_encoder"), task="sgcls")
+        params = init_dual_encoder(config.model, space, 8, np.random.default_rng(4))
+        ck = Checkpoint(config, iterations=0, params=params)
+        differing = 0
+        for img, scored in zip(test_images, _forward_split(ck, test_images)):
+            pairs = all_ordered_pairs(len(img.labels))
+            out = forward(img, img.unions, pairs, params, config.model, "sgcls")
+            predicted = out.object_probs.argmax(axis=1)
+            assert np.array_equal(scored.subject_classes, predicted[pairs[:, 0]])
+            assert np.array_equal(scored.object_classes, predicted[pairs[:, 1]])
+            differing += (predicted != class_labels(img, "sgcls")).any()
+        assert differing > 0
 
     def test_empty_split_rejected(self, space, data):
         train_images, _ = data

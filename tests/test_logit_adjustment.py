@@ -41,7 +41,7 @@ def test_biased_ce_is_logit_adjusted_ce(tau, rng):
     for _ in range(20):
         z = rng.normal(scale=3.0, size=SPACE.num_relations + 1)
         y = int(rng.integers(0, SPACE.num_relations + 1))
-        got = biased_ce(z, bias, y)
+        got = biased_ce(z, bias.values, y)
         want = ce(z + tau * log_prior, y)
         assert abs(got.value - want.value) <= 1e-12
         assert np.max(np.abs(got.grad_logits - want.grad_logits)) <= 1e-12

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import oracle
 from tailbias.losses import (
     BaselineSpec,
     baseline_loss,
@@ -141,6 +143,25 @@ class TestBiasedCe:
             lhs = biased_ce(z, b, y).value
             rhs = ce(z, y).value + bias_gap(z, b, y)
             assert abs(lhs - rhs) < 1e-10
+
+
+    def test_zero_bias_is_plain_ce(self, rng):
+        z = rng.uniform(-3, 3, (7, 5))
+        y = rng.integers(0, 5, 7)
+        plain = ce(z, y)
+        shifted = biased_ce(z, np.zeros_like(z), y)
+        assert np.array_equal(shifted.value, plain.value)
+        assert np.array_equal(shifted.grad_logits, plain.grad_logits)
+
+    def test_constant_row_shift_cancels(self, rng):
+        # Each row may be shifted by its own constant.
+        z = rng.uniform(-3, 3, (6, 4))
+        y = rng.integers(0, 4, 6)
+        shift = np.repeat(rng.uniform(-2, 2, (6, 1)), 4, axis=1)
+        plain = ce(z, y)
+        shifted = biased_ce(z, shift, y)
+        assert np.max(np.abs(shifted.value - plain.value)) < 1e-12
+        assert np.max(np.abs(shifted.grad_logits - plain.grad_logits)) < 1e-12
 
 
 class TestBiasGap:
@@ -313,7 +334,102 @@ class TestMarginTilt:
 
 
 def test_logits_must_be_vector():
+    # Every row needs its own target and at least two classes.
     with pytest.raises(ValueError):
         ce(np.zeros((2, 2)), 0)
     with pytest.raises(ValueError):
         ce(np.zeros(1), 0)
+
+
+BASELINE_SPECS = {
+    "reweight": lambda c: BaselineSpec(kind="reweight", class_counts=c),
+    "reweight_raw": lambda c: BaselineSpec(
+        kind="reweight", class_counts=c, reweight_normalize=False
+    ),
+    "class_balanced": lambda c: BaselineSpec(kind="class_balanced", class_counts=c),
+    "focal_gamma0": lambda c: BaselineSpec(kind="focal", gamma=0.0, class_counts=c),
+    "focal_gamma2": lambda c: BaselineSpec(kind="focal", gamma=2.0, class_counts=c),
+    "ldam": lambda c: BaselineSpec(kind="ldam", class_counts=c),
+}
+
+
+@st.composite
+def logit_blocks(draw):
+    """An ``(m, C)`` block with targets, bias rows and per-class counts."""
+    m = draw(st.integers(1, 40))
+    c = draw(st.integers(2, 64))
+    values = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+    z = draw(arrays(np.float64, (m, c), elements=values))
+    b = draw(arrays(np.float64, (m, c), elements=values))
+    y = draw(arrays(np.int64, (m,), elements=st.integers(0, c - 1)))
+    counts = draw(arrays(np.int64, (c,), elements=st.integers(1, 5000)))
+    return z, b, y, counts
+
+
+def assert_within(got, want, tol=1e-12):
+    assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
+
+
+class TestBlockMatchesScalarOracle:
+    """Every block loss equals the scalar oracle of ``tests/oracle.py`` row by row."""
+
+    @given(logit_blocks())
+    @settings(max_examples=60, deadline=None)
+    def test_ce_biased_ce_and_gap_bit_for_bit(self, block):
+        z, b, y, _ = block
+        pairs = [
+            (ce(z, y), oracle.row_by_row(lambda q, row, t: oracle.ce(row, t), z, y)),
+            (
+                biased_ce(z, b, y),
+                oracle.row_by_row(lambda q, row, t: oracle.biased_ce(row, b[q], t), z, y),
+            ),
+        ]
+        for got, want in pairs:
+            assert got.value.shape == y.shape and got.grad_logits.shape == z.shape
+            assert np.array_equal(got.value, want.value)
+            assert np.array_equal(got.grad_logits, want.grad_logits)
+        gaps = [oracle.bias_gap(row, b[q], t) for q, (row, t) in enumerate(zip(z, y))]
+        assert np.array_equal(bias_gap(z, b, y), np.array(gaps))
+
+    @pytest.mark.parametrize("kind", sorted(BASELINE_SPECS))
+    @given(block=logit_blocks())
+    @settings(max_examples=40, deadline=None)
+    def test_baselines_within_1e_12(self, kind, block):
+        z, _, y, counts = block
+        spec = BASELINE_SPECS[kind](counts)
+        got = baseline_loss(spec, z, y)
+        want = oracle.row_by_row(lambda q, row, t: oracle.baseline_loss(spec, row, t), z, y)
+        assert_within(got.value, want.value)
+        assert_within(got.grad_logits, want.grad_logits)
+
+    def test_leading_axes_are_rows(self, rng):
+        z = rng.uniform(-5, 5, (2, 3, 6))
+        b = rng.uniform(-5, 5, (2, 3, 6))
+        y = rng.integers(0, 6, (2, 3))
+        spec = BaselineSpec(kind="focal", class_counts=np.ones(6, dtype=int))
+        for loss in (
+            lambda z, y, b: ce(z, y),
+            lambda z, y, b: biased_ce(z, b, y),
+            lambda z, y, b: baseline_loss(spec, z, y),
+        ):
+            block = loss(z, y, b)
+            flat = loss(z.reshape(6, 6), y.reshape(6), b.reshape(6, 6))
+            assert block.value.shape == (2, 3)
+            assert np.array_equal(block.value.ravel(), flat.value)
+            assert np.array_equal(block.grad_logits.reshape(6, 6), flat.grad_logits)
+
+    def test_empty_block(self):
+        out = biased_ce(np.zeros((0, 4)), np.zeros((0, 4)), np.zeros(0, dtype=int))
+        assert out.value.shape == (0,) and out.grad_logits.shape == (0, 4)
+
+    def test_block_errors_name_the_problem(self):
+        with pytest.raises(ValueError, match="target 5 out of range for 3 classes"):
+            ce(np.zeros((2, 3)), [0, 5])
+        with pytest.raises(ValueError, match="targets of shape"):
+            ce(np.zeros((2, 3)), [0, 1, 2])
+        with pytest.raises(ValueError, match="unobserved class 1"):
+            baseline_loss(
+                BaselineSpec(kind="ldam", class_counts=np.array([3, 0, 2])),
+                np.zeros((2, 3)),
+                [0, 1],
+            )

@@ -1,9 +1,20 @@
 """The benchmark in ``perfbench/`` binds program functions and parameter names
-when it is imported; a refactor that renames one must fail here, in the
+when it is imported, its tracer patches module globals, and its set-up reads
+the bias API; a refactor that renames or drops one must fail here, in the
 regular suite, rather than at benchmark time."""
 
 import importlib
 from pathlib import Path
+
+import numpy as np
+
+import tailbias.gradcert as gradcert
+import tailbias.harness as harness
+import tailbias.losses as losses
+import tailbias.model as model
+import tailbias.numerics as numerics
+from tailbias import bias
+from tailbias.stats import LabelSpace, ingest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -14,3 +25,42 @@ def test_every_probe_target_resolves(monkeypatch):
     assert layers.PROBES
     for name in layers.PROBES:
         assert callable(layers._resolve(name)), name
+
+
+def test_traced_functions_keep_their_module_bindings():
+    """The tracer patches these module globals and its own tests check that
+    they are restored; each must exist and be the defining function."""
+    assert harness.ce is losses.ce
+    assert harness.biased_ce is losses.biased_ce
+    assert harness.forward is model.forward
+    assert gradcert.grad_check is numerics.grad_check
+    assert gradcert.encoder_layer is numerics.encoder_layer
+    assert model.encoder_layer is numerics.encoder_layer
+
+
+def test_biased_ce_calls_ce_through_the_module_global(monkeypatch):
+    """A traced ``losses.ce`` must see the calls ``biased_ce`` makes."""
+    calls = []
+    ce = losses.ce
+
+    def counting_ce(z, y):
+        calls.append(np.shape(z))
+        return ce(z, y)
+
+    monkeypatch.setattr(losses, "ce", counting_ce)
+    losses.biased_ce(np.zeros((4, 3)), np.zeros((4, 3)), np.ones(4, dtype=int))
+    assert calls == [(4, 3)]
+
+
+def test_bias_api_the_benchmark_reads():
+    """``perfbench/workloads.py`` checks a computed bias through these names."""
+    stats = ingest([(0, 1, 1), (1, 2, 2), (0, 1, 2)], LabelSpace(3, 2))
+    vector = bias.compute_bias(bias.BiasSpec(kind="cb", a=1.0, epsilon=1e-3), stats)
+    table = bias.compute_bias(bias.BiasSpec(kind="pb", a=1.0, epsilon=1e-3), stats)
+    assert isinstance(vector, bias.BiasVector)
+    assert not isinstance(table, bias.BiasVector)
+    vectors = [table.fallback, *table.entries.values()]
+    assert all(isinstance(v, bias.BiasVector) for v in vectors)
+    values = np.concatenate([v.values for v in [vector, *vectors]])
+    assert values.shape == (3 * (1 + 1 + len(table.entries)),)
+    assert bias.lookup_pair_bias(table, 0, 1) is table.entries[(0, 1)]
