@@ -26,7 +26,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .stats import TripletStats, marginal_counts, pair_counts, sppo_counts
+from .stats import TripletStats, check_keys, marginal_counts, pair_counts, sppo_counts
 
 __all__ = [
     "GLOBAL_KINDS",
@@ -85,7 +85,9 @@ class BiasSpec:
         }
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "BiasSpec":
+    def from_dict(cls, d: Mapping, extra: tuple[str, ...] = ()) -> "BiasSpec":
+        """The spec of ``d``, whose keys besides its fields may only be ``extra``."""
+        check_keys(d, cls, "bias spec", extra)
         return cls(
             kind=str(d["kind"]),
             a=float(d.get("a", 1.0)),
@@ -244,7 +246,7 @@ def bias_from_json(text: str) -> tuple[BiasSpec, Bias]:
     """Parse :func:`bias_to_json` output; a pair table's ``entries`` must be a
     list of ``[s, o, values]`` with ``values`` as long as the fallback."""
     doc = json.loads(text)
-    spec = BiasSpec.from_dict(doc)
+    spec = BiasSpec.from_dict(doc, extra=("values", "entries", "fallback"))
     if "values" in doc:
         return spec, BiasVector(np.asarray(doc["values"], dtype=np.float64))
     fallback = BiasVector(np.asarray(doc["fallback"], dtype=np.float64))

@@ -2,7 +2,9 @@
 
 Each battery draws seeded random instances, compares the analytic gradient
 against central differences through :func:`tailbias.numerics.grad_check`, and
-reports the worst relative error observed. The full-model battery checks
+reports the worst relative error observed. Parameter trees are views of one
+flat buffer (:func:`tailbias.numerics.unflatten`), which ``grad_check``
+perturbs in place. The full-model battery checks
 every parameter coordinate on a few instances and a random coordinate sample
 on many, which keeps the runtime low without leaving any parameter kind
 unchecked.
@@ -30,7 +32,7 @@ from .numerics import (
     multi_head_attention,
     multi_head_attention_backward,
     running_sum,
-    write_flat,
+    unflatten,
 )
 from .stats import LabelSpace
 from .synth import SynthImage, all_ordered_pairs
@@ -142,48 +144,22 @@ def certify_numerics(
         x = rng.normal(0.0, 1.0, (4, d))
         attn = init_attention_params(d, rng)
         go = rng.normal(0.0, 1.0, x.shape)
-        out, cache = multi_head_attention(x, attn, 2)
-        dx, grads = multi_head_attention_backward(go, cache)
-
-        def f_x(v):
-            return float(np.sum(go * multi_head_attention(v.reshape(x.shape), attn, 2)[0]))
-
-        r = grad_check(f_x, x.ravel(), dx.ravel(), h=h, tol=tol)
-        worst["multi_head_attention"] = max(worst["multi_head_attention"], r.max_rel_error)
-
-        vec = flatten(attn)
-
-        def f_params(v):
-            write_flat(attn, v)
-            try:
-                return float(np.sum(go * multi_head_attention(x, attn, 2)[0]))
-            finally:
-                write_flat(attn, vec)
-
-        r = grad_check(f_params, vec, flatten(grads), h=h, tol=tol)
-        worst["multi_head_attention"] = max(worst["multi_head_attention"], r.max_rel_error)
-
         layer = init_encoder_layer_params(d, 16, rng)
-        out, cache = encoder_layer(x, layer, 2)
-        dx, lgrads = encoder_layer_backward(go, cache)
+        for name, fwd, bwd, tree in (
+            ("multi_head_attention", multi_head_attention, multi_head_attention_backward, attn),
+            ("encoder_layer", encoder_layer, encoder_layer_backward, layer),
+        ):
+            vec = flatten(tree)
+            params = unflatten(tree, vec)
+            dvec = np.zeros_like(vec)
+            dx = bwd(go, fwd(x, params, 2)[1], unflatten(params, dvec))
 
-        def g_x(v):
-            return float(np.sum(go * encoder_layer(v.reshape(x.shape), layer, 2)[0]))
+            def f(_):  # grad_check moves x, or vec under params, in place
+                return float(np.sum(go * fwd(x, params, 2)[0]))
 
-        r = grad_check(g_x, x.ravel(), dx.ravel(), h=h, tol=tol)
-        worst["encoder_layer"] = max(worst["encoder_layer"], r.max_rel_error)
-
-        lvec = flatten(layer)
-
-        def g_params(v):
-            write_flat(layer, v)
-            try:
-                return float(np.sum(go * encoder_layer(x, layer, 2)[0]))
-            finally:
-                write_flat(layer, lvec)
-
-        r = grad_check(g_params, lvec, flatten(lgrads), h=h, tol=tol)
-        worst["encoder_layer"] = max(worst["encoder_layer"], r.max_rel_error)
+            for arg, grad in ((x, dx), (vec, dvec)):
+                r = grad_check(f, arg, grad, h=h, tol=tol)
+                worst[name] = max(worst[name], r.max_rel_error)
 
     counts = {
         "matmul": 2 * instances,
@@ -243,23 +219,21 @@ def check_model_instance(
     checks a seeded random subset of coordinates instead of all of them.
     """
     spec, params, image, pairs, targets, bias_row = _toy_setup(rng)
+    vec = flatten(params)
+    params = unflatten(params, vec)
     out = forward(image, image.unions, pairs, params, spec, "predcls")
     _, d_obj, d_rel = _toy_loss(out, image, targets, bias_row)
-    grads = backward(d_obj, d_rel, out, params, spec)
-    vec = flatten(params)
+    dvec = np.zeros_like(vec)
+    backward(d_obj, d_rel, out, params, spec, unflatten(params, dvec))
 
-    def loss_at(v):
-        write_flat(params, v)
-        try:
-            out = forward(image, image.unions, pairs, params, spec, "predcls")
-            return _toy_loss(out, image, targets, bias_row)[0]
-        finally:
-            write_flat(params, vec)
+    def loss_at(_):
+        out = forward(image, image.unions, pairs, params, spec, "predcls")
+        return _toy_loss(out, image, targets, bias_row)[0]
 
     coords = None
     if coords_per_instance is not None:
         coords = rng.choice(vec.size, size=min(coords_per_instance, vec.size), replace=False)
-    return grad_check(loss_at, vec, flatten(grads), h=h, tol=tol, coords=coords)
+    return grad_check(loss_at, vec, dvec, h=h, tol=tol, coords=coords)
 
 
 def certify_model(

@@ -6,9 +6,10 @@ of background pairs at a configurable ratio; the optimized scalar is the mean
 relation loss over the drawn pairs, plus a weighted mean object-classification
 cross-entropy when the model has an object head. Bias rows are gathered from
 a dense class-pair table by the pair's class labels: annotated labels in
-``predcls``, detector argmax in ``sgcls``. A step whose loss or any gradient
-is non-finite stops training with a ``FloatingPointError`` that names the
-iteration and, for a gradient, the parameter leaf.
+``predcls``, detector argmax in ``sgcls``. Parameters, momentum and
+gradients are flat buffers, with trees as views of them. A step whose loss or
+any gradient is non-finite stops training with a ``FloatingPointError`` that
+names the iteration and, for a gradient, the parameter leaf.
 
 Evaluation forwards each image once and ranks its ``(pairs, relations)``
 score matrix (see :mod:`tailbias.metrics`); the sweep reuses those logits at
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -59,8 +60,8 @@ from .model import (
     forward,  # noqa: F401 - perfbench/tests check that tracing restores this binding
     model_for,
 )
-from .numerics import flatten, leaf_names, leaves, running_sum, write_flat, zeros_like_tree
-from .stats import LabelSpace, TripletStats, ingest, marginal_counts
+from .numerics import flatten, leaf_names, leaves, running_sum, unflatten
+from .stats import LabelSpace, TripletStats, check_keys, ingest, marginal_counts
 from .synth import SynthImage, all_ordered_pairs, images_to_triplets
 
 __all__ = [
@@ -122,11 +123,7 @@ class LossConfig:
 def _section(cls, d: Mapping, name: str):
     """Build ``cls`` from the mapping ``d[name]``, naming an unknown key."""
     section = d.get(name, {})
-    if not isinstance(section, Mapping):
-        raise ValueError(f"config section {name!r} must be an object")
-    unknown = [key for key in section if key not in {f.name for f in fields(cls)}]
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} in config section {name!r}")
+    check_keys(section, cls, f"config section {name!r}")
     return cls(**section)
 
 
@@ -169,6 +166,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TrainConfig":
+        check_keys(d, cls, "train config")
         return cls(
             label_space=LabelSpace.from_dict(d["label_space"]),
             task=d.get("task", "predcls"),
@@ -286,13 +284,13 @@ def _batch_loss(
     config: TrainConfig,
     net: Model,
     params: LinearParams | DualEncoderParams,
+    grads: LinearParams | DualEncoderParams,
     loss_fn: LossFn,
     batch: Sequence[SynthImage],
     sample_rng: np.random.Generator,
-) -> tuple[float, LinearParams | DualEncoderParams]:
+) -> float:
     """The batch's mean relation loss, plus the weighted mean object loss when
-    the model has an object head, and its parameter gradients."""
-    grads = zeros_like_tree(params)
+    the model has an object head; adds its parameter gradients into ``grads``."""
     w_obj = config.model.object_loss_weight
     obj_count = sum(len(img.labels) for img in batch)
     per_image = []
@@ -317,18 +315,17 @@ def _batch_loss(
     if use_obj:
         obj_values = np.concatenate([obj.value for _, _, obj in per_image])
         loss_value += w_obj * running_sum(obj_values) / obj_count
-    return loss_value, grads
+    return loss_value
 
 
-def _check_finite_step(step: int, loss_value: float, grads) -> None:
-    """Name a diverging step: its non-finite loss or first non-finite gradient leaf."""
-    if not np.isfinite(loss_value):
-        raise FloatingPointError(f"iteration {step}: non-finite loss")
-    for i, g in enumerate(leaves(grads)):
-        if not np.isfinite(g).all():
-            raise FloatingPointError(
-                f"iteration {step}: non-finite gradient of {leaf_names(grads)[i]}"
-            )
+def _non_finite_leaf(tree, vec: np.ndarray) -> str | None:
+    """The name of the leaf holding ``vec``'s first non-finite entry, or None;
+    ``vec`` is the tree's values in leaf order."""
+    finite = np.isfinite(vec)
+    if finite.all():
+        return None
+    ends = np.cumsum([a.size for a in leaves(tree)])
+    return leaf_names(tree)[np.searchsorted(ends, np.argmin(finite), side="right")]
 
 
 def train(
@@ -361,7 +358,11 @@ def train(
     d_v = train_images[0].features.shape[1]
     net = model_for(config.model)
     params = net.init(config.model, ls, d_v, _rng(config.seed, INIT_DOMAIN))
-    velocity = zeros_like_tree(params)
+    param_vec = flatten(params)
+    params = unflatten(params, param_vec)
+    velocity = np.zeros_like(param_vec)
+    grad_vec = np.zeros_like(param_vec)
+    grads = unflatten(params, grad_vec)
 
     shuffle_rng = _rng(config.seed, SHUFFLE_DOMAIN)
     sample_rng = _rng(config.seed, SAMPLE_DOMAIN)
@@ -377,19 +378,21 @@ def train(
                 order = shuffle_rng.permutation(len(train_images)).tolist()
             batch.append(train_images[order.pop(0)])
 
+        grad_vec.fill(0.0)
         try:
-            loss_value, grads = _batch_loss(config, net, params, loss_fn, batch, sample_rng)
+            loss_value = _batch_loss(config, net, params, grads, loss_fn, batch, sample_rng)
         except FloatingPointError as exc:
             raise FloatingPointError(f"iteration {step}: {exc}") from None
-        _check_finite_step(step, loss_value, grads)
+        if not np.isfinite(loss_value):
+            raise FloatingPointError(f"iteration {step}: non-finite loss")
+        bad = _non_finite_leaf(grads, grad_vec)
+        if bad is not None:
+            raise FloatingPointError(f"iteration {step}: non-finite gradient of {bad}")
         losses.append(loss_value)
 
-        for p_leaf, v_leaf, g_leaf in zip(
-            leaves(params), leaves(velocity), leaves(grads), strict=True
-        ):
-            v_leaf *= opt.momentum
-            v_leaf += g_leaf
-            p_leaf -= opt.learning_rate * v_leaf
+        velocity *= opt.momentum
+        velocity += grad_vec
+        param_vec -= opt.learning_rate * velocity
 
         if eval_every and val_images and step % eval_every == 0:
             snapshot = Checkpoint(config=config, iterations=step, params=params)
@@ -568,15 +571,15 @@ def sweep_csv(rows: list[tuple[float, dict[str, EvalResult]]], ks: Sequence[int]
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     """Write the checkpoint as JSON; non-finite parameters raise ``ValueError``
     naming the leaf, before the file is opened."""
-    arrays = leaves(checkpoint.params)
-    for name, a in zip(leaf_names(checkpoint.params), arrays):
-        if not np.isfinite(a).all():
-            raise ValueError(f"checkpoint parameter {name} is not finite")
+    data = flatten(checkpoint.params)
+    bad = _non_finite_leaf(checkpoint.params, data)
+    if bad is not None:
+        raise ValueError(f"checkpoint parameter {bad} is not finite")
     doc = {
         "config": checkpoint.config.to_dict(),
         "iterations": checkpoint.iterations,
-        "param_shapes": [list(a.shape) for a in arrays],
-        "param_data": flatten(checkpoint.params).tolist(),
+        "param_shapes": [list(a.shape) for a in leaves(checkpoint.params)],
+        "param_data": data.tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -584,22 +587,31 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Rebuild the parameter tree through the model's ``init``, as ``train``
-    does, and fill it from the file.
+    does, as views of the file's ``param_data``.
 
-    Every stored shape must equal the rebuilt tree's shape at the same leaf.
+    Every stored shape must equal the rebuilt tree's shape at the same leaf
+    and every value must be finite, or ``ValueError`` names ``path``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    config = TrainConfig.from_dict(doc["config"])
-    spec, ls = config.model, config.label_space
-    data = np.asarray(doc["param_data"], dtype=np.float64)
-    params = model_for(spec).init(spec, ls, feature_width(spec, ls, data.size))
-    expected = [a.shape for a in leaves(params)]
-    stored = [tuple(s) for s in doc["param_shapes"]]
-    for i, (want, got) in enumerate(zip_longest(expected, stored)):
-        if want != got:
-            raise ValueError(
-                f"checkpoint parameter {i} has shape {got}; the model needs {want}"
-            )
-    write_flat(params, data)
-    return Checkpoint(config=config, iterations=int(doc["iterations"]), params=params)
+    try:
+        config = TrainConfig.from_dict(doc["config"])
+        spec, ls = config.model, config.label_space
+        data = np.asarray(doc["param_data"], dtype=np.float64)
+        params = model_for(spec).init(spec, ls, feature_width(spec, ls, data.size))
+        expected = [list(a.shape) for a in leaves(params)]
+        for i, (want, got) in enumerate(zip_longest(expected, doc["param_shapes"])):
+            if want != got:
+                raise ValueError(
+                    f"checkpoint parameter {i} has shape {got}; the model needs {want}"
+                )
+        params = unflatten(params, data)
+        bad = _non_finite_leaf(params, data)
+        if bad is not None:
+            raise ValueError(f"checkpoint parameter {bad} is not finite")
+        iterations = int(doc["iterations"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return Checkpoint(config=config, iterations=iterations, params=params)

@@ -4,7 +4,10 @@ Two models share one protocol, resolved from a :class:`ModelSpec` by
 :func:`model_for`: ``init(spec, label_space, d_v, rng)`` builds the parameter
 tree, ``forward(image, union_features, pairs, params, spec, mode)`` gives a
 :class:`ModelOutput`, and ``backward(d_obj, d_rel, output, params, spec,
-grads)`` accumulates parameter gradients. ``image`` is a packed
+grads)`` adds the parameter gradients into ``grads``, a tree of the
+parameters' type (usually views of one flat gradient buffer, see
+:func:`~tailbias.numerics.unflatten`); every backward kernel below adds into
+the ``grads`` it is given in the same way. ``image`` is a packed
 :class:`~tailbias.synth.SynthImage`, whose object rows (boxes, features,
 labels, detector scores) are read whole; ``pairs`` is a ``(P, 2)`` array of
 (subject, object) row indices and ``union_features`` its ``(P, d_v)`` union
@@ -37,8 +40,7 @@ from .numerics import (
     init_encoder_layer_params,
     normal_init,
     row_softmax,
-    tree_add,
-    zeros_like_tree,
+    unflatten,
 )
 from .stats import LabelSpace
 from .synth import SynthImage
@@ -341,18 +343,17 @@ def backward(
 
     ``d_object_logits``/``d_relation_logits`` are the loss gradients at the two
     classifier outputs. Pass an existing ``grads`` tree to accumulate across
-    images.
+    images; without one, a zero tree over a fresh buffer is made.
     """
     if grads is None:
-        grads = zeros_like_tree(params)
+        grads = unflatten(params, np.zeros_like(flatten(params)))
     embed_cache, obj_caches, e_final, fuse_cache, rel_cache = output.cache
     rel_layer_caches, rel_final = rel_cache
 
     grads.w_clf_rel += rel_final.T @ d_relation_logits
     dx = d_relation_logits @ params.w_clf_rel.T
-    for layer_grads_idx in range(spec.n_r - 1, -1, -1):
-        dx, layer_grads = encoder_layer_backward(dx, rel_layer_caches[layer_grads_idx])
-        tree_add(grads.rel_layers[layer_grads_idx], layer_grads)
+    for i in range(spec.n_r - 1, -1, -1):
+        dx = encoder_layer_backward(dx, rel_layer_caches[i], grads.rel_layers[i])
     de_final = fuse_pairs_backward(dx, params, fuse_cache, grads)
 
     if d_object_logits is not None:
@@ -360,9 +361,8 @@ def backward(
         de_final = de_final + d_object_logits @ params.w_clf_obj.T
 
     dx = de_final
-    for layer_grads_idx in range(spec.n_o - 1, -1, -1):
-        dx, layer_grads = encoder_layer_backward(dx, obj_caches[layer_grads_idx])
-        tree_add(grads.obj_layers[layer_grads_idx], layer_grads)
+    for i in range(spec.n_o - 1, -1, -1):
+        dx = encoder_layer_backward(dx, obj_caches[i], grads.obj_layers[i])
     embed_objects_backward(dx, params, embed_cache, grads)
     return grads
 
@@ -404,7 +404,7 @@ def linear_backward(
     """Accumulate the gradients of the affine head; it has no object head."""
     (x,) = output.cache
     if grads is None:
-        grads = zeros_like_tree(params)
+        grads = unflatten(params, np.zeros_like(flatten(params)))
     grads.w += x.T @ d_relation_logits
     grads.b += d_relation_logits.sum(axis=0)
     return grads

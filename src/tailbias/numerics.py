@@ -10,11 +10,15 @@ upstream gradient together with that cache. The encoder layer is pre-norm:
 so zeroing the attention output projection and the second ffn map turns the
 layer into the identity. All reductions are sequential numpy ops, giving
 bitwise-reproducible results for identical inputs.
+
+Parameter trees are views of one flat buffer (:func:`unflatten`); backward
+kernels add into a gradient tree of the same type, and :func:`grad_check`
+differences a buffer in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,9 +46,7 @@ __all__ = [
     "leaves",
     "leaf_names",
     "flatten",
-    "write_flat",
-    "zeros_like_tree",
-    "tree_add",
+    "unflatten",
 ]
 
 LN_EPS = 1e-6
@@ -193,12 +195,13 @@ def multi_head_attention(
 
 
 def multi_head_attention_backward(
-    g: np.ndarray, cache: tuple
-) -> tuple[np.ndarray, AttentionParams]:
+    g: np.ndarray, cache: tuple, grads: AttentionParams
+) -> np.ndarray:
+    """Add the projection gradients into ``grads``; return the input gradient."""
     x, params, n_h, q, k, v, concat, head_caches = cache
     d = x.shape[1]
     d_h = d // n_h
-    dwo = concat.T @ g
+    grads.wo += concat.T @ g
     dconcat = g @ params.wo.T
     dq = np.empty_like(q)
     dk = np.empty_like(k)
@@ -208,9 +211,10 @@ def multi_head_attention_backward(
         dq[:, sl], dk[:, sl], dv[:, sl] = attention_backward(
             dconcat[:, sl], head_caches[h]
         )
-    dx = dq @ params.wq.T + dk @ params.wk.T + dv @ params.wv.T
-    grads = AttentionParams(wq=x.T @ dq, wk=x.T @ dk, wv=x.T @ dv, wo=dwo)
-    return dx, grads
+    grads.wq += x.T @ dq
+    grads.wk += x.T @ dk
+    grads.wv += x.T @ dv
+    return dq @ params.wq.T + dk @ params.wk.T + dv @ params.wv.T
 
 
 def _ffn(x: np.ndarray, p: EncoderLayerParams) -> tuple[np.ndarray, tuple]:
@@ -219,16 +223,17 @@ def _ffn(x: np.ndarray, p: EncoderLayerParams) -> tuple[np.ndarray, tuple]:
     return act @ p.w2 + p.b2, (x, pre, act)
 
 
-def _ffn_backward(g: np.ndarray, p: EncoderLayerParams, cache: tuple):
+def _ffn_backward(
+    g: np.ndarray, p: EncoderLayerParams, cache: tuple, grads: EncoderLayerParams
+) -> np.ndarray:
     x, pre, act = cache
-    dw2 = act.T @ g
-    db2 = g.sum(axis=0)
+    grads.w2 += act.T @ g
+    grads.b2 += g.sum(axis=0)
     dact = g @ p.w2.T
     dpre = dact * (pre > 0.0)
-    dw1 = x.T @ dpre
-    db1 = dpre.sum(axis=0)
-    dx = dpre @ p.w1.T
-    return dx, dw1, db1, dw2, db2
+    grads.w1 += x.T @ dpre
+    grads.b1 += dpre.sum(axis=0)
+    return dpre @ p.w1.T
 
 
 def encoder_layer(
@@ -248,29 +253,20 @@ def encoder_layer(
 
 
 def encoder_layer_backward(
-    g: np.ndarray, cache: tuple
-) -> tuple[np.ndarray, EncoderLayerParams]:
+    g: np.ndarray, cache: tuple, grads: EncoderLayerParams
+) -> np.ndarray:
+    """Add the layer's parameter gradients into ``grads``; return the input gradient."""
     params, ln1_cache, att_cache, ln2_cache, ff_cache = cache
-    dff = g
-    dln2, dw1, db1, dw2, db2 = _ffn_backward(dff, params, ff_cache)
+    dln2 = _ffn_backward(g, params, ff_cache, grads)
     dh, dln2_gain, dln2_bias = layer_norm_backward(dln2, ln2_cache)
+    grads.ln2_gain += dln2_gain
+    grads.ln2_bias += dln2_bias
     dh = dh + g
-    datt = dh
-    dln1, attn_grads = multi_head_attention_backward(datt, att_cache)
+    dln1 = multi_head_attention_backward(dh, att_cache, grads.attn)
     dx, dln1_gain, dln1_bias = layer_norm_backward(dln1, ln1_cache)
-    dx = dx + dh
-    grads = EncoderLayerParams(
-        attn=attn_grads,
-        ln1_gain=dln1_gain,
-        ln1_bias=dln1_bias,
-        ln2_gain=dln2_gain,
-        ln2_bias=dln2_bias,
-        w1=dw1,
-        b1=db1,
-        w2=dw2,
-        b2=db2,
-    )
-    return dx, grads
+    grads.ln1_gain += dln1_gain
+    grads.ln1_bias += dln1_bias
+    return dx + dh
 
 
 def normal_init(rng: np.random.Generator | None, scale: float, shape) -> np.ndarray:
@@ -308,81 +304,63 @@ def init_encoder_layer_params(
 #
 # Parameter containers are dataclasses whose fields are ndarrays, nested
 # dataclasses, or lists thereof. Leaves enumerate in field order, which fixes
-# the layout of flattened vectors and serialized checkpoints.
+# the layout of flat buffers and serialized checkpoints. Training, checkpoint
+# loading and certification hold each tree as views of one such buffer.
+
+
+def _children(node) -> list[tuple]:
+    if is_dataclass(node):
+        return [(name, getattr(node, name)) for name in node.__dataclass_fields__]
+    if isinstance(node, (list, tuple)):
+        return list(enumerate(node))
+    raise TypeError(f"unsupported parameter node {type(node)!r}")
 
 
 def leaves(tree) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    _collect(tree, out)
-    return out
-
-
-def _collect(node, out: list[np.ndarray]) -> None:
-    if isinstance(node, np.ndarray):
-        out.append(node)
-    elif is_dataclass(node):
-        # The field mapping in definition order; cheaper than fields(), and
-        # tree_add walks two trees per encoder layer of every backward pass.
-        for name in node.__dataclass_fields__:
-            _collect(getattr(node, name), out)
-    elif isinstance(node, (list, tuple)):
-        for item in node:
-            _collect(item, out)
-    else:
-        raise TypeError(f"unsupported parameter node {type(node)!r}")
+    if isinstance(tree, np.ndarray):
+        return [tree]
+    return [leaf for _, child in _children(tree) for leaf in leaves(child)]
 
 
 def leaf_names(tree, prefix: str = "") -> list[str]:
     """Dotted path of each leaf, in :func:`leaves` order (``obj_layers.0.attn.wq``)."""
     if isinstance(tree, np.ndarray):
         return [prefix]
-    if is_dataclass(tree):
-        children = [(name, getattr(tree, name)) for name in tree.__dataclass_fields__]
-    elif isinstance(tree, (list, tuple)):
-        children = list(enumerate(tree))
-    else:
-        raise TypeError(f"unsupported parameter node {type(tree)!r}")
     return [
         path
-        for key, child in children
+        for key, child in _children(tree)
         for path in leaf_names(child, f"{prefix}.{key}" if prefix else str(key))
     ]
 
 
 def flatten(tree) -> np.ndarray:
+    """A fresh 1-D float64 copy of the leaves, in leaf order."""
     arrs = leaves(tree)
     if not arrs:
         return np.zeros(0)
     return np.concatenate([a.ravel() for a in arrs])
 
 
-def write_flat(tree, vec: np.ndarray) -> None:
-    """Copy a flat vector back into the tree's arrays, in place."""
-    offset = 0
-    for a in leaves(tree):
-        n = a.size
-        a[...] = vec[offset : offset + n].reshape(a.shape)
-        offset += n
-    if offset != vec.size:
-        raise ValueError(f"vector length {vec.size} != parameter count {offset}")
-
-
-def zeros_like_tree(tree):
-    if isinstance(tree, np.ndarray):
-        return np.zeros_like(tree)
-    if is_dataclass(tree):
-        return type(tree)(
-            **{f.name: zeros_like_tree(getattr(tree, f.name)) for f in fields(tree)}
+def unflatten(tree, vec: np.ndarray):
+    """The inverse of :func:`flatten`: a tree of ``tree``'s type and shapes
+    whose leaves are views of ``vec``, a 1-D float64 array of its size."""
+    count = sum(a.size for a in leaves(tree))
+    if vec.dtype != np.float64 or vec.shape != (count,):
+        raise ValueError(
+            f"need a 1-D float64 vector of {count} parameters, got {vec.dtype} {vec.shape}"
         )
-    if isinstance(tree, (list, tuple)):
-        return type(tree)(zeros_like_tree(item) for item in tree)
-    raise TypeError(f"unsupported parameter node {type(tree)!r}")
+    offset = 0
 
+    def build(node):
+        nonlocal offset
+        if isinstance(node, np.ndarray):
+            offset += node.size
+            return vec[offset - node.size : offset].reshape(node.shape)
+        if is_dataclass(node):
+            return type(node)(**{name: build(child) for name, child in _children(node)})
+        return type(node)(build(child) for _, child in _children(node))
 
-def tree_add(dst, src) -> None:
-    """Accumulate ``src`` into ``dst`` elementwise, in place."""
-    for d, s in zip(leaves(dst), leaves(src), strict=True):
-        d += s
+    return build(tree)
 
 
 def grad_check(
@@ -399,6 +377,8 @@ def grad_check(
     The relative error at coordinate ``i`` is
     ``|fd_i - analytic_i| / max(1, |analytic_i|)``. ``coords`` restricts the
     check to a subset of coordinates (useful for large parameter vectors).
+    A float64 ``x`` is moved in place and restored, so ``f`` may read it
+    through views, such as a tree built by :func:`unflatten`.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
@@ -407,15 +387,15 @@ def grad_check(
     if analytic.shape != x.shape:
         raise ValueError("analytic gradient shape must match x")
     idx = range(x.size) if coords is None else coords
-    flat = x.ravel().copy()
+    flat = x.reshape(-1)
     worst = -1
     max_rel = 0.0
     for i in idx:
         orig = flat[i]
         flat[i] = orig + h
-        up = f(flat.reshape(x.shape))
+        up = f(x)
         flat[i] = orig - h
-        down = f(flat.reshape(x.shape))
+        down = f(x)
         flat[i] = orig
         if not (np.isfinite(up) and np.isfinite(down)):
             raise ValueError(f"function not finite near coordinate {i}")

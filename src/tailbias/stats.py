@@ -13,12 +13,13 @@ with index 0 permanently zero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterable, Mapping
 
 import numpy as np
 
 __all__ = [
+    "check_keys",
     "LabelSpace",
     "TripletStats",
     "ingest",
@@ -29,6 +30,20 @@ __all__ = [
     "stats_to_json",
     "stats_from_json",
 ]
+
+
+def check_keys(d: Mapping, cls, where: str, extra: Iterable[str] = ()) -> None:
+    """Raise ``ValueError`` naming ``where`` unless ``d`` is a mapping with every
+    field of the dataclass ``cls`` that has no default, and no other key but ``extra``."""
+    if not isinstance(d, Mapping):
+        raise ValueError(f"{where} must be an object")
+    known = {f.name: f for f in fields(cls)}
+    unknown = [key for key in d if key not in known and key not in extra]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
+    for name, f in known.items():
+        if name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"missing key {name!r} in {where}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +95,7 @@ class LabelSpace:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "LabelSpace":
+        check_keys(d, cls, "label space")
         return cls(
             num_object_classes=int(d["num_object_classes"]),
             num_relations=int(d["num_relations"]),

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .stats import LabelSpace
+from .stats import LabelSpace, check_keys
 
 __all__ = [
     "SynthConfig",
@@ -88,6 +88,7 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SynthConfig":
+        check_keys(d, cls, "synth config")
         d = dict(d)
         d["label_space"] = LabelSpace.from_dict(d["label_space"])
         return cls(**d)

@@ -252,6 +252,16 @@ class TestSerialization:
         assert spec2 == spec
         assert np.array_equal(vec2.values, vec.values)
 
+    def test_unknown_key_is_named(self, skewed_stats):
+        with pytest.raises(ValueError, match="^unknown key 'epsilonn' in bias spec$"):
+            BiasSpec.from_dict({"kind": "cb", "epsilonn": 0.5})
+        spec = BiasSpec(kind="cb", a=1.0, epsilon=1e-3)
+        doc = json.loads(bias_to_json(spec, compute_bias(spec, skewed_stats)))
+        with pytest.raises(ValueError, match="^unknown key 'valuez' in bias spec$"):
+            bias_from_json(json.dumps({**doc, "valuez": doc["values"]}))
+        with pytest.raises(ValueError, match="^missing key 'kind' in bias spec$"):
+            BiasSpec.from_dict({"a": 1.0})
+
     def test_pair_round_trip(self, small_space):
         stats = ingest([(1, 2, 3), (0, 1, 2)], small_space)
         spec = BiasSpec(kind="pb", a=1.0, epsilon=1e-3)

@@ -198,7 +198,21 @@ class TestGradcheckCommand:
         code = main(["gradcheck", "--seed", "1", "--instances", "4", "--out", str(out)])
         assert code == 0
         printed = capsys.readouterr().out
-        assert "PASS loss/ce" in printed
+        # the battery's output before parameter trees became views of one
+        # flat buffer; differencing through the buffer must print the same
+        assert printed.splitlines() == [
+            "PASS loss/ce: max_rel_error=1.200e-10 tol=1e-04 instances=4",
+            "PASS loss/rtpb: max_rel_error=2.285e-10 tol=1e-04 instances=4",
+            "PASS loss/reweight: max_rel_error=2.265e-10 tol=1e-04 instances=4",
+            "PASS loss/class_balanced: max_rel_error=3.561e-12 tol=1e-04 instances=4",
+            "PASS loss/focal: max_rel_error=4.617e-11 tol=1e-04 instances=4",
+            "PASS loss/ldam: max_rel_error=1.248e-10 tol=1e-04 instances=4",
+            "PASS numerics/matmul: max_rel_error=6.901e-11 tol=1e-04 instances=8",
+            "PASS numerics/attention: max_rel_error=4.108e-11 tol=1e-04 instances=12",
+            "PASS numerics/multi_head_attention: max_rel_error=1.259e-10 tol=1e-04 instances=2",
+            "PASS numerics/encoder_layer: max_rel_error=2.747e-10 tol=1e-04 instances=2",
+            "PASS model/dual_encoder: max_rel_error=1.481e-09 tol=1e-03 instances=6",
+        ]
         doc = json.loads((out / "gradcheck.json").read_text())
         assert all(entry["passed"] for entry in doc)
 
@@ -295,22 +309,53 @@ class TestErrors:
         assert err["message"].startswith(f"{bad}:3: union pairs are not the ordered pairs")
         assert not (tmp_path / "eval").exists()
 
-    @pytest.mark.parametrize("section", ["model", "loss", "optimizer"])
-    def test_unknown_config_key_gives_json_error(self, workspace, tmp_path, capsys, section):
+    @pytest.mark.parametrize(
+        "command, section, key, where",
+        [
+            ("train", "model", "d_modle", "config section 'model'"),
+            ("train", "loss", "d_modle", "config section 'loss'"),
+            ("train", "optimizer", "d_modle", "config section 'optimizer'"),
+            ("train", "bias", "epsilonn", "bias spec"),
+            ("train", None, "seedd", "train config"),
+            ("synth", None, "seedd", "synth config"),
+            ("synth", "label_space", "num_relationz", "label space"),
+        ],
+        ids=["model", "loss", "optimizer", "bias", "train", "synth", "label-space"],
+    )
+    def test_unknown_config_key_gives_json_error(
+        self, workspace, tmp_path, capsys, command, section, key, where
+    ):
         root, _, _, _, _ = workspace
-        bad_cfg = json.loads((root / "train.json").read_text())
-        bad_cfg[section] = {**bad_cfg.get(section, {}), "d_modle": 8}
+        bad_cfg = json.loads((root / f"{command}.json").read_text())
+        if section is None:
+            bad_cfg[key] = 1
+        else:
+            bad_cfg[section] = {**bad_cfg.get(section, {}), key: 8}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad_cfg))
         capsys.readouterr()
-        code = main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "run")])
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())["error"]
-        assert err == {
-            "type": "ValueError",
-            "message": f"unknown key 'd_modle' in config section '{section}'",
-        }
+        assert err == {"type": "ValueError", "message": f"unknown key '{key}' in {where}"}
         assert not (tmp_path / "run").exists()
+
+    def test_malformed_checkpoint_gives_json_error(self, workspace, tmp_path, capsys):
+        _, data_dir, _, _, run_dir = workspace
+        doc = json.loads((run_dir / "checkpoint.json").read_text())
+        doc["param_data"] = {"w": doc["param_data"]}
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main([
+            "eval", "--checkpoint", str(bad), "--data", str(data_dir / "test.jsonl"),
+            "--out", str(tmp_path / "eval"),
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith(f"{bad}: ")
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize(
         "entries, message",

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +28,7 @@ from tailbias.harness import (
 from tailbias.losses import LossOutput, biased_ce, ce
 from tailbias.metrics import metrics_csv
 from tailbias.model import LinearParams, class_labels, forward, init_dual_encoder, init_linear
-from tailbias.numerics import flatten
+from tailbias.numerics import flatten, leaves
 from tailbias.stats import LabelSpace
 from tailbias.synth import SynthConfig, SynthImage, all_ordered_pairs, generate_split
 
@@ -543,6 +545,50 @@ class TestCheckpointIo:
         with pytest.raises(ValueError, match="parameter 0 has shape"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda d: d["param_data"].__setitem__(3, None), "parameter w is not finite"),
+            (lambda d: d["param_data"].__setitem__(-1, "NaN"), "parameter b is not finite"),
+            (lambda d: d.__setitem__("param_shapes", [5, 6]), "parameter 0 has shape 5"),
+            (lambda d: d.__setitem__("param_data", {"w": d["param_data"]}), "float"),
+            (lambda d: d["param_data"].__setitem__(0, "abc"), "could not convert"),
+            (lambda d: d["param_data"].__setitem__(0, [1.0, 2.0]), ""),
+            (lambda d: d["param_data"].pop(), "fit no feature width"),
+            (lambda d: d["param_shapes"].pop(), "parameter 1 has shape None"),
+            (lambda d: d.pop("param_data"), "missing key 'param_data'"),
+            (lambda d: d["config"].__setitem__("bias", {"kind": "cb", "epsilonn": 0.5}),
+             "unknown key 'epsilonn' in bias spec"),
+        ],
+        ids=[
+            "null-value", "nan-string", "flat-shapes", "dict-data", "string-value",
+            "nested-value", "truncated-data", "missing-shape", "missing-data", "bad-config",
+        ],
+    )
+    def test_malformed_file_is_rejected_naming_it(
+        self, space, data, tmp_path, corrupt, message
+    ):
+        ck, _ = train(linear_config(space), data[0])
+        path = tmp_path / "ck.json"
+        save_checkpoint(ck, str(path))
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("kind", ["linear", "dual_encoder"])
+    def test_trees_are_views_of_one_buffer(self, space, data, tmp_path, kind):
+        ck, _ = train(model_config(space, kind), data[0])
+        path = tmp_path / "ck.json"
+        save_checkpoint(ck, str(path))
+        for params in (ck.params, load_checkpoint(str(path)).params):
+            arrays = leaves(params)
+            buffer = arrays[0].base
+            assert buffer.ndim == 1 and buffer.size == sum(a.size for a in arrays)
+            assert all(a.base is buffer for a in arrays)
+            assert np.array_equal(buffer, flatten(params))
+
     def test_non_finite_parameter_is_refused(self, space, data, tmp_path):
         train_images, _ = data
         ck, _ = train(linear_config(space), train_images)
@@ -551,6 +597,29 @@ class TestCheckpointIo:
         with pytest.raises(ValueError, match="parameter b is not finite"):
             save_checkpoint(ck, str(path))
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "kind, bias, task, digest",
+        [
+            ("linear", "cb", "predcls",
+             "7594018ad77086999a7529bcdf86ae0569ff3536d5c3ed019d0a18fc694cc24f"),
+            ("dual_encoder", "pb", "sgcls",
+             "454dd234f6cd145f34310c745e15aee3038cb1d4123dda807109f58a32f71f24"),
+        ],
+    )
+    def test_checkpoint_bytes_are_pinned(self, space, data, tmp_path, kind, bias, task, digest):
+        # sha256 of checkpoint.json as written before parameter trees became
+        # views of one flat buffer; the buffer-backed optimiser must reproduce it.
+        config = replace(
+            model_config(space, kind),
+            task=task,
+            loss=LossConfig(kind="rtpb"),
+            bias=BiasSpec(kind=bias, a=1.0, epsilon=1e-3),
+        )
+        ck, _ = train(config, data[0])
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(ck, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_save_is_byte_stable(self, space, data, tmp_path):
         train_images, _ = data

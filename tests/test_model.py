@@ -21,7 +21,7 @@ from tailbias.model import (
     linear_forward,
     model_for,
 )
-from tailbias.numerics import flatten, leaves
+from tailbias.numerics import flatten, leaves, unflatten
 from tailbias.stats import LabelSpace
 from tailbias.synth import SynthImage, all_ordered_pairs
 
@@ -280,6 +280,27 @@ class TestProtocol:
         seeded = init(spec, LS, D_V, np.random.default_rng(0))
         undrawn = init(spec, LS, D_V)
         assert [a.shape for a in leaves(seeded)] == [a.shape for a in leaves(undrawn)]
+
+
+class TestGradientAccumulation:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_two_backward_calls_add_exactly(self, kind):
+        spec = ModelSpec(kind=kind, d_model=8, d_e=4, d_pos=4, n_o=2, n_r=1, d_ff=8)
+        net = model_for(spec)
+        rng = np.random.default_rng(11)
+        params = net.init(spec, LS, D_V, rng)
+        image = make_image(rng, 4, LS.num_object_classes, D_V)
+        pairs = all_ordered_pairs(4)
+        out = net.forward(image, image.unions, pairs, params, spec)
+        d_obj = None if out.object_logits is None else rng.normal(size=out.object_logits.shape)
+        d_rel = rng.normal(size=out.relation_logits.shape)
+        once = flatten(net.backward(d_obj, d_rel, out, params, spec))
+        assert once.any()
+        buffer = np.zeros_like(once)
+        grads = unflatten(params, buffer)
+        for _ in range(2):
+            assert net.backward(d_obj, d_rel, out, params, spec, grads) is grads
+        assert np.array_equal(buffer, 2 * once)
 
 
 class TestSanityDescent:

@@ -18,9 +18,7 @@ from tailbias.numerics import (
     multi_head_attention,
     multi_head_attention_backward,
     row_softmax,
-    tree_add,
-    write_flat,
-    zeros_like_tree,
+    unflatten,
 )
 
 
@@ -119,19 +117,17 @@ class TestMultiHead:
         d = 8
         x = rng.normal(size=(4, d))
         params = init_attention_params(d, rng)
+        vec = flatten(params)
+        params = unflatten(params, vec)
         g = rng.normal(size=x.shape)
         _, cache = multi_head_attention(x, params, 2)
-        dx, grads = multi_head_attention_backward(g, cache)
-        vec = flatten(params)
+        dvec = np.zeros_like(vec)
+        dx = multi_head_attention_backward(g, cache, unflatten(params, dvec))
 
-        def f(v):
-            write_flat(params, v)
-            try:
-                return float(np.sum(g * multi_head_attention(x, params, 2)[0]))
-            finally:
-                write_flat(params, vec)
+        def f(_):  # grad_check perturbs vec, which the leaves of params view
+            return float(np.sum(g * multi_head_attention(x, params, 2)[0]))
 
-        r = grad_check(f, vec, flatten(grads), tol=1e-4)
+        r = grad_check(f, vec, dvec, tol=1e-4)
         assert r.passed, r
         r = grad_check(
             lambda v: float(np.sum(g * multi_head_attention(v.reshape(x.shape), params, 2)[0])),
@@ -161,19 +157,17 @@ class TestEncoderLayer:
         d = 8
         x = rng.normal(size=(4, d))
         params = init_encoder_layer_params(d, 16, rng)
+        vec = flatten(params)
+        params = unflatten(params, vec)
         g = rng.normal(size=x.shape)
         _, cache = encoder_layer(x, params, 2)
-        dx, grads = encoder_layer_backward(g, cache)
-        vec = flatten(params)
+        dvec = np.zeros_like(vec)
+        dx = encoder_layer_backward(g, cache, unflatten(params, dvec))
 
-        def f(v):
-            write_flat(params, v)
-            try:
-                return float(np.sum(g * encoder_layer(x, params, 2)[0]))
-            finally:
-                write_flat(params, vec)
+        def f(_):  # grad_check perturbs vec, which the leaves of params view
+            return float(np.sum(g * encoder_layer(x, params, 2)[0]))
 
-        r = grad_check(f, vec, flatten(grads), tol=1e-4)
+        r = grad_check(f, vec, dvec, tol=1e-4)
         assert r.passed, r
         r = grad_check(
             lambda v: float(np.sum(g * encoder_layer(v.reshape(x.shape), params, 2)[0])),
@@ -189,6 +183,31 @@ class TestEncoderLayer:
         a, _ = encoder_layer(x, params, 2)
         b, _ = encoder_layer(x.copy(), params, 2)
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "forward, backward, init",
+    [
+        (multi_head_attention, multi_head_attention_backward,
+         lambda rng: init_attention_params(8, rng)),
+        (encoder_layer, encoder_layer_backward,
+         lambda rng: init_encoder_layer_params(8, 16, rng)),
+    ],
+    ids=["multi_head_attention", "encoder_layer"],
+)
+def test_backward_kernels_add_into_grads(rng, forward, backward, init):
+    params = init(rng)
+    x = rng.normal(size=(5, 8))
+    g = rng.normal(size=x.shape)
+    _, cache = forward(x, params, 2)
+    once = np.zeros_like(flatten(params))
+    dx = backward(g, cache, unflatten(params, once))
+    twice = np.zeros_like(once)
+    grads = unflatten(params, twice)
+    assert np.array_equal(backward(g, cache, grads), dx)
+    assert np.array_equal(backward(g, cache, grads), dx)
+    assert once.any()
+    assert np.array_equal(twice, 2 * once)
 
 
 class TestGradCheck:
@@ -223,26 +242,47 @@ class TestGradCheck:
         with pytest.raises(ValueError):
             grad_check(lambda v: 0.0, np.zeros(2), np.zeros(2), h=0.0)
 
+    def test_perturbs_x_in_place_and_restores_it(self, rng):
+        x = rng.normal(size=(2, 3))
+        before = x.copy()
+        seen = []
+
+        def f(v):
+            assert v is x
+            seen.append(x.copy())
+            return float(np.sum(x**2))
+
+        r = grad_check(f, x, 2 * x, coords=[4], tol=1e-8)
+        assert r.passed, r
+        assert [s[1, 1] - before[1, 1] for s in seen] == pytest.approx([1e-5, -1e-5])
+        assert np.array_equal(x, before)
+
     def test_rejects_nonfinite_function(self):
         with pytest.raises(ValueError):
             grad_check(lambda v: float("nan"), np.zeros(2), np.zeros(2))
 
 
 class TestParameterTrees:
-    def test_flatten_round_trip(self, rng):
-        params = init_encoder_layer_params(4, 8, rng)
+    def test_unflatten_round_trip(self, rng):
+        params = [init_encoder_layer_params(4, 8, rng)]
         vec = flatten(params)
-        other = init_encoder_layer_params(4, 8, np.random.default_rng(99))
-        write_flat(other, vec)
-        assert np.array_equal(flatten(other), vec)
+        views = unflatten(params, vec)
+        assert type(views) is list and type(views[0]) is type(params[0])
+        assert np.array_equal(flatten(views), vec)
+        assert [a.shape for a in leaves(views)] == [a.shape for a in leaves(params)]
+        assert all(np.shares_memory(a, vec) for a in leaves(views))
+        assert not any(np.shares_memory(a, vec) for a in leaves(params))
 
-    def test_zeros_and_add(self, rng):
+    def test_unflatten_writes_land_in_the_buffer(self, rng):
         params = init_attention_params(4, rng)
-        z = zeros_like_tree(params)
-        assert not flatten(z).any()
-        tree_add(z, params)
-        tree_add(z, params)
-        assert np.array_equal(flatten(z), 2 * flatten(params))
+        vec = np.zeros_like(flatten(params))
+        views = unflatten(params, vec)
+        views.wk += params.wk
+        views.wk += params.wk
+        wk_twice = np.concatenate([np.zeros(16), 2 * params.wk.ravel(), np.zeros(32)])
+        assert np.array_equal(vec, wk_twice)
+        vec *= 0.5
+        assert np.array_equal(views.wk, params.wk)
 
     def test_leaf_order_is_stable(self, rng):
         params = init_attention_params(4, rng)
@@ -256,10 +296,14 @@ class TestParameterTrees:
         assert names[:5] == ["0.attn.wq", "0.attn.wk", "0.attn.wv", "0.attn.wo", "0.ln1_gain"]
         assert names[-1] == "0.b2"
 
-    def test_write_flat_length_check(self, rng):
+    @pytest.mark.parametrize(
+        "vec", [np.zeros(3), np.zeros(65), np.zeros((4, 16)), np.zeros(64, dtype=np.float32)],
+        ids=["short", "long", "2-d", "float32"],
+    )
+    def test_unflatten_rejects_a_wrong_buffer(self, rng, vec):
         params = init_attention_params(4, rng)
-        with pytest.raises(ValueError):
-            write_flat(params, np.zeros(3))
+        with pytest.raises(ValueError, match="1-D float64 vector of 64 parameters"):
+            unflatten(params, vec)
 
 
 def test_attention_params_rejects_unsupported_tree():

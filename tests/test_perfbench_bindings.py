@@ -4,6 +4,7 @@ the bias API; a refactor that renames or drops one must fail here, in the
 regular suite, rather than at benchmark time."""
 
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import tailbias.harness as harness
 import tailbias.losses as losses
 import tailbias.model as model
 import tailbias.numerics as numerics
-from tailbias import bias
+from tailbias import bias, synth
 from tailbias.stats import LabelSpace, ingest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -64,3 +65,31 @@ def test_bias_api_the_benchmark_reads():
     values = np.concatenate([v.values for v in [vector, *vectors]])
     assert values.shape == (3 * (1 + 1 + len(table.entries)),)
     assert bias.lookup_pair_bias(table, 0, 1) is table.entries[(0, 1)]
+
+
+def test_params_vector_is_a_fresh_copy_in_leaf_order(tmp_path):
+    """``perfbench/workloads.py`` digests ``numerics.flatten(checkpoint.params)``
+    and compares it across a save and load; a training step taken after the
+    call must not reach the vector it returned."""
+    ls = LabelSpace(num_object_classes=4, num_relations=3)
+    cfg = synth.SynthConfig(
+        label_space=ls, num_train=8, num_val=0, num_test=0, objects_min=3, objects_max=3,
+        d_v=4, seed=3,
+    )
+    config = harness.TrainConfig(
+        label_space=ls,
+        model=model.ModelSpec(kind="dual_encoder", d_model=8, d_e=4, d_pos=4, n_o=1, n_r=1, d_ff=8),
+        optimizer=harness.OptimizerConfig(iterations=2, batch_size=2),
+    )
+    checkpoint, _ = harness.train(config, synth.generate_split(cfg, "train"))
+    vec = numerics.flatten(checkpoint.params)
+    arrays = numerics.leaves(checkpoint.params)
+    assert vec.dtype == np.float64 and vec.shape == (sum(a.size for a in arrays),)
+    assert np.array_equal(vec, np.concatenate([a.ravel() for a in arrays]))
+    path = tmp_path / "checkpoint.json"
+    harness.save_checkpoint(checkpoint, str(path))
+    assert vec.tolist() == json.loads(path.read_text())["param_data"]
+    kept = vec.copy()
+    arrays[0].base[:] -= 0.5  # one more step on the training buffer
+    assert np.array_equal(vec, kept)
+    assert not np.array_equal(numerics.flatten(checkpoint.params), kept)

@@ -256,3 +256,12 @@ def test_config_validation():
 def test_config_round_trip():
     cfg = small_config()
     assert SynthConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_config_keys_are_checked():
+    doc = small_config().to_dict()
+    with pytest.raises(ValueError, match="^unknown key 'seedd' in synth config$"):
+        SynthConfig.from_dict({**doc, "seedd": 1})
+    del doc["num_train"]
+    with pytest.raises(ValueError, match="^missing key 'num_train' in synth config$"):
+        SynthConfig.from_dict(doc)
