@@ -2,12 +2,13 @@
 
 Each battery draws seeded random instances, compares the analytic gradient
 against central differences through :func:`tailbias.numerics.grad_check`, and
-reports the worst relative error observed. Parameter trees are views of one
-flat buffer (:func:`tailbias.numerics.unflatten`), which ``grad_check``
-perturbs in place. The full-model battery checks
-every parameter coordinate on a few instances and a random coordinate sample
-on many, which keeps the runtime low without leaving any parameter kind
-unchecked.
+reports the worst relative error observed. ``grad_check`` evaluates a chunk
+of coordinates per call, on a stack of perturbed copies: a loss takes it as
+logit rows, a kernel input as a leading batch axis, and a parameter tree as
+batched views (:func:`tailbias.numerics.unflatten`). The full-model battery
+checks every parameter coordinate on a few instances and a random coordinate
+sample on many, which keeps the runtime low without leaving any parameter
+kind unchecked.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import BaselineSpec, baseline_loss, biased_ce, ce
+from .losses import BASELINE_KINDS, BaselineSpec, baseline_loss, biased_ce, ce
 from .model import ModelSpec, backward, forward, init_dual_encoder
 from .numerics import (
     GradCheckReport,
@@ -74,29 +75,30 @@ def _random_instance(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, 
     return z, b, y
 
 
+def _weighted_sums(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``sum(g * o)`` for each ``o`` stacked along ``out``'s first axis."""
+    return (g * out).reshape(len(out), -1).sum(axis=1)
+
+
 def certify_losses(
     seed: int = 0, instances: int = 100, h: float = 1e-5, tol: float = 1e-4
 ) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    worst = {kind: 0.0 for kind in ("ce", "rtpb", "reweight", "class_balanced", "focal", "ldam")}
+    worst = {kind: 0.0 for kind in ("ce", "rtpb", *BASELINE_KINDS)}
     for _ in range(instances):
         z, b, y = _random_instance(rng)
         counts = rng.integers(1, 200, z.shape[0])
+
+        def at(v):  # the target of every row of v
+            return np.full(v.shape[:-1], y)
+
         cases = {
-            "ce": lambda v: ce(v, y),
-            "rtpb": lambda v: biased_ce(v, b, y),
-            "reweight": lambda v: baseline_loss(
-                BaselineSpec(kind="reweight", class_counts=counts), v, y
-            ),
-            "class_balanced": lambda v: baseline_loss(
-                BaselineSpec(kind="class_balanced", class_counts=counts), v, y
-            ),
-            "focal": lambda v: baseline_loss(
-                BaselineSpec(kind="focal", class_counts=counts), v, y
-            ),
-            "ldam": lambda v: baseline_loss(
-                BaselineSpec(kind="ldam", class_counts=counts), v, y
-            ),
+            "ce": lambda v: ce(v, at(v)),
+            "rtpb": lambda v: biased_ce(v, np.broadcast_to(b, v.shape), at(v)),
+            **{
+                kind: lambda v, spec=BaselineSpec(kind, counts): baseline_loss(spec, v, at(v))
+                for kind in BASELINE_KINDS
+            },
         }
         for kind, fn in cases.items():
             report = grad_check(
@@ -117,9 +119,9 @@ def certify_numerics(
         bm = rng.normal(0.0, 1.0, (4, 2))
         g = rng.normal(0.0, 1.0, (3, 2))
         da, db = matmul_backward(g, a, bm)
-        r = grad_check(lambda v: float(np.sum(g * (v.reshape(3, 4) @ bm))), a.ravel(), da.ravel(), h=h, tol=tol)
+        r = grad_check(lambda s: _weighted_sums(g, s.reshape(-1, 3, 4) @ bm), a.ravel(), da.ravel(), h=h, tol=tol)
         worst["matmul"] = max(worst["matmul"], r.max_rel_error)
-        r = grad_check(lambda v: float(np.sum(g * (a @ v.reshape(4, 2)))), bm.ravel(), db.ravel(), h=h, tol=tol)
+        r = grad_check(lambda s: _weighted_sums(g, a @ s.reshape(-1, 4, 2)), bm.ravel(), db.ravel(), h=h, tol=tol)
         worst["matmul"] = max(worst["matmul"], r.max_rel_error)
 
         q = rng.normal(0.0, 1.0, (3, 4))
@@ -129,12 +131,12 @@ def certify_numerics(
         out, cache = attention(q, k, v)
         dq, dk, dv = attention_backward(go, cache)
         for arr, grad, rebuild in (
-            (q, dq, lambda w: attention(w.reshape(q.shape), k, v)[0]),
-            (k, dk, lambda w: attention(q, w.reshape(k.shape), v)[0]),
-            (v, dv, lambda w: attention(q, k, w.reshape(v.shape))[0]),
+            (q, dq, lambda s: attention(s.reshape(-1, *q.shape), k, v)[0]),
+            (k, dk, lambda s: attention(q, s.reshape(-1, *k.shape), v)[0]),
+            (v, dv, lambda s: attention(q, k, s.reshape(-1, *v.shape))[0]),
         ):
             r = grad_check(
-                lambda w: float(np.sum(go * rebuild(w))), arr.ravel(), grad.ravel(), h=h, tol=tol
+                lambda s: _weighted_sums(go, rebuild(s)), arr.ravel(), grad.ravel(), h=h, tol=tol
             )
             worst["attention"] = max(worst["attention"], r.max_rel_error)
 
@@ -150,14 +152,12 @@ def certify_numerics(
             ("encoder_layer", encoder_layer, encoder_layer_backward, layer),
         ):
             vec = flatten(tree)
-            params = unflatten(tree, vec)
             dvec = np.zeros_like(vec)
-            dx = bwd(go, fwd(x, params, 2)[1], unflatten(params, dvec))
-
-            def f(_):  # grad_check moves x, or vec under params, in place
-                return float(np.sum(go * fwd(x, params, 2)[0]))
-
-            for arg, grad in ((x, dx), (vec, dvec)):
+            dx = bwd(go, fwd(x, tree, 2)[1], unflatten(tree, dvec))
+            for arg, grad, f in (
+                (x, dx, lambda s: _weighted_sums(go, fwd(s.reshape(-1, *x.shape), tree, 2)[0])),
+                (vec, dvec, lambda s: _weighted_sums(go, fwd(x, unflatten(tree, s), 2)[0])),
+            ):
                 r = grad_check(f, arg, grad, h=h, tol=tol)
                 worst[name] = max(worst[name], r.max_rel_error)
 
@@ -197,13 +197,18 @@ def _toy_setup(rng: np.random.Generator):
 
 def _toy_loss(out, image, targets, bias_row):
     """Mean biased relation loss plus mean object cross-entropy, with the
-    gradients at both classifier outputs."""
+    gradients at both classifier outputs; over a batched forward's leading
+    axis, one loss per parameter copy."""
     m = len(targets)
     n = len(image.labels)
-    logits = out.relation_logits
-    rel = biased_ce(logits, np.broadcast_to(bias_row, logits.shape), targets)
-    obj = ce(out.object_logits, image.labels)
-    total = running_sum(np.concatenate([rel.value / m, obj.value / n]))
+    rel_logits, obj_logits = out.relation_logits, out.object_logits
+    rel = biased_ce(
+        rel_logits,
+        np.broadcast_to(bias_row, rel_logits.shape),
+        np.broadcast_to(targets, rel_logits.shape[:-1]),
+    )
+    obj = ce(obj_logits, np.broadcast_to(image.labels, obj_logits.shape[:-1]))
+    total = running_sum(np.concatenate([rel.value / m, obj.value / n], axis=-1))
     return total, obj.grad_logits / n, rel.grad_logits / m
 
 
@@ -219,15 +224,14 @@ def check_model_instance(
     checks a seeded random subset of coordinates instead of all of them.
     """
     spec, params, image, pairs, targets, bias_row = _toy_setup(rng)
-    vec = flatten(params)
-    params = unflatten(params, vec)
     out = forward(image, image.unions, pairs, params, spec, "predcls")
     _, d_obj, d_rel = _toy_loss(out, image, targets, bias_row)
+    vec = flatten(params)
     dvec = np.zeros_like(vec)
     backward(d_obj, d_rel, out, params, spec, unflatten(params, dvec))
 
-    def loss_at(_):
-        out = forward(image, image.unions, pairs, params, spec, "predcls")
+    def loss_at(stack):
+        out = forward(image, image.unions, pairs, unflatten(params, stack), spec, "predcls")
         return _toy_loss(out, image, targets, bias_row)[0]
 
     coords = None

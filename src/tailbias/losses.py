@@ -80,10 +80,6 @@ def _logsumexp(z: np.ndarray) -> np.ndarray:
     return m + np.log(np.sum(np.exp(z - m[..., np.newaxis]), axis=-1))
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    return row_softmax(z.reshape(-1, z.shape[-1])).reshape(z.shape)
-
-
 def _at(a: np.ndarray, hot: np.ndarray) -> np.ndarray:
     """Each row's entry at its target, of the leading shape."""
     return a[hot].reshape(hot.shape[:-1])
@@ -93,7 +89,7 @@ def ce(z, y) -> LossOutput:
     """Cross-entropy ``-log softmax(z)[y]`` and its gradient ``p - onehot(y)``."""
     z = _as_array(z)
     _, hot = _targets(z, y)
-    return LossOutput(value=_logsumexp(z) - _at(z, hot), grad_logits=_softmax(z) - hot)
+    return LossOutput(value=_logsumexp(z) - _at(z, hot), grad_logits=row_softmax(z) - hot)
 
 
 def biased_ce(z, bias, y) -> LossOutput:
@@ -157,7 +153,7 @@ def _require_counts(spec: BaselineSpec, z: np.ndarray, y: np.ndarray) -> np.ndar
 
 def _focal(spec: BaselineSpec, z: np.ndarray, hot: np.ndarray) -> LossOutput:
     ce_val = _logsumexp(z) - _at(z, hot)
-    p = _softmax(z)
+    p = row_softmax(z)
     u = _at(p, hot)
     f = (1.0 - u) ** spec.gamma
     value = spec.alpha * f * ce_val

@@ -16,8 +16,9 @@ the pairs drawn for a training step. The dual-stack encoder builds object
 tokens from box geometry, visual features, and a learned label embedding, runs
 them through a stack of encoder layers, classifies objects, fuses ordered
 pairs with their union-box features, runs a second encoder stack over the pair
-tokens, and classifies relations. Every stage has a hand-written backward
-pass, so the whole network is certifiable by finite differences. The linear
+tokens, and classifies relations. Its ``forward`` also takes a tree of
+``(k, ...)`` leaves (``unflatten`` of a ``(k, N)`` stack) and runs the k
+parameter copies at once. Every stage has a hand-written backward pass, so the whole network is certifiable by finite differences. The linear
 model is a single affine relation head over the raw fused pair features; it
 has no object head, so its ``object_logits`` are None.
 
@@ -234,9 +235,10 @@ def embed_objects(
     feats = image.features
     labels = class_labels(image, mode)
     pos = boxes @ params.w_pos
-    concat = np.concatenate([pos, feats, params.embed[labels]], axis=1)
+    feats_b = np.broadcast_to(feats, pos.shape[:-1] + feats.shape[-1:])
+    concat = np.concatenate([pos, feats_b, params.embed[..., labels, :]], axis=-1)
     tokens = concat @ params.w_in
-    return tokens, (boxes, concat, labels, pos.shape[1], feats.shape[1])
+    return tokens, (boxes, concat, labels, pos.shape[-1], feats.shape[1])
 
 
 def embed_objects_backward(
@@ -267,7 +269,7 @@ def fuse_pairs(
     params: DualEncoderParams,
 ) -> tuple[np.ndarray, tuple]:
     """One token per ordered pair: ``[union, subject, object] @ w_fuse``."""
-    n = e_final.shape[0]
+    n = e_final.shape[-2]
     s_idx, o_idx = pairs[:, 0], pairs[:, 1]
     bad = np.flatnonzero((s_idx == o_idx) | ((pairs < 0) | (pairs >= n)).any(axis=1))
     if bad.size:
@@ -276,7 +278,8 @@ def fuse_pairs(
         raise ValueError(f"pair ({s}, {o}) {why}")
     if len(pairs) != union_features.shape[0]:
         raise ValueError("one union feature row is required per pair")
-    concat = np.concatenate([union_features, e_final[s_idx], e_final[o_idx]], axis=1)
+    unions = np.broadcast_to(union_features, e_final.shape[:-2] + union_features.shape)
+    concat = np.concatenate([unions, e_final[..., s_idx, :], e_final[..., o_idx, :]], axis=-1)
     return concat @ params.w_fuse, (concat, s_idx, o_idx, union_features.shape[1], n)
 
 

@@ -1,19 +1,23 @@
 """Dense kernels with hand-written backward passes, plus the gradient checker.
 
-Everything operates on 2-D float64 numpy arrays (rows = tokens). Forward
-functions return ``(output, cache)`` and each ``*_backward`` consumes the
-upstream gradient together with that cache. The encoder layer is pre-norm:
+Forward kernels take float64 arrays ``(..., T, d)`` of token rows under any
+leading batch axes, and parameters with leading axes of their own (vectors
+broadcast as ``b[..., None, :]``), so one call runs many parameter copies;
+attention heads are one more reshaped axis. Forward functions return
+``(output, cache)`` and each ``*_backward`` consumes the upstream gradient of
+one unbatched ``(T, d)`` instance together with that cache. The encoder layer
+is pre-norm:
 
     h = x + mha(layer_norm(x))
     y = h + ffn(layer_norm(h))        ffn = relu(. @ w1 + b1) @ w2 + b2
 
 so zeroing the attention output projection and the second ffn map turns the
 layer into the identity. All reductions are sequential numpy ops, giving
-bitwise-reproducible results for identical inputs.
+bitwise-reproducible results for identical inputs, batched or not.
 
 Parameter trees are views of one flat buffer (:func:`unflatten`); backward
 kernels add into a gradient tree of the same type, and :func:`grad_check`
-differences a buffer in place.
+differences a stack of perturbed copies of a buffer in one call.
 """
 
 from __future__ import annotations
@@ -50,6 +54,8 @@ __all__ = [
 ]
 
 LN_EPS = 1e-6
+# Coordinates :func:`grad_check` differences per call of its function.
+FD_CHUNK = 64
 
 
 @dataclass
@@ -81,10 +87,10 @@ class GradCheckReport:
     passed: bool
 
 
-def _as_matrix(x, name: str) -> np.ndarray:
+def _as_tokens(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D matrix, got shape {x.shape}")
+    if x.ndim < 2:
+        raise ValueError(f"{name} must have shape (..., tokens, dim), got {x.shape}")
     return x
 
 
@@ -96,29 +102,33 @@ def matmul_backward(
 
 
 def row_softmax(x: np.ndarray) -> np.ndarray:
-    x = _as_matrix(x, "x")
-    shifted = x - x.max(axis=1, keepdims=True)
+    """Softmax over the last axis."""
+    x = np.asarray(x, dtype=np.float64)
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def row_softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return p * (g - np.sum(g * p, axis=1, keepdims=True))
+    return p * (g - np.sum(g * p, axis=-1, keepdims=True))
 
 
-def running_sum(x: np.ndarray) -> float:
-    """Sum in index order, as a running total adds (``np.sum`` adds pairwise)."""
-    return float(np.cumsum(x)[-1]) if np.size(x) else 0.0
+def running_sum(x: np.ndarray):
+    """Sums over the last axis in index order, as a running total adds
+    (``np.sum`` adds pairwise); a float for a 1-D ``x``."""
+    x = np.asarray(x)
+    total = np.cumsum(x, axis=-1)[..., -1] if x.shape[-1] else np.zeros(x.shape[:-1])
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def layer_norm(
     x: np.ndarray, gain: np.ndarray, bias: np.ndarray
 ) -> tuple[np.ndarray, tuple]:
-    mu = x.mean(axis=1, keepdims=True)
-    var = np.mean((x - mu) ** 2, axis=1, keepdims=True)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x - mu) * inv
-    return xhat * gain + bias, (xhat, inv, gain)
+    return xhat * gain[..., None, :] + bias[..., None, :], (xhat, inv, gain)
 
 
 def layer_norm_backward(
@@ -142,15 +152,15 @@ def attention(
     q: np.ndarray, k: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, tuple]:
     """Scaled dot-product attention ``row_softmax(q kᵀ / sqrt(d_k)) v``."""
-    q = _as_matrix(q, "q")
-    k = _as_matrix(k, "k")
-    v = _as_matrix(v, "v")
-    if q.shape[1] != k.shape[1]:
-        raise ValueError(f"query/key dims differ: {q.shape[1]} vs {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise ValueError(f"key/value row counts differ: {k.shape[0]} vs {v.shape[0]}")
-    scale = 1.0 / np.sqrt(q.shape[1])
-    p = row_softmax((q @ k.T) * scale)
+    q = _as_tokens(q, "q")
+    k = _as_tokens(k, "k")
+    v = _as_tokens(v, "v")
+    if q.shape[-1] != k.shape[-1]:
+        raise ValueError(f"query/key dims differ: {q.shape[-1]} vs {k.shape[-1]}")
+    if k.shape[-2] != v.shape[-2]:
+        raise ValueError(f"key/value row counts differ: {k.shape[-2]} vs {v.shape[-2]}")
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    p = row_softmax((q @ k.swapaxes(-1, -2)) * scale)
     out = p @ v
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("attention produced non-finite values")
@@ -161,10 +171,21 @@ def attention_backward(
     g: np.ndarray, cache: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     q, k, v, p, scale = cache
-    dv = p.T @ g
-    dp = g @ v.T
+    dv = p.swapaxes(-1, -2) @ g
+    dp = g @ v.swapaxes(-1, -2)
     ds = row_softmax_backward(dp, p) * scale
-    return ds @ k, ds.T @ q, dv
+    return ds @ k, ds.swapaxes(-1, -2) @ q, dv
+
+
+def _split_heads(a: np.ndarray, n_h: int) -> np.ndarray:
+    """``(..., T, d)`` columns as ``(..., n_h, T, d / n_h)`` heads (a view)."""
+    return np.swapaxes(a.reshape(*a.shape[:-1], n_h, -1), -2, -3)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`_split_heads`, as a new contiguous array."""
+    a = np.swapaxes(a, -2, -3)
+    return a.reshape(*a.shape[:-2], -1)
 
 
 def multi_head_attention(
@@ -173,44 +194,29 @@ def multi_head_attention(
     """Multi-head self-attention over the rows of ``x``.
 
     Projections are split column-wise into ``n_h`` equal heads, attended
-    independently, concatenated, and mixed by the output projection.
+    independently as one more leading axis, concatenated, and mixed by the
+    output projection.
     """
-    x = _as_matrix(x, "x")
-    d = x.shape[1]
-    if d % n_h != 0:
-        raise ValueError(f"model dimension {d} not divisible by {n_h} heads")
-    q = x @ params.wq
-    k = x @ params.wk
-    v = x @ params.wv
-    d_h = d // n_h
-    concat = np.empty_like(x)
-    head_caches = []
-    for h in range(n_h):
-        sl = slice(h * d_h, (h + 1) * d_h)
-        out_h, cache_h = attention(q[:, sl], k[:, sl], v[:, sl])
-        concat[:, sl] = out_h
-        head_caches.append(cache_h)
-    out = concat @ params.wo
-    return out, (x, params, n_h, q, k, v, concat, head_caches)
+    x = _as_tokens(x, "x")
+    if x.shape[-1] % n_h != 0:
+        raise ValueError(f"model dimension {x.shape[-1]} not divisible by {n_h} heads")
+    heads, att_cache = attention(
+        *(_split_heads(x @ w, n_h) for w in (params.wq, params.wk, params.wv))
+    )
+    concat = _merge_heads(heads)
+    return concat @ params.wo, (x, params, n_h, concat, att_cache)
 
 
 def multi_head_attention_backward(
     g: np.ndarray, cache: tuple, grads: AttentionParams
 ) -> np.ndarray:
     """Add the projection gradients into ``grads``; return the input gradient."""
-    x, params, n_h, q, k, v, concat, head_caches = cache
-    d = x.shape[1]
-    d_h = d // n_h
+    x, params, n_h, concat, att_cache = cache
     grads.wo += concat.T @ g
-    dconcat = g @ params.wo.T
-    dq = np.empty_like(q)
-    dk = np.empty_like(k)
-    dv = np.empty_like(v)
-    for h in range(n_h):
-        sl = slice(h * d_h, (h + 1) * d_h)
-        dq[:, sl], dk[:, sl], dv[:, sl] = attention_backward(
-            dconcat[:, sl], head_caches[h]
-        )
+    dq, dk, dv = (
+        _merge_heads(d)
+        for d in attention_backward(_split_heads(g @ params.wo.T, n_h), att_cache)
+    )
     grads.wq += x.T @ dq
     grads.wk += x.T @ dk
     grads.wv += x.T @ dv
@@ -218,9 +224,9 @@ def multi_head_attention_backward(
 
 
 def _ffn(x: np.ndarray, p: EncoderLayerParams) -> tuple[np.ndarray, tuple]:
-    pre = x @ p.w1 + p.b1
+    pre = x @ p.w1 + p.b1[..., None, :]
     act = np.maximum(pre, 0.0)
-    return act @ p.w2 + p.b2, (x, pre, act)
+    return act @ p.w2 + p.b2[..., None, :], (x, pre, act)
 
 
 def _ffn_backward(
@@ -240,7 +246,7 @@ def encoder_layer(
     x: np.ndarray, params: EncoderLayerParams, n_h: int
 ) -> tuple[np.ndarray, tuple]:
     """One pre-norm transformer encoder layer (self-attention + ffn residuals)."""
-    x = _as_matrix(x, "x")
+    x = _as_tokens(x, "x")
     ln1, ln1_cache = layer_norm(x, params.ln1_gain, params.ln1_bias)
     att, att_cache = multi_head_attention(ln1, params.attn, n_h)
     h = x + att
@@ -342,29 +348,34 @@ def flatten(tree) -> np.ndarray:
 
 
 def unflatten(tree, vec: np.ndarray):
-    """The inverse of :func:`flatten`: a tree of ``tree``'s type and shapes
-    whose leaves are views of ``vec``, a 1-D float64 array of its size."""
-    count = sum(a.size for a in leaves(tree))
-    if vec.dtype != np.float64 or vec.shape != (count,):
+    """The inverse of :func:`flatten`: a tree of ``tree``'s type whose leaves
+    are views of ``vec``, a float64 array of ``tree``'s size ``N``. A 1-D
+    ``vec`` gives leaves of ``tree``'s shapes; a ``(k, N)`` stack of buffers
+    gives leaves of shape ``(k, *shape)``, one parameter copy per row."""
+    arrays = leaves(tree)
+    ends = np.cumsum([0] + [a.size for a in arrays])
+    if vec.dtype != np.float64 or vec.ndim not in (1, 2) or vec.shape[-1] != ends[-1]:
         raise ValueError(
-            f"need a 1-D float64 vector of {count} parameters, got {vec.dtype} {vec.shape}"
+            f"need a 1-D float64 vector of {ends[-1]} parameters, or a (k, {ends[-1]}) "
+            f"stack of them, got {vec.dtype} {vec.shape}"
         )
-    offset = 0
+    lead = vec.shape[:-1]
+    views = (vec[..., lo:hi].reshape(lead + a.shape) for lo, hi, a in zip(ends, ends[1:], arrays))
+    return _rebuild(tree, views)
 
-    def build(node):
-        nonlocal offset
-        if isinstance(node, np.ndarray):
-            offset += node.size
-            return vec[offset - node.size : offset].reshape(node.shape)
-        if is_dataclass(node):
-            return type(node)(**{name: build(child) for name, child in _children(node)})
-        return type(node)(build(child) for _, child in _children(node))
 
-    return build(tree)
+def _rebuild(node, views):
+    """``node``'s structure with its leaves taken in order from ``views``; not a
+    closure over itself, whose reference cycle would pin the buffer until a gc pass."""
+    if isinstance(node, np.ndarray):
+        return next(views)
+    if is_dataclass(node):
+        return type(node)(**{name: _rebuild(child, views) for name, child in _children(node)})
+    return type(node)(_rebuild(child, views) for _, child in _children(node))
 
 
 def grad_check(
-    f: Callable[[np.ndarray], float],
+    f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     analytic: np.ndarray,
     *,
@@ -374,11 +385,13 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare ``analytic`` against central differences of ``f`` at ``x``.
 
-    The relative error at coordinate ``i`` is
-    ``|fd_i - analytic_i| / max(1, |analytic_i|)``. ``coords`` restricts the
-    check to a subset of coordinates (useful for large parameter vectors).
-    A float64 ``x`` is moved in place and restored, so ``f`` may read it
-    through views, such as a tree built by :func:`unflatten`.
+    ``f`` maps a ``(k, x.size)`` stack of flattened copies of ``x`` to their
+    ``(k,)`` values. One call differences a chunk of :data:`FD_CHUNK`
+    coordinates ``i``: rows with ``x[i] + h``, then rows with ``x[i] - h``. The
+    relative error at ``i`` is ``|fd_i - analytic_i| / max(1, |analytic_i|)``,
+    and the report names the first coordinate of the largest. ``coords``
+    restricts the check to a subset of coordinates, taken in its order. A
+    non-finite value raises, naming the first coordinate that gives one.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
@@ -386,25 +399,27 @@ def grad_check(
     analytic = np.asarray(analytic, dtype=np.float64)
     if analytic.shape != x.shape:
         raise ValueError("analytic gradient shape must match x")
-    idx = range(x.size) if coords is None else coords
-    flat = x.reshape(-1)
+    flat, ref = x.ravel(), analytic.ravel()
+    idx = np.arange(x.size) if coords is None else np.asarray(coords, dtype=np.intp)
     worst = -1
     max_rel = 0.0
-    for i in idx:
-        orig = flat[i]
-        flat[i] = orig + h
-        up = f(x)
-        flat[i] = orig - h
-        down = f(x)
-        flat[i] = orig
-        if not (np.isfinite(up) and np.isfinite(down)):
-            raise ValueError(f"function not finite near coordinate {i}")
+    for start in range(0, idx.size, FD_CHUNK):
+        chunk = idx[start : start + FD_CHUNK]
+        rows = np.arange(chunk.size)
+        stack = np.tile(flat, (2 * chunk.size, 1))
+        stack[rows, chunk] = flat[chunk] + h
+        stack[rows + chunk.size, chunk] = flat[chunk] - h
+        up, down = np.split(np.asarray(f(stack), dtype=np.float64), 2)
+        finite = np.isfinite(up) & np.isfinite(down)
+        if not finite.all():
+            raise ValueError(f"function not finite near coordinate {chunk[np.argmin(finite)]}")
         fd = (up - down) / (2.0 * h)
-        ref = analytic.ravel()[i]
-        rel = float(abs(fd - ref) / max(1.0, abs(ref)))
-        if rel > max_rel:
-            max_rel = rel
-            worst = int(i)
+        rel = np.abs(fd - ref[chunk]) / np.maximum(1.0, np.abs(ref[chunk]))
+        rel[np.isnan(rel)] = 0.0  # a NaN error is never the worst, as with ``>``
+        j = int(np.argmax(rel))
+        if rel[j] > max_rel:
+            max_rel = float(rel[j])
+            worst = int(chunk[j])
     return GradCheckReport(
         max_rel_error=max_rel,
         worst_coordinate=worst,

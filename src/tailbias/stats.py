@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, dataclass, field, fields
+from numbers import Integral, Real
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -32,9 +33,19 @@ __all__ = [
 ]
 
 
+# What :func:`check_keys` requires of a scalar field, and the types that pass.
+_SCALARS = {
+    "int": ("an integer", Integral),
+    "float": ("a number", Real),
+    "bool": ("a boolean", bool),
+    "str": ("a string", str),
+}
+
+
 def check_keys(d: Mapping, cls, where: str, extra: Iterable[str] = ()) -> None:
     """Raise ``ValueError`` naming ``where`` unless ``d`` is a mapping with every
-    field of the dataclass ``cls`` that has no default, and no other key but ``extra``."""
+    field of the dataclass ``cls`` that has no default, no other key but
+    ``extra``, and a value of its type (not a bool for a number) in each scalar field."""
     if not isinstance(d, Mapping):
         raise ValueError(f"{where} must be an object")
     known = {f.name: f for f in fields(cls)}
@@ -44,6 +55,13 @@ def check_keys(d: Mapping, cls, where: str, extra: Iterable[str] = ()) -> None:
     for name, f in known.items():
         if name not in d and f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"missing key {name!r} in {where}")
+    for key in (name for name in known if name in d):
+        annotation, value = str(known[key].type), d[key]
+        what, types = _SCALARS.get(annotation.removesuffix(" | None"), (None, None))
+        if what is None or (value is None and annotation.endswith(" | None")):
+            continue
+        if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
+            raise ValueError(f"{where} key {key!r} must be {what}")
 
 
 @dataclass(frozen=True)

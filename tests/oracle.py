@@ -1,11 +1,18 @@
-"""Scalar reference implementations of the losses, triplet scoring, ranking
-and recall.
+"""Scalar reference implementations of the losses, finite differences,
+multi-head attention, triplet scoring, ranking and recall.
 
 The losses are the one-row-at-a-time code that the block losses of
 ``tailbias.losses`` replaced: a logit vector, an integer target and a bias
 vector in, a float value and a gradient vector out. The block losses must
 reproduce them row by row: ``ce``, ``biased_ce`` and ``bias_gap`` bit for
 bit, the baselines within 1e-12.
+
+The finite-difference checker is the one-coordinate-at-a-time loop that
+``tailbias.numerics.grad_check`` replaced with stacks of perturbed copies, one
+call of the function per chunk of coordinates; the stacked checker must
+report the same error and coordinate bit for bit, and fail on the same
+coordinate. Multi-head attention is the per-head loop that a heads axis
+replaced; forward and backward must agree bit for bit.
 
 The evaluation is the object-per-candidate code that ``tailbias.metrics`` and
 ``tailbias.harness`` replaced with score matrices and rank positions: one
@@ -29,7 +36,7 @@ from tailbias.bias import BiasVector, lookup_pair_bias, soft_bias
 from tailbias.losses import LossOutput
 from tailbias.metrics import CONSTRAINTS, EvalResult
 from tailbias.model import model_for
-from tailbias.numerics import row_softmax
+from tailbias.numerics import GradCheckReport, attention, attention_backward, row_softmax
 from tailbias.synth import all_ordered_pairs
 
 
@@ -141,6 +148,71 @@ def row_by_row(f, z, y) -> LossOutput:
         value=np.array([o.value for o in outs]),
         grad_logits=np.array([o.grad_logits for o in outs]).reshape(np.shape(z)),
     )
+
+
+# --- finite differences and attention, one coordinate and one head at a time ----
+
+
+def grad_check(f, x, analytic, *, h=1e-5, tol=1e-4, coords=None) -> GradCheckReport:
+    """Central differences one coordinate at a time: ``x`` is moved in place
+    to ``orig + h`` and ``orig - h``, ``f(x)`` is called at each, and ``x`` is
+    restored."""
+    if h <= 0:
+        raise ValueError("step size h must be positive")
+    x = np.asarray(x, dtype=np.float64)
+    analytic = np.asarray(analytic, dtype=np.float64)
+    if analytic.shape != x.shape:
+        raise ValueError("analytic gradient shape must match x")
+    idx = range(x.size) if coords is None else coords
+    flat = x.reshape(-1)
+    worst = -1
+    max_rel = 0.0
+    for i in idx:
+        orig = flat[i]
+        flat[i] = orig + h
+        up = f(x)
+        flat[i] = orig - h
+        down = f(x)
+        flat[i] = orig
+        if not (np.isfinite(up) and np.isfinite(down)):
+            raise ValueError(f"function not finite near coordinate {i}")
+        fd = (up - down) / (2.0 * h)
+        ref = analytic.ravel()[i]
+        rel = float(abs(fd - ref) / max(1.0, abs(ref)))
+        if rel > max_rel:
+            max_rel = rel
+            worst = int(i)
+    return GradCheckReport(
+        max_rel_error=max_rel, worst_coordinate=worst, tolerance=tol, passed=max_rel < tol
+    )
+
+
+def multi_head_attention(x, params, n_h):
+    """Heads attended one column slice at a time and written into ``concat``."""
+    q, k, v = x @ params.wq, x @ params.wk, x @ params.wv
+    d_h = x.shape[1] // n_h
+    concat = np.empty_like(x)
+    head_caches = []
+    for h in range(n_h):
+        sl = slice(h * d_h, (h + 1) * d_h)
+        concat[:, sl], cache_h = attention(q[:, sl], k[:, sl], v[:, sl])
+        head_caches.append(cache_h)
+    return concat @ params.wo, (x, params, n_h, concat, head_caches)
+
+
+def multi_head_attention_backward(g, cache, grads):
+    x, params, n_h, concat, head_caches = cache
+    d_h = x.shape[1] // n_h
+    grads.wo += concat.T @ g
+    dconcat = g @ params.wo.T
+    dq, dk, dv = (np.empty_like(x) for _ in range(3))
+    for h in range(n_h):
+        sl = slice(h * d_h, (h + 1) * d_h)
+        dq[:, sl], dk[:, sl], dv[:, sl] = attention_backward(dconcat[:, sl], head_caches[h])
+    grads.wq += x.T @ dq
+    grads.wk += x.T @ dk
+    grads.wv += x.T @ dv
+    return dq @ params.wq.T + dk @ params.wk.T + dv @ params.wv.T
 
 
 # --- evaluation -----------------------------------------------------------------

@@ -340,6 +340,38 @@ class TestErrors:
         assert err == {"type": "ValueError", "message": f"unknown key '{key}' in {where}"}
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "command, section, key, value, message",
+        [
+            ("synth", None, "objects_min", "3", "synth config key 'objects_min' must be an integer"),
+            ("synth", "label_space", "num_relations", 6.0,
+             "label space key 'num_relations' must be an integer"),
+            ("train", "optimizer", "iterations", "30",
+             "config section 'optimizer' key 'iterations' must be an integer"),
+            ("train", "optimizer", "learning_rate", "0.2",
+             "config section 'optimizer' key 'learning_rate' must be a number"),
+            ("train", "loss", "reweight_normalize", 1,
+             "config section 'loss' key 'reweight_normalize' must be a boolean"),
+            ("train", None, "seed", True, "train config key 'seed' must be an integer"),
+            ("train", "bias", "kind", 1, "bias spec key 'kind' must be a string"),
+        ],
+        ids=["synth", "label-space", "iterations", "learning-rate", "bool", "seed", "bias"],
+    )
+    def test_mistyped_config_value_gives_json_error(
+        self, workspace, tmp_path, capsys, command, section, key, value, message
+    ):
+        root, _, _, _, _ = workspace
+        bad_cfg = json.loads((root / f"{command}.json").read_text())
+        (bad_cfg if section is None else bad_cfg[section])[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad_cfg))
+        capsys.readouterr()
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {"type": "ValueError", "message": message}
+        assert not (tmp_path / "run").exists()
+
     def test_malformed_checkpoint_gives_json_error(self, workspace, tmp_path, capsys):
         _, data_dir, _, _, run_dir = workspace
         doc = json.loads((run_dir / "checkpoint.json").read_text())

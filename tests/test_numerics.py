@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from tailbias.losses import biased_ce
 from tailbias.numerics import (
+    FD_CHUNK,
     AttentionParams,
     attention,
     attention_backward,
@@ -22,6 +26,11 @@ from tailbias.numerics import (
 )
 
 
+def weighted_sums(g, out):
+    """``sum(g * o)`` for each ``o`` stacked along ``out``'s first axis."""
+    return (g * out).reshape(len(out), -1).sum(axis=1)
+
+
 class TestMatmul:
     def test_backward_fd(self, rng):
         a = rng.normal(size=(3, 4))
@@ -29,12 +38,12 @@ class TestMatmul:
         g = rng.normal(size=(3, 2))
         da, db = matmul_backward(g, a, b)
         r = grad_check(
-            lambda v: float(np.sum(g * (v.reshape(3, 4) @ b))), a.ravel(), da.ravel(),
+            lambda s: weighted_sums(g, s.reshape(-1, 3, 4) @ b), a.ravel(), da.ravel(),
             tol=1e-6,
         )
         assert r.passed, r
         r = grad_check(
-            lambda v: float(np.sum(g * (a @ v.reshape(4, 2)))), b.ravel(), db.ravel(),
+            lambda s: weighted_sums(g, a @ s.reshape(-1, 4, 2)), b.ravel(), db.ravel(),
             tol=1e-6,
         )
         assert r.passed, r
@@ -81,12 +90,12 @@ class TestAttention:
         _, cache = attention(q, k, v)
         dq, dk, dv = attention_backward(g, cache)
         for arr, grad, fn in (
-            (q, dq, lambda w: attention(w.reshape(3, 4), k, v)[0]),
-            (k, dk, lambda w: attention(q, w.reshape(5, 4), v)[0]),
-            (v, dv, lambda w: attention(q, k, w.reshape(5, 4))[0]),
+            (q, dq, lambda s: attention(s.reshape(-1, 3, 4), k, v)[0]),
+            (k, dk, lambda s: attention(q, s.reshape(-1, 5, 4), v)[0]),
+            (v, dv, lambda s: attention(q, k, s.reshape(-1, 5, 4))[0]),
         ):
             r = grad_check(
-                lambda w: float(np.sum(g * fn(w))), arr.ravel(), grad.ravel(), tol=1e-5
+                lambda s: weighted_sums(g, fn(s)), arr.ravel(), grad.ravel(), tol=1e-5
             )
             assert r.passed, r
 
@@ -118,19 +127,20 @@ class TestMultiHead:
         x = rng.normal(size=(4, d))
         params = init_attention_params(d, rng)
         vec = flatten(params)
-        params = unflatten(params, vec)
         g = rng.normal(size=x.shape)
         _, cache = multi_head_attention(x, params, 2)
         dvec = np.zeros_like(vec)
         dx = multi_head_attention_backward(g, cache, unflatten(params, dvec))
 
-        def f(_):  # grad_check perturbs vec, which the leaves of params view
-            return float(np.sum(g * multi_head_attention(x, params, 2)[0]))
+        def f(stack):  # one parameter copy per row of the stack
+            return weighted_sums(g, multi_head_attention(x, unflatten(params, stack), 2)[0])
 
         r = grad_check(f, vec, dvec, tol=1e-4)
         assert r.passed, r
         r = grad_check(
-            lambda v: float(np.sum(g * multi_head_attention(v.reshape(x.shape), params, 2)[0])),
+            lambda s: weighted_sums(
+                g, multi_head_attention(s.reshape(-1, *x.shape), params, 2)[0]
+            ),
             x.ravel(),
             dx.ravel(),
             tol=1e-4,
@@ -158,19 +168,18 @@ class TestEncoderLayer:
         x = rng.normal(size=(4, d))
         params = init_encoder_layer_params(d, 16, rng)
         vec = flatten(params)
-        params = unflatten(params, vec)
         g = rng.normal(size=x.shape)
         _, cache = encoder_layer(x, params, 2)
         dvec = np.zeros_like(vec)
         dx = encoder_layer_backward(g, cache, unflatten(params, dvec))
 
-        def f(_):  # grad_check perturbs vec, which the leaves of params view
-            return float(np.sum(g * encoder_layer(x, params, 2)[0]))
+        def f(stack):  # one parameter copy per row of the stack
+            return weighted_sums(g, encoder_layer(x, unflatten(params, stack), 2)[0])
 
         r = grad_check(f, vec, dvec, tol=1e-4)
         assert r.passed, r
         r = grad_check(
-            lambda v: float(np.sum(g * encoder_layer(v.reshape(x.shape), params, 2)[0])),
+            lambda s: weighted_sums(g, encoder_layer(s.reshape(-1, *x.shape), params, 2)[0]),
             x.ravel(),
             dx.ravel(),
             tol=1e-4,
@@ -213,13 +222,13 @@ def test_backward_kernels_add_into_grads(rng, forward, backward, init):
 class TestGradCheck:
     def test_square_function(self):
         x = np.array([3.0])
-        r = grad_check(lambda v: float(v[0] ** 2), x, np.array([6.0]), h=1e-5, tol=1e-8)
+        r = grad_check(lambda s: s[:, 0] ** 2, x, np.array([6.0]), h=1e-5, tol=1e-8)
         assert r.passed
         assert r.max_rel_error < 1e-8
 
     def test_constant_function(self):
         x = np.zeros(4)
-        r = grad_check(lambda v: 1.0, x, np.zeros(4), tol=1e-12)
+        r = grad_check(lambda s: np.ones(len(s)), x, np.zeros(4), tol=1e-12)
         assert r.passed
         assert r.max_rel_error == 0.0
 
@@ -227,39 +236,58 @@ class TestGradCheck:
         z = rng.uniform(-4, 4, 8)
         b = rng.uniform(-2, 2, 8)
         out = biased_ce(z, b, 3)
-        r = grad_check(lambda v: biased_ce(v, b, 3).value, z, out.grad_logits, tol=1e-4)
+        r = grad_check(
+            lambda s: biased_ce(s, np.broadcast_to(b, s.shape), np.full(len(s), 3)).value,
+            z,
+            out.grad_logits,
+            tol=1e-4,
+        )
         assert r.passed, r
 
     def test_report_invariant(self, rng):
         z = rng.uniform(-1, 1, 4)
         wrong = np.zeros(4)
-        r = grad_check(lambda v: float(np.sum(v**2)), z, wrong, tol=1e-6)
+        r = grad_check(lambda s: np.sum(s**2, axis=1), z, wrong, tol=1e-6)
         assert not r.passed
         assert r.max_rel_error >= 1e-6
         assert 0 <= r.worst_coordinate < 4
 
     def test_rejects_bad_h(self):
         with pytest.raises(ValueError):
-            grad_check(lambda v: 0.0, np.zeros(2), np.zeros(2), h=0.0)
+            grad_check(lambda s: np.zeros(len(s)), np.zeros(2), np.zeros(2), h=0.0)
 
-    def test_perturbs_x_in_place_and_restores_it(self, rng):
+    def test_stacks_perturbed_copies_and_leaves_x_alone(self, rng):
         x = rng.normal(size=(2, 3))
         before = x.copy()
         seen = []
 
-        def f(v):
-            assert v is x
-            seen.append(x.copy())
-            return float(np.sum(x**2))
+        def f(stack):
+            seen.append(stack.copy())
+            return np.sum(stack**2, axis=1)
 
         r = grad_check(f, x, 2 * x, coords=[4], tol=1e-8)
         assert r.passed, r
-        assert [s[1, 1] - before[1, 1] for s in seen] == pytest.approx([1e-5, -1e-5])
+        (stack,) = seen
+        want = np.tile(before.ravel(), (2, 1))
+        want[:, 4] = [before[1, 1] + 1e-5, before[1, 1] - 1e-5]
+        assert np.array_equal(stack, want)
         assert np.array_equal(x, before)
+
+    def test_one_call_per_chunk_of_coordinates(self):
+        sizes = []
+
+        def f(stack):
+            sizes.append(len(stack))
+            return np.sum(stack, axis=1)
+
+        n = 2 * FD_CHUNK + 3
+        r = grad_check(f, np.zeros(n), np.ones(n), tol=1e-8)
+        assert r.passed, r
+        assert sizes == [2 * FD_CHUNK, 2 * FD_CHUNK, 6]
 
     def test_rejects_nonfinite_function(self):
         with pytest.raises(ValueError):
-            grad_check(lambda v: float("nan"), np.zeros(2), np.zeros(2))
+            grad_check(lambda s: np.full(len(s), np.nan), np.zeros(2), np.zeros(2))
 
 
 class TestParameterTrees:
@@ -283,6 +311,29 @@ class TestParameterTrees:
         assert np.array_equal(vec, wk_twice)
         vec *= 0.5
         assert np.array_equal(views.wk, params.wk)
+
+    def test_unflatten_views_a_stack_with_a_leading_axis(self, rng):
+        params = [init_encoder_layer_params(4, 8, rng)]
+        stack = rng.normal(size=(3, flatten(params).size))
+        views = unflatten(params, stack)
+        assert [a.shape for a in leaves(views)] == [(3, *a.shape) for a in leaves(params)]
+        assert all(np.shares_memory(a, stack) for a in leaves(views))
+        for row, copy in zip(stack, zip(*(leaves(views)))):
+            assert np.array_equal(np.concatenate([a.ravel() for a in copy]), row)
+
+    def test_dropping_the_tree_frees_the_buffer_without_the_collector(self, rng):
+        params = init_encoder_layer_params(4, 8, rng)
+        stack = np.zeros((2, flatten(params).size))
+        freed = weakref.ref(stack)
+        gc.disable()
+        try:
+            tree = unflatten(params, stack)
+            del stack
+            assert freed() is not None
+            del tree
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_leaf_order_is_stable(self, rng):
         params = init_attention_params(4, rng)
