@@ -1,15 +1,22 @@
 """Training, evaluation, and the inference-bias sweep.
 
-Training is plain SGD with momentum over seeded shuffled image batches. Each
-batch draws every annotated (foreground) pair of its images plus a subsample
-of background pairs at a configurable ratio; the optimized scalar is the mean
-relation loss over the drawn pairs, plus a weighted mean object-classification
-cross-entropy when the model has an object head. Bias rows are gathered from
-a dense class-pair table by the pair's class labels: annotated labels in
-``predcls``, detector argmax in ``sgcls``. Parameters, momentum and
-gradients are flat buffers, with trees as views of them. A step whose loss or
-any gradient is non-finite stops training with a ``FloatingPointError`` that
-names the iteration and, for a gradient, the parameter leaf.
+Training is plain SGD with momentum over seeded shuffled image batches. The
+split is checked and packed once, before the first iteration, into ragged
+arrays with offsets: the ground truth of every image (which alone gives the
+annotation statistics), then the ordered pairs of every image as global
+object rows with their union rows, each image's sorted foreground pairs and
+targets, and its background pairs. Each batch draws every annotated
+(foreground) pair of its images plus a seeded subsample of background pairs
+at a configurable ratio; the optimized scalar is the mean relation loss over
+the drawn pairs, plus a weighted mean object-classification cross-entropy
+when the model has an object head. Each loss is called once per batch on the
+rows of all its images; the model runs one forward and one backward per
+image. Bias rows are gathered from a dense class-pair table by the pair's
+class labels: annotated labels in ``predcls``, detector argmax in
+``sgcls``. Parameters, momentum and gradients are flat buffers, with trees
+as views of them. A step whose loss or any gradient is non-finite stops
+training with a ``FloatingPointError`` that names the iteration and, for a
+gradient, the parameter leaf.
 
 Evaluation forwards each image once and ranks its ``(pairs, relations)``
 score matrix (see :mod:`tailbias.metrics`); the sweep reuses those logits at
@@ -31,7 +38,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -61,8 +68,8 @@ from .model import (
     model_for,
 )
 from .numerics import flatten, leaf_names, leaves, running_sum, unflatten
-from .stats import LabelSpace, TripletStats, check_keys, ingest, marginal_counts
-from .synth import SynthImage, all_ordered_pairs, images_to_triplets
+from .stats import LabelSpace, TripletStats, check_keys, marginal_counts
+from .synth import SynthImage, all_ordered_pairs
 
 __all__ = [
     "LOSS_KINDS",
@@ -208,20 +215,189 @@ class RunLog:
         }
 
 
+class _Truth(NamedTuple):
+    """The checked ground truth of a split, image after image.
+
+    Image ``i``'s objects are rows ``obj_start[i]:obj_start[i + 1]`` of
+    ``labels``; ``gt`` holds every ground-truth triplet ``(subject, object,
+    relation)``, with object indices local to image ``gt_image``.
+    """
+
+    labels: np.ndarray
+    obj_start: np.ndarray
+    gt_image: np.ndarray
+    gt: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Split:
+    """A training split packed once into ragged arrays with offsets.
+
+    Object rows of all images follow one another, image ``i`` at rows
+    ``obj_start[i]:obj_start[i + 1]``, with ``classes`` as the task sees
+    them (see :func:`~tailbias.model.class_labels`). Pair rows hold every
+    image's ordered pairs in :func:`all_ordered_pairs` order, each as the
+    global ``(subject, object)`` rows of ``pairs`` and its ``unions`` row.
+    Image ``i``'s foreground pair rows, sorted, and their relation targets are
+    ``fg_rows`` / ``fg_targets[fg_start[i]:fg_start[i + 1]]``, one per
+    ground-truth triplet, and its background pair rows
+    ``bg_rows[bg_start[i]:bg_start[i + 1]]``.
+    """
+
+    classes: np.ndarray
+    obj_start: np.ndarray
+    pairs: np.ndarray
+    unions: np.ndarray
+    fg_rows: np.ndarray
+    fg_targets: np.ndarray
+    fg_start: np.ndarray
+    bg_rows: np.ndarray
+    bg_start: np.ndarray
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts)])
+
+
+def _check_classes(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError(f"object class label outside 0..{num_classes - 1}")
+    return labels
+
+
+def _check_image(img: SynthImage, label_space: LabelSpace, d_v: int | None) -> None:
+    """Raise ``ValueError`` saying what makes ``img``'s annotations invalid
+    or, with ``d_v``, the image unfit to train on (see :func:`_truth`)."""
+    n = len(img.labels)
+    if d_v is not None:
+        if n < 2:
+            raise ValueError("no pairs: need at least two objects")
+        if img.features.shape[1] != d_v:
+            raise ValueError(f"{img.features.shape[1]} feature columns; the first image has {d_v}")
+        if img.scores.shape[1] != label_space.num_object_classes:
+            raise ValueError(
+                f"detector scores over {img.scores.shape[1]} classes; "
+                f"the label space has {label_space.num_object_classes}"
+            )
+    _check_classes(img.labels, label_space.num_object_classes)
+    candidate_index(img.gt_triplets, n, label_space.num_relations)
+
+
+def _truth(images: Sequence[SynthImage], label_space: LabelSpace, d_v: int | None) -> _Truth:
+    """The ground truth of ``images``, checked.
+
+    A class label outside the label space or invalid ground truth raises
+    ``ValueError`` naming the first such image's index. With ``d_v`` so does
+    an image unfit to train on: fewer than two objects, other than ``d_v``
+    feature columns, or detector scores not over the label space's classes.
+    """
+    num_classes, num_relations = label_space.num_object_classes, label_space.num_relations
+
+    def per_image(values, dtype=np.int64) -> np.ndarray:
+        return np.fromiter(values, dtype=dtype, count=len(images))
+
+    counts = per_image(len(img.labels) for img in images)
+    gt_counts = per_image(len(img.gt_triplets) for img in images)
+    labels = np.concatenate([img.labels for img in images])
+    gt = np.fromiter(
+        chain.from_iterable(chain.from_iterable(img.gt_triplets for img in images)),
+        dtype=np.int64,
+    ).reshape(gt_counts.sum(), 3)
+    gt_image = np.repeat(np.arange(len(images)), gt_counts)
+    obj_start = _offsets(counts)
+
+    # These array tests judge every image at once; the first image they
+    # flag is then checked on its own only to name its fault.
+    bad = np.zeros(len(images), dtype=bool)
+    if d_v is not None:
+        bad = (counts < 2) | per_image(
+            (img.features.shape[1] != d_v or img.scores.shape[1] != num_classes for img in images),
+            dtype=bool,
+        )
+    bad_label = (labels < 0) | (labels >= num_classes)
+    bad[np.searchsorted(obj_start, np.flatnonzero(bad_label), side="right") - 1] = True
+    s, o, r = gt.T
+    n = counts[gt_image]
+    bad_gt = (s < 0) | (s >= n) | (o < 0) | (o >= n) | (s == o) | (r < 1) | (r > num_relations)
+    bad[gt_image[bad_gt]] = True
+    if bad.any():
+        i = int(np.argmax(bad))
+        try:
+            _check_image(images[i], label_space, d_v)
+        except ValueError as exc:
+            raise ValueError(f"image {i}: {exc}") from None
+        raise ValueError(f"image {i}: unfit to train on")
+    return _Truth(labels=labels, obj_start=obj_start, gt_image=gt_image, gt=gt)
+
+
+def _pack(
+    images: Sequence[SynthImage], truth: _Truth, label_space: LabelSpace, task: str
+) -> _Split:
+    """Pack ``images``, whose checked ground truth is ``truth``, into a :class:`_Split`."""
+    num_relations = label_space.num_relations
+    obj_start = truth.obj_start
+    counts = np.diff(obj_start)
+    pair_counts = counts * (counts - 1)
+    pair_start = _offsets(pair_counts)
+    ordered = {k: all_ordered_pairs(k) for k in set(counts.tolist())}
+    pairs = np.concatenate([ordered[k] for k in counts.tolist()])
+    pairs += np.repeat(obj_start[:-1], pair_counts)[:, None]
+
+    # Global pair row and relation, sorted: per image, candidate_index order.
+    s, o, r = truth.gt.T
+    local = s * (counts[truth.gt_image] - 1) + o - (o > s)
+    fg = np.sort((pair_start[truth.gt_image] + local) * num_relations + (r - 1))
+    fg_rows, fg_targets = np.divmod(fg, num_relations)
+    is_bg = np.ones(len(pairs), dtype=bool)
+    is_bg[fg_rows] = False
+    bg_rows = np.flatnonzero(is_bg)
+
+    return _Split(
+        classes=(
+            truth.labels
+            if task == "predcls"
+            else np.concatenate([img.scores.argmax(axis=1) for img in images])
+        ),
+        obj_start=obj_start,
+        pairs=pairs,
+        unions=np.concatenate([img.unions for img in images]),
+        fg_rows=fg_rows,
+        fg_targets=fg_targets + 1,
+        fg_start=_offsets(np.bincount(truth.gt_image, minlength=len(images))),
+        bg_rows=bg_rows,
+        bg_start=np.searchsorted(bg_rows, pair_start),
+    )
+
+
+def _triplet_stats(truth: _Truth, label_space: LabelSpace) -> TripletStats:
+    """Class-level ``(s, o, relation)`` counts of the split's ground truth."""
+    num_classes = label_space.num_object_classes
+    width = label_space.num_relations + 1
+    start = truth.obj_start[truth.gt_image]
+    s, o, r = truth.gt.T
+    s, o = truth.labels[start + s], truth.labels[start + o]
+    dense = np.bincount(
+        (s * num_classes + o) * width + r, minlength=num_classes**2 * width
+    ).reshape(num_classes, num_classes, width)
+    keys = np.argwhere(dense)
+    counts = dict(zip(map(tuple, keys.tolist()), dense[tuple(keys.T)].tolist()))
+    return TripletStats(label_space=label_space, counts=counts, total=len(truth.gt))
+
+
 def training_stats(images: Sequence[SynthImage], label_space: LabelSpace) -> TripletStats:
-    """Annotation statistics of a dataset at the object-class level."""
-    return ingest(images_to_triplets(images), label_space)
+    """Annotation statistics of a dataset at the object-class level; a class
+    label outside the label space or invalid ground truth raises
+    ``ValueError`` naming the image's index."""
+    if not images:
+        return TripletStats(label_space=label_space, counts={}, total=0)
+    return _triplet_stats(_truth(images, label_space, None), label_space)
 
 
-def _class_counts(images: Sequence[SynthImage], stats: TripletStats) -> np.ndarray:
+def _class_counts(split: _Split, stats: TripletStats) -> np.ndarray:
     """Per-class counts over the full logit space; index 0 counts background pairs."""
     counts, _ = marginal_counts(stats)
-    background = 0
-    for img in images:
-        n = len(img.labels)
-        background += n * (n - 1) - len(img.gt_triplets)
     counts = counts.copy()
-    counts[0] = background
+    counts[0] = len(split.pairs) - len(split.fg_rows)
     return counts
 
 
@@ -231,9 +407,10 @@ LossFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], LossOutput]
 def make_loss_fn(config: TrainConfig, bias: Bias | None, class_counts: np.ndarray) -> LossFn:
     """Resolve the configured loss into ``f(logits, targets, s_classes, o_classes)``.
 
-    ``logits`` is an ``(m, C)`` block of relation rows and the other three are
-    ``(m,)`` arrays: each row's target and its pair's subject and object
-    class, by which bias rows are gathered as ``table[s_classes, o_classes]``.
+    Training calls it once per batch, with the batch's ``(Σm, C)`` block of
+    relation rows; the other three are ``(Σm,)`` arrays: each row's target
+    and its pair's subject and object class, by which bias rows are gathered
+    as ``table[s_classes, o_classes]``.
     """
     kind = config.loss.kind
     if kind == "ce":
@@ -255,29 +432,22 @@ def make_loss_fn(config: TrainConfig, bias: Bias | None, class_counts: np.ndarra
     return lambda z, y, s_classes, o_classes: baseline_loss(spec, z, y)
 
 
-def _class_labels(image: SynthImage, config: TrainConfig) -> np.ndarray:
-    """The task's object class labels, which index the dense bias table."""
-    labels = class_labels(image, config.task)
-    n = config.label_space.num_object_classes
-    if labels.size and (labels.min() < 0 or labels.max() >= n):
-        raise ValueError(f"object class label outside 0..{n - 1}")
-    return labels
-
-
-def _training_pairs(
-    img: SynthImage, config: TrainConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Foreground pairs plus a seeded subsample of background pairs, as
-    positions in :func:`all_ordered_pairs` order, and their target labels."""
-    num_relations = config.label_space.num_relations
-    gt = np.sort(candidate_index(img.gt_triplets, len(img.labels), num_relations))
-    fg, fg_targets = np.divmod(gt, num_relations)
-    is_bg = np.ones(len(img.unions), dtype=bool)
-    is_bg[fg] = False
-    bg = np.flatnonzero(is_bg)
-    take = min(len(bg), int(round(config.background_ratio * max(len(fg), 1))))
-    bg = bg[np.sort(rng.choice(len(bg), size=take, replace=False))] if take else bg[:0]
-    return np.concatenate([fg, bg]), np.concatenate([fg_targets + 1, np.zeros_like(bg)])
+def _draw(
+    split: _Split, batch: list[int], background_ratio: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pair rows drawn for ``batch``, their targets, and the ``(B + 1,)``
+    offsets of each image's block: per image, every foreground pair, then a
+    seeded subsample of its background pairs, both in pair order."""
+    rows, targets, sizes = [], [], []
+    for i in batch:
+        fg = slice(split.fg_start[i], split.fg_start[i + 1])
+        bg = split.bg_rows[split.bg_start[i] : split.bg_start[i + 1]]
+        take = min(len(bg), int(round(background_ratio * max(fg.stop - fg.start, 1))))
+        bg = bg[np.sort(rng.choice(len(bg), size=take, replace=False))] if take else bg[:0]
+        rows += [split.fg_rows[fg], bg]
+        targets += [split.fg_targets[fg], np.zeros_like(bg)]
+        sizes.append(fg.stop - fg.start + len(bg))
+    return np.concatenate(rows), np.concatenate(targets), _offsets(sizes)
 
 
 def _batch_loss(
@@ -286,35 +456,43 @@ def _batch_loss(
     params: LinearParams | DualEncoderParams,
     grads: LinearParams | DualEncoderParams,
     loss_fn: LossFn,
-    batch: Sequence[SynthImage],
+    split: _Split,
+    images: Sequence[SynthImage],
+    batch: list[int],
     sample_rng: np.random.Generator,
 ) -> float:
     """The batch's mean relation loss, plus the weighted mean object loss when
-    the model has an object head; adds its parameter gradients into ``grads``."""
-    w_obj = config.model.object_loss_weight
-    obj_count = sum(len(img.labels) for img in batch)
-    per_image = []
-    for img in batch:
-        positions, targets = _training_pairs(img, config, sample_rng)
-        pairs = all_ordered_pairs(len(img.labels))[positions]
-        out = net.forward(
-            img, img.unions[positions], pairs, params, config.model, config.task
-        )
-        classes = _class_labels(img, config)[pairs]
-        rel = loss_fn(out.relation_logits, targets, classes[:, 0], classes[:, 1])
-        # Only a model with an object head returns object logits.
-        use_obj = w_obj > 0 and out.object_logits is not None
-        obj = ce(out.object_logits, img.labels) if use_obj else None
-        per_image.append((out, rel, obj))
-    rel_values = np.concatenate([rel.value for _, rel, _ in per_image])
-    for out, rel, obj in per_image:
-        d_obj = None if obj is None else obj.grad_logits * (w_obj / obj_count)
-        d_rel = rel.grad_logits / len(rel_values)
-        net.backward(d_obj, d_rel, out, params, config.model, grads)
-    loss_value = running_sum(rel_values) / len(rel_values)
-    if use_obj:
-        obj_values = np.concatenate([obj.value for _, _, obj in per_image])
-        loss_value += w_obj * running_sum(obj_values) / obj_count
+    the model has an object head; adds its parameter gradients into ``grads``.
+
+    The model runs once per image; each loss is called once, on the rows of
+    the whole batch, and each image's gradient is added in batch order.
+    """
+    spec = config.model
+    rows, targets, starts = _draw(split, batch, config.background_ratio, sample_rng)
+    pairs = split.pairs[rows]
+    unions = split.unions[rows]
+    local = pairs - np.repeat(split.obj_start[batch], np.diff(starts))[:, None]
+    outs = [
+        net.forward(images[i], unions[a:b], local[a:b], params, spec, config.task)
+        for i, a, b in zip(batch, starts[:-1], starts[1:])
+    ]
+    logits = np.concatenate([out.relation_logits for out in outs])
+    classes = split.classes[pairs]
+    rel = loss_fn(logits, targets, classes[:, 0], classes[:, 1])
+    d_rel = rel.grad_logits / len(rel.value)
+    loss_value = running_sum(rel.value) / len(rel.value)
+
+    # Only a model with an object head returns object logits.
+    d_obj = [None] * len(outs)
+    w_obj = spec.object_loss_weight
+    if w_obj > 0 and outs[0].object_logits is not None:
+        labels = np.concatenate([images[i].labels for i in batch])
+        obj = ce(np.concatenate([out.object_logits for out in outs]), labels)
+        g = obj.grad_logits * (w_obj / len(labels))
+        d_obj = np.split(g, np.cumsum([len(out.object_logits) for out in outs])[:-1])
+        loss_value += w_obj * running_sum(obj.value) / len(labels)
+    for out, g_obj, a, b in zip(outs, d_obj, starts[:-1], starts[1:]):
+        net.backward(g_obj, d_rel[a:b], out, params, spec, grads)
     return loss_value
 
 
@@ -339,7 +517,11 @@ def train(
 
     ``loss_fn`` overrides the configured loss (used by equivalence tests);
     it has the signature of :func:`make_loss_fn`'s result and is called once
-    per image with the ``(m, C)`` relation logits of the image's drawn pairs.
+    per batch, with the batch's ``(Σm, C)`` rows: the relation logits of
+    every pair drawn from its images. The split is packed once, before the
+    first iteration; an image unfit to train on (fewer than two objects,
+    features or detector scores of the wrong width, a class label outside the
+    label space, invalid ground truth) raises ``ValueError`` naming its index.
     With ``eval_every > 0`` and a validation split, R@k/mR@k snapshots are
     recorded in the log every that many iterations.
     """
@@ -347,15 +529,17 @@ def train(
         raise ValueError("empty training dataset")
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     ls = config.label_space
-    stats = training_stats(train_images, ls)
+    d_v = train_images[0].features.shape[1]
+    truth = _truth(train_images, ls, d_v)
+    stats = _triplet_stats(truth, ls)
+    split = _pack(train_images, truth, ls, config.task)
     bias = None
     if config.bias is not None:
         bias = compute_bias(config.bias, stats)
         _check_bias_compatible(bias, ls)
     if loss_fn is None:
-        loss_fn = make_loss_fn(config, bias, _class_counts(train_images, stats))
+        loss_fn = make_loss_fn(config, bias, _class_counts(split, stats))
 
-    d_v = train_images[0].features.shape[1]
     net = model_for(config.model)
     params = net.init(config.model, ls, d_v, _rng(config.seed, INIT_DOMAIN))
     param_vec = flatten(params)
@@ -372,15 +556,17 @@ def train(
     opt = config.optimizer
 
     for step in range(1, opt.iterations + 1):
-        batch: list[SynthImage] = []
+        batch: list[int] = []
         while len(batch) < opt.batch_size:
             if not order:
                 order = shuffle_rng.permutation(len(train_images)).tolist()
-            batch.append(train_images[order.pop(0)])
+            batch.append(order.pop(0))
 
         grad_vec.fill(0.0)
         try:
-            loss_value = _batch_loss(config, net, params, grads, loss_fn, batch, sample_rng)
+            loss_value = _batch_loss(
+                config, net, params, grads, loss_fn, split, train_images, batch, sample_rng
+            )
         except FloatingPointError as exc:
             raise FloatingPointError(f"iteration {step}: {exc}") from None
         if not np.isfinite(loss_value):
@@ -458,7 +644,9 @@ def _forward_split(checkpoint: Checkpoint, images: Sequence[SynthImage]) -> list
         try:
             n = len(img.labels)
             gt_index = candidate_index(img.gt_triplets, n, num_relations)
-            labels = _class_labels(img, config)
+            labels = _check_classes(
+                class_labels(img, config.task), config.label_space.num_object_classes
+            )
             pairs = all_ordered_pairs(n)
             fwd = net.forward(
                 img, img.unions, pairs, checkpoint.params, config.model, config.task

@@ -5,8 +5,8 @@ shape ``(...)`` and, where it has one, a bias of the logits' shape; the last
 axis holds the classes. It returns the per-row values, of the leading shape,
 together with their exact gradient with respect to the logits; biases are
 treated as constants. A single row of shape ``(C,)`` with a scalar target is
-a block of one, with a 0-d value. Training calls each loss once per image and
-head on the ``(m, C)`` logit block of its drawn pairs.
+a block of one, with a 0-d value. Training calls each loss once per batch and
+head, on the ``(Σm, C)`` logit block of the pairs drawn from all its images.
 
 The biased cross-entropy subtracts a per-class bias from the logits before
 the softmax, which decomposes instance-wise as ``biased = plain + gap`` where

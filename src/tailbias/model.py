@@ -18,9 +18,15 @@ them through a stack of encoder layers, classifies objects, fuses ordered
 pairs with their union-box features, runs a second encoder stack over the pair
 tokens, and classifies relations. Its ``forward`` also takes a tree of
 ``(k, ...)`` leaves (``unflatten`` of a ``(k, N)`` stack) and runs the k
-parameter copies at once. Every stage has a hand-written backward pass, so the whole network is certifiable by finite differences. The linear
+parameter copies at once. Every stage has a hand-written backward pass, so
+the whole network is certifiable by finite differences. The linear
 model is a single affine relation head over the raw fused pair features; it
 has no object head, so its ``object_logits`` are None.
+
+Both ``forward`` functions take one image: ``pairs`` index that image's
+object rows, and the dual encoder attends over all of them. Training packs
+the drawn pairs of a batch's images into one block for its loss call, but
+still runs the model once per image.
 
 Task modes: ``predcls`` looks up label embeddings with the annotated object
 labels; ``sgcls`` uses the argmax of the detector scores.
@@ -381,13 +387,14 @@ def linear_forward(
     """Affine relation head over ``[union, subject feature, object feature]``.
 
     ``spec`` and ``mode`` complete the shared protocol; the linear head reads
-    neither, and its object probabilities are the detector scores.
+    neither, and its object probabilities are the detector scores. ``params``
+    may be a tree of ``(k, ...)`` leaves, giving ``(k, P, C)`` logits.
     """
     if len(image.labels) < 2:
         raise ValueError("no pairs: need at least two objects")
     feats = image.features
     x = np.concatenate([union_features, feats[pairs[:, 0]], feats[pairs[:, 1]]], axis=1)
-    logits = x @ params.w + params.b
+    logits = x @ params.w + params.b[..., None, :]
     return ModelOutput(
         object_logits=None,
         object_probs=image.scores,

@@ -36,7 +36,6 @@ __all__ = [
     "generate_split",
     "write_images_jsonl",
     "read_images_jsonl",
-    "images_to_triplets",
 ]
 
 WORLD_DOMAIN = 0
@@ -253,16 +252,6 @@ def generate_split(config: SynthConfig, split: str) -> list[SynthImage]:
     return [
         _sample_image(config, world, _rng(config.seed, domain, i)) for i in range(count)
     ]
-
-
-def images_to_triplets(images: list[SynthImage]) -> list[tuple[int, int, int]]:
-    """Class-level annotation records ``(s_class, o_class, relation)`` from gt."""
-    records = []
-    for img in images:
-        labels = img.labels.tolist()
-        for s, o, r in img.gt_triplets:
-            records.append((labels[s], labels[o], r))
-    return records
 
 
 def write_images_jsonl(images: list[SynthImage], path: str) -> None:

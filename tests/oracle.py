@@ -24,6 +24,12 @@ In ``sgcls`` a candidate also carries the predicted labels of its two
 objects (the argmax of each object's probabilities) and a ground-truth
 triplet the annotated ones; a hit must match on both. Inference-bias rows
 are looked up by the predicted labels too.
+
+Training is the per-image path that ``tailbias.harness`` replaced with a
+split packed once: statistics ingested one triplet at a time, each drawn
+image's pairs worked out anew from its ground truth, and one forward, one
+loss call and one backward per image. Packed training must reproduce its
+losses and parameters bit for bit.
 """
 
 from __future__ import annotations
@@ -32,11 +38,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tailbias.bias import BiasVector, lookup_pair_bias, soft_bias
+from tailbias import harness
+from tailbias.bias import BiasVector, compute_bias, lookup_pair_bias, soft_bias
 from tailbias.losses import LossOutput
-from tailbias.metrics import CONSTRAINTS, EvalResult
-from tailbias.model import model_for
-from tailbias.numerics import GradCheckReport, attention, attention_backward, row_softmax
+from tailbias.metrics import CONSTRAINTS, EvalResult, candidate_index
+from tailbias.model import class_labels, model_for
+from tailbias.numerics import (
+    GradCheckReport,
+    attention,
+    attention_backward,
+    flatten,
+    row_softmax,
+    running_sum,
+    unflatten,
+)
+from tailbias.stats import ingest, marginal_counts
 from tailbias.synth import all_ordered_pairs
 
 
@@ -393,3 +409,104 @@ def sweep(checkpoint, stats, spec, grid, images, ks=None):
         )
         for a_e in grid
     ]
+
+
+# --- training, one image at a time --------------------------------------------
+
+
+def training_stats(images, label_space):
+    """Class-level statistics, one ``(s_class, o_class, relation)`` record
+    per ground-truth triplet."""
+    return ingest(
+        [(img.labels[s], img.labels[o], r) for img in images for s, o, r in img.gt_triplets],
+        label_space,
+    )
+
+
+def class_counts(images, stats):
+    """Per-relation counts; index 0 counts every pair that is not a triplet."""
+    counts = marginal_counts(stats)[0].copy()
+    counts[0] = sum(
+        len(img.labels) * (len(img.labels) - 1) - len(img.gt_triplets) for img in images
+    )
+    return counts
+
+
+def class_labels_checked(image, config):
+    labels = class_labels(image, config.task)
+    n = config.label_space.num_object_classes
+    if labels.size and (labels.min() < 0 or labels.max() >= n):
+        raise ValueError(f"object class label outside 0..{n - 1}")
+    return labels
+
+
+def training_pairs(img, config, rng):
+    """Foreground pairs plus a seeded subsample of background pairs, as
+    positions in ``all_ordered_pairs`` order, and their target labels."""
+    num_relations = config.label_space.num_relations
+    gt = np.sort(candidate_index(img.gt_triplets, len(img.labels), num_relations))
+    fg, fg_targets = np.divmod(gt, num_relations)
+    is_bg = np.ones(len(img.unions), dtype=bool)
+    is_bg[fg] = False
+    bg = np.flatnonzero(is_bg)
+    take = min(len(bg), int(round(config.background_ratio * max(len(fg), 1))))
+    bg = bg[np.sort(rng.choice(len(bg), size=take, replace=False))] if take else bg[:0]
+    return np.concatenate([fg, bg]), np.concatenate([fg_targets + 1, np.zeros_like(bg)])
+
+
+def batch_loss(config, net, params, grads, loss_fn, batch, sample_rng):
+    """One forward, one loss call per head and one backward per image."""
+    w_obj = config.model.object_loss_weight
+    obj_count = sum(len(img.labels) for img in batch)
+    per_image = []
+    for img in batch:
+        positions, targets = training_pairs(img, config, sample_rng)
+        pairs = all_ordered_pairs(len(img.labels))[positions]
+        out = net.forward(img, img.unions[positions], pairs, params, config.model, config.task)
+        classes = class_labels_checked(img, config)[pairs]
+        rel = loss_fn(out.relation_logits, targets, classes[:, 0], classes[:, 1])
+        use_obj = w_obj > 0 and out.object_logits is not None
+        obj = harness.ce(out.object_logits, img.labels) if use_obj else None
+        per_image.append((out, rel, obj))
+    rel_values = np.concatenate([rel.value for _, rel, _ in per_image])
+    for out, rel, obj in per_image:
+        d_obj = None if obj is None else obj.grad_logits * (w_obj / obj_count)
+        net.backward(d_obj, rel.grad_logits / len(rel_values), out, params, config.model, grads)
+    loss_value = running_sum(rel_values) / len(rel_values)
+    if use_obj:
+        obj_values = np.concatenate([obj.value for _, _, obj in per_image])
+        loss_value += w_obj * running_sum(obj_values) / obj_count
+    return loss_value
+
+
+def train(config, images, loss_fn=None):
+    """SGD with momentum over per-image draws; the final flat parameters and
+    the per-iteration losses."""
+    ls = config.label_space
+    stats = training_stats(images, ls)
+    bias = None if config.bias is None else compute_bias(config.bias, stats)
+    if loss_fn is None:
+        loss_fn = harness.make_loss_fn(config, bias, class_counts(images, stats))
+    net = model_for(config.model)
+    d_v = images[0].features.shape[1]
+    params = net.init(config.model, ls, d_v, harness._rng(config.seed, harness.INIT_DOMAIN))
+    param_vec = flatten(params)
+    params = unflatten(params, param_vec)
+    velocity = np.zeros_like(param_vec)
+    grad_vec = np.zeros_like(param_vec)
+    grads = unflatten(params, grad_vec)
+    shuffle_rng = harness._rng(config.seed, harness.SHUFFLE_DOMAIN)
+    sample_rng = harness._rng(config.seed, harness.SAMPLE_DOMAIN)
+    order, losses, opt = [], [], config.optimizer
+    for _ in range(opt.iterations):
+        batch = []
+        while len(batch) < opt.batch_size:
+            if not order:
+                order = shuffle_rng.permutation(len(images)).tolist()
+            batch.append(images[order.pop(0)])
+        grad_vec.fill(0.0)
+        losses.append(batch_loss(config, net, params, grads, loss_fn, batch, sample_rng))
+        velocity *= opt.momentum
+        velocity += grad_vec
+        param_vec -= opt.learning_rate * velocity
+    return param_vec, losses

@@ -8,11 +8,11 @@ held to the one-coordinate-at-a-time loop in ``oracle.py``.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from tailbias.model import ModelSpec, forward, init_dual_encoder
+from tailbias.model import ModelSpec, forward, init_dual_encoder, init_linear, linear_forward
 from tailbias.numerics import (
     FD_CHUNK,
     _ffn,
@@ -144,6 +144,30 @@ def test_model_forward_on_a_parameter_stack(seed, k, n, mode):
         one = forward(image, image.unions, pairs, unflatten(params, row), spec, mode)
         for name in ("object_logits", "object_probs", "relation_logits"):
             assert np.array_equal(getattr(out, name)[i], getattr(one, name)), name
+
+
+# k == P: three objects have six ordered pairs, and six copies once broadcast
+# a (k, N) bias across the pair axis instead of the copy axis.
+@example(seed=0, k=6, n=3)
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS, k=st.integers(1, 7), n=st.integers(2, 4))
+def test_linear_forward_on_a_parameter_stack(seed, k, n):
+    rng = np.random.default_rng(seed)
+    ls = LabelSpace(num_object_classes=4, num_relations=3)
+    params = init_linear(ModelSpec(), ls, 5, rng)
+    params.b[:] = rng.normal(size=params.b.shape)
+    image = make_image(rng, n, ls.num_object_classes, 5)
+    pairs = all_ordered_pairs(n)
+    batch, stack = stacked(params, k, rng)
+    out = linear_forward(image, image.unions, pairs, batch, ModelSpec())
+    assert_items_equal(
+        out.relation_logits,
+        [
+            linear_forward(image, image.unions, pairs, unflatten(params, row), ModelSpec())
+            .relation_logits
+            for row in stack
+        ],
+    )
 
 
 def row_function(seed):

@@ -288,6 +288,28 @@ class TestErrors:
         )
         assert not (tmp_path / "eval").exists()
 
+    def test_invalid_training_image_gives_json_error(self, workspace, tmp_path, capsys):
+        root, data_dir, _, _, _ = workspace
+        lines = (data_dir / "train.jsonl").read_text().splitlines()
+        doc = json.loads(lines[3])
+        doc["gt"].append([7, 0, 1])
+        lines[3] = json.dumps(doc)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main([
+            "train", "--config", str(root / "train.json"), "--data", str(bad),
+            "--out", str(tmp_path / "run"),
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["type"] == "ValueError"
+        assert re.fullmatch(
+            r"image 3: ground-truth triplet \(7, 0, 1\) has an object index outside 0\.\.\d",
+            err["message"],
+        )
+        assert not (tmp_path / "run").exists()
+
     def test_malformed_jsonl_gives_json_error_naming_the_line(
         self, workspace, tmp_path, capsys
     ):

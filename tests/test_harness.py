@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracle
+from tailbias import harness
 from tailbias.bias import BiasSpec, BiasVector, compute_bias
 from tailbias.harness import (
     Checkpoint,
@@ -217,13 +218,13 @@ class TestTrain:
         ck, _ = train(config, train_images)
 
         # replay: same init, same batch, same sampled pairs
-        from tailbias.harness import SAMPLE_DOMAIN, SHUFFLE_DOMAIN, _rng, _training_pairs
+        from tailbias.harness import SAMPLE_DOMAIN, SHUFFLE_DOMAIN, _rng
         from tailbias.losses import ce as ce_loss
 
         d_v = train_images[0].features.shape[1]
         init_params = init_linear(ModelSpec(), space, d_v, _rng(13, 10))
         first = train_images[_rng(13, SHUFFLE_DOMAIN).permutation(len(train_images))[0]]
-        positions, targets = _training_pairs(first, config, _rng(13, SAMPLE_DOMAIN))
+        positions, targets = oracle.training_pairs(first, config, _rng(13, SAMPLE_DOMAIN))
         pairs = all_ordered_pairs(len(first.labels))[positions]
         x = np.stack(
             [
@@ -267,10 +268,7 @@ class TestTrain:
         ldam_cfg = linear_config(space, loss=LossConfig(kind="ldam", margin_c=0.5))
         _, log_ldam = train(ldam_cfg, train_images)
 
-        stats = training_stats(train_images, space)
-        from tailbias.harness import _class_counts
-
-        counts = _class_counts(train_images, stats)
+        counts = oracle.class_counts(train_images, training_stats(train_images, space))
 
         def indicator_loss(z, y, s_classes, o_classes):
             b = np.zeros_like(z)
@@ -308,6 +306,29 @@ class TestTrain:
         _, log = train(config, train_images)
         assert len(log.losses) == 5
         assert all(np.isfinite(v) for v in log.losses)
+
+    @pytest.mark.parametrize("kind", ["linear", "dual_encoder"])
+    def test_loss_is_called_once_per_batch_on_all_its_rows(self, space, data, kind):
+        # The per-image oracle calls the loss once per image; one call per
+        # iteration must cover exactly the rows those calls covered.
+        config = model_config(space, kind)
+        rows, per_image_rows = [], []
+
+        def counting(calls):
+            def loss_fn(z, y, s_classes, o_classes):
+                assert len(y) == len(s_classes) == len(o_classes) == len(z)
+                calls.append(len(z))
+                return ce(z, y)
+
+            return loss_fn
+
+        train(config, data[0], loss_fn=counting(rows))
+        oracle.train(config, data[0], loss_fn=counting(per_image_rows))
+        size = config.optimizer.batch_size
+        assert len(rows) == config.optimizer.iterations
+        assert rows == [
+            sum(per_image_rows[i : i + size]) for i in range(0, len(per_image_rows), size)
+        ]
 
 
 def perfect_split(space):
@@ -348,6 +369,105 @@ def perfect_checkpoint(space):
         eval_ks=(10, 50),
     )
     return Checkpoint(config=config, iterations=1, params=params)
+
+
+def one_object_image(space):
+    num = space.num_relations + 1
+    return SynthImage(
+        boxes=[[0.1, 0.1, 0.4, 0.4]], features=np.zeros((1, num)), labels=[0],
+        scores=np.eye(space.num_object_classes)[[0]], unions=np.zeros((0, num)),
+        gt_triplets=[],
+    )
+
+
+def with_labels(img, labels):
+    return replace(img, labels=np.array(labels))
+
+
+def split_with_unfit_image_4(space, corrupt):
+    """``perfect_split`` twice, with image 4 corrupted and image 5 given an
+    out-of-range ground-truth object index."""
+    images = perfect_split(space) * 2
+    images[4] = corrupt(images[4], space)
+    images[5] = replace(images[5], gt_triplets=[(0, 5, 1)])
+    return images
+
+
+def assert_training_refuses(space, images, want):
+    calls = []
+
+    def loss_fn(z, y, s_classes, o_classes):
+        calls.append(1)
+        return ce(z, y)
+
+    for task in ("predcls", "sgcls"):
+        with pytest.raises(ValueError, match=want):
+            train(linear_config(space, task=task), images, loss_fn=loss_fn)
+    assert calls == []
+
+
+class TestTrainingImages:
+    """Every training image is checked once, before the first iteration, and
+    the first unfit one is named by its index in the split. Statistics check
+    only the annotations they count."""
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda img, sp: replace(img, gt_triplets=[(7, 0, 1)]),
+             "ground-truth triplet (7, 0, 1) has an object index outside 0..2"),
+            (lambda img, sp: replace(img, gt_triplets=[(-1, 0, 1)]),
+             "ground-truth triplet (-1, 0, 1) has an object index outside 0..2"),
+            (lambda img, sp: replace(img, gt_triplets=[(0, 1, 1), (1, 2, 9)]),
+             "ground-truth triplet (1, 2, 9) has a relation outside 1..8"),
+            (lambda img, sp: replace(img, gt_triplets=[(1, 0, 0)]),
+             "ground-truth triplet (1, 0, 0) has a relation outside 1..8"),
+            (lambda img, sp: replace(img, gt_triplets=[(2, 2, 1)]),
+             "ground-truth triplet (2, 2, 1) has the same subject and object"),
+            (lambda img, sp: with_labels(img, [0, 1, 6]), "object class label outside 0..5"),
+            (lambda img, sp: with_labels(img, [-1, 1, 2]), "object class label outside 0..5"),
+        ],
+        ids=["object-index", "negative-index", "relation", "relation-zero", "self-pair",
+             "label-high", "label-low"],
+    )
+    def test_first_unfit_image_is_named_before_training(self, space, corrupt, message):
+        images = split_with_unfit_image_4(space, corrupt)
+        want = f"^image 4: {re.escape(message)}$"
+        assert_training_refuses(space, images, want)
+        with pytest.raises(ValueError, match=want):
+            training_stats(images, space)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda img, sp: one_object_image(sp), "no pairs: need at least two objects"),
+            (lambda img, sp: replace(img, scores=np.full((3, 3), 1 / 3)),
+             "detector scores over 3 classes; the label space has 6"),
+            (lambda img, sp: replace(img, features=np.zeros((3, 2)), unions=np.zeros((6, 2))),
+             "2 feature columns; the first image has 9"),
+        ],
+        ids=["one-object", "score-width", "feature-width"],
+    )
+    def test_statistics_pass_an_image_only_training_refuses(self, space, corrupt, message):
+        images = split_with_unfit_image_4(space, corrupt)
+        assert_training_refuses(space, images, f"^image 4: {re.escape(message)}$")
+        with pytest.raises(ValueError, match=r"^image 5: ground-truth triplet \(0, 5, 1\)"):
+            training_stats(images, space)
+
+    def test_the_array_checks_alone_refuse_a_flagged_image(self, space, monkeypatch):
+        """The per-image check only words the message: an image the array
+        tests flag is refused even when that check finds nothing."""
+        monkeypatch.setattr(harness, "_check_image", lambda *args: None)
+        images = split_with_unfit_image_4(
+            space, lambda img, sp: replace(img, gt_triplets=[(7, 0, 1)])
+        )
+        assert_training_refuses(space, images, "^image 4: unfit to train on$")
+        with pytest.raises(ValueError, match="^image 4: unfit to train on$"):
+            training_stats(images, space)
+
+    def test_a_valid_split_packs_like_the_per_image_statistics(self, space, data):
+        train_images, _ = data
+        assert training_stats(train_images, space) == oracle.training_stats(train_images, space)
 
 
 class TestEvaluate:
@@ -452,9 +572,10 @@ class TestEvaluate:
         images[1] = replace(images[1], labels=labels)
         with pytest.raises(ValueError, match="image 1: object class label outside 0..5"):
             evaluate(perfect_checkpoint(space), images)
-        # Training statistics check annotated objects; an unannotated one is
-        # caught when its pairs are drawn.
+        # Training checks every object of every image, annotated or not,
+        # before the first iteration.
         train_images = list(data[0])
+        changed = []
         for i, img in enumerate(train_images):
             annotated = {t[0] for t in img.gt_triplets} | {t[1] for t in img.gt_triplets}
             free = [j for j in range(len(img.labels)) if j not in annotated]
@@ -462,7 +583,9 @@ class TestEvaluate:
                 labels = img.labels.copy()
                 labels[free[0]] = -1
                 train_images[i] = replace(img, labels=labels)
-        with pytest.raises(ValueError, match="object class label outside 0..5"):
+                changed.append(i)
+        message = rf"^image {changed[0]}: object class label outside 0\.\.5$"
+        with pytest.raises(ValueError, match=message):
             train(linear_config(space), train_images)
 
     def test_non_finite_logits_name_the_image(self, space):

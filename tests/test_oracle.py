@@ -1,7 +1,10 @@
-"""The array evaluation path against the scalar oracle in ``oracle.py``.
+"""The array evaluation and packed training paths against the oracles in
+``oracle.py``.
 
 Rankings must match candidate for candidate, exact ties included, and every
 R@k, mR@k and per-relation recall must be identical, NaN positions included.
+Packed training must give the per-image path's losses and parameters bit for
+bit.
 """
 
 import numpy as np
@@ -23,7 +26,8 @@ from tailbias.harness import (
 )
 from tailbias.metrics import CONSTRAINTS, candidate_index, evaluate_split, rank, ranking
 from tailbias.stats import LabelSpace
-from tailbias.synth import SynthConfig, all_ordered_pairs, generate_split
+from tailbias.numerics import flatten
+from tailbias.synth import SynthConfig, SynthImage, all_ordered_pairs, generate_split
 
 
 def assert_same_results(got, want):
@@ -160,3 +164,91 @@ def test_sweep_matches_oracle(trained):
     assert [a for a, _ in got] == [a for a, _ in want] == grid
     for (_, a), (_, b) in zip(got, want):
         assert_same_results(a, b)
+
+
+# --- packed training against per-image training -------------------------------
+
+SMALL = LabelSpace(num_object_classes=3, num_relations=3)
+D_V = 3
+
+
+@st.composite
+def training_image(draw):
+    """A random image whose ground truth covers none, all, or some of its
+    ordered pairs, a pair possibly twice."""
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = [tuple(p) for p in all_ordered_pairs(n).tolist()]
+    cover = draw(st.sampled_from(["none", "all", "some"]))
+    if cover == "none":
+        annotated = []
+    elif cover == "all":
+        annotated = pairs
+    else:
+        annotated = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs)))
+    relations = draw(
+        st.lists(st.integers(1, SMALL.num_relations), min_size=len(annotated),
+                 max_size=len(annotated))
+    )
+    scores = rng.uniform(0.05, 1.0, (n, SMALL.num_object_classes))
+    x1, y1 = rng.uniform(0.05, 0.4, (2, n))
+    return SynthImage(
+        boxes=np.stack([x1, y1, x1 + 0.3, y1 + 0.3], axis=1),
+        features=rng.normal(size=(n, D_V)),
+        labels=rng.integers(0, SMALL.num_object_classes, n),
+        scores=scores / scores.sum(axis=1, keepdims=True),
+        unions=rng.normal(size=(n * (n - 1), D_V)),
+        gt_triplets=[(s, o, r) for (s, o), r in zip(annotated, relations)],
+    )
+
+
+def outcome(run):
+    """A run's result, or the type and text of the error it raised."""
+    try:
+        return run()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(
+    images=st.lists(training_image(), min_size=1, max_size=5),
+    kind=st.sampled_from(["linear", "dual_encoder"]),
+    task=st.sampled_from(["predcls", "sgcls"]),
+    loss=st.sampled_from(["ce", "rtpb", "class_balanced"]),
+    background_ratio=st.sampled_from([0.0, 0.5, 3.0]),
+    batch_size=st.integers(1, 4),
+    iterations=st.integers(1, 3),
+    seed=st.integers(0, 1000),
+)
+@settings(max_examples=100, deadline=None)
+def test_packed_training_matches_the_per_image_oracle(
+    images, kind, task, loss, background_ratio, batch_size, iterations, seed
+):
+    model = (
+        ModelSpec(kind="linear") if kind == "linear"
+        else ModelSpec(kind="dual_encoder", d_model=4, n_h=2, n_o=1, n_r=1, d_ff=4, d_e=2, d_pos=2)
+    )
+    config = TrainConfig(
+        label_space=SMALL,
+        task=task,
+        model=model,
+        loss=LossConfig(kind=loss),
+        bias=BiasSpec(kind="pb" if task == "sgcls" else "cb", a=1.0, epsilon=1e-3)
+        if loss == "rtpb" else None,
+        optimizer=OptimizerConfig(
+            learning_rate=0.1, momentum=0.9, iterations=iterations, batch_size=batch_size
+        ),
+        seed=seed,
+        background_ratio=background_ratio,
+    )
+
+    def packed():
+        checkpoint, log = train(config, images)
+        return flatten(checkpoint.params), log.losses
+
+    got, want = outcome(packed), outcome(lambda: oracle.train(config, images))
+    if isinstance(want[0], str):
+        assert got == want
+    else:
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]

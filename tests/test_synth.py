@@ -11,7 +11,6 @@ from tailbias.synth import (
     all_ordered_pairs,
     build_world,
     generate_split,
-    images_to_triplets,
     read_images_jsonl,
     write_images_jsonl,
     zipf_weights,
@@ -126,7 +125,7 @@ class TestGenerate:
         images = generate_split(cfg, "train")
         world = build_world(cfg)
         hist = np.zeros(cfg.label_space.num_relations)
-        for _, _, r in images_to_triplets(images):
+        for _, _, r in (t for img in images for t in img.gt_triplets):
             hist[r - 1] += 1
         empirical = hist / hist.sum()
         tv = 0.5 * np.abs(empirical - world.zipf).sum()
