@@ -76,13 +76,7 @@ class BiasSpec:
             raise ValueError("a_eval must lie in [0, a]")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "a": self.a,
-            "epsilon": self.epsilon,
-            "a_eval": self.a_eval,
-            "background": self.background,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d: Mapping, extra: tuple[str, ...] = ()) -> "BiasSpec":

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from . import __version__
 from .bias import BiasSpec, bias_from_json, bias_to_json, compute_bias
@@ -108,7 +109,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_bias(args) -> int:
-    stats = stats_from_json(open(args.stats, "r", encoding="utf-8").read())
+    stats = stats_from_json(Path(args.stats).read_text(encoding="utf-8"))
     spec = BiasSpec(
         kind=args.kind,
         a=args.a,
@@ -151,7 +152,7 @@ def cmd_eval(args) -> int:
     ks = _parse_ks(args.ks, checkpoint.config.eval_ks)
     inference_bias = None
     if args.bias:
-        _, inference_bias = bias_from_json(open(args.bias, "r", encoding="utf-8").read())
+        _, inference_bias = bias_from_json(Path(args.bias).read_text(encoding="utf-8"))
     results = evaluate(checkpoint, images, inference_bias=inference_bias, ks=ks)
     out = _ensure_out(args.out)
     _write_text(
@@ -172,7 +173,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
-    stats = stats_from_json(open(args.stats, "r", encoding="utf-8").read())
+    stats = stats_from_json(Path(args.stats).read_text(encoding="utf-8"))
     images = read_images_jsonl(args.data)
     ks = _parse_ks(args.ks, checkpoint.config.eval_ks)
     spec = checkpoint.config.bias
@@ -194,16 +195,7 @@ def cmd_gradcheck(args) -> int:
         print(r.line())
     if args.out:
         out = _ensure_out(args.out)
-        doc = [
-            {
-                "name": r.name,
-                "instances": r.instances,
-                "max_rel_error": r.max_rel_error,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-            }
-            for r in results
-        ]
+        doc = [{**vars(r), "passed": r.passed} for r in results]
         _write_text(os.path.join(out, "gradcheck.json"), json.dumps(doc, indent=2) + "\n")
         _write_manifest(out, "gradcheck", ["gradcheck.json"])
     return 0 if all(r.passed for r in results) else 1

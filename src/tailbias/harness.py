@@ -1,7 +1,8 @@
 """Training, evaluation, and the inference-bias sweep.
 
 Training is plain SGD with momentum over seeded shuffled image batches. The
-split is checked and packed once, before the first iteration, into ragged
+split is checked (by array masks over all its images, as every split is; see
+:func:`_truth`) and packed once, before the first iteration, into ragged
 arrays with offsets: the ground truth of every image (which alone gives the
 annotation statistics), then the ordered pairs of every image as global
 object rows with their union rows, each image's sorted foreground pairs and
@@ -18,8 +19,9 @@ as views of them. A step whose loss or any gradient is non-finite stops
 training with a ``FloatingPointError`` that names the iteration and, for a
 gradient, the parameter leaf.
 
-Evaluation forwards each image once and ranks its ``(pairs, relations)``
-score matrix (see :mod:`tailbias.metrics`); the sweep reuses those logits at
+Evaluation checks what training checks, at the checkpoint's feature width,
+then forwards each image once and ranks its ``(pairs, relations)`` score
+matrix (see :mod:`tailbias.metrics`); the sweep reuses those logits at
 every grid point and only re-biases, re-scores and re-ranks. In ``sgcls``
 evaluation the argmax of the model's object probabilities is the object label
 throughout: inference-bias rows are gathered by it, and a ground-truth
@@ -62,13 +64,12 @@ from .model import (
     LinearParams,
     Model,
     ModelSpec,
-    class_labels,
     feature_width,
     forward,  # noqa: F401 - perfbench/tests check that tracing restores this binding
     model_for,
 )
 from .numerics import flatten, leaf_names, leaves, running_sum, unflatten
-from .stats import LabelSpace, TripletStats, check_keys, marginal_counts
+from .stats import LabelSpace, TripletStats, check_keys, marginal_counts, refuse_first
 from .synth import SynthImage, all_ordered_pairs
 
 __all__ = [
@@ -205,28 +206,23 @@ class RunLog:
     version: str = __version__
 
     def to_dict(self) -> dict:
-        return {
-            "losses": self.losses,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "config": self.config,
-            "val_metrics": self.val_metrics,
-            "version": self.version,
-        }
+        return dict(vars(self))
 
 
 class _Truth(NamedTuple):
     """The checked ground truth of a split, image after image.
 
     Image ``i``'s objects are rows ``obj_start[i]:obj_start[i + 1]`` of
-    ``labels``; ``gt`` holds every ground-truth triplet ``(subject, object,
-    relation)``, with object indices local to image ``gt_image``.
+    ``labels`` and its ground-truth triplets ``(subject, object, relation)``
+    rows ``gt_start[i]:gt_start[i + 1]`` of ``gt``, with object indices local
+    to the image; ``gt_image`` is each triplet's image.
     """
 
     labels: np.ndarray
     obj_start: np.ndarray
-    gt_image: np.ndarray
     gt: np.ndarray
+    gt_start: np.ndarray
+    gt_image: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -259,75 +255,69 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts)])
 
 
-def _check_classes(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(f"object class label outside 0..{num_classes - 1}")
-    return labels
+def _truth(
+    images: Sequence[SynthImage],
+    label_space: LabelSpace,
+    d_v: int | None,
+    d_v_of: str = "the first image",
+) -> _Truth:
+    """The ground truth of ``images``, checked once for the whole split.
 
-
-def _check_image(img: SynthImage, label_space: LabelSpace, d_v: int | None) -> None:
-    """Raise ``ValueError`` saying what makes ``img``'s annotations invalid
-    or, with ``d_v``, the image unfit to train on (see :func:`_truth`)."""
-    n = len(img.labels)
-    if d_v is not None:
-        if n < 2:
-            raise ValueError("no pairs: need at least two objects")
-        if img.features.shape[1] != d_v:
-            raise ValueError(f"{img.features.shape[1]} feature columns; the first image has {d_v}")
-        if img.scores.shape[1] != label_space.num_object_classes:
-            raise ValueError(
-                f"detector scores over {img.scores.shape[1]} classes; "
-                f"the label space has {label_space.num_object_classes}"
-            )
-    _check_classes(img.labels, label_space.num_object_classes)
-    candidate_index(img.gt_triplets, n, label_space.num_relations)
-
-
-def _truth(images: Sequence[SynthImage], label_space: LabelSpace, d_v: int | None) -> _Truth:
-    """The ground truth of ``images``, checked.
-
-    A class label outside the label space or invalid ground truth raises
-    ``ValueError`` naming the first such image's index. With ``d_v`` so does
-    an image unfit to train on: fewer than two objects, other than ``d_v``
-    feature columns, or detector scores not over the label space's classes.
+    Raises ``ValueError`` naming the first faulty image's index and its first
+    fault in this order: with ``d_v``, fewer than two objects, other than
+    ``d_v`` feature columns (``d_v_of`` says whose width that is), or detector
+    scores not over the label space's classes; then a class label outside the
+    label space; then its first invalid ground-truth triplet (an object index
+    out of range, equal subject and object, a relation outside ``1..L``).
     """
     num_classes, num_relations = label_space.num_object_classes, label_space.num_relations
 
-    def per_image(values, dtype=np.int64) -> np.ndarray:
-        return np.fromiter(values, dtype=dtype, count=len(images))
+    def per_image(values) -> np.ndarray:
+        return np.fromiter(values, dtype=np.int64, count=len(images))
 
     counts = per_image(len(img.labels) for img in images)
     gt_counts = per_image(len(img.gt_triplets) for img in images)
-    labels = np.concatenate([img.labels for img in images])
+    labels = np.concatenate([np.zeros(0, dtype=np.int64), *(img.labels for img in images)])
     gt = np.fromiter(
         chain.from_iterable(chain.from_iterable(img.gt_triplets for img in images)),
         dtype=np.int64,
     ).reshape(gt_counts.sum(), 3)
-    gt_image = np.repeat(np.arange(len(images)), gt_counts)
-    obj_start = _offsets(counts)
+    image = np.arange(len(images))
+    truth = _Truth(labels, _offsets(counts), gt, _offsets(gt_counts), np.repeat(image, gt_counts))
 
-    # These array tests judge every image at once; the first image they
-    # flag is then checked on its own only to name its fault.
-    bad = np.zeros(len(images), dtype=bool)
-    if d_v is not None:
-        bad = (counts < 2) | per_image(
-            (img.features.shape[1] != d_v or img.scores.shape[1] != num_classes for img in images),
-            dtype=bool,
-        )
-    bad_label = (labels < 0) | (labels >= num_classes)
-    bad[np.searchsorted(obj_start, np.flatnonzero(bad_label), side="right") - 1] = True
+    def flagged(element_image: np.ndarray, bad: np.ndarray) -> np.ndarray:
+        return np.bincount(element_image[bad], minlength=len(images)) > 0
+
     s, o, r = gt.T
-    n = counts[gt_image]
-    bad_gt = (s < 0) | (s >= n) | (o < 0) | (o >= n) | (s == o) | (r < 1) | (r > num_relations)
-    bad[gt_image[bad_gt]] = True
-    if bad.any():
-        i = int(np.argmax(bad))
-        try:
-            _check_image(images[i], label_space, d_v)
-        except ValueError as exc:
-            raise ValueError(f"image {i}: {exc}") from None
-        raise ValueError(f"image {i}: unfit to train on")
-    return _Truth(labels=labels, obj_start=obj_start, gt_image=gt_image, gt=gt)
+    bad_index = (s < 0) | (o < 0) | (np.maximum(s, o) >= counts[truth.gt_image])
+    bad_pair = bad_index | (s == o)
+    bad_gt = bad_pair | (r < 1) | (r > num_relations)
+
+    def gt_fault(i: int) -> str:
+        t = int(np.argmax(bad_gt & (truth.gt_image == i)))
+        why = (
+            f"an object index outside 0..{counts[i] - 1}" if bad_index[t]
+            else "the same subject and object" if bad_pair[t]
+            else f"a relation outside 1..{num_relations}"
+        )
+        return f"ground-truth triplet {tuple(gt[t].tolist())} has {why}"
+
+    checks = []
+    if d_v is not None:
+        widths = per_image(img.features.shape[1] for img in images)
+        score_widths = per_image(img.scores.shape[1] for img in images)
+        checks += [
+            (counts < 2, lambda i: "no pairs: need at least two objects"),
+            (widths != d_v, lambda i: f"{widths[i]} feature columns; {d_v_of} has {d_v}"),
+            (score_widths != num_classes, lambda i: f"detector scores over {score_widths[i]} "
+             f"classes; the label space has {num_classes}"),
+        ]
+    refuse_first(checks + [
+        (flagged(np.repeat(image, counts), (labels < 0) | (labels >= num_classes)),
+         lambda i: f"object class label outside 0..{num_classes - 1}"),
+        (flagged(truth.gt_image, bad_gt), gt_fault),
+    ], "image")
+    return truth
 
 
 def _pack(
@@ -344,9 +334,8 @@ def _pack(
     pairs += np.repeat(obj_start[:-1], pair_counts)[:, None]
 
     # Global pair row and relation, sorted: per image, candidate_index order.
-    s, o, r = truth.gt.T
-    local = s * (counts[truth.gt_image] - 1) + o - (o > s)
-    fg = np.sort((pair_start[truth.gt_image] + local) * num_relations + (r - 1))
+    local = candidate_index(truth.gt, counts[truth.gt_image], num_relations)
+    fg = np.sort(pair_start[truth.gt_image] * num_relations + local)
     fg_rows, fg_targets = np.divmod(fg, num_relations)
     is_bg = np.ones(len(pairs), dtype=bool)
     is_bg[fg_rows] = False
@@ -363,7 +352,7 @@ def _pack(
         unions=np.concatenate([img.unions for img in images]),
         fg_rows=fg_rows,
         fg_targets=fg_targets + 1,
-        fg_start=_offsets(np.bincount(truth.gt_image, minlength=len(images))),
+        fg_start=truth.gt_start,
         bg_rows=bg_rows,
         bg_start=np.searchsorted(bg_rows, pair_start),
     )
@@ -379,17 +368,13 @@ def _triplet_stats(truth: _Truth, label_space: LabelSpace) -> TripletStats:
     dense = np.bincount(
         (s * num_classes + o) * width + r, minlength=num_classes**2 * width
     ).reshape(num_classes, num_classes, width)
-    keys = np.argwhere(dense)
-    counts = dict(zip(map(tuple, keys.tolist()), dense[tuple(keys.T)].tolist()))
-    return TripletStats(label_space=label_space, counts=counts, total=len(truth.gt))
+    return TripletStats(label_space, dense.astype(np.int64, copy=False))
 
 
 def training_stats(images: Sequence[SynthImage], label_space: LabelSpace) -> TripletStats:
     """Annotation statistics of a dataset at the object-class level; a class
     label outside the label space or invalid ground truth raises
     ``ValueError`` naming the image's index."""
-    if not images:
-        return TripletStats(label_space=label_space, counts={}, total=0)
     return _triplet_stats(_truth(images, label_space, None), label_space)
 
 
@@ -459,16 +444,17 @@ def _batch_loss(
     split: _Split,
     images: Sequence[SynthImage],
     batch: list[int],
-    sample_rng: np.random.Generator,
+    drawn: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> float:
-    """The batch's mean relation loss, plus the weighted mean object loss when
-    the model has an object head; adds its parameter gradients into ``grads``.
+    """The batch's mean relation loss over its ``drawn`` pairs (see
+    :func:`_draw`), plus the weighted mean object loss when the model has an
+    object head; adds its parameter gradients into ``grads``.
 
     The model runs once per image; each loss is called once, on the rows of
     the whole batch, and each image's gradient is added in batch order.
     """
     spec = config.model
-    rows, targets, starts = _draw(split, batch, config.background_ratio, sample_rng)
+    rows, targets, starts = drawn
     pairs = split.pairs[rows]
     unions = split.unions[rows]
     local = pairs - np.repeat(split.obj_start[batch], np.diff(starts))[:, None]
@@ -521,7 +507,8 @@ def train(
     every pair drawn from its images. The split is packed once, before the
     first iteration; an image unfit to train on (fewer than two objects,
     features or detector scores of the wrong width, a class label outside the
-    label space, invalid ground truth) raises ``ValueError`` naming its index.
+    label space, invalid ground truth) raises ``ValueError`` naming its index,
+    and a batch that draws no pair one naming the iteration.
     With ``eval_every > 0`` and a validation split, R@k/mR@k snapshots are
     recorded in the log every that many iterations.
     """
@@ -562,10 +549,14 @@ def train(
                 order = shuffle_rng.permutation(len(train_images)).tolist()
             batch.append(order.pop(0))
 
+        drawn = _draw(split, batch, config.background_ratio, sample_rng)
+        if not len(drawn[0]):
+            raise ValueError(f"iteration {step}: the batch draws no pairs (its images "
+                             "have no ground truth and background_ratio is 0)")
         grad_vec.fill(0.0)
         try:
             loss_value = _batch_loss(
-                config, net, params, grads, loss_fn, split, train_images, batch, sample_rng
+                config, net, params, grads, loss_fn, split, train_images, batch, drawn
             )
         except FloatingPointError as exc:
             raise FloatingPointError(f"iteration {step}: {exc}") from None
@@ -632,22 +623,21 @@ class _ScoredImage(NamedTuple):
 
 
 def _forward_split(checkpoint: Checkpoint, images: Sequence[SynthImage]) -> list[_ScoredImage]:
-    """Forward every image once; invalid ground truth or class labels, and
-    non-finite logits, raise ``ValueError`` naming the image's index."""
+    """Forward every image once, after checking the split as for training at
+    the checkpoint's feature width; an image failing the check, its forward,
+    or with non-finite logits raises ``ValueError`` naming its index."""
     if not images:
         raise ValueError("empty evaluation split")
     config = checkpoint.config
-    num_relations = config.label_space.num_relations
+    ls = config.label_space
+    d_v = feature_width(config.model, ls, sum(a.size for a in leaves(checkpoint.params)))
+    truth = _truth(images, ls, d_v, "the checkpoint")
     net = model_for(config.model)
     out = []
     for i, img in enumerate(images):
+        n = len(img.labels)
+        pairs = all_ordered_pairs(n)
         try:
-            n = len(img.labels)
-            gt_index = candidate_index(img.gt_triplets, n, num_relations)
-            labels = _check_classes(
-                class_labels(img, config.task), config.label_space.num_object_classes
-            )
-            pairs = all_ordered_pairs(n)
             fwd = net.forward(
                 img, img.unions, pairs, checkpoint.params, config.model, config.task
             )
@@ -655,18 +645,21 @@ def _forward_split(checkpoint: Checkpoint, images: Sequence[SynthImage]) -> list
                 raise ValueError("non-finite relation logits")
         except ValueError as exc:
             raise ValueError(f"image {i}: {exc}") from None
-        matched = np.ones(len(gt_index), dtype=bool)
+        gt = truth.gt[truth.gt_start[i] : truth.gt_start[i + 1]]
+        labels = truth.labels[truth.obj_start[i] : truth.obj_start[i + 1]]
+        matched = np.ones(len(gt), dtype=bool)
         if config.task == "sgcls":
-            labels = fwd.object_probs.argmax(axis=1)
-            matched = (labels == img.labels)[pairs[gt_index // num_relations]].all(axis=1)
+            predicted = fwd.object_probs.argmax(axis=1)
+            matched = (predicted == labels)[gt[:, :2]].all(axis=1)
+            labels = predicted
         out.append(
             _ScoredImage(
                 relation_logits=fwd.relation_logits,
                 pair_scores=object_pair_scores(fwd.object_probs, pairs, config.task),
                 subject_classes=labels[pairs[:, 0]],
                 object_classes=labels[pairs[:, 1]],
-                gt_index=gt_index,
-                gt_relations=gt_index % num_relations + 1,
+                gt_index=candidate_index(gt, n, ls.num_relations),
+                gt_relations=gt[:, 2],
                 gt_matched=matched,
             )
         )

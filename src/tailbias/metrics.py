@@ -106,29 +106,18 @@ def score_triplets(
     return pair_scores[:, None] * rel_probs
 
 
-def candidate_index(
-    gt: Sequence[tuple[int, int, int]], num_objects: int, num_relations: int
-) -> np.ndarray:
-    """Flat candidate index of each ground-truth triplet ``(s, o, r)``.
+def candidate_index(gt, num_objects: int | np.ndarray, num_relations: int) -> np.ndarray:
+    """Flat candidate index of each valid ground-truth triplet, a row ``(s, o, r)`` of ``gt``.
 
     Ordered pairs enumerate subjects, then objects, skipping ``s == o``, so
-    pair ``(s, o)`` sits at ``s * (n - 1) + o - (o > s)``. That formula picks
-    a wrong pair for ``s == o`` or indices out of range, so those raise.
+    pair ``(s, o)`` sits at ``s * (n - 1) + o - (o > s)``. ``num_objects``
+    may be an array giving each triplet's ``n``. The formula picks a wrong
+    pair for ``s == o`` or indices out of range; callers check the ground
+    truth before indexing it.
     """
-    n = num_objects
-    for s, o, r in gt:
-        if not (0 <= s < n and 0 <= o < n):
-            why = f"an object index outside 0..{n - 1}"
-        elif s == o:
-            why = "the same subject and object"
-        elif not 1 <= r <= num_relations:
-            why = f"a relation outside 1..{num_relations}"
-        else:
-            continue
-        raise ValueError(f"ground-truth triplet {(int(s), int(o), int(r))} has {why}")
     t = np.asarray(gt, dtype=np.int64).reshape(-1, 3)
     s, o, r = t[:, 0], t[:, 1], t[:, 2]
-    return (s * (n - 1) + o - (o > s)) * num_relations + (r - 1)
+    return (s * (np.asarray(num_objects) - 1) + o - (o > s)) * num_relations + (r - 1)
 
 
 def ranking(scores: np.ndarray, constraint: str = "with") -> np.ndarray:

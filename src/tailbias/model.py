@@ -24,9 +24,10 @@ model is a single affine relation head over the raw fused pair features; it
 has no object head, so its ``object_logits`` are None.
 
 Both ``forward`` functions take one image: ``pairs`` index that image's
-object rows, and the dual encoder attends over all of them. Training packs
-the drawn pairs of a batch's images into one block for its loss call, but
-still runs the model once per image.
+object rows, and the dual encoder attends over all of them. An empty
+``pairs`` gives ``(0, L + 1)`` relation logits and no relation gradient.
+Training packs the drawn pairs of a batch's images into one block for its
+loss call, but still runs the model once per image.
 
 Task modes: ``predcls`` looks up label embeddings with the annotated object
 labels; ``sgcls`` uses the argmax of the detector scores.
@@ -305,9 +306,10 @@ def fuse_pairs_backward(
 def encode_relations_and_classify(
     pair_tokens: np.ndarray, params: DualEncoderParams, n_h: int
 ) -> tuple[np.ndarray, list]:
+    """Relation logits; an empty block skips the encoder (no attention over no pairs)."""
     caches = []
     x = pair_tokens
-    for layer in params.rel_layers:
+    for layer in params.rel_layers if pair_tokens.shape[-2] else ():
         x, cache = encoder_layer(x, layer, n_h)
         caches.append(cache)
     logits = x @ params.w_clf_rel
@@ -361,7 +363,7 @@ def backward(
 
     grads.w_clf_rel += rel_final.T @ d_relation_logits
     dx = d_relation_logits @ params.w_clf_rel.T
-    for i in range(spec.n_r - 1, -1, -1):
+    for i in range(len(rel_layer_caches) - 1, -1, -1):
         dx = encoder_layer_backward(dx, rel_layer_caches[i], grads.rel_layers[i])
     de_final = fuse_pairs_backward(dx, params, fuse_cache, grads)
 

@@ -1,13 +1,13 @@
 """Triplet annotation statistics.
 
-Counts are kept as a sparse map ``(subject_class, object_class, relation)
--> n`` and, filled once from it, as one dense ``(L_e, L_e, L + 1)`` tensor
-from which every marginal and pair lookup is read. Object classes are
-``0..num_object_classes-1``. Relation labels are
-``1..num_relations`` (label 0 is the background slot of downstream logit
-vectors and never appears in annotations), so every count vector returned here
-has length ``num_relations + 1`` and is indexed directly by relation label,
-with index 0 permanently zero.
+Counts are one dense ``(L_e, L_e, L + 1)`` int64 tensor, indexed
+``[subject_class, object_class, relation]``, from which every marginal and
+pair lookup is read. Object classes are ``0..num_object_classes-1``.
+Relation labels are ``1..num_relations`` (label 0 is the background slot of
+downstream logit vectors and never appears in annotations), so every count
+vector returned here has length ``num_relations + 1`` and is indexed directly
+by relation label, with index 0 permanently zero. The JSON form lists the
+nonzero cells as ``[s, o, r, n]`` entries in ``(s, o, r)`` order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, field, fields
 from numbers import Integral, Real
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -27,6 +27,8 @@ __all__ = [
     "marginal_counts",
     "pair_counts",
     "sppo_counts",
+    "refuse_first",
+    "read_jsonl",
     "read_triplets_jsonl",
     "stats_to_json",
     "stats_from_json",
@@ -122,40 +124,61 @@ class LabelSpace:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class TripletStats:
     """Immutable multiset of annotated ``(s, o, relation)`` triplets.
 
-    Built through :func:`ingest`; treat instances as read-only. ``counts``
-    stores only strictly positive entries and ``total`` equals their sum.
+    Built through :func:`ingest`; treat instances as read-only. ``dense`` is
+    the ``(L_e, L_e, L + 1)`` int64 count tensor, indexed ``[s, o, relation]``
+    and zero at relation 0; ``total`` is its sum.
     """
 
     label_space: LabelSpace
-    counts: dict[tuple[int, int, int], int]
-    total: int
-    dense: np.ndarray = field(init=False, repr=False, compare=False)
+    dense: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        ls = self.label_space
-        for (s, o, r), n in self.counts.items():
-            if n <= 0:
-                raise ValueError(f"stored count for {(s, o, r)} must be positive")
-            _check_key(s, o, r, ls)
-        if self.total != sum(self.counts.values()):
-            raise ValueError("total does not match the sum of stored counts")
-        ne = ls.num_object_classes
-        self.dense = np.zeros((ne, ne, ls.num_relations + 1), dtype=np.int64)
-        keys = np.array(list(self.counts), dtype=np.int64).reshape(-1, 3)
-        self.dense[keys[:, 0], keys[:, 1], keys[:, 2]] = list(self.counts.values())
+        shape, d = _shape(self.label_space), self.dense
+        if d.shape != shape or d.dtype != np.int64 or (d < 0).any() or d[..., 0].any():
+            raise ValueError(f"counts must be an int64 {shape} tensor, >= 0 and 0 at relation 0")
+
+    @property
+    def total(self) -> int:
+        return int(self.dense.sum())
 
 
-def _check_key(s: int, o: int, r: int, ls: LabelSpace) -> None:
-    if not 0 <= s < ls.num_object_classes:
-        raise ValueError(f"subject class {s} out of range [0, {ls.num_object_classes})")
-    if not 0 <= o < ls.num_object_classes:
-        raise ValueError(f"object class {o} out of range [0, {ls.num_object_classes})")
-    if not 1 <= r <= ls.num_relations:
-        raise ValueError(f"relation {r} out of range [1, {ls.num_relations}]")
+def _shape(ls: LabelSpace) -> tuple[int, int, int]:
+    return (ls.num_object_classes, ls.num_object_classes, ls.num_relations + 1)
+
+
+def _is_int64(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool) and abs(value) < 2**63
+
+
+def refuse_first(checks: list[tuple[np.ndarray, Callable[[int], str]]], what: str) -> None:
+    """Raise ``ValueError`` naming ``what`` and the first row any ``(mask,
+    message)`` check flags, with ``message(row)`` of its first failed check."""
+    bad = np.stack([mask for mask, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        raise ValueError(f"{what} {i}: {checks[int(np.argmax(bad[:, i]))][1](i)}")
+
+
+def _range_checks(keys: np.ndarray, ls: LabelSpace) -> list:
+    """:func:`refuse_first` checks of ``(s, o, relation)`` rows against ``ls``."""
+    ne, nr = ls.num_object_classes, ls.num_relations
+    s, o, r = keys.T
+    return [
+        ((s < 0) | (s >= ne), lambda i: f"subject class {s[i]} out of range [0, {ne})"),
+        ((o < 0) | (o >= ne), lambda i: f"object class {o[i]} out of range [0, {ne})"),
+        ((r < 1) | (r > nr), lambda i: f"relation {r[i]} out of range [1, {nr}]"),
+    ]
+
+
+def _count(keys: np.ndarray, ls: LabelSpace, counts=1) -> np.ndarray:
+    """The dense count tensor of ``(s, o, relation)`` rows inside ``ls``."""
+    dense = np.zeros(_shape(ls), dtype=np.int64)
+    np.add.at(dense, tuple(keys.T), counts)
+    return dense
 
 
 def ingest(
@@ -166,17 +189,9 @@ def ingest(
     Raises ValueError naming the offending stream position when a record falls
     outside ``label_space``.
     """
-    counts: dict[tuple[int, int, int], int] = {}
-    total = 0
-    for pos, (s, o, r) in enumerate(records):
-        try:
-            _check_key(s, o, r, label_space)
-        except ValueError as exc:
-            raise ValueError(f"record {pos}: {exc}") from None
-        key = (int(s), int(o), int(r))
-        counts[key] = counts.get(key, 0) + 1
-        total += 1
-    return TripletStats(label_space=label_space, counts=counts, total=total)
+    keys = np.array(list(records), dtype=np.int64).reshape(-1, 3)
+    refuse_first(_range_checks(keys, label_space), "record")
+    return TripletStats(label_space, _count(keys, label_space))
 
 
 def marginal_counts(stats: TripletStats) -> tuple[np.ndarray, np.ndarray]:
@@ -221,28 +236,67 @@ def _check_pair(stats: TripletStats, s, o) -> None:
             raise ValueError(f"{side} class {idx} out of range [0, {ne})")
 
 
-def read_triplets_jsonl(path: str) -> list[tuple[int, int, int]]:
-    """Read annotation records, one JSON object ``{"s":…,"o":…,"r":…}`` per line."""
+def read_jsonl(path: str, parse: Callable) -> list:
+    """``parse`` of each nonblank line's JSON document; a malformed line raises
+    ``ValueError`` starting ``"<path>:<line>: "``."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
-            rec = json.loads(line)
-            out.append((int(rec["s"]), int(rec["o"]), int(rec["r"])))
+            try:
+                out.append(parse(json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{line_no}: missing key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
     return out
 
 
+def _triplet(doc) -> tuple[int, int, int]:
+    if not isinstance(doc, Mapping):
+        raise ValueError("a triplet record must be an object")
+    for key in ("s", "o", "r"):
+        if not _is_int64(doc[key]):
+            raise ValueError(f"key {key!r} must be a 64-bit integer")
+    return doc["s"], doc["o"], doc["r"]
+
+
+def read_triplets_jsonl(path: str) -> list[tuple[int, int, int]]:
+    """Read annotation records, one JSON object ``{"s":…,"o":…,"r":…}`` of
+    64-bit integers per line; a malformed line is named as in :func:`read_jsonl`."""
+    return read_jsonl(path, _triplet)
+
+
 def stats_to_json(stats: TripletStats) -> str:
-    """Serialize to a single JSON document with deterministically ordered counts."""
-    entries = [[s, o, r, n] for (s, o, r), n in sorted(stats.counts.items())]
-    doc = {"label_space": stats.label_space.to_dict(), "counts": entries}
-    return json.dumps(doc)
+    """Serialize to a single JSON document, counts in ``(s, o, relation)`` order."""
+    keys = np.argwhere(stats.dense)
+    entries = np.column_stack([keys, stats.dense[tuple(keys.T)]]).tolist()
+    return json.dumps({"label_space": stats.label_space.to_dict(), "counts": entries})
 
 
 def stats_from_json(text: str) -> TripletStats:
+    """Parse :func:`stats_to_json` output.
+
+    Every ``counts`` entry must be four integers ``[s, o, r, n]`` with
+    ``(s, o, r)`` inside the label space, ``n >= 1`` and no ``(s, o, r)``
+    repeated, or ``ValueError`` names the entry's index.
+    """
     doc = json.loads(text)
-    ls = LabelSpace.from_dict(doc["label_space"])
-    counts = {(int(s), int(o), int(r)): int(n) for s, o, r, n in doc["counts"]}
-    return TripletStats(label_space=ls, counts=counts, total=sum(counts.values()))
+    if not (isinstance(doc, Mapping) and isinstance(doc.get("counts"), list)):
+        raise ValueError("statistics must be an object with a list of [s, o, r, n] counts")
+    ls = LabelSpace.from_dict(doc.get("label_space"))
+    for i, e in enumerate(doc["counts"]):
+        if not (isinstance(e, list) and len(e) == 4 and all(map(_is_int64, e))):
+            raise ValueError(f"statistics entry {i} is not four 64-bit integers [s, o, r, n]")
+    table = np.array(doc["counts"], dtype=np.int64).reshape(-1, 4)
+    keys, n = table[:, :3], table[:, 3]
+    # Row-major cell; a row out of range is named before a repeat it may fake.
+    cell = (keys[:, 0] * ls.num_object_classes + keys[:, 1]) * (ls.num_relations + 1) + keys[:, 2]
+    repeat = np.ones(len(cell), dtype=bool)
+    repeat[np.unique(cell, return_index=True)[1]] = False
+    refuse_first(_range_checks(keys, ls) + [
+        (n < 1, lambda i: f"count {n[i]} must be >= 1"),
+        (repeat, lambda i: f"repeats the (s, o, r) of entry {np.argmax(cell == cell[i])}"),
+    ], "statistics entry")
+    return TripletStats(ls, _count(keys, ls, n))

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .stats import LabelSpace, check_keys
+from .stats import LabelSpace, check_keys, read_jsonl
 
 __all__ = [
     "SynthConfig",
@@ -69,21 +69,7 @@ class SynthConfig:
             raise ValueError("zipf_s must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {
-            "label_space": self.label_space.to_dict(),
-            "num_train": self.num_train,
-            "num_val": self.num_val,
-            "num_test": self.num_test,
-            "zipf_s": self.zipf_s,
-            "objects_min": self.objects_min,
-            "objects_max": self.objects_max,
-            "d_v": self.d_v,
-            "noise_sigma": self.noise_sigma,
-            "background_fraction": self.background_fraction,
-            "detector_sharpness": self.detector_sharpness,
-            "detector_noise": self.detector_noise,
-            "seed": self.seed,
-        }
+        return {**vars(self), "label_space": self.label_space.to_dict()}
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SynthConfig":
@@ -309,16 +295,4 @@ def read_images_jsonl(path: str) -> list[SynthImage]:
 
     A malformed document raises ``ValueError`` starting ``"<path>:<line>: "``.
     """
-    images = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                images.append(_image_from_doc(json.loads(line)))
-            except KeyError as exc:
-                raise ValueError(f"{path}:{line_no}: missing key {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
-    return images
+    return read_jsonl(path, _image_from_doc)

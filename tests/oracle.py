@@ -30,18 +30,26 @@ split packed once: statistics ingested one triplet at a time, each drawn
 image's pairs worked out anew from its ground truth, and one forward, one
 loss call and one backward per image. Packed training must reproduce its
 losses and parameters bit for bit.
+
+Statistics are the sparse ``(s, o, r) -> n`` map that ``tailbias.stats``
+replaced with one dense tensor, filled and checked one record at a time and
+serialized from its sorted keys; the dense path must give the same counts
+and the same JSON bytes. The ground-truth check is the image-by-image check
+that ``tailbias.harness._truth`` replaced with array masks over the split;
+it must refuse the same image with the same message.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tailbias import harness
+from tailbias import harness, metrics
 from tailbias.bias import BiasVector, compute_bias, lookup_pair_bias, soft_bias
 from tailbias.losses import LossOutput
-from tailbias.metrics import CONSTRAINTS, EvalResult, candidate_index
+from tailbias.metrics import CONSTRAINTS, EvalResult
 from tailbias.model import class_labels, model_for
 from tailbias.numerics import (
     GradCheckReport,
@@ -52,7 +60,7 @@ from tailbias.numerics import (
     running_sum,
     unflatten,
 )
-from tailbias.stats import ingest, marginal_counts
+from tailbias.stats import TripletStats, marginal_counts
 from tailbias.synth import all_ordered_pairs
 
 
@@ -417,10 +425,10 @@ def sweep(checkpoint, stats, spec, grid, images, ks=None):
 def training_stats(images, label_space):
     """Class-level statistics, one ``(s_class, o_class, relation)`` record
     per ground-truth triplet."""
-    return ingest(
-        [(img.labels[s], img.labels[o], r) for img in images for s, o, r in img.gt_triplets],
-        label_space,
-    )
+    records = [
+        (img.labels[s], img.labels[o], r) for img in images for s, o, r in img.gt_triplets
+    ]
+    return as_stats(ingest(records, label_space), label_space)
 
 
 def class_counts(images, stats):
@@ -455,7 +463,8 @@ def training_pairs(img, config, rng):
 
 
 def batch_loss(config, net, params, grads, loss_fn, batch, sample_rng):
-    """One forward, one loss call per head and one backward per image."""
+    """One forward, one loss call per head and one backward per image; None
+    when no image draws a pair."""
     w_obj = config.model.object_loss_weight
     obj_count = sum(len(img.labels) for img in batch)
     per_image = []
@@ -469,6 +478,8 @@ def batch_loss(config, net, params, grads, loss_fn, batch, sample_rng):
         obj = harness.ce(out.object_logits, img.labels) if use_obj else None
         per_image.append((out, rel, obj))
     rel_values = np.concatenate([rel.value for _, rel, _ in per_image])
+    if not len(rel_values):
+        return None
     for out, rel, obj in per_image:
         d_obj = None if obj is None else obj.grad_logits * (w_obj / obj_count)
         net.backward(d_obj, rel.grad_logits / len(rel_values), out, params, config.model, grads)
@@ -498,15 +509,106 @@ def train(config, images, loss_fn=None):
     shuffle_rng = harness._rng(config.seed, harness.SHUFFLE_DOMAIN)
     sample_rng = harness._rng(config.seed, harness.SAMPLE_DOMAIN)
     order, losses, opt = [], [], config.optimizer
-    for _ in range(opt.iterations):
+    for step in range(1, opt.iterations + 1):
         batch = []
         while len(batch) < opt.batch_size:
             if not order:
                 order = shuffle_rng.permutation(len(images)).tolist()
             batch.append(images[order.pop(0)])
         grad_vec.fill(0.0)
-        losses.append(batch_loss(config, net, params, grads, loss_fn, batch, sample_rng))
+        loss_value = batch_loss(config, net, params, grads, loss_fn, batch, sample_rng)
+        if loss_value is None:
+            raise ValueError(
+                f"iteration {step}: the batch draws no pairs "
+                "(its images have no ground truth and background_ratio is 0)"
+            )
+        losses.append(loss_value)
         velocity *= opt.momentum
         velocity += grad_vec
         param_vec -= opt.learning_rate * velocity
     return param_vec, losses
+
+
+# --- statistics and the ground-truth check, one record and one image at a time ---
+
+
+def _check_key(s, o, r, ls):
+    if not 0 <= s < ls.num_object_classes:
+        raise ValueError(f"subject class {s} out of range [0, {ls.num_object_classes})")
+    if not 0 <= o < ls.num_object_classes:
+        raise ValueError(f"object class {o} out of range [0, {ls.num_object_classes})")
+    if not 1 <= r <= ls.num_relations:
+        raise ValueError(f"relation {r} out of range [1, {ls.num_relations}]")
+
+
+def ingest(records, label_space):
+    """The sparse count map of a triplet stream, checked record by record."""
+    counts = {}
+    for pos, (s, o, r) in enumerate(records):
+        try:
+            _check_key(s, o, r, label_space)
+        except ValueError as exc:
+            raise ValueError(f"record {pos}: {exc}") from None
+        key = (int(s), int(o), int(r))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def as_stats(counts, label_space):
+    """The :class:`TripletStats` holding a sparse count map."""
+    ne = label_space.num_object_classes
+    dense = np.zeros((ne, ne, label_space.num_relations + 1), dtype=np.int64)
+    for key, n in counts.items():
+        dense[key] = n
+    return TripletStats(label_space, dense)
+
+
+def stats_to_json(counts, label_space):
+    entries = [[s, o, r, n] for (s, o, r), n in sorted(counts.items())]
+    return json.dumps({"label_space": label_space.to_dict(), "counts": entries})
+
+
+def candidate_index(gt, num_objects, num_relations):
+    """Flat candidate indices, refusing a triplet the formula would misplace."""
+    n = num_objects
+    for s, o, r in gt:
+        if not (0 <= s < n and 0 <= o < n):
+            why = f"an object index outside 0..{n - 1}"
+        elif s == o:
+            why = "the same subject and object"
+        elif not 1 <= r <= num_relations:
+            why = f"a relation outside 1..{num_relations}"
+        else:
+            continue
+        raise ValueError(f"ground-truth triplet {(int(s), int(o), int(r))} has {why}")
+    return metrics.candidate_index(gt, n, num_relations)
+
+
+def check_image(img, label_space, d_v, d_v_of="the first image"):
+    """Raise ``ValueError`` saying what makes ``img``'s annotations invalid
+    or, with ``d_v``, the model unable to run on it."""
+    n = len(img.labels)
+    if d_v is not None:
+        if n < 2:
+            raise ValueError("no pairs: need at least two objects")
+        if img.features.shape[1] != d_v:
+            raise ValueError(f"{img.features.shape[1]} feature columns; {d_v_of} has {d_v}")
+        if img.scores.shape[1] != label_space.num_object_classes:
+            raise ValueError(
+                f"detector scores over {img.scores.shape[1]} classes; "
+                f"the label space has {label_space.num_object_classes}"
+            )
+    labels = img.labels
+    num_classes = label_space.num_object_classes
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError(f"object class label outside 0..{num_classes - 1}")
+    candidate_index(img.gt_triplets, n, label_space.num_relations)
+
+
+def check_split(images, label_space, d_v, d_v_of="the first image"):
+    """Check image after image; the first fault names its image's index."""
+    for i, img in enumerate(images):
+        try:
+            check_image(img, label_space, d_v, d_v_of)
+        except ValueError as exc:
+            raise ValueError(f"image {i}: {exc}") from None

@@ -217,6 +217,20 @@ class TestGradcheckCommand:
         assert all(entry["passed"] for entry in doc)
 
 
+@pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+def test_commands_close_the_files_they_read(workspace, tmp_path):
+    _, data_dir, stats_path, bias_path, run_dir = workspace
+    checkpoint, test_data = str(run_dir / "checkpoint.json"), str(data_dir / "test.jsonl")
+    assert main(["bias", "--kind", "pb", "--stats", str(stats_path),
+                 "--out", str(tmp_path / "bias.json")]) == 0
+    assert main(["eval", "--checkpoint", checkpoint, "--data", test_data,
+                 "--bias", str(bias_path), "--out", str(tmp_path / "eval")]) == 0
+    assert main(["sweep", "--checkpoint", checkpoint, "--stats", str(stats_path),
+                 "--data", test_data, "--grid", "0,1", "--out", str(tmp_path / "sweep")]) == 0
+
+
 class TestErrors:
     def test_missing_file_gives_json_error(self, capsys, tmp_path):
         code = main(
@@ -438,6 +452,66 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip())["error"]
         assert err == {"type": "ValueError", "message": message}
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("command", ["bias", "sweep"])
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([[0, 1, None, 3]], "statistics entry 0 is not four 64-bit integers [s, o, r, n]"),
+            ([[0, 1, 1, 3], [0, 1, 1, 2]], "statistics entry 1: repeats the (s, o, r) of entry 0"),
+            ([[0, 1, 1, 1.7]], "statistics entry 0 is not four 64-bit integers [s, o, r, n]"),
+            ([[0, 1, 9, 3]], "statistics entry 0: relation 9 out of range [1, 6]"),
+        ],
+        ids=["null", "repeat", "float", "relation"],
+    )
+    def test_malformed_stats_json_gives_json_error(
+        self, workspace, tmp_path, capsys, command, counts, message
+    ):
+        _, data_dir, stats_path, _, run_dir = workspace
+        doc = json.loads(stats_path.read_text())
+        doc["counts"] = counts
+        bad = tmp_path / "stats.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        args = {
+            "bias": ["bias", "--kind", "cb", "--stats", str(bad), "--out", str(out)],
+            "sweep": [
+                "sweep", "--checkpoint", str(run_dir / "checkpoint.json"), "--stats", str(bad),
+                "--data", str(data_dir / "test.jsonl"), "--grid", "0,1", "--out", str(out),
+            ],
+        }[command]
+        capsys.readouterr()
+        assert main(args) == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {"type": "ValueError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"s": 0, "o": 1', "Expecting"),
+            ('{"s": 0, "o": 1}', "missing key 'r'"),
+            ('{"s": 0, "o": 1, "r": null}', "key 'r' must be a 64-bit integer"),
+        ],
+        ids=["json", "missing-key", "null"],
+    )
+    def test_malformed_triplet_jsonl_gives_json_error_naming_the_line(
+        self, workspace, tmp_path, capsys, line, message
+    ):
+        _, data_dir, _, _, _ = workspace
+        bad = tmp_path / "triplets.jsonl"
+        bad.write_text('{"s": 0, "o": 1, "r": 2}\n' + line + "\n")
+        out = tmp_path / "stats.json"
+        capsys.readouterr()
+        code = main([
+            "stats", "--labels", str(data_dir / "labels.json"), "--data", str(bad),
+            "--out", str(out),
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith(f"{bad}:2: {message}")
+        assert not out.exists()
 
     def test_unknown_loss_kind_rejected(self, workspace, tmp_path, capsys):
         root, data_dir, _, _, _ = workspace

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import oracle
-from tailbias import harness
 from tailbias.bias import BiasSpec, BiasVector, compute_bias
 from tailbias.harness import (
     Checkpoint,
@@ -454,20 +453,25 @@ class TestTrainingImages:
         with pytest.raises(ValueError, match=r"^image 5: ground-truth triplet \(0, 5, 1\)"):
             training_stats(images, space)
 
-    def test_the_array_checks_alone_refuse_a_flagged_image(self, space, monkeypatch):
-        """The per-image check only words the message: an image the array
-        tests flag is refused even when that check finds nothing."""
-        monkeypatch.setattr(harness, "_check_image", lambda *args: None)
-        images = split_with_unfit_image_4(
-            space, lambda img, sp: replace(img, gt_triplets=[(7, 0, 1)])
-        )
-        assert_training_refuses(space, images, "^image 4: unfit to train on$")
-        with pytest.raises(ValueError, match="^image 4: unfit to train on$"):
-            training_stats(images, space)
+    @pytest.mark.parametrize("kind", ["linear", "dual_encoder"])
+    def test_a_batch_that_draws_no_pair_names_the_iteration(self, space, kind):
+        """With background_ratio 0, an image without ground truth draws no
+        pairs: it still trains the object head, and a batch of such images
+        only is refused."""
+        annotated = perfect_split(space)
+        bare = [replace(img, gt_triplets=[]) for img in annotated]
+        config = replace(model_config(space, kind), background_ratio=0.0)
+        config = replace(config, optimizer=replace(config.optimizer, iterations=3, batch_size=2))
+        checkpoint, log = train(config, annotated + bare[:1])
+        assert len(log.losses) == 3 and np.isfinite(flatten(checkpoint.params)).all()
+        with pytest.raises(ValueError, match=r"^iteration 1: the batch draws no pairs \("):
+            train(config, bare[:2])
 
     def test_a_valid_split_packs_like_the_per_image_statistics(self, space, data):
         train_images, _ = data
-        assert training_stats(train_images, space) == oracle.training_stats(train_images, space)
+        got, want = training_stats(train_images, space), oracle.training_stats(train_images, space)
+        assert got.label_space == want.label_space
+        assert np.array_equal(got.dense, want.dense)
 
 
 class TestEvaluate:
@@ -587,6 +591,32 @@ class TestEvaluate:
         message = rf"^image {changed[0]}: object class label outside 0\.\.5$"
         with pytest.raises(ValueError, match=message):
             train(linear_config(space), train_images)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda img, sp: one_object_image(sp), "no pairs: need at least two objects"),
+            (lambda img, sp: replace(img, scores=np.full((3, 3), 1 / 3)),
+             "detector scores over 3 classes; the label space has 6"),
+            (lambda img, sp: replace(img, features=np.zeros((3, 2)), unions=np.zeros((6, 2))),
+             "2 feature columns; the checkpoint has 9"),
+        ],
+        ids=["one-object", "score-width", "feature-width"],
+    )
+    def test_evaluation_checks_what_training_checks(self, space, corrupt, message):
+        """Both tasks and the sweep refuse, before any forward, an image the
+        model cannot run on; the predcls linear head never reads scores."""
+        images = perfect_split(space) * 2
+        images[4] = corrupt(images[4], space)
+        images[5] = corrupt(images[5], space)
+        for task in ("predcls", "sgcls"):
+            ck = perfect_checkpoint(space)
+            ck = replace(ck, config=replace(ck.config, task=task))
+            with pytest.raises(ValueError, match=f"^image 4: {re.escape(message)}$"):
+                evaluate(ck, images)
+            with pytest.raises(ValueError, match=f"^image 4: {re.escape(message)}$"):
+                stats = training_stats(images[:1], space)
+                sweep(ck, stats, BiasSpec(kind="cb", epsilon=1e-3), [0.0], images)
 
     def test_non_finite_logits_name_the_image(self, space):
         images = perfect_split(space)

@@ -281,6 +281,25 @@ class TestProtocol:
         undrawn = init(spec, LS, D_V)
         assert [a.shape for a in leaves(seeded)] == [a.shape for a in leaves(undrawn)]
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("mode", ["predcls", "sgcls"])
+    def test_an_empty_pair_block_gives_no_relation_rows(self, kind, mode):
+        """A forward over no pairs gives ``(0, L + 1)`` logits; its backward
+        adds what a one-pair forward with a zero relation gradient adds."""
+        spec = ModelSpec(kind=kind, d_model=8, d_e=4, d_pos=4, n_o=1, n_r=2, d_ff=8)
+        net = model_for(spec)
+        rng = np.random.default_rng(5)
+        params = net.init(spec, LS, D_V, rng)
+        image = make_image(rng, 3, LS.num_object_classes, D_V)
+        empty = net.forward(image, image.unions[:0], all_ordered_pairs(3)[:0], params, spec, mode)
+        one = net.forward(image, image.unions[:1], all_ordered_pairs(3)[:1], params, spec, mode)
+        assert empty.relation_logits.shape == (0, LS.num_relations + 1)
+        assert np.array_equal(empty.object_probs, one.object_probs)
+        d_obj = None if one.object_logits is None else rng.normal(size=one.object_logits.shape)
+        got = net.backward(d_obj, np.zeros((0, LS.num_relations + 1)), empty, params, spec)
+        want = net.backward(d_obj, np.zeros((1, LS.num_relations + 1)), one, params, spec)
+        assert np.array_equal(flatten(got), flatten(want))
+
 
 class TestGradientAccumulation:
     @pytest.mark.parametrize("kind", MODEL_KINDS)

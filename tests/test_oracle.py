@@ -7,6 +7,8 @@ Packed training must give the per-image path's losses and parameters bit for
 bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 import oracle
 from tailbias.bias import BiasSpec, compute_bias
 from tailbias.harness import (
+    Checkpoint,
     LossConfig,
     ModelSpec,
     OptimizerConfig,
@@ -25,7 +28,8 @@ from tailbias.harness import (
     training_stats,
 )
 from tailbias.metrics import CONSTRAINTS, candidate_index, evaluate_split, rank, ranking
-from tailbias.stats import LabelSpace
+from tailbias.model import init_linear
+from tailbias.stats import LabelSpace, ingest, stats_from_json, stats_to_json
 from tailbias.numerics import flatten
 from tailbias.synth import SynthConfig, SynthImage, all_ordered_pairs, generate_split
 
@@ -252,3 +256,95 @@ def test_packed_training_matches_the_per_image_oracle(
     else:
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
+
+
+# --- dense statistics and the split-wide ground-truth check -------------------
+
+
+@st.composite
+def triplet_stream(draw):
+    """A label space and a triplet stream, now and then with a record
+    outside it."""
+    ls = LabelSpace(draw(st.integers(1, 5)), draw(st.integers(1, 4)))
+    ne, nr = ls.num_object_classes, ls.num_relations
+    inside = st.tuples(st.integers(0, ne - 1), st.integers(0, ne - 1), st.integers(1, nr))
+    anywhere = st.tuples(st.integers(-2, ne + 1), st.integers(-2, ne + 1), st.integers(-1, nr + 2))
+    record = st.one_of(inside, anywhere) if draw(st.booleans()) else inside
+    return ls, draw(st.lists(record, max_size=40))
+
+
+def refusal(run):
+    """The type and text of the error ``run`` raised, or None."""
+    try:
+        run()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@given(triplet_stream())
+@settings(max_examples=200, deadline=None)
+def test_dense_statistics_match_the_sparse_map(case):
+    ls, records = case
+    error = refusal(lambda: oracle.ingest(records, ls))
+    assert refusal(lambda: ingest(records, ls)) == error
+    if error is None:
+        stats, counts = ingest(records, ls), oracle.ingest(records, ls)
+        assert np.array_equal(stats.dense, oracle.as_stats(counts, ls).dense)
+        assert stats.total == len(records)
+        text = stats_to_json(stats)
+        assert text == oracle.stats_to_json(counts, ls)
+        assert np.array_equal(stats_from_json(text).dense, stats.dense)
+
+
+def corrupt(draw, img):
+    """``img`` with one fault of the kinds the ground-truth check names (some
+    draws land inside the valid range and change nothing)."""
+    n = len(img.labels)
+    kind = draw(st.sampled_from(["gt", "label", "one-object", "features", "scores"]))
+    if kind == "gt":
+        t = (draw(st.integers(-2, n + 1)), draw(st.integers(-2, n + 1)),
+             draw(st.integers(-1, SMALL.num_relations + 2)))
+        gt = list(img.gt_triplets)
+        return replace(img, gt_triplets=gt[: draw(st.integers(0, len(gt)))] + [t] + gt)
+    if kind == "label":
+        labels = img.labels.copy()
+        labels[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1, 3, 7]))
+        return replace(img, labels=labels)
+    if kind == "one-object":
+        return replace(img, boxes=img.boxes[:1], features=img.features[:1], labels=img.labels[:1],
+                       scores=img.scores[:1], unions=img.unions[:0], gt_triplets=[])
+    width = draw(st.sampled_from([1, 2, 5]))
+    if kind == "features":
+        return replace(img, features=np.ones((n, width)), unions=np.ones((n * (n - 1), width)))
+    return replace(img, scores=np.full((n, width), 1.0 / width))
+
+
+@st.composite
+def corrupted_split(draw):
+    images = draw(st.lists(training_image(), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(images) - 1))
+        images[i] = corrupt(draw, images[i])
+    return images
+
+
+@given(corrupted_split())
+@settings(max_examples=200, deadline=None)
+def test_the_split_check_names_what_the_image_by_image_check_names(images):
+    # Statistics check annotations only.
+    want = refusal(lambda: oracle.check_split(images, SMALL, None))
+    assert refusal(lambda: training_stats(images, SMALL)) == want
+    if want is None:
+        assert np.array_equal(
+            training_stats(images, SMALL).dense, oracle.training_stats(images, SMALL).dense
+        )
+    # Training runs at the first image's feature width.
+    config = TrainConfig(label_space=SMALL, optimizer=OptimizerConfig(iterations=1, batch_size=1))
+    want = refusal(lambda: oracle.check_split(images, SMALL, images[0].features.shape[1]))
+    assert refusal(lambda: train(config, images)) == want
+    # Evaluation runs at the checkpoint's.
+    params = init_linear(ModelSpec(), SMALL, D_V, np.random.default_rng(0))
+    checkpoint = Checkpoint(config=config, iterations=0, params=params)
+    want = refusal(lambda: oracle.check_split(images, SMALL, D_V, "the checkpoint"))
+    assert refusal(lambda: evaluate(checkpoint, images)) == want

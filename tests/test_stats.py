@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,12 +12,18 @@ from tailbias.stats import (
     ingest,
     marginal_counts,
     pair_counts,
+    read_triplets_jsonl,
     sppo_counts,
     stats_from_json,
     stats_to_json,
 )
 
 SQRT6 = 2.449489742783178  # sqrt(2 * 3), frozen from exact evaluation
+
+
+def nonzero(stats):
+    """The nonzero cells of the count tensor, as ``{(s, o, r): n}``."""
+    return {tuple(k): int(stats.dense[tuple(k)]) for k in np.argwhere(stats.dense).tolist()}
 
 
 def triplet_streams(max_classes=6, max_relations=5, max_len=60):
@@ -55,17 +63,17 @@ class TestLabelSpace:
 class TestIngest:
     def test_empty_stream(self, small_space):
         stats = ingest([], small_space)
-        assert stats.counts == {}
+        assert nonzero(stats) == {}
         assert stats.total == 0
 
     def test_multiplicity(self, small_space):
         stats = ingest([(1, 2, 3), (1, 2, 3)], small_space)
-        assert stats.counts == {(1, 2, 3): 2}
+        assert nonzero(stats) == {(1, 2, 3): 2}
         assert stats.total == 2
 
     def test_ordered_pairs_distinct(self, small_space):
         stats = ingest([(1, 2, 3), (2, 1, 3)], small_space)
-        assert stats.counts == {(1, 2, 3): 1, (2, 1, 3): 1}
+        assert nonzero(stats) == {(1, 2, 3): 1, (2, 1, 3): 1}
 
     def test_out_of_range_names_position(self, small_space):
         with pytest.raises(ValueError, match="record 1"):
@@ -151,8 +159,8 @@ class TestProperties:
             for o in range(ls.num_object_classes):
                 vec = sppo_counts(stats, s, o)
                 for r in range(1, ls.num_relations + 1):
-                    subj_seen = any(k[0] == s and k[2] == r for k in stats.counts)
-                    obj_seen = any(k[1] == o and k[2] == r for k in stats.counts)
+                    subj_seen = any(k[0] == s and k[2] == r for k in nonzero(stats))
+                    obj_seen = any(k[1] == o and k[2] == r for k in nonzero(stats))
                     assert (vec[r] == 0.0) == (not subj_seen or not obj_seen)
 
     @given(triplet_streams(), st.randoms(use_true_random=False))
@@ -163,7 +171,7 @@ class TestProperties:
         rnd.shuffle(shuffled)
         a = ingest(records, ls)
         b = ingest(shuffled, ls)
-        assert a.counts == b.counts
+        assert np.array_equal(a.dense, b.dense)
         for s in range(ls.num_object_classes):
             for o in range(ls.num_object_classes):
                 assert np.array_equal(sppo_counts(a, s, o), sppo_counts(b, s, o))
@@ -183,18 +191,22 @@ class TestProperties:
 def test_json_round_trip(small_space):
     stats = ingest([(1, 2, 3), (1, 2, 3), (4, 5, 1)], small_space)
     again = stats_from_json(stats_to_json(stats))
-    assert again.counts == stats.counts
-    assert again.total == stats.total
+    assert np.array_equal(again.dense, stats.dense)
+    assert again.total == stats.total == 3
     assert again.label_space == stats.label_space
 
 
 def test_total_is_validated(small_space):
     from tailbias.stats import TripletStats
 
-    with pytest.raises(ValueError):
-        TripletStats(label_space=small_space, counts={(1, 2, 3): 2}, total=5)
-    with pytest.raises(ValueError):
-        TripletStats(label_space=small_space, counts={(1, 2, 3): 0}, total=0)
+    dense = ingest([(1, 2, 3), (1, 2, 3)], small_space).dense
+    assert TripletStats(label_space=small_space, dense=dense).total == 2
+    negative, background = dense.copy(), dense.copy()
+    negative[1, 2, 3] = -1
+    background[1, 2, 0] = 1
+    for bad in (negative, background, dense[:, :, :-1], dense.astype(np.float64)):
+        with pytest.raises(ValueError, match=r"^counts must be an int64 \(6, 6, 5\) tensor"):
+            TripletStats(label_space=small_space, dense=bad)
 
 
 def test_marginals_are_copies(small_space):
@@ -207,3 +219,65 @@ def test_marginals_are_copies(small_space):
 
 def test_sqrt6_oracle():
     assert math.sqrt(6) == pytest.approx(SQRT6, abs=1e-15)
+
+
+STATS_SPACE = {"num_object_classes": 3, "num_relations": 2}
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ([[0, 1, None, 3]], "statistics entry 0 is not four 64-bit integers [s, o, r, n]"),
+        ([[0, 1, 1, 3], [0, 1, 1.7, 2]], "statistics entry 1 is not four 64-bit integers"),
+        ([[0, 1, 1, True]], "statistics entry 0 is not four 64-bit integers"),
+        ([[0, 1, 1]], "statistics entry 0 is not four 64-bit integers"),
+        ([[0, 1, 1, 2**64]], "statistics entry 0 is not four 64-bit integers"),
+        ([[0, 1, 1, 3], [3, 1, 1, 1]], "statistics entry 1: subject class 3 out of range [0, 3)"),
+        ([[0, -1, 1, 3]], "statistics entry 0: object class -1 out of range [0, 3)"),
+        ([[0, 1, 0, 3]], "statistics entry 0: relation 0 out of range [1, 2]"),
+        ([[0, 1, 1, 3], [0, 1, 2, 0]], "statistics entry 1: count 0 must be >= 1"),
+        ([[0, 1, 1, 3], [1, 1, 1, 1], [0, 1, 1, 2]],
+         "statistics entry 2: repeats the (s, o, r) of entry 0"),
+        ({"0": 1}, "statistics must be an object with a list of [s, o, r, n] counts"),
+    ],
+    ids=["null", "float", "bool", "short", "huge", "subject", "object", "relation", "zero",
+         "repeat", "not-a-list"],
+)
+def test_stats_from_json_names_a_bad_entry(counts, message):
+    text = json.dumps({"label_space": STATS_SPACE, "counts": counts})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        stats_from_json(text)
+
+
+def test_stats_from_json_reads_the_entries_it_accepts():
+    text = json.dumps({"label_space": STATS_SPACE, "counts": [[2, 0, 2, 4], [0, 1, 1, 3]]})
+    stats = stats_from_json(text)
+    assert nonzero(stats) == {(0, 1, 1): 3, (2, 0, 2): 4}
+    assert stats.total == 7
+    with pytest.raises(ValueError, match="^statistics must be an object"):
+        stats_from_json("[]")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"s": 0, "o": 1,', "Expecting"),
+        ('{"s": 0, "o": 1}', "missing key 'r'"),
+        ('{"s": 0, "o": 1, "r": null}', "key 'r' must be a 64-bit integer"),
+        ('{"s": 0.0, "o": 1, "r": 1}', "key 's' must be a 64-bit integer"),
+        ('{"s": 0, "o": false, "r": 1}', "key 'o' must be a 64-bit integer"),
+        ("[0, 1, 1]", "a triplet record must be an object"),
+    ],
+    ids=["json", "missing-key", "null", "float", "bool", "list"],
+)
+def test_read_triplets_jsonl_names_the_line(tmp_path, line, message):
+    path = tmp_path / "triplets.jsonl"
+    path.write_text('{"s": 0, "o": 1, "r": 1}\n\n' + line + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: {message}')}"):
+        read_triplets_jsonl(str(path))
+
+
+def test_read_triplets_jsonl_reads_valid_lines(tmp_path):
+    path = tmp_path / "triplets.jsonl"
+    path.write_text('{"s": 0, "o": 1, "r": 1}\n{"r": 2, "o": 0, "s": 2, "note": "x"}\n')
+    assert read_triplets_jsonl(str(path)) == [(0, 1, 1), (2, 0, 2)]
