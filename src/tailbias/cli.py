@@ -141,9 +141,7 @@ def cmd_train(args) -> int:
 
 
 def _parse_ks(text: str | None, default) -> list[int]:
-    if not text:
-        return list(default)
-    return [int(tok) for tok in text.split(",") if tok]
+    return [int(tok) for tok in text.split(",") if tok] if text else list(default)
 
 
 def cmd_eval(args) -> int:
@@ -154,20 +152,14 @@ def cmd_eval(args) -> int:
     if args.bias:
         _, inference_bias = bias_from_json(Path(args.bias).read_text(encoding="utf-8"))
     results = evaluate(checkpoint, images, inference_bias=inference_bias, ks=ks)
-    out = _ensure_out(args.out)
-    _write_text(
-        os.path.join(out, "metrics.csv"),
-        metrics_csv(checkpoint.config.task, results, ks),
-    )
-    outputs = ["metrics.csv"]
+    files = {"metrics.csv": metrics_csv(checkpoint.config.task, results, ks)}
     for constraint, result in results.items():
-        name = f"per_relation_{constraint}.csv"
-        _write_text(
-            os.path.join(out, name),
-            per_relation_csv(checkpoint.config.label_space, result, ks),
-        )
-        outputs.append(name)
-    _write_manifest(out, "eval", outputs)
+        text = per_relation_csv(checkpoint.config.label_space, result, ks)
+        files[f"per_relation_{constraint}.csv"] = text
+    out = _ensure_out(args.out)
+    for name, text in files.items():
+        _write_text(os.path.join(out, name), text)
+    _write_manifest(out, "eval", list(files))
     return 0
 
 

@@ -19,16 +19,16 @@ as views of them. A step whose loss or any gradient is non-finite stops
 training with a ``FloatingPointError`` that names the iteration and, for a
 gradient, the parameter leaf.
 
-Evaluation checks what training checks, at the checkpoint's feature width,
-then forwards each image once and ranks its ``(pairs, relations)`` score
-matrix (see :mod:`tailbias.metrics`); the sweep reuses those logits at
-every grid point and only re-biases, re-scores and re-ranks. In ``sgcls``
-evaluation the argmax of the model's object probabilities is the object label
-throughout: inference-bias rows are gathered by it, and a ground-truth
-triplet can be recalled only when it equals the annotated label of both its
-subject and its object; otherwise its rank position is
-:data:`~tailbias.metrics.MISS`. Training (and the dual encoder's label
-embedding) keeps the detector argmax.
+Evaluation checks and packs its split as training does, at the checkpoint's
+feature width, forwards each image once over its pair rows, and ranks the
+split's stacked ``(ΣP, L)`` score matrix once per constraint (see
+:mod:`tailbias.metrics`); the sweep reuses those logits at every grid point
+and only re-biases, re-scores and re-ranks. In ``sgcls`` evaluation the
+argmax of the model's object probabilities is the object label throughout:
+inference-bias rows are gathered by it, and a ground-truth triplet can be
+recalled only when it equals the annotated label of both its subject and its
+object; otherwise its rank position is :data:`~tailbias.metrics.MISS`.
+Training (and the dual encoder's label embedding) keeps the detector argmax.
 
 All randomness derives from ``SeedSequence(config.seed, spawn_key=(domain,))``
 so identical configs produce bitwise-identical checkpoints. Checkpoints and
@@ -57,6 +57,7 @@ from .metrics import (
     object_pair_scores,
     rank,
     score_triplets,
+    sweep_csv,
 )
 from .model import (
     MODES,
@@ -128,6 +129,14 @@ class LossConfig:
             raise ValueError(f"unknown loss kind {self.kind!r}")
 
 
+def _check_ks(ks: Sequence[int], name: str) -> list[int]:
+    """``ks`` as a list, if nonempty, strictly ascending and every k >= 1."""
+    ks = list(ks)
+    if not ks or ks != sorted(set(ks)) or ks[0] < 1:
+        raise ValueError(f"{name} must be nonempty and strictly ascending, every k >= 1")
+    return ks
+
+
 def _section(cls, d: Mapping, name: str):
     """Build ``cls`` from the mapping ``d[name]``, naming an unknown key."""
     section = d.get(name, {})
@@ -151,8 +160,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.task not in MODES:
             raise ValueError(f"unknown task {self.task!r}")
-        if not self.eval_ks or list(self.eval_ks) != sorted(set(self.eval_ks)):
-            raise ValueError("eval_ks must be nonempty and strictly ascending")
+        _check_ks(self.eval_ks, "eval_ks")
         if self.background_ratio < 0:
             raise ValueError("background_ratio must be nonnegative")
         if self.loss.kind == "rtpb" and self.bias is None:
@@ -233,8 +241,9 @@ class _Split:
     ``obj_start[i]:obj_start[i + 1]``, with ``classes`` as the task sees
     them (see :func:`~tailbias.model.class_labels`). Pair rows hold every
     image's ordered pairs in :func:`all_ordered_pairs` order, each as the
-    global ``(subject, object)`` rows of ``pairs`` and its ``unions`` row.
-    Image ``i``'s foreground pair rows, sorted, and their relation targets are
+    global ``(subject, object)`` rows of ``pairs`` and its ``unions`` row,
+    image ``i`` at rows ``pair_start[i]:pair_start[i + 1]``. Image ``i``'s
+    foreground pair rows, sorted, and their relation targets are
     ``fg_rows`` / ``fg_targets[fg_start[i]:fg_start[i + 1]]``, one per
     ground-truth triplet, and its background pair rows
     ``bg_rows[bg_start[i]:bg_start[i + 1]]``.
@@ -244,6 +253,7 @@ class _Split:
     obj_start: np.ndarray
     pairs: np.ndarray
     unions: np.ndarray
+    pair_start: np.ndarray
     fg_rows: np.ndarray
     fg_targets: np.ndarray
     fg_start: np.ndarray
@@ -350,6 +360,7 @@ def _pack(
         obj_start=obj_start,
         pairs=pairs,
         unions=np.concatenate([img.unions for img in images]),
+        pair_start=pair_start,
         fg_rows=fg_rows,
         fg_targets=fg_targets + 1,
         fg_start=truth.gt_start,
@@ -575,11 +586,7 @@ def train(
             snapshot = Checkpoint(config=config, iterations=step, params=params)
             results = evaluate(snapshot, val_images)
             val_metrics.append(
-                {
-                    "iteration": step,
-                    "with": _result_summary(results["with"]),
-                    "without": _result_summary(results["without"]),
-                }
+                {"iteration": step, **{c: _result_summary(results[c]) for c in CONSTRAINTS}}
             )
 
     finished = time.strftime("%Y-%m-%dT%H:%M:%S%z")
@@ -610,87 +617,79 @@ def _check_bias_compatible(bias: Bias, ls: LabelSpace) -> None:
         )
 
 
-class _ScoredImage(NamedTuple):
-    """What ranking an image needs from its one forward pass."""
+class _Scored(NamedTuple):
+    """A split's one forward pass, as ranking needs it; pair rows are the
+    :class:`_Split`'s and ``gt_index`` a flat index into its ``(ΣP, L)`` scores."""
 
-    relation_logits: np.ndarray  # (P, C), pairs in all_ordered_pairs order
+    relation_logits: np.ndarray  # (ΣP, C)
     pair_scores: np.ndarray | None  # object-score products in sgcls
-    subject_classes: np.ndarray  # (P,) class label of each pair's subject, gathering bias rows
-    object_classes: np.ndarray
-    gt_index: np.ndarray  # flat candidate index of each gt triplet
+    pair_classes: np.ndarray  # (ΣP, 2) subject and object class, gathering bias rows
+    pair_start: np.ndarray
+    gt_index: np.ndarray
     gt_relations: np.ndarray
+    gt_image: np.ndarray
     gt_matched: np.ndarray  # False where a predicted object label is wrong (sgcls)
 
 
-def _forward_split(checkpoint: Checkpoint, images: Sequence[SynthImage]) -> list[_ScoredImage]:
-    """Forward every image once, after checking the split as for training at
-    the checkpoint's feature width; an image failing the check, its forward,
-    or with non-finite logits raises ``ValueError`` naming its index."""
+def _forward_split(checkpoint: Checkpoint, images: Sequence[SynthImage]) -> _Scored:
+    """Check and pack the split as for training, at the checkpoint's feature
+    width, and forward every image once; an image failing the check, its
+    forward, or with non-finite logits raises ``ValueError`` naming its index."""
     if not images:
         raise ValueError("empty evaluation split")
     config = checkpoint.config
     ls = config.label_space
     d_v = feature_width(config.model, ls, sum(a.size for a in leaves(checkpoint.params)))
     truth = _truth(images, ls, d_v, "the checkpoint")
-    net = model_for(config.model)
-    out = []
-    for i, img in enumerate(images):
-        n = len(img.labels)
-        pairs = all_ordered_pairs(n)
+    split = _pack(images, truth, ls, config.task)
+    local = split.pairs - np.repeat(split.obj_start[:-1], np.diff(split.pair_start))[:, None]
+    net, params = model_for(config.model), checkpoint.params
+    logits, probs = [], []  # kept without the forward caches
+    for i, (a, b) in enumerate(zip(split.pair_start[:-1], split.pair_start[1:])):
         try:
-            fwd = net.forward(
-                img, img.unions, pairs, checkpoint.params, config.model, config.task
-            )
+            fwd = net.forward(images[i], split.unions[a:b], local[a:b], params, config.model,
+                              config.task)
             if not np.isfinite(fwd.relation_logits).all():
                 raise ValueError("non-finite relation logits")
         except ValueError as exc:
             raise ValueError(f"image {i}: {exc}") from None
-        gt = truth.gt[truth.gt_start[i] : truth.gt_start[i + 1]]
-        labels = truth.labels[truth.obj_start[i] : truth.obj_start[i + 1]]
-        matched = np.ones(len(gt), dtype=bool)
-        if config.task == "sgcls":
-            predicted = fwd.object_probs.argmax(axis=1)
-            matched = (predicted == labels)[gt[:, :2]].all(axis=1)
-            labels = predicted
-        out.append(
-            _ScoredImage(
-                relation_logits=fwd.relation_logits,
-                pair_scores=object_pair_scores(fwd.object_probs, pairs, config.task),
-                subject_classes=labels[pairs[:, 0]],
-                object_classes=labels[pairs[:, 1]],
-                gt_index=candidate_index(gt, n, ls.num_relations),
-                gt_relations=gt[:, 2],
-                gt_matched=matched,
-            )
-        )
-    return out
+        logits.append(fwd.relation_logits)
+        probs.append(fwd.object_probs)
+    object_probs = np.concatenate(probs)
+    classes, matched = truth.labels, np.ones(len(split.fg_rows), dtype=bool)
+    if config.task == "sgcls":
+        classes = object_probs.argmax(axis=1)
+        matched = (classes == truth.labels)[split.pairs[split.fg_rows]].all(axis=1)
+    return _Scored(
+        relation_logits=np.concatenate(logits),
+        pair_scores=object_pair_scores(object_probs, split.pairs, config.task),
+        pair_classes=classes[split.pairs],
+        pair_start=split.pair_start,
+        gt_index=split.fg_rows * ls.num_relations + split.fg_targets - 1,
+        gt_relations=split.fg_targets,
+        gt_image=truth.gt_image,
+        gt_matched=matched,
+    )
 
 
 def _rank_split(
-    config: TrainConfig,
-    scored: list[_ScoredImage],
-    inference_bias: Bias | None,
-    ks: Sequence[int] | None,
+    config: TrainConfig, scored: _Scored, inference_bias: Bias | None, ks: list[int]
 ) -> dict[str, EvalResult]:
     """Subtract the inference bias, score, rank, and aggregate per constraint."""
     ls = config.label_space
-    ks = list(config.eval_ks if ks is None else ks)
-    table = None
+    logits = scored.relation_logits
     if inference_bias is not None:
         _check_bias_compatible(inference_bias, ls)
         table = bias_table(inference_bias, ls.num_object_classes)
-    per_image: dict[str, list] = {c: [] for c in CONSTRAINTS}
-    for im in scored:
-        logits = im.relation_logits
-        if table is not None:
-            logits = logits - table[im.subject_classes, im.object_classes]
-        scores = score_triplets(im.pair_scores, logits)
-        for constraint in CONSTRAINTS:
-            positions = np.where(im.gt_matched, rank(scores, im.gt_index, constraint), MISS)
-            per_image[constraint].append((im.gt_relations, positions))
+        logits = logits - table[scored.pair_classes[:, 0], scored.pair_classes[:, 1]]
+    scores = score_triplets(scored.pair_scores, logits)
     return {
-        constraint: evaluate_split(per_image[constraint], ks, ls.num_relations, constraint)
-        for constraint in CONSTRAINTS
+        c: evaluate_split(
+            scored.gt_relations,
+            np.where(scored.gt_matched, rank(scores, scored.pair_start, scored.gt_index, c), MISS),
+            scored.gt_image, len(scored.pair_start) - 1, ks, ls.num_relations, c,
+        )
+        for c in CONSTRAINTS
     }
 
 
@@ -706,11 +705,11 @@ def evaluate(
     (pair tables gathered by annotated labels in ``predcls`` and by the
     argmax of the object probabilities in ``sgcls``); by default the
     logits are used as produced, since the training bias is training-only.
-    Returns one result per ranking constraint.
+    ``ks`` defaults to the config's ``eval_ks`` and is checked by the same
+    rule. Returns one result per ranking constraint.
     """
-    return _rank_split(
-        checkpoint.config, _forward_split(checkpoint, images), inference_bias, ks
-    )
+    ks = _check_ks(checkpoint.config.eval_ks if ks is None else ks, "ks")
+    return _rank_split(checkpoint.config, _forward_split(checkpoint, images), inference_bias, ks)
 
 
 def sweep(
@@ -723,9 +722,13 @@ def sweep(
 ) -> list[tuple[float, dict[str, EvalResult]]]:
     """Evaluate with the weakened inference bias at each exponent in ``grid``.
 
-    Each image is forwarded once; every grid point reuses its logits and
-    only re-biases, re-scores and re-ranks.
+    Each image is forwarded once; every grid point reuses the split's logits
+    and only re-biases, re-scores and re-ranks. An empty ``grid`` raises
+    ``ValueError``.
     """
+    ks = _check_ks(checkpoint.config.eval_ks if ks is None else ks, "ks")
+    if not len(grid):
+        raise ValueError("empty sweep grid")
     for a_e in grid:
         if a_e > spec.a:
             raise ValueError(f"a_eval {a_e} exceeds a {spec.a}")
@@ -735,18 +738,6 @@ def sweep(
         soft = soft_bias(replace(spec, a_eval=float(a_e)), stats)
         rows.append((float(a_e), _rank_split(checkpoint.config, scored, soft, ks)))
     return rows
-
-
-def sweep_csv(rows: list[tuple[float, dict[str, EvalResult]]], ks: Sequence[int]) -> str:
-    lines = ["a_e,constraint,k,R,mR"]
-    for a_e, results in rows:
-        for constraint in CONSTRAINTS:
-            res = results[constraint]
-            for k in ks:
-                lines.append(
-                    f"{a_e},{constraint},{k},{res.recall_at[k]:.6f},{res.mean_recall_at[k]:.6f}"
-                )
-    return "\n".join(lines) + "\n"
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:

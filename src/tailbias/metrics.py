@@ -12,15 +12,18 @@ the background logit never influences scores.
 
 Two ranking protocols, both by stable sorts, so exact ties are broken by
 (pair position, relation label) ascending. ``without`` graph constraint
-ranks all candidates: ``np.argsort(-scores.ravel(), kind="stable")``.
-``with`` keeps only each pair's best relation, the first maximum of its row
-(``argmax``), and ranks the pairs by a stable argsort of those scores.
+ranks all of an image's candidates: ``np.argsort(-scores.ravel(),
+kind="stable")``. ``with`` keeps only each pair's best relation, the first
+maximum of its row (``argmax``), and ranks the pairs by a stable argsort of
+those scores.
 
-Recall needs only the rank position of each ground-truth triplet, which
-:func:`rank` computes once per image and constraint; the triplet is in the
-top k exactly when its position is below k, so one ranking serves every k.
-Under ``with`` a triplet whose relation is not its pair's best is never
-retrieved (position :data:`MISS`).
+A split stacks its images' matrices into one ``(ΣP, L)`` matrix, image ``i``
+at rows ``starts[i]:starts[i + 1]``. Recall needs only the rank position,
+within its image, of each ground-truth triplet, which :func:`rank` computes
+for the whole split once per constraint, by one row-wise stable argsort per
+image size; the triplet is in the top k exactly when its position is below
+k, so one ranking serves every k. Under ``with`` a triplet whose relation is
+not its pair's best is never retrieved (position :data:`MISS`).
 
 ``recall@k`` is the fraction of an image's ground-truth triplets, matched on
 exact ``(s, o, relation)``, found in its top k; the dataset value averages
@@ -37,7 +40,6 @@ instance of each relation.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,10 +55,10 @@ __all__ = [
     "object_pair_scores",
     "score_triplets",
     "candidate_index",
-    "ranking",
     "rank",
     "evaluate_split",
     "metrics_csv",
+    "sweep_csv",
     "per_relation_csv",
     "METRICS_CSV_HEADER",
 ]
@@ -78,22 +80,19 @@ class EvalResult:
 
 
 def object_pair_scores(
-    object_probs: np.ndarray, pairs: Sequence[tuple[int, int]] | np.ndarray, mode: str
+    object_probs: np.ndarray, pairs: np.ndarray, mode: str
 ) -> np.ndarray | None:
-    """``p(s) * p(o)`` per pair from each object's top probability in
-    ``sgcls``; None in ``predcls``, where object scores are fixed to 1."""
+    """``p(s) * p(o)`` per ``(s, o)`` row of ``pairs`` from each object's top
+    probability in ``sgcls``; None in ``predcls``, where object scores are fixed to 1."""
     if mode == "predcls":
         return None
     if mode != "sgcls":
         raise ValueError(f"unknown mode {mode!r}")
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     top = object_probs.max(axis=1)
     return top[pairs[:, 0]] * top[pairs[:, 1]]
 
 
-def score_triplets(
-    pair_scores: np.ndarray | None, relation_logits: np.ndarray
-) -> np.ndarray:
+def score_triplets(pair_scores: np.ndarray | None, relation_logits: np.ndarray) -> np.ndarray:
     """``(P, L)`` candidate scores in (pair, relation) order.
 
     ``pair_scores`` is the :func:`object_pair_scores` of the same pairs.
@@ -115,61 +114,62 @@ def candidate_index(gt, num_objects: int | np.ndarray, num_relations: int) -> np
     pair for ``s == o`` or indices out of range; callers check the ground
     truth before indexing it.
     """
-    t = np.asarray(gt, dtype=np.int64).reshape(-1, 3)
-    s, o, r = t[:, 0], t[:, 1], t[:, 2]
+    s, o, r = np.asarray(gt, dtype=np.int64).reshape(-1, 3).T
     return (s * (np.asarray(num_objects) - 1) + o - (o > s)) * num_relations + (r - 1)
 
 
-def ranking(scores: np.ndarray, constraint: str = "with") -> np.ndarray:
-    """Flat indices of the ranked candidates, best first."""
-    if constraint == "without":
-        return np.argsort(-scores.ravel(), kind="stable")
-    if constraint != "with":
+def rank(
+    scores: np.ndarray, starts: np.ndarray, index: np.ndarray, constraint: str = "with"
+) -> np.ndarray:
+    """0-based rank position, within its image, of the candidates at flat
+    ``index`` of ``scores``; :data:`MISS` for candidates the protocol drops.
+
+    ``scores`` stacks the :func:`score_triplets` matrices of a split, image
+    ``i`` at rows ``starts[i]:starts[i + 1]``. Each image is ranked on its own,
+    by one row-wise stable argsort over all images of the same block size.
+    """
+    if constraint not in CONSTRAINTS:
         raise ValueError(f"unknown constraint {constraint!r}")
-    best = scores.argmax(axis=1)
-    pairs = np.argsort(-scores[np.arange(best.shape[0]), best], kind="stable")
-    return pairs * scores.shape[1] + best[pairs]
-
-
-def rank(scores: np.ndarray, index: np.ndarray, constraint: str = "with") -> np.ndarray:
-    """0-based rank position of the candidates at flat ``index``; :data:`MISS`
-    for candidates the protocol drops."""
-    order = ranking(scores, constraint)
-    position = np.full(scores.size, MISS, dtype=np.int64)
-    position[order] = np.arange(order.shape[0])
+    flat, num_relations = scores.ravel(), scores.shape[1]
+    position = np.full(flat.size, MISS, dtype=np.int64)
+    sizes = np.diff(starts)
+    for size in np.unique(sizes):
+        first = starts[:-1][sizes == size, None]
+        # Each image's candidates in tie-break order: every (pair, relation)
+        # without the constraint, each pair's best relation with it.
+        if constraint == "without":
+            cells = first * num_relations + np.arange(size * num_relations)
+        else:
+            rows = first + np.arange(size)
+            cells = rows * num_relations + scores[rows].argmax(axis=2)
+        order = np.argsort(-flat[cells], axis=1, kind="stable")
+        position[np.take_along_axis(cells, order, axis=1)] = np.arange(cells.shape[1])
     return position[index]
 
 
 def evaluate_split(
-    per_image: Sequence[tuple[np.ndarray, np.ndarray]],
-    ks: Sequence[int],
-    num_relations: int,
-    constraint: str,
+    relations: np.ndarray, positions: np.ndarray, image: np.ndarray, num_images: int,
+    ks: Sequence[int], num_relations: int, constraint: str,
 ) -> EvalResult:
     """Aggregate R@k and mR@k for one split under one constraint.
 
-    ``per_image`` holds, per image, the relation label and the rank position
-    (from :func:`rank` under ``constraint``) of each ground-truth triplet;
-    images without ground truth are skipped for R@k.
+    Ground-truth triplet ``t`` belongs to image ``image[t]`` of
+    ``num_images``, has relation label ``relations[t]`` and rank position
+    ``positions[t]`` (from :func:`rank` under ``constraint``); images without
+    ground truth are skipped for R@k. Every k in ``ks`` is at least 1.
     """
-    with_gt = [(rel, pos) for rel, pos in per_image if len(rel)]
-    empty = [np.zeros(0, dtype=np.int64)]
-    rel = np.concatenate(empty + [np.asarray(r, dtype=np.int64) for r, _ in with_gt])
-    pos = np.concatenate(empty + [np.asarray(p, dtype=np.int64) for _, p in with_gt])
-    sizes = np.array([len(r) for r, _ in with_gt], dtype=np.int64)
-    image = np.repeat(np.arange(sizes.shape[0]), sizes)
-    gt_counts = np.bincount(rel, minlength=num_relations + 1)
+    sizes = np.bincount(image, minlength=num_images)
+    with_gt = sizes > 0
+    gt_counts = np.bincount(relations, minlength=num_relations + 1)
     present = gt_counts > 0
     recall = {}
     mean_recall = {}
     per_rel = {}
     for k in ks:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        hit = pos < k
-        per_image_hits = np.bincount(image, weights=hit, minlength=sizes.shape[0])
-        recall[k] = float(np.mean(per_image_hits / sizes)) if with_gt else 0.0
-        hits = np.bincount(rel[hit], minlength=num_relations + 1)
+        hit = positions < k
+        per_image_hits = np.bincount(image, weights=hit, minlength=num_images)[with_gt]
+        recall[k] = float(np.mean(per_image_hits / sizes[with_gt])) if with_gt.any() else 0.0
+        hits = np.bincount(relations[hit], minlength=num_relations + 1)
         per_rel[k] = np.full(num_relations + 1, np.nan)
         per_rel[k][present] = hits[present] / gt_counts[present]
         mean_recall[k] = float(np.mean(per_rel[k][present])) if present.any() else 0.0
@@ -178,37 +178,36 @@ def evaluate_split(
         mean_recall_at=mean_recall,
         per_relation_recall=per_rel,
         gt_relation_counts=gt_counts,
-        num_images=len(per_image),
+        num_images=num_images,
         constraint_mode=constraint,
     )
 
 
+def _rows(first, results: dict[str, EvalResult], ks: Sequence[int]) -> str:
+    """One ``first,constraint,k,R,mR`` line per constraint and k."""
+    return "".join(
+        f"{first},{c},{k},{results[c].recall_at[k]:.6f},{results[c].mean_recall_at[k]:.6f}\n"
+        for c in CONSTRAINTS
+        for k in ks
+    )
+
+
 def metrics_csv(mode: str, results: dict[str, EvalResult], ks: list[int]) -> str:
-    buf = io.StringIO()
-    buf.write(METRICS_CSV_HEADER + "\n")
-    for constraint in CONSTRAINTS:
-        res = results[constraint]
-        for k in ks:
-            buf.write(
-                f"{mode},{constraint},{k},{res.recall_at[k]:.6f},{res.mean_recall_at[k]:.6f}\n"
-            )
-    return buf.getvalue()
+    return METRICS_CSV_HEADER + "\n" + _rows(mode, results, ks)
 
 
-def per_relation_csv(
-    label_space: LabelSpace, result: EvalResult, ks: list[int]
-) -> str:
+def sweep_csv(rows: list[tuple[float, dict[str, EvalResult]]], ks: Sequence[int]) -> str:
+    """One block of :func:`metrics_csv` lines per grid point, keyed by ``a_e``."""
+    return "a_e,constraint,k,R,mR\n" + "".join(_rows(a_e, results, ks) for a_e, results in rows)
+
+
+def per_relation_csv(label_space: LabelSpace, result: EvalResult, ks: list[int]) -> str:
     """Per-relation breakdown; recall cells are empty for absent relations."""
-    buf = io.StringIO()
-    buf.write("relation,name,gt_count," + ",".join(f"recall@{k}" for k in ks) + "\n")
+    lines = ["relation,name,gt_count," + ",".join(f"recall@{k}" for k in ks)]
     for r in range(1, label_space.num_relations + 1):
-        cells = []
-        for k in ks:
-            v = result.per_relation_recall[k][r]
-            cells.append("" if np.isnan(v) else f"{v:.6f}")
-        buf.write(
+        recalls = [result.per_relation_recall[k][r] for k in ks]
+        lines.append(
             f"{r},{label_space.relation_name(r)},{result.gt_relation_counts[r]},"
-            + ",".join(cells)
-            + "\n"
+            + ",".join("" if np.isnan(v) else f"{v:.6f}" for v in recalls)
         )
-    return buf.getvalue()
+    return "\n".join(lines) + "\n"

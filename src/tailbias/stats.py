@@ -151,7 +151,14 @@ def _shape(ls: LabelSpace) -> tuple[int, int, int]:
 
 
 def _is_int64(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool) and abs(value) < 2**63
+    # Testing ``type(value) is int`` first spares the slow ABC check for most values.
+    integral = type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+    return integral and abs(value) < 2**63
+
+
+def _is_int64_row(row, width: int) -> bool:
+    """Whether ``row`` is a list or tuple of ``width`` 64-bit integers."""
+    return isinstance(row, (list, tuple)) and len(row) == width and all(map(_is_int64, row))
 
 
 def refuse_first(checks: list[tuple[np.ndarray, Callable[[int], str]]], what: str) -> None:
@@ -186,11 +193,14 @@ def ingest(
 ) -> TripletStats:
     """Accumulate a stream of ``(s, o, relation)`` triplets into counts.
 
-    Raises ValueError naming the offending stream position when a record falls
-    outside ``label_space``.
+    Raises ValueError naming the offending stream position when a record is
+    not three 64-bit integers or falls outside ``label_space``.
     """
-    keys = np.array(list(records), dtype=np.int64).reshape(-1, 3)
-    refuse_first(_range_checks(keys, label_space), "record")
+    records = list(records)
+    bad = np.array([not _is_int64_row(t, 3) for t in records], dtype=bool)
+    keys = np.array([(0, 0, 1) if b else t for t, b in zip(records, bad)], np.int64).reshape(-1, 3)
+    refuse_first([(bad, lambda i: "not three 64-bit integers (s, o, relation)")]
+                 + _range_checks(keys, label_space), "record")
     return TripletStats(label_space, _count(keys, label_space))
 
 
@@ -287,7 +297,7 @@ def stats_from_json(text: str) -> TripletStats:
         raise ValueError("statistics must be an object with a list of [s, o, r, n] counts")
     ls = LabelSpace.from_dict(doc.get("label_space"))
     for i, e in enumerate(doc["counts"]):
-        if not (isinstance(e, list) and len(e) == 4 and all(map(_is_int64, e))):
+        if not _is_int64_row(e, 4):
             raise ValueError(f"statistics entry {i} is not four 64-bit integers [s, o, r, n]")
     table = np.array(doc["counts"], dtype=np.int64).reshape(-1, 4)
     keys, n = table[:, :3], table[:, 3]

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .stats import LabelSpace, check_keys, read_jsonl
+from .stats import LabelSpace, _is_int64, _is_int64_row, check_keys, read_jsonl
 
 __all__ = [
     "SynthConfig",
@@ -280,13 +280,19 @@ def _image_from_doc(doc: dict) -> SynthImage:
     union_pairs = [[s, o] for s, o, _ in doc["unions"]]
     if union_pairs != all_ordered_pairs(n).tolist():
         raise ValueError(f"union pairs are not the ordered pairs of {n} objects in order")
+    for i, obj in enumerate(objects):
+        if not _is_int64(obj["label"]):
+            raise ValueError(f"object {i} label must be a 64-bit integer")
+    for i, t in enumerate(doc["gt"]):
+        if not _is_int64_row(t, 3):
+            raise ValueError(f"ground-truth entry {i} is not three 64-bit integers [s, o, r]")
     return SynthImage(
         boxes=_matrix([obj["box"] for obj in objects], "box", 4),
         features=features,
-        labels=np.array([int(obj["label"]) for obj in objects], dtype=np.int64),
+        labels=np.array([obj["label"] for obj in objects], dtype=np.int64),
         scores=_matrix([obj["scores"] for obj in objects], "scores"),
         unions=_matrix([vec for _, _, vec in doc["unions"]], "union", features.shape[1]),
-        gt_triplets=[(int(s), int(o), int(r)) for s, o, r in doc["gt"]],
+        gt_triplets=[tuple(t) for t in doc["gt"]],
     )
 
 

@@ -346,6 +346,66 @@ class TestErrors:
         assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda d: d["objects"][1].__setitem__("label", 1.7),
+             "object 1 label must be a 64-bit integer"),
+            (lambda d: d["gt"][0].__setitem__(2, 1.9),
+             "ground-truth entry 0 is not three 64-bit integers [s, o, r]"),
+        ],
+        ids=["float-label", "float-gt"],
+    )
+    def test_non_integer_label_or_triplet_gives_json_error(
+        self, workspace, tmp_path, capsys, corrupt, message
+    ):
+        root, data_dir, _, _, _ = workspace
+        lines = (data_dir / "train.jsonl").read_text().splitlines()
+        doc = json.loads(lines[3])
+        corrupt(doc)
+        lines[3] = json.dumps(doc)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main([
+            "train", "--config", str(root / "train.json"), "--data", str(bad),
+            "--out", str(tmp_path / "run"),
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {"type": "ValueError", "message": f"{bad}:4: {message}"}
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("eval", "--ks", "10,5,5", "ks must be nonempty and strictly ascending, every k >= 1"),
+            ("eval", "--ks", ",", "ks must be nonempty and strictly ascending, every k >= 1"),
+            ("eval", "--ks", "0,5", "ks must be nonempty and strictly ascending, every k >= 1"),
+            ("sweep", "--ks", "10,5", "ks must be nonempty and strictly ascending, every k >= 1"),
+            ("sweep", "--ks", ",", "ks must be nonempty and strictly ascending, every k >= 1"),
+            ("sweep", "--grid", ",", "empty sweep grid"),
+        ],
+        ids=["eval-unordered", "eval-empty", "eval-zero", "sweep-unordered", "sweep-empty",
+             "empty-grid"],
+    )
+    def test_bad_ks_or_grid_gives_json_error(
+        self, workspace, tmp_path, capsys, command, flag, value, message
+    ):
+        _, data_dir, stats_path, _, run_dir = workspace
+        args = {
+            "eval": ["eval"],
+            "sweep": ["sweep", "--stats", str(stats_path), "--grid", "0,1"],
+        }[command] + [
+            "--checkpoint", str(run_dir / "checkpoint.json"), "--data",
+            str(data_dir / "test.jsonl"), "--out", str(tmp_path / "out"), flag + "=" + value,
+        ]
+        capsys.readouterr()
+        assert main(args) == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {"type": "ValueError", "message": message}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "command, section, key, where",
         [
             ("train", "model", "d_modle", "config section 'model'"),

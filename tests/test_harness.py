@@ -92,6 +92,8 @@ class TestConfig:
             linear_config(space, eval_ks=())
         with pytest.raises(ValueError):
             linear_config(space, eval_ks=(10, 5))
+        with pytest.raises(ValueError, match="every k >= 1"):
+            linear_config(space, eval_ks=(0, 5))
         with pytest.raises(ValueError):
             linear_config(space, loss=LossConfig(kind="rtpb"))  # bias missing
         with pytest.raises(ValueError):
@@ -532,14 +534,17 @@ class TestEvaluate:
         config = replace(model_config(space, "dual_encoder"), task="sgcls")
         params = init_dual_encoder(config.model, space, 8, np.random.default_rng(4))
         ck = Checkpoint(config, iterations=0, params=params)
+        scored = _forward_split(ck, test_images)
         differing = 0
-        for img, scored in zip(test_images, _forward_split(ck, test_images)):
+        for i, img in enumerate(test_images):
             pairs = all_ordered_pairs(len(img.labels))
             out = forward(img, img.unions, pairs, params, config.model, "sgcls")
             predicted = out.object_probs.argmax(axis=1)
-            assert np.array_equal(scored.subject_classes, predicted[pairs[:, 0]])
-            assert np.array_equal(scored.object_classes, predicted[pairs[:, 1]])
+            rows = slice(scored.pair_start[i], scored.pair_start[i + 1])
+            assert np.array_equal(scored.pair_classes[rows, 0], predicted[pairs[:, 0]])
+            assert np.array_equal(scored.pair_classes[rows, 1], predicted[pairs[:, 1]])
             differing += (predicted != class_labels(img, "sgcls")).any()
+        assert scored.pair_start[-1] == len(scored.pair_classes)
         assert differing > 0
 
     def test_empty_split_rejected(self, space, data):

@@ -13,7 +13,6 @@ from tailbias.metrics import (
     object_pair_scores,
     per_relation_csv,
     rank,
-    ranking,
     score_triplets,
 )
 from tailbias.numerics import row_softmax
@@ -31,7 +30,7 @@ class TestScoreTriplets:
 
     def test_predcls_scores_are_relation_probs(self, rng):
         logits = rng.normal(size=(2, 4))
-        assert object_pair_scores(None, [(0, 1), (1, 0)], "predcls") is None
+        assert object_pair_scores(None, np.array([[0, 1], [1, 0]]), "predcls") is None
         got = score_triplets(None, logits)
         assert got == pytest.approx(row_softmax(logits[:, 1:]), abs=1e-12)
 
@@ -39,7 +38,7 @@ class TestScoreTriplets:
         # object probabilities 0.5 and 0.4; relation probability 0.3
         object_probs = np.array([[0.5, 0.3, 0.2], [0.4, 0.35, 0.25]])
         logits = np.concatenate([[[0.0]], np.log([[0.3, 0.7]])], axis=1)
-        pair_scores = object_pair_scores(object_probs, [(0, 1)], "sgcls")
+        pair_scores = object_pair_scores(object_probs, np.array([[0, 1]]), "sgcls")
         assert score_triplets(pair_scores, logits)[0, 0] == pytest.approx(
             0.5 * 0.4 * 0.3, abs=1e-12
         )
@@ -53,16 +52,29 @@ class TestScoreTriplets:
         assert a == pytest.approx(b, abs=1e-12)
 
 
+def one_image(scores):
+    """The block offsets of a split holding ``scores`` as its only image."""
+    return np.array([0, len(scores)])
+
+
+def ranking(scores, constraint):
+    """Flat indices of one image's ranked candidates, best first, read off
+    their rank positions."""
+    position = rank(scores, one_image(scores), np.arange(scores.size), constraint)
+    kept = np.flatnonzero(position != MISS)
+    return kept[np.argsort(position[kept])]
+
+
 class TestRank:
     def test_with_constraint_keeps_best_per_pair(self):
         scores = np.array([[0.2, 0.7]])
         assert ranking(scores, "with").tolist() == [1]
-        assert rank(scores, np.array([0, 1]), "with").tolist() == [MISS, 0]
+        assert rank(scores, one_image(scores), np.array([0, 1]), "with").tolist() == [MISS, 0]
 
     def test_without_constraint_keeps_all(self):
         scores = np.array([[0.2, 0.7]])
         assert ranking(scores, "without").tolist() == [1, 0]
-        assert rank(scores, np.array([0, 1]), "without").tolist() == [1, 0]
+        assert rank(scores, one_image(scores), np.array([0, 1]), "without").tolist() == [1, 0]
 
     def test_tie_breaks_by_construction_order(self):
         scores = np.array([[0.5, 0.5], [0.5, 0.1]])
@@ -74,9 +86,17 @@ class TestRank:
         scores = rng.uniform(size=(6, 3))
         assert set(ranking(scores, "with").tolist()) <= set(ranking(scores, "without").tolist())
 
+    def test_each_image_is_ranked_on_its_own(self):
+        # Image 0 has one pair, image 1 two; positions restart per image.
+        scores = np.array([[0.1, 0.2], [0.9, 0.3], [0.5, 0.8]])
+        starts = np.array([0, 1, 3])
+        every = np.arange(scores.size)
+        assert rank(scores, starts, every, "without").tolist() == [1, 0, 0, 3, 2, 1]
+        assert rank(scores, starts, every, "with").tolist() == [MISS, 0, 0, MISS, MISS, 1]
+
     def test_unknown_constraint(self):
         with pytest.raises(ValueError):
-            rank(np.zeros((1, 2)), np.array([0]), "sometimes")
+            rank(np.zeros((1, 2)), np.array([0, 1]), np.array([0]), "sometimes")
 
 
 class TestRecallAtK:
@@ -132,33 +152,49 @@ class TestMeanRecall:
         assert r == 0.9
 
 
-def image(relations, positions):
-    """One image's ground truth as evaluate_split takes it."""
-    return np.array(relations, dtype=np.int64), np.array(positions, dtype=np.int64)
+def split(*images):
+    """Per-image ``(relations, positions)`` lists as the flat arrays
+    evaluate_split takes: relations, positions, image, num_images."""
+    relations = [np.array(r, dtype=np.int64) for r, _ in images]
+    positions = [np.array(p, dtype=np.int64) for _, p in images]
+    image = np.repeat(np.arange(len(images)), [len(r) for r in relations])
+    return np.concatenate(relations), np.concatenate(positions), image, len(images)
 
 
 class TestEvaluateSplit:
-    def _random_images(self, rng, n_images, num_relations=4, constraint="with"):
-        images = []
+    def _random_split(self, rng, n_images, num_relations=4, per_image=1):
+        """Images of two objects with ``per_image`` ground-truth triplets each,
+        drawn image by image, ranked as one split; returns the relations, the
+        image of each triplet and the rank positions under each constraint."""
+        relations, scores = [], []
         for _ in range(n_images):
-            gt = [(0, 1, int(rng.integers(1, num_relations + 1)))]
-            scores = rng.uniform(size=(2, num_relations))
-            index = candidate_index(gt, 2, num_relations)
-            images.append(image([gt[0][2]], rank(scores, index, constraint)))
-        return images
+            relations.append([int(rng.integers(1, num_relations + 1)) for _ in range(per_image)])
+            scores.append(rng.uniform(size=(2, num_relations)))
+        starts = np.arange(0, 2 * n_images + 1, 2)
+        pairs = [(0, 1), (1, 0)][:per_image]
+        gt = [(s, o, r) for row in relations for (s, o), r in zip(pairs, row)]
+        image = np.repeat(np.arange(n_images), per_image)
+        index = candidate_index(gt, 2, num_relations) + starts[image] * num_relations
+        scores = np.concatenate(scores)
+        positions = {c: rank(scores, starts, index, c) for c in ("with", "without")}
+        return np.ravel(relations), image, positions
 
     def test_monotone_in_k(self, rng):
-        images = self._random_images(rng, 30)
-        res = evaluate_split(images, [1, 2, 3, 4], 4, "with")
+        relations, image, positions = self._random_split(rng, 30)
+        res = evaluate_split(relations, positions["with"], image, 30, [1, 2, 3, 4], 4, "with")
         rs = [res.recall_at[k] for k in (1, 2, 3, 4)]
         mrs = [res.mean_recall_at[k] for k in (1, 2, 3, 4)]
         assert rs == sorted(rs)
         assert mrs == sorted(mrs)
 
     def test_duplicated_dataset_invariant(self, rng):
-        images = self._random_images(rng, 20)
-        once = evaluate_split(images, [2, 4], 4, "with")
-        twice = evaluate_split(images + images, [2, 4], 4, "with")
+        relations, image, positions = self._random_split(rng, 20)
+        pos = positions["with"]
+        once = evaluate_split(relations, pos, image, 20, [2, 4], 4, "with")
+        twice = evaluate_split(
+            np.tile(relations, 2), np.tile(pos, 2), np.concatenate([image, image + 20]), 40,
+            [2, 4], 4, "with",
+        )
         for k in (2, 4):
             assert once.recall_at[k] == pytest.approx(twice.recall_at[k], abs=1e-12)
             assert once.mean_recall_at[k] == pytest.approx(
@@ -166,39 +202,31 @@ class TestEvaluateSplit:
             )
 
     def test_without_ge_with_at_equal_k(self, rng):
-        num_relations = 4
-        per_with = []
-        per_without = []
-        for _ in range(25):
-            gt = [(0, 1, int(rng.integers(1, 5))), (1, 0, int(rng.integers(1, 5)))]
-            scores = rng.uniform(size=(2, num_relations))
-            index = candidate_index(gt, 2, num_relations)
-            relations = [r for _, _, r in gt]
-            per_with.append(image(relations, rank(scores, index, "with")))
-            per_without.append(image(relations, rank(scores, index, "without")))
-        res_with = evaluate_split(per_with, [1, 2, 4, 8], num_relations, "with")
-        res_without = evaluate_split(per_without, [1, 2, 4, 8], num_relations, "without")
-        for k in (1, 2, 4, 8):
+        relations, image, positions = self._random_split(rng, 25, per_image=2)
+        ks = [1, 2, 4, 8]
+        res_with = evaluate_split(relations, positions["with"], image, 25, ks, 4, "with")
+        res_without = evaluate_split(
+            relations, positions["without"], image, 25, ks, 4, "without"
+        )
+        for k in ks:
             assert res_without.recall_at[k] >= res_with.recall_at[k] - 1e-12
 
     def test_images_without_gt_are_excluded(self):
-        images = [image([], []), image([1], [0])]
-        res = evaluate_split(images, [1], 2, "with")
+        res = evaluate_split(*split(([], []), ([1], [0]), ([], [])), [1], 2, "with")
         assert res.recall_at[1] == 1.0
-        assert res.num_images == 2
+        assert res.num_images == 3
 
     def test_gt_counts(self):
-        images = [image([1, 1, 2], [MISS, MISS, MISS])]
-        res = evaluate_split(images, [1], 3, "with")
+        res = evaluate_split(*split(([1, 1, 2], [MISS, MISS, MISS])), [1], 3, "with")
         assert res.gt_relation_counts.tolist() == [0, 2, 1, 0]
 
 
 class TestCsv:
     def test_metrics_csv_schema(self, rng):
-        images = [image([1], [0])]
+        images = split(([1], [0]))
         results = {
-            "with": evaluate_split(images, [1, 5], 2, "with"),
-            "without": evaluate_split(images, [1, 5], 2, "without"),
+            "with": evaluate_split(*images, [1, 5], 2, "with"),
+            "without": evaluate_split(*images, [1, 5], 2, "without"),
         }
         text = metrics_csv("predcls", results, [1, 5])
         lines = text.strip().split("\n")
@@ -208,7 +236,7 @@ class TestCsv:
 
     def test_per_relation_csv(self):
         ls = LabelSpace(num_object_classes=2, num_relations=2)
-        res = evaluate_split([image([1], [0])], [1], 2, "with")
+        res = evaluate_split(*split(([1], [0])), [1], 2, "with")
         text = per_relation_csv(ls, res, [1])
         lines = text.strip().split("\n")
         assert lines[0] == "relation,name,gt_count,recall@1"

@@ -27,7 +27,7 @@ from tailbias.harness import (
     train,
     training_stats,
 )
-from tailbias.metrics import CONSTRAINTS, candidate_index, evaluate_split, rank, ranking
+from tailbias.metrics import CONSTRAINTS, MISS, candidate_index, evaluate_split, rank
 from tailbias.model import init_linear
 from tailbias.stats import LabelSpace, ingest, stats_from_json, stats_to_json
 from tailbias.numerics import flatten
@@ -51,10 +51,10 @@ def assert_same_results(got, want):
 
 
 @st.composite
-def scored_image(draw, num_relations):
-    """A score matrix quantised to few levels, so exact ties are common,
-    with a random ground-truth list (duplicates allowed)."""
-    n = draw(st.integers(2, 4))
+def scored_image(draw, num_relations, n):
+    """A score matrix of ``n`` objects quantised to few levels, its last pair
+    a copy of its first so that exact ties always occur, with a random
+    ground-truth list (duplicates allowed, possibly empty)."""
     pairs = [tuple(p) for p in all_ordered_pairs(n).tolist()]
     levels = draw(st.integers(1, 4))
     cells = draw(
@@ -65,6 +65,7 @@ def scored_image(draw, num_relations):
         )
     )
     scores = np.array(cells, dtype=np.float64).reshape(len(pairs), num_relations) / levels
+    scores[-1] = scores[0]
     gt = draw(
         st.lists(
             st.tuples(st.sampled_from(pairs), st.integers(1, num_relations)).map(
@@ -78,9 +79,14 @@ def scored_image(draw, num_relations):
 
 @st.composite
 def scored_split(draw):
+    """A split holding images of at least three sizes, one of them without
+    ground truth, in random order."""
     num_relations = draw(st.integers(1, 4))
-    images = draw(st.lists(scored_image(num_relations), min_size=1, max_size=5))
-    return num_relations, images
+    sizes = [2, 3, 4] + draw(st.lists(st.integers(2, 5), max_size=4))
+    images = [draw(scored_image(num_relations, n)) for n in sizes]
+    n, pairs, scores, _ = images[draw(st.integers(0, len(images) - 1))]
+    images.append((n, pairs, scores, []))
+    return num_relations, draw(st.permutations(images))
 
 
 def oracle_candidates(pairs, scores):
@@ -96,20 +102,31 @@ def oracle_candidates(pairs, scores):
 def test_ranking_and_recall_match_oracle(split):
     num_relations, images = split
     ks = [1, 2, 3, 5, 8, 50]
+    starts = np.cumsum([0] + [len(pairs) for _, pairs, _, _ in images])
+    scores = np.concatenate([scores for _, _, scores, _ in images])
+    index = np.concatenate(
+        [candidate_index(gt, n, num_relations) + start * num_relations
+         for (n, _, _, gt), start in zip(images, starts)]
+    )
+    relations = np.array([r for *_, gt in images for _, _, r in gt], dtype=np.int64)
+    image = np.repeat(np.arange(len(images)), [len(gt) for *_, gt in images])
     for constraint in CONSTRAINTS:
-        array_images = []
+        # Every candidate's rank position, from the oracle's ranked lists.
+        want_positions = np.full(scores.size, MISS)
         oracle_images = []
-        for n, pairs, scores, gt in images:
-            ranked = oracle.rank(oracle_candidates(pairs, scores), constraint)
+        for (_, pairs, image_scores, gt), start in zip(images, starts):
+            ranked = oracle.rank(oracle_candidates(pairs, image_scores), constraint)
             pair_pos = {p: q for q, p in enumerate(pairs)}
-            want = [pair_pos[(p.s, p.o)] * num_relations + p.relation - 1 for p in ranked]
-            assert ranking(scores, constraint).tolist() == want
-
-            index = candidate_index(gt, n, num_relations)
-            relations = np.array([r for _, _, r in gt], dtype=np.int64)
-            array_images.append((relations, rank(scores, index, constraint)))
+            for position, p in enumerate(ranked):
+                cell = (start + pair_pos[(p.s, p.o)]) * num_relations + p.relation - 1
+                want_positions[cell] = position
             oracle_images.append((gt, ranked))
-        got = evaluate_split(array_images, ks, num_relations, constraint)
+        every = rank(scores, starts, np.arange(scores.size), constraint)
+        assert every.tolist() == want_positions.tolist()
+
+        positions = rank(scores, starts, index, constraint)
+        got = evaluate_split(relations, positions, image, len(images), ks, num_relations,
+                             constraint)
         want = oracle.evaluate_split(oracle_images, ks, num_relations, constraint)
         assert_same_results({constraint: got}, {constraint: want})
 

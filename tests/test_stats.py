@@ -83,6 +83,26 @@ class TestIngest:
         with pytest.raises(ValueError, match="relation 0"):
             ingest([(1, 2, 0)], small_space)
 
+    @pytest.mark.parametrize(
+        "records, position",
+        [
+            ([(0, 1, 1.7), (True, 0, 2)], 0),
+            ([(0, 1, 1), (True, 0, 2)], 1),
+            ([(0, 1, 1), (0, 1)], 1),
+            ([(0, 1, 1), (0, 1, 2**63)], 1),
+            ([(0, 1, 1), None], 1),
+            ([(9, 2, 3), (0, 1, 1.5)], None),  # the first fault comes first
+        ],
+        ids=["float", "bool", "short", "huge", "none", "range-first"],
+    )
+    def test_non_integer_record_names_position(self, small_space, records, position):
+        why = (
+            "record 0: subject class 9 out of range" if position is None
+            else f"record {position}: not three 64-bit integers (s, o, relation)"
+        )
+        with pytest.raises(ValueError, match=re.escape(why)):
+            ingest(records, small_space)
+
 
 class TestMarginals:
     def test_empty(self, small_space):

@@ -217,11 +217,21 @@ class TestJsonl:
             (lambda d: d["objects"][2]["box"].__setitem__(2, 0.0), "degenerate"),
             (lambda d: d["objects"][0]["box"].pop(), "box rows are ragged"),
             (lambda d: d["objects"][1]["scores"].__setitem__(0, 2.0), "sum to 1"),
+            (lambda d: d["objects"][1].__setitem__("label", 1.7),
+             "object 1 label must be a 64-bit integer"),
+            (lambda d: d["objects"][0].__setitem__("label", True),
+             "object 0 label must be a 64-bit integer"),
+            (lambda d: d["objects"][0].__setitem__("label", 2**63),
+             "object 0 label must be a 64-bit integer"),
+            (lambda d: d["gt"][0].__setitem__(2, 1.9),
+             r"ground-truth entry 0 is not three 64-bit integers \[s, o, r\]"),
+            (lambda d: d["gt"].append([0, 1]), "ground-truth entry \\d+ is not three"),
         ],
         ids=[
             "missing-object-key", "missing-gt", "ragged-feat", "ragged-scores",
             "ragged-union", "missing-union-pair", "union-pairs-out-of-order", "bad-box",
-            "short-box", "unnormalised-scores",
+            "short-box", "unnormalised-scores", "float-label", "bool-label", "huge-label",
+            "float-gt", "short-gt",
         ],
     )
     def test_malformed_document_names_its_line(self, tmp_path, corrupt, why):
