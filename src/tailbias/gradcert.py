@@ -189,7 +189,7 @@ def _toy_setup(rng: np.random.Generator):
     boxes, features, labels, scores = (np.array(col) for col in zip(*rows))
     pairs = all_ordered_pairs(n)
     unions = rng.normal(0.0, 1.0, (len(pairs), d_v))
-    image = SynthImage(boxes, features, labels, scores, unions, gt_triplets=[])
+    image = SynthImage(boxes, features, labels, scores, unions, gt=np.zeros((0, 3), np.int64))
     targets = rng.integers(0, ls.num_relations + 1, len(pairs))
     bias_row = rng.uniform(-1.0, 1.0, ls.num_relations + 1)
     return spec, params, image, pairs, targets, bias_row

@@ -1,34 +1,32 @@
-"""Training, evaluation, and the inference-bias sweep.
+"""Training, evaluation, and the inference-bias sweep, over packed
+:class:`~tailbias.synth.Images` splits.
 
 Training is plain SGD with momentum over seeded shuffled image batches. The
-split is checked (by array masks over all its images, as every split is; see
-:func:`_truth`) and packed once, before the first iteration, into ragged
-arrays with offsets: the ground truth of every image (which alone gives the
-annotation statistics), then the ordered pairs of every image as global
-object rows with their union rows, each image's sorted foreground pairs and
-targets, and its background pairs. Each batch draws every annotated
-(foreground) pair of its images plus a seeded subsample of background pairs
-at a configurable ratio; the optimized scalar is the mean relation loss over
-the drawn pairs, plus a weighted mean object-classification cross-entropy
-when the model has an object head. Each loss is called once per batch on the
+split's ground truth is checked once, by array masks (:func:`_truth`), and
+the pairs to draw are derived once (:func:`_pack`): every image's ordered
+pairs as global object rows, row for row with the split's unions, its sorted
+foreground pairs and targets, and its background pairs. Each batch draws
+every foreground pair of its images plus a seeded subsample of background
+pairs at a configurable ratio; the optimized scalar is the mean relation
+loss over the drawn pairs, plus a weighted mean object cross-entropy when
+the model has an object head. Each loss is called once per batch on the
 rows of all its images; the model runs one forward and one backward per
 image. Bias rows are gathered from a dense class-pair table by the pair's
-class labels: annotated labels in ``predcls``, detector argmax in
-``sgcls``. Parameters, momentum and gradients are flat buffers, with trees
-as views of them. A step whose loss or any gradient is non-finite stops
-training with a ``FloatingPointError`` that names the iteration and, for a
-gradient, the parameter leaf.
+classes (:func:`~tailbias.model.class_labels`). Parameters, momentum and
+gradients are flat buffers, with trees as views of them. A non-finite loss
+or gradient stops training with a ``FloatingPointError`` that names the
+iteration and, for a gradient, the parameter leaf.
 
-Evaluation checks and packs its split as training does, at the checkpoint's
-feature width, forwards each image once over its pair rows, and ranks the
-split's stacked ``(ΣP, L)`` score matrix once per constraint (see
-:mod:`tailbias.metrics`); the sweep reuses those logits at every grid point
-and only re-biases, re-scores and re-ranks. In ``sgcls`` evaluation the
-argmax of the model's object probabilities is the object label throughout:
-inference-bias rows are gathered by it, and a ground-truth triplet can be
-recalled only when it equals the annotated label of both its subject and its
-object; otherwise its rank position is :data:`~tailbias.metrics.MISS`.
-Training (and the dual encoder's label embedding) keeps the detector argmax.
+Evaluation checks and derives its split as training does, at the
+checkpoint's feature width, forwards each image once, and ranks the split's
+stacked ``(ΣP, L)`` score matrix once per constraint (see
+:mod:`tailbias.metrics`); the sweep reuses those logits at every grid point.
+In ``sgcls`` evaluation the argmax of the model's object probabilities is
+the object label throughout: inference-bias rows are gathered by it, and a
+ground-truth triplet can be recalled only when it equals the annotated label
+of both its subject and its object; otherwise its rank position is
+:data:`~tailbias.metrics.MISS`. Training (and the dual encoder's label
+embedding) keeps the detector argmax.
 
 All randomness derives from ``SeedSequence(config.seed, spawn_key=(domain,))``
 so identical configs produce bitwise-identical checkpoints. Checkpoints and
@@ -40,7 +38,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
-from itertools import chain, zip_longest
+from itertools import zip_longest
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -65,13 +63,14 @@ from .model import (
     LinearParams,
     Model,
     ModelSpec,
+    class_labels,
     feature_width,
     forward,  # noqa: F401 - perfbench/tests check that tracing restores this binding
     model_for,
 )
 from .numerics import flatten, leaf_names, leaves, running_sum, unflatten
-from .stats import LabelSpace, TripletStats, check_keys, marginal_counts, refuse_first
-from .synth import SynthImage, all_ordered_pairs
+from .stats import LabelSpace, TripletStats, _is_int64, check_keys, marginal_counts, refuse_first
+from .synth import Images, _offsets, all_ordered_pairs
 
 __all__ = [
     "LOSS_KINDS",
@@ -183,6 +182,9 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: Mapping) -> "TrainConfig":
         check_keys(d, cls, "train config")
+        eval_ks = d.get("eval_ks", (20, 50, 100))
+        if not isinstance(eval_ks, (list, tuple)) or not all(map(_is_int64, eval_ks)):
+            raise ValueError("train config key 'eval_ks' must be a list of 64-bit integers")
         return cls(
             label_space=LabelSpace.from_dict(d["label_space"]),
             task=d.get("task", "predcls"),
@@ -192,7 +194,7 @@ class TrainConfig:
             optimizer=_section(OptimizerConfig, d, "optimizer"),
             seed=int(d.get("seed", 0)),
             data=tuple((str(k), str(v)) for k, v in d.get("data", [])),
-            eval_ks=tuple(int(k) for k in d.get("eval_ks", (20, 50, 100))),
+            eval_ks=tuple(eval_ks),
             background_ratio=float(d.get("background_ratio", 3.0)),
         )
 
@@ -210,101 +212,53 @@ class RunLog:
     started_at: str
     finished_at: str
     config: dict
-    val_metrics: list[dict] = field(default_factory=list)
     version: str = __version__
 
     def to_dict(self) -> dict:
         return dict(vars(self))
 
 
-class _Truth(NamedTuple):
-    """The checked ground truth of a split, image after image.
-
-    Image ``i``'s objects are rows ``obj_start[i]:obj_start[i + 1]`` of
-    ``labels`` and its ground-truth triplets ``(subject, object, relation)``
-    rows ``gt_start[i]:gt_start[i + 1]`` of ``gt``, with object indices local
-    to the image; ``gt_image`` is each triplet's image.
-    """
-
-    labels: np.ndarray
-    obj_start: np.ndarray
-    gt: np.ndarray
-    gt_start: np.ndarray
-    gt_image: np.ndarray
-
-
 @dataclass(frozen=True)
 class _Split:
-    """A training split packed once into ragged arrays with offsets.
-
-    Object rows of all images follow one another, image ``i`` at rows
-    ``obj_start[i]:obj_start[i + 1]``, with ``classes`` as the task sees
-    them (see :func:`~tailbias.model.class_labels`). Pair rows hold every
-    image's ordered pairs in :func:`all_ordered_pairs` order, each as the
-    global ``(subject, object)`` rows of ``pairs`` and its ``unions`` row,
-    image ``i`` at rows ``pair_start[i]:pair_start[i + 1]``. Image ``i``'s
-    foreground pair rows, sorted, and their relation targets are
-    ``fg_rows`` / ``fg_targets[fg_start[i]:fg_start[i + 1]]``, one per
-    ground-truth triplet, and its background pair rows
-    ``bg_rows[bg_start[i]:bg_start[i + 1]]``.
-    """
+    """The pairs of a checked :class:`Images` split: ``classes``, its object
+    rows' classes as the task sees them; ``pairs``, every ordered pair as
+    global ``(subject, object)`` object rows, row for row with its ``unions``;
+    image ``i``'s sorted foreground pair rows and relation targets ``fg_rows``
+    / ``fg_targets`` at its ground-truth rows ``gt_start[i]:gt_start[i + 1]``,
+    one per triplet; its background pair rows ``bg_rows[bg_start[i]:bg_start[i + 1]]``."""
 
     classes: np.ndarray
-    obj_start: np.ndarray
     pairs: np.ndarray
-    unions: np.ndarray
-    pair_start: np.ndarray
     fg_rows: np.ndarray
     fg_targets: np.ndarray
-    fg_start: np.ndarray
     bg_rows: np.ndarray
     bg_start: np.ndarray
 
 
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(counts)])
-
-
-def _truth(
-    images: Sequence[SynthImage],
-    label_space: LabelSpace,
-    d_v: int | None,
-    d_v_of: str = "the first image",
-) -> _Truth:
-    """The ground truth of ``images``, checked once for the whole split.
-
-    Raises ``ValueError`` naming the first faulty image's index and its first
-    fault in this order: with ``d_v``, fewer than two objects, other than
-    ``d_v`` feature columns (``d_v_of`` says whose width that is), or detector
-    scores not over the label space's classes; then a class label outside the
-    label space; then its first invalid ground-truth triplet (an object index
-    out of range, equal subject and object, a relation outside ``1..L``).
-    """
+def _truth(images: Images, label_space: LabelSpace, d_v: int | None) -> np.ndarray:
+    """Check the ground truth of ``images`` once for the whole split; return
+    each ground-truth triplet's image. ``ValueError`` names the first faulty
+    image and its first fault of: with ``d_v``, fewer than two objects, other
+    than ``d_v`` feature columns, or detector scores not over the label
+    space's classes; a class label outside the label space; an invalid
+    ground-truth triplet (an object index out of range, equal subject and
+    object, a relation outside ``1..L``)."""
     num_classes, num_relations = label_space.num_object_classes, label_space.num_relations
-
-    def per_image(values) -> np.ndarray:
-        return np.fromiter(values, dtype=np.int64, count=len(images))
-
-    counts = per_image(len(img.labels) for img in images)
-    gt_counts = per_image(len(img.gt_triplets) for img in images)
-    labels = np.concatenate([np.zeros(0, dtype=np.int64), *(img.labels for img in images)])
-    gt = np.fromiter(
-        chain.from_iterable(chain.from_iterable(img.gt_triplets for img in images)),
-        dtype=np.int64,
-    ).reshape(gt_counts.sum(), 3)
+    counts = np.diff(images.obj_start)
     image = np.arange(len(images))
-    truth = _Truth(labels, _offsets(counts), gt, _offsets(gt_counts), np.repeat(image, gt_counts))
+    gt_image = np.repeat(image, np.diff(images.gt_start))
 
     def flagged(element_image: np.ndarray, bad: np.ndarray) -> np.ndarray:
         return np.bincount(element_image[bad], minlength=len(images)) > 0
 
+    gt = images.gt
     s, o, r = gt.T
-    bad_index = (s < 0) | (o < 0) | (np.maximum(s, o) >= counts[truth.gt_image])
+    bad_index = (s < 0) | (o < 0) | (np.maximum(s, o) >= counts[gt_image])
     bad_pair = bad_index | (s == o)
     bad_gt = bad_pair | (r < 1) | (r > num_relations)
 
     def gt_fault(i: int) -> str:
-        t = int(np.argmax(bad_gt & (truth.gt_image == i)))
+        t = int(np.argmax(bad_gt & (gt_image == i)))
         why = (
             f"an object index outside 0..{counts[i] - 1}" if bad_index[t]
             else "the same subject and object" if bad_pair[t]
@@ -313,88 +267,68 @@ def _truth(
         return f"ground-truth triplet {tuple(gt[t].tolist())} has {why}"
 
     checks = []
-    if d_v is not None:
-        widths = per_image(img.features.shape[1] for img in images)
-        score_widths = per_image(img.scores.shape[1] for img in images)
-        checks += [
+    if d_v is not None:  # the widths are the split's, so a wrong one names image 0
+        width, classes = images.features.shape[1], images.scores.shape[1]
+        checks = [
             (counts < 2, lambda i: "no pairs: need at least two objects"),
-            (widths != d_v, lambda i: f"{widths[i]} feature columns; {d_v_of} has {d_v}"),
-            (score_widths != num_classes, lambda i: f"detector scores over {score_widths[i]} "
-             f"classes; the label space has {num_classes}"),
+            (np.full(len(images), width != d_v),
+             lambda i: f"{width} feature columns; the checkpoint has {d_v}"),
+            (np.full(len(images), classes != num_classes), lambda i: f"detector scores over "
+             f"{classes} classes; the label space has {num_classes}"),
         ]
+    labels = images.labels
     refuse_first(checks + [
         (flagged(np.repeat(image, counts), (labels < 0) | (labels >= num_classes)),
          lambda i: f"object class label outside 0..{num_classes - 1}"),
-        (flagged(truth.gt_image, bad_gt), gt_fault),
+        (flagged(gt_image, bad_gt), gt_fault),
     ], "image")
-    return truth
+    return gt_image
 
 
-def _pack(
-    images: Sequence[SynthImage], truth: _Truth, label_space: LabelSpace, task: str
-) -> _Split:
-    """Pack ``images``, whose checked ground truth is ``truth``, into a :class:`_Split`."""
+def _pack(images: Images, gt_image: np.ndarray, label_space: LabelSpace, task: str) -> _Split:
+    """Derive the :class:`_Split` of ``images``, whose triplets' images are ``gt_image``."""
     num_relations = label_space.num_relations
-    obj_start = truth.obj_start
-    counts = np.diff(obj_start)
-    pair_counts = counts * (counts - 1)
-    pair_start = _offsets(pair_counts)
+    counts = np.diff(images.obj_start)
+    pair_start = images.pair_start
     ordered = {k: all_ordered_pairs(k) for k in set(counts.tolist())}
     pairs = np.concatenate([ordered[k] for k in counts.tolist()])
-    pairs += np.repeat(obj_start[:-1], pair_counts)[:, None]
+    pairs += np.repeat(images.obj_start[:-1], np.diff(pair_start))[:, None]
 
     # Global pair row and relation, sorted: per image, candidate_index order.
-    local = candidate_index(truth.gt, counts[truth.gt_image], num_relations)
-    fg = np.sort(pair_start[truth.gt_image] * num_relations + local)
+    local = candidate_index(images.gt, counts[gt_image], num_relations)
+    fg = np.sort(pair_start[gt_image] * num_relations + local)
     fg_rows, fg_targets = np.divmod(fg, num_relations)
     is_bg = np.ones(len(pairs), dtype=bool)
     is_bg[fg_rows] = False
     bg_rows = np.flatnonzero(is_bg)
-
     return _Split(
-        classes=(
-            truth.labels
-            if task == "predcls"
-            else np.concatenate([img.scores.argmax(axis=1) for img in images])
-        ),
-        obj_start=obj_start,
+        classes=class_labels(images, task),
         pairs=pairs,
-        unions=np.concatenate([img.unions for img in images]),
-        pair_start=pair_start,
         fg_rows=fg_rows,
         fg_targets=fg_targets + 1,
-        fg_start=truth.gt_start,
         bg_rows=bg_rows,
         bg_start=np.searchsorted(bg_rows, pair_start),
     )
 
 
-def _triplet_stats(truth: _Truth, label_space: LabelSpace) -> TripletStats:
+def _triplet_stats(images: Images, gt_image: np.ndarray, label_space: LabelSpace) -> TripletStats:
     """Class-level ``(s, o, relation)`` counts of the split's ground truth."""
     num_classes = label_space.num_object_classes
     width = label_space.num_relations + 1
-    start = truth.obj_start[truth.gt_image]
-    s, o, r = truth.gt.T
-    s, o = truth.labels[start + s], truth.labels[start + o]
+    start = images.obj_start[gt_image]
+    s, o, r = images.gt.T
+    s, o = images.labels[start + s], images.labels[start + o]
     dense = np.bincount(
         (s * num_classes + o) * width + r, minlength=num_classes**2 * width
     ).reshape(num_classes, num_classes, width)
     return TripletStats(label_space, dense.astype(np.int64, copy=False))
 
 
-def training_stats(images: Sequence[SynthImage], label_space: LabelSpace) -> TripletStats:
+def training_stats(images: Images, label_space: LabelSpace) -> TripletStats:
     """Annotation statistics of a dataset at the object-class level; a class
     label outside the label space or invalid ground truth raises
     ``ValueError`` naming the image's index."""
-    return _triplet_stats(_truth(images, label_space, None), label_space)
-
-
-def _class_counts(split: _Split, stats: TripletStats) -> np.ndarray:
-    """Per-class counts over the full logit space; index 0 counts background pairs."""
-    counts, _ = marginal_counts(stats)
-    counts = counts.copy()
-    counts[0] = len(split.pairs) - len(split.fg_rows)
-    return counts
+    return _triplet_stats(images, _truth(images, label_space, None), label_space)
 
 
 LossFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], LossOutput]
@@ -429,14 +363,15 @@ def make_loss_fn(config: TrainConfig, bias: Bias | None, class_counts: np.ndarra
 
 
 def _draw(
-    split: _Split, batch: list[int], background_ratio: float, rng: np.random.Generator
+    split: _Split, gt_start: np.ndarray, batch: list[int], background_ratio: float,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pair rows drawn for ``batch``, their targets, and the ``(B + 1,)``
     offsets of each image's block: per image, every foreground pair, then a
     seeded subsample of its background pairs, both in pair order."""
     rows, targets, sizes = [], [], []
     for i in batch:
-        fg = slice(split.fg_start[i], split.fg_start[i + 1])
+        fg = slice(gt_start[i], gt_start[i + 1])
         bg = split.bg_rows[split.bg_start[i] : split.bg_start[i + 1]]
         take = min(len(bg), int(round(background_ratio * max(fg.stop - fg.start, 1))))
         bg = bg[np.sort(rng.choice(len(bg), size=take, replace=False))] if take else bg[:0]
@@ -453,7 +388,7 @@ def _batch_loss(
     grads: LinearParams | DualEncoderParams,
     loss_fn: LossFn,
     split: _Split,
-    images: Sequence[SynthImage],
+    images: Images,
     batch: list[int],
     drawn: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> float:
@@ -467,11 +402,12 @@ def _batch_loss(
     spec = config.model
     rows, targets, starts = drawn
     pairs = split.pairs[rows]
-    unions = split.unions[rows]
-    local = pairs - np.repeat(split.obj_start[batch], np.diff(starts))[:, None]
+    unions = images.unions[rows]
+    local = pairs - np.repeat(images.obj_start[batch], np.diff(starts))[:, None]
+    records = [images[i] for i in batch]
     outs = [
-        net.forward(images[i], unions[a:b], local[a:b], params, spec, config.task)
-        for i, a, b in zip(batch, starts[:-1], starts[1:])
+        net.forward(img, unions[a:b], local[a:b], params, spec, config.task)
+        for img, a, b in zip(records, starts[:-1], starts[1:])
     ]
     logits = np.concatenate([out.relation_logits for out in outs])
     classes = split.classes[pairs]
@@ -483,7 +419,7 @@ def _batch_loss(
     d_obj = [None] * len(outs)
     w_obj = spec.object_loss_weight
     if w_obj > 0 and outs[0].object_logits is not None:
-        labels = np.concatenate([images[i].labels for i in batch])
+        labels = np.concatenate([img.labels for img in records])
         obj = ce(np.concatenate([out.object_logits for out in outs]), labels)
         g = obj.grad_logits * (w_obj / len(labels))
         d_obj = np.split(g, np.cumsum([len(out.object_logits) for out in outs])[:-1])
@@ -504,39 +440,35 @@ def _non_finite_leaf(tree, vec: np.ndarray) -> str | None:
 
 
 def train(
-    config: TrainConfig,
-    train_images: Sequence[SynthImage],
-    loss_fn: LossFn | None = None,
-    val_images: Sequence[SynthImage] | None = None,
-    eval_every: int = 0,
+    config: TrainConfig, train_images: Images, loss_fn: LossFn | None = None
 ) -> tuple[Checkpoint, RunLog]:
     """SGD training; returns the final checkpoint and the per-iteration log.
 
     ``loss_fn`` overrides the configured loss (used by equivalence tests);
     it has the signature of :func:`make_loss_fn`'s result and is called once
     per batch, with the batch's ``(Σm, C)`` rows: the relation logits of
-    every pair drawn from its images. The split is packed once, before the
-    first iteration; an image unfit to train on (fewer than two objects,
-    features or detector scores of the wrong width, a class label outside the
-    label space, invalid ground truth) raises ``ValueError`` naming its index,
-    and a batch that draws no pair one naming the iteration.
-    With ``eval_every > 0`` and a validation split, R@k/mR@k snapshots are
-    recorded in the log every that many iterations.
+    every pair drawn from its images. The split's ground truth is checked
+    once, before the first iteration; an image unfit to train on (fewer than
+    two objects, detector scores of the wrong width, a class label outside
+    the label space, invalid ground truth) raises ``ValueError`` naming its
+    index, and a batch that draws no pair one naming the iteration.
     """
-    if not train_images:
+    if not len(train_images):
         raise ValueError("empty training dataset")
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     ls = config.label_space
-    d_v = train_images[0].features.shape[1]
-    truth = _truth(train_images, ls, d_v)
-    stats = _triplet_stats(truth, ls)
-    split = _pack(train_images, truth, ls, config.task)
+    d_v = train_images.features.shape[1]
+    gt_image = _truth(train_images, ls, d_v)
+    stats = _triplet_stats(train_images, gt_image, ls)
+    split = _pack(train_images, gt_image, ls, config.task)
     bias = None
     if config.bias is not None:
         bias = compute_bias(config.bias, stats)
         _check_bias_compatible(bias, ls)
     if loss_fn is None:
-        loss_fn = make_loss_fn(config, bias, _class_counts(split, stats))
+        class_counts = marginal_counts(stats)[0].copy()
+        class_counts[0] = len(split.pairs) - len(split.fg_rows)  # background pairs
+        loss_fn = make_loss_fn(config, bias, class_counts)
 
     net = model_for(config.model)
     params = net.init(config.model, ls, d_v, _rng(config.seed, INIT_DOMAIN))
@@ -550,7 +482,6 @@ def train(
     sample_rng = _rng(config.seed, SAMPLE_DOMAIN)
     order: list[int] = []
     losses: list[float] = []
-    val_metrics: list[dict] = []
     opt = config.optimizer
 
     for step in range(1, opt.iterations + 1):
@@ -560,7 +491,7 @@ def train(
                 order = shuffle_rng.permutation(len(train_images)).tolist()
             batch.append(order.pop(0))
 
-        drawn = _draw(split, batch, config.background_ratio, sample_rng)
+        drawn = _draw(split, train_images.gt_start, batch, config.background_ratio, sample_rng)
         if not len(drawn[0]):
             raise ValueError(f"iteration {step}: the batch draws no pairs (its images "
                              "have no ground truth and background_ratio is 0)")
@@ -582,30 +513,12 @@ def train(
         velocity += grad_vec
         param_vec -= opt.learning_rate * velocity
 
-        if eval_every and val_images and step % eval_every == 0:
-            snapshot = Checkpoint(config=config, iterations=step, params=params)
-            results = evaluate(snapshot, val_images)
-            val_metrics.append(
-                {"iteration": step, **{c: _result_summary(results[c]) for c in CONSTRAINTS}}
-            )
-
     finished = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     checkpoint = Checkpoint(config=config, iterations=opt.iterations, params=params)
     runlog = RunLog(
-        losses=losses,
-        started_at=started,
-        finished_at=finished,
-        config=config.to_dict(),
-        val_metrics=val_metrics,
+        losses=losses, started_at=started, finished_at=finished, config=config.to_dict()
     )
     return checkpoint, runlog
-
-
-def _result_summary(result: EvalResult) -> dict:
-    return {
-        "R": {str(k): v for k, v in result.recall_at.items()},
-        "mR": {str(k): v for k, v in result.mean_recall_at.items()},
-    }
 
 
 def _check_bias_compatible(bias: Bias, ls: LabelSpace) -> None:
@@ -631,24 +544,26 @@ class _Scored(NamedTuple):
     gt_matched: np.ndarray  # False where a predicted object label is wrong (sgcls)
 
 
-def _forward_split(checkpoint: Checkpoint, images: Sequence[SynthImage]) -> _Scored:
-    """Check and pack the split as for training, at the checkpoint's feature
-    width, and forward every image once; an image failing the check, its
-    forward, or with non-finite logits raises ``ValueError`` naming its index."""
-    if not images:
+def _forward_split(checkpoint: Checkpoint, images: Images) -> _Scored:
+    """Check the split's ground truth as for training, at the checkpoint's
+    feature width, and forward every image once; an image failing the check,
+    its forward, or with non-finite logits raises ``ValueError`` naming its
+    index."""
+    if not len(images):
         raise ValueError("empty evaluation split")
     config = checkpoint.config
     ls = config.label_space
     d_v = feature_width(config.model, ls, sum(a.size for a in leaves(checkpoint.params)))
-    truth = _truth(images, ls, d_v, "the checkpoint")
-    split = _pack(images, truth, ls, config.task)
-    local = split.pairs - np.repeat(split.obj_start[:-1], np.diff(split.pair_start))[:, None]
+    gt_image = _truth(images, ls, d_v)
+    split = _pack(images, gt_image, ls, config.task)
+    pair_start = images.pair_start
+    local = split.pairs - np.repeat(images.obj_start[:-1], np.diff(pair_start))[:, None]
     net, params = model_for(config.model), checkpoint.params
     logits, probs = [], []  # kept without the forward caches
-    for i, (a, b) in enumerate(zip(split.pair_start[:-1], split.pair_start[1:])):
+    for i, (a, b) in enumerate(zip(pair_start[:-1], pair_start[1:])):
+        img = images[i]
         try:
-            fwd = net.forward(images[i], split.unions[a:b], local[a:b], params, config.model,
-                              config.task)
+            fwd = net.forward(img, img.unions, local[a:b], params, config.model, config.task)
             if not np.isfinite(fwd.relation_logits).all():
                 raise ValueError("non-finite relation logits")
         except ValueError as exc:
@@ -656,18 +571,18 @@ def _forward_split(checkpoint: Checkpoint, images: Sequence[SynthImage]) -> _Sco
         logits.append(fwd.relation_logits)
         probs.append(fwd.object_probs)
     object_probs = np.concatenate(probs)
-    classes, matched = truth.labels, np.ones(len(split.fg_rows), dtype=bool)
+    classes, matched = images.labels, np.ones(len(split.fg_rows), dtype=bool)
     if config.task == "sgcls":
         classes = object_probs.argmax(axis=1)
-        matched = (classes == truth.labels)[split.pairs[split.fg_rows]].all(axis=1)
+        matched = (classes == images.labels)[split.pairs[split.fg_rows]].all(axis=1)
     return _Scored(
         relation_logits=np.concatenate(logits),
         pair_scores=object_pair_scores(object_probs, split.pairs, config.task),
         pair_classes=classes[split.pairs],
-        pair_start=split.pair_start,
+        pair_start=pair_start,
         gt_index=split.fg_rows * ls.num_relations + split.fg_targets - 1,
         gt_relations=split.fg_targets,
-        gt_image=truth.gt_image,
+        gt_image=gt_image,
         gt_matched=matched,
     )
 
@@ -695,7 +610,7 @@ def _rank_split(
 
 def evaluate(
     checkpoint: Checkpoint,
-    images: Sequence[SynthImage],
+    images: Images,
     inference_bias: Bias | None = None,
     ks: Sequence[int] | None = None,
 ) -> dict[str, EvalResult]:
@@ -717,7 +632,7 @@ def sweep(
     stats: TripletStats,
     spec: BiasSpec,
     grid: Sequence[float],
-    images: Sequence[SynthImage],
+    images: Images,
     ks: Sequence[int] | None = None,
 ) -> list[tuple[float, dict[str, EvalResult]]]:
     """Evaluate with the weakened inference bias at each exponent in ``grid``.

@@ -7,9 +7,9 @@ tree, ``forward(image, union_features, pairs, params, spec, mode)`` gives a
 grads)`` adds the parameter gradients into ``grads``, a tree of the
 parameters' type (usually views of one flat gradient buffer, see
 :func:`~tailbias.numerics.unflatten`); every backward kernel below adds into
-the ``grads`` it is given in the same way. ``image`` is a packed
-:class:`~tailbias.synth.SynthImage`, whose object rows (boxes, features,
-labels, detector scores) are read whole; ``pairs`` is a ``(P, 2)`` array of
+the ``grads`` it is given in the same way. ``image`` is an image's record
+(``split[i]`` of a :class:`~tailbias.synth.Images` split), whose object rows
+(boxes, features, labels, detector scores) are read whole; ``pairs`` is a ``(P, 2)`` array of
 (subject, object) row indices and ``union_features`` its ``(P, d_v)`` union
 rows, so a caller may forward any subset of an image's ordered pairs, such as
 the pairs drawn for a training step. The dual-stack encoder builds object
@@ -51,7 +51,7 @@ from .numerics import (
     unflatten,
 )
 from .stats import LabelSpace
-from .synth import SynthImage
+from .synth import Images, SynthImage
 
 __all__ = [
     "MODES",
@@ -221,7 +221,7 @@ def box_features(boxes: np.ndarray) -> np.ndarray:
     return np.stack([x1, y1, x2, y2, x2 - x1, y2 - y1, (x1 + x2) / 2, (y1 + y2) / 2], axis=1)
 
 
-def class_labels(image: SynthImage, mode: str) -> np.ndarray:
+def class_labels(image: SynthImage | Images, mode: str) -> np.ndarray:
     """Object classes as the task sees them: annotated in ``predcls``, detector argmax in ``sgcls``."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")

@@ -163,11 +163,14 @@ def _is_int64_row(row, width: int) -> bool:
 
 def refuse_first(checks: list[tuple[np.ndarray, Callable[[int], str]]], what: str) -> None:
     """Raise ``ValueError`` naming ``what`` and the first row any ``(mask,
-    message)`` check flags, with ``message(row)`` of its first failed check."""
+    message)`` check flags, with ``message(row)`` of its first failed check;
+    the error's ``row`` attribute is that row."""
     bad = np.stack([mask for mask, _ in checks])
     if bad.any():
         i = int(np.argmax(bad.any(axis=0)))
-        raise ValueError(f"{what} {i}: {checks[int(np.argmax(bad[:, i]))][1](i)}")
+        refusal = ValueError(f"{what} {i}: {checks[int(np.argmax(bad[:, i]))][1](i)}")
+        refusal.row = i
+        raise refusal
 
 
 def _range_checks(keys: np.ndarray, ls: LabelSpace) -> list:
@@ -246,10 +249,11 @@ def _check_pair(stats: TripletStats, s, o) -> None:
             raise ValueError(f"{side} class {idx} out of range [0, {ne})")
 
 
-def read_jsonl(path: str, parse: Callable) -> list:
-    """``parse`` of each nonblank line's JSON document; a malformed line raises
-    ``ValueError`` starting ``"<path>:<line>: "``."""
-    out = []
+def read_jsonl(path: str, parse: Callable, gather: Callable = list):
+    """``gather`` of the list of ``parse`` of each nonblank line's JSON document;
+    a malformed line, or a :func:`refuse_first` refusal of document ``i`` by
+    ``gather``, raises ``ValueError`` starting ``"<path>:<line>: "``."""
+    out, lines = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -260,7 +264,13 @@ def read_jsonl(path: str, parse: Callable) -> list:
                 raise ValueError(f"{path}:{line_no}: missing key {exc}") from None
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
-    return out
+            lines.append(line_no)
+    try:
+        return gather(out)
+    except ValueError as exc:
+        if not hasattr(exc, "row"):
+            raise
+        raise ValueError(f"{path}:{lines[exc.row]}: {exc}") from None
 
 
 def _triplet(doc) -> tuple[int, int, int]:

@@ -20,15 +20,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .stats import LabelSpace, _is_int64, _is_int64_row, check_keys, read_jsonl
+from .stats import LabelSpace, _is_int64, _is_int64_row, check_keys, read_jsonl, refuse_first
 
 __all__ = [
     "SynthConfig",
     "SynthImage",
+    "Images",
     "all_ordered_pairs",
     "World",
     "zipf_weights",
@@ -86,46 +87,124 @@ def all_ordered_pairs(n: int) -> np.ndarray:
 
 @dataclass
 class SynthImage:
-    """One image as packed arrays, one row per object or ordered pair.
-
-    ``boxes`` ``(n, 4)`` are normalised ``[x1, y1, x2, y2]`` with ``x1 < x2``
-    and ``y1 < y2``; ``features`` ``(n, d_v)``; ``labels`` ``(n,)`` annotated
-    classes; ``scores`` ``(n, L_e)`` detector probabilities, each row summing
-    to 1. ``unions`` ``(n(n-1), d_v)`` holds the union-box feature of each
-    ordered pair in :func:`all_ordered_pairs` order. ``gt_triplets`` lists the
-    annotated ``(s, o, relation)`` triplets by object index.
-    """
+    """One image's unchecked record: ``boxes`` ``(n, 4)`` as ``[x1, y1, x2, y2]``,
+    ``features`` ``(n, d_v)``, ``labels`` ``(n,)``, detector ``scores`` ``(n, L_e)``,
+    ``unions`` ``(n(n-1), d_v)`` in :func:`all_ordered_pairs` order, and ``gt``
+    ``(m, 3)`` annotated ``(s, o, relation)`` triplets by object index."""
 
     boxes: np.ndarray
     features: np.ndarray
     labels: np.ndarray
     scores: np.ndarray
     unions: np.ndarray
-    gt_triplets: list[tuple[int, int, int]]
+    gt: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.boxes = np.asarray(self.boxes, dtype=np.float64)
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        self.unions = np.asarray(self.unions, dtype=np.float64)
-        n = len(self.labels)
-        if self.labels.ndim != 1 or self.boxes.shape != (n, 4):
-            raise ValueError(f"need one label and one 4-number box per object, {n} labels")
-        for name in ("features", "scores"):
-            if getattr(self, name).ndim != 2 or getattr(self, name).shape[0] != n:
-                raise ValueError(f"{name} need one row per object ({n})")
-        want = (n * (n - 1), self.features.shape[1])
-        if self.unions.shape != want:
-            raise ValueError(
-                f"unions have shape {self.unions.shape}; {n} objects need {want}"
+
+def _offsets(counts) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
+
+@dataclass(frozen=True, eq=False)
+class Images:
+    """A split packed by :meth:`pack`: image ``i``'s record is object rows
+    ``obj_start[i]:obj_start[i + 1]``, union rows ``pair_start[i]:…`` and int64
+    ``gt`` rows ``gt_start[i]:…`` (object indices local to the image).
+    ``split[a:b]`` is a split of views, offsets rebased; ``split[i]`` a record."""
+
+    boxes: np.ndarray
+    features: np.ndarray
+    labels: np.ndarray
+    scores: np.ndarray
+    obj_start: np.ndarray
+    unions: np.ndarray
+    gt: np.ndarray
+    gt_start: np.ndarray
+    pair_start: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.obj_start) - 1
+
+    def __getitem__(self, key: int | slice) -> "SynthImage | Images":
+        offsets = (self.obj_start, self.pair_start, self.gt_start)
+        if isinstance(key, slice):
+            a, b, step = key.indices(len(self))
+            if step != 1:
+                raise ValueError("a split slices only with step 1")
+            o, p, g = (s[a : max(a, b) + 1] for s in offsets)
+            return Images(
+                *(x[o[0] : o[-1]] for x in (self.boxes, self.features, self.labels, self.scores)),
+                obj_start=o - o[0], unions=self.unions[p[0] : p[-1]],
+                gt=self.gt[g[0] : g[-1]], gt_start=g - g[0], pair_start=p - p[0],
             )
-        x1, y1, x2, y2 = self.boxes.T
-        bad = ~((0.0 <= x1) & (x1 < x2) & (x2 <= 1.0) & (0.0 <= y1) & (y1 < y2) & (y2 <= 1.0))
-        if bad.any():
-            raise ValueError(f"degenerate or unnormalized box {self.boxes[bad][0].tolist()}")
-        if not (np.abs(self.scores.sum(axis=1) - 1.0) <= 1e-6).all():
-            raise ValueError("detector scores must sum to 1")
+        i = range(len(self))[key]  # an IndexError past the end ends iteration
+        o, p, g = (slice(s[i], s[i + 1]) for s in offsets)
+        return SynthImage(self.boxes[o], self.features[o], self.labels[o], self.scores[o],
+                          self.unions[p], self.gt[g])
+
+    @classmethod
+    def pack(cls, images: Sequence[SynthImage]) -> "Images":
+        """Pack records into one split, checked once: ``ValueError`` names the
+        first faulty image and its first fault of: ``labels`` not 1-D or
+        ``boxes`` not ``(n, 4)``; ``features`` or ``scores`` not ``n`` rows or
+        not as wide as image 0's; ``unions`` not ``(n(n-1), d_v)``; ``gt`` not
+        ``(m, 3)``; a box not ``0 <= x1 < x2 <= 1``, ``0 <= y1 < y2 <= 1``; a
+        score row not summing to 1 within 1e-6."""
+        boxes, features, scores, unions, labels, gt = (
+            [np.asarray(getattr(img, name), dtype) for img in images]
+            for name, dtype in (("boxes", np.float64), ("features", np.float64),
+                                ("scores", np.float64), ("unions", np.float64),
+                                ("labels", np.int64), ("gt", np.int64))
+        )
+        gt = [t if t.size else t.reshape(0, 3) for t in gt]
+
+        def shapes(arrays: list, ndim: int) -> np.ndarray:  # -1s for another rank
+            rows = [a.shape if a.ndim == ndim else (-1,) * ndim for a in arrays]
+            return np.array(rows, dtype=np.int64).reshape(-1, ndim).T
+
+        (n,), (box_rows, box_cols), (feat_rows, width), (score_rows, classes), union_shape = (
+            shapes(labels, 1), shapes(boxes, 2), shapes(features, 2), shapes(scores, 2),
+            shapes(unions, 2),
+        )
+        want_unions = np.stack([n * (n - 1), width])
+        first = (width[0], classes[0]) if len(images) else (0, 0)
+        checks = [
+            ((n < 0) | (box_rows != n) | (box_cols != 4),
+             lambda i: f"need one label and one 4-number box per object, {n[i]} labels"),
+            (feat_rows != n, lambda i: f"features need one row per object ({n[i]})"),
+            (score_rows != n, lambda i: f"scores need one row per object ({n[i]})"),
+            (width != first[0], lambda i: f"{width[i]} feature columns; image 0 has {first[0]}"),
+            (classes != first[1],
+             lambda i: f"detector scores over {classes[i]} classes; image 0 has {first[1]}"),
+            ((union_shape != want_unions).any(axis=0), lambda i: f"unions have shape "
+             f"{unions[i].shape}; {n[i]} objects need {tuple(want_unions[:, i].tolist())}"),
+            (shapes(gt, 2)[1] != 3, lambda i: f"ground truth has shape {gt[i].shape}, not (m, 3)"),
+        ]
+        # Box and score values of the images of the right shape.
+        ok = ~np.any([bad for bad, _ in checks], axis=0)
+        box, score = (
+            np.concatenate([np.zeros((0, cols)), *(a for a, keep in zip(arrays, ok) if keep)])
+            for arrays, cols in ((boxes, 4), (scores, max(first[1], 0)))
+        )
+        row_image = np.repeat(np.flatnonzero(ok), n[ok])
+        x1, y1, x2, y2 = box.T
+        outside = ~((0.0 <= x1) & (x1 < x2) & (x2 <= 1.0) & (0.0 <= y1) & (y1 < y2) & (y2 <= 1.0))
+        unnormalised = ~(np.abs(score.sum(axis=1) - 1.0) <= 1e-6)
+
+        def flagged(bad: np.ndarray) -> np.ndarray:
+            return np.bincount(row_image[bad], minlength=len(images)) > 0
+
+        refuse_first(checks + [
+            (flagged(outside), lambda i: "degenerate or unnormalized box "
+             f"{box[np.argmax(outside & (row_image == i))].tolist()}"),
+            (flagged(unnormalised), lambda i: "detector scores must sum to 1"),
+        ], "image")
+        return cls(
+            boxes=box, features=np.concatenate([np.zeros((0, first[0])), *features]),
+            labels=np.concatenate([np.zeros(0, dtype=np.int64), *labels]), scores=score,
+            obj_start=_offsets(n), unions=np.concatenate([np.zeros((0, first[0])), *unions]),
+            gt=np.concatenate([np.zeros((0, 3), dtype=np.int64), *gt]),
+            gt_start=_offsets([len(t) for t in gt]), pair_start=_offsets(n * (n - 1)),
+        )
 
 
 @dataclass
@@ -208,11 +287,13 @@ def _sample_image(
 
     pairs = all_ordered_pairs(n)
     num_fg = math.ceil((1.0 - config.background_fraction) * len(pairs))
-    fg_positions = np.sort(rng.permutation(len(pairs))[:num_fg])
+    fg = np.sort(rng.permutation(len(pairs))[:num_fg])
+    # One inverse-CDF draw per foreground pair, as ``rng.choice(p=row)`` draws:
+    # the row's cumsum over its last entry, searched right of a uniform.
+    cdf = world.relation_table[labels[pairs[fg, 0]], labels[pairs[fg, 1]]].cumsum(axis=1)
+    cdf /= cdf[:, -1:]
     relations = np.zeros(len(pairs), dtype=np.int64)
-    for pos in fg_positions:
-        row = world.relation_table[labels[pairs[pos, 0]], labels[pairs[pos, 1]]]
-        relations[pos] = int(rng.choice(ls.num_relations, p=row)) + 1
+    relations[fg] = (cdf <= rng.random(num_fg)[:, None]).sum(axis=1) + 1
 
     s_labels, o_labels = labels[pairs[:, 0]], labels[pairs[:, 1]]
     unions = (
@@ -220,13 +301,13 @@ def _sample_image(
         + world.relation_prototypes[relations]
         + rng.normal(0.0, config.noise_sigma, (len(pairs), config.d_v))
     )
-    gt = [(*pairs[q].tolist(), int(relations[q])) for q in fg_positions]
+    gt = np.column_stack([pairs[fg], relations[fg]])
     return SynthImage(
-        boxes=boxes, features=feats, labels=labels, scores=scores, unions=unions, gt_triplets=gt
+        boxes=boxes, features=feats, labels=labels, scores=scores, unions=unions, gt=gt
     )
 
 
-def generate_split(config: SynthConfig, split: str) -> list[SynthImage]:
+def generate_split(config: SynthConfig, split: str) -> Images:
     """Generate one split; independent of whether other splits are generated."""
     if split not in SPLIT_DOMAINS:
         raise ValueError(f"unknown split {split!r}")
@@ -235,31 +316,23 @@ def generate_split(config: SynthConfig, split: str) -> list[SynthImage]:
         split
     ]
     domain = SPLIT_DOMAINS[split]
-    return [
-        _sample_image(config, world, _rng(config.seed, domain, i)) for i in range(count)
-    ]
+    return Images.pack(
+        [_sample_image(config, world, _rng(config.seed, domain, i)) for i in range(count)]
+    )
 
 
-def write_images_jsonl(images: list[SynthImage], path: str) -> None:
+def write_images_jsonl(images: Images, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for img in images:
+            rows = (a.tolist() for a in (img.boxes, img.features, img.labels, img.scores))
+            pairs = all_ordered_pairs(len(img.labels)).tolist()
             doc = {
                 "objects": [
                     {"box": box, "feat": feat, "label": label, "scores": scores}
-                    for box, feat, label, scores in zip(
-                        img.boxes.tolist(),
-                        img.features.tolist(),
-                        img.labels.tolist(),
-                        img.scores.tolist(),
-                    )
+                    for box, feat, label, scores in zip(*rows)
                 ],
-                "unions": [
-                    [s, o, vec]
-                    for (s, o), vec in zip(
-                        all_ordered_pairs(len(img.labels)).tolist(), img.unions.tolist()
-                    )
-                ],
-                "gt": [list(t) for t in img.gt_triplets],
+                "unions": [[s, o, vec] for (s, o), vec in zip(pairs, img.unions.tolist())],
+                "gt": img.gt.tolist(),
             }
             fh.write(json.dumps(doc) + "\n")
 
@@ -292,13 +365,12 @@ def _image_from_doc(doc: dict) -> SynthImage:
         labels=np.array([obj["label"] for obj in objects], dtype=np.int64),
         scores=_matrix([obj["scores"] for obj in objects], "scores"),
         unions=_matrix([vec for _, _, vec in doc["unions"]], "union", features.shape[1]),
-        gt_triplets=[tuple(t) for t in doc["gt"]],
+        gt=np.array(doc["gt"], dtype=np.int64).reshape(-1, 3),
     )
 
 
-def read_images_jsonl(path: str) -> list[SynthImage]:
-    """Read images written by :func:`write_images_jsonl`.
-
-    A malformed document raises ``ValueError`` starting ``"<path>:<line>: "``.
-    """
-    return read_jsonl(path, _image_from_doc)
+def read_images_jsonl(path: str) -> Images:
+    """Read images written by :func:`write_images_jsonl` into one packed split;
+    a malformed document, or an image :meth:`Images.pack` refuses, raises
+    ``ValueError`` starting ``"<path>:<line>: "``."""
+    return read_jsonl(path, _image_from_doc, Images.pack)

@@ -35,8 +35,10 @@ Statistics are the sparse ``(s, o, r) -> n`` map that ``tailbias.stats``
 replaced with one dense tensor, filled and checked one record at a time and
 serialized from its sorted keys; the dense path must give the same counts
 and the same JSON bytes. The ground-truth check is the image-by-image check
-that ``tailbias.harness._truth`` replaced with array masks over the split;
-it must refuse the same image with the same message.
+that ``tailbias.harness._truth`` replaced with array masks over the split,
+and the record check is the per-image check of every built image that
+``tailbias.synth.Images.pack`` replaced with one check over the split; each
+must refuse the same image with the same message.
 """
 
 from __future__ import annotations
@@ -388,7 +390,7 @@ def evaluate(checkpoint, images, inference_bias=None, ks=None):
             )
             logits = logits - rows
         candidates = score_triplets(out.object_probs, logits, pairs, config.task)
-        gt = img.gt_triplets
+        gt = [tuple(t) for t in img.gt.tolist()]
         if config.task == "sgcls":
             annotated = img.labels.tolist()
             candidates = [
@@ -426,7 +428,7 @@ def training_stats(images, label_space):
     """Class-level statistics, one ``(s_class, o_class, relation)`` record
     per ground-truth triplet."""
     records = [
-        (img.labels[s], img.labels[o], r) for img in images for s, o, r in img.gt_triplets
+        (img.labels[s], img.labels[o], r) for img in images for s, o, r in img.gt.tolist()
     ]
     return as_stats(ingest(records, label_space), label_space)
 
@@ -435,7 +437,7 @@ def class_counts(images, stats):
     """Per-relation counts; index 0 counts every pair that is not a triplet."""
     counts = marginal_counts(stats)[0].copy()
     counts[0] = sum(
-        len(img.labels) * (len(img.labels) - 1) - len(img.gt_triplets) for img in images
+        len(img.labels) * (len(img.labels) - 1) - len(img.gt) for img in images
     )
     return counts
 
@@ -452,7 +454,7 @@ def training_pairs(img, config, rng):
     """Foreground pairs plus a seeded subsample of background pairs, as
     positions in ``all_ordered_pairs`` order, and their target labels."""
     num_relations = config.label_space.num_relations
-    gt = np.sort(candidate_index(img.gt_triplets, len(img.labels), num_relations))
+    gt = np.sort(candidate_index(img.gt, len(img.labels), num_relations))
     fg, fg_targets = np.divmod(gt, num_relations)
     is_bg = np.ones(len(img.unions), dtype=bool)
     is_bg[fg] = False
@@ -584,15 +586,16 @@ def candidate_index(gt, num_objects, num_relations):
     return metrics.candidate_index(gt, n, num_relations)
 
 
-def check_image(img, label_space, d_v, d_v_of="the first image"):
+def check_image(img, label_space, d_v):
     """Raise ``ValueError`` saying what makes ``img``'s annotations invalid
-    or, with ``d_v``, the model unable to run on it."""
+    or, with ``d_v`` (the checkpoint's feature width), the model unable to
+    run on it."""
     n = len(img.labels)
     if d_v is not None:
         if n < 2:
             raise ValueError("no pairs: need at least two objects")
         if img.features.shape[1] != d_v:
-            raise ValueError(f"{img.features.shape[1]} feature columns; {d_v_of} has {d_v}")
+            raise ValueError(f"{img.features.shape[1]} feature columns; the checkpoint has {d_v}")
         if img.scores.shape[1] != label_space.num_object_classes:
             raise ValueError(
                 f"detector scores over {img.scores.shape[1]} classes; "
@@ -602,13 +605,58 @@ def check_image(img, label_space, d_v, d_v_of="the first image"):
     num_classes = label_space.num_object_classes
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError(f"object class label outside 0..{num_classes - 1}")
-    candidate_index(img.gt_triplets, n, label_space.num_relations)
+    candidate_index(img.gt.tolist(), n, label_space.num_relations)
 
 
-def check_split(images, label_space, d_v, d_v_of="the first image"):
+def check_split(images, label_space, d_v):
     """Check image after image; the first fault names its image's index."""
     for i, img in enumerate(images):
         try:
-            check_image(img, label_space, d_v, d_v_of)
+            check_image(img, label_space, d_v)
+        except ValueError as exc:
+            raise ValueError(f"image {i}: {exc}") from None
+
+
+def check_record(img, first):
+    """Raise ``ValueError`` saying what makes the record ``img`` unfit to
+    pack beside ``first``, the split's image 0: the check each image ran when
+    it was built, plus its widths against image 0's."""
+    boxes, features, labels, scores, unions, gt = (
+        np.asarray(getattr(img, name), dtype)
+        for name, dtype in (("boxes", float), ("features", float), ("labels", np.int64),
+                            ("scores", float), ("unions", float), ("gt", np.int64))
+    )
+    gt = gt.reshape(0, 3) if not gt.size else gt
+    n = len(labels) if labels.ndim == 1 else -1
+    if n < 0 or boxes.shape != (n, 4):
+        raise ValueError(f"need one label and one 4-number box per object, {n} labels")
+    for name, a in (("features", features), ("scores", scores)):
+        if a.ndim != 2 or a.shape[0] != n:
+            raise ValueError(f"{name} need one row per object ({n})")
+    width = np.asarray(first.features).shape[-1] if np.ndim(first.features) == 2 else -1
+    if features.shape[1] != width:
+        raise ValueError(f"{features.shape[1]} feature columns; image 0 has {width}")
+    classes = np.asarray(first.scores).shape[-1] if np.ndim(first.scores) == 2 else -1
+    if scores.shape[1] != classes:
+        raise ValueError(f"detector scores over {scores.shape[1]} classes; image 0 has {classes}")
+    want = (n * (n - 1), features.shape[1])
+    if unions.shape != want:
+        raise ValueError(f"unions have shape {unions.shape}; {n} objects need {want}")
+    if gt.ndim != 2 or gt.shape[1] != 3:
+        raise ValueError(f"ground truth has shape {gt.shape}, not (m, 3)")
+    for box in boxes.tolist():
+        x1, y1, x2, y2 = box
+        if not (0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0):
+            raise ValueError(f"degenerate or unnormalized box {box}")
+    for row in scores:
+        if not abs(row.sum() - 1.0) <= 1e-6:
+            raise ValueError("detector scores must sum to 1")
+
+
+def check_records(images):
+    """Check record after record; the first fault names its image's index."""
+    for i, img in enumerate(images):
+        try:
+            check_record(img, images[0])
         except ValueError as exc:
             raise ValueError(f"image {i}: {exc}") from None

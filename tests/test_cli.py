@@ -450,8 +450,13 @@ class TestErrors:
              "config section 'loss' key 'reweight_normalize' must be a boolean"),
             ("train", None, "seed", True, "train config key 'seed' must be an integer"),
             ("train", "bias", "kind", 1, "bias spec key 'kind' must be a string"),
+            ("train", None, "eval_ks", [5.7, 20.2],
+             "train config key 'eval_ks' must be a list of 64-bit integers"),
+            ("train", None, "eval_ks", [True, 20],
+             "train config key 'eval_ks' must be a list of 64-bit integers"),
         ],
-        ids=["synth", "label-space", "iterations", "learning-rate", "bool", "seed", "bias"],
+        ids=["synth", "label-space", "iterations", "learning-rate", "bool", "seed", "bias",
+             "float-eval-ks", "bool-eval-ks"],
     )
     def test_mistyped_config_value_gives_json_error(
         self, workspace, tmp_path, capsys, command, section, key, value, message

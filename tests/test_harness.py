@@ -30,7 +30,9 @@ from tailbias.metrics import metrics_csv
 from tailbias.model import LinearParams, class_labels, forward, init_dual_encoder, init_linear
 from tailbias.numerics import flatten, leaves
 from tailbias.stats import LabelSpace
-from tailbias.synth import SynthConfig, SynthImage, all_ordered_pairs, generate_split
+from tailbias.synth import Images, SynthConfig, SynthImage, all_ordered_pairs, generate_split
+
+NO_GT = np.zeros((0, 3), dtype=np.int64)
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +108,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelSpec(kind="nope")
 
+    @pytest.mark.parametrize(
+        "eval_ks", [[5.7, 20.2], [True, 20], [2**63, 20], [None], "20", 20],
+        ids=["float", "bool", "huge", "null", "string", "scalar"],
+    )
+    def test_eval_ks_must_be_64_bit_integers(self, space, eval_ks):
+        doc = {**linear_config(space).to_dict(), "eval_ks": eval_ks}
+        message = "^train config key 'eval_ks' must be a list of 64-bit integers$"
+        with pytest.raises(ValueError, match=message):
+            TrainConfig.from_dict(doc)
+
     def test_bad_model_spec_fails_at_construction(self, space):
         with pytest.raises(ValueError, match="divisible"):
             ModelSpec(kind="dual_encoder", d_model=10, n_h=3)
@@ -180,7 +192,7 @@ class TestTrain:
 
     def test_empty_dataset_rejected(self, space):
         with pytest.raises(ValueError, match="empty"):
-            train(linear_config(space), [])
+            train(linear_config(space), Images.pack([]))
 
     def test_non_finite_loss_names_the_iteration(self, space, data):
         train_images, _ = data
@@ -285,15 +297,6 @@ class TestTrain:
         _, log = train(config, train_images)
         assert TrainConfig.from_dict(log.config) == config
 
-    def test_periodic_validation(self, space, data):
-        train_images, test_images = data
-        config = linear_config(space)
-        _, log = train(config, train_images, val_images=test_images, eval_every=20)
-        assert [entry["iteration"] for entry in log.val_metrics] == [20, 40]
-        first = log.val_metrics[0]["with"]
-        assert set(first["R"]) == {"5", "10", "20"}
-        assert all(0.0 <= v <= 1.0 for v in first["mR"].values())
-
     def test_pair_bias_training_runs(self, space, data):
         train_images, _ = data
         config = linear_config(
@@ -332,8 +335,8 @@ class TestTrain:
         ]
 
 
-def perfect_split(space):
-    """Three images whose union features encode the relation one-hot."""
+def perfect_images(space):
+    """Three image records whose union features encode the relation one-hot."""
     num = space.num_relations + 1
     images = []
     for i in range(3):
@@ -349,10 +352,14 @@ def perfect_split(space):
                 labels=labels,
                 scores=np.eye(space.num_object_classes)[labels],
                 unions=np.eye(num)[relation],
-                gt_triplets=gt,
+                gt=np.array(gt),
             )
         )
     return images
+
+
+def perfect_split(space):
+    return Images.pack(perfect_images(space))
 
 
 def perfect_checkpoint(space):
@@ -375,9 +382,8 @@ def perfect_checkpoint(space):
 def one_object_image(space):
     num = space.num_relations + 1
     return SynthImage(
-        boxes=[[0.1, 0.1, 0.4, 0.4]], features=np.zeros((1, num)), labels=[0],
-        scores=np.eye(space.num_object_classes)[[0]], unions=np.zeros((0, num)),
-        gt_triplets=[],
+        boxes=np.array([[0.1, 0.1, 0.4, 0.4]]), features=np.zeros((1, num)), labels=np.array([0]),
+        scores=np.eye(space.num_object_classes)[[0]], unions=np.zeros((0, num)), gt=NO_GT,
     )
 
 
@@ -385,13 +391,23 @@ def with_labels(img, labels):
     return replace(img, labels=np.array(labels))
 
 
-def split_with_unfit_image_4(space, corrupt):
-    """``perfect_split`` twice, with image 4 corrupted and image 5 given an
-    out-of-range ground-truth object index."""
-    images = perfect_split(space) * 2
-    images[4] = corrupt(images[4], space)
-    images[5] = replace(images[5], gt_triplets=[(0, 5, 1)])
+def with_gt(img, *triplets):
+    return replace(img, gt=np.array(triplets, dtype=np.int64).reshape(-1, 3))
+
+
+def images_with_unfit_image_5(space):
+    """``perfect_images`` twice, image 5 given an out-of-range ground-truth
+    object index."""
+    images = perfect_images(space) * 2
+    images[5] = with_gt(images[5], (0, 5, 1))
     return images
+
+
+def split_with_unfit_image_4(space, corrupt):
+    """``images_with_unfit_image_5``, packed with image 4 corrupted."""
+    images = images_with_unfit_image_5(space)
+    images[4] = corrupt(images[4], space)
+    return Images.pack(images)
 
 
 def assert_training_refuses(space, images, want):
@@ -415,15 +431,15 @@ class TestTrainingImages:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda img, sp: replace(img, gt_triplets=[(7, 0, 1)]),
+            (lambda img, sp: with_gt(img, (7, 0, 1)),
              "ground-truth triplet (7, 0, 1) has an object index outside 0..2"),
-            (lambda img, sp: replace(img, gt_triplets=[(-1, 0, 1)]),
+            (lambda img, sp: with_gt(img, (-1, 0, 1)),
              "ground-truth triplet (-1, 0, 1) has an object index outside 0..2"),
-            (lambda img, sp: replace(img, gt_triplets=[(0, 1, 1), (1, 2, 9)]),
+            (lambda img, sp: with_gt(img, (0, 1, 1), (1, 2, 9)),
              "ground-truth triplet (1, 2, 9) has a relation outside 1..8"),
-            (lambda img, sp: replace(img, gt_triplets=[(1, 0, 0)]),
+            (lambda img, sp: with_gt(img, (1, 0, 0)),
              "ground-truth triplet (1, 0, 0) has a relation outside 1..8"),
-            (lambda img, sp: replace(img, gt_triplets=[(2, 2, 1)]),
+            (lambda img, sp: with_gt(img, (2, 2, 1)),
              "ground-truth triplet (2, 2, 1) has the same subject and object"),
             (lambda img, sp: with_labels(img, [0, 1, 6]), "object class label outside 0..5"),
             (lambda img, sp: with_labels(img, [-1, 1, 2]), "object class label outside 0..5"),
@@ -441,17 +457,18 @@ class TestTrainingImages:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda img, sp: one_object_image(sp), "no pairs: need at least two objects"),
-            (lambda img, sp: replace(img, scores=np.full((3, 3), 1 / 3)),
-             "detector scores over 3 classes; the label space has 6"),
-            (lambda img, sp: replace(img, features=np.zeros((3, 2)), unions=np.zeros((6, 2))),
-             "2 feature columns; the first image has 9"),
+            (lambda images, sp: images[:4] + [one_object_image(sp)] + images[5:],
+             "image 4: no pairs: need at least two objects"),
+            (lambda images, sp: [replace(img, scores=np.full((3, 3), 1 / 3)) for img in images],
+             "image 0: detector scores over 3 classes; the label space has 6"),
         ],
-        ids=["one-object", "score-width", "feature-width"],
+        ids=["one-object", "score-width"],
     )
     def test_statistics_pass_an_image_only_training_refuses(self, space, corrupt, message):
-        images = split_with_unfit_image_4(space, corrupt)
-        assert_training_refuses(space, images, f"^image 4: {re.escape(message)}$")
+        """Training runs at its split's own feature width, and packing the
+        split refuses an image whose width differs from image 0's."""
+        images = Images.pack(corrupt(images_with_unfit_image_5(space), space))
+        assert_training_refuses(space, images, f"^{re.escape(message)}$")
         with pytest.raises(ValueError, match=r"^image 5: ground-truth triplet \(0, 5, 1\)"):
             training_stats(images, space)
 
@@ -460,14 +477,14 @@ class TestTrainingImages:
         """With background_ratio 0, an image without ground truth draws no
         pairs: it still trains the object head, and a batch of such images
         only is refused."""
-        annotated = perfect_split(space)
-        bare = [replace(img, gt_triplets=[]) for img in annotated]
+        annotated = perfect_images(space)
+        bare = [replace(img, gt=NO_GT) for img in annotated]
         config = replace(model_config(space, kind), background_ratio=0.0)
         config = replace(config, optimizer=replace(config.optimizer, iterations=3, batch_size=2))
-        checkpoint, log = train(config, annotated + bare[:1])
+        checkpoint, log = train(config, Images.pack(annotated + bare[:1]))
         assert len(log.losses) == 3 and np.isfinite(flatten(checkpoint.params)).all()
         with pytest.raises(ValueError, match=r"^iteration 1: the batch draws no pairs \("):
-            train(config, bare[:2])
+            train(config, Images.pack(bare[:2]))
 
     def test_a_valid_split_packs_like_the_per_image_statistics(self, space, data):
         train_images, _ = data
@@ -520,8 +537,8 @@ class TestEvaluate:
         for img in images:
             # the linear model's object probabilities are the detector scores
             right = img.scores.argmax(axis=1) == img.labels
-            if img.gt_triplets:
-                matched.append(np.mean([right[s] and right[o] for s, o, _ in img.gt_triplets]))
+            if len(img.gt):
+                matched.append(np.mean([right[s] and right[o] for s, o, _ in img.gt]))
         assert np.mean(matched) < 0.8
         recall = evaluate(ck, images, ks=[k])["without"].recall_at[k]
         assert recall == pytest.approx(np.mean(matched), abs=1e-12)
@@ -551,7 +568,7 @@ class TestEvaluate:
         train_images, _ = data
         ck, _ = train(linear_config(space), train_images)
         with pytest.raises(ValueError, match="empty"):
-            evaluate(ck, [])
+            evaluate(ck, Images.pack([]))
 
 
     @pytest.mark.parametrize(
@@ -565,8 +582,9 @@ class TestEvaluate:
         ],
     )
     def test_invalid_ground_truth_names_the_image(self, space, triplet, why):
-        images = perfect_split(space)
-        images[1] = replace(images[1], gt_triplets=[(0, 1, 1), triplet])
+        images = perfect_images(space)
+        images[1] = with_gt(images[1], (0, 1, 1), triplet)
+        images = Images.pack(images)
         ck = perfect_checkpoint(space)
         with pytest.raises(ValueError, match=f"image 1: .*{why}"):
             evaluate(ck, images)
@@ -575,18 +593,18 @@ class TestEvaluate:
             sweep(ck, stats, BiasSpec(kind="cb", epsilon=1e-3), [0.0], images)
 
     def test_object_class_outside_label_space_names_the_image(self, space, data):
-        images = perfect_split(space)
+        images = perfect_images(space)
         labels = images[1].labels.copy()
         labels[2] = space.num_object_classes
         images[1] = replace(images[1], labels=labels)
         with pytest.raises(ValueError, match="image 1: object class label outside 0..5"):
-            evaluate(perfect_checkpoint(space), images)
+            evaluate(perfect_checkpoint(space), Images.pack(images))
         # Training checks every object of every image, annotated or not,
         # before the first iteration.
         train_images = list(data[0])
         changed = []
         for i, img in enumerate(train_images):
-            annotated = {t[0] for t in img.gt_triplets} | {t[1] for t in img.gt_triplets}
+            annotated = set(img.gt[:, :2].ravel().tolist())
             free = [j for j in range(len(img.labels)) if j not in annotated]
             if free:
                 labels = img.labels.copy()
@@ -595,41 +613,42 @@ class TestEvaluate:
                 changed.append(i)
         message = rf"^image {changed[0]}: object class label outside 0\.\.5$"
         with pytest.raises(ValueError, match=message):
-            train(linear_config(space), train_images)
+            train(linear_config(space), Images.pack(train_images))
 
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda img, sp: one_object_image(sp), "no pairs: need at least two objects"),
-            (lambda img, sp: replace(img, scores=np.full((3, 3), 1 / 3)),
-             "detector scores over 3 classes; the label space has 6"),
-            (lambda img, sp: replace(img, features=np.zeros((3, 2)), unions=np.zeros((6, 2))),
-             "2 feature columns; the checkpoint has 9"),
+            (lambda images, sp: images[:4] + [one_object_image(sp)] * 2,
+             "image 4: no pairs: need at least two objects"),
+            (lambda images, sp: [replace(img, scores=np.full((3, 3), 1 / 3)) for img in images],
+             "image 0: detector scores over 3 classes; the label space has 6"),
+            (lambda images, sp: [
+                replace(img, features=np.zeros((3, 2)), unions=np.zeros((6, 2))) for img in images
+            ], "image 0: 2 feature columns; the checkpoint has 9"),
         ],
         ids=["one-object", "score-width", "feature-width"],
     )
     def test_evaluation_checks_what_training_checks(self, space, corrupt, message):
         """Both tasks and the sweep refuse, before any forward, an image the
-        model cannot run on; the predcls linear head never reads scores."""
-        images = perfect_split(space) * 2
-        images[4] = corrupt(images[4], space)
-        images[5] = corrupt(images[5], space)
+        model cannot run on; the predcls linear head never reads scores.
+        Widths are the split's, so a wrong one names image 0."""
+        images = Images.pack(corrupt(perfect_images(space) * 2, space))
         for task in ("predcls", "sgcls"):
             ck = perfect_checkpoint(space)
             ck = replace(ck, config=replace(ck.config, task=task))
-            with pytest.raises(ValueError, match=f"^image 4: {re.escape(message)}$"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 evaluate(ck, images)
-            with pytest.raises(ValueError, match=f"^image 4: {re.escape(message)}$"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 stats = training_stats(images[:1], space)
                 sweep(ck, stats, BiasSpec(kind="cb", epsilon=1e-3), [0.0], images)
 
     def test_non_finite_logits_name_the_image(self, space):
-        images = perfect_split(space)
+        images = perfect_images(space)
         unions = images[2].unions.copy()
         unions[2] = np.nan  # pair (1, 0)
         images[2] = replace(images[2], unions=unions)
         with pytest.raises(ValueError, match="image 2: non-finite relation logits"):
-            evaluate(perfect_checkpoint(space), images)
+            evaluate(perfect_checkpoint(space), Images.pack(images))
 
 
 class TestSweep:

@@ -161,6 +161,28 @@ def split(*images):
     return np.concatenate(relations), np.concatenate(positions), image, len(images)
 
 
+@st.composite
+def tied_split(draw):
+    """A split of 2- and 3-object images whose scores take few levels, so
+    that exact ties occur, with random ground truth (duplicates allowed);
+    returns the scores, their per-image starts, the triplets' flat indices,
+    relations and images, and the number of relations."""
+    num_relations = draw(st.integers(1, 4))
+    levels = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.sampled_from([2, 6]), min_size=1, max_size=6))
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    size = sum(sizes) * num_relations
+    cells = draw(st.lists(st.integers(0, levels - 1), min_size=size, max_size=size))
+    scores = np.array(cells, dtype=np.float64).reshape(-1, num_relations) / levels
+    triplets = [
+        (i, draw(st.integers(0, size - 1)), draw(st.integers(1, num_relations)))
+        for i, size in enumerate(sizes) for _ in range(draw(st.integers(0, 3)))
+    ]
+    image, pair, relations = np.array(triplets, dtype=np.int64).reshape(-1, 3).T
+    index = (starts[image] + pair) * num_relations + relations - 1
+    return scores, starts, index, relations, image, num_relations
+
+
 class TestEvaluateSplit:
     def _random_split(self, rng, n_images, num_relations=4, per_image=1):
         """Images of two objects with ``per_image`` ground-truth triplets each,
@@ -201,15 +223,30 @@ class TestEvaluateSplit:
                 twice.mean_recall_at[k], abs=1e-12
             )
 
-    def test_without_ge_with_at_equal_k(self, rng):
-        relations, image, positions = self._random_split(rng, 25, per_image=2)
-        ks = [1, 2, 4, 8]
-        res_with = evaluate_split(relations, positions["with"], image, 25, ks, 4, "with")
-        res_without = evaluate_split(
-            relations, positions["without"], image, 25, ks, 4, "without"
-        )
-        for k in ks:
-            assert res_without.recall_at[k] >= res_with.recall_at[k] - 1e-12
+    @given(tied_split())
+    @settings(max_examples=200, deadline=None)
+    def test_without_at_k_times_l_ge_with_at_k(self, case):
+        """A triplet at graph-constrained position p is its pair's first best
+        relation, so without the constraint only the at most p * L candidates
+        of the p pairs ranked ahead of its pair can be ahead of it: ties go to
+        the earlier pair, and within its pair to the lower relation. Hence
+        R@(k * L) without the constraint is at least R@k with it; R@k without
+        is not, since one pair's relations can fill the top k."""
+        scores, starts, index, relations, image, num_relations = case
+        with_pos = rank(scores, starts, index, "with")
+        without_pos = rank(scores, starts, index, "without")
+        hit = with_pos != MISS
+        assert (without_pos[hit] <= with_pos[hit] * num_relations).all()
+        ks = [1, 2, 3]
+        wide = [k * num_relations for k in ks]
+        num_images = len(starts) - 1
+        res_with = evaluate_split(relations, with_pos, image, num_images, ks, num_relations,
+                                  "with")
+        res_without = evaluate_split(relations, without_pos, image, num_images, wide,
+                                     num_relations, "without")
+        for k, k_wide in zip(ks, wide):
+            assert res_without.recall_at[k_wide] >= res_with.recall_at[k]
+            assert res_without.mean_recall_at[k_wide] >= res_with.mean_recall_at[k]
 
     def test_images_without_gt_are_excluded(self):
         res = evaluate_split(*split(([], []), ([1], [0]), ([], [])), [1], 2, "with")

@@ -23,10 +23,11 @@ from tailbias.model import (
 )
 from tailbias.numerics import flatten, leaves, unflatten
 from tailbias.stats import LabelSpace
-from tailbias.synth import SynthImage, all_ordered_pairs
+from tailbias.synth import Images, SynthImage, all_ordered_pairs
 
 LS = LabelSpace(num_object_classes=4, num_relations=3)
 D_V = 6
+NO_GT = np.zeros((0, 3), dtype=np.int64)
 
 
 def make_image(rng, n, num_classes, d_v):
@@ -39,7 +40,7 @@ def make_image(rng, n, num_classes, d_v):
         labels=rng.integers(0, num_classes, n),
         scores=scores / scores.sum(axis=1, keepdims=True),
         unions=rng.normal(size=(n * (n - 1), d_v)),
-        gt_triplets=[],
+        gt=NO_GT,
     )
 
 
@@ -51,7 +52,7 @@ def select(image, idx):
     s, o = idx[all_ordered_pairs(len(idx))].T
     return SynthImage(
         image.boxes[idx], image.features[idx], image.labels[idx], image.scores[idx],
-        image.unions[s * (n - 1) + o - (o > s)], gt_triplets=[],
+        image.unions[s * (n - 1) + o - (o > s)], gt=NO_GT,
     )
 
 
@@ -68,32 +69,35 @@ def toy():
 
 def one_proposal(box=(0.1, 0.1, 0.4, 0.4), scores=(1.0,), label=0, d_v=3):
     return SynthImage(
-        boxes=[box], features=np.zeros((1, d_v)), labels=[label], scores=[scores],
-        unions=np.zeros((0, d_v)), gt_triplets=[],
+        boxes=np.array([box]), features=np.zeros((1, d_v)), labels=np.array([label]),
+        scores=np.array([scores]),
+        unions=np.zeros((0, d_v)), gt=NO_GT,
     )
 
 
 class TestProposal:
+    """Packing a split checks its images' object rows (see ``test_synth``)."""
+
     def test_rejects_degenerate_box(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            one_proposal(box=(0.5, 0.1, 0.2, 0.4))
-        with pytest.raises(ValueError, match="unnormalized"):
-            one_proposal(box=(0.1, 0.1, 0.4, 1.2))
+        with pytest.raises(ValueError, match="^image 0: degenerate"):
+            Images.pack([one_proposal(box=(0.5, 0.1, 0.2, 0.4))])
+        with pytest.raises(ValueError, match="^image 1: degenerate or unnormalized"):
+            Images.pack([one_proposal(), one_proposal(box=(0.1, 0.1, 0.4, 1.2))])
 
     def test_rejects_unnormalized_scores(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            one_proposal(scores=(0.7, 0.6))
-        with pytest.raises(ValueError, match="sum to 1"):
-            one_proposal(scores=(np.nan,))
+        with pytest.raises(ValueError, match="^image 0: detector scores must sum to 1$"):
+            Images.pack([one_proposal(scores=(0.7, 0.6))])
+        with pytest.raises(ValueError, match="^image 0: detector scores must sum to 1$"):
+            Images.pack([one_proposal(scores=(np.nan,))])
 
     def test_rejects_inconsistent_row_counts(self, toy):
         _, _, image, _, _, _ = toy
-        with pytest.raises(ValueError, match="one row per object"):
-            replace(image, features=image.features[:3])
-        with pytest.raises(ValueError, match="unions have shape"):
-            replace(image, unions=image.unions[:-1])
-        with pytest.raises(ValueError, match="box per object"):
-            replace(image, boxes=image.boxes[:, :3])
+        with pytest.raises(ValueError, match="^image 1: features need one row per object"):
+            Images.pack([image, replace(image, features=image.features[:3])])
+        with pytest.raises(ValueError, match="^image 0: unions have shape"):
+            Images.pack([replace(image, unions=image.unions[:-1])])
+        with pytest.raises(ValueError, match="^image 0: .* box per object"):
+            Images.pack([replace(image, boxes=image.boxes[:, :3])])
 
     def test_box_features(self):
         f = box_features(np.array([[0.1, 0.2, 0.5, 0.8]]))

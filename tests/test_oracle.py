@@ -31,7 +31,7 @@ from tailbias.metrics import CONSTRAINTS, MISS, candidate_index, evaluate_split,
 from tailbias.model import init_linear
 from tailbias.stats import LabelSpace, ingest, stats_from_json, stats_to_json
 from tailbias.numerics import flatten
-from tailbias.synth import SynthConfig, SynthImage, all_ordered_pairs, generate_split
+from tailbias.synth import Images, SynthConfig, SynthImage, all_ordered_pairs, generate_split
 
 
 def assert_same_results(got, want):
@@ -219,7 +219,8 @@ def training_image(draw):
         labels=rng.integers(0, SMALL.num_object_classes, n),
         scores=scores / scores.sum(axis=1, keepdims=True),
         unions=rng.normal(size=(n * (n - 1), D_V)),
-        gt_triplets=[(s, o, r) for (s, o), r in zip(annotated, relations)],
+        gt=np.array([(s, o, r) for (s, o), r in zip(annotated, relations)],
+                    dtype=np.int64).reshape(-1, 3),
     )
 
 
@@ -264,7 +265,7 @@ def test_packed_training_matches_the_per_image_oracle(
     )
 
     def packed():
-        checkpoint, log = train(config, images)
+        checkpoint, log = train(config, Images.pack(images))
         return flatten(checkpoint.params), log.losses
 
     got, want = outcome(packed), outcome(lambda: oracle.train(config, images))
@@ -315,22 +316,38 @@ def test_dense_statistics_match_the_sparse_map(case):
 
 
 def corrupt(draw, img):
-    """``img`` with one fault of the kinds the ground-truth check names (some
-    draws land inside the valid range and change nothing)."""
+    """``img`` with one fault of the kinds the record check or the
+    ground-truth check names (some draws land inside the valid range and
+    change nothing)."""
     n = len(img.labels)
-    kind = draw(st.sampled_from(["gt", "label", "one-object", "features", "scores"]))
+    kind = draw(st.sampled_from(
+        ["gt", "label", "one-object", "features", "scores", "box", "sums", "rows"]
+    ))
     if kind == "gt":
         t = (draw(st.integers(-2, n + 1)), draw(st.integers(-2, n + 1)),
              draw(st.integers(-1, SMALL.num_relations + 2)))
-        gt = list(img.gt_triplets)
-        return replace(img, gt_triplets=gt[: draw(st.integers(0, len(gt)))] + [t] + gt)
+        gt = img.gt.tolist()
+        return replace(img, gt=np.array(gt[: draw(st.integers(0, len(gt)))] + [t] + gt))
+    if kind == "box":
+        boxes = img.boxes.copy()
+        boxes[draw(st.integers(0, n - 1)), draw(st.integers(0, 3))] = draw(
+            st.sampled_from([-0.1, 0.0, 0.5, 1.0, 1.5, np.nan])
+        )
+        return replace(img, boxes=boxes)
+    if kind == "sums":
+        scores = img.scores.copy()
+        scores[draw(st.integers(0, n - 1)), 0] += draw(st.sampled_from([1e-7, 1e-5, 0.5]))
+        return replace(img, scores=scores)
+    if kind == "rows":
+        name = draw(st.sampled_from(["boxes", "features", "scores", "unions", "gt"]))
+        return replace(img, **{name: getattr(img, name)[1:]})
     if kind == "label":
         labels = img.labels.copy()
         labels[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1, 3, 7]))
         return replace(img, labels=labels)
     if kind == "one-object":
         return replace(img, boxes=img.boxes[:1], features=img.features[:1], labels=img.labels[:1],
-                       scores=img.scores[:1], unions=img.unions[:0], gt_triplets=[])
+                       scores=img.scores[:1], unions=img.unions[:0], gt=img.gt[:0])
     width = draw(st.sampled_from([1, 2, 5]))
     if kind == "features":
         return replace(img, features=np.ones((n, width)), unions=np.ones((n * (n - 1), width)))
@@ -349,19 +366,25 @@ def corrupted_split(draw):
 @given(corrupted_split())
 @settings(max_examples=200, deadline=None)
 def test_the_split_check_names_what_the_image_by_image_check_names(images):
+    # Packing checks every record, against image 0's widths.
+    want = refusal(lambda: oracle.check_records(images))
+    assert refusal(lambda: Images.pack(images)) == want
+    if want is not None:
+        return
+    split = Images.pack(images)
     # Statistics check annotations only.
     want = refusal(lambda: oracle.check_split(images, SMALL, None))
-    assert refusal(lambda: training_stats(images, SMALL)) == want
+    assert refusal(lambda: training_stats(split, SMALL)) == want
     if want is None:
         assert np.array_equal(
-            training_stats(images, SMALL).dense, oracle.training_stats(images, SMALL).dense
+            training_stats(split, SMALL).dense, oracle.training_stats(images, SMALL).dense
         )
-    # Training runs at the first image's feature width.
+    # Training runs at the split's feature width.
     config = TrainConfig(label_space=SMALL, optimizer=OptimizerConfig(iterations=1, batch_size=1))
-    want = refusal(lambda: oracle.check_split(images, SMALL, images[0].features.shape[1]))
-    assert refusal(lambda: train(config, images)) == want
+    want = refusal(lambda: oracle.check_split(images, SMALL, split.features.shape[1]))
+    assert refusal(lambda: train(config, split)) == want
     # Evaluation runs at the checkpoint's.
     params = init_linear(ModelSpec(), SMALL, D_V, np.random.default_rng(0))
     checkpoint = Checkpoint(config=config, iterations=0, params=params)
-    want = refusal(lambda: oracle.check_split(images, SMALL, D_V, "the checkpoint"))
-    assert refusal(lambda: evaluate(checkpoint, images)) == want
+    want = refusal(lambda: oracle.check_split(images, SMALL, D_V))
+    assert refusal(lambda: evaluate(checkpoint, split)) == want

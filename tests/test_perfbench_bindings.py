@@ -67,6 +67,44 @@ def test_bias_api_the_benchmark_reads():
     assert bias.lookup_pair_bias(table, 0, 1) is table.entries[(0, 1)]
 
 
+def test_split_api_the_benchmark_uses(monkeypatch, tmp_path):
+    """``perfbench/workloads.py`` writes splits by the ``path`` parameter,
+    reads them back, takes their statistics and ``len``, and evaluates and
+    sweeps ``split[i : i + size]`` chunks; ``perfbench/layers.py`` counts a
+    sweep's image-points from its ``images`` argument."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    layers = importlib.import_module("layers")
+    ls = LabelSpace(num_object_classes=4, num_relations=3)
+    cfg = synth.SynthConfig(
+        label_space=ls, num_train=12, num_val=0, num_test=7, objects_min=2, objects_max=4,
+        d_v=4, seed=5,
+    )
+    splits = {}
+    for name in ("train", "test"):
+        path = tmp_path / f"{name}.jsonl"
+        synth.write_images_jsonl(synth.generate_split(cfg, name), path=str(path))
+        splits[name] = synth.read_images_jsonl(str(path))
+    train, test = splits["train"], splits["test"]
+    assert (len(train), len(test)) == (12, 7)
+    stats = harness.training_stats(train, ls)
+    assert stats.total == len(train.gt) > 0
+    spec = bias.BiasSpec(kind="cb", a=1.0, epsilon=1e-3)
+    config = harness.TrainConfig(
+        label_space=ls, loss=harness.LossConfig(kind="rtpb"), bias=spec,
+        optimizer=harness.OptimizerConfig(iterations=2, batch_size=4), eval_ks=(1, 5),
+    )
+    checkpoint, _ = harness.train(config, train)
+    chunks = workloads._chunks(test, 3)
+    assert [len(c) for c in chunks] == [3, 3, 1]
+    for chunk in chunks:
+        results = harness.evaluate(checkpoint, chunk)
+        assert sorted(results) == sorted(harness.CONSTRAINTS)
+        args = (checkpoint, stats, spec, [0.0, 1.0], chunk)
+        assert [a for a, _ in harness.sweep(*args)] == [0.0, 1.0]
+        assert layers._image_points(args, {}, None) == 2.0 * len(chunk)
+
+
 def test_params_vector_is_a_fresh_copy_in_leaf_order(tmp_path):
     """``perfbench/workloads.py`` digests ``numerics.flatten(checkpoint.params)``
     and compares it across a save and load; a training step taken after the

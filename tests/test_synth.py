@@ -2,12 +2,18 @@ import hashlib
 import json
 import re
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailbias.stats import LabelSpace
 from tailbias.synth import (
+    Images,
     SynthConfig,
+    SynthImage,
     all_ordered_pairs,
     build_world,
     generate_split,
@@ -37,10 +43,24 @@ def small_config(**overrides):
     return SynthConfig(**defaults)
 
 
+IMAGE_FIELDS = ("boxes", "features", "labels", "scores", "unions", "gt")
+SPLIT_FIELDS = (
+    "boxes", "features", "labels", "scores", "obj_start", "unions", "pair_start", "gt", "gt_start"
+)
+
+
 def assert_same_image(a, b):
-    assert a.gt_triplets == b.gt_triplets
-    for name in ("boxes", "features", "labels", "scores", "unions"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in IMAGE_FIELDS:
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def assert_same_split(a, b):
+    assert len(a) == len(b)
+    for name in SPLIT_FIELDS:
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
 
 
 class TestZipfWeights:
@@ -99,13 +119,15 @@ class TestWorld:
 class TestGenerate:
     def test_empty_split(self):
         cfg = small_config(num_val=0)
-        assert generate_split(cfg, "val") == []
+        split = generate_split(cfg, "val")
+        assert len(split) == 0 and list(split) == []
+        assert split.obj_start.tolist() == split.gt_start.tolist() == [0]
 
     def test_background_fraction_zero_fills_all_pairs(self):
         cfg = small_config(background_fraction=0.0, num_train=5)
         for img in generate_split(cfg, "train"):
             n = len(img.labels)
-            assert len(img.gt_triplets) == n * (n - 1)
+            assert img.gt.shape == (n * (n - 1), 3)
 
     def test_gt_structure(self):
         cfg = small_config()
@@ -113,7 +135,7 @@ class TestGenerate:
             n = len(img.labels)
             assert cfg.objects_min <= n <= cfg.objects_max
             seen_pairs = set()
-            for s, o, r in img.gt_triplets:
+            for s, o, r in img.gt.tolist():
                 assert 0 <= s < n and 0 <= o < n and s != o
                 assert 1 <= r <= cfg.label_space.num_relations
                 assert (s, o) not in seen_pairs
@@ -125,7 +147,7 @@ class TestGenerate:
         images = generate_split(cfg, "train")
         world = build_world(cfg)
         hist = np.zeros(cfg.label_space.num_relations)
-        for _, _, r in (t for img in images for t in img.gt_triplets):
+        for r in images.gt[:, 2]:
             hist[r - 1] += 1
         empirical = hist / hist.sum()
         tv = 0.5 * np.abs(empirical - world.zipf).sum()
@@ -147,7 +169,7 @@ class TestGenerate:
         generate_split(cfg, "val")
         test_with_rest = generate_split(cfg, "test")
         for img_a, img_b in zip(test_alone, test_with_rest):
-            assert img_a.gt_triplets == img_b.gt_triplets
+            assert np.array_equal(img_a.gt, img_b.gt)
             assert np.array_equal(img_a.features, img_b.features)
         # different splits differ
         train = generate_split(cfg, "train")
@@ -180,7 +202,7 @@ class TestJsonl:
         path = tmp_path / "train.jsonl"
         write_images_jsonl(images, str(path))
         again = read_images_jsonl(str(path))
-        assert len(again) == len(images)
+        assert_same_split(again, images)
         for img_a, img_b in zip(images, again):
             assert_same_image(img_a, img_b)
 
@@ -245,6 +267,154 @@ class TestJsonl:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: .*{why}"):
             read_images_jsonl(str(path))
+
+
+def record(rng, n, d_v=3, classes=4, num_gt=1):
+    """A valid random image record with ``n`` objects and ``num_gt`` triplets."""
+    x1, y1 = rng.uniform(0.05, 0.4, (2, n))
+    scores = rng.uniform(0.05, 1.0, (n, classes))
+    pairs = all_ordered_pairs(n)[: num_gt]
+    return SynthImage(
+        boxes=np.stack([x1, y1, x1 + 0.3, y1 + 0.3], axis=1),
+        features=rng.normal(size=(n, d_v)),
+        labels=rng.integers(0, classes, n),
+        scores=scores / scores.sum(axis=1, keepdims=True),
+        unions=rng.normal(size=(n * (n - 1), d_v)),
+        gt=np.column_stack([pairs, rng.integers(1, 4, len(pairs))]),
+    )
+
+
+def bad_box(img):
+    boxes = img.boxes.copy()
+    boxes[1, 2] = boxes[1, 0]
+    return replace(img, boxes=boxes)
+
+
+def unnormalised(img):
+    scores = img.scores.copy()
+    scores[2, 0] += 0.01
+    return replace(img, scores=scores)
+
+
+class TestPack:
+    """One check over the whole split names the first faulty image."""
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda img: replace(img, labels=img.labels[:, None]),
+             "need one label and one 4-number box per object, -1 labels"),
+            (lambda img: replace(img, boxes=img.boxes[:, :3]),
+             "need one label and one 4-number box per object, 3 labels"),
+            (lambda img: replace(img, boxes=img.boxes[:2]),
+             "need one label and one 4-number box per object, 3 labels"),
+            (lambda img: replace(img, features=img.features[:2]),
+             "features need one row per object (3)"),
+            (lambda img: replace(img, scores=img.scores[:, 0]),
+             "scores need one row per object (3)"),
+            (lambda img: replace(img, features=img.features[:, :2], unions=img.unions[:, :2]),
+             "2 feature columns; image 0 has 3"),
+            (lambda img: replace(img, scores=np.full((3, 5), 0.2)),
+             "detector scores over 5 classes; image 0 has 4"),
+            (lambda img: replace(img, unions=img.unions[:5]),
+             "unions have shape (5, 3); 3 objects need (6, 3)"),
+            (lambda img: replace(img, unions=img.unions[:, :2]),
+             "unions have shape (6, 2); 3 objects need (6, 3)"),
+            (lambda img: replace(img, gt=img.gt[:, :2]),
+             "ground truth has shape (1, 2), not (m, 3)"),
+            (bad_box, "degenerate or unnormalized box"),
+            (unnormalised, "detector scores must sum to 1"),
+        ],
+        ids=["labels-rank", "box-width", "box-rows", "feature-rows", "score-rows",
+             "feature-width", "score-width", "union-rows", "union-width", "gt-width", "bad-box",
+             "unnormalised-scores"],
+    )
+    def test_refusal_names_the_first_faulty_image(self, corrupt, message):
+        rng = np.random.default_rng(0)
+        images = [record(rng, 3) for _ in range(4)]
+        images[2] = corrupt(images[2])
+        images[3] = unnormalised(images[3])  # a later fault is not the one named
+        with pytest.raises(ValueError, match=f"^image 2: {re.escape(message)}"):
+            Images.pack(images)
+
+    def test_a_value_fault_ahead_of_a_shape_fault_is_named_first(self):
+        rng = np.random.default_rng(1)
+        images = [record(rng, 3) for _ in range(3)]
+        images[1] = bad_box(images[1])
+        images[2] = replace(images[2], features=images[2].features[:1])
+        with pytest.raises(ValueError, match=r"^image 1: degenerate or unnormalized box \["):
+            Images.pack(images)
+
+    def test_records_of_lists_pack_as_arrays(self):
+        rng = np.random.default_rng(2)
+        img = record(rng, 2)
+        listed = SynthImage(*(getattr(img, name).tolist() for name in IMAGE_FIELDS))
+        assert_same_split(Images.pack([listed]), Images.pack([img]))
+        assert Images.pack([replace(img, gt=[])]).gt.shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda d: [obj["box"].pop() for obj in d["objects"]],
+             "need one label and one 4-number box per object, 3 labels"),
+            (lambda d: [v.pop() for v in [o["feat"] for o in d["objects"]]
+                        + [u[2] for u in d["unions"]]],
+             "2 feature columns; image 0 has 3"),
+            (lambda d: [obj["scores"].pop() for obj in d["objects"]],
+             "detector scores over 3 classes; image 0 has 4"),
+            (lambda d: [u[2].pop() for u in d["unions"]],
+             "unions have shape (6, 2); 3 objects need (6, 3)"),
+            (lambda d: d["objects"][1]["box"].__setitem__(2, 0.0),
+             "degenerate or unnormalized box"),
+            (lambda d: d["objects"][2]["scores"].__setitem__(0, 2.0),
+             "detector scores must sum to 1"),
+        ],
+        ids=["box-width", "feature-width", "score-width", "union-width", "bad-box",
+             "unnormalised-scores"],
+    )
+    def test_reader_names_the_line_and_the_image(self, tmp_path, corrupt, message):
+        """Only these faults can reach the check from a JSONL line: the
+        reader builds one feature and score row per object and three-integer
+        ground-truth rows."""
+        rng = np.random.default_rng(3)
+        path = tmp_path / "split.jsonl"
+        write_images_jsonl(Images.pack([record(rng, 3) for _ in range(3)]), str(path))
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[1])
+        corrupt(doc)
+        lines[1] = json.dumps(doc)
+        path.write_text("\n" + "\n".join(lines) + "\n")  # image 1 is on line 3
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: image 1: "
+                                             f"{re.escape(message)}"):
+            read_images_jsonl(str(path))
+
+
+@st.composite
+def records(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), max_size=6))
+    return [record(rng, n, num_gt=min(m, n * (n - 1))) for n, m in sizes]
+
+
+@given(records(), st.integers(-8, 8), st.integers(-8, 8), st.integers(0, 100))
+@settings(max_examples=100, deadline=None)
+def test_slices_and_images_equal_packing_their_records(images, a, b, pick):
+    split = Images.pack(images)
+    assert len(split) == len(images)
+
+    def assert_slice(got, records):
+        if records:
+            assert_same_split(got, Images.pack(records))
+        else:  # an empty slice keeps the split's widths
+            assert len(got) == 0 and got.obj_start.tolist() == got.gt_start.tolist() == [0]
+
+    assert_slice(split[a:b], images[a:b])
+    assert_slice(split[a:b][1:], images[a:b][1:])
+    if images:
+        i = pick % len(images) - (pick % 2) * len(images)  # negative indices too
+        assert_same_image(split[i], Images.pack([images[i]])[0])
+    for got, want in zip(split, images):
+        assert_same_image(got, Images.pack([want])[0])
 
 
 def test_all_ordered_pairs():
