@@ -18,7 +18,8 @@ or gradient stops training with a ``FloatingPointError`` that names the
 iteration and, for a gradient, the parameter leaf.
 
 Evaluation checks and derives its split as training does, at the
-checkpoint's feature width, forwards each image once, and ranks the split's
+checkpoint's feature width, forwards each image once, in buckets of images
+with the same object count (:func:`_forward_split`), and ranks the split's
 stacked ``(ΣP, L)`` score matrix once per constraint (see
 :mod:`tailbias.metrics`); the sweep reuses those logits at every grid point.
 In ``sgcls`` evaluation the argmax of the model's object probabilities is
@@ -62,6 +63,7 @@ from .model import (
     DualEncoderParams,
     LinearParams,
     Model,
+    ModelOutput,
     ModelSpec,
     class_labels,
     feature_width,
@@ -70,7 +72,7 @@ from .model import (
 )
 from .numerics import flatten, leaf_names, leaves, running_sum, unflatten
 from .stats import LabelSpace, TripletStats, _is_int64, check_keys, marginal_counts, refuse_first
-from .synth import Images, _offsets, all_ordered_pairs
+from .synth import Images, SynthImage, _offsets, all_ordered_pairs
 
 __all__ = [
     "LOSS_KINDS",
@@ -90,6 +92,10 @@ __all__ = [
 ]
 
 LOSS_KINDS = ("ce", "rtpb", "reweight", "class_balanced", "focal", "ldam")
+
+# Images of one object-count bucket that evaluation forwards per model call:
+# a larger chunk holds more forward caches at once and runs no faster.
+FORWARD_CHUNK = 16
 
 INIT_DOMAIN = 10
 SHUFFLE_DOMAIN = 11
@@ -546,9 +552,16 @@ class _Scored(NamedTuple):
 
 def _forward_split(checkpoint: Checkpoint, images: Images) -> _Scored:
     """Check the split's ground truth as for training, at the checkpoint's
-    feature width, and forward every image once; an image failing the check,
-    its forward, or with non-finite logits raises ``ValueError`` naming its
-    index."""
+    feature width, and forward every image once.
+
+    Images with the same object count ``n`` share their ordered pairs, so
+    they stack into a bucket without padding; the model runs once per chunk
+    of at most :data:`FORWARD_CHUNK` images of a bucket, and its outputs are
+    scattered into split-wide arrays. An image failing the check, its
+    forward, or with non-finite logits raises ``ValueError`` naming its
+    index: after a failed chunk the split is forwarded again image by image,
+    in index order, so that the first faulty image is named.
+    """
     if not len(images):
         raise ValueError("empty evaluation split")
     config = checkpoint.config
@@ -556,27 +569,47 @@ def _forward_split(checkpoint: Checkpoint, images: Images) -> _Scored:
     d_v = feature_width(config.model, ls, sum(a.size for a in leaves(checkpoint.params)))
     gt_image = _truth(images, ls, d_v)
     split = _pack(images, gt_image, ls, config.task)
-    pair_start = images.pair_start
-    local = split.pairs - np.repeat(images.obj_start[:-1], np.diff(pair_start))[:, None]
+    pair_start, obj_start = images.pair_start, images.obj_start
     net, params = model_for(config.model), checkpoint.params
-    logits, probs = [], []  # kept without the forward caches
-    for i, (a, b) in enumerate(zip(pair_start[:-1], pair_start[1:])):
-        img = images[i]
-        try:
-            fwd = net.forward(img, img.unions, local[a:b], params, config.model, config.task)
-            if not np.isfinite(fwd.relation_logits).all():
-                raise ValueError("non-finite relation logits")
-        except ValueError as exc:
-            raise ValueError(f"image {i}: {exc}") from None
-        logits.append(fwd.relation_logits)
-        probs.append(fwd.object_probs)
-    object_probs = np.concatenate(probs)
+
+    def run(record: SynthImage, pairs: np.ndarray) -> ModelOutput:
+        fwd = net.forward(record, record.unions, pairs, params, config.model, config.task)
+        if not np.isfinite(fwd.relation_logits).all():
+            raise ValueError("non-finite relation logits")
+        return fwd
+
+    def name_first_fault() -> None:
+        for i in range(len(images)):
+            img = images[i]
+            try:
+                run(img, all_ordered_pairs(len(img.labels)))
+            except (ValueError, FloatingPointError) as exc:
+                raise ValueError(f"image {i}: {exc}") from None
+
+    counts = np.diff(obj_start)
+    logits = np.empty((pair_start[-1], ls.num_relations + 1))
+    object_probs = np.empty(images.scores.shape)
+    for n in np.unique(counts).tolist():
+        pairs = all_ordered_pairs(n)
+        same = np.flatnonzero(counts == n)
+        for chunk in np.split(same, range(FORWARD_CHUNK, len(same), FORWARD_CHUNK)):
+            obj = obj_start[chunk, None] + np.arange(n)
+            rel = pair_start[chunk, None] + np.arange(len(pairs))
+            bucket = SynthImage(images.boxes[obj], images.features[obj], images.labels[obj],
+                                images.scores[obj], images.unions[rel], images.gt[:0])
+            try:
+                fwd = run(bucket, pairs)
+            except (ValueError, FloatingPointError):
+                name_first_fault()
+                raise
+            logits[rel] = fwd.relation_logits
+            object_probs[obj] = fwd.object_probs
     classes, matched = images.labels, np.ones(len(split.fg_rows), dtype=bool)
     if config.task == "sgcls":
         classes = object_probs.argmax(axis=1)
         matched = (classes == images.labels)[split.pairs[split.fg_rows]].all(axis=1)
     return _Scored(
-        relation_logits=np.concatenate(logits),
+        relation_logits=logits,
         pair_scores=object_pair_scores(object_probs, split.pairs, config.task),
         pair_classes=classes[split.pairs],
         pair_start=pair_start,

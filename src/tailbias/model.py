@@ -1,4 +1,4 @@
-"""Relation classifiers over the detected objects of one image.
+"""Relation classifiers over the detected objects of an image, or of a bucket of images.
 
 Two models share one protocol, resolved from a :class:`ModelSpec` by
 :func:`model_for`: ``init(spec, label_space, d_v, rng)`` builds the parameter
@@ -23,10 +23,20 @@ the whole network is certifiable by finite differences. The linear
 model is a single affine relation head over the raw fused pair features; it
 has no object head, so its ``object_logits`` are None.
 
-Both ``forward`` functions take one image: ``pairs`` index that image's
-object rows, and the dual encoder attends over all of them. An empty
-``pairs`` gives ``(0, L + 1)`` relation logits and no relation gradient.
-Training packs the drawn pairs of a batch's images into one block for its
+Both ``forward`` functions take a bucket of images with the same object
+count ``n``: the record's arrays may carry one leading bucket axis, boxes
+``(B, n, 4)``, features ``(B, n, d_v)``, labels ``(B, n)`` and scores
+``(B, n, L_e)``, with ``(B, P, d_v)`` union rows, and then give ``(B, P, L + 1)``
+relation logits and ``(B, n, L_e)`` object outputs. A single image is a
+bucket of one, unbatched. ``pairs`` index the object rows of every image of
+the bucket alike, and the dual encoder attends over all of an image's
+objects and pairs, never across images. A stacked product runs one matrix
+product per image, so a bucket's outputs equal its images' own forwards bit
+for bit; the bucket axis is never folded into the row axis of a 2-D
+product, whose rows BLAS may round by the product's height. Backward passes
+take one unbatched image. An empty ``pairs`` gives ``(0, L + 1)`` relation
+logits and no relation gradient. Evaluation forwards a split in buckets;
+training packs the drawn pairs of a batch's images into one block for its
 loss call, but still runs the model once per image.
 
 Task modes: ``predcls`` looks up label embeddings with the annotated object
@@ -217,8 +227,8 @@ def init_linear(
 def box_features(boxes: np.ndarray) -> np.ndarray:
     """Eight geometry features per ``[x1, y1, x2, y2]`` row: corners, width,
     height, center."""
-    x1, y1, x2, y2 = boxes.T
-    return np.stack([x1, y1, x2, y2, x2 - x1, y2 - y1, (x1 + x2) / 2, (y1 + y2) / 2], axis=1)
+    x1, y1, x2, y2 = np.moveaxis(boxes, -1, 0)
+    return np.stack([x1, y1, x2, y2, x2 - x1, y2 - y1, (x1 + x2) / 2, (y1 + y2) / 2], axis=-1)
 
 
 def class_labels(image: SynthImage | Images, mode: str) -> np.ndarray:
@@ -227,7 +237,7 @@ def class_labels(image: SynthImage | Images, mode: str) -> np.ndarray:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "predcls":
         return image.labels
-    return image.scores.argmax(axis=1)
+    return image.scores.argmax(axis=-1)
 
 
 def embed_objects(
@@ -236,7 +246,7 @@ def embed_objects(
     mode: str = "predcls",
 ) -> tuple[np.ndarray, tuple]:
     """Fuse box geometry, visual feature, and label embedding into one token per object."""
-    if not len(image.labels):
+    if not image.labels.shape[-1]:
         raise ValueError("no objects to embed")
     boxes = box_features(image.boxes)
     feats = image.features
@@ -245,7 +255,7 @@ def embed_objects(
     feats_b = np.broadcast_to(feats, pos.shape[:-1] + feats.shape[-1:])
     concat = np.concatenate([pos, feats_b, params.embed[..., labels, :]], axis=-1)
     tokens = concat @ params.w_in
-    return tokens, (boxes, concat, labels, pos.shape[-1], feats.shape[1])
+    return tokens, (boxes, concat, labels, pos.shape[-1], feats.shape[-1])
 
 
 def embed_objects_backward(
@@ -283,11 +293,11 @@ def fuse_pairs(
         s, o = pairs[bad[0]].tolist()
         why = "relates an object to itself" if s == o else f"out of range for {n} objects"
         raise ValueError(f"pair ({s}, {o}) {why}")
-    if len(pairs) != union_features.shape[0]:
+    if len(pairs) != union_features.shape[-2]:
         raise ValueError("one union feature row is required per pair")
-    unions = np.broadcast_to(union_features, e_final.shape[:-2] + union_features.shape)
+    unions = np.broadcast_to(union_features, e_final.shape[:-2] + union_features.shape[-2:])
     concat = np.concatenate([unions, e_final[..., s_idx, :], e_final[..., o_idx, :]], axis=-1)
-    return concat @ params.w_fuse, (concat, s_idx, o_idx, union_features.shape[1], n)
+    return concat @ params.w_fuse, (concat, s_idx, o_idx, union_features.shape[-1], n)
 
 
 def fuse_pairs_backward(
@@ -325,7 +335,7 @@ def forward(
     mode: str = "predcls",
 ) -> ModelOutput:
     """Full pipeline: object encoding, object head, pair fusion, relation head."""
-    if len(image.labels) < 2:
+    if image.labels.shape[-1] < 2:
         raise ValueError("no pairs: need at least two objects")
     tokens, embed_cache = embed_objects(image, params, mode)
     e_final, obj_caches = encode_objects(tokens, params, spec.n_h)
@@ -390,12 +400,15 @@ def linear_forward(
 
     ``spec`` and ``mode`` complete the shared protocol; the linear head reads
     neither, and its object probabilities are the detector scores. ``params``
-    may be a tree of ``(k, ...)`` leaves, giving ``(k, P, C)`` logits.
+    may be a tree of ``(k, ...)`` leaves, giving ``(k, P, C)`` logits, or
+    ``image`` a bucket of ``B`` images, giving ``(B, P, C)`` logits.
     """
-    if len(image.labels) < 2:
+    if image.labels.shape[-1] < 2:
         raise ValueError("no pairs: need at least two objects")
     feats = image.features
-    x = np.concatenate([union_features, feats[pairs[:, 0]], feats[pairs[:, 1]]], axis=1)
+    x = np.concatenate(
+        [union_features, feats[..., pairs[:, 0], :], feats[..., pairs[:, 1], :]], axis=-1
+    )
     logits = x @ params.w + params.b[..., None, :]
     return ModelOutput(
         object_logits=None,

@@ -145,15 +145,26 @@ class Images:
     def pack(cls, images: Sequence[SynthImage]) -> "Images":
         """Pack records into one split, checked once: ``ValueError`` names the
         first faulty image and its first fault of: ``labels`` not 1-D or
-        ``boxes`` not ``(n, 4)``; ``features`` or ``scores`` not ``n`` rows or
-        not as wide as image 0's; ``unions`` not ``(n(n-1), d_v)``; ``gt`` not
-        ``(m, 3)``; a box not ``0 <= x1 < x2 <= 1``, ``0 <= y1 < y2 <= 1``; a
-        score row not summing to 1 within 1e-6."""
+        ``boxes`` not ``(n, 4)``; nonempty ``labels`` not of a 64-bit integer
+        type; ``features`` or ``scores`` not ``n`` rows or not as wide as image
+        0's; ``unions`` not ``(n(n-1), d_v)``; ``gt`` not ``(m, 3)``; nonempty
+        ``gt`` not of a 64-bit integer type; a box not ``0 <= x1 < x2 <= 1``,
+        ``0 <= y1 < y2 <= 1``; a score row not summing to 1 within 1e-6."""
         boxes, features, scores, unions, labels, gt = (
             [np.asarray(getattr(img, name), dtype) for img in images]
             for name, dtype in (("boxes", np.float64), ("features", np.float64),
                                 ("scores", np.float64), ("unions", np.float64),
-                                ("labels", np.int64), ("gt", np.int64))
+                                ("labels", None), ("gt", None))
+        )
+        # A float or bool would be truncated by a cast; an empty list is float.
+        not_int = [
+            np.array([a.size > 0 and (a.dtype == bool or not np.can_cast(a.dtype, np.int64))
+                      for a in arrays], dtype=bool)
+            for arrays in (labels, gt)
+        ]
+        labels, gt = (
+            [a if bad else a.astype(np.int64, copy=False) for a, bad in zip(arrays, flags)]
+            for arrays, flags in zip((labels, gt), not_int)
         )
         gt = [t if t.size else t.reshape(0, 3) for t in gt]
 
@@ -170,6 +181,7 @@ class Images:
         checks = [
             ((n < 0) | (box_rows != n) | (box_cols != 4),
              lambda i: f"need one label and one 4-number box per object, {n[i]} labels"),
+            (not_int[0], lambda i: f"labels of type {labels[i].dtype}, not 64-bit integers"),
             (feat_rows != n, lambda i: f"features need one row per object ({n[i]})"),
             (score_rows != n, lambda i: f"scores need one row per object ({n[i]})"),
             (width != first[0], lambda i: f"{width[i]} feature columns; image 0 has {first[0]}"),
@@ -178,6 +190,7 @@ class Images:
             ((union_shape != want_unions).any(axis=0), lambda i: f"unions have shape "
              f"{unions[i].shape}; {n[i]} objects need {tuple(want_unions[:, i].tolist())}"),
             (shapes(gt, 2)[1] != 3, lambda i: f"ground truth has shape {gt[i].shape}, not (m, 3)"),
+            (not_int[1], lambda i: f"ground truth of type {gt[i].dtype}, not 64-bit integers"),
         ]
         # Box and score values of the images of the right shape.
         ok = ~np.any([bad for bad, _ in checks], axis=0)
@@ -321,11 +334,19 @@ def generate_split(config: SynthConfig, split: str) -> Images:
     )
 
 
+def _pair_list(n: int, built: dict[int, list]) -> list:
+    """:func:`all_ordered_pairs` of ``n`` as lists, built once per ``n`` in ``built``."""
+    if n not in built:
+        built[n] = all_ordered_pairs(n).tolist()
+    return built[n]
+
+
 def write_images_jsonl(images: Images, path: str) -> None:
+    pair_lists: dict[int, list] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for img in images:
             rows = (a.tolist() for a in (img.boxes, img.features, img.labels, img.scores))
-            pairs = all_ordered_pairs(len(img.labels)).tolist()
+            pairs = _pair_list(len(img.labels), pair_lists)
             doc = {
                 "objects": [
                     {"box": box, "feat": feat, "label": label, "scores": scores}
@@ -346,12 +367,12 @@ def _matrix(rows: list, name: str, width: int = 0) -> np.ndarray:
     return out if rows else out.reshape(0, width)
 
 
-def _image_from_doc(doc: dict) -> SynthImage:
+def _image_from_doc(doc: dict, pair_lists: dict[int, list]) -> SynthImage:
     objects = doc["objects"]
     n = len(objects)
     features = _matrix([obj["feat"] for obj in objects], "feat")
     union_pairs = [[s, o] for s, o, _ in doc["unions"]]
-    if union_pairs != all_ordered_pairs(n).tolist():
+    if union_pairs != _pair_list(n, pair_lists):
         raise ValueError(f"union pairs are not the ordered pairs of {n} objects in order")
     for i, obj in enumerate(objects):
         if not _is_int64(obj["label"]):
@@ -373,4 +394,5 @@ def read_images_jsonl(path: str) -> Images:
     """Read images written by :func:`write_images_jsonl` into one packed split;
     a malformed document, or an image :meth:`Images.pack` refuses, raises
     ``ValueError`` starting ``"<path>:<line>: "``."""
-    return read_jsonl(path, _image_from_doc, Images.pack)
+    pair_lists: dict[int, list] = {}
+    return read_jsonl(path, lambda doc: _image_from_doc(doc, pair_lists), Images.pack)

@@ -170,6 +170,20 @@ def test_linear_forward_on_a_parameter_stack(seed, k, n):
     )
 
 
+@pytest.mark.parametrize("d", [8, 32, 48])
+def test_a_stacked_product_is_one_product_per_slice(d):
+    """Evaluation forwards a bucket of ``B`` images as ``(B, P, d) @ (d, C)``
+    products and relies on each slice being bit-identical to the image's own
+    2-D product: a numpy that folded the stack into one tall product, whose
+    rows BLAS may round by its height, would fail here."""
+    rng = np.random.default_rng(d)
+    for b in (1, 2, 16, 17, 40):
+        for p in (2, 12, 20, 30, 42):
+            for c in (9, 31):
+                a, w = rng.normal(size=(b, p, d)), rng.normal(size=(d, c))
+                assert_items_equal(a @ w, [x @ w for x in a])
+
+
 def row_function(seed):
     """A scalar function of one copy, and the same function over a stack."""
     w = np.random.default_rng(seed).integers(-2, 3, 3 * FD_CHUNK) / 2.0

@@ -6,10 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from tailbias.bias import BiasSpec, BiasVector, compute_bias
 from tailbias.harness import (
+    FORWARD_CHUNK,
     Checkpoint,
     LossConfig,
     ModelSpec,
@@ -26,11 +29,19 @@ from tailbias.harness import (
     training_stats,
 )
 from tailbias.losses import LossOutput, biased_ce, ce
-from tailbias.metrics import metrics_csv
-from tailbias.model import LinearParams, class_labels, forward, init_dual_encoder, init_linear
+from tailbias.metrics import metrics_csv, object_pair_scores
+from tailbias.model import (
+    LinearParams,
+    class_labels,
+    forward,
+    init_dual_encoder,
+    init_linear,
+    model_for,
+)
 from tailbias.numerics import flatten, leaves
 from tailbias.stats import LabelSpace
 from tailbias.synth import Images, SynthConfig, SynthImage, all_ordered_pairs, generate_split
+from test_model import make_image
 
 NO_GT = np.zeros((0, 3), dtype=np.int64)
 
@@ -563,6 +574,79 @@ class TestEvaluate:
             differing += (predicted != class_labels(img, "sgcls")).any()
         assert scored.pair_start[-1] == len(scored.pair_classes)
         assert differing > 0
+
+    @example(seed=0, kind="dual_encoder", task="sgcls",
+             buckets={2: FORWARD_CHUNK + 1, 7: FORWARD_CHUNK, 5: 1})
+    @example(seed=1, kind="linear", task="predcls",
+             buckets={6: FORWARD_CHUNK + 1, 3: 1, 4: FORWARD_CHUNK})
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["linear", "dual_encoder"]),
+        task=st.sampled_from(["predcls", "sgcls"]),
+        buckets=st.dictionaries(
+            st.integers(2, 7), st.sampled_from([1, FORWARD_CHUNK, FORWARD_CHUNK + 1]),
+            min_size=1, max_size=3,
+        ),
+    )
+    def test_bucketed_forward_equals_the_per_image_forward(self, seed, kind, task, buckets):
+        """Images of each object count in ``buckets``, in a seeded order; every
+        forward output the split's scoring reads is bit-identical to one
+        forward per image. Nine relation columns: a product folded into one
+        tall 2-D product rounds differently at that width on OpenBLAS."""
+        space = LabelSpace(num_object_classes=5, num_relations=8)
+        rng = np.random.default_rng(seed)
+        counts = rng.permutation([n for n, size in buckets.items() for _ in range(size)])
+        records = [make_image(rng, n, space.num_object_classes, 6) for n in counts.tolist()]
+        config = replace(model_config(space, kind), task=task)
+        net = model_for(config.model)
+        params = net.init(config.model, space, 6, rng)
+        scored = _forward_split(Checkpoint(config, 0, params), Images.pack(records))
+
+        logits, probs, pairs, start = [], [], [], 0
+        for img in records:
+            local = all_ordered_pairs(len(img.labels))
+            out = net.forward(img, img.unions, local, params, config.model, task)
+            logits.append(out.relation_logits)
+            probs.append(out.object_probs)
+            pairs.append(local + start)
+            start += len(img.labels)
+        probs, pairs = np.concatenate(probs), np.concatenate(pairs)
+        labels = np.concatenate([img.labels for img in records])
+        classes = probs.argmax(axis=1) if task == "sgcls" else labels
+        assert np.array_equal(scored.relation_logits, np.concatenate(logits))
+        assert np.array_equal(scored.pair_classes, classes[pairs])
+        want = object_pair_scores(probs, pairs, task)
+        if want is None:
+            assert scored.pair_scores is None
+        else:
+            assert np.array_equal(scored.pair_scores, want)
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [("dual_encoder", "attention produced non-finite values"),
+         ("linear", "non-finite relation logits")],
+    )
+    def test_a_failed_bucket_names_the_first_faulty_image(self, kind, message):
+        """Image 3 sits in a bucket of 4-object images and image 4 in the
+        bucket of 3-object images, which is forwarded first; both have a NaN
+        union row, and image 3 is named, in evaluation and in the sweep."""
+        space = LabelSpace(num_object_classes=5, num_relations=4)
+        rng = np.random.default_rng(5)
+        records = [make_image(rng, n, space.num_object_classes, 6) for n in [4, 4, 3, 4, 3, 4]]
+        for i in (3, 4):
+            unions = records[i].unions.copy()
+            unions[1] = np.nan
+            records[i] = replace(records[i], unions=unions)
+        images = Images.pack(records)
+        config = model_config(space, kind)
+        ck = Checkpoint(config, 0, model_for(config.model).init(config.model, space, 6, rng))
+        want = f"^image 3: {re.escape(message)}$"
+        with pytest.raises(ValueError, match=want):
+            evaluate(ck, images)
+        stats = training_stats(images, space)
+        with pytest.raises(ValueError, match=want):
+            sweep(ck, stats, BiasSpec(kind="cb", epsilon=1e-3), [0.0], images)
 
     def test_empty_split_rejected(self, space, data):
         train_images, _ = data

@@ -328,15 +328,21 @@ def corrupt(draw, img):
              draw(st.integers(-1, SMALL.num_relations + 2)))
         gt = img.gt.tolist()
         return replace(img, gt=np.array(gt[: draw(st.integers(0, len(gt)))] + [t] + gt))
+    # An earlier "rows" fault may leave boxes or scores with
+    # fewer rows than labels, so their row is drawn from their own rows.
     if kind == "box":
         boxes = img.boxes.copy()
-        boxes[draw(st.integers(0, n - 1)), draw(st.integers(0, 3))] = draw(
-            st.sampled_from([-0.1, 0.0, 0.5, 1.0, 1.5, np.nan])
-        )
+        if len(boxes):
+            boxes[draw(st.integers(0, len(boxes) - 1)), draw(st.integers(0, 3))] = draw(
+                st.sampled_from([-0.1, 0.0, 0.5, 1.0, 1.5, np.nan])
+            )
         return replace(img, boxes=boxes)
     if kind == "sums":
         scores = img.scores.copy()
-        scores[draw(st.integers(0, n - 1)), 0] += draw(st.sampled_from([1e-7, 1e-5, 0.5]))
+        if len(scores):
+            scores[draw(st.integers(0, len(scores) - 1)), 0] += draw(
+                st.sampled_from([1e-7, 1e-5, 0.5])
+            )
         return replace(img, scores=scores)
     if kind == "rows":
         name = draw(st.sampled_from(["boxes", "features", "scores", "unions", "gt"]))

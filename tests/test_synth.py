@@ -345,6 +345,35 @@ class TestPack:
         with pytest.raises(ValueError, match=r"^image 1: degenerate or unnormalized box \["):
             Images.pack(images)
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda img: replace(img, labels=img.labels + 0.7), "labels of type float64"),
+            (lambda img: replace(img, labels=img.labels.tolist()[:2] + [1.9]),
+             "labels of type float64"),
+            (lambda img: replace(img, labels=img.labels > 0), "labels of type bool"),
+            (lambda img: replace(img, gt=[[0, 1, 1.6]]), "ground truth of type float64"),
+            (lambda img: replace(img, gt=img.gt.astype(float)), "ground truth of type float64"),
+            (lambda img: replace(img, gt=img.gt > 0), "ground truth of type bool"),
+        ],
+        ids=["float-labels", "float-label-list", "bool-labels", "float-gt-list", "float-gt",
+             "bool-gt"],
+    )
+    def test_non_integer_labels_and_ground_truth_are_refused(self, corrupt, message):
+        """A cast to int64 would truncate them silently, as ``1.9`` to ``1``."""
+        rng = np.random.default_rng(3)
+        images = [record(rng, 3) for _ in range(3)]
+        images[1] = corrupt(images[1])
+        with pytest.raises(ValueError, match=f"^image 1: {message}, not 64-bit integers$"):
+            Images.pack(images)
+
+    def test_narrower_integers_and_empty_lists_pack_as_int64(self):
+        rng = np.random.default_rng(4)
+        img = record(rng, 3)
+        narrow = replace(img, labels=img.labels.astype(np.int32), gt=img.gt.astype(np.uint8))
+        assert_same_split(Images.pack([narrow]), Images.pack([img]))
+        assert Images.pack([replace(img, gt=[])]).gt.dtype == np.int64
+
     def test_records_of_lists_pack_as_arrays(self):
         rng = np.random.default_rng(2)
         img = record(rng, 2)
