@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Mapping, Union
+from dataclasses import asdict, dataclass
+from typing import ClassVar, Union
 
 import numpy as np
 
-from .stats import TripletStats, check_keys, marginal_counts, pair_counts, sppo_counts
+from .stats import TripletStats, from_dict, marginal_counts, pair_counts, sppo_counts
 
 __all__ = [
     "GLOBAL_KINDS",
@@ -59,6 +59,7 @@ class BiasSpec:
     ``a = 0`` foreground value to make the whole vector uniform.
     """
 
+    config_name: ClassVar[str] = "bias spec"
     kind: str
     a: float = 1.0
     epsilon: float = 0.0
@@ -74,21 +75,6 @@ class BiasSpec:
             raise ValueError("epsilon must lie in [0, 1]")
         if not 0.0 <= self.a_eval <= self.a:
             raise ValueError("a_eval must lie in [0, a]")
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-    @classmethod
-    def from_dict(cls, d: Mapping, extra: tuple[str, ...] = ()) -> "BiasSpec":
-        """The spec of ``d``, whose keys besides its fields may only be ``extra``."""
-        check_keys(d, cls, "bias spec", extra)
-        return cls(
-            kind=str(d["kind"]),
-            a=float(d.get("a", 1.0)),
-            epsilon=float(d.get("epsilon", 0.0)),
-            a_eval=float(d.get("a_eval", 0.0)),
-            background=None if d.get("background") is None else float(d["background"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -225,7 +211,7 @@ def bias_table(bias: Bias, num_object_classes: int) -> np.ndarray:
 
 
 def bias_to_json(spec: BiasSpec, bias: Bias) -> str:
-    doc: dict = spec.to_dict()
+    doc: dict = asdict(spec)
     if isinstance(bias, BiasVector):
         doc["values"] = bias.values.tolist()
     else:
@@ -240,7 +226,7 @@ def bias_from_json(text: str) -> tuple[BiasSpec, Bias]:
     """Parse :func:`bias_to_json` output; a pair table's ``entries`` must be a
     list of ``[s, o, values]`` with ``values`` as long as the fallback."""
     doc = json.loads(text)
-    spec = BiasSpec.from_dict(doc, extra=("values", "entries", "fallback"))
+    spec = from_dict(BiasSpec, doc, extra=("values", "entries", "fallback"))
     if "values" in doc:
         return spec, BiasVector(np.asarray(doc["values"], dtype=np.float64))
     fallback = BiasVector(np.asarray(doc["fallback"], dtype=np.float64))

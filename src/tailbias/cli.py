@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -30,6 +31,7 @@ from .harness import (
 from .metrics import metrics_csv, per_relation_csv
 from .stats import (
     LabelSpace,
+    from_dict,
     ingest,
     read_triplets_jsonl,
     stats_from_json,
@@ -77,26 +79,19 @@ def cmd_synth(args) -> int:
     doc = _load_json(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed
-    config = SynthConfig.from_dict(doc)
+    config = from_dict(SynthConfig, doc)
+    splits = {f"{name}.jsonl": generate_split(config, name) for name in ("train", "val", "test")}
     out = _ensure_out(args.out)
-    outputs = []
-    for split in ("train", "val", "test"):
-        images = generate_split(config, split)
-        name = f"{split}.jsonl"
+    for name, images in splits.items():
         write_images_jsonl(images, os.path.join(out, name))
-        outputs.append(name)
-    _write_text(
-        os.path.join(out, "labels.json"),
-        json.dumps(config.label_space.to_dict()) + "\n",
-    )
-    _write_text(os.path.join(out, "config.json"), json.dumps(config.to_dict()) + "\n")
-    outputs += ["labels.json", "config.json"]
-    _write_manifest(out, "synth", outputs)
+    _write_text(os.path.join(out, "labels.json"), json.dumps(asdict(config.label_space)) + "\n")
+    _write_text(os.path.join(out, "config.json"), json.dumps(asdict(config)) + "\n")
+    _write_manifest(out, "synth", [*splits, "labels.json", "config.json"])
     return 0
 
 
 def cmd_stats(args) -> int:
-    labels = LabelSpace.from_dict(_load_json(args.labels))
+    labels = from_dict(LabelSpace, _load_json(args.labels))
     if args.images:
         images = read_images_jsonl(args.images)
         stats = training_stats(images, labels)
@@ -110,13 +105,8 @@ def cmd_stats(args) -> int:
 
 def cmd_bias(args) -> int:
     stats = stats_from_json(Path(args.stats).read_text(encoding="utf-8"))
-    spec = BiasSpec(
-        kind=args.kind,
-        a=args.a,
-        epsilon=args.epsilon,
-        a_eval=args.a_eval,
-        background=args.background,
-    )
+    keys = ("kind", "a", "epsilon", "a_eval", "background")
+    spec = from_dict(BiasSpec, {key: getattr(args, key) for key in keys})
     bias = compute_bias(spec, stats)
     _write_text(args.out, bias_to_json(spec, bias) + "\n")
     return 0
@@ -126,7 +116,7 @@ def cmd_train(args) -> int:
     doc = _load_json(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed
-    config = TrainConfig.from_dict(doc)
+    config = from_dict(TrainConfig, doc)
     data = dict(config.data)
     train_path = args.data or data.get("train")
     if not train_path:
@@ -135,7 +125,7 @@ def cmd_train(args) -> int:
     checkpoint, runlog = train(config, images)
     out = _ensure_out(args.out)
     save_checkpoint(checkpoint, os.path.join(out, "checkpoint.json"))
-    _write_text(os.path.join(out, "runlog.json"), json.dumps(runlog.to_dict()) + "\n")
+    _write_text(os.path.join(out, "runlog.json"), json.dumps(asdict(runlog)) + "\n")
     _write_manifest(out, "train", ["checkpoint.json", "runlog.json"])
     return 0
 
@@ -170,7 +160,7 @@ def cmd_sweep(args) -> int:
     ks = _parse_ks(args.ks, checkpoint.config.eval_ks)
     spec = checkpoint.config.bias
     if args.kind:
-        spec = BiasSpec(kind=args.kind, a=args.a, epsilon=args.epsilon)
+        spec = from_dict(BiasSpec, {"kind": args.kind, "a": args.a, "epsilon": args.epsilon})
     if spec is None:
         raise CliError("checkpoint has no bias spec; pass --kind/--a/--epsilon")
     grid = [float(tok) for tok in args.grid.split(",") if tok]

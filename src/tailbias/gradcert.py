@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import BASELINE_KINDS, BaselineSpec, baseline_loss, biased_ce, ce
+from .losses import BASELINE_KINDS, LossConfig, baseline_loss, biased_ce, ce
 from .model import ModelSpec, backward, forward, init_dual_encoder
 from .numerics import (
     GradCheckReport,
@@ -96,7 +96,7 @@ def certify_losses(
             "ce": lambda v: ce(v, at(v)),
             "rtpb": lambda v: biased_ce(v, np.broadcast_to(b, v.shape), at(v)),
             **{
-                kind: lambda v, spec=BaselineSpec(kind, counts): baseline_loss(spec, v, at(v))
+                kind: lambda v, config=LossConfig(kind): baseline_loss(config, v, at(v), counts)
                 for kind in BASELINE_KINDS
             },
         }

@@ -38,15 +38,15 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import zip_longest
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__
 from .bias import Bias, BiasSpec, BiasVector, bias_table, compute_bias, soft_bias
-from .losses import BaselineSpec, LossOutput, baseline_loss, biased_ce, ce
+from .losses import LOSS_KINDS, LossConfig, LossOutput, baseline_loss, biased_ce, ce
 from .metrics import (
     CONSTRAINTS,
     MISS,
@@ -71,7 +71,7 @@ from .model import (
     model_for,
 )
 from .numerics import flatten, leaf_names, leaves, running_sum, unflatten
-from .stats import LabelSpace, TripletStats, _is_int64, check_keys, marginal_counts, refuse_first
+from .stats import LabelSpace, TripletStats, from_dict, marginal_counts, refuse_first
 from .synth import Images, SynthImage, _offsets, all_ordered_pairs
 
 __all__ = [
@@ -90,8 +90,6 @@ __all__ = [
     "load_checkpoint",
     "training_stats",
 ]
-
-LOSS_KINDS = ("ce", "rtpb", "reweight", "class_balanced", "focal", "ldam")
 
 # Images of one object-count bucket that evaluation forwards per model call:
 # a larger chunk holds more forward caches at once and runs no faster.
@@ -120,20 +118,6 @@ class OptimizerConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-@dataclass(frozen=True)
-class LossConfig:
-    kind: str = "ce"
-    beta: float = 0.999
-    gamma: float = 2.0
-    alpha: float = 0.25
-    margin_c: float = 0.5
-    reweight_normalize: bool = True
-
-    def __post_init__(self) -> None:
-        if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
-
-
 def _check_ks(ks: Sequence[int], name: str) -> list[int]:
     """``ks`` as a list, if nonempty, strictly ascending and every k >= 1."""
     ks = list(ks)
@@ -142,15 +126,9 @@ def _check_ks(ks: Sequence[int], name: str) -> list[int]:
     return ks
 
 
-def _section(cls, d: Mapping, name: str):
-    """Build ``cls`` from the mapping ``d[name]``, naming an unknown key."""
-    section = d.get(name, {})
-    check_keys(section, cls, f"config section {name!r}")
-    return cls(**section)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
+    config_name: ClassVar[str] = "train config"
     label_space: LabelSpace
     task: str = "predcls"
     model: ModelSpec = field(default_factory=ModelSpec)
@@ -171,39 +149,6 @@ class TrainConfig:
         if self.loss.kind == "rtpb" and self.bias is None:
             raise ValueError("loss kind 'rtpb' needs a bias spec")
 
-    def to_dict(self) -> dict:
-        return {
-            "label_space": self.label_space.to_dict(),
-            "task": self.task,
-            "model": vars(self.model).copy(),
-            "loss": vars(self.loss).copy(),
-            "bias": None if self.bias is None else self.bias.to_dict(),
-            "optimizer": vars(self.optimizer).copy(),
-            "seed": self.seed,
-            "data": [list(item) for item in self.data],
-            "eval_ks": list(self.eval_ks),
-            "background_ratio": self.background_ratio,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "TrainConfig":
-        check_keys(d, cls, "train config")
-        eval_ks = d.get("eval_ks", (20, 50, 100))
-        if not isinstance(eval_ks, (list, tuple)) or not all(map(_is_int64, eval_ks)):
-            raise ValueError("train config key 'eval_ks' must be a list of 64-bit integers")
-        return cls(
-            label_space=LabelSpace.from_dict(d["label_space"]),
-            task=d.get("task", "predcls"),
-            model=_section(ModelSpec, d, "model"),
-            loss=_section(LossConfig, d, "loss"),
-            bias=None if d.get("bias") is None else BiasSpec.from_dict(d["bias"]),
-            optimizer=_section(OptimizerConfig, d, "optimizer"),
-            seed=int(d.get("seed", 0)),
-            data=tuple((str(k), str(v)) for k, v in d.get("data", [])),
-            eval_ks=tuple(eval_ks),
-            background_ratio=float(d.get("background_ratio", 3.0)),
-        )
-
 
 @dataclass
 class Checkpoint:
@@ -219,9 +164,6 @@ class RunLog:
     finished_at: str
     config: dict
     version: str = __version__
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -356,16 +298,7 @@ def make_loss_fn(config: TrainConfig, bias: Bias | None, class_counts: np.ndarra
             raise ValueError("rtpb loss needs a bias")
         table = bias_table(bias, config.label_space.num_object_classes)
         return lambda z, y, s_classes, o_classes: biased_ce(z, table[s_classes, o_classes], y)
-    spec = BaselineSpec(
-        kind=kind,
-        class_counts=class_counts,
-        beta=config.loss.beta,
-        gamma=config.loss.gamma,
-        alpha=config.loss.alpha,
-        margin_c=config.loss.margin_c,
-        reweight_normalize=config.loss.reweight_normalize,
-    )
-    return lambda z, y, s_classes, o_classes: baseline_loss(spec, z, y)
+    return lambda z, y, s_classes, o_classes: baseline_loss(config.loss, z, y, class_counts)
 
 
 def _draw(
@@ -522,7 +455,7 @@ def train(
     finished = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     checkpoint = Checkpoint(config=config, iterations=opt.iterations, params=params)
     runlog = RunLog(
-        losses=losses, started_at=started, finished_at=finished, config=config.to_dict()
+        losses=losses, started_at=started, finished_at=finished, config=asdict(config)
     )
     return checkpoint, runlog
 
@@ -696,7 +629,7 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     if bad is not None:
         raise ValueError(f"checkpoint parameter {bad} is not finite")
     doc = {
-        "config": checkpoint.config.to_dict(),
+        "config": asdict(checkpoint.config),
         "iterations": checkpoint.iterations,
         "param_shapes": [list(a.shape) for a in leaves(checkpoint.params)],
         "param_data": data.tolist(),
@@ -715,7 +648,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
-        config = TrainConfig.from_dict(doc["config"])
+        config = from_dict(TrainConfig, doc["config"])
         spec, ls = config.model, config.label_space
         data = np.asarray(doc["param_data"], dtype=np.float64)
         params = model_for(spec).init(spec, ls, feature_width(spec, ls, data.size))

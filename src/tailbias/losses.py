@@ -16,7 +16,8 @@ the gap
 
 acts as a dynamic per-instance weight: it grows with the bias assigned to the
 true class, so heavily-resisted (tail) classes contribute more loss. Four
-reference cost-sensitive losses are provided for comparison: inverse-frequency
+reference cost-sensitive losses, configured with the loss kind by one
+:class:`LossConfig`, are provided for comparison: inverse-frequency
 re-weighting, effective-number re-weighting, the focal loss, and the
 per-class-margin loss (which is exactly the biased cross-entropy with a
 one-hot bias of ``margin_c / n_y**0.25`` at the true class).
@@ -24,23 +25,25 @@ one-hot bias of ``margin_c / n_y**0.25`` at the true class).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import row_softmax
 
 __all__ = [
+    "LOSS_KINDS",
+    "BASELINE_KINDS",
+    "LossConfig",
     "LossOutput",
-    "BaselineSpec",
     "ce",
     "biased_ce",
     "bias_gap",
     "baseline_loss",
-    "BASELINE_KINDS",
 ]
 
 BASELINE_KINDS = ("reweight", "class_balanced", "focal", "ldam")
+LOSS_KINDS = ("ce", "rtpb", *BASELINE_KINDS)
 
 
 @dataclass(frozen=True)
@@ -115,17 +118,16 @@ def bias_gap(z, bias, y) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BaselineSpec:
-    """Reference cost-sensitive loss configuration.
+class LossConfig:
+    """The configured loss: its ``kind`` and the reference losses' options.
 
-    ``class_counts`` holds per-class training sample counts aligned with the
-    logit vector. ``reweight_normalize`` rescales inverse-frequency weights to
-    average 1 over observed classes, keeping step sizes comparable; set it to
-    False for the raw ``1/n_y`` weight.
+    ``beta`` is the class-balanced loss's, ``gamma`` and ``alpha`` the focal
+    loss's and ``margin_c`` the per-class-margin loss's. ``reweight_normalize``
+    rescales inverse-frequency weights to average 1 over observed classes,
+    keeping step sizes comparable; set it to False for the raw ``1/n_y`` weight.
     """
 
-    kind: str
-    class_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    kind: str = "ce"
     beta: float = 0.999
     gamma: float = 2.0
     alpha: float = 0.25
@@ -133,16 +135,13 @@ class BaselineSpec:
     reweight_normalize: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in BASELINE_KINDS:
-            raise ValueError(f"unknown baseline kind {self.kind!r}")
-        counts = np.asarray(self.class_counts, dtype=np.int64)
-        object.__setattr__(self, "class_counts", counts)
-        if np.any(counts < 0):
-            raise ValueError("class counts must be nonnegative")
+        if self.kind not in LOSS_KINDS:
+            raise ValueError(f"unknown loss kind {self.kind!r}")
 
 
-def _require_counts(spec: BaselineSpec, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    counts = spec.class_counts
+def _require_counts(counts: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    if np.any(counts < 0):
+        raise ValueError("class counts must be nonnegative")
     if counts.shape[0] != z.shape[-1]:
         raise ValueError("class_counts length must match the number of classes")
     n_y = counts[y]
@@ -151,39 +150,46 @@ def _require_counts(spec: BaselineSpec, z: np.ndarray, y: np.ndarray) -> np.ndar
     return n_y
 
 
-def _focal(spec: BaselineSpec, z: np.ndarray, hot: np.ndarray) -> LossOutput:
+def _focal(config: LossConfig, z: np.ndarray, hot: np.ndarray) -> LossOutput:
     ce_val = _logsumexp(z) - _at(z, hot)
     p = row_softmax(z)
     u = _at(p, hot)
-    f = (1.0 - u) ** spec.gamma
-    value = spec.alpha * f * ce_val
+    f = (1.0 - u) ** config.gamma
+    value = config.alpha * f * ce_val
     # scale = -u * dL/du; sharing p keeps the gamma=0, alpha=1 case equal to ce.
-    if spec.gamma == 0.0:
-        scale = spec.alpha * f
+    if config.gamma == 0.0:
+        scale = config.alpha * f
     else:
-        scale = spec.alpha * (
-            spec.gamma * u * (1.0 - u) ** (spec.gamma - 1.0) * ce_val + f
+        scale = config.alpha * (
+            config.gamma * u * (1.0 - u) ** (config.gamma - 1.0) * ce_val + f
         )
     return LossOutput(value=value, grad_logits=(p - hot) * scale[..., np.newaxis])
 
 
-def baseline_loss(spec: BaselineSpec, z, y) -> LossOutput:
-    """Evaluate the reference loss named by ``spec.kind`` on every row."""
+def baseline_loss(config: LossConfig, z, y, class_counts) -> LossOutput:
+    """Evaluate the reference loss named by ``config.kind`` on every row.
+
+    ``class_counts`` holds per-class training sample counts aligned with the
+    logit vector; every loss but ``focal`` reads it.
+    """
+    if config.kind not in BASELINE_KINDS:
+        raise ValueError(f"unknown baseline kind {config.kind!r}")
     z = _as_array(z)
     y, hot = _targets(z, y)
-    if spec.kind == "focal":
-        return _focal(spec, z, hot)
-    n_y = _require_counts(spec, z, y)
-    if spec.kind == "ldam":
+    if config.kind == "focal":
+        return _focal(config, z, hot)
+    counts = np.asarray(class_counts, dtype=np.int64)
+    n_y = _require_counts(counts, z, y)
+    if config.kind == "ldam":
         # per-class margin: biased cross-entropy with a one-hot bias at the target
-        return biased_ce(z, hot * (spec.margin_c / n_y**0.25)[..., np.newaxis], y)
-    if spec.kind == "reweight":
+        return biased_ce(z, hot * (config.margin_c / n_y**0.25)[..., np.newaxis], y)
+    if config.kind == "reweight":
         weight = 1.0 / n_y
-        if spec.reweight_normalize:
-            observed = spec.class_counts[spec.class_counts > 0].astype(np.float64)
+        if config.reweight_normalize:
+            observed = counts[counts > 0].astype(np.float64)
             weight = weight * (observed.shape[0] / float(np.sum(1.0 / observed)))
     else:
-        weight = (1.0 - spec.beta) / (1.0 - spec.beta**n_y)
+        weight = (1.0 - config.beta) / (1.0 - config.beta**n_y)
     inner = ce(z, y)
     return LossOutput(
         value=weight * inner.value, grad_logits=weight[..., np.newaxis] * inner.grad_logits

@@ -13,14 +13,16 @@ nonzero cells as ``[s, o, r, n]`` entries in ``(s, o, r)`` order.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from numbers import Integral, Real
-from typing import Callable, Iterable, Mapping
+from types import UnionType
+from typing import Callable, ClassVar, Iterable, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 __all__ = [
-    "check_keys",
+    "from_dict",
     "LabelSpace",
     "TripletStats",
     "ingest",
@@ -35,19 +37,55 @@ __all__ = [
 ]
 
 
-# What :func:`check_keys` requires of a scalar field, and the types that pass.
-_SCALARS = {
-    "int": ("an integer", Integral),
-    "float": ("a number", Real),
-    "bool": ("a boolean", bool),
-    "str": ("a string", str),
+def _is_int64(value) -> bool:
+    # Testing ``type(value) is int`` first spares the slow ABC check for most values.
+    integral = type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+    return integral and abs(value) < 2**63
+
+
+def _is_int64_row(row, width: int) -> bool:
+    """Whether ``row`` is a list or tuple of ``width`` 64-bit integers."""
+    return isinstance(row, (list, tuple)) and len(row) == width and all(map(_is_int64, row))
+
+
+def _is_name_pair(value) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(
+        isinstance(v, str) for v in value)
+
+
+def _float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf
+
+
+# What a config field of each annotation must hold, the test its value (each
+# item, for a tuple) must pass, and the cast it is stored by.
+_FIELD_RULES = {
+    int: ("an integer", lambda v: isinstance(v, Integral) and not isinstance(v, bool), int),
+    float: ("a number", lambda v: isinstance(v, Real) and not isinstance(v, bool), _float),
+    bool: ("a boolean", lambda v: isinstance(v, bool), bool),
+    str: ("a string", lambda v: isinstance(v, str), str),
+    tuple[int, ...]: ("a list of 64-bit integers", _is_int64, tuple),
+    tuple[str, ...]: ("a list of strings", lambda v: isinstance(v, str), tuple),
+    tuple[tuple[str, str], ...]: (
+        "a list of [name, path] string pairs", _is_name_pair, lambda v: tuple(map(tuple, v))),
 }
 
 
-def check_keys(d: Mapping, cls, where: str, extra: Iterable[str] = ()) -> None:
-    """Raise ``ValueError`` naming ``where`` unless ``d`` is a mapping with every
-    field of the dataclass ``cls`` that has no default, no other key but
-    ``extra``, and a value of its type (not a bool for a number) in each scalar field."""
+def from_dict(cls, d: Mapping, extra: Iterable[str] = (), where: str | None = None):
+    """The config dataclass ``cls`` read from the mapping ``d``.
+
+    Each field present in ``d`` is read by its annotation: a nested config
+    dataclass from its own mapping, ``X | None`` as ``None`` or ``X``, and
+    every other annotation by its :data:`_FIELD_RULES` entry, a float as a
+    finite float. A field left out takes its default. ``ValueError`` names
+    ``where`` (by default ``cls.config_name``, and a nested section's
+    ``config_name`` or ``config section '<key>'``) when ``d`` is no mapping,
+    has a key that is neither a field nor in ``extra``, lacks a field
+    without a default, or holds a value its field's rule refuses."""
+    where = where or getattr(cls, "config_name", cls.__name__)
     if not isinstance(d, Mapping):
         raise ValueError(f"{where} must be an object")
     known = {f.name: f for f in fields(cls)}
@@ -57,19 +95,35 @@ def check_keys(d: Mapping, cls, where: str, extra: Iterable[str] = ()) -> None:
     for name, f in known.items():
         if name not in d and f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"missing key {name!r} in {where}")
-    for key in (name for name in known if name in d):
-        annotation, value = str(known[key].type), d[key]
-        what, types = _SCALARS.get(annotation.removesuffix(" | None"), (None, None))
-        if what is None or (value is None and annotation.endswith(" | None")):
-            continue
-        if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
-            raise ValueError(f"{where} key {key!r} must be {what}")
+    hints = get_type_hints(cls)
+    return cls(**{key: _field(hints[key], d[key], where, key) for key in known if key in d})
+
+
+def _field(annotation, value, where: str, key: str):
+    """``value`` read as a ``key`` field of ``annotation`` for :func:`from_dict`."""
+    if is_dataclass(annotation):
+        name = getattr(annotation, "config_name", f"config section {key!r}")
+        return from_dict(annotation, value, where=name)
+    if get_origin(annotation) is UnionType:  # X | None
+        return None if value is None else _field(get_args(annotation)[0], value, where, key)
+    what, test, cast = _FIELD_RULES[annotation]
+    if get_origin(annotation) is tuple:
+        valid = isinstance(value, (list, tuple)) and all(map(test, value))
+    else:
+        valid = test(value)
+    if not valid:
+        raise ValueError(f"{where} key {key!r} must be {what}")
+    value = cast(value)
+    if annotation is float and not math.isfinite(value):
+        raise ValueError(f"{where} key {key!r} must be a finite number")
+    return value
 
 
 @dataclass(frozen=True)
 class LabelSpace:
     """Sizes and names of the object-class and relation label sets."""
 
+    config_name: ClassVar[str] = "label space"
     num_object_classes: int
     num_relations: int
     object_names: tuple[str, ...] = ()
@@ -105,24 +159,6 @@ class LabelSpace:
         """Name of foreground relation label ``relation`` (1-based)."""
         return self.relation_names[relation - 1]
 
-    def to_dict(self) -> dict:
-        return {
-            "num_object_classes": self.num_object_classes,
-            "num_relations": self.num_relations,
-            "object_names": list(self.object_names),
-            "relation_names": list(self.relation_names),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "LabelSpace":
-        check_keys(d, cls, "label space")
-        return cls(
-            num_object_classes=int(d["num_object_classes"]),
-            num_relations=int(d["num_relations"]),
-            object_names=tuple(d.get("object_names", ())),
-            relation_names=tuple(d.get("relation_names", ())),
-        )
-
 
 @dataclass(eq=False)
 class TripletStats:
@@ -148,17 +184,6 @@ class TripletStats:
 
 def _shape(ls: LabelSpace) -> tuple[int, int, int]:
     return (ls.num_object_classes, ls.num_object_classes, ls.num_relations + 1)
-
-
-def _is_int64(value) -> bool:
-    # Testing ``type(value) is int`` first spares the slow ABC check for most values.
-    integral = type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
-    return integral and abs(value) < 2**63
-
-
-def _is_int64_row(row, width: int) -> bool:
-    """Whether ``row`` is a list or tuple of ``width`` 64-bit integers."""
-    return isinstance(row, (list, tuple)) and len(row) == width and all(map(_is_int64, row))
 
 
 def refuse_first(checks: list[tuple[np.ndarray, Callable[[int], str]]], what: str) -> None:
@@ -292,7 +317,7 @@ def stats_to_json(stats: TripletStats) -> str:
     """Serialize to a single JSON document, counts in ``(s, o, relation)`` order."""
     keys = np.argwhere(stats.dense)
     entries = np.column_stack([keys, stats.dense[tuple(keys.T)]]).tolist()
-    return json.dumps({"label_space": stats.label_space.to_dict(), "counts": entries})
+    return json.dumps({"label_space": asdict(stats.label_space), "counts": entries})
 
 
 def stats_from_json(text: str) -> TripletStats:
@@ -305,7 +330,7 @@ def stats_from_json(text: str) -> TripletStats:
     doc = json.loads(text)
     if not (isinstance(doc, Mapping) and isinstance(doc.get("counts"), list)):
         raise ValueError("statistics must be an object with a list of [s, o, r, n] counts")
-    ls = LabelSpace.from_dict(doc.get("label_space"))
+    ls = from_dict(LabelSpace, doc.get("label_space"))
     for i, e in enumerate(doc["counts"]):
         if not _is_int64_row(e, 4):
             raise ValueError(f"statistics entry {i} is not four 64-bit integers [s, o, r, n]")

@@ -20,11 +20,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .stats import LabelSpace, _is_int64, _is_int64_row, check_keys, read_jsonl, refuse_first
+from .stats import LabelSpace, _is_int64, _is_int64_row, read_jsonl, refuse_first
 
 __all__ = [
     "SynthConfig",
@@ -45,6 +45,7 @@ SPLIT_DOMAINS = {"train": 1, "val": 2, "test": 3}
 
 @dataclass(frozen=True)
 class SynthConfig:
+    config_name: ClassVar[str] = "synth config"
     label_space: LabelSpace
     num_train: int
     num_val: int
@@ -68,16 +69,6 @@ class SynthConfig:
             raise ValueError("noise_sigma must be positive")
         if self.zipf_s < 0:
             raise ValueError("zipf_s must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "label_space": self.label_space.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "SynthConfig":
-        check_keys(d, cls, "synth config")
-        d = dict(d)
-        d["label_space"] = LabelSpace.from_dict(d["label_space"])
-        return cls(**d)
 
 
 def all_ordered_pairs(n: int) -> np.ndarray:

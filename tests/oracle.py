@@ -44,7 +44,7 @@ must refuse the same image with the same message.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -112,8 +112,7 @@ def bias_gap(z, b, y: int) -> float:
     return float(b[y]) + _logsumexp(z - b) - _logsumexp(z)
 
 
-def _require_count(spec, z: np.ndarray, y: int) -> int:
-    counts = spec.class_counts
+def _require_count(counts: np.ndarray, z: np.ndarray, y: int) -> int:
     if counts.shape[0] != z.shape[0]:
         raise ValueError("class_counts length must match the number of classes")
     n_y = int(counts[y])
@@ -127,17 +126,17 @@ def _scaled_ce(z: np.ndarray, y: int, weight: float) -> LossOutput:
     return LossOutput(value=weight * inner.value, grad_logits=weight * inner.grad_logits)
 
 
-def _focal(spec, z: np.ndarray, y: int) -> LossOutput:
+def _focal(config, z: np.ndarray, y: int) -> LossOutput:
     ce_val = _logsumexp(z) - float(z[y])
     p = row_softmax(z[np.newaxis])[0]
     u = float(p[y])
-    f = (1.0 - u) ** spec.gamma
-    value = spec.alpha * f * ce_val
-    if spec.gamma == 0.0:
-        scale = spec.alpha * f
+    f = (1.0 - u) ** config.gamma
+    value = config.alpha * f * ce_val
+    if config.gamma == 0.0:
+        scale = config.alpha * f
     else:
-        scale = spec.alpha * (
-            spec.gamma * u * (1.0 - u) ** (spec.gamma - 1.0) * ce_val + f
+        scale = config.alpha * (
+            config.gamma * u * (1.0 - u) ** (config.gamma - 1.0) * ce_val + f
         )
     grad = p
     grad[y] -= 1.0
@@ -145,25 +144,26 @@ def _focal(spec, z: np.ndarray, y: int) -> LossOutput:
     return LossOutput(value=value, grad_logits=grad)
 
 
-def baseline_loss(spec, z, y: int) -> LossOutput:
+def baseline_loss(config, z, y: int, class_counts) -> LossOutput:
+    counts = np.asarray(class_counts, dtype=np.int64)
     z = _as_row(z)
     y = _check_target(z, y)
-    if spec.kind == "reweight":
-        n_y = _require_count(spec, z, y)
+    if config.kind == "reweight":
+        n_y = _require_count(counts, z, y)
         weight = 1.0 / n_y
-        if spec.reweight_normalize:
-            observed = spec.class_counts[spec.class_counts > 0].astype(np.float64)
+        if config.reweight_normalize:
+            observed = counts[counts > 0].astype(np.float64)
             weight *= observed.shape[0] / float(np.sum(1.0 / observed))
         return _scaled_ce(z, y, weight)
-    if spec.kind == "class_balanced":
-        n_y = _require_count(spec, z, y)
-        weight = (1.0 - spec.beta) / (1.0 - spec.beta**n_y)
+    if config.kind == "class_balanced":
+        n_y = _require_count(counts, z, y)
+        weight = (1.0 - config.beta) / (1.0 - config.beta**n_y)
         return _scaled_ce(z, y, weight)
-    if spec.kind == "focal":
-        return _focal(spec, z, y)
-    n_y = _require_count(spec, z, y)
+    if config.kind == "focal":
+        return _focal(config, z, y)
+    n_y = _require_count(counts, z, y)
     b = np.zeros_like(z)
-    b[y] = spec.margin_c / n_y**0.25
+    b[y] = config.margin_c / n_y**0.25
     return biased_ce(z, b, y)
 
 
@@ -567,7 +567,7 @@ def as_stats(counts, label_space):
 
 def stats_to_json(counts, label_space):
     entries = [[s, o, r, n] for (s, o, r), n in sorted(counts.items())]
-    return json.dumps({"label_space": label_space.to_dict(), "counts": entries})
+    return json.dumps({"label_space": asdict(label_space), "counts": entries})
 
 
 def candidate_index(gt, num_objects, num_relations):

@@ -29,7 +29,7 @@ from tailbias.harness import (
     train,
     training_stats,
 )
-from tailbias.losses import BaselineSpec, baseline_loss, bias_gap, biased_ce, ce
+from tailbias.losses import baseline_loss, bias_gap, biased_ce, ce
 from tailbias.metrics import METRICS_CSV_HEADER, metrics_csv
 from tailbias.stats import LabelSpace, ingest
 from tailbias.synth import SynthConfig, generate_split, write_images_jsonl
@@ -185,8 +185,7 @@ def test_criterion_6_ldam_as_indicator_bias():
     for _ in range(1000):
         z, _, y = random_instance(rng)
         counts = rng.integers(1, 500, z.size)
-        spec = BaselineSpec(kind="ldam", margin_c=0.5, class_counts=counts)
-        out = baseline_loss(spec, z, y)
+        out = baseline_loss(LossConfig(kind="ldam", margin_c=0.5), z, y, counts)
         indicator = np.zeros_like(z)
         indicator[y] = 0.5 / counts[y] ** 0.25
         ref = biased_ce(z, indicator, y)

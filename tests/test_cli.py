@@ -1,5 +1,7 @@
 import json
+import math
 import re
+from dataclasses import asdict
 
 import pytest
 
@@ -14,7 +16,7 @@ def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     ls = LabelSpace(num_object_classes=5, num_relations=6)
     synth_cfg = {
-        "label_space": ls.to_dict(),
+        "label_space": asdict(ls),
         "num_train": 40,
         "num_val": 4,
         "num_test": 10,
@@ -62,7 +64,7 @@ def workspace(tmp_path_factory):
     )
 
     train_cfg = {
-        "label_space": ls.to_dict(),
+        "label_space": asdict(ls),
         "task": "predcls",
         "model": {"kind": "linear"},
         "loss": {"kind": "rtpb"},
@@ -257,14 +259,14 @@ class TestErrors:
         ls = LabelSpace(num_object_classes=5, num_relations=6)
         synth_cfg = tmp_path / "synth.json"
         synth_cfg.write_text(json.dumps({
-            "label_space": ls.to_dict(), "num_train": 20, "num_val": 0, "num_test": 0,
+            "label_space": asdict(ls), "num_train": 20, "num_val": 0, "num_test": 0,
             "objects_min": 3, "objects_max": 4, "d_v": 8, "seed": 31,
         }))
         data_dir = tmp_path / "data"
         assert main(["synth", "--config", str(synth_cfg), "--out", str(data_dir)]) == 0
         train_cfg = tmp_path / "train.json"
         train_cfg.write_text(json.dumps({
-            "label_space": ls.to_dict(),
+            "label_space": asdict(ls),
             "model": {"kind": "dual_encoder", "d_model": 16, "n_h": 2, "n_o": 1,
                       "n_r": 1, "d_ff": 16, "d_e": 4, "d_pos": 4},
             "loss": {"kind": "ce"},
@@ -454,9 +456,20 @@ class TestErrors:
              "train config key 'eval_ks' must be a list of 64-bit integers"),
             ("train", None, "eval_ks", [True, 20],
              "train config key 'eval_ks' must be a list of 64-bit integers"),
+            ("train", "label_space", "object_names", "abcde",
+             "label space key 'object_names' must be a list of strings"),
+            ("synth", "label_space", "relation_names", [1, 2, 3, 4, 5, 6],
+             "label space key 'relation_names' must be a list of strings"),
+            ("train", None, "data", [[1, 2]],
+             "train config key 'data' must be a list of [name, path] string pairs"),
+            ("train", None, "data", "ab",
+             "train config key 'data' must be a list of [name, path] string pairs"),
+            ("train", None, "data", [["train", "a.jsonl", "b.jsonl"]],
+             "train config key 'data' must be a list of [name, path] string pairs"),
         ],
         ids=["synth", "label-space", "iterations", "learning-rate", "bool", "seed", "bias",
-             "float-eval-ks", "bool-eval-ks"],
+             "float-eval-ks", "bool-eval-ks", "string-names", "integer-names", "integer-data",
+             "string-data", "triple-data"],
     )
     def test_mistyped_config_value_gives_json_error(
         self, workspace, tmp_path, capsys, command, section, key, value, message
@@ -472,6 +485,77 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip())["error"]
         assert err == {"type": "ValueError", "message": message}
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "command, section, key, value, message",
+        [
+            ("synth", None, "noise_sigma", math.nan,
+             "synth config key 'noise_sigma' must be a finite number"),
+            ("train", "optimizer", "learning_rate", math.nan,
+             "config section 'optimizer' key 'learning_rate' must be a finite number"),
+            ("train", None, "background_ratio", math.inf,
+             "train config key 'background_ratio' must be a finite number"),
+            ("train", "bias", "epsilon", -math.inf,
+             "bias spec key 'epsilon' must be a finite number"),
+            ("synth", None, "zipf_s", 10**400, "synth config key 'zipf_s' must be a finite number"),
+        ],
+        ids=["nan-noise-sigma", "nan-learning-rate", "infinite-background-ratio",
+             "negative-infinite-epsilon", "huge-integer"],
+    )
+    def test_non_finite_float_gives_json_error(
+        self, workspace, tmp_path, capsys, command, section, key, value, message
+    ):
+        # json.dump writes NaN and Infinity tokens, which json.load accepts.
+        root, _, _, _, _ = workspace
+        bad_cfg = json.loads((root / f"{command}.json").read_text())
+        (bad_cfg if section is None else bad_cfg[section])[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad_cfg))
+        capsys.readouterr()
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {"type": "ValueError", "message": message}
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--a", "inf"], "bias spec key 'a' must be a finite number"),
+            (["--epsilon", "nan"], "bias spec key 'epsilon' must be a finite number"),
+            (["--background=-inf"], "bias spec key 'background' must be a finite number"),
+        ],
+        ids=["a", "epsilon", "background"],
+    )
+    def test_non_finite_bias_flag_gives_json_error(
+        self, workspace, tmp_path, capsys, args, message
+    ):
+        _, _, stats_path, _, _ = workspace
+        out = tmp_path / "bias.json"
+        capsys.readouterr()
+        code = main(["bias", "--kind", "cb", "--stats", str(stats_path), "--out", str(out), *args])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {"type": "ValueError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered:RuntimeWarning",
+        "ignore:invalid value encountered:RuntimeWarning",
+    )
+    def test_failed_synth_leaves_no_out_directory(self, workspace, tmp_path, capsys):
+        # Detector noise this large overflows the detector logits of some image.
+        root, _, _, _, _ = workspace
+        cfg = {**json.loads((root / "synth.json").read_text()), "detector_noise": 1e308}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        code = main(["synth", "--config", str(path), "--out", str(tmp_path / "data")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["type"] == "ValueError"
+        assert re.fullmatch(r"image \d+: detector scores must sum to 1", err["message"])
+        assert not (tmp_path / "data").exists()
 
     def test_malformed_checkpoint_gives_json_error(self, workspace, tmp_path, capsys):
         _, data_dir, _, _, run_dir = workspace

@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -39,7 +39,7 @@ from tailbias.model import (
     model_for,
 )
 from tailbias.numerics import flatten, leaves
-from tailbias.stats import LabelSpace
+from tailbias.stats import LabelSpace, from_dict
 from tailbias.synth import Images, SynthConfig, SynthImage, all_ordered_pairs, generate_split
 from test_model import make_image
 
@@ -98,7 +98,7 @@ class TestConfig:
             bias=BiasSpec(kind="eb", a=1.0, epsilon=1e-3),
             data=(("train", "a.jsonl"), ("test", "b.jsonl")),
         )
-        assert TrainConfig.from_dict(config.to_dict()) == config
+        assert from_dict(TrainConfig, asdict(config)) == config
 
     def test_validation(self, space):
         with pytest.raises(ValueError):
@@ -124,31 +124,31 @@ class TestConfig:
         ids=["float", "bool", "huge", "null", "string", "scalar"],
     )
     def test_eval_ks_must_be_64_bit_integers(self, space, eval_ks):
-        doc = {**linear_config(space).to_dict(), "eval_ks": eval_ks}
+        doc = {**asdict(linear_config(space)), "eval_ks": eval_ks}
         message = "^train config key 'eval_ks' must be a list of 64-bit integers$"
         with pytest.raises(ValueError, match=message):
-            TrainConfig.from_dict(doc)
+            from_dict(TrainConfig, doc)
 
     def test_bad_model_spec_fails_at_construction(self, space):
         with pytest.raises(ValueError, match="divisible"):
             ModelSpec(kind="dual_encoder", d_model=10, n_h=3)
         with pytest.raises(ValueError, match="at least one layer"):
             ModelSpec(kind="dual_encoder", n_r=0)
-        doc = linear_config(space).to_dict()
+        doc = asdict(linear_config(space))
         doc["model"] = {"kind": "dual_encoder", "d_model": 10, "n_h": 3}
         with pytest.raises(ValueError, match="divisible"):
-            TrainConfig.from_dict(doc)
+            from_dict(TrainConfig, doc)
 
     @pytest.mark.parametrize("section", ["model", "loss", "optimizer"])
     def test_unknown_key_is_named(self, space, section):
-        doc = linear_config(space).to_dict()
+        doc = asdict(linear_config(space))
         doc[section] = {**doc[section], "d_modle": 8}
         message = f"unknown key 'd_modle' in config section '{section}'"
         with pytest.raises(ValueError, match=message):
-            TrainConfig.from_dict(doc)
+            from_dict(TrainConfig, doc)
         doc[section] = [8]
         with pytest.raises(ValueError, match=f"config section '{section}' must be an object"):
-            TrainConfig.from_dict(doc)
+            from_dict(TrainConfig, doc)
 
 
 def scalar_loss_fn(config, train_images):
@@ -306,7 +306,7 @@ class TestTrain:
         train_images, _ = data
         config = linear_config(space)
         _, log = train(config, train_images)
-        assert TrainConfig.from_dict(log.config) == config
+        assert from_dict(TrainConfig, log.config) == config
 
     def test_pair_bias_training_runs(self, space, data):
         train_images, _ = data
@@ -893,12 +893,13 @@ class TestCheckpointIo:
 
 def test_make_loss_fn_requires_bias_for_rtpb(space):
     config = linear_config(space)
-    config = TrainConfig.from_dict({**config.to_dict(), "loss": {"kind": "ce"}})
+    config = from_dict(TrainConfig, {**asdict(config), "loss": {"kind": "ce"}})
     with pytest.raises(ValueError):
         make_loss_fn(
-            TrainConfig.from_dict(
+            from_dict(
+                TrainConfig,
                 {
-                    **config.to_dict(),
+                    **asdict(config),
                     "loss": {"kind": "rtpb"},
                     "bias": {"kind": "cb", "a": 1.0},
                 }

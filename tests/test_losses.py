@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracle
 from tailbias.losses import (
-    BaselineSpec,
+    LossConfig,
     baseline_loss,
     bias_gap,
     biased_ce,
@@ -197,37 +197,31 @@ class TestBiasGap:
 class TestBaselines:
     def test_class_balanced_single_sample_is_ce(self):
         z = np.array([0.3, -0.2, 1.0])
-        spec = BaselineSpec(kind="class_balanced", class_counts=np.array([1, 5, 9]))
-        out = baseline_loss(spec, z, 0)
+        out = baseline_loss(LossConfig(kind="class_balanced"), z, 0, np.array([1, 5, 9]))
         ref = ce(z, 0)
         assert out.value == ref.value
         assert np.array_equal(out.grad_logits, ref.grad_logits)
 
     def test_focal_degenerates_to_ce(self, rng):
         z = rng.uniform(-3, 3, 4)
-        spec = BaselineSpec(
-            kind="focal", gamma=0.0, alpha=1.0, class_counts=np.ones(4, dtype=int)
-        )
-        out = baseline_loss(spec, z, 1)
+        config = LossConfig(kind="focal", gamma=0.0, alpha=1.0)
+        out = baseline_loss(config, z, 1, np.ones(4, dtype=int))
         ref = ce(z, 1)
         assert out.value == ref.value
         assert np.array_equal(out.grad_logits, ref.grad_logits)
 
     def test_focal_hand_case(self):
         z = np.zeros(2)
-        spec = BaselineSpec(
-            kind="focal", gamma=2.0, alpha=0.25, class_counts=np.ones(2, dtype=int)
-        )
-        out = baseline_loss(spec, z, 0)
+        config, counts = LossConfig(kind="focal", gamma=2.0, alpha=0.25), np.ones(2, dtype=int)
+        out = baseline_loss(config, z, 0, counts)
         assert out.value == pytest.approx(FOCAL_VALUE, abs=1e-12)
         assert_grad_close(
-            lambda v: baseline_loss(spec, v, 0).value, z, out.grad_logits, tol=1e-6
+            lambda v: baseline_loss(config, v, 0, counts).value, z, out.grad_logits, tol=1e-6
         )
 
     def test_ldam_hand_case(self):
         z = np.zeros(2)
-        spec = BaselineSpec(kind="ldam", margin_c=0.5, class_counts=np.array([16, 2]))
-        out = baseline_loss(spec, z, 0)
+        out = baseline_loss(LossConfig(kind="ldam", margin_c=0.5), z, 0, np.array([16, 2]))
         assert out.value == pytest.approx(LDAM_VALUE, abs=1e-12)
         ref = biased_ce(z, np.array([0.25, 0.0]), 0)
         assert out.value == ref.value
@@ -237,8 +231,7 @@ class TestBaselines:
         for _ in range(200):
             z, _, y = random_instance(rng, dim_max=16)
             counts = rng.integers(1, 500, z.size)
-            spec = BaselineSpec(kind="ldam", class_counts=counts)
-            out = baseline_loss(spec, z, y)
+            out = baseline_loss(LossConfig(kind="ldam"), z, y, counts)
             ref_value, ref_grad = ldam_reference(z, y, counts)
             assert abs(out.value - ref_value) < 1e-12
             assert np.max(np.abs(out.grad_logits - ref_grad)) < 1e-12
@@ -246,14 +239,14 @@ class TestBaselines:
     def test_reweight_weights(self):
         z = np.array([0.1, 0.2, 0.3])
         counts = np.array([2, 4, 8])
-        raw = BaselineSpec(kind="reweight", class_counts=counts, reweight_normalize=False)
-        assert baseline_loss(raw, z, 0).value == pytest.approx(
+        raw = LossConfig(kind="reweight", reweight_normalize=False)
+        assert baseline_loss(raw, z, 0, counts).value == pytest.approx(
             ce(z, 0).value / 2, abs=1e-15
         )
-        normalized = BaselineSpec(kind="reweight", class_counts=counts)
+        normalized = LossConfig(kind="reweight")
         # normalized weights average to 1 over the three classes
         weights = [
-            baseline_loss(normalized, z, y).value / ce(z, y).value for y in range(3)
+            baseline_loss(normalized, z, y, counts).value / ce(z, y).value for y in range(3)
         ]
         assert np.mean(weights) == pytest.approx(1.0, abs=1e-12)
 
@@ -261,14 +254,12 @@ class TestBaselines:
         z = np.zeros(3)
         counts = np.array([4, 0, 2])
         for kind in ("reweight", "class_balanced", "ldam"):
-            spec = BaselineSpec(kind=kind, class_counts=counts)
             with pytest.raises(ValueError, match="unobserved"):
-                baseline_loss(spec, z, 1)
+                baseline_loss(LossConfig(kind=kind), z, 1, counts)
 
     def test_count_length_must_match(self):
-        spec = BaselineSpec(kind="reweight", class_counts=np.array([1, 2]))
         with pytest.raises(ValueError):
-            baseline_loss(spec, np.zeros(3), 0)
+            baseline_loss(LossConfig(kind="reweight"), np.zeros(3), 0, np.array([1, 2]))
 
 
 class TestGradientFidelity:
@@ -280,17 +271,9 @@ class TestGradientFidelity:
             fns = [
                 lambda v: ce(v, y),
                 lambda v: biased_ce(v, b, y),
-                lambda v: baseline_loss(
-                    BaselineSpec(kind="reweight", class_counts=counts), v, y
-                ),
-                lambda v: baseline_loss(
-                    BaselineSpec(kind="class_balanced", class_counts=counts), v, y
-                ),
-                lambda v: baseline_loss(
-                    BaselineSpec(kind="focal", class_counts=counts), v, y
-                ),
-                lambda v: baseline_loss(
-                    BaselineSpec(kind="ldam", class_counts=counts), v, y
+                *(
+                    lambda v, kind=kind: baseline_loss(LossConfig(kind=kind), v, y, counts)
+                    for kind in ("reweight", "class_balanced", "focal", "ldam")
                 ),
             ]
             for fn in fns:
@@ -307,12 +290,10 @@ class TestGradientFidelity:
             outs = [
                 ce(z, y),
                 biased_ce(z, b, y),
-                baseline_loss(BaselineSpec(kind="reweight", class_counts=counts), z, y),
-                baseline_loss(
-                    BaselineSpec(kind="class_balanced", class_counts=counts), z, y
+                *(
+                    baseline_loss(LossConfig(kind=kind), z, y, counts)
+                    for kind in ("reweight", "class_balanced", "focal", "ldam")
                 ),
-                baseline_loss(BaselineSpec(kind="focal", class_counts=counts), z, y),
-                baseline_loss(BaselineSpec(kind="ldam", class_counts=counts), z, y),
             ]
             for out in outs:
                 assert out.value >= 0.0
@@ -341,15 +322,13 @@ def test_logits_must_be_vector():
         ce(np.zeros(1), 0)
 
 
-BASELINE_SPECS = {
-    "reweight": lambda c: BaselineSpec(kind="reweight", class_counts=c),
-    "reweight_raw": lambda c: BaselineSpec(
-        kind="reweight", class_counts=c, reweight_normalize=False
-    ),
-    "class_balanced": lambda c: BaselineSpec(kind="class_balanced", class_counts=c),
-    "focal_gamma0": lambda c: BaselineSpec(kind="focal", gamma=0.0, class_counts=c),
-    "focal_gamma2": lambda c: BaselineSpec(kind="focal", gamma=2.0, class_counts=c),
-    "ldam": lambda c: BaselineSpec(kind="ldam", class_counts=c),
+BASELINE_CONFIGS = {
+    "reweight": LossConfig(kind="reweight"),
+    "reweight_raw": LossConfig(kind="reweight", reweight_normalize=False),
+    "class_balanced": LossConfig(kind="class_balanced"),
+    "focal_gamma0": LossConfig(kind="focal", gamma=0.0),
+    "focal_gamma2": LossConfig(kind="focal", gamma=2.0),
+    "ldam": LossConfig(kind="ldam"),
 }
 
 
@@ -391,14 +370,16 @@ class TestBlockMatchesScalarOracle:
         gaps = [oracle.bias_gap(row, b[q], t) for q, (row, t) in enumerate(zip(z, y))]
         assert np.array_equal(bias_gap(z, b, y), np.array(gaps))
 
-    @pytest.mark.parametrize("kind", sorted(BASELINE_SPECS))
+    @pytest.mark.parametrize("kind", sorted(BASELINE_CONFIGS))
     @given(block=logit_blocks())
     @settings(max_examples=40, deadline=None)
     def test_baselines_within_1e_12(self, kind, block):
         z, _, y, counts = block
-        spec = BASELINE_SPECS[kind](counts)
-        got = baseline_loss(spec, z, y)
-        want = oracle.row_by_row(lambda q, row, t: oracle.baseline_loss(spec, row, t), z, y)
+        config = BASELINE_CONFIGS[kind]
+        got = baseline_loss(config, z, y, counts)
+        want = oracle.row_by_row(
+            lambda q, row, t: oracle.baseline_loss(config, row, t, counts), z, y
+        )
         assert_within(got.value, want.value)
         assert_within(got.grad_logits, want.grad_logits)
 
@@ -406,11 +387,11 @@ class TestBlockMatchesScalarOracle:
         z = rng.uniform(-5, 5, (2, 3, 6))
         b = rng.uniform(-5, 5, (2, 3, 6))
         y = rng.integers(0, 6, (2, 3))
-        spec = BaselineSpec(kind="focal", class_counts=np.ones(6, dtype=int))
+        focal, counts = LossConfig(kind="focal"), np.ones(6, dtype=int)
         for loss in (
             lambda z, y, b: ce(z, y),
             lambda z, y, b: biased_ce(z, b, y),
-            lambda z, y, b: baseline_loss(spec, z, y),
+            lambda z, y, b: baseline_loss(focal, z, y, counts),
         ):
             block = loss(z, y, b)
             flat = loss(z.reshape(6, 6), y.reshape(6), b.reshape(6, 6))
@@ -428,8 +409,4 @@ class TestBlockMatchesScalarOracle:
         with pytest.raises(ValueError, match="targets of shape"):
             ce(np.zeros((2, 3)), [0, 1, 2])
         with pytest.raises(ValueError, match="unobserved class 1"):
-            baseline_loss(
-                BaselineSpec(kind="ldam", class_counts=np.array([3, 0, 2])),
-                np.zeros((2, 3)),
-                [0, 1],
-            )
+            baseline_loss(LossConfig(kind="ldam"), np.zeros((2, 3)), [0, 1], np.array([3, 0, 2]))

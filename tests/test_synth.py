@@ -2,14 +2,14 @@ import hashlib
 import json
 import re
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailbias.stats import LabelSpace
+from tailbias.stats import LabelSpace, from_dict
 from tailbias.synth import (
     Images,
     SynthConfig,
@@ -463,13 +463,13 @@ def test_config_validation():
 
 def test_config_round_trip():
     cfg = small_config()
-    assert SynthConfig.from_dict(cfg.to_dict()) == cfg
+    assert from_dict(SynthConfig, asdict(cfg)) == cfg
 
 
 def test_config_keys_are_checked():
-    doc = small_config().to_dict()
+    doc = asdict(small_config())
     with pytest.raises(ValueError, match="^unknown key 'seedd' in synth config$"):
-        SynthConfig.from_dict({**doc, "seedd": 1})
+        from_dict(SynthConfig, {**doc, "seedd": 1})
     del doc["num_train"]
     with pytest.raises(ValueError, match="^missing key 'num_train' in synth config$"):
-        SynthConfig.from_dict(doc)
+        from_dict(SynthConfig, doc)
