@@ -8,17 +8,31 @@ logit rows, a kernel input as a leading batch axis, and a parameter tree as
 batched views (:func:`tailbias.numerics.unflatten`). The full-model battery
 checks every parameter coordinate on a few instances and a random coordinate
 sample on many, which keeps the runtime low without leaving any parameter
-kind unchecked.
+kind unchecked. The training battery checks the gradient that one training
+step takes (``harness._batch_loss``, bucketed) against the batch's loss
+written afresh, one forward per image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
+from . import harness
+from .bias import BiasSpec
 from .losses import BASELINE_KINDS, LossConfig, baseline_loss, biased_ce, ce
-from .model import ModelSpec, backward, forward, init_dual_encoder
+from .model import (
+    MODEL_KINDS,
+    MODES,
+    ModelSpec,
+    backward,
+    class_labels,
+    forward,
+    init_dual_encoder,
+    model_for,
+)
 from .numerics import (
     GradCheckReport,
     attention,
@@ -36,7 +50,7 @@ from .numerics import (
     unflatten,
 )
 from .stats import LabelSpace
-from .synth import SynthImage, all_ordered_pairs
+from .synth import Images, SynthImage, all_ordered_pairs
 
 __all__ = [
     "CheckResult",
@@ -44,6 +58,7 @@ __all__ = [
     "certify_numerics",
     "check_model_instance",
     "certify_model",
+    "certify_training",
     "run_certification",
 ]
 
@@ -170,14 +185,14 @@ def certify_numerics(
     return [CheckResult(f"numerics/{k}", counts[k], v, tol) for k, v in worst.items()]
 
 
-def _toy_setup(rng: np.random.Generator):
-    ls = LabelSpace(num_object_classes=3, num_relations=3)
-    spec = ModelSpec(
-        kind="dual_encoder", d_model=16, d_e=4, d_pos=4, n_h=2, n_o=2, n_r=1, d_ff=16
-    )
-    d_v = 4
-    params = init_dual_encoder(spec, ls, d_v, rng)
-    n = 3
+TOY_LABELS = LabelSpace(num_object_classes=3, num_relations=3)
+TOY_SPEC = ModelSpec(kind="dual_encoder", d_model=16, d_e=4, d_pos=4, n_h=2, n_o=2, n_r=1, d_ff=16)
+TOY_D_V = 4
+
+
+def _toy_image(rng: np.random.Generator, n: int, gt=()) -> SynthImage:
+    """``n`` random objects of the toy label space, with ground truth ``gt``."""
+    ls, d_v = TOY_LABELS, TOY_D_V
     rows = []
     for _ in range(n):
         x1, y1 = rng.uniform(0.0, 0.5, 2)
@@ -187,9 +202,16 @@ def _toy_setup(rng: np.random.Generator):
         feature = rng.normal(0.0, 1.0, d_v)
         rows.append((box, feature, int(rng.integers(0, ls.num_object_classes)), scores))
     boxes, features, labels, scores = (np.array(col) for col in zip(*rows))
-    pairs = all_ordered_pairs(n)
-    unions = rng.normal(0.0, 1.0, (len(pairs), d_v))
-    image = SynthImage(boxes, features, labels, scores, unions, gt=np.zeros((0, 3), np.int64))
+    unions = rng.normal(0.0, 1.0, (n * (n - 1), d_v))
+    return SynthImage(boxes, features, labels, scores, unions,
+                      gt=np.array(gt, dtype=np.int64).reshape(-1, 3))
+
+
+def _toy_setup(rng: np.random.Generator):
+    ls, spec = TOY_LABELS, TOY_SPEC
+    params = init_dual_encoder(spec, ls, TOY_D_V, rng)
+    image = _toy_image(rng, 3)
+    pairs = all_ordered_pairs(3)
     targets = rng.integers(0, ls.num_relations + 1, len(pairs))
     bias_row = rng.uniform(-1.0, 1.0, ls.num_relations + 1)
     return spec, params, image, pairs, targets, bias_row
@@ -265,9 +287,92 @@ def certify_model(
     return [CheckResult("model/dual_encoder", total, worst, tol)]
 
 
+def _batch_objective(config, net, stack, loss_fn, images: Images, batch, drawn) -> np.ndarray:
+    """The training loss of ``batch`` over its ``drawn`` pairs at each copy of
+    ``stack``, a parameter tree of ``(k, ...)`` leaves: one forward per image on
+    its own ordered pairs, relation rows (and object rows) concatenated along
+    the row axis in batch order, bias rows gathered by each image's classes."""
+    spec, task = config.model, config.task
+    rows, targets, starts = drawn
+    relation, classes, objects, labels = [], [], [], []
+    for i, lo, hi in zip(batch, starts[:-1], starts[1:]):
+        image = images[i]
+        at = rows[lo:hi] - images.pair_start[i]  # the image's own ordered pairs
+        pairs = all_ordered_pairs(len(image.labels))[at]
+        out = net.forward(image, image.unions[at], pairs, stack, spec, task)
+        relation.append(out.relation_logits)
+        classes.append(class_labels(image, task)[pairs])
+        if out.object_logits is not None:
+            objects.append(out.object_logits)
+            labels.append(image.labels)
+    z = np.concatenate(relation, axis=-2)
+    lead = z.shape[:-1]
+    s, o = np.concatenate(classes).T
+    rel = loss_fn(z, *(np.broadcast_to(a, lead) for a in (targets, s, o)))
+    value = running_sum(rel.value) / len(targets)
+    if spec.object_loss_weight > 0 and objects:
+        z_obj, y = np.concatenate(objects, axis=-2), np.concatenate(labels)
+        obj = ce(z_obj, np.broadcast_to(y, z_obj.shape[:-1]))
+        value = value + spec.object_loss_weight * running_sum(obj.value) / len(y)
+    return value
+
+
+def certify_training(
+    seed: int = 0, coords: int = 64, h: float = 1e-5, tol: float = 1e-3
+) -> list[CheckResult]:
+    """The gradient of one training step, against central differences of the
+    batch's loss (:func:`_batch_objective`), for both model kinds, both
+    tasks, ``ce``, rtpb with a ``cb`` vector and with a ``pb`` table, and the
+    four baselines.
+
+    The packed split holds images of 3, 2, 3 and 4 objects, batched in the
+    order 2, 1, 3, 0: the two 3-object images draw as many pairs and run as
+    one bucket, the 2-object image has no ground truth, and with three
+    classes the 4-object image has two objects of one class. Each case
+    checks ``coords`` seeded coordinates (all of a smaller model).
+    """
+    rng = np.random.default_rng(seed)
+    images = Images.pack([
+        _toy_image(rng, 3, [(0, 1, 1)]),
+        _toy_image(rng, 2),
+        _toy_image(rng, 3, [(2, 0, 3)]),
+        _toy_image(rng, 4, [(0, 1, 2), (3, 2, 1)]),
+    ])
+    batch = [2, 1, 3, 0]
+    losses = [("ce", None), ("rtpb", "cb"), ("rtpb", "pb")]
+    losses += [(kind, None) for kind in BASELINE_KINDS]
+    worst, cases = 0.0, 0
+    for kind, task, (loss, bias) in product(MODEL_KINDS, MODES, losses):
+        config = harness.TrainConfig(
+            label_space=TOY_LABELS,
+            task=task,
+            model=TOY_SPEC if kind == "dual_encoder" else ModelSpec(kind=kind),
+            loss=LossConfig(kind=loss),
+            bias=None if bias is None else BiasSpec(kind=bias, a=1.0, epsilon=1e-3),
+        )
+        split, loss_fn = harness._prepare(config, images)
+        net = model_for(config.model)
+        params = net.init(config.model, TOY_LABELS, TOY_D_V, rng)
+        vec = flatten(params)
+        params = unflatten(params, vec)
+        drawn = harness._draw(split, images.gt_start, batch, config.background_ratio, rng)
+        grad = harness._Gradient(params, len(batch))
+        harness._batch_loss(config, net, params, grad, loss_fn, split, images, batch, drawn)
+        report = grad_check(
+            lambda stack: _batch_objective(
+                config, net, unflatten(params, stack), loss_fn, images, batch, drawn
+            ),
+            vec, grad.vec, h=h, tol=tol,
+            coords=rng.choice(vec.size, size=min(coords, vec.size), replace=False),
+        )
+        worst, cases = max(worst, report.max_rel_error), cases + 1
+    return [CheckResult("training/batch_loss", cases, worst, tol)]
+
+
 def run_certification(seed: int = 0, instances: int = 100) -> list[CheckResult]:
-    """Full battery: losses, kernels, and the toy model."""
+    """Full battery: losses, kernels, the toy model, and the training step."""
     results = certify_losses(seed, instances=instances)
     results += certify_numerics(seed + 1, instances=instances)
     results += certify_model(seed + 2, sampled_instances=instances)
+    results += certify_training(seed + 3)
     return results

@@ -11,11 +11,13 @@ pairs at a configurable ratio; the optimized scalar is the mean relation
 loss over the drawn pairs, plus a weighted mean object cross-entropy when
 the model has an object head. Each loss is called once per batch on the
 rows of all its images; the model runs one forward and one backward per
-image. Bias rows are gathered from a dense class-pair table by the pair's
-classes (:func:`~tailbias.model.class_labels`). Parameters, momentum and
-gradients are flat buffers, with trees as views of them. A non-finite loss
-or gradient stops training with a ``FloatingPointError`` that names the
-iteration and, for a gradient, the parameter leaf.
+bucket of the batch's images with the same object count and the same number
+of drawn pairs (:func:`_batch_loss`). Bias rows are gathered from a dense
+class-pair table by the pair's classes
+(:func:`~tailbias.model.class_labels`). Parameters, momentum and gradients
+are flat buffers, with trees as views of them. A non-finite loss or gradient
+stops training with a ``FloatingPointError`` that names the iteration and,
+for a gradient, the parameter leaf.
 
 Evaluation checks and derives its split as training does, at the
 checkpoint's feature width, forwards each image once, in buckets of images
@@ -308,23 +310,44 @@ def _draw(
     """The pair rows drawn for ``batch``, their targets, and the ``(B + 1,)``
     offsets of each image's block: per image, every foreground pair, then a
     seeded subsample of its background pairs, both in pair order."""
-    rows, targets, sizes = [], [], []
-    for i in batch:
-        fg = slice(gt_start[i], gt_start[i + 1])
-        bg = split.bg_rows[split.bg_start[i] : split.bg_start[i + 1]]
-        take = min(len(bg), int(round(background_ratio * max(fg.stop - fg.start, 1))))
-        bg = bg[np.sort(rng.choice(len(bg), size=take, replace=False))] if take else bg[:0]
-        rows += [split.fg_rows[fg], bg]
-        targets += [split.fg_targets[fg], np.zeros_like(bg)]
-        sizes.append(fg.stop - fg.start + len(bg))
-    return np.concatenate(rows), np.concatenate(targets), _offsets(sizes)
+    fg_lo, n_fg = gt_start[batch], np.diff(gt_start)[batch]
+    bg_lo, n_bg = split.bg_start[batch], np.diff(split.bg_start)[batch]
+    take = np.minimum(n_bg, np.round(background_ratio * np.maximum(n_fg, 1))).astype(np.int64)
+    rows = []
+    for lo, n, b_lo, b_n, t in zip(*(a.tolist() for a in (fg_lo, n_fg, bg_lo, n_bg, take))):
+        bg = rng.choice(b_n, size=t, replace=False) if t else split.bg_rows[:0]
+        bg.sort()
+        rows += [split.fg_rows[lo : lo + n], split.bg_rows[b_lo + bg]]
+    starts = _offsets(n_fg + take)
+    targets = np.zeros(starts[-1], dtype=np.int64)
+    targets[_ranges(starts[:-1], n_fg)] = split.fg_targets[_ranges(fg_lo, n_fg)]
+    return np.concatenate(rows), targets, starts
+
+
+class _Gradient:
+    """A batch's gradient under ``params``: the flat buffer ``vec`` and its
+    tree ``tree``, and ``rows``, a ``(batch_size, N)`` buffer of per-image
+    gradients, zero between batches. The tree of a slice ``rows[lo:hi]`` is
+    made once, on first use."""
+
+    def __init__(self, params: LinearParams | DualEncoderParams, batch_size: int):
+        self.vec = np.zeros(flatten(params).size)
+        self.tree = unflatten(params, self.vec)
+        self.rows = np.zeros((batch_size, self.vec.size))
+        self._params = params
+        self._row_trees: dict[tuple[int, int], LinearParams | DualEncoderParams] = {}
+
+    def row_tree(self, lo: int, hi: int) -> LinearParams | DualEncoderParams:
+        if (lo, hi) not in self._row_trees:
+            self._row_trees[lo, hi] = unflatten(self._params, self.rows[lo:hi])
+        return self._row_trees[lo, hi]
 
 
 def _batch_loss(
     config: TrainConfig,
     net: Model,
     params: LinearParams | DualEncoderParams,
-    grads: LinearParams | DualEncoderParams,
+    grad: _Gradient,
     loss_fn: LossFn,
     split: _Split,
     images: Images,
@@ -333,39 +356,110 @@ def _batch_loss(
 ) -> float:
     """The batch's mean relation loss over its ``drawn`` pairs (see
     :func:`_draw`), plus the weighted mean object loss when the model has an
-    object head; adds its parameter gradients into ``grads``.
+    object head; adds its gradient into ``grad.vec``.
 
-    The model runs once per image; each loss is called once, on the rows of
-    the whole batch, and each image's gradient is added in batch order.
+    Images with the same object count ``n`` and the same number ``m`` of
+    drawn pairs form a bucket, run by one forward and one backward call with
+    each image's own ``(m, 2)`` pairs. Each loss is called once, on the rows
+    of the whole batch in batch order. Each image's gradient is written into
+    its own row of ``grad.rows``, and the rows are added into ``grad.vec`` in
+    batch order; the rows of a gathered table (the label embedding, to which
+    one image may add one class row twice) are added by one ``np.add.at``
+    over the batch's objects in batch order. So every leaf receives the
+    per-image gradients in the order one forward and backward per image gave
+    them, and checkpoints are bit-identical to that order. A failed forward
+    is run again image by image, in batch order, to raise the error the first
+    faulty image gives.
     """
     spec = config.model
     rows, targets, starts = drawn
+    batch = np.asarray(batch)
+    first = images.obj_start[batch]
+    counts = images.obj_start[batch + 1] - first
+    sizes = starts[1:] - starts[:-1]
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for pos, key in enumerate(zip(counts.tolist(), sizes.tolist())):
+        buckets.setdefault(key, []).append(pos)
+    order = np.array([pos for at in buckets.values() for pos in at])
+    # The batch's objects and drawn rows, bucket by bucket; ``rel`` gives
+    # each drawn row's position in batch order.
+    objects = _ranges(first[order], counts[order])
+    rel = _ranges(starts[order], sizes[order])
+    fields = tuple(a[objects] for a in (images.boxes, images.features, images.labels,
+                                         images.scores))
+    unions = images.unions[rows[rel]]
     pairs = split.pairs[rows]
-    unions = images.unions[rows]
-    local = pairs - np.repeat(images.obj_start[batch], np.diff(starts))[:, None]
-    records = [images[i] for i in batch]
-    outs = [
-        net.forward(img, unions[a:b], local[a:b], params, spec, config.task)
-        for img, a, b in zip(records, starts[:-1], starts[1:])
-    ]
-    logits = np.concatenate([out.relation_logits for out in outs])
-    classes = split.classes[pairs]
-    rel = loss_fn(logits, targets, classes[:, 0], classes[:, 1])
-    d_rel = rel.grad_logits / len(rel.value)
-    loss_value = running_sum(rel.value) / len(rel.value)
+    local = pairs[rel] - first[order].repeat(sizes[order])[:, None]
 
-    # Only a model with an object head returns object logits.
-    d_obj = [None] * len(outs)
+    runs, relation_logits, object_logits = [], [], []
+    o = r = 0
+    for (n, m), at in buckets.items():
+        b = len(at)
+        u = unions[r : r + b * m].reshape(b, m, unions.shape[-1])
+        record = SynthImage(*(a[o : o + b * n].reshape((b, n) + a.shape[1:]) for a in fields),
+                            unions=u, gt=images.gt[:0])
+        try:
+            out = net.forward(record, u, local[r : r + b * m].reshape(b, m, 2), params, spec,
+                              config.task)
+        except FloatingPointError:
+            for i, lo, hi in zip(batch, starts[:-1], starts[1:]):
+                net.forward(images[i], images.unions[rows[lo:hi]],
+                            pairs[lo:hi] - images.obj_start[i], params, spec, config.task)
+            raise
+        relation_logits.append(out.relation_logits.reshape(b * m, out.relation_logits.shape[-1]))
+        if out.object_logits is not None:
+            object_logits.append(out.object_logits.reshape(b * n, out.object_logits.shape[-1]))
+        runs.append((out, b, n, m, o, r))
+        o, r = o + b * n, r + b * m
+
+    logits = _batch_order(np.concatenate(relation_logits), rel)
+    classes = split.classes[pairs]
+    rel_loss = loss_fn(logits, targets, classes[:, 0], classes[:, 1])
+    d_rel = (rel_loss.grad_logits / len(rel_loss.value))[rel]
+    loss_value = running_sum(rel_loss.value) / len(rel_loss.value)
+
+    # Only a model with an object head returns object logits and gathers table
+    # rows; ``slot`` gives each object's position in batch order.
+    d_obj = None
     w_obj = spec.object_loss_weight
-    if w_obj > 0 and outs[0].object_logits is not None:
-        labels = np.concatenate([img.labels for img in records])
-        obj = ce(np.concatenate([out.object_logits for out in outs]), labels)
-        g = obj.grad_logits * (w_obj / len(labels))
-        d_obj = np.split(g, np.cumsum([len(out.object_logits) for out in outs])[:-1])
-        loss_value += w_obj * running_sum(obj.value) / len(labels)
-    for out, g_obj, a, b in zip(outs, d_obj, starts[:-1], starts[1:]):
-        net.backward(g_obj, d_rel[a:b], out, params, spec, grads)
+    slot = _ranges(_offsets(counts)[order], counts[order]) if object_logits else None
+    if w_obj > 0 and object_logits:
+        z = _batch_order(np.concatenate(object_logits), slot)
+        obj_loss = ce(z, images.labels[_ranges(first, counts)])
+        d_obj = (obj_loss.grad_logits * (w_obj / len(objects)))[slot]
+        loss_value += w_obj * running_sum(obj_loss.value) / len(objects)
+
+    gathered: list = []
+    lo = 0
+    for out, b, n, m, o, r in runs:
+        g_obj = None if d_obj is None else d_obj[o : o + b * n].reshape(b, n, -1)
+        g_rel = d_rel[r : r + b * m].reshape(b, m, d_rel.shape[-1])
+        net.backward(g_obj, g_rel, out, params, spec, grad.row_tree(lo, lo + b), gathered)
+        lo += b
+    for j in np.argsort(order):  # each batch position's gradient row, in batch order
+        grad.vec += grad.rows[j]
+        grad.rows[j] = 0.0
+    tables: dict[str, list] = {}
+    for name, index, table_rows in gathered:  # one row per object, bucket by bucket
+        table_rows = table_rows.reshape(index.size, table_rows.shape[-1])
+        tables.setdefault(name, []).append((index.ravel(), table_rows))
+    for name, parts in tables.items():
+        index, table_rows = (_batch_order(np.concatenate(p), slot) for p in zip(*parts))
+        np.add.at(getattr(grad.tree, name), index, table_rows)
     return loss_value
+
+
+def _batch_order(bucketed: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """Rows taken bucket by bucket, put at their batch ``position``."""
+    out = np.empty_like(bucketed)
+    out[position] = bucketed
+    return out
+
+
+def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The ranges ``lo[i], …, lo[i] + n[i] - 1``, concatenated."""
+    ends = n.cumsum()
+    return (lo - ends + n).repeat(n) + np.arange(ends[-1] if len(ends) else 0)
 
 
 def _non_finite_leaf(tree, vec: np.ndarray) -> str | None:
@@ -376,6 +470,26 @@ def _non_finite_leaf(tree, vec: np.ndarray) -> str | None:
         return None
     ends = np.cumsum([a.size for a in leaves(tree)])
     return leaf_names(tree)[np.searchsorted(ends, np.argmin(finite), side="right")]
+
+
+def _prepare(
+    config: TrainConfig, images: Images, loss_fn: LossFn | None = None
+) -> tuple[_Split, LossFn]:
+    """Check ``images`` for training and pack them; with no ``loss_fn``, the
+    configured loss, whose bias comes from the split's statistics."""
+    ls = config.label_space
+    gt_image = _truth(images, ls, images.features.shape[1])
+    stats = _triplet_stats(images, gt_image, ls)
+    split = _pack(images, gt_image, ls, config.task)
+    bias = None
+    if config.bias is not None:
+        bias = compute_bias(config.bias, stats)
+        _check_bias_compatible(bias, ls)
+    if loss_fn is None:
+        class_counts = marginal_counts(stats)[0].copy()
+        class_counts[0] = len(split.pairs) - len(split.fg_rows)  # background pairs
+        loss_fn = make_loss_fn(config, bias, class_counts)
+    return split, loss_fn
 
 
 def train(
@@ -397,31 +511,20 @@ def train(
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     ls = config.label_space
     d_v = train_images.features.shape[1]
-    gt_image = _truth(train_images, ls, d_v)
-    stats = _triplet_stats(train_images, gt_image, ls)
-    split = _pack(train_images, gt_image, ls, config.task)
-    bias = None
-    if config.bias is not None:
-        bias = compute_bias(config.bias, stats)
-        _check_bias_compatible(bias, ls)
-    if loss_fn is None:
-        class_counts = marginal_counts(stats)[0].copy()
-        class_counts[0] = len(split.pairs) - len(split.fg_rows)  # background pairs
-        loss_fn = make_loss_fn(config, bias, class_counts)
+    split, loss_fn = _prepare(config, train_images, loss_fn)
 
     net = model_for(config.model)
+    opt = config.optimizer
     params = net.init(config.model, ls, d_v, _rng(config.seed, INIT_DOMAIN))
     param_vec = flatten(params)
     params = unflatten(params, param_vec)
     velocity = np.zeros_like(param_vec)
-    grad_vec = np.zeros_like(param_vec)
-    grads = unflatten(params, grad_vec)
+    grad = _Gradient(params, opt.batch_size)
 
     shuffle_rng = _rng(config.seed, SHUFFLE_DOMAIN)
     sample_rng = _rng(config.seed, SAMPLE_DOMAIN)
     order: list[int] = []
     losses: list[float] = []
-    opt = config.optimizer
 
     for step in range(1, opt.iterations + 1):
         batch: list[int] = []
@@ -434,22 +537,22 @@ def train(
         if not len(drawn[0]):
             raise ValueError(f"iteration {step}: the batch draws no pairs (its images "
                              "have no ground truth and background_ratio is 0)")
-        grad_vec.fill(0.0)
+        grad.vec.fill(0.0)
         try:
             loss_value = _batch_loss(
-                config, net, params, grads, loss_fn, split, train_images, batch, drawn
+                config, net, params, grad, loss_fn, split, train_images, batch, drawn
             )
         except FloatingPointError as exc:
             raise FloatingPointError(f"iteration {step}: {exc}") from None
         if not np.isfinite(loss_value):
             raise FloatingPointError(f"iteration {step}: non-finite loss")
-        bad = _non_finite_leaf(grads, grad_vec)
+        bad = _non_finite_leaf(grad.tree, grad.vec)
         if bad is not None:
             raise FloatingPointError(f"iteration {step}: non-finite gradient of {bad}")
         losses.append(loss_value)
 
         velocity *= opt.momentum
-        velocity += grad_vec
+        velocity += grad.vec
         param_vec -= opt.learning_rate * velocity
 
     finished = time.strftime("%Y-%m-%dT%H:%M:%S%z")

@@ -28,16 +28,28 @@ count ``n``: the record's arrays may carry one leading bucket axis, boxes
 ``(B, n, 4)``, features ``(B, n, d_v)``, labels ``(B, n)`` and scores
 ``(B, n, L_e)``, with ``(B, P, d_v)`` union rows, and then give ``(B, P, L + 1)``
 relation logits and ``(B, n, L_e)`` object outputs. A single image is a
-bucket of one, unbatched. ``pairs`` index the object rows of every image of
-the bucket alike, and the dual encoder attends over all of an image's
-objects and pairs, never across images. A stacked product runs one matrix
-product per image, so a bucket's outputs equal its images' own forwards bit
-for bit; the bucket axis is never folded into the row axis of a 2-D
-product, whose rows BLAS may round by the product's height. Backward passes
-take one unbatched image. An empty ``pairs`` gives ``(0, L + 1)`` relation
-logits and no relation gradient. Evaluation forwards a split in buckets;
-training packs the drawn pairs of a batch's images into one block for its
-loss call, but still runs the model once per image.
+bucket of one, unbatched. ``pairs`` is either one ``(P, 2)`` array that
+indexes the object rows of every image of the bucket alike, or a
+``(B, P, 2)`` array of each image's own pairs, and the dual encoder attends
+over all of an image's objects and pairs, never across images. Both
+``backward`` functions take the bucket axis too: ``grads`` is then a tree of
+``(B, ...)`` leaves (``unflatten`` of a ``(B, N)`` stack), and each image's
+gradient is added into its own row. A stacked product runs one matrix
+product per image, so a bucket's outputs and gradient rows equal its images'
+own forwards and backwards bit for bit; the bucket axis is never folded into
+the row axis of a 2-D product, whose rows BLAS may round by the product's
+height. An empty ``pairs`` gives ``(0, L + 1)`` relation logits and no
+relation gradient. Evaluation forwards a split in buckets of images with
+the same object count, and training runs each batch as buckets of images
+with the same object count and the same number of drawn pairs.
+
+The label embedding is the one table whose rows the forward gathers by
+index, and two objects of an image may share a class, so the order in which
+its gradient rows are added decides the sum's last bits. A backward adds
+them with ``np.add.at`` in object order; given a ``gathered`` list it
+appends them to it instead, as ``(leaf name, classes, rows)``, so that a
+caller that runs a batch in several buckets can add the rows of all of them
+in its own image order.
 
 Task modes: ``predcls`` looks up label embeddings with the annotated object
 labels; ``sgcls`` uses the argmax of the detector scores.
@@ -259,13 +271,21 @@ def embed_objects(
 
 
 def embed_objects_backward(
-    g: np.ndarray, params: DualEncoderParams, cache: tuple, grads: DualEncoderParams
+    g: np.ndarray,
+    params: DualEncoderParams,
+    cache: tuple,
+    grads: DualEncoderParams,
+    gathered: list | None = None,
 ) -> None:
     boxes, concat, labels, d_pos, d_v = cache
-    grads.w_in += concat.T @ g
+    grads.w_in += concat.swapaxes(-1, -2) @ g
     dconcat = g @ params.w_in.T
-    grads.w_pos += boxes.T @ dconcat[:, :d_pos]
-    np.add.at(grads.embed, labels, dconcat[:, d_pos + d_v :])
+    grads.w_pos += boxes.swapaxes(-1, -2) @ dconcat[..., :d_pos]
+    rows = dconcat[..., d_pos + d_v :]
+    if gathered is None:
+        np.add.at(grads.embed, _slice_rows(labels), rows)
+    else:
+        gathered.append(("embed", labels, rows))
 
 
 def encode_objects(
@@ -279,6 +299,23 @@ def encode_objects(
     return x, caches
 
 
+def _slice_rows(idx: np.ndarray) -> tuple:
+    """An index of rows ``idx`` of an ``(n, ·)`` array for a ``(P,)`` ``idx``,
+    or of each slice of a ``(B, n, ·)`` stack for a ``(B, P)`` ``idx``."""
+    return (idx,) if idx.ndim == 1 else (np.arange(len(idx))[:, None], idx)
+
+
+def _pair_rows(a: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """``[a[s], a[o]]`` for each pair ``(s, o)``, ``(..., P, 2d)``: rows of
+    ``a`` ``(..., n, d)`` by ``(P, 2)`` pairs shared by every leading slice,
+    or of each slice of a ``(B, n, d)`` stack by its own ``(B, P, 2)`` pairs."""
+    if pairs.ndim == 2:
+        rows = a[..., pairs, :]
+    else:
+        rows = a[np.arange(len(pairs))[:, None, None], pairs]
+    return rows.reshape(rows.shape[:-2] + (2 * a.shape[-1],))
+
+
 def fuse_pairs(
     e_final: np.ndarray,
     union_features: np.ndarray,
@@ -287,29 +324,32 @@ def fuse_pairs(
 ) -> tuple[np.ndarray, tuple]:
     """One token per ordered pair: ``[union, subject, object] @ w_fuse``."""
     n = e_final.shape[-2]
-    s_idx, o_idx = pairs[:, 0], pairs[:, 1]
-    bad = np.flatnonzero((s_idx == o_idx) | ((pairs < 0) | (pairs >= n)).any(axis=1))
+    s_idx, o_idx = pairs[..., 0], pairs[..., 1]
+    bad = np.flatnonzero((s_idx == o_idx) | ((pairs < 0) | (pairs >= n)).any(axis=-1))
     if bad.size:
-        s, o = pairs[bad[0]].tolist()
+        s, o = pairs.reshape(-1, 2)[bad[0]].tolist()
         why = "relates an object to itself" if s == o else f"out of range for {n} objects"
         raise ValueError(f"pair ({s}, {o}) {why}")
-    if len(pairs) != union_features.shape[-2]:
+    if pairs.shape[-2] != union_features.shape[-2]:
         raise ValueError("one union feature row is required per pair")
     unions = np.broadcast_to(union_features, e_final.shape[:-2] + union_features.shape[-2:])
-    concat = np.concatenate([unions, e_final[..., s_idx, :], e_final[..., o_idx, :]], axis=-1)
+    concat = np.concatenate([unions, _pair_rows(e_final, pairs)], axis=-1)
     return concat @ params.w_fuse, (concat, s_idx, o_idx, union_features.shape[-1], n)
 
 
 def fuse_pairs_backward(
     g: np.ndarray, params: DualEncoderParams, cache: tuple, grads: DualEncoderParams
 ) -> np.ndarray:
+    """Add ``w_fuse``'s gradient into ``grads``; return the gradient of the
+    object tokens, whose pair rows are added with ``np.add.at`` in pair order."""
     concat, s_idx, o_idx, d_u, n = cache
-    grads.w_fuse += concat.T @ g
+    grads.w_fuse += concat.swapaxes(-1, -2) @ g
     dconcat = g @ params.w_fuse.T
-    d_model = (dconcat.shape[1] - d_u) // 2
-    de = np.zeros((n, d_model))
-    np.add.at(de, s_idx, dconcat[:, d_u : d_u + d_model])
-    np.add.at(de, o_idx, dconcat[:, d_u + d_model :])
+    d_model = (dconcat.shape[-1] - d_u) // 2
+    de = np.zeros(dconcat.shape[:-2] + (n, d_model))
+    d_s, d_o = dconcat[..., d_u : d_u + d_model], dconcat[..., d_u + d_model :]
+    for idx, rows in ((s_idx, d_s), (o_idx, d_o)):
+        np.add.at(de, _slice_rows(np.broadcast_to(idx, rows.shape[:-1])), rows)
     return de
 
 
@@ -359,32 +399,36 @@ def backward(
     params: DualEncoderParams,
     spec: ModelSpec,
     grads: DualEncoderParams | None = None,
+    gathered: list | None = None,
 ) -> DualEncoderParams:
     """Accumulate exact parameter gradients for one forward pass.
 
     ``d_object_logits``/``d_relation_logits`` are the loss gradients at the two
     classifier outputs. Pass an existing ``grads`` tree to accumulate across
-    images; without one, a zero tree over a fresh buffer is made.
+    images; without one, a zero tree over a fresh buffer is made. After a
+    bucket's forward, ``grads`` has ``(B, ...)`` leaves, one row per image.
+    With ``gathered``, the label embedding's rows go to it, not to ``grads``
+    (see the module docstring).
     """
     if grads is None:
         grads = unflatten(params, np.zeros_like(flatten(params)))
     embed_cache, obj_caches, e_final, fuse_cache, rel_cache = output.cache
     rel_layer_caches, rel_final = rel_cache
 
-    grads.w_clf_rel += rel_final.T @ d_relation_logits
+    grads.w_clf_rel += rel_final.swapaxes(-1, -2) @ d_relation_logits
     dx = d_relation_logits @ params.w_clf_rel.T
     for i in range(len(rel_layer_caches) - 1, -1, -1):
         dx = encoder_layer_backward(dx, rel_layer_caches[i], grads.rel_layers[i])
     de_final = fuse_pairs_backward(dx, params, fuse_cache, grads)
 
     if d_object_logits is not None:
-        grads.w_clf_obj += e_final.T @ d_object_logits
+        grads.w_clf_obj += e_final.swapaxes(-1, -2) @ d_object_logits
         de_final = de_final + d_object_logits @ params.w_clf_obj.T
 
     dx = de_final
     for i in range(spec.n_o - 1, -1, -1):
         dx = encoder_layer_backward(dx, obj_caches[i], grads.obj_layers[i])
-    embed_objects_backward(dx, params, embed_cache, grads)
+    embed_objects_backward(dx, params, embed_cache, grads, gathered)
     return grads
 
 
@@ -406,9 +450,7 @@ def linear_forward(
     if image.labels.shape[-1] < 2:
         raise ValueError("no pairs: need at least two objects")
     feats = image.features
-    x = np.concatenate(
-        [union_features, feats[..., pairs[:, 0], :], feats[..., pairs[:, 1], :]], axis=-1
-    )
+    x = np.concatenate([union_features, _pair_rows(feats, pairs)], axis=-1)
     logits = x @ params.w + params.b[..., None, :]
     return ModelOutput(
         object_logits=None,
@@ -425,11 +467,13 @@ def linear_backward(
     params: LinearParams,
     spec: ModelSpec,
     grads: LinearParams | None = None,
+    gathered: list | None = None,
 ) -> LinearParams:
-    """Accumulate the gradients of the affine head; it has no object head."""
+    """Accumulate the gradients of the affine head; it has no object head and
+    gathers no table rows, so ``gathered`` stays as it is."""
     (x,) = output.cache
     if grads is None:
         grads = unflatten(params, np.zeros_like(flatten(params)))
-    grads.w += x.T @ d_relation_logits
-    grads.b += d_relation_logits.sum(axis=0)
+    grads.w += x.swapaxes(-1, -2) @ d_relation_logits
+    grads.b += d_relation_logits.sum(axis=-2)
     return grads

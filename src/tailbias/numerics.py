@@ -4,8 +4,14 @@ Forward kernels take float64 arrays ``(..., T, d)`` of token rows under any
 leading batch axes, and parameters with leading axes of their own (vectors
 broadcast as ``b[..., None, :]``), so one call runs many parameter copies;
 attention heads are one more reshaped axis. Forward functions return
-``(output, cache)`` and each ``*_backward`` consumes the upstream gradient of
-one unbatched ``(T, d)`` instance together with that cache. The encoder layer
+``(output, cache)`` and each ``*_backward`` consumes the upstream gradient
+together with that cache. A backward takes the leading bucket axes of its
+forward's input, ``(B, T, d)`` for ``B`` instances under one unbatched
+parameter copy, and adds each instance's parameter gradient into its own row
+of a gradient tree of ``(B, ...)`` leaves: weight gradients are stacked
+products ``x.swapaxes(-1, -2) @ g`` and bias gradients ``g.sum(axis=-2)``, so
+a row equals the instance's own unbatched backward bit for bit; the bucket
+axis is never folded into the rows of a 2-D product. The encoder layer
 is pre-norm:
 
     h = x + mha(layer_norm(x))
@@ -110,7 +116,7 @@ def row_softmax(x: np.ndarray) -> np.ndarray:
 
 
 def row_softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return p * (g - np.sum(g * p, axis=-1, keepdims=True))
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
 
 def running_sum(x: np.ndarray):
@@ -124,8 +130,10 @@ def running_sum(x: np.ndarray):
 def layer_norm(
     x: np.ndarray, gain: np.ndarray, bias: np.ndarray
 ) -> tuple[np.ndarray, tuple]:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
+    # A sum over d divided by d is np.mean bit for bit, without its Python layer.
+    d = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / d
+    var = ((x - mu) ** 2).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x - mu) * inv
     return xhat * gain[..., None, :] + bias[..., None, :], (xhat, inv, gain)
@@ -135,16 +143,15 @@ def layer_norm_backward(
     g: np.ndarray, cache: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     xhat, inv, gain = cache
-    d = xhat.shape[1]
-    dgain = np.sum(g * xhat, axis=0)
-    dbias = np.sum(g, axis=0)
-    dxhat = g * gain
+    dgain = (g * xhat).sum(axis=-2)
+    dbias = g.sum(axis=-2)
+    dxhat = g * gain[..., None, :]
+    d = xhat.shape[-1]
     dx = inv * (
         dxhat
-        - dxhat.mean(axis=1, keepdims=True)
-        - xhat * np.mean(dxhat * xhat, axis=1, keepdims=True)
+        - dxhat.sum(axis=-1, keepdims=True) / d
+        - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
     )
-    assert dx.shape[1] == d
     return dx, dgain, dbias
 
 
@@ -162,7 +169,7 @@ def attention(
     scale = 1.0 / np.sqrt(q.shape[-1])
     p = row_softmax((q @ k.swapaxes(-1, -2)) * scale)
     out = p @ v
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise FloatingPointError("attention produced non-finite values")
     return out, (q, k, v, p, scale)
 
@@ -212,14 +219,15 @@ def multi_head_attention_backward(
 ) -> np.ndarray:
     """Add the projection gradients into ``grads``; return the input gradient."""
     x, params, n_h, concat, att_cache = cache
-    grads.wo += concat.T @ g
+    grads.wo += concat.swapaxes(-1, -2) @ g
     dq, dk, dv = (
         _merge_heads(d)
         for d in attention_backward(_split_heads(g @ params.wo.T, n_h), att_cache)
     )
-    grads.wq += x.T @ dq
-    grads.wk += x.T @ dk
-    grads.wv += x.T @ dv
+    x_t = x.swapaxes(-1, -2)
+    grads.wq += x_t @ dq
+    grads.wk += x_t @ dk
+    grads.wv += x_t @ dv
     return dq @ params.wq.T + dk @ params.wk.T + dv @ params.wv.T
 
 
@@ -233,12 +241,12 @@ def _ffn_backward(
     g: np.ndarray, p: EncoderLayerParams, cache: tuple, grads: EncoderLayerParams
 ) -> np.ndarray:
     x, pre, act = cache
-    grads.w2 += act.T @ g
-    grads.b2 += g.sum(axis=0)
+    grads.w2 += act.swapaxes(-1, -2) @ g
+    grads.b2 += g.sum(axis=-2)
     dact = g @ p.w2.T
     dpre = dact * (pre > 0.0)
-    grads.w1 += x.T @ dpre
-    grads.b1 += dpre.sum(axis=0)
+    grads.w1 += x.swapaxes(-1, -2) @ dpre
+    grads.b1 += dpre.sum(axis=-2)
     return dpre @ p.w1.T
 
 
@@ -253,7 +261,7 @@ def encoder_layer(
     ln2, ln2_cache = layer_norm(h, params.ln2_gain, params.ln2_bias)
     ff, ff_cache = _ffn(ln2, params)
     out = h + ff
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise FloatingPointError("encoder layer produced non-finite values")
     return out, (params, ln1_cache, att_cache, ln2_cache, ff_cache)
 

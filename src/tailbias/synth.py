@@ -69,6 +69,8 @@ class SynthConfig:
             raise ValueError("noise_sigma must be positive")
         if self.zipf_s < 0:
             raise ValueError("zipf_s must be nonnegative")
+        if self.detector_noise < 0:
+            raise ValueError("detector_noise must be nonnegative")
 
 
 def all_ordered_pairs(n: int) -> np.ndarray:
@@ -282,10 +284,16 @@ def _sample_image(
     feats = world.object_prototypes[labels] + rng.normal(
         0.0, config.noise_sigma, (n, config.d_v)
     )
-    det_logits = config.detector_sharpness * np.eye(ls.num_object_classes)[labels]
-    det_logits += rng.normal(0.0, config.detector_noise, det_logits.shape)
-    det_logits -= det_logits.max(axis=1, keepdims=True)
-    e = np.exp(det_logits)
+    # Finite logits give scores that sum to 1, however far apart they lie.
+    with np.errstate(over="ignore"):
+        det_logits = config.detector_sharpness * np.eye(ls.num_object_classes)[labels]
+        det_logits += rng.normal(0.0, config.detector_noise, det_logits.shape)
+        if not np.isfinite(det_logits).all():
+            raise ValueError(
+                "detector logits are not finite: detector_sharpness or detector_noise is too large"
+            )
+        det_logits -= det_logits.max(axis=1, keepdims=True)
+        e = np.exp(det_logits)
     scores = e / e.sum(axis=1, keepdims=True)
     boxes = np.stack([cx - bw / 2, cy - bh / 2, cx + bw / 2, cy + bh / 2], axis=1)
 

@@ -184,6 +184,32 @@ def test_a_stacked_product_is_one_product_per_slice(d):
                 assert_items_equal(a @ w, [x @ w for x in a])
 
 
+@pytest.mark.parametrize("d", [8, 32, 48])
+def test_stacked_gradients_are_one_per_slice(d):
+    """Bucketed backward passes add each image's weight gradient as
+    ``x.swapaxes(-1, -2) @ g``, its bias gradient as ``g.sum(axis=-2)``, its
+    input gradient as ``g @ w.T`` and its scattered rows by one ``np.add.at``
+    over ``(image, row)`` indices, and rely on each slice being bit-identical
+    to the image's own 2-D product, sum and scatter: checkpoints are pinned
+    to one backward per image."""
+    rng = np.random.default_rng(d)
+    for b in (1, 2, 3, 8):
+        for t in (4, 12, 20, 30):
+            for c in (9, 31, 64):
+                x, g = rng.normal(size=(b, t, d)), rng.normal(size=(b, t, c))
+                w = rng.normal(size=(d, c))
+                assert_items_equal(x.swapaxes(-1, -2) @ g, [a.T @ h for a, h in zip(x, g)])
+                assert_items_equal(g.sum(axis=-2), [h.sum(axis=0) for h in g])
+                assert_items_equal(g @ w.T, [h @ w.T for h in g])
+                rows = rng.integers(0, 5, (b, t))
+                got = np.zeros((b, 5, c))
+                np.add.at(got, (np.arange(b)[:, None], rows), g)
+                want = [np.zeros((5, c)) for _ in range(b)]
+                for one, r, h in zip(want, rows, g):
+                    np.add.at(one, r, h)
+                assert_items_equal(got, want)
+
+
 def row_function(seed):
     """A scalar function of one copy, and the same function over a stack."""
     w = np.random.default_rng(seed).integers(-2, 3, 3 * FD_CHUNK) / 2.0

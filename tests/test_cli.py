@@ -201,7 +201,8 @@ class TestGradcheckCommand:
         assert code == 0
         printed = capsys.readouterr().out
         # the battery's output before parameter trees became views of one
-        # flat buffer; differencing through the buffer must print the same
+        # flat buffer; differencing through the buffer must print the same.
+        # The last line is the training step's battery, added after.
         assert printed.splitlines() == [
             "PASS loss/ce: max_rel_error=1.200e-10 tol=1e-04 instances=4",
             "PASS loss/rtpb: max_rel_error=2.285e-10 tol=1e-04 instances=4",
@@ -214,6 +215,7 @@ class TestGradcheckCommand:
             "PASS numerics/multi_head_attention: max_rel_error=1.259e-10 tol=1e-04 instances=2",
             "PASS numerics/encoder_layer: max_rel_error=2.747e-10 tol=1e-04 instances=2",
             "PASS model/dual_encoder: max_rel_error=1.481e-09 tol=1e-03 instances=6",
+            "PASS training/batch_loss: max_rel_error=2.668e-10 tol=1e-03 instances=28",
         ]
         doc = json.loads((out / "gradcheck.json").read_text())
         assert all(entry["passed"] for entry in doc)
@@ -539,12 +541,10 @@ class TestErrors:
         assert err == {"type": "ValueError", "message": message}
         assert not out.exists()
 
-    @pytest.mark.filterwarnings(
-        "ignore:overflow encountered:RuntimeWarning",
-        "ignore:invalid value encountered:RuntimeWarning",
-    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_synth_leaves_no_out_directory(self, workspace, tmp_path, capsys):
-        # Detector noise this large overflows the detector logits of some image.
+        # Detector noise this large overflows the detector logits of some image;
+        # the refusal names both keys, and numpy warns of nothing.
         root, _, _, _, _ = workspace
         cfg = {**json.loads((root / "synth.json").read_text()), "detector_noise": 1e308}
         path = tmp_path / "bad.json"
@@ -553,8 +553,20 @@ class TestErrors:
         code = main(["synth", "--config", str(path), "--out", str(tmp_path / "data")])
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())["error"]
-        assert err["type"] == "ValueError"
-        assert re.fullmatch(r"image \d+: detector scores must sum to 1", err["message"])
+        assert err == {"type": "ValueError", "message": "detector logits are not finite: "
+                       "detector_sharpness or detector_noise is too large"}
+        assert not (tmp_path / "data").exists()
+
+    def test_negative_detector_noise_gives_json_error(self, workspace, tmp_path, capsys):
+        root, _, _, _, _ = workspace
+        cfg = {**json.loads((root / "synth.json").read_text()), "detector_noise": -0.5}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        code = main(["synth", "--config", str(path), "--out", str(tmp_path / "data")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {"type": "ValueError", "message": "detector_noise must be nonnegative"}
         assert not (tmp_path / "data").exists()
 
     def test_malformed_checkpoint_gives_json_error(self, workspace, tmp_path, capsys):

@@ -47,7 +47,7 @@ def synth_configs(draw):
         noise_sigma=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
         background_fraction=draw(st.floats(0.0, 1.0, exclude_max=True)),
         detector_sharpness=draw(floats),
-        detector_noise=draw(floats),
+        detector_noise=draw(nonnegative),
         seed=draw(ints),
     )
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+import tailbias.harness as harness
 from tailbias.bias import BiasSpec, BiasVector, compute_bias
 from tailbias.harness import (
     FORWARD_CHUNK,
@@ -32,6 +33,7 @@ from tailbias.losses import LossOutput, biased_ce, ce
 from tailbias.metrics import metrics_csv, object_pair_scores
 from tailbias.model import (
     LinearParams,
+    Model,
     class_labels,
     forward,
     init_dual_encoder,
@@ -344,6 +346,67 @@ class TestTrain:
         assert rows == [
             sum(per_image_rows[i : i + size]) for i in range(0, len(per_image_rows), size)
         ]
+
+    def test_a_failed_bucket_raises_what_the_first_faulty_image_raises(self, space):
+        """Images 0 and 2 share a bucket, run first; image 1, of another
+        object count, fails with its own error, and so does image 2. The
+        batch raises image 1's error, as one forward per image in batch
+        order does."""
+        rng = np.random.default_rng(2)
+        records = [make_image(rng, n, space.num_object_classes, 6) for n in (3, 4, 3)]
+        records = [replace(img, gt=np.array([[0, 1, 1]])) for img in records]
+        for i in (1, 2):
+            records[i].features[0, 0] = 100.0 + i
+        images = Images.pack(records)
+        config = linear_config(space)
+        net = model_for(config.model)
+
+        def forward(image, *args):
+            tags = image.features[..., 0, 0].ravel()
+            if (tags >= 100.0).any():
+                raise FloatingPointError(f"image {int(tags[tags >= 100.0][0]) - 100} failed")
+            return net.forward(image, *args)
+
+        split, loss_fn = harness._prepare(config, images)
+        params = net.init(config.model, space, 6, rng)
+        batch = [0, 1, 2]
+        drawn = harness._draw(split, images.gt_start, batch, 0.0, rng)
+        with pytest.raises(FloatingPointError, match="^image 1 failed$"):
+            harness._batch_loss(config, Model(net.init, forward, net.backward), params,
+                                harness._Gradient(params, 3), loss_fn, split, images, batch, drawn)
+
+    @pytest.mark.parametrize("kind", ["linear", "dual_encoder"])
+    def test_the_model_runs_once_per_bucket_of_a_batch(self, space, data, kind, monkeypatch):
+        """Per iteration, one forward and then one backward call per bucket:
+        images of one object count ``n`` drawing ``m`` pairs, each key once."""
+        config = replace(
+            model_config(space, kind),
+            optimizer=OptimizerConfig(learning_rate=0.01, iterations=5, batch_size=8),
+        )
+        net = model_for(config.model)
+        calls = []
+
+        def forward(image, unions, pairs, *rest):
+            calls.append((image.labels.shape, pairs.shape))
+            return net.forward(image, unions, pairs, *rest)
+
+        def backward(*args):
+            calls.append(None)
+            return net.backward(*args)
+
+        monkeypatch.setattr(harness, "model_for", lambda spec: Model(net.init, forward, backward))
+        train(config, data[0])
+        steps = "".join("f" if c else "b" for c in calls).replace("bf", "b|f").split("|")
+        assert len(steps) == config.optimizer.iterations
+        at = 0
+        for step in steps:
+            forwards = calls[at : at + step.count("f")]
+            assert step == "f" * len(forwards) + "b" * len(forwards)
+            keys = [(labels[-1], pairs[-2]) for labels, pairs in forwards]
+            assert len(set(keys)) == len(keys)
+            assert sum(labels[0] for labels, _ in forwards) == config.optimizer.batch_size
+            assert len(keys) < config.optimizer.batch_size
+            at += len(step)
 
 
 def perfect_images(space):

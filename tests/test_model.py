@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tailbias.gradcert import check_model_instance
 from tailbias.model import (
@@ -324,6 +326,60 @@ class TestGradientAccumulation:
         for _ in range(2):
             assert net.backward(d_obj, d_rel, out, params, spec, grads) is grads
         assert np.array_equal(buffer, 2 * once)
+
+
+class TestBucketedBackward:
+    @example(seed=0, kind="dual_encoder", mode="predcls", b=3, n=4, shared=False, data=None)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(MODEL_KINDS),
+        mode=st.sampled_from(["predcls", "sgcls"]),
+        b=st.integers(1, 5),
+        n=st.integers(2, 5),
+        shared=st.booleans(),
+        data=st.data(),
+    )
+    def test_a_buckets_backward_equals_each_images_own(
+        self, seed, kind, mode, b, n, shared, data
+    ):
+        """``b`` images of ``n`` objects, forwarded on ``m`` drawn pairs of
+        their own, or on one ``(m, 2)`` array shared by all; the first image's
+        first two objects share a class in both modes. Each image's row of the
+        bucket's gradient equals its own backward bit for bit, and so do its
+        label-embedding rows, left to the caller through ``gathered`` and
+        added by ``np.add.at``."""
+        m = n * (n - 1) if data is None else data.draw(st.integers(0, n * (n - 1)))
+        spec = ModelSpec(kind=kind, d_model=8, d_e=4, d_pos=4, n_o=1, n_r=2, d_ff=8)
+        net = model_for(spec)
+        rng = np.random.default_rng(seed)
+        params = net.init(spec, LS, D_V, rng)
+        images = [make_image(rng, n, LS.num_object_classes, D_V) for _ in range(b)]
+        images[0].labels[1], images[0].scores[1] = images[0].labels[0], images[0].scores[0]
+        pairs = np.stack([all_ordered_pairs(n)[rng.permutation(n * (n - 1))[:m]] for _ in images])
+        if shared:
+            pairs = pairs[0]
+        unions = rng.normal(size=(b, m, D_V))
+        bucket = SynthImage(*(np.stack([getattr(img, f) for img in images])
+                              for f in ("boxes", "features", "labels", "scores")),
+                            unions=unions, gt=NO_GT)
+        out = net.forward(bucket, unions, pairs, params, spec, mode)
+        d_rel = rng.normal(size=out.relation_logits.shape)
+        d_obj = None if out.object_logits is None else rng.normal(size=out.object_logits.shape)
+        rows = np.zeros((b, flatten(params).size))
+        net.backward(d_obj, d_rel, out, params, spec, unflatten(params, rows))
+        gathered_rows, gathered = np.zeros_like(rows), []
+        net.backward(d_obj, d_rel, out, params, spec, unflatten(params, gathered_rows), gathered)
+        assert len(gathered) == (kind == "dual_encoder")
+        for i, img in enumerate(images):
+            one = net.forward(img, unions[i], pairs if shared else pairs[i], params, spec, mode)
+            assert np.array_equal(one.relation_logits, out.relation_logits[i])
+            want = net.backward(None if d_obj is None else d_obj[i], d_rel[i], one, params, spec)
+            assert np.array_equal(rows[i], flatten(want))
+            tree = unflatten(params, gathered_rows[i])
+            for name, index, table_rows in gathered:
+                np.add.at(getattr(tree, name), index[i], table_rows[i])
+            assert np.array_equal(gathered_rows[i], flatten(want))
 
 
 class TestSanityDescent:
