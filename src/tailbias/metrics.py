@@ -10,20 +10,20 @@ over foreground labels only, so adding any constant to the foreground logits
 (for example a uniform inference bias) leaves every ranking unchanged, and
 the background logit never influences scores.
 
-Two ranking protocols, both by stable sorts, so exact ties are broken by
-(pair position, relation label) ascending. ``without`` graph constraint
-ranks all of an image's candidates: ``np.argsort(-scores.ravel(),
-kind="stable")``. ``with`` keeps only each pair's best relation, the first
-maximum of its row (``argmax``), and ranks the pairs by a stable argsort of
-those scores.
+Two ranking protocols, both by descending score with exact ties broken by
+(pair position, relation label) ascending, the order of a stable sort.
+``without`` graph constraint ranks all of an image's candidates, as
+``np.argsort(-scores.ravel(), kind="stable")`` would. ``with`` keeps only
+each pair's best relation, the first maximum of its row (``argmax``), and
+ranks the pairs by those scores, ties to the earlier pair.
 
 A split stacks its images' matrices into one ``(ΣP, L)`` matrix, image ``i``
 at rows ``starts[i]:starts[i + 1]``. Recall needs only the rank position,
 within its image, of each ground-truth triplet, which :func:`rank` computes
-for the whole split once per constraint, by one row-wise stable argsort per
-image size; the triplet is in the top k exactly when its position is below
-k, so one ranking serves every k. Under ``with`` a triplet whose relation is
-not its pair's best is never retrieved (position :data:`MISS`).
+for the whole split once per constraint by counting the candidates ahead of
+it; the triplet is in the top k exactly when its position is below k, so
+one ranking serves every k. Under ``with`` a triplet whose relation is not
+its pair's best is never retrieved (position :data:`MISS`).
 
 ``recall@k`` is the fraction of an image's ground-truth triplets, matched on
 exact ``(s, o, relation)``, found in its top k; the dataset value averages
@@ -125,26 +125,56 @@ def rank(
     ``index`` of ``scores``; :data:`MISS` for candidates the protocol drops.
 
     ``scores`` stacks the :func:`score_triplets` matrices of a split, image
-    ``i`` at rows ``starts[i]:starts[i + 1]``. Each image is ranked on its own,
-    by one row-wise stable argsort over all images of the same block size.
+    ``i`` at rows ``starts[i]:starts[i + 1]``, all finite. A position counts
+    the image's candidates with a higher score, and those with an equal one
+    and a lower flat index (pair index under ``with``), by bisection.
     """
     if constraint not in CONSTRAINTS:
         raise ValueError(f"unknown constraint {constraint!r}")
-    flat, num_relations = scores.ravel(), scores.shape[1]
-    position = np.full(flat.size, MISS, dtype=np.int64)
+    if not np.isfinite(scores).all():
+        bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))[0]
+        raise ValueError(f"scores row {bad} is not finite")
+    index = np.asarray(index, dtype=np.int64)
+    row = index // scores.shape[1]
+    if constraint == "with":  # a pair's one candidate is its first best relation
+        top = scores.argmax(axis=1)
+        values = scores.ravel()[np.arange(0, scores.size, scores.shape[1]) + top, None]
+        kept, index = top[row] == index % scores.shape[1], row
+    else:
+        values, kept = scores, True
     sizes = np.diff(starts)
-    for size in np.unique(sizes):
-        first = starts[:-1][sizes == size, None]
-        # Each image's candidates in tie-break order: every (pair, relation)
-        # without the constraint, each pair's best relation with it.
-        if constraint == "without":
-            cells = first * num_relations + np.arange(size * num_relations)
-        else:
-            rows = first + np.arange(size)
-            cells = rows * num_relations + scores[rows].argmax(axis=2)
-        order = np.argsort(-flat[cells], axis=1, kind="stable")
-        position[np.take_along_axis(cells, order, axis=1)] = np.arange(cells.shape[1])
-    return position[index]
+    image = np.searchsorted(starts, row, side="right") - 1
+    # Queried image i from row first_row[i] on, bucket by bucket, each sorted by value.
+    ordered, first_row, end = np.empty_like(values), np.zeros_like(sizes), 0
+    for size in np.flatnonzero(np.bincount(sizes[image])):
+        members = np.flatnonzero(sizes == size)
+        first_row[members] = end + size * np.arange(members.size)
+        block = ordered[end : end + members.size * size].reshape(members.size, size, -1)
+        np.take(values, starts[members, None] + np.arange(size), axis=0, out=block)
+        block.reshape(members.size, -1).sort(axis=1)
+        end += members.size * size
+    ordered, flat = ordered.ravel(), values.ravel()
+    first, length = first_row[image] * values.shape[1], sizes[image] * values.shape[1]
+    last, v = first + length - 1, flat[index]
+    # ``at`` ends on the last candidate below v; a probe past the image's
+    # end reads its last candidate, which is not below v.
+    at = first - 1
+    for shift in reversed(range(int(length.max(initial=0)).bit_length())):
+        probe = at + (1 << shift)
+        at = np.where(ordered[np.minimum(probe, last)] < v, probe, at)
+    position = last - at - 1
+    # Where the next sorted candidate equals v too, count those ahead one by one.
+    tied = np.flatnonzero((at + 2 <= last) & (ordered[np.minimum(at + 2, last)] == v))
+    for size in np.unique(sizes[image[tied]]):
+        of_size = tied[sizes[image[tied]] == size]
+        step = np.count_nonzero(sizes == size)  # at most one bucket's block at a time
+        for chunk in range(0, of_size.size, step):
+            t = of_size[chunk : chunk + step]
+            cell = starts[image[t], None] * values.shape[1] + np.arange(length[t[0]])
+            score = flat[cell]
+            ahead = (score > v[t, None]) | ((score == v[t, None]) & (cell < index[t, None]))
+            position[t] = np.count_nonzero(ahead, axis=1)
+    return np.where(kept, position, MISS)
 
 
 def evaluate_split(

@@ -18,7 +18,10 @@ The evaluation is the object-per-candidate code that ``tailbias.metrics`` and
 ``tailbias.harness`` replaced with score matrices and rank positions: one
 :class:`TripletPrediction` per (pair, relation) candidate, a Python sort, and
 set membership for recall. The array path must reproduce its rankings, ties
-included, and its R@k / mR@k values exactly.
+included, and its R@k / mR@k values exactly. :func:`argsort_rank` is the
+array ranking that ``tailbias.metrics.rank`` replaced with counting: one
+row-wise stable argsort of every candidate of every image; the counting rank
+must give the same position for every query.
 
 In ``sgcls`` a candidate also carries the predicted labels of its two
 objects (the argmax of each object's probabilities) and a ground-truth
@@ -306,6 +309,28 @@ def rank(predictions, constraint="with"):
                 seen.add(key)
                 pool.append(best[key])
     return sorted(pool, key=lambda p: -p.score)
+
+
+def argsort_rank(scores, starts, index, constraint="with"):
+    """Rank position within its image of the candidates at flat ``index``,
+    by one row-wise stable argsort over all images of the same block size."""
+    if constraint not in CONSTRAINTS:
+        raise ValueError(f"unknown constraint {constraint!r}")
+    flat, num_relations = scores.ravel(), scores.shape[1]
+    position = np.full(flat.size, metrics.MISS, dtype=np.int64)
+    sizes = np.diff(starts)
+    for size in np.unique(sizes):
+        first = starts[:-1][sizes == size, None]
+        # Each image's candidates in tie-break order: every (pair, relation)
+        # without the constraint, each pair's best relation with it.
+        if constraint == "without":
+            cells = first * num_relations + np.arange(size * num_relations)
+        else:
+            rows = first + np.arange(size)
+            cells = rows * num_relations + scores[rows].argmax(axis=2)
+        order = np.argsort(-flat[cells], axis=1, kind="stable")
+        position[np.take_along_axis(cells, order, axis=1)] = np.arange(cells.shape[1])
+    return position[index]
 
 
 def recall_at_k(gt, ranked, k):

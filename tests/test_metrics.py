@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import mean_recall_at_k, preds, recall_at_k
+from oracle import argsort_rank, mean_recall_at_k, preds, recall_at_k
 from tailbias.metrics import (
+    CONSTRAINTS,
     MISS,
     METRICS_CSV_HEADER,
     candidate_index,
@@ -98,6 +99,14 @@ class TestRank:
         with pytest.raises(ValueError):
             rank(np.zeros((1, 2)), np.array([0, 1]), np.array([0]), "sometimes")
 
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_are_refused_by_row(self, bad, constraint):
+        scores = np.zeros((5, 2))
+        scores[3, 1], scores[4, 0] = bad, np.nan
+        with pytest.raises(ValueError, match="^scores row 3 is not finite$"):
+            rank(scores, np.array([0, 2, 5]), np.array([0]), constraint)
+
 
 class TestRecallAtK:
     def test_all_found(self):
@@ -181,6 +190,37 @@ def tied_split(draw):
     image, pair, relations = np.array(triplets, dtype=np.int64).reshape(-1, 3).T
     index = (starts[image] + pair) * num_relations + relations - 1
     return scores, starts, index, relations, image, num_relations
+
+
+@st.composite
+def heavy_ties(draw):
+    """A split of images of 0, 1, 2, 6 or 12 pairs whose scores are rounded
+    to one decimal, all zero, or drawn freely, queried at no candidate, at
+    every candidate in order, or at drawn candidates, unsorted with
+    duplicates; returns the scores, their per-image starts and the query."""
+    num_relations = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.sampled_from([0, 1, 2, 6, 12]), min_size=1, max_size=6))
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    size = sum(sizes) * num_relations
+    cells = draw(st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size))
+    scores = np.array(cells, dtype=np.float64).reshape(-1, num_relations)
+    scores = draw(st.sampled_from([scores.round(1), np.zeros_like(scores), scores]))
+    queries = draw(st.sampled_from(["none", "every", "drawn"]))
+    if queries == "every":
+        return scores, starts, np.arange(size)
+    drawn = draw(st.lists(st.integers(0, max(size - 1, 0)), max_size=40 if size else 0))
+    return scores, starts, np.array(drawn if queries == "drawn" else [], dtype=np.int64)
+
+
+@given(st.one_of(tied_split().map(lambda case: case[:3]), heavy_ties()))
+@settings(max_examples=200, deadline=None)
+def test_counting_rank_equals_the_stable_argsort_oracle(case):
+    """Counting the candidates ahead gives every query the position a stable
+    argsort of its image gives it, exact ties included."""
+    scores, starts, index = case
+    for constraint in CONSTRAINTS:
+        got = rank(scores, starts, index, constraint)
+        assert np.array_equal(got, argsort_rank(scores, starts, index, constraint))
 
 
 class TestEvaluateSplit:

@@ -12,6 +12,7 @@ import numpy as np
 import tailbias.gradcert as gradcert
 import tailbias.harness as harness
 import tailbias.losses as losses
+import tailbias.metrics as metrics
 import tailbias.model as model
 import tailbias.numerics as numerics
 from tailbias import bias, synth
@@ -34,6 +35,8 @@ def test_traced_functions_keep_their_module_bindings():
     assert harness.ce is losses.ce
     assert harness.biased_ce is losses.biased_ce
     assert harness.forward is model.forward
+    assert harness.rank is metrics.rank
+    assert harness.score_triplets is metrics.score_triplets
     assert gradcert.grad_check is numerics.grad_check
     assert gradcert.encoder_layer is numerics.encoder_layer
     assert model.encoder_layer is numerics.encoder_layer
