@@ -11,10 +11,9 @@ with ``a`` controlling how spread out the biases are and ``epsilon`` capping
 the largest one. Four weight choices are supported: per-relation sample counts
 (``cb``), distinct valid-pair counts (``vb``), pair-conditional counts
 (``pb``), and the geometric-mean estimated counts (``eb``). ``cb``/``vb``
-yield one global vector; ``pb``/``eb`` yield a table keyed by ordered class
-pair with a uniform-weight fallback. :func:`bias_table` turns either into one
-dense ``(L_e, L_e, C)`` array, from which training and evaluation gather the
-rows of whole label arrays at once.
+yield one global vector; ``pb``/``eb`` a :class:`PairBiasTable` of dense
+``(L_e, L_e, C)`` rows, uniform where a class pair has no weight.
+:func:`bias_table` gives either as such an array, to gather rows at once.
 """
 
 from __future__ import annotations
@@ -22,11 +21,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import ClassVar, Union
 
 import numpy as np
 
-from .stats import TripletStats, from_dict, marginal_counts, pair_counts, sppo_counts
+from .stats import TripletStats, _is_int64, from_dict, marginal_counts, pair_counts, sppo_counts
 
 __all__ = [
     "GLOBAL_KINDS",
@@ -88,10 +88,7 @@ class BiasVector:
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.shape[0] < 2:
             raise ValueError("bias vector must be 1-D with a background slot")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(
-                "bias vector has non-finite entries; raise epsilon or drop zero-weight relations"
-            )
+        _check_finite(values)
 
     @property
     def foreground(self) -> np.ndarray:
@@ -104,13 +101,33 @@ class BiasVector:
 
 @dataclass(frozen=True)
 class PairBiasTable:
-    """Per-(subject class, object class) bias vectors with a shared fallback."""
+    """Per-(subject class, object class) bias rows: ``rows[s, o]`` is the pair's
+    own row where ``stored[s, o]`` and the fallback's values elsewhere. ``rows``
+    must be finite and is made read-only, as :func:`bias_table` shares it."""
 
-    entries: dict[tuple[int, int], BiasVector]
+    rows: np.ndarray  # (L_e, L_e, C) float64
+    stored: np.ndarray  # (L_e, L_e) bool
     fallback: BiasVector
+
+    def __post_init__(self) -> None:
+        _check_finite(self.rows)
+        self.rows.flags.writeable = False
+
+    @cached_property
+    def entries(self) -> dict[tuple[int, int], BiasVector]:
+        """Views of the stored rows keyed by ``(s, o)``, in row-major order."""
+        pairs = np.argwhere(self.stored).tolist()
+        return {(s, o): BiasVector(self.rows[s, o]) for s, o in pairs}
 
 
 Bias = Union[BiasVector, PairBiasTable]
+
+
+def _check_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(
+            "bias vector has non-finite entries; raise epsilon or drop zero-weight relations"
+        )
 
 
 def weights_to_bias(w: np.ndarray, a: float, epsilon: float) -> np.ndarray:
@@ -136,26 +153,17 @@ def weights_to_bias(w: np.ndarray, a: float, epsilon: float) -> np.ndarray:
         return -np.log(powered / norm + epsilon)
 
 
-def _assemble(spec: BiasSpec, foreground: np.ndarray, num_relations: int) -> BiasVector:
-    values = np.empty(num_relations + 1, dtype=np.float64)
-    values[0] = (
-        math.log(1.0 / num_relations) if spec.background is None else spec.background
-    )
-    values[1:] = foreground
-    return BiasVector(values)
-
-
 def _build(spec: BiasSpec, stats: TripletStats, a: float) -> Bias:
     ls = stats.label_space
     n_rel = ls.num_relations
-    uniform = _assemble(spec, weights_to_bias(np.ones(n_rel), a, spec.epsilon), n_rel)
+    background = math.log(1.0 / n_rel) if spec.background is None else spec.background
 
     if spec.kind in GLOBAL_KINDS:
         relation, valid = marginal_counts(stats)
         w = relation[1:] if spec.kind == "cb" else valid[1:]
         if a > 0 and w.sum() == 0:
             raise ValueError(f"{spec.kind} bias needs nonempty statistics when a > 0")
-        return _assemble(spec, weights_to_bias(w, a, spec.epsilon), n_rel)
+        return BiasVector(np.append(background, weights_to_bias(w, a, spec.epsilon)))
 
     # One weight row per ordered class pair. eb estimates a distribution for
     # every pair whose side marginals intersect, including pairs never
@@ -164,12 +172,10 @@ def _build(spec: BiasSpec, stats: TripletStats, a: float) -> Bias:
     weight_fn = pair_counts if spec.kind == "pb" else sppo_counts
     weights = weight_fn(stats, subjects, objects)[..., 1:]
     stored = weights.sum(axis=-1) > 0
-    rows = weights_to_bias(weights[stored], a, spec.epsilon)
-    entries = {
-        (int(s), int(o)): _assemble(spec, row, n_rel)
-        for (s, o), row in zip(np.argwhere(stored), rows)
-    }
-    return PairBiasTable(entries=entries, fallback=uniform)
+    uniform = BiasVector(np.append(background, weights_to_bias(np.ones(n_rel), a, spec.epsilon)))
+    rows = np.tile(uniform.values, (*stored.shape, 1))
+    rows[stored, 1:] = weights_to_bias(weights[stored], a, spec.epsilon)
+    return PairBiasTable(rows=rows, stored=stored, fallback=uniform)
 
 
 def compute_bias(spec: BiasSpec, stats: TripletStats) -> Bias:
@@ -196,17 +202,22 @@ def bias_table(bias: Bias, num_object_classes: int) -> np.ndarray:
 
     ``table[s_classes, o_classes]`` gathers the rows for arrays of (subject,
     object) class labels in one step. A global vector is broadcast to every
-    pair as a read-only view; a pair table holds its stored entries and the
-    fallback row everywhere else.
+    pair as a read-only view, and a pair table of ``num_object_classes``
+    classes is its own read-only ``rows``. A smaller table, as read from a
+    file, is padded with its fallback row; a stored pair outside
+    ``num_object_classes`` raises ``ValueError``.
     """
     n = num_object_classes
     if isinstance(bias, BiasVector):
         return np.broadcast_to(bias.values, (n, n, bias.values.shape[0]))
+    size = len(bias.stored)
+    if size == n:
+        return bias.rows
+    outside = [pair for pair in bias.entries if max(pair) >= n]
+    if outside:
+        raise ValueError(f"bias entry for class pair {outside[0]} outside {n} object classes")
     table = np.tile(bias.fallback.values, (n, n, 1))
-    for (s, o), vec in bias.entries.items():
-        if not (0 <= s < n and 0 <= o < n):
-            raise ValueError(f"bias entry for class pair {(s, o)} outside {n} object classes")
-        table[s, o] = vec.values
+    table[:size, :size] = bias.rows[:n, :n]
     return table
 
 
@@ -215,37 +226,51 @@ def bias_to_json(spec: BiasSpec, bias: Bias) -> str:
     if isinstance(bias, BiasVector):
         doc["values"] = bias.values.tolist()
     else:
-        doc["entries"] = [
-            [s, o, vec.values.tolist()] for (s, o), vec in sorted(bias.entries.items())
-        ]
+        doc["entries"] = [[s, o, vec.values.tolist()] for (s, o), vec in bias.entries.items()]
         doc["fallback"] = bias.fallback.values.tolist()
     return json.dumps(doc)
 
 
+def _vector(values, where: str) -> BiasVector:
+    try:
+        return BiasVector(np.asarray(values, dtype=np.float64))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def bias_from_json(text: str) -> tuple[BiasSpec, Bias]:
     """Parse :func:`bias_to_json` output; a pair table's ``entries`` must be a
-    list of ``[s, o, values]`` with ``values`` as long as the fallback."""
+    list of ``[s, o, values]`` with no ``(s, o)`` twice, ``s, o >= 0`` and
+    ``values`` as long as the fallback, and it spans classes up to the largest."""
     doc = json.loads(text)
     spec = from_dict(BiasSpec, doc, extra=("values", "entries", "fallback"))
-    if "values" in doc:
-        return spec, BiasVector(np.asarray(doc["values"], dtype=np.float64))
-    fallback = BiasVector(np.asarray(doc["fallback"], dtype=np.float64))
+    pair = spec.kind in PAIR_KINDS
+    for key in ("entries", "fallback") if pair else ("values",):
+        if key not in doc:
+            raise ValueError(f"missing key {key!r} in bias file")
+    if not pair:
+        return spec, _vector(doc["values"], "bias key 'values'")
+    fallback = _vector(doc["fallback"], "bias key 'fallback'")
     raw = doc["entries"]
     if not isinstance(raw, list):
         raise ValueError("bias entries must be a list of [s, o, values]")
-    entries = {}
+    found: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
     for i, entry in enumerate(raw):
         s, o, values = entry if isinstance(entry, list) and len(entry) == 3 else (None,) * 3
-        if not (isinstance(s, int) and isinstance(o, int)):
-            raise ValueError(f"bias entry {i} is not [s, o, values]")
-        try:
-            vec = BiasVector(np.asarray(values, dtype=np.float64))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bias entry {i} for class pair {(s, o)}: {exc}") from None
+        if not (_is_int64(s) and _is_int64(o) and min(s, o) >= 0):
+            raise ValueError(f"bias entry {i} is not [s, o, values] with classes s, o >= 0")
+        where = f"bias entry {i} for class pair {(s, o)}"
+        vec = _vector(values, where)
         if vec.values.shape != fallback.values.shape:
             raise ValueError(
-                f"bias entry {i} for class pair {(s, o)} has {len(vec.values)} values; "
-                f"the fallback has {len(fallback.values)}"
+                f"{where} has {len(vec.values)} values; the fallback has {len(fallback.values)}"
             )
-        entries[(s, o)] = vec
-    return spec, PairBiasTable(entries=entries, fallback=fallback)
+        if (s, o) in found:
+            raise ValueError(f"{where} repeats entry {found[(s, o)][0]}")
+        found[(s, o)] = i, vec.values
+    size = 1 + max(map(max, found), default=-1)
+    table = np.tile(fallback.values, (size, size, 1))
+    stored = np.zeros((size, size), dtype=bool)
+    for (s, o), (_, values) in found.items():
+        table[s, o], stored[s, o] = values, True
+    return spec, PairBiasTable(rows=table, stored=stored, fallback=fallback)

@@ -47,7 +47,7 @@ from typing import Callable, ClassVar, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__
-from .bias import Bias, BiasSpec, BiasVector, bias_table, compute_bias, soft_bias
+from .bias import Bias, BiasSpec, bias_table, compute_bias, soft_bias
 from .losses import LOSS_KINDS, LossConfig, LossOutput, baseline_loss, biased_ce, ce
 from .metrics import (
     CONSTRAINTS,
@@ -298,7 +298,7 @@ def make_loss_fn(config: TrainConfig, bias: Bias | None, class_counts: np.ndarra
     if kind == "rtpb":
         if bias is None:
             raise ValueError("rtpb loss needs a bias")
-        table = bias_table(bias, config.label_space.num_object_classes)
+        table = _check_bias_compatible(bias, config.label_space)
         return lambda z, y, s_classes, o_classes: biased_ce(z, table[s_classes, o_classes], y)
     return lambda z, y, s_classes, o_classes: baseline_loss(config.loss, z, y, class_counts)
 
@@ -481,10 +481,7 @@ def _prepare(
     gt_image = _truth(images, ls, images.features.shape[1])
     stats = _triplet_stats(images, gt_image, ls)
     split = _pack(images, gt_image, ls, config.task)
-    bias = None
-    if config.bias is not None:
-        bias = compute_bias(config.bias, stats)
-        _check_bias_compatible(bias, ls)
+    bias = None if config.bias is None else compute_bias(config.bias, stats)
     if loss_fn is None:
         class_counts = marginal_counts(stats)[0].copy()
         class_counts[0] = len(split.pairs) - len(split.fg_rows)  # background pairs
@@ -563,13 +560,13 @@ def train(
     return checkpoint, runlog
 
 
-def _check_bias_compatible(bias: Bias, ls: LabelSpace) -> None:
-    vec = bias if isinstance(bias, BiasVector) else bias.fallback
-    if vec.values.shape[0] != ls.num_relations + 1:
+def _check_bias_compatible(bias: Bias, ls: LabelSpace) -> np.ndarray:
+    table = bias_table(bias, ls.num_object_classes)
+    if table.shape[-1] != ls.num_relations + 1:
         raise ValueError(
-            f"bias length {vec.values.shape[0]} incompatible with "
-            f"{ls.num_relations} relations"
+            f"bias length {table.shape[-1]} incompatible with {ls.num_relations} relations"
         )
+    return table
 
 
 class _Scored(NamedTuple):
@@ -663,8 +660,7 @@ def _rank_split(
     ls = config.label_space
     logits = scored.relation_logits
     if inference_bias is not None:
-        _check_bias_compatible(inference_bias, ls)
-        table = bias_table(inference_bias, ls.num_object_classes)
+        table = _check_bias_compatible(inference_bias, ls)
         logits = logits - table[scored.pair_classes[:, 0], scored.pair_classes[:, 1]]
     scores = score_triplets(scored.pair_scores, logits)
     return {

@@ -42,17 +42,31 @@ that ``tailbias.harness._truth`` replaced with array masks over the split,
 and the record check is the per-image check of every built image that
 ``tailbias.synth.Images.pack`` replaced with one check over the split; each
 must refuse the same image with the same message.
+
+Bias construction is the per-entry code that ``tailbias.bias`` replaced with
+one dense array of rows: a pair table built as one validated ``BiasVector``
+per stored class pair, then tiled and scattered into a dense table one entry
+at a time. The dense rows, their ``bias_table``, their ``entries`` and their
+JSON must equal it bit for bit.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from tailbias import harness, metrics
-from tailbias.bias import BiasVector, compute_bias, lookup_pair_bias, soft_bias
+from tailbias.bias import (
+    GLOBAL_KINDS,
+    BiasVector,
+    compute_bias,
+    lookup_pair_bias,
+    soft_bias,
+    weights_to_bias,
+)
 from tailbias.losses import LossOutput
 from tailbias.metrics import CONSTRAINTS, EvalResult
 from tailbias.model import class_labels, model_for
@@ -65,7 +79,7 @@ from tailbias.numerics import (
     running_sum,
     unflatten,
 )
-from tailbias.stats import TripletStats, marginal_counts
+from tailbias.stats import TripletStats, marginal_counts, pair_counts, sppo_counts
 from tailbias.synth import all_ordered_pairs
 
 
@@ -685,3 +699,56 @@ def check_records(images):
             check_record(img, images[0])
         except ValueError as exc:
             raise ValueError(f"image {i}: {exc}") from None
+
+
+def _assemble(spec, foreground, num_relations):
+    values = np.empty(num_relations + 1, dtype=np.float64)
+    values[0] = (
+        math.log(1.0 / num_relations) if spec.background is None else spec.background
+    )
+    values[1:] = foreground
+    return BiasVector(values)
+
+
+def build_bias(spec, stats, a):
+    """The bias of ``spec`` at exponent ``a``: a ``BiasVector`` for a global
+    kind, else ``(entries, fallback)``, one assembled vector per stored pair."""
+    ls = stats.label_space
+    n_rel = ls.num_relations
+    uniform = _assemble(spec, weights_to_bias(np.ones(n_rel), a, spec.epsilon), n_rel)
+
+    if spec.kind in GLOBAL_KINDS:
+        relation, valid = marginal_counts(stats)
+        w = relation[1:] if spec.kind == "cb" else valid[1:]
+        if a > 0 and w.sum() == 0:
+            raise ValueError(f"{spec.kind} bias needs nonempty statistics when a > 0")
+        return _assemble(spec, weights_to_bias(w, a, spec.epsilon), n_rel)
+
+    subjects, objects = np.indices((ls.num_object_classes,) * 2)
+    weight_fn = pair_counts if spec.kind == "pb" else sppo_counts
+    weights = weight_fn(stats, subjects, objects)[..., 1:]
+    stored = weights.sum(axis=-1) > 0
+    rows = weights_to_bias(weights[stored], a, spec.epsilon)
+    entries = {
+        (int(s), int(o)): _assemble(spec, row, n_rel)
+        for (s, o), row in zip(np.argwhere(stored), rows)
+    }
+    return entries, uniform
+
+
+def dense_table(entries, fallback, n):
+    """The fallback tiled over ``n x n`` class pairs, each entry scattered in."""
+    table = np.tile(fallback.values, (n, n, 1))
+    for (s, o), vec in entries.items():
+        if not (0 <= s < n and 0 <= o < n):
+            raise ValueError(f"bias entry for class pair {(s, o)} outside {n} object classes")
+        table[s, o] = vec.values
+    return table
+
+
+def bias_json(spec, entries, fallback):
+    """A pair table's JSON, its entries written in sorted ``(s, o)`` order."""
+    doc = asdict(spec)
+    doc["entries"] = [[s, o, vec.values.tolist()] for (s, o), vec in sorted(entries.items())]
+    doc["fallback"] = fallback.values.tolist()
+    return json.dumps(doc)

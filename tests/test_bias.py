@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from tailbias.bias import (
     BiasSpec,
     BiasVector,
@@ -19,7 +21,7 @@ from tailbias.bias import (
     soft_bias,
     weights_to_bias,
 )
-from tailbias.stats import LabelSpace, from_dict, ingest
+from tailbias.stats import LabelSpace, TripletStats, from_dict, ingest
 
 LOG2 = 0.6931471805599453
 LOG50 = 3.912023005428146
@@ -235,6 +237,22 @@ class TestLookupAndApply:
         assert np.shares_memory(dense, vec.values)
         assert np.array_equal(dense[1, 0], vec.values)
 
+    def test_dense_table_of_a_pair_table_is_its_read_only_rows(self, small_space):
+        # A sweep reuses one soft bias per grid point: no caller may write to it.
+        stats = ingest([(1, 2, 3)] * 2 + [(4, 0, 1)], small_space)
+        table = compute_bias(BiasSpec(kind="pb", a=1.0, epsilon=1e-3), stats)
+        dense = bias_table(table, small_space.num_object_classes)
+        assert np.shares_memory(dense, table.rows)
+        with pytest.raises(ValueError, match="read-only"):
+            dense[1, 2, 3] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            table.entries[(1, 2)].values[3] = 0.0
+
+    def test_dense_table_crops_a_larger_table(self, small_space):
+        stats = ingest([(1, 2, 3)], small_space)
+        table = compute_bias(BiasSpec(kind="pb", a=1.0, epsilon=1e-3), stats)
+        assert np.array_equal(bias_table(table, 3), table.rows[:3, :3])
+
     def test_dense_table_rejects_entry_outside_classes(self, small_space):
         stats = ingest([(5, 2, 3)], small_space)
         table = compute_bias(BiasSpec(kind="pb", a=1.0, epsilon=1e-3), stats)
@@ -289,12 +307,62 @@ class TestSerialization:
             ([[0, 1, [0.0, "x", 0.0]]], r"bias entry 0 for class pair \(0, 1\): "),
             ([[0, 1, [0.0, None, 0.0]]], r"bias entry 0 .*non-finite"),
             ([[0, 1, [[0.0], [0.0], [0.0]]]], r"bias entry 0 .*1-D"),
+            (
+                [[0, 1, [0.0] * 3], [2, 3, [0.0] * 3], [0, 1, [1.0] * 3]],
+                r"^bias entry 2 for class pair \(0, 1\) repeats entry 0$",
+            ),
+            ([[-1, 1, [0.0] * 3]], r"^bias entry 0 is not \[s, o, values\] with classes s, o >= 0"),
+            ([[0, 1, [0.0] * 3], [0, True, [0.0] * 3]], r"^bias entry 1 is not \[s, o, values\]"),
+            ([[0, 1, ["abc", 0.0, 0.0]]], r"^bias entry 0 for class pair \(0, 1\): could not conv"),
         ],
     )
     def test_malformed_pair_table_names_the_entry(self, entries, message):
         doc = {"kind": "pb", "a": 1.0, "entries": entries, "fallback": [0.0, 1.0, 2.0]}
         with pytest.raises(ValueError, match=message):
             bias_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"kind": "cb"}, "missing key 'values' in bias file"),
+            ({"kind": "cb", "entries": [], "fallback": [0.0, 1.0]}, "missing key 'values'"),
+            ({"kind": "pb", "entries": []}, "missing key 'fallback' in bias file"),
+            ({"kind": "eb", "fallback": [0.0, 1.0]}, "missing key 'entries' in bias file"),
+            ({"kind": "vb", "values": "abc"},
+             "bias key 'values': could not convert string to float: 'abc'"),
+            ({"kind": "cb", "values": [0.0, "abc"]},
+             "bias key 'values': could not convert string to float: 'abc'"),
+            ({"kind": "pb", "entries": [], "fallback": ["abc", 1.0]},
+             "bias key 'fallback': could not convert string to float: 'abc'"),
+            ({"kind": "pb", "entries": [], "fallback": [0.0, math.inf]},
+             "bias key 'fallback': bias vector has non-finite entries"),
+        ],
+        ids=["no-values", "pair-keys-for-cb", "no-fallback", "no-entries", "values-string",
+             "values-row", "fallback-row", "fallback-inf"],
+    )
+    def test_missing_or_non_numeric_key_is_named(self, doc, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            bias_from_json(json.dumps(doc))
+
+    def test_read_table_spans_its_largest_class_and_pads_to_the_label_space(self):
+        fallback = [0.5, 1.0, 2.0]
+        doc = {"kind": "pb", "fallback": fallback,
+               "entries": [[2, 0, [0.0, 3.0, 4.0]], [0, 1, [0.0, 5.0, 6.0]]]}
+        _, table = bias_from_json(json.dumps(doc))
+        assert table.rows.shape == (3, 3, 3)
+        assert list(table.entries) == [(0, 1), (2, 0)]
+        assert np.argwhere(table.stored).tolist() == [[0, 1], [2, 0]]
+        assert bias_table(table, 3) is table.rows
+        expected = oracle.dense_table(table.entries, table.fallback, 5)
+        assert np.array_equal(bias_table(table, 5), expected)
+        assert np.array_equal(expected[4, 4], fallback)
+        with pytest.raises(ValueError, match=r"^bias entry for class pair \(2, 0\) outside 2 "):
+            bias_table(table, 2)
+
+    def test_read_table_without_entries_is_the_fallback_everywhere(self):
+        _, table = bias_from_json(json.dumps({"kind": "eb", "entries": [], "fallback": [0.0, 1.0]}))
+        assert table.rows.shape == (0, 0, 2) and table.entries == {}
+        assert np.array_equal(bias_table(table, 2), np.tile([0.0, 1.0], (2, 2, 1)))
 
     def test_entry_length_checked_beyond_the_fallback(self, small_space):
         # Evaluation checks only the fallback against the label space, so
@@ -310,3 +378,54 @@ class TestSerialization:
 def test_bias_vector_rejects_nonfinite():
     with pytest.raises(ValueError):
         BiasVector(np.array([0.0, np.inf]))
+
+
+class TestAgainstPerEntryOracle:
+    """The dense construction against the per-entry code it replaced."""
+
+    @given(
+        kind=st.sampled_from(["pb", "eb", "cb", "vb"]),
+        num_classes=st.integers(1, 5),
+        num_relations=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.0, 0.1, 0.4, 1.0]),
+        a=st.sampled_from([0.0, 0.37, 1.0, 2.5]),
+        a_eval_share=st.sampled_from([0.0, 0.5, 1.0]),
+        epsilon=st.sampled_from([0.0, 1e-6, 1e-3, 0.5, 1.0]),
+        background=st.one_of(st.none(), st.floats(-5.0, 5.0)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_entries_and_json_match(
+        self, kind, num_classes, num_relations, seed, density, a, a_eval_share, epsilon,
+        background,
+    ):
+        ls = LabelSpace(num_object_classes=num_classes, num_relations=num_relations)
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 9, (num_classes, num_classes, num_relations + 1))
+        counts *= rng.random(counts.shape) < density
+        counts[..., 0] = 0
+        stats = TripletStats(ls, counts.astype(np.int64))
+        spec = BiasSpec(kind=kind, a=a, epsilon=epsilon, a_eval=a * a_eval_share,
+                        background=background)
+        for build, exponent in ((compute_bias, spec.a), (soft_bias, spec.a_eval)):
+            try:
+                expected = oracle.build_bias(spec, stats, exponent)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    build(spec, stats)
+                continue
+            got = build(spec, stats)
+            if kind in ("cb", "vb"):
+                assert np.array_equal(got.values, expected.values)
+                doc = {**asdict(spec), "values": expected.values.tolist()}
+                assert bias_to_json(spec, got) == json.dumps(doc)
+                continue
+            entries, fallback = expected
+            dense = oracle.dense_table(entries, fallback, num_classes)
+            assert np.array_equal(got.rows, dense)
+            assert np.array_equal(bias_table(got, num_classes), dense)
+            assert np.array_equal(got.fallback.values, fallback.values)
+            assert list(got.entries) == list(entries)
+            for key, vec in entries.items():
+                assert np.array_equal(got.entries[key].values, vec.values)
+            assert bias_to_json(spec, got) == oracle.bias_json(spec, entries, fallback)

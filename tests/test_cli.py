@@ -587,21 +587,33 @@ class TestErrors:
         assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize(
-        "entries, message",
+        "fields, message",
         [
-            (None, "bias entries must be a list of [s, o, values]"),
-            ([[0, 1, [0.0, 0.0, 0.0]]], "bias entry 0 for class pair (0, 1) has 3 values; "
-             "the fallback has 7"),
+            ({"entries": None}, "bias entries must be a list of [s, o, values]"),
+            ({"entries": [[0, 1, [0.0, 0.0, 0.0]]]}, "bias entry 0 for class pair (0, 1) has 3 "
+             "values; the fallback has 7"),
+            ({"kind": "cb"}, "missing key 'values' in bias file"),
+            ({"kind": "cb", "values": "abc"},
+             "bias key 'values': could not convert string to float: 'abc'"),
+            ({"entries": [[0, 1, [0.0] * 7], [0, 1, [1.0] * 7]]},
+             "bias entry 1 for class pair (0, 1) repeats entry 0"),
+            ({"entries": [[0, -1, [0.0] * 7]]},
+             "bias entry 0 is not [s, o, values] with classes s, o >= 0"),
+            ({"entries": [[False, 1, [0.0] * 7]]},
+             "bias entry 0 is not [s, o, values] with classes s, o >= 0"),
+            ({"entries": [[1, 2, [0.0] * 7], [7, 0, [0.0] * 7]]},
+             "bias entry for class pair (7, 0) outside 5 object classes"),
         ],
-        ids=["null-entries", "short-entry"],
+        ids=["null-entries", "short-entry", "no-values", "values-string", "repeat", "negative",
+             "bool", "outside-classes"],
     )
     def test_malformed_bias_json_gives_json_error(
-        self, workspace, tmp_path, capsys, entries, message
+        self, workspace, tmp_path, capsys, fields, message
     ):
         _, data_dir, _, _, run_dir = workspace
         bias = tmp_path / "bias.json"
         bias.write_text(json.dumps(
-            {"kind": "pb", "a": 1.0, "entries": entries, "fallback": [0.0] * 7}
+            {"kind": "pb", "a": 1.0, "entries": [], "fallback": [0.0] * 7, **fields}
         ))
         capsys.readouterr()
         code = main([
@@ -611,8 +623,26 @@ class TestErrors:
         ])
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())["error"]
-        assert err == {"type": "ValueError", "message": message}
+        assert err == {"type": "ValueError", "message": f"{bias}: {message}"}
         assert not (tmp_path / "eval").exists()
+
+    def test_smaller_bias_table_is_padded_with_its_fallback(self, workspace, tmp_path):
+        # A pair table read from a file spans only up to its largest class.
+        _, data_dir, _, _, run_dir = workspace
+        fallback = [0.0] + [1.0] * 6
+        out = {}
+        for name, entries in (("padded", [[0, 1, fallback]]), ("full", [[4, 4, fallback]])):
+            bias = tmp_path / f"{name}.json"
+            bias.write_text(json.dumps(
+                {"kind": "pb", "a": 1.0, "entries": entries, "fallback": fallback}
+            ))
+            assert main([
+                "eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                "--data", str(data_dir / "test.jsonl"), "--bias", str(bias),
+                "--out", str(tmp_path / name),
+            ]) == 0
+            out[name] = (tmp_path / name / "metrics.csv").read_bytes()
+        assert out["padded"] == out["full"]
 
     @pytest.mark.parametrize("command", ["bias", "sweep"])
     @pytest.mark.parametrize(
