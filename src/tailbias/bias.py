@@ -232,16 +232,20 @@ def bias_to_json(spec: BiasSpec, bias: Bias) -> str:
 
 
 def _vector(values, where: str) -> BiasVector:
+    for v in values if isinstance(values, list) else ():  # refused, not converted
+        if isinstance(v, (str, bool)) or v is None:
+            raise ValueError(f"{where}: {v!r} is not a number")
     try:
         return BiasVector(np.asarray(values, dtype=np.float64))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
-def bias_from_json(text: str) -> tuple[BiasSpec, Bias]:
+def bias_from_json(text: str, num_object_classes: int | None = None) -> tuple[BiasSpec, Bias]:
     """Parse :func:`bias_to_json` output; a pair table's ``entries`` must be a
-    list of ``[s, o, values]`` with no ``(s, o)`` twice, ``s, o >= 0`` and
-    ``values`` as long as the fallback, and it spans classes up to the largest."""
+    list of ``[s, o, values]`` with no ``(s, o)`` twice, ``s, o >= 0`` (below
+    ``num_object_classes``, if given) and ``values`` as long as the fallback,
+    and it spans classes up to the largest."""
     doc = json.loads(text)
     spec = from_dict(BiasSpec, doc, extra=("values", "entries", "fallback"))
     pair = spec.kind in PAIR_KINDS
@@ -260,6 +264,8 @@ def bias_from_json(text: str) -> tuple[BiasSpec, Bias]:
         if not (_is_int64(s) and _is_int64(o) and min(s, o) >= 0):
             raise ValueError(f"bias entry {i} is not [s, o, values] with classes s, o >= 0")
         where = f"bias entry {i} for class pair {(s, o)}"
+        if num_object_classes is not None and max(s, o) >= num_object_classes:
+            raise ValueError(f"{where} outside {num_object_classes} object classes")
         vec = _vector(values, where)
         if vec.values.shape != fallback.values.shape:
             raise ValueError(

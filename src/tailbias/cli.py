@@ -16,7 +16,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .bias import BiasSpec, bias_from_json, bias_table, bias_to_json, compute_bias
+from .bias import BiasSpec, bias_from_json, bias_to_json, compute_bias
 from .gradcert import run_certification
 from .harness import (
     TrainConfig,
@@ -141,8 +141,8 @@ def cmd_eval(args) -> int:
     inference_bias = None
     if args.bias:
         try:
-            _, inference_bias = bias_from_json(Path(args.bias).read_text(encoding="utf-8"))
-            bias_table(inference_bias, checkpoint.config.label_space.num_object_classes)
+            _, inference_bias = bias_from_json(Path(args.bias).read_text(encoding="utf-8"),
+                                               checkpoint.config.label_space.num_object_classes)
         except ValueError as exc:
             raise ValueError(f"{args.bias}: {exc}") from None
     results = evaluate(checkpoint, images, inference_bias=inference_bias, ks=ks)

@@ -74,7 +74,7 @@ from .model import (
 )
 from .numerics import flatten, leaf_names, leaves, running_sum, unflatten
 from .stats import LabelSpace, TripletStats, from_dict, marginal_counts, refuse_first
-from .synth import Images, SynthImage, _offsets, all_ordered_pairs
+from .synth import Images, SynthImage, _offsets, _ranges, all_ordered_pairs
 
 __all__ = [
     "LOSS_KINDS",
@@ -240,9 +240,12 @@ def _pack(images: Images, gt_image: np.ndarray, label_space: LabelSpace, task: s
     num_relations = label_space.num_relations
     counts = np.diff(images.obj_start)
     pair_start = images.pair_start
-    ordered = {k: all_ordered_pairs(k) for k in set(counts.tolist())}
-    pairs = np.concatenate([ordered[k] for k in counts.tolist()])
-    pairs += np.repeat(images.obj_start[:-1], np.diff(pair_start))[:, None]
+    # Local pair j of an n-object image is (s, t + (t >= s)), s, t = divmod(j, n - 1).
+    per_image = np.diff(pair_start)
+    s, t = np.divmod(np.arange(pair_start[-1]) - np.repeat(pair_start[:-1], per_image),
+                     np.repeat(counts - 1, per_image))
+    first = np.repeat(images.obj_start[:-1], per_image)
+    pairs = np.stack([first + s, first + t + (t >= s)], axis=1)
 
     # Global pair row and relation, sorted: per image, candidate_index order.
     local = candidate_index(images.gt, counts[gt_image], num_relations)
@@ -288,9 +291,11 @@ def make_loss_fn(config: TrainConfig, bias: Bias | None, class_counts: np.ndarra
     """Resolve the configured loss into ``f(logits, targets, s_classes, o_classes)``.
 
     Training calls it once per batch, with the batch's ``(Σm, C)`` block of
-    relation rows; the other three are ``(Σm,)`` arrays: each row's target
-    and its pair's subject and object class, by which bias rows are gathered
-    as ``table[s_classes, o_classes]``.
+    relation rows bucket by bucket (see :func:`_batch_loss`), so a row's
+    value and gradient must not depend on the other rows or their order; the
+    other three are ``(Σm,)`` arrays: each row's target and its pair's subject
+    and object class, by which bias rows are gathered as
+    ``table[s_classes, o_classes]``.
     """
     kind = config.loss.kind
     if kind == "ce":
@@ -310,8 +315,8 @@ def _draw(
     """The pair rows drawn for ``batch``, their targets, and the ``(B + 1,)``
     offsets of each image's block: per image, every foreground pair, then a
     seeded subsample of its background pairs, both in pair order."""
-    fg_lo, n_fg = gt_start[batch], np.diff(gt_start)[batch]
-    bg_lo, n_bg = split.bg_start[batch], np.diff(split.bg_start)[batch]
+    fg_lo, bg_lo, after = gt_start[batch], split.bg_start[batch], np.add(batch, 1)
+    n_fg, n_bg = gt_start[after] - fg_lo, split.bg_start[after] - bg_lo
     take = np.minimum(n_bg, np.round(background_ratio * np.maximum(n_fg, 1))).astype(np.int64)
     rows = []
     for lo, n, b_lo, b_n, t in zip(*(a.tolist() for a in (fg_lo, n_fg, bg_lo, n_bg, take))):
@@ -361,15 +366,15 @@ def _batch_loss(
     Images with the same object count ``n`` and the same number ``m`` of
     drawn pairs form a bucket, run by one forward and one backward call with
     each image's own ``(m, 2)`` pairs. Each loss is called once, on the rows
-    of the whole batch in batch order. Each image's gradient is written into
-    its own row of ``grad.rows``, and the rows are added into ``grad.vec`` in
-    batch order; the rows of a gathered table (the label embedding, to which
-    one image may add one class row twice) are added by one ``np.add.at``
-    over the batch's objects in batch order. So every leaf receives the
-    per-image gradients in the order one forward and backward per image gave
-    them, and checkpoints are bit-identical to that order. A failed forward
-    is run again image by image, in batch order, to raise the error the first
-    faulty image gives.
+    of the whole batch bucket by bucket; only its per-row values are added in
+    batch order. Each image's gradient is written into its own row of
+    ``grad.rows``, and the rows are added into ``grad.vec`` in batch order;
+    the rows of a gathered table (the label embedding, to which one image may
+    add one class row twice) are added by one ``np.add.at`` over the batch's
+    objects in batch order. So every leaf receives the per-image gradients in
+    the order one forward and backward per image gave them, and checkpoints
+    are bit-identical to that order. A failed forward is run again image by
+    image, in batch order, to raise the error the first faulty image gives.
     """
     spec = config.model
     rows, targets, starts = drawn
@@ -412,11 +417,11 @@ def _batch_loss(
         runs.append((out, b, n, m, o, r))
         o, r = o + b * n, r + b * m
 
-    logits = _batch_order(np.concatenate(relation_logits), rel)
-    classes = split.classes[pairs]
-    rel_loss = loss_fn(logits, targets, classes[:, 0], classes[:, 1])
-    d_rel = (rel_loss.grad_logits / len(rel_loss.value))[rel]
-    loss_value = running_sum(rel_loss.value) / len(rel_loss.value)
+    classes = split.classes[pairs[rel]]
+    rel_loss = loss_fn(np.concatenate(relation_logits), targets[rel], classes[:, 0],
+                       classes[:, 1])
+    d_rel = np.divide(rel_loss.grad_logits, len(rel), out=rel_loss.grad_logits)
+    loss_value = running_sum(_batch_order(rel_loss.value, rel)) / len(rel)
 
     # Only a model with an object head returns object logits and gathers table
     # rows; ``slot`` gives each object's position in batch order.
@@ -424,10 +429,9 @@ def _batch_loss(
     w_obj = spec.object_loss_weight
     slot = _ranges(_offsets(counts)[order], counts[order]) if object_logits else None
     if w_obj > 0 and object_logits:
-        z = _batch_order(np.concatenate(object_logits), slot)
-        obj_loss = ce(z, images.labels[_ranges(first, counts)])
-        d_obj = (obj_loss.grad_logits * (w_obj / len(objects)))[slot]
-        loss_value += w_obj * running_sum(obj_loss.value) / len(objects)
+        obj_loss = ce(np.concatenate(object_logits), images.labels[objects])
+        d_obj = np.multiply(obj_loss.grad_logits, w_obj / objects.size, out=obj_loss.grad_logits)
+        loss_value += w_obj * running_sum(_batch_order(obj_loss.value, slot)) / len(objects)
 
     gathered: list = []
     lo = 0
@@ -436,9 +440,9 @@ def _batch_loss(
         g_rel = d_rel[r : r + b * m].reshape(b, m, d_rel.shape[-1])
         net.backward(g_obj, g_rel, out, params, spec, grad.row_tree(lo, lo + b), gathered)
         lo += b
-    for j in np.argsort(order):  # each batch position's gradient row, in batch order
+    for j in np.argsort(order):  # in batch order, in place: gathering the rows copies them
         grad.vec += grad.rows[j]
-        grad.rows[j] = 0.0
+    grad.rows[:] = 0.0
     tables: dict[str, list] = {}
     for name, index, table_rows in gathered:  # one row per object, bucket by bucket
         table_rows = table_rows.reshape(index.size, table_rows.shape[-1])
@@ -454,12 +458,6 @@ def _batch_order(bucketed: np.ndarray, position: np.ndarray) -> np.ndarray:
     out = np.empty_like(bucketed)
     out[position] = bucketed
     return out
-
-
-def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The ranges ``lo[i], …, lo[i] + n[i] - 1``, concatenated."""
-    ends = n.cumsum()
-    return (lo - ends + n).repeat(n) + np.arange(ends[-1] if len(ends) else 0)
 
 
 def _non_finite_leaf(tree, vec: np.ndarray) -> str | None:
@@ -495,9 +493,10 @@ def train(
     """SGD training; returns the final checkpoint and the per-iteration log.
 
     ``loss_fn`` overrides the configured loss (used by equivalence tests);
-    it has the signature of :func:`make_loss_fn`'s result and is called once
-    per batch, with the batch's ``(Σm, C)`` rows: the relation logits of
-    every pair drawn from its images. The split's ground truth is checked
+    it has the signature and contract of :func:`make_loss_fn`'s result and
+    is called once per batch, with the batch's ``(Σm, C)`` rows bucket by
+    bucket: the relation logits of every pair drawn from its images. Its
+    gradient array is scaled in place. The split's ground truth is checked
     once, before the first iteration; an image unfit to train on (fewer than
     two objects, detector scores of the wrong width, a class label outside
     the label space, invalid ground truth) raises ``ValueError`` naming its

@@ -6,7 +6,9 @@ axis holds the classes. It returns the per-row values, of the leading shape,
 together with their exact gradient with respect to the logits; biases are
 treated as constants. A single row of shape ``(C,)`` with a scalar target is
 a block of one, with a 0-d value. Training calls each loss once per batch and
-head, on the ``(Σm, C)`` logit block of the pairs drawn from all its images.
+head, on the ``(Σm, C)`` logit block of the pairs drawn from all its images,
+bucket by bucket: no row's result depends on another row. One row maximum
+``m``, ``e = exp(z - m)`` and ``s = sum(e)`` give ``m + log s`` and ``e / s``.
 
 The biased cross-entropy subtracts a per-class bias from the logits before
 the softmax, which decomposes instance-wise as ``biased = plain + gap`` where
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import row_softmax
+from .numerics import row_max
 
 __all__ = [
     "LOSS_KINDS",
@@ -78,9 +80,12 @@ def _targets(z: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
     return y, hot
 
 
-def _logsumexp(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=-1)
-    return m + np.log(np.sum(np.exp(z - m[..., np.newaxis]), axis=-1))
+def _logsumexp_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``logsumexp`` and softmax (a new array), from one maximum, exp and sum."""
+    m = row_max(z)[..., np.newaxis]
+    e = np.exp(z - m)
+    s = e.sum(axis=-1, keepdims=True)
+    return (m + np.log(s))[..., 0], np.divide(e, s, out=e)
 
 
 def _at(a: np.ndarray, hot: np.ndarray) -> np.ndarray:
@@ -92,7 +97,8 @@ def ce(z, y) -> LossOutput:
     """Cross-entropy ``-log softmax(z)[y]`` and its gradient ``p - onehot(y)``."""
     z = _as_array(z)
     _, hot = _targets(z, y)
-    return LossOutput(value=_logsumexp(z) - _at(z, hot), grad_logits=row_softmax(z) - hot)
+    lse, p = _logsumexp_softmax(z)
+    return LossOutput(value=lse - _at(z, hot), grad_logits=np.subtract(p, hot, out=p))
 
 
 def biased_ce(z, bias, y) -> LossOutput:
@@ -114,7 +120,7 @@ def bias_gap(z, bias, y) -> np.ndarray:
     z = _as_array(z)
     b = _as_bias(z, bias)
     _, hot = _targets(z, y)
-    return _at(b, hot) + _logsumexp(z - b) - _logsumexp(z)
+    return _at(b, hot) + _logsumexp_softmax(z - b)[0] - _logsumexp_softmax(z)[0]
 
 
 @dataclass(frozen=True)
@@ -151,9 +157,8 @@ def _require_counts(counts: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndar
 
 
 def _focal(config: LossConfig, z: np.ndarray, hot: np.ndarray) -> LossOutput:
-    ce_val = _logsumexp(z) - _at(z, hot)
-    p = row_softmax(z)
-    u = _at(p, hot)
+    lse, p = _logsumexp_softmax(z)
+    ce_val, u = lse - _at(z, hot), _at(p, hot)
     f = (1.0 - u) ** config.gamma
     value = config.alpha * f * ce_val
     # scale = -u * dL/du; sharing p keeps the gamma=0, alpha=1 case equal to ce.

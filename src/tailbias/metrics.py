@@ -47,6 +47,7 @@ import numpy as np
 
 from .numerics import row_softmax
 from .stats import LabelSpace
+from .synth import _ranges
 
 __all__ = [
     "CONSTRAINTS",
@@ -135,15 +136,14 @@ def rank(
         bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))[0]
         raise ValueError(f"scores row {bad} is not finite")
     index = np.asarray(index, dtype=np.int64)
-    row = index // scores.shape[1]
+    ranked, kept, values = np.full(index.shape, MISS), slice(None), scores
     if constraint == "with":  # a pair's one candidate is its first best relation
-        top = scores.argmax(axis=1)
+        row, top = index // scores.shape[1], scores.argmax(axis=1)
         values = scores.ravel()[np.arange(0, scores.size, scores.shape[1]) + top, None]
-        kept, index = top[row] == index % scores.shape[1], row
-    else:
-        values, kept = scores, True
+        kept = top[row] == index % scores.shape[1]
+        index = row[kept]
     sizes = np.diff(starts)
-    image = np.searchsorted(starts, row, side="right") - 1
+    image = np.searchsorted(starts, index // values.shape[1], side="right") - 1
     # Queried image i from row first_row[i] on, bucket by bucket, each sorted by value.
     ordered, first_row, end = np.empty_like(values), np.zeros_like(sizes), 0
     for size in np.flatnonzero(np.bincount(sizes[image])):
@@ -156,25 +156,33 @@ def rank(
     ordered, flat = ordered.ravel(), values.ravel()
     first, length = first_row[image] * values.shape[1], sizes[image] * values.shape[1]
     last, v = first + length - 1, flat[index]
-    # ``at`` ends on the last candidate below v; a probe past the image's
-    # end reads its last candidate, which is not below v.
-    at = first - 1
+    # ``above`` ends on the first candidate above v; a probe before the
+    # image's start reads its first candidate, which is not above v.
+    above = last + 1
     for shift in reversed(range(int(length.max(initial=0)).bit_length())):
-        probe = at + (1 << shift)
-        at = np.where(ordered[np.minimum(probe, last)] < v, probe, at)
-    position = last - at - 1
-    # Where the next sorted candidate equals v too, count those ahead one by one.
-    tied = np.flatnonzero((at + 2 <= last) & (ordered[np.minimum(at + 2, last)] == v))
-    for size in np.unique(sizes[image[tied]]):
-        of_size = tied[sizes[image[tied]] == size]
-        step = np.count_nonzero(sizes == size)  # at most one bucket's block at a time
-        for chunk in range(0, of_size.size, step):
-            t = of_size[chunk : chunk + step]
-            cell = starts[image[t], None] * values.shape[1] + np.arange(length[t[0]])
-            score = flat[cell]
-            ahead = (score > v[t, None]) | ((score == v[t, None]) & (cell < index[t, None]))
-            position[t] = np.count_nonzero(ahead, axis=1)
-    return np.where(kept, position, MISS)
+        probe = above - (1 << shift)
+        above = np.where(ordered[np.maximum(probe, first)] > v, probe, above)
+    position = last + 1 - above
+    # A tied v's first copy bounds the image's k copies; those ahead are
+    # counted on the shorter side of its cell: before it, or k - 1 less after.
+    tied = np.flatnonzero((above - 2 >= first) & (ordered[np.maximum(above - 2, first)] == v))
+    if tied.size:
+        first, above, v = first[tied], above[tied], v[tied]
+        below = first - 1  # ends on the last candidate below v
+        for shift in reversed(range(int((above - first).max()).bit_length())):
+            probe = below + (1 << shift)
+            below = np.where(ordered[np.minimum(probe, above - 1)] < v, probe, below)
+        lo = starts[image[tied]] * values.shape[1]
+        before, after = index[tied] - lo, length[tied] - (index[tied] - lo) - 1
+        head, n = before <= after, np.minimum(before, after)
+        start, count = np.where(head, lo, index[tied] + 1), np.empty_like(n)
+        for part in np.array_split(np.arange(n.size), 1 + n.sum() // scores.size):
+            m = n[part]
+            equal = np.append(flat[_ranges(start[part], m)] == v[part].repeat(m), False)
+            count[part] = np.add.reduceat(equal, np.cumsum(m) - m, dtype=np.int64) * (m > 0)
+        position[tied] += np.where(head, count, above - below - 2 - count)
+    ranked[kept] = position
+    return ranked
 
 
 def evaluate_split(

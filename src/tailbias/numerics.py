@@ -38,6 +38,7 @@ __all__ = [
     "EncoderLayerParams",
     "GradCheckReport",
     "matmul_backward",
+    "row_max",
     "row_softmax",
     "row_softmax_backward",
     "running_sum",
@@ -107,12 +108,17 @@ def matmul_backward(
     return g @ b.T, a.T @ g
 
 
+def row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1)``, folded along the leading axis of a copy of ``x.T``."""
+    return x.T.copy().max(axis=0).T
+
+
 def row_softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis."""
+    """Softmax over the last axis, in a new array; ``x`` is not written."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - row_max(x)[..., np.newaxis]
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
 
 def row_softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -97,6 +97,12 @@ def _offsets(counts) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
 
 
+def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The ranges ``lo[i], …, lo[i] + n[i] - 1``, concatenated."""
+    ends = n.cumsum()
+    return (lo - ends + n).repeat(n) + np.arange(ends[-1] if len(ends) else 0)
+
+
 @dataclass(frozen=True, eq=False)
 class Images:
     """A split packed by :meth:`pack`: image ``i``'s record is object rows

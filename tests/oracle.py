@@ -193,6 +193,73 @@ def row_by_row(f, z, y) -> LossOutput:
     )
 
 
+# --- losses over blocks of rows, in two passes per row ---------------------------
+
+
+def two_pass_softmax(x) -> np.ndarray:
+    """Softmax over the last axis, with numpy's own row maxima, in new arrays."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _block_logsumexp(z: np.ndarray) -> np.ndarray:
+    m = z.max(axis=-1)
+    return m + np.log(np.sum(np.exp(z - m[..., np.newaxis]), axis=-1))
+
+
+def _block_targets(z, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    z = np.asarray(z, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    hot = np.arange(z.shape[-1]) == y[..., np.newaxis]
+    return z, y, hot
+
+
+def block_ce(z, y) -> LossOutput:
+    """``losses.ce`` as it took the row maximum, exponential and sum twice:
+    in a logsumexp for the value, and in a softmax for the gradient."""
+    z, y, hot = _block_targets(z, y)
+    return LossOutput(value=_block_logsumexp(z) - z[hot].reshape(y.shape),
+                      grad_logits=two_pass_softmax(z) - hot)
+
+
+def block_biased_ce(z, b, y) -> LossOutput:
+    return block_ce(np.asarray(z, dtype=np.float64) - b, y)
+
+
+def block_baseline_loss(config, z, y, class_counts) -> LossOutput:
+    """``losses.baseline_loss`` over :func:`block_ce` and a two-pass focal loss."""
+    z, y, hot = _block_targets(z, y)
+    if config.kind == "focal":
+        ce_val = _block_logsumexp(z) - z[hot].reshape(y.shape)
+        p = two_pass_softmax(z)
+        u = p[hot].reshape(y.shape)
+        f = (1.0 - u) ** config.gamma
+        if config.gamma == 0.0:
+            scale = config.alpha * f
+        else:
+            scale = config.alpha * (
+                config.gamma * u * (1.0 - u) ** (config.gamma - 1.0) * ce_val + f
+            )
+        return LossOutput(value=config.alpha * f * ce_val,
+                          grad_logits=(p - hot) * scale[..., np.newaxis])
+    counts = np.asarray(class_counts, dtype=np.int64)
+    n_y = counts[y]
+    if config.kind == "ldam":
+        return block_biased_ce(z, hot * (config.margin_c / n_y**0.25)[..., np.newaxis], y)
+    if config.kind == "reweight":
+        weight = 1.0 / n_y
+        if config.reweight_normalize:
+            observed = counts[counts > 0].astype(np.float64)
+            weight = weight * (observed.shape[0] / float(np.sum(1.0 / observed)))
+    else:
+        weight = (1.0 - config.beta) / (1.0 - config.beta**n_y)
+    inner = block_ce(z, y)
+    return LossOutput(
+        value=weight * inner.value, grad_logits=weight[..., np.newaxis] * inner.grad_logits
+    )
+
+
 # --- finite differences and attention, one coordinate and one head at a time ----
 
 

@@ -305,7 +305,7 @@ class TestSerialization:
                 r"bias entry 1 for class pair \(2, 3\) has 2 values; the fallback has 3",
             ),
             ([[0, 1, [0.0, "x", 0.0]]], r"bias entry 0 for class pair \(0, 1\): "),
-            ([[0, 1, [0.0, None, 0.0]]], r"bias entry 0 .*non-finite"),
+            ([[0, 1, [0.0, None, 0.0]]], r"bias entry 0 .*: None is not a number$"),
             ([[0, 1, [[0.0], [0.0], [0.0]]]], r"bias entry 0 .*1-D"),
             (
                 [[0, 1, [0.0] * 3], [2, 3, [0.0] * 3], [0, 1, [1.0] * 3]],
@@ -313,7 +313,8 @@ class TestSerialization:
             ),
             ([[-1, 1, [0.0] * 3]], r"^bias entry 0 is not \[s, o, values\] with classes s, o >= 0"),
             ([[0, 1, [0.0] * 3], [0, True, [0.0] * 3]], r"^bias entry 1 is not \[s, o, values\]"),
-            ([[0, 1, ["abc", 0.0, 0.0]]], r"^bias entry 0 for class pair \(0, 1\): could not conv"),
+            ([[0, 1, ["abc", 0.0, 0.0]]], r"^bias entry 0 for class pair \(0, 1\): 'abc' is not a"),
+            ([[0, 1, [0.0, True, 0.0]]], r"^bias entry 0 for class pair \(0, 1\): True is not a"),
         ],
     )
     def test_malformed_pair_table_names_the_entry(self, entries, message):
@@ -330,15 +331,21 @@ class TestSerialization:
             ({"kind": "eb", "fallback": [0.0, 1.0]}, "missing key 'entries' in bias file"),
             ({"kind": "vb", "values": "abc"},
              "bias key 'values': could not convert string to float: 'abc'"),
-            ({"kind": "cb", "values": [0.0, "abc"]},
-             "bias key 'values': could not convert string to float: 'abc'"),
+            ({"kind": "cb", "values": [0.0, "abc"]}, "bias key 'values': 'abc' is not a number"),
             ({"kind": "pb", "entries": [], "fallback": ["abc", 1.0]},
-             "bias key 'fallback': could not convert string to float: 'abc'"),
+             "bias key 'fallback': 'abc' is not a number"),
+            ({"kind": "cb", "values": ["1.5", True, 2]}, "bias key 'values': '1.5' is not a number"),
+            ({"kind": "vb", "values": [0.0, True, 2]}, "bias key 'values': True is not a number"),
+            ({"kind": "eb", "entries": [], "fallback": [0.0, None]},
+             "bias key 'fallback': None is not a number"),
+            ({"kind": "cb", "values": [0.0, 10**400]},
+             "bias key 'values': int too large to convert to float"),
             ({"kind": "pb", "entries": [], "fallback": [0.0, math.inf]},
              "bias key 'fallback': bias vector has non-finite entries"),
         ],
         ids=["no-values", "pair-keys-for-cb", "no-fallback", "no-entries", "values-string",
-             "values-row", "fallback-row", "fallback-inf"],
+             "values-row", "fallback-row", "values-numeric-string", "values-bool",
+             "fallback-null", "values-huge-int", "fallback-inf"],
     )
     def test_missing_or_non_numeric_key_is_named(self, doc, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
@@ -358,6 +365,16 @@ class TestSerialization:
         assert np.array_equal(expected[4, 4], fallback)
         with pytest.raises(ValueError, match=r"^bias entry for class pair \(2, 0\) outside 2 "):
             bias_table(table, 2)
+
+    def test_class_beyond_the_given_classes_is_refused_before_the_table_is_built(self):
+        doc = {"kind": "pb", "fallback": [0.0, 1.0],
+               "entries": [[0, 1, [0.0, 2.0]], [1000000, 0, [0.0, 1.0]]]}
+        with pytest.raises(ValueError, match=r"^bias entry 1 for class pair \(1000000, 0\) "
+                           r"outside 5 object classes$"):
+            bias_from_json(json.dumps(doc), num_object_classes=5)
+        doc["entries"].pop()
+        _, table = bias_from_json(json.dumps(doc), num_object_classes=5)
+        assert table.rows.shape == (2, 2, 2)
 
     def test_read_table_without_entries_is_the_fallback_everywhere(self):
         _, table = bias_from_json(json.dumps({"kind": "eb", "entries": [], "fallback": [0.0, 1.0]}))

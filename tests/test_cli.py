@@ -602,7 +602,7 @@ class TestErrors:
             ({"entries": [[False, 1, [0.0] * 7]]},
              "bias entry 0 is not [s, o, values] with classes s, o >= 0"),
             ({"entries": [[1, 2, [0.0] * 7], [7, 0, [0.0] * 7]]},
-             "bias entry for class pair (7, 0) outside 5 object classes"),
+             "bias entry 1 for class pair (7, 0) outside 5 object classes"),
         ],
         ids=["null-entries", "short-entry", "no-values", "values-string", "repeat", "negative",
              "bool", "outside-classes"],
@@ -624,6 +624,27 @@ class TestErrors:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())["error"]
         assert err == {"type": "ValueError", "message": f"{bias}: {message}"}
+        assert not (tmp_path / "eval").exists()
+
+    def test_huge_bias_class_is_refused_before_allocating(self, workspace, tmp_path, capsys):
+        # Sized by its largest class, this table would need 51 TiB.
+        _, data_dir, _, _, run_dir = workspace
+        bias = tmp_path / "bias.json"
+        bias.write_text(json.dumps({"kind": "pb", "a": 1.0, "fallback": [0.0] * 7,
+                                    "entries": [[1000000, 0, [0.0] * 7]]}))
+        capsys.readouterr()
+        code = main([
+            "eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+            "--data", str(data_dir / "test.jsonl"), "--bias", str(bias),
+            "--out", str(tmp_path / "eval"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == {
+            "type": "ValueError",
+            "message": f"{bias}: bias entry 0 for class pair (1000000, 0) outside 5 object classes",
+        }
         assert not (tmp_path / "eval").exists()
 
     def test_smaller_bias_table_is_padded_with_its_fallback(self, workspace, tmp_path):

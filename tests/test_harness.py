@@ -560,6 +560,18 @@ class TestTrainingImages:
         with pytest.raises(ValueError, match=r"^iteration 1: the batch draws no pairs \("):
             train(config, Images.pack(bare[:2]))
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), counts=st.lists(st.integers(2, 7), min_size=1,
+                                                            max_size=8))
+    def test_packed_pairs_are_each_images_ordered_pairs(self, space, seed, counts):
+        """``_pack`` derives every ordered pair of the split in closed form."""
+        rng = np.random.default_rng(seed)
+        images = Images.pack([make_image(rng, n, space.num_object_classes, 3) for n in counts])
+        split = harness._pack(images, np.zeros(0, dtype=np.int64), space, "predcls")
+        want = np.concatenate([all_ordered_pairs(n) + images.obj_start[i]
+                               for i, n in enumerate(counts)])
+        assert split.pairs.dtype == want.dtype and np.array_equal(split.pairs, want)
+
     def test_a_valid_split_packs_like_the_per_image_statistics(self, space, data):
         train_images, _ = data
         got, want = training_stats(train_images, space), oracle.training_stats(train_images, space)

@@ -383,6 +383,36 @@ class TestBlockMatchesScalarOracle:
         assert_within(got.value, want.value)
         assert_within(got.grad_logits, want.grad_logits)
 
+    @given(block=logit_blocks(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_equals_the_two_pass_form(self, block, data):
+        """Each loss takes a row's maximum, exponential and sum once for its
+        value and gradient; they equal the two-pass forms bit for bit, on a
+        block, its rows permuted, and one row, and permuting the rows only
+        permutes the results, which training's bucket-order calls rely on."""
+        z, b, y, counts = block
+        perm = np.array(data.draw(st.permutations(range(len(y)))))
+        q = data.draw(st.integers(0, len(y) - 1))
+        losses = [(lambda z, b, y: ce(z, y), lambda z, b, y: oracle.block_ce(z, y)),
+                  (biased_ce, oracle.block_biased_ce)]
+        losses += [
+            (lambda z, b, y, c=c: baseline_loss(c, z, y, counts),
+             lambda z, b, y, c=c: oracle.block_baseline_loss(c, z, y, counts))
+            for c in BASELINE_CONFIGS.values()
+        ]
+        for loss, two_pass in losses:
+            whole = loss(z, b, y)
+            for got, want in (
+                (whole, two_pass(z, b, y)),
+                (loss(z[perm], b[perm], y[perm]), two_pass(z[perm], b[perm], y[perm])),
+                (loss(z[q], b[q], y[q]), two_pass(z[q], b[q], y[q])),
+            ):
+                assert np.array_equal(got.value, want.value)
+                assert np.array_equal(got.grad_logits, want.grad_logits)
+            permuted = loss(z[perm], b[perm], y[perm])
+            assert np.array_equal(permuted.value, whole.value[perm])
+            assert np.array_equal(permuted.grad_logits, whole.grad_logits[perm])
+
     def test_leading_axes_are_rows(self, rng):
         z = rng.uniform(-5, 5, (2, 3, 6))
         b = rng.uniform(-5, 5, (2, 3, 6))

@@ -3,7 +3,11 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+import oracle
 from tailbias.losses import biased_ce
 from tailbias.numerics import (
     FD_CHUNK,
@@ -21,6 +25,7 @@ from tailbias.numerics import (
     matmul_backward,
     multi_head_attention,
     multi_head_attention_backward,
+    row_max,
     row_softmax,
     unflatten,
 )
@@ -50,6 +55,20 @@ class TestMatmul:
 
 
 class TestRowSoftmax:
+    @settings(max_examples=80, deadline=None)
+    @given(x=arrays(np.float64, array_shapes(min_dims=1, max_dims=4, max_side=7),
+                    elements=st.floats(allow_nan=True, allow_infinity=True)))
+    def test_row_max_is_numpys_row_max(self, x):
+        assert np.array_equal(row_max(x), x.max(axis=-1), equal_nan=True)
+
+    @settings(max_examples=80, deadline=None)
+    @given(x=arrays(np.float64, array_shapes(min_dims=1, max_dims=4, min_side=2, max_side=7),
+                    elements=st.floats(-700.0, 700.0)))
+    def test_equals_the_two_pass_softmax_and_leaves_its_input(self, x):
+        before = x.copy()
+        assert np.array_equal(row_softmax(x), oracle.two_pass_softmax(x))
+        assert np.array_equal(x, before)
+
     def test_rows_sum_to_one(self, rng):
         p = row_softmax(rng.normal(0, 50, (6, 9)))
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
