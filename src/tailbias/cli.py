@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -76,10 +76,9 @@ def _ensure_out(path: str) -> str:
 
 
 def cmd_synth(args) -> int:
-    doc = _load_json(args.config)
+    config = from_dict(SynthConfig, _load_json(args.config))
     if args.seed is not None:
-        doc["seed"] = args.seed
-    config = from_dict(SynthConfig, doc)
+        config = replace(config, seed=args.seed)
     splits = {f"{name}.jsonl": generate_split(config, name) for name in ("train", "val", "test")}
     out = _ensure_out(args.out)
     for name, images in splits.items():
@@ -113,10 +112,9 @@ def cmd_bias(args) -> int:
 
 
 def cmd_train(args) -> int:
-    doc = _load_json(args.config)
+    config = from_dict(TrainConfig, _load_json(args.config))
     if args.seed is not None:
-        doc["seed"] = args.seed
-    config = from_dict(TrainConfig, doc)
+        config = replace(config, seed=args.seed)
     data = dict(config.data)
     train_path = args.data or data.get("train")
     if not train_path:

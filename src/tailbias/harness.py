@@ -332,8 +332,9 @@ def _draw(
 class _Gradient:
     """A batch's gradient under ``params``: the flat buffer ``vec`` and its
     tree ``tree``, and ``rows``, a ``(batch_size, N)`` buffer of per-image
-    gradients, zero between batches. The tree of a slice ``rows[lo:hi]`` is
-    made once, on first use."""
+    gradients: it holds the last batch's, and each backward overwrites every
+    leaf of its rows, so it is never zeroed. The tree of a slice
+    ``rows[lo:hi]`` is made once, on first use."""
 
     def __init__(self, params: LinearParams | DualEncoderParams, batch_size: int):
         self.vec = np.zeros(flatten(params).size)
@@ -442,7 +443,6 @@ def _batch_loss(
         lo += b
     for j in np.argsort(order):  # in batch order, in place: gathering the rows copies them
         grad.vec += grad.rows[j]
-    grad.rows[:] = 0.0
     tables: dict[str, list] = {}
     for name, index, table_rows in gathered:  # one row per object, bucket by bucket
         table_rows = table_rows.reshape(index.size, table_rows.shape[-1])
@@ -746,6 +746,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
+        if not isinstance(doc, dict):
+            raise ValueError("checkpoint must be an object")
         config = from_dict(TrainConfig, doc["config"])
         spec, ls = config.model, config.label_space
         data = np.asarray(doc["param_data"], dtype=np.float64)

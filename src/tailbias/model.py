@@ -4,11 +4,12 @@ Two models share one protocol, resolved from a :class:`ModelSpec` by
 :func:`model_for`: ``init(spec, label_space, d_v, rng)`` builds the parameter
 tree, ``forward(image, union_features, pairs, params, spec, mode)`` gives a
 :class:`ModelOutput`, and ``backward(d_obj, d_rel, output, params, spec,
-grads)`` adds the parameter gradients into ``grads``, a tree of the
+grads)`` writes the parameter gradients into ``grads``, a tree of the
 parameters' type (usually views of one flat gradient buffer, see
-:func:`~tailbias.numerics.unflatten`); every backward kernel below adds into
-the ``grads`` it is given in the same way. ``image`` is an image's record
-(``split[i]`` of a :class:`~tailbias.synth.Images` split), whose object rows
+:func:`~tailbias.numerics.unflatten`), overwriting every leaf; every backward
+kernel below writes the leaves of the ``grads`` it is given in the same way.
+``image`` is an image's record (``split[i]`` of a
+:class:`~tailbias.synth.Images` split), whose object rows
 (boxes, features, labels, detector scores) are read whole; ``pairs`` is a ``(P, 2)`` array of
 (subject, object) row indices and ``union_features`` its ``(P, d_v)`` union
 rows, so a caller may forward any subset of an image's ordered pairs, such as
@@ -34,7 +35,7 @@ indexes the object rows of every image of the bucket alike, or a
 over all of an image's objects and pairs, never across images. Both
 ``backward`` functions take the bucket axis too: ``grads`` is then a tree of
 ``(B, ...)`` leaves (``unflatten`` of a ``(B, N)`` stack), and each image's
-gradient is added into its own row. A stacked product runs one matrix
+gradient is written into its own row. A stacked product runs one matrix
 product per image, so a bucket's outputs and gradient rows equal its images'
 own forwards and backwards bit for bit; the bucket axis is never folded into
 the row axis of a 2-D product, whose rows BLAS may round by the product's
@@ -45,11 +46,11 @@ with the same object count and the same number of drawn pairs.
 
 The label embedding is the one table whose rows the forward gathers by
 index, and two objects of an image may share a class, so the order in which
-its gradient rows are added decides the sum's last bits. A backward adds
-them with ``np.add.at`` in object order; given a ``gathered`` list it
-appends them to it instead, as ``(leaf name, classes, rows)``, so that a
-caller that runs a batch in several buckets can add the rows of all of them
-in its own image order.
+its gradient rows are added decides the sum's last bits. A backward zeroes
+the table's leaf and adds them into it with ``np.add.at`` in object order;
+given a ``gathered`` list it appends them to it instead, as ``(leaf name,
+classes, rows)``, leaving the leaf zero, so that a caller that runs a batch
+in several buckets can add the rows of all of them in its own image order.
 
 Task modes: ``predcls`` looks up label embeddings with the annotated object
 labels; ``sgcls`` uses the argmax of the detector scores.
@@ -68,6 +69,7 @@ from .numerics import (
     encoder_layer_backward,
     flatten,
     init_encoder_layer_params,
+    leaves,
     normal_init,
     row_softmax,
     unflatten,
@@ -278,10 +280,11 @@ def embed_objects_backward(
     gathered: list | None = None,
 ) -> None:
     boxes, concat, labels, d_pos, d_v = cache
-    grads.w_in += concat.swapaxes(-1, -2) @ g
+    np.matmul(concat.swapaxes(-1, -2), g, out=grads.w_in)
     dconcat = g @ params.w_in.T
-    grads.w_pos += boxes.swapaxes(-1, -2) @ dconcat[..., :d_pos]
+    np.matmul(boxes.swapaxes(-1, -2), dconcat[..., :d_pos], out=grads.w_pos)
     rows = dconcat[..., d_pos + d_v :]
+    grads.embed[...] = 0.0
     if gathered is None:
         np.add.at(grads.embed, _slice_rows(labels), rows)
     else:
@@ -340,10 +343,10 @@ def fuse_pairs(
 def fuse_pairs_backward(
     g: np.ndarray, params: DualEncoderParams, cache: tuple, grads: DualEncoderParams
 ) -> np.ndarray:
-    """Add ``w_fuse``'s gradient into ``grads``; return the gradient of the
+    """Write ``w_fuse``'s gradient into ``grads``; return the gradient of the
     object tokens, whose pair rows are added with ``np.add.at`` in pair order."""
     concat, s_idx, o_idx, d_u, n = cache
-    grads.w_fuse += concat.swapaxes(-1, -2) @ g
+    np.matmul(concat.swapaxes(-1, -2), g, out=grads.w_fuse)
     dconcat = g @ params.w_fuse.T
     d_model = (dconcat.shape[-1] - d_u) // 2
     de = np.zeros(dconcat.shape[:-2] + (n, d_model))
@@ -401,11 +404,12 @@ def backward(
     grads: DualEncoderParams | None = None,
     gathered: list | None = None,
 ) -> DualEncoderParams:
-    """Accumulate exact parameter gradients for one forward pass.
+    """Exact parameter gradients of one forward pass.
 
     ``d_object_logits``/``d_relation_logits`` are the loss gradients at the two
-    classifier outputs. Pass an existing ``grads`` tree to accumulate across
-    images; without one, a zero tree over a fresh buffer is made. After a
+    classifier outputs; a None ``d_object_logits`` gives a zero ``w_clf_obj``
+    gradient. Every leaf of a given ``grads`` tree is overwritten, whatever
+    it held; without one, a tree over a fresh buffer is made. After a
     bucket's forward, ``grads`` has ``(B, ...)`` leaves, one row per image.
     With ``gathered``, the label embedding's rows go to it, not to ``grads``
     (see the module docstring).
@@ -415,15 +419,20 @@ def backward(
     embed_cache, obj_caches, e_final, fuse_cache, rel_cache = output.cache
     rel_layer_caches, rel_final = rel_cache
 
-    grads.w_clf_rel += rel_final.swapaxes(-1, -2) @ d_relation_logits
+    np.matmul(rel_final.swapaxes(-1, -2), d_relation_logits, out=grads.w_clf_rel)
     dx = d_relation_logits @ params.w_clf_rel.T
+    if not rel_layer_caches:  # an empty pair block skipped the relation stack
+        for leaf in leaves(grads.rel_layers):
+            leaf[...] = 0.0
     for i in range(len(rel_layer_caches) - 1, -1, -1):
         dx = encoder_layer_backward(dx, rel_layer_caches[i], grads.rel_layers[i])
     de_final = fuse_pairs_backward(dx, params, fuse_cache, grads)
 
-    if d_object_logits is not None:
-        grads.w_clf_obj += e_final.swapaxes(-1, -2) @ d_object_logits
-        de_final = de_final + d_object_logits @ params.w_clf_obj.T
+    if d_object_logits is None:
+        grads.w_clf_obj[...] = 0.0
+    else:
+        np.matmul(e_final.swapaxes(-1, -2), d_object_logits, out=grads.w_clf_obj)
+        de_final += d_object_logits @ params.w_clf_obj.T
 
     dx = de_final
     for i in range(spec.n_o - 1, -1, -1):
@@ -469,11 +478,11 @@ def linear_backward(
     grads: LinearParams | None = None,
     gathered: list | None = None,
 ) -> LinearParams:
-    """Accumulate the gradients of the affine head; it has no object head and
-    gathers no table rows, so ``gathered`` stays as it is."""
+    """Write the gradients of the affine head into ``grads``; it has no object
+    head and gathers no table rows, so ``gathered`` stays as it is."""
     (x,) = output.cache
     if grads is None:
         grads = unflatten(params, np.zeros_like(flatten(params)))
-    grads.w += x.swapaxes(-1, -2) @ d_relation_logits
-    grads.b += d_relation_logits.sum(axis=-2)
+    np.matmul(x.swapaxes(-1, -2), d_relation_logits, out=grads.w)
+    np.add.reduce(d_relation_logits, axis=-2, out=grads.b)
     return grads

@@ -7,11 +7,12 @@ attention heads are one more reshaped axis. Forward functions return
 ``(output, cache)`` and each ``*_backward`` consumes the upstream gradient
 together with that cache. A backward takes the leading bucket axes of its
 forward's input, ``(B, T, d)`` for ``B`` instances under one unbatched
-parameter copy, and adds each instance's parameter gradient into its own row
-of a gradient tree of ``(B, ...)`` leaves: weight gradients are stacked
-products ``x.swapaxes(-1, -2) @ g`` and bias gradients ``g.sum(axis=-2)``, so
-a row equals the instance's own unbatched backward bit for bit; the bucket
-axis is never folded into the rows of a 2-D product. The encoder layer
+parameter copy, and writes each instance's parameter gradient into its own
+row of a gradient tree of ``(B, ...)`` leaves, overwriting whatever the
+leaves held: weight gradients are stacked products ``x.swapaxes(-1, -2) @ g``
+and bias gradients ``g.sum(axis=-2)``, written through ``out=``, so a row
+equals the instance's own unbatched backward bit for bit; the bucket axis is
+never folded into the rows of a 2-D product. The encoder layer
 is pre-norm:
 
     h = x + mha(layer_norm(x))
@@ -22,7 +23,7 @@ layer into the identity. All reductions are sequential numpy ops, giving
 bitwise-reproducible results for identical inputs, batched or not.
 
 Parameter trees are views of one flat buffer (:func:`unflatten`); backward
-kernels add into a gradient tree of the same type, and :func:`grad_check`
+kernels write every leaf of a gradient tree of the same type, and :func:`grad_check`
 differences a stack of perturbed copies of a buffer in one call.
 """
 
@@ -138,27 +139,27 @@ def layer_norm(
 ) -> tuple[np.ndarray, tuple]:
     # A sum over d divided by d is np.mean bit for bit, without its Python layer.
     d = x.shape[-1]
-    mu = x.sum(axis=-1, keepdims=True) / d
-    var = ((x - mu) ** 2).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(np.square(xhat), axis=-1, keepdims=True) / d + LN_EPS)
+    xhat *= inv
     return xhat * gain[..., None, :] + bias[..., None, :], (xhat, inv, gain)
 
 
 def layer_norm_backward(
-    g: np.ndarray, cache: tuple
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    g: np.ndarray, cache: tuple, dgain: np.ndarray, dbias: np.ndarray
+) -> np.ndarray:
+    """Write the gain and bias gradients into ``dgain`` and ``dbias``; return
+    the input gradient."""
     xhat, inv, gain = cache
-    dgain = (g * xhat).sum(axis=-2)
-    dbias = g.sum(axis=-2)
+    np.add.reduce(g * xhat, axis=-2, out=dgain)
+    np.add.reduce(g, axis=-2, out=dbias)
     dxhat = g * gain[..., None, :]
     d = xhat.shape[-1]
-    dx = inv * (
+    return inv * (
         dxhat
         - dxhat.sum(axis=-1, keepdims=True) / d
         - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
     )
-    return dx, dgain, dbias
 
 
 def attention(
@@ -223,17 +224,17 @@ def multi_head_attention(
 def multi_head_attention_backward(
     g: np.ndarray, cache: tuple, grads: AttentionParams
 ) -> np.ndarray:
-    """Add the projection gradients into ``grads``; return the input gradient."""
+    """Write the projection gradients into ``grads``; return the input gradient."""
     x, params, n_h, concat, att_cache = cache
-    grads.wo += concat.swapaxes(-1, -2) @ g
+    np.matmul(concat.swapaxes(-1, -2), g, out=grads.wo)
     dq, dk, dv = (
         _merge_heads(d)
         for d in attention_backward(_split_heads(g @ params.wo.T, n_h), att_cache)
     )
     x_t = x.swapaxes(-1, -2)
-    grads.wq += x_t @ dq
-    grads.wk += x_t @ dk
-    grads.wv += x_t @ dv
+    np.matmul(x_t, dq, out=grads.wq)
+    np.matmul(x_t, dk, out=grads.wk)
+    np.matmul(x_t, dv, out=grads.wv)
     return dq @ params.wq.T + dk @ params.wk.T + dv @ params.wv.T
 
 
@@ -247,12 +248,12 @@ def _ffn_backward(
     g: np.ndarray, p: EncoderLayerParams, cache: tuple, grads: EncoderLayerParams
 ) -> np.ndarray:
     x, pre, act = cache
-    grads.w2 += act.swapaxes(-1, -2) @ g
-    grads.b2 += g.sum(axis=-2)
-    dact = g @ p.w2.T
-    dpre = dact * (pre > 0.0)
-    grads.w1 += x.swapaxes(-1, -2) @ dpre
-    grads.b1 += dpre.sum(axis=-2)
+    np.matmul(act.swapaxes(-1, -2), g, out=grads.w2)
+    np.add.reduce(g, axis=-2, out=grads.b2)
+    dpre = g @ p.w2.T
+    dpre *= pre > 0.0
+    np.matmul(x.swapaxes(-1, -2), dpre, out=grads.w1)
+    np.add.reduce(dpre, axis=-2, out=grads.b1)
     return dpre @ p.w1.T
 
 
@@ -275,17 +276,13 @@ def encoder_layer(
 def encoder_layer_backward(
     g: np.ndarray, cache: tuple, grads: EncoderLayerParams
 ) -> np.ndarray:
-    """Add the layer's parameter gradients into ``grads``; return the input gradient."""
+    """Write the layer's parameter gradients into ``grads``; return the input gradient."""
     params, ln1_cache, att_cache, ln2_cache, ff_cache = cache
     dln2 = _ffn_backward(g, params, ff_cache, grads)
-    dh, dln2_gain, dln2_bias = layer_norm_backward(dln2, ln2_cache)
-    grads.ln2_gain += dln2_gain
-    grads.ln2_bias += dln2_bias
-    dh = dh + g
+    dh = layer_norm_backward(dln2, ln2_cache, grads.ln2_gain, grads.ln2_bias)
+    dh += g
     dln1 = multi_head_attention_backward(dh, att_cache, grads.attn)
-    dx, dln1_gain, dln1_bias = layer_norm_backward(dln1, ln1_cache)
-    grads.ln1_gain += dln1_gain
-    grads.ln1_bias += dln1_bias
+    dx = layer_norm_backward(dln1, ln1_cache, grads.ln1_gain, grads.ln1_bias)
     return dx + dh
 
 

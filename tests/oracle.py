@@ -570,9 +570,12 @@ def training_pairs(img, config, rng):
     return np.concatenate([fg, bg]), np.concatenate([fg_targets + 1, np.zeros_like(bg)])
 
 
-def batch_loss(config, net, params, grads, loss_fn, batch, sample_rng):
-    """One forward, one loss call per head and one backward per image; None
-    when no image draws a pair."""
+def batch_loss(config, net, params, grad_vec, loss_fn, batch, sample_rng):
+    """One forward, one loss call per head and one backward per image into a
+    fresh gradient, added into ``grad_vec`` in batch order; the label
+    embedding's rows of the whole batch are added by one ``np.add.at`` in
+    object order, as one shared gradient tree would have received them.
+    None when no image draws a pair."""
     w_obj = config.model.object_loss_weight
     obj_count = sum(len(img.labels) for img in batch)
     per_image = []
@@ -588,9 +591,14 @@ def batch_loss(config, net, params, grads, loss_fn, batch, sample_rng):
     rel_values = np.concatenate([rel.value for _, rel, _ in per_image])
     if not len(rel_values):
         return None
+    gathered = []
     for out, rel, obj in per_image:
         d_obj = None if obj is None else obj.grad_logits * (w_obj / obj_count)
-        net.backward(d_obj, rel.grad_logits / len(rel_values), out, params, config.model, grads)
+        grad_vec += flatten(net.backward(d_obj, rel.grad_logits / len(rel_values), out, params,
+                                         config.model, None, gathered))
+    if gathered:  # only the label embedding gathers rows
+        _, index, rows = zip(*gathered)
+        np.add.at(unflatten(params, grad_vec).embed, np.concatenate(index), np.concatenate(rows))
     loss_value = running_sum(rel_values) / len(rel_values)
     if use_obj:
         obj_values = np.concatenate([obj.value for _, _, obj in per_image])
@@ -613,7 +621,6 @@ def train(config, images, loss_fn=None):
     params = unflatten(params, param_vec)
     velocity = np.zeros_like(param_vec)
     grad_vec = np.zeros_like(param_vec)
-    grads = unflatten(params, grad_vec)
     shuffle_rng = harness._rng(config.seed, harness.SHUFFLE_DOMAIN)
     sample_rng = harness._rng(config.seed, harness.SAMPLE_DOMAIN)
     order, losses, opt = [], [], config.optimizer
@@ -624,7 +631,7 @@ def train(config, images, loss_fn=None):
                 order = shuffle_rng.permutation(len(images)).tolist()
             batch.append(images[order.pop(0)])
         grad_vec.fill(0.0)
-        loss_value = batch_loss(config, net, params, grads, loss_fn, batch, sample_rng)
+        loss_value = batch_loss(config, net, params, grad_vec, loss_fn, batch, sample_rng)
         if loss_value is None:
             raise ValueError(
                 f"iteration {step}: the batch draws no pairs "

@@ -12,7 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from tailbias.model import ModelSpec, forward, init_dual_encoder, init_linear, linear_forward
+from tailbias.model import (
+    MODEL_KINDS,
+    ModelSpec,
+    forward,
+    init_dual_encoder,
+    init_linear,
+    linear_forward,
+    model_for,
+)
 from tailbias.numerics import (
     FD_CHUNK,
     _ffn,
@@ -23,6 +31,7 @@ from tailbias.numerics import (
     init_attention_params,
     init_encoder_layer_params,
     layer_norm,
+    leaves,
     multi_head_attention,
     multi_head_attention_backward,
     row_softmax,
@@ -184,9 +193,33 @@ def test_a_stacked_product_is_one_product_per_slice(d):
                 assert_items_equal(a @ w, [x @ w for x in a])
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_product_written_through_out_is_the_product(kind):
+    """Backward passes write each weight gradient by ``np.matmul(x.swapaxes(-1,
+    -2), g, out=leaf)`` and each bias gradient by ``np.add.reduce(g, axis=-2,
+    out=leaf)``, into ``(B, ...)`` views of a ``(B, N)`` row buffer. numpy runs
+    a product whose ``out`` BLAS cannot write in a loop of its own, which
+    rounds otherwise; at every leaf shape of the default models, over any
+    number of rows including none, the written bits must be those of
+    ``x.swapaxes(-1, -2) @ g`` and ``g.sum(axis=-2)``."""
+    spec = ModelSpec(kind=kind)
+    params = model_for(spec).init(spec, LabelSpace(20, 30), 16)
+    rng = np.random.default_rng(3)
+    for b in (1, 3, 8):
+        tree = unflatten(params, np.full((b, flatten(params).size), np.nan))
+        for leaf in leaves(tree):
+            for t in (0, 1, 6, 30):
+                g = rng.normal(size=(b, t, leaf.shape[-1]))
+                if leaf.ndim == 3:
+                    x_t = rng.normal(size=(b, t, leaf.shape[1])).swapaxes(-1, -2)
+                    assert np.array_equal(np.matmul(x_t, g, out=leaf), x_t @ g)
+                else:
+                    assert np.array_equal(np.add.reduce(g, axis=-2, out=leaf), g.sum(axis=-2))
+
+
 @pytest.mark.parametrize("d", [8, 32, 48])
 def test_stacked_gradients_are_one_per_slice(d):
-    """Bucketed backward passes add each image's weight gradient as
+    """Bucketed backward passes write each image's weight gradient as
     ``x.swapaxes(-1, -2) @ g``, its bias gradient as ``g.sum(axis=-2)``, its
     input gradient as ``g @ w.T`` and its scattered rows by one ``np.add.at``
     over ``(image, row)`` indices, and rely on each slice being bit-identical

@@ -586,6 +586,33 @@ class TestErrors:
         assert err["message"].startswith(f"{bad}: ")
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("doc", [[1, 2], "abc", 3], ids=["list", "string", "number"])
+    @pytest.mark.parametrize("command", ["synth", "train", "eval"])
+    def test_a_document_that_is_no_object_gives_json_error(
+        self, workspace, tmp_path, capsys, command, doc
+    ):
+        """A config given with ``--seed``, or a checkpoint, that is valid JSON
+        but no object is refused by its reader, naming what it must be."""
+        _, data_dir, _, _, _ = workspace
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", "--config", str(path), "--seed", "3"],
+            "train": ["train", "--config", str(path), "--seed", "3",
+                      "--data", str(data_dir / "train.jsonl")],
+            "eval": ["eval", "--checkpoint", str(path), "--data", str(data_dir / "test.jsonl")],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        message = {"synth": "synth config must be an object",
+                   "train": "train config must be an object",
+                   "eval": f"{path}: checkpoint must be an object"}[command]
+        assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "fields, message",
         [

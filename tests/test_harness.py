@@ -375,6 +375,42 @@ class TestTrain:
             harness._batch_loss(config, Model(net.init, forward, net.backward), params,
                                 harness._Gradient(params, 3), loss_fn, split, images, batch, drawn)
 
+    @pytest.mark.parametrize("w_obj", [0.0, 0.5])
+    @pytest.mark.parametrize("kind", ["linear", "dual_encoder"])
+    def test_a_batch_gradient_ignores_what_the_row_buffer_held(self, space, kind, w_obj):
+        """Each backward overwrites its images' rows of ``grad.rows``, which
+        are never zeroed: with the rows poisoned by NaN between batches, a
+        batch gives the loss and gradient a fresh buffer gives. At
+        ``background_ratio`` 0 image 1 has no ground truth and draws no pair,
+        a bucket whose relation stack is skipped; images 0 and 3 share a
+        bucket, and image 2 has two objects of one class."""
+        rng = np.random.default_rng(4)
+        gts = ([[0, 1, 1]], [], [[0, 1, 2], [2, 3, 1]], [[1, 2, 3]])
+        records = [replace(make_image(rng, n, space.num_object_classes, 6),
+                           gt=np.array(gt, dtype=np.int64).reshape(-1, 3))
+                   for n, gt in zip((3, 3, 4, 3), gts)]
+        records[2].labels[1] = records[2].labels[0]
+        images = Images.pack(records)
+        base = model_config(space, kind)
+        config = replace(base, background_ratio=0.0,
+                         model=replace(base.model, object_loss_weight=w_obj))
+        net = model_for(config.model)
+        split, loss_fn = harness._prepare(config, images)
+        params = net.init(config.model, space, 6, rng)
+        grad = harness._Gradient(params, 3)
+        for batch in ([1, 0, 2], [0, 3, 2], [3, 1, 0]):
+            drawn = harness._draw(split, images.gt_start, batch, 0.0, rng)
+            fresh = harness._Gradient(params, 3)
+            want = harness._batch_loss(config, net, params, fresh, loss_fn, split, images,
+                                       batch, drawn)
+            grad.rows.fill(np.nan)
+            grad.vec.fill(0.0)
+            got = harness._batch_loss(config, net, params, grad, loss_fn, split, images,
+                                      batch, drawn)
+            assert got == want
+            assert np.isfinite(grad.vec).all() and grad.vec.any()
+            assert np.array_equal(grad.vec, fresh.vec)
+
     @pytest.mark.parametrize("kind", ["linear", "dual_encoder"])
     def test_the_model_runs_once_per_bucket_of_a_batch(self, space, data, kind, monkeypatch):
         """Per iteration, one forward and then one backward call per bucket:

@@ -291,7 +291,7 @@ class TestProtocol:
     @pytest.mark.parametrize("mode", ["predcls", "sgcls"])
     def test_an_empty_pair_block_gives_no_relation_rows(self, kind, mode):
         """A forward over no pairs gives ``(0, L + 1)`` logits; its backward
-        adds what a one-pair forward with a zero relation gradient adds."""
+        writes what a one-pair forward with a zero relation gradient writes."""
         spec = ModelSpec(kind=kind, d_model=8, d_e=4, d_pos=4, n_o=1, n_r=2, d_ff=8)
         net = model_for(spec)
         rng = np.random.default_rng(5)
@@ -307,25 +307,44 @@ class TestProtocol:
         assert np.array_equal(flatten(got), flatten(want))
 
 
-class TestGradientAccumulation:
-    @pytest.mark.parametrize("kind", MODEL_KINDS)
-    def test_two_backward_calls_add_exactly(self, kind):
+class TestBackwardOverwrites:
+    @pytest.mark.parametrize(
+        "kind, case",
+        [("linear", "all_pairs"), ("linear", "no_pairs"), ("dual_encoder", "all_pairs"),
+         ("dual_encoder", "no_object_gradient"), ("dual_encoder", "no_pairs")],
+        ids=["linear", "linear-no_pairs", "dual_encoder", "dual_encoder-no_object_gradient",
+             "dual_encoder-no_pairs"],
+    )
+    def test_two_backward_calls_overwrite_a_poisoned_tree(self, kind, case):
+        """A backward writes every leaf of the ``grads`` it is given: into a
+        NaN-filled buffer, and again into one holding stale values, it leaves
+        exactly what a backward into a fresh tree gives. Without an object
+        gradient the dual encoder writes a zero ``w_clf_obj`` gradient, and
+        over no pairs, zeros for the relation stack it skipped."""
         spec = ModelSpec(kind=kind, d_model=8, d_e=4, d_pos=4, n_o=2, n_r=1, d_ff=8)
         net = model_for(spec)
         rng = np.random.default_rng(11)
         params = net.init(spec, LS, D_V, rng)
         image = make_image(rng, 4, LS.num_object_classes, D_V)
-        pairs = all_ordered_pairs(4)
-        out = net.forward(image, image.unions, pairs, params, spec)
-        d_obj = None if out.object_logits is None else rng.normal(size=out.object_logits.shape)
+        image.labels[1] = image.labels[0]  # two rows of one embedding class
+        pairs = all_ordered_pairs(4)[: 0 if case == "no_pairs" else None]
+        out = net.forward(image, image.unions[: len(pairs)], pairs, params, spec)
+        d_obj = None
+        if out.object_logits is not None and case != "no_object_gradient":
+            d_obj = rng.normal(size=out.object_logits.shape)
         d_rel = rng.normal(size=out.relation_logits.shape)
         once = flatten(net.backward(d_obj, d_rel, out, params, spec))
-        assert once.any()
-        buffer = np.zeros_like(once)
+        assert once.any() == (kind == "dual_encoder" or case != "no_pairs")
+        buffer = np.full_like(once, np.nan)
         grads = unflatten(params, buffer)
-        for _ in range(2):
+        for stale in (np.nan, 1.5):
+            buffer.fill(stale)
             assert net.backward(d_obj, d_rel, out, params, spec, grads) is grads
-        assert np.array_equal(buffer, 2 * once)
+            assert np.array_equal(buffer, once)
+        if kind == "dual_encoder":
+            tree = unflatten(params, once)
+            assert tree.w_clf_obj.any() == (d_obj is not None)
+            assert flatten(tree.rel_layers).any() == (case != "no_pairs")
 
 
 class TestBucketedBackward:
@@ -366,9 +385,9 @@ class TestBucketedBackward:
         out = net.forward(bucket, unions, pairs, params, spec, mode)
         d_rel = rng.normal(size=out.relation_logits.shape)
         d_obj = None if out.object_logits is None else rng.normal(size=out.object_logits.shape)
-        rows = np.zeros((b, flatten(params).size))
+        rows = np.full((b, flatten(params).size), np.nan)
         net.backward(d_obj, d_rel, out, params, spec, unflatten(params, rows))
-        gathered_rows, gathered = np.zeros_like(rows), []
+        gathered_rows, gathered = np.full_like(rows, np.nan), []
         net.backward(d_obj, d_rel, out, params, spec, unflatten(params, gathered_rows), gathered)
         assert len(gathered) == (kind == "dual_encoder")
         for i, img in enumerate(images):

@@ -223,19 +223,30 @@ class TestEncoderLayer:
     ],
     ids=["multi_head_attention", "encoder_layer"],
 )
-def test_backward_kernels_add_into_grads(rng, forward, backward, init):
+def test_backward_kernels_overwrite_grads(rng, forward, backward, init):
+    """A backward writes every leaf of its gradient tree, whatever the leaves
+    held: into a NaN-filled buffer, and again into one holding stale values,
+    it leaves what a backward into a zero buffer leaves. Over a bucket of
+    three instances, each row of a NaN-filled ``(3, N)`` buffer is written."""
     params = init(rng)
-    x = rng.normal(size=(5, 8))
+    x = rng.normal(size=(3, 5, 8))
     g = rng.normal(size=x.shape)
-    _, cache = forward(x, params, 2)
+    _, cache = forward(x[0], params, 2)
     once = np.zeros_like(flatten(params))
-    dx = backward(g, cache, unflatten(params, once))
-    twice = np.zeros_like(once)
-    grads = unflatten(params, twice)
-    assert np.array_equal(backward(g, cache, grads), dx)
-    assert np.array_equal(backward(g, cache, grads), dx)
-    assert once.any()
-    assert np.array_equal(twice, 2 * once)
+    dx = backward(g[0], cache, unflatten(params, once))
+    assert once.all()
+    buffer = np.empty_like(once)
+    grads = unflatten(params, buffer)
+    for stale in (np.nan, 1.5):
+        buffer.fill(stale)
+        assert np.array_equal(backward(g[0], cache, grads), dx)
+        assert np.array_equal(buffer, once)
+    rows = np.full((3, once.size), np.nan)
+    backward(g, forward(x, params, 2)[1], unflatten(params, rows))
+    for xi, gi, row in zip(x, g, rows):
+        want = np.zeros_like(once)
+        backward(gi, forward(xi, params, 2)[1], unflatten(params, want))
+        assert np.array_equal(row, want)
 
 
 class TestGradCheck:
