@@ -15,6 +15,8 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .bias import BiasSpec, bias_from_json, bias_to_json, compute_bias
 from .gradcert import run_certification
@@ -253,11 +255,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
-    except SystemExit as exc:
-        raise exc
+        with np.errstate(all="ignore"):  # every non-finite value is refused by its own check
+            return args.fn(args)
     except (
-        CliError, ValueError, ArithmeticError, OSError, KeyError, json.JSONDecodeError
+        CliError, ValueError, ArithmeticError, OSError, KeyError, RecursionError
     ) as exc:
         print(
             json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),

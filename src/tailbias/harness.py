@@ -9,20 +9,21 @@ foreground pairs and targets, and its background pairs. Each batch draws
 every foreground pair of its images plus a seeded subsample of background
 pairs at a configurable ratio; the optimized scalar is the mean relation
 loss over the drawn pairs, plus a weighted mean object cross-entropy when
-the model has an object head. Each loss is called once per batch on the
-rows of all its images; the model runs one forward and one backward per
-bucket of the batch's images with the same object count and the same number
-of drawn pairs (:func:`_batch_loss`). Bias rows are gathered from a dense
-class-pair table by the pair's classes
-(:func:`~tailbias.model.class_labels`). Parameters, momentum and gradients
+the model has an object head, each loss called once per batch on the rows
+of all its images (:func:`_batch_loss`). Bias rows are gathered from a dense
+class-pair table by the pair's classes. Parameters, momentum and gradients
 are flat buffers, with trees as views of them. A non-finite loss or gradient
 stops training with a ``FloatingPointError`` that names the iteration and,
 for a gradient, the parameter leaf.
 
-Evaluation checks and derives its split as training does, at the
-checkpoint's feature width, forwards each image once, in buckets of images
-with the same object count (:func:`_forward_split`), and ranks the split's
-stacked ``(ΣP, L)`` score matrix once per constraint (see
+Training and evaluation forward images through one bucket runner
+(:class:`_Buckets`): images with the same object count and number of pairs
+run as one model call per :data:`FORWARD_CHUNK` of them, on an
+:class:`~tailbias.synth.Objects` record gathered once, and a failed call is
+run again image by image to name the first faulty image. Evaluation checks
+and derives its split as training does, at the checkpoint's feature width,
+forwards each image once over all its pairs (:func:`_forward_split`), and
+ranks the split's stacked ``(ΣP, L)`` score matrix once per constraint (see
 :mod:`tailbias.metrics`); the sweep reuses those logits at every grid point.
 In ``sgcls`` evaluation the argmax of the model's object probabilities is
 the object label throughout: inference-bias rows are gathered by it, and a
@@ -42,7 +43,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from itertools import zip_longest
-from typing import Callable, ClassVar, NamedTuple, Sequence
+from typing import Callable, ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,7 +75,7 @@ from .model import (
 )
 from .numerics import flatten, leaf_names, leaves, running_sum, unflatten
 from .stats import LabelSpace, TripletStats, from_dict, marginal_counts, refuse_first
-from .synth import Images, SynthImage, _offsets, _ranges, all_ordered_pairs
+from .synth import Images, Objects, _offsets, _ranges
 
 __all__ = [
     "LOSS_KINDS",
@@ -93,8 +94,8 @@ __all__ = [
     "training_stats",
 ]
 
-# Images of one object-count bucket that evaluation forwards per model call:
-# a larger chunk holds more forward caches at once and runs no faster.
+# Images of one bucket forwarded per model call: a larger chunk holds more
+# forward caches at once and runs no faster.
 FORWARD_CHUNK = 16
 
 INIT_DOMAIN = 10
@@ -349,6 +350,64 @@ class _Gradient:
         return self._row_trees[lo, hi]
 
 
+class _Buckets:
+    """The images ``index`` of a split, image ``k`` over its pair rows
+    ``rows[starts[k]:starts[k + 1]]``, in buckets of the same object count
+    ``n`` and number ``m`` of pair rows, in order of first appearance, with
+    one model call per :data:`FORWARD_CHUNK` images of a bucket. In bucket
+    order (``order``, list positions): the split's ``objects`` rows, ``rel``
+    positions in ``rows``, the arrays the calls read, each gathered once, and
+    ``calls``, each ``(b, n, m, o, r)``: ``b`` images from object ``o``, pair ``r``."""
+
+    def __init__(self, images: Images, split: _Split, index: np.ndarray, rows: np.ndarray,
+                 starts: np.ndarray):
+        first = images.obj_start[index]
+        self.index, self.counts = index, images.obj_start[index + 1] - first
+        sizes = starts[1:] - starts[:-1]
+        buckets: dict[tuple[int, int], list[int]] = {}
+        for pos, key in enumerate(zip(self.counts.tolist(), sizes.tolist())):
+            buckets.setdefault(key, []).append(pos)
+        self.calls, o, r = [], 0, 0
+        for (n, m), at in buckets.items():
+            for lo in range(0, len(at), FORWARD_CHUNK):
+                b = min(FORWARD_CHUNK, len(at) - lo)
+                self.calls.append((b, n, m, o, r))
+                o, r = o + b * n, r + b * m
+        self.order = order = np.array([pos for at in buckets.values() for pos in at])
+        self.objects = _ranges(first[order], self.counts[order])
+        self.rel = _ranges(starts[order], sizes[order])
+        at = rows[self.rel]
+        self.pairs, self.unions = split.pairs[at], images.unions[at]
+        self.record = images.objects(self.objects)
+        self.local = self.pairs - first[order].repeat(sizes[order])[:, None]
+
+    def run(self, forward: Callable, *args) -> Iterator[tuple[tuple, ModelOutput]]:
+        """Yield each call with its ``forward(objects, unions, pairs, *args)``.
+        After a failed call every image is forwarded alone, in the list's
+        order, to raise the first failure again with its split index as
+        ``image``; if no image fails alone, the call's error is raised."""
+        record, unions, local = self.record, self.unions, self.local
+        for b, n, m, o, r in self.calls:
+            try:
+                out = forward(Objects(*(a[o : o + b * n].reshape((b, n) + a.shape[1:])
+                                        for a in record)),
+                              unions[r : r + b * m].reshape(b, m, unions.shape[-1]),
+                              local[r : r + b * m].reshape(b, m, 2), *args)
+            except (ValueError, FloatingPointError):
+                alone = [(o + j * n, n, r + j * m, m) for b, n, m, o, r in self.calls
+                         for j in range(b)]
+                for k, q in enumerate(np.argsort(self.order).tolist()):
+                    o1, n1, r1, m1 = alone[q]
+                    try:
+                        forward(Objects(*(a[o1 : o1 + n1] for a in record)),
+                                unions[r1 : r1 + m1], local[r1 : r1 + m1], *args)
+                    except (ValueError, FloatingPointError) as exc:
+                        exc.image = int(self.index[k])
+                        raise
+                raise
+            yield (b, n, m, o, r), out
+
+
 def _batch_loss(
     config: TrainConfig,
     net: Model,
@@ -364,81 +423,44 @@ def _batch_loss(
     :func:`_draw`), plus the weighted mean object loss when the model has an
     object head; adds its gradient into ``grad.vec``.
 
-    Images with the same object count ``n`` and the same number ``m`` of
-    drawn pairs form a bucket, run by one forward and one backward call with
-    each image's own ``(m, 2)`` pairs. Each loss is called once, on the rows
-    of the whole batch bucket by bucket; only its per-row values are added in
-    batch order. Each image's gradient is written into its own row of
-    ``grad.rows``, and the rows are added into ``grad.vec`` in batch order;
-    the rows of a gathered table (the label embedding, to which one image may
-    add one class row twice) are added by one ``np.add.at`` over the batch's
-    objects in batch order. So every leaf receives the per-image gradients in
-    the order one forward and backward per image gave them, and checkpoints
-    are bit-identical to that order. A failed forward is run again image by
-    image, in batch order, to raise the error the first faulty image gives.
+    The batch runs in buckets (:class:`_Buckets`), one forward and one
+    backward per call, and each loss once, on the rows of the whole batch
+    bucket by bucket; only its per-row values are added in batch order. Each
+    image's gradient is written into its own row of ``grad.rows``, and the
+    rows are added into ``grad.vec`` in batch order; the rows of a gathered
+    table (the label embedding, to which one image may add one class row
+    twice) by one ``np.add.at`` over the batch's objects in batch order. So
+    every leaf gets the per-image gradients in the order one forward and
+    backward per image gives them, and checkpoints are bit-identical to it.
     """
     spec = config.model
     rows, targets, starts = drawn
-    batch = np.asarray(batch)
-    first = images.obj_start[batch]
-    counts = images.obj_start[batch + 1] - first
-    sizes = starts[1:] - starts[:-1]
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for pos, key in enumerate(zip(counts.tolist(), sizes.tolist())):
-        buckets.setdefault(key, []).append(pos)
-    order = np.array([pos for at in buckets.values() for pos in at])
-    # The batch's objects and drawn rows, bucket by bucket; ``rel`` gives
-    # each drawn row's position in batch order.
-    objects = _ranges(first[order], counts[order])
-    rel = _ranges(starts[order], sizes[order])
-    fields = tuple(a[objects] for a in (images.boxes, images.features, images.labels,
-                                         images.scores))
-    unions = images.unions[rows[rel]]
-    pairs = split.pairs[rows]
-    local = pairs[rel] - first[order].repeat(sizes[order])[:, None]
-
-    runs, relation_logits, object_logits = [], [], []
-    o = r = 0
-    for (n, m), at in buckets.items():
-        b = len(at)
-        u = unions[r : r + b * m].reshape(b, m, unions.shape[-1])
-        record = SynthImage(*(a[o : o + b * n].reshape((b, n) + a.shape[1:]) for a in fields),
-                            unions=u, gt=images.gt[:0])
-        try:
-            out = net.forward(record, u, local[r : r + b * m].reshape(b, m, 2), params, spec,
-                              config.task)
-        except FloatingPointError:
-            for i, lo, hi in zip(batch, starts[:-1], starts[1:]):
-                net.forward(images[i], images.unions[rows[lo:hi]],
-                            pairs[lo:hi] - images.obj_start[i], params, spec, config.task)
-            raise
-        relation_logits.append(out.relation_logits.reshape(b * m, out.relation_logits.shape[-1]))
-        if out.object_logits is not None:
-            object_logits.append(out.object_logits.reshape(b * n, out.object_logits.shape[-1]))
-        runs.append((out, b, n, m, o, r))
-        o, r = o + b * n, r + b * m
-
-    classes = split.classes[pairs[rel]]
-    rel_loss = loss_fn(np.concatenate(relation_logits), targets[rel], classes[:, 0],
-                       classes[:, 1])
+    plan = _Buckets(images, split, np.asarray(batch), rows, starts)
+    runs = list(plan.run(net.forward, params, spec, config.task))
+    width = config.label_space.num_relations + 1
+    relation_logits = np.concatenate([out.relation_logits.reshape(-1, width) for _, out in runs])
+    rel, classes = plan.rel, split.classes[plan.pairs]
+    rel_loss = loss_fn(relation_logits, targets[rel], classes[:, 0], classes[:, 1])
     d_rel = np.divide(rel_loss.grad_logits, len(rel), out=rel_loss.grad_logits)
     loss_value = running_sum(_batch_order(rel_loss.value, rel)) / len(rel)
 
     # Only a model with an object head returns object logits and gathers table
     # rows; ``slot`` gives each object's position in batch order.
-    d_obj = None
-    w_obj = spec.object_loss_weight
+    d_obj, w_obj = None, spec.object_loss_weight
+    object_logits = [out.object_logits.reshape(b * n, -1) for (b, n, m, o, r), out in runs
+                     if out.object_logits is not None]
+    counts, order = plan.counts, plan.order
     slot = _ranges(_offsets(counts)[order], counts[order]) if object_logits else None
     if w_obj > 0 and object_logits:
-        obj_loss = ce(np.concatenate(object_logits), images.labels[objects])
-        d_obj = np.multiply(obj_loss.grad_logits, w_obj / objects.size, out=obj_loss.grad_logits)
-        loss_value += w_obj * running_sum(_batch_order(obj_loss.value, slot)) / len(objects)
+        labels = plan.record.labels
+        obj_loss = ce(np.concatenate(object_logits), labels)
+        d_obj = np.multiply(obj_loss.grad_logits, w_obj / labels.size, out=obj_loss.grad_logits)
+        loss_value += w_obj * running_sum(_batch_order(obj_loss.value, slot)) / labels.size
 
-    gathered: list = []
-    lo = 0
-    for out, b, n, m, o, r in runs:
+    gathered, lo = [], 0
+    for (b, n, m, o, r), out in runs:
         g_obj = None if d_obj is None else d_obj[o : o + b * n].reshape(b, n, -1)
-        g_rel = d_rel[r : r + b * m].reshape(b, m, d_rel.shape[-1])
+        g_rel = d_rel[r : r + b * m].reshape(b, m, width)
         net.backward(g_obj, g_rel, out, params, spec, grad.row_tree(lo, lo + b), gathered)
         lo += b
     for j in np.argsort(order):  # in batch order, in place: gathering the rows copies them
@@ -492,15 +514,13 @@ def train(
 ) -> tuple[Checkpoint, RunLog]:
     """SGD training; returns the final checkpoint and the per-iteration log.
 
-    ``loss_fn`` overrides the configured loss (used by equivalence tests);
-    it has the signature and contract of :func:`make_loss_fn`'s result and
-    is called once per batch, with the batch's ``(Σm, C)`` rows bucket by
-    bucket: the relation logits of every pair drawn from its images. Its
-    gradient array is scaled in place. The split's ground truth is checked
-    once, before the first iteration; an image unfit to train on (fewer than
-    two objects, detector scores of the wrong width, a class label outside
-    the label space, invalid ground truth) raises ``ValueError`` naming its
-    index, and a batch that draws no pair one naming the iteration.
+    ``loss_fn`` overrides the configured loss (used by equivalence tests),
+    with the contract of :func:`make_loss_fn`'s result; its gradient array is
+    scaled in place. The split's ground truth is checked once, before the
+    first iteration; an image unfit to train on (fewer than two objects,
+    detector scores of the wrong width, a class label outside the label
+    space, invalid ground truth) raises ``ValueError`` naming its index, and
+    a batch that draws no pair one naming the iteration.
     """
     if not len(train_images):
         raise ValueError("empty training dataset")
@@ -517,8 +537,7 @@ def train(
     velocity = np.zeros_like(param_vec)
     grad = _Gradient(params, opt.batch_size)
 
-    shuffle_rng = _rng(config.seed, SHUFFLE_DOMAIN)
-    sample_rng = _rng(config.seed, SAMPLE_DOMAIN)
+    shuffle_rng, sample_rng = _rng(config.seed, SHUFFLE_DOMAIN), _rng(config.seed, SAMPLE_DOMAIN)
     order: list[int] = []
     losses: list[float] = []
 
@@ -584,58 +603,38 @@ class _Scored(NamedTuple):
 
 def _forward_split(checkpoint: Checkpoint, images: Images) -> _Scored:
     """Check the split's ground truth as for training, at the checkpoint's
-    feature width, and forward every image once.
-
-    Images with the same object count ``n`` share their ordered pairs, so
-    they stack into a bucket without padding; the model runs once per chunk
-    of at most :data:`FORWARD_CHUNK` images of a bucket, and its outputs are
-    scattered into split-wide arrays. An image failing the check, its
-    forward, or with non-finite logits raises ``ValueError`` naming its
-    index: after a failed chunk the split is forwarded again image by image,
-    in index order, so that the first faulty image is named.
+    feature width, and forward every image once over all its ordered pairs,
+    in buckets (:class:`_Buckets`); each call's outputs are scattered into
+    split-wide arrays before the next call runs. An image failing the check,
+    its forward, or with non-finite logits raises ``ValueError`` naming its
+    index (see :meth:`_Buckets.run`).
     """
     if not len(images):
         raise ValueError("empty evaluation split")
-    config = checkpoint.config
-    ls = config.label_space
+    config, ls = checkpoint.config, checkpoint.config.label_space
     d_v = feature_width(config.model, ls, sum(a.size for a in leaves(checkpoint.params)))
     gt_image = _truth(images, ls, d_v)
     split = _pack(images, gt_image, ls, config.task)
-    pair_start, obj_start = images.pair_start, images.obj_start
+    pair_start = images.pair_start
     net, params = model_for(config.model), checkpoint.params
 
-    def run(record: SynthImage, pairs: np.ndarray) -> ModelOutput:
-        fwd = net.forward(record, record.unions, pairs, params, config.model, config.task)
-        if not np.isfinite(fwd.relation_logits).all():
+    def forward(*args) -> ModelOutput:
+        out = net.forward(*args)
+        if not np.isfinite(out.relation_logits).all():
             raise ValueError("non-finite relation logits")
-        return fwd
+        return out
 
-    def name_first_fault() -> None:
-        for i in range(len(images)):
-            img = images[i]
-            try:
-                run(img, all_ordered_pairs(len(img.labels)))
-            except (ValueError, FloatingPointError) as exc:
-                raise ValueError(f"image {i}: {exc}") from None
-
-    counts = np.diff(obj_start)
+    plan = _Buckets(images, split, np.arange(len(images)), np.arange(pair_start[-1]), pair_start)
     logits = np.empty((pair_start[-1], ls.num_relations + 1))
     object_probs = np.empty(images.scores.shape)
-    for n in np.unique(counts).tolist():
-        pairs = all_ordered_pairs(n)
-        same = np.flatnonzero(counts == n)
-        for chunk in np.split(same, range(FORWARD_CHUNK, len(same), FORWARD_CHUNK)):
-            obj = obj_start[chunk, None] + np.arange(n)
-            rel = pair_start[chunk, None] + np.arange(len(pairs))
-            bucket = SynthImage(images.boxes[obj], images.features[obj], images.labels[obj],
-                                images.scores[obj], images.unions[rel], images.gt[:0])
-            try:
-                fwd = run(bucket, pairs)
-            except (ValueError, FloatingPointError):
-                name_first_fault()
-                raise
-            logits[rel] = fwd.relation_logits
-            object_probs[obj] = fwd.object_probs
+    try:
+        for (b, n, m, o, r), out in plan.run(forward, params, config.model, config.task):
+            logits[plan.rel[r : r + b * m]] = out.relation_logits.reshape(b * m, -1)
+            object_probs[plan.objects[o : o + b * n]] = out.object_probs.reshape(b * n, -1)
+    except (ValueError, FloatingPointError) as exc:
+        if not hasattr(exc, "image"):
+            raise
+        raise ValueError(f"image {exc.image}: {exc}") from None
     classes, matched = images.labels, np.ones(len(split.fg_rows), dtype=bool)
     if config.task == "sgcls":
         classes = object_probs.argmax(axis=1)

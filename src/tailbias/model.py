@@ -2,18 +2,17 @@
 
 Two models share one protocol, resolved from a :class:`ModelSpec` by
 :func:`model_for`: ``init(spec, label_space, d_v, rng)`` builds the parameter
-tree, ``forward(image, union_features, pairs, params, spec, mode)`` gives a
+tree, ``forward(objects, unions, pairs, params, spec, mode)`` gives a
 :class:`ModelOutput`, and ``backward(d_obj, d_rel, output, params, spec,
 grads)`` writes the parameter gradients into ``grads``, a tree of the
 parameters' type (usually views of one flat gradient buffer, see
 :func:`~tailbias.numerics.unflatten`), overwriting every leaf; every backward
 kernel below writes the leaves of the ``grads`` it is given in the same way.
-``image`` is an image's record (``split[i]`` of a
-:class:`~tailbias.synth.Images` split), whose object rows
-(boxes, features, labels, detector scores) are read whole; ``pairs`` is a ``(P, 2)`` array of
-(subject, object) row indices and ``union_features`` its ``(P, d_v)`` union
-rows, so a caller may forward any subset of an image's ordered pairs, such as
-the pairs drawn for a training step. The dual-stack encoder builds object
+``objects`` is an :class:`~tailbias.synth.Objects` record of an image's
+object rows, read whole (``split[i]`` has its fields); ``pairs`` is a ``(P,
+2)`` array of (subject, object) row indices and ``unions`` their ``(P, d_v)``
+union rows, so a caller may forward any subset of an image's ordered pairs,
+such as the pairs drawn for a training step. The dual-stack encoder builds object
 tokens from box geometry, visual features, and a learned label embedding, runs
 them through a stack of encoder layers, classifies objects, fuses ordered
 pairs with their union-box features, runs a second encoder stack over the pair
@@ -25,24 +24,20 @@ model is a single affine relation head over the raw fused pair features; it
 has no object head, so its ``object_logits`` are None.
 
 Both ``forward`` functions take a bucket of images with the same object
-count ``n``: the record's arrays may carry one leading bucket axis, boxes
-``(B, n, 4)``, features ``(B, n, d_v)``, labels ``(B, n)`` and scores
-``(B, n, L_e)``, with ``(B, P, d_v)`` union rows, and then give ``(B, P, L + 1)``
-relation logits and ``(B, n, L_e)`` object outputs. A single image is a
-bucket of one, unbatched. ``pairs`` is either one ``(P, 2)`` array that
-indexes the object rows of every image of the bucket alike, or a
-``(B, P, 2)`` array of each image's own pairs, and the dual encoder attends
-over all of an image's objects and pairs, never across images. Both
-``backward`` functions take the bucket axis too: ``grads`` is then a tree of
-``(B, ...)`` leaves (``unflatten`` of a ``(B, N)`` stack), and each image's
-gradient is written into its own row. A stacked product runs one matrix
-product per image, so a bucket's outputs and gradient rows equal its images'
-own forwards and backwards bit for bit; the bucket axis is never folded into
-the row axis of a 2-D product, whose rows BLAS may round by the product's
-height. An empty ``pairs`` gives ``(0, L + 1)`` relation logits and no
-relation gradient. Evaluation forwards a split in buckets of images with
-the same object count, and training runs each batch as buckets of images
-with the same object count and the same number of drawn pairs.
+count ``n``, the record's arrays with one leading axis (boxes ``(B, n, 4)``)
+and ``(B, P, d_v)`` union rows, and give ``(B, P, L + 1)`` relation logits
+and ``(B, n, L_e)`` object outputs; a single image is a bucket of one,
+unbatched. ``pairs`` is either one ``(P, 2)`` array for every image of the
+bucket alike, or a ``(B, P, 2)`` array of each image's own, as the bucket
+runner of :mod:`tailbias.harness` passes them; the dual encoder attends
+within an image only. Both ``backward`` functions take the bucket axis too:
+``grads`` is then a tree of ``(B, ...)`` leaves (``unflatten`` of a ``(B,
+N)`` stack), and each image's gradient is written into its own row. A
+stacked product runs one matrix product per image, so a bucket's outputs and
+gradient rows equal its images' own forwards and backwards bit for bit; the
+bucket axis is never folded into the row axis of a 2-D product, whose rows
+BLAS may round by the product's height. An empty ``pairs`` gives ``(0, L +
+1)`` relation logits and no relation gradient.
 
 The label embedding is the one table whose rows the forward gathers by
 index, and two objects of an image may share a class, so the order in which
@@ -75,7 +70,7 @@ from .numerics import (
     unflatten,
 )
 from .stats import LabelSpace
-from .synth import Images, SynthImage
+from .synth import Images, Objects
 
 __all__ = [
     "MODES",
@@ -245,26 +240,26 @@ def box_features(boxes: np.ndarray) -> np.ndarray:
     return np.stack([x1, y1, x2, y2, x2 - x1, y2 - y1, (x1 + x2) / 2, (y1 + y2) / 2], axis=-1)
 
 
-def class_labels(image: SynthImage | Images, mode: str) -> np.ndarray:
+def class_labels(objects: Objects | Images, mode: str) -> np.ndarray:
     """Object classes as the task sees them: annotated in ``predcls``, detector argmax in ``sgcls``."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "predcls":
-        return image.labels
-    return image.scores.argmax(axis=-1)
+        return objects.labels
+    return objects.scores.argmax(axis=-1)
 
 
 def embed_objects(
-    image: SynthImage,
+    objects: Objects,
     params: DualEncoderParams,
     mode: str = "predcls",
 ) -> tuple[np.ndarray, tuple]:
     """Fuse box geometry, visual feature, and label embedding into one token per object."""
-    if not image.labels.shape[-1]:
+    if not objects.labels.shape[-1]:
         raise ValueError("no objects to embed")
-    boxes = box_features(image.boxes)
-    feats = image.features
-    labels = class_labels(image, mode)
+    boxes = box_features(objects.boxes)
+    feats = objects.features
+    labels = class_labels(objects, mode)
     pos = boxes @ params.w_pos
     feats_b = np.broadcast_to(feats, pos.shape[:-1] + feats.shape[-1:])
     concat = np.concatenate([pos, feats_b, params.embed[..., labels, :]], axis=-1)
@@ -294,8 +289,7 @@ def embed_objects_backward(
 def encode_objects(
     tokens: np.ndarray, params: DualEncoderParams, n_h: int
 ) -> tuple[np.ndarray, list]:
-    caches = []
-    x = tokens
+    caches, x = [], tokens
     for layer in params.obj_layers:
         x, cache = encoder_layer(x, layer, n_h)
         caches.append(cache)
@@ -321,7 +315,7 @@ def _pair_rows(a: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
 def fuse_pairs(
     e_final: np.ndarray,
-    union_features: np.ndarray,
+    unions: np.ndarray,
     pairs: np.ndarray,
     params: DualEncoderParams,
 ) -> tuple[np.ndarray, tuple]:
@@ -333,11 +327,11 @@ def fuse_pairs(
         s, o = pairs.reshape(-1, 2)[bad[0]].tolist()
         why = "relates an object to itself" if s == o else f"out of range for {n} objects"
         raise ValueError(f"pair ({s}, {o}) {why}")
-    if pairs.shape[-2] != union_features.shape[-2]:
+    if pairs.shape[-2] != unions.shape[-2]:
         raise ValueError("one union feature row is required per pair")
-    unions = np.broadcast_to(union_features, e_final.shape[:-2] + union_features.shape[-2:])
-    concat = np.concatenate([unions, _pair_rows(e_final, pairs)], axis=-1)
-    return concat @ params.w_fuse, (concat, s_idx, o_idx, union_features.shape[-1], n)
+    stacked = np.broadcast_to(unions, e_final.shape[:-2] + unions.shape[-2:])
+    concat = np.concatenate([stacked, _pair_rows(e_final, pairs)], axis=-1)
+    return concat @ params.w_fuse, (concat, s_idx, o_idx, unions.shape[-1], n)
 
 
 def fuse_pairs_backward(
@@ -360,8 +354,7 @@ def encode_relations_and_classify(
     pair_tokens: np.ndarray, params: DualEncoderParams, n_h: int
 ) -> tuple[np.ndarray, list]:
     """Relation logits; an empty block skips the encoder (no attention over no pairs)."""
-    caches = []
-    x = pair_tokens
+    caches, x = [], pair_tokens
     for layer in params.rel_layers if pair_tokens.shape[-2] else ():
         x, cache = encoder_layer(x, layer, n_h)
         caches.append(cache)
@@ -370,29 +363,24 @@ def encode_relations_and_classify(
 
 
 def forward(
-    image: SynthImage,
-    union_features: np.ndarray,
+    objects: Objects,
+    unions: np.ndarray,
     pairs: np.ndarray,
     params: DualEncoderParams,
     spec: ModelSpec,
     mode: str = "predcls",
 ) -> ModelOutput:
     """Full pipeline: object encoding, object head, pair fusion, relation head."""
-    if image.labels.shape[-1] < 2:
+    if objects.labels.shape[-1] < 2:
         raise ValueError("no pairs: need at least two objects")
-    tokens, embed_cache = embed_objects(image, params, mode)
+    tokens, embed_cache = embed_objects(objects, params, mode)
     e_final, obj_caches = encode_objects(tokens, params, spec.n_h)
     object_logits = e_final @ params.w_clf_obj
-    pair_tokens, fuse_cache = fuse_pairs(e_final, union_features, pairs, params)
-    relation_logits, rel_cache = encode_relations_and_classify(
-        pair_tokens, params, spec.n_h
-    )
-    return ModelOutput(
-        object_logits=object_logits,
-        object_probs=row_softmax(object_logits),
-        relation_logits=relation_logits,
-        cache=(embed_cache, obj_caches, e_final, fuse_cache, rel_cache),
-    )
+    pair_tokens, fuse_cache = fuse_pairs(e_final, unions, pairs, params)
+    relation_logits, rel_cache = encode_relations_and_classify(pair_tokens, params, spec.n_h)
+    return ModelOutput(object_logits=object_logits, object_probs=row_softmax(object_logits),
+                       relation_logits=relation_logits,
+                       cache=(embed_cache, obj_caches, e_final, fuse_cache, rel_cache))
 
 
 def backward(
@@ -442,8 +430,8 @@ def backward(
 
 
 def linear_forward(
-    image: SynthImage,
-    union_features: np.ndarray,
+    objects: Objects,
+    unions: np.ndarray,
     pairs: np.ndarray,
     params: LinearParams,
     spec: ModelSpec,
@@ -454,19 +442,14 @@ def linear_forward(
     ``spec`` and ``mode`` complete the shared protocol; the linear head reads
     neither, and its object probabilities are the detector scores. ``params``
     may be a tree of ``(k, ...)`` leaves, giving ``(k, P, C)`` logits, or
-    ``image`` a bucket of ``B`` images, giving ``(B, P, C)`` logits.
+    ``objects`` a bucket of ``B`` images, giving ``(B, P, C)`` logits.
     """
-    if image.labels.shape[-1] < 2:
+    if objects.labels.shape[-1] < 2:
         raise ValueError("no pairs: need at least two objects")
-    feats = image.features
-    x = np.concatenate([union_features, _pair_rows(feats, pairs)], axis=-1)
+    x = np.concatenate([unions, _pair_rows(objects.features, pairs)], axis=-1)
     logits = x @ params.w + params.b[..., None, :]
-    return ModelOutput(
-        object_logits=None,
-        object_probs=image.scores,
-        relation_logits=logits,
-        cache=(x,),
-    )
+    return ModelOutput(object_logits=None, object_probs=objects.scores, relation_logits=logits,
+                       cache=(x,))
 
 
 def linear_backward(

@@ -287,7 +287,7 @@ def read_jsonl(path: str, parse: Callable, gather: Callable = list):
                 out.append(parse(json.loads(line)))
             except KeyError as exc:
                 raise ValueError(f"{path}:{line_no}: missing key {exc}") from None
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
             lines.append(line_no)
     try:

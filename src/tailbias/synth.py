@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .stats import LabelSpace, _is_int64, _is_int64_row, read_jsonl, refuse_firs
 __all__ = [
     "SynthConfig",
     "SynthImage",
+    "Objects",
     "Images",
     "all_ordered_pairs",
     "World",
@@ -78,9 +79,20 @@ def all_ordered_pairs(n: int) -> np.ndarray:
     return np.argwhere(~np.eye(n, dtype=bool))
 
 
+class Objects(NamedTuple):
+    """The object rows a model reads: ``boxes`` ``(..., n, 4)``, ``features``
+    ``(..., n, d_v)``, ``labels`` ``(..., n)`` and detector ``scores`` ``(..., n,
+    L_e)``, with an optional leading bucket axis ``B``."""
+
+    boxes: np.ndarray
+    features: np.ndarray
+    labels: np.ndarray
+    scores: np.ndarray
+
+
 @dataclass
 class SynthImage:
-    """One image's unchecked record: ``boxes`` ``(n, 4)`` as ``[x1, y1, x2, y2]``,
+    """One image's unchecked JSONL record: ``boxes`` ``(n, 4)`` as ``[x1, y1, x2, y2]``,
     ``features`` ``(n, d_v)``, ``labels`` ``(n,)``, detector ``scores`` ``(n, L_e)``,
     ``unions`` ``(n(n-1), d_v)`` in :func:`all_ordered_pairs` order, and ``gt``
     ``(m, 3)`` annotated ``(s, o, relation)`` triplets by object index."""
@@ -131,14 +143,17 @@ class Images:
                 raise ValueError("a split slices only with step 1")
             o, p, g = (s[a : max(a, b) + 1] for s in offsets)
             return Images(
-                *(x[o[0] : o[-1]] for x in (self.boxes, self.features, self.labels, self.scores)),
+                *self.objects(slice(o[0], o[-1])),
                 obj_start=o - o[0], unions=self.unions[p[0] : p[-1]],
                 gt=self.gt[g[0] : g[-1]], gt_start=g - g[0], pair_start=p - p[0],
             )
         i = range(len(self))[key]  # an IndexError past the end ends iteration
         o, p, g = (slice(s[i], s[i + 1]) for s in offsets)
-        return SynthImage(self.boxes[o], self.features[o], self.labels[o], self.scores[o],
-                          self.unions[p], self.gt[g])
+        return SynthImage(*self.objects(o), self.unions[p], self.gt[g])
+
+    def objects(self, rows: np.ndarray | slice) -> Objects:
+        """The split's object ``rows``."""
+        return Objects(self.boxes[rows], self.features[rows], self.labels[rows], self.scores[rows])
 
     @classmethod
     def pack(cls, images: Sequence[SynthImage]) -> "Images":

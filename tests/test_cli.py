@@ -252,10 +252,7 @@ class TestErrors:
         doc = json.loads(capsys.readouterr().err.strip())
         assert doc["error"]["type"] == "usage"
 
-    @pytest.mark.filterwarnings(
-        "ignore:overflow encountered:RuntimeWarning",
-        "ignore:invalid value encountered:RuntimeWarning",
-    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_dual_encoder_gives_json_error(self, tmp_path, capsys):
         # At learning rate 0.3 the encoder's attention overflows within 30 steps.
         ls = LabelSpace(num_object_classes=5, num_relations=6)
@@ -280,7 +277,9 @@ class TestErrors:
         capsys.readouterr()
         code = main(["train", "--config", str(train_cfg), "--out", str(tmp_path / "run")])
         assert code == 1
-        doc = json.loads(capsys.readouterr().err.strip())
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1  # numpy warns of nothing
+        doc = json.loads(err)
         assert doc["error"]["type"] == "FloatingPointError"
         assert re.match(r"iteration \d+: ", doc["error"]["message"])
         assert not (tmp_path / "run").exists()
@@ -611,6 +610,31 @@ class TestErrors:
                    "train": "train config must be an object",
                    "eval": f"{path}: checkpoint must be an object"}[command]
         assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["stats-data", "stats-images", "stats-labels", "train"])
+    def test_deeply_nested_json_gives_json_error(self, workspace, tmp_path, capsys, command):
+        """A document nested 100 000 deep exhausts the decoder's recursion; a
+        JSONL line is named by ``path:line``, and no reader lets it escape."""
+        _, data_dir, _, _, _ = workspace
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "\n")
+        labels, out = str(data_dir / "labels.json"), tmp_path / "out"
+        argv = {
+            "stats-data": ["stats", "--labels", labels, "--data", str(deep)],
+            "stats-images": ["stats", "--labels", labels, "--images", str(deep)],
+            "stats-labels": ["stats", "--labels", str(deep), "--data", str(deep)],
+            "train": ["train", "--config", str(deep), "--data", str(data_dir / "train.jsonl")],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        error = json.loads(err)["error"]
+        assert "recursion" in error["message"]
+        if command.startswith("stats-") and command != "stats-labels":
+            assert error == {"type": "ValueError", "message": error["message"]}
+            assert error["message"].startswith(f"{deep}:1: ")
         assert not out.exists()
 
     @pytest.mark.parametrize(

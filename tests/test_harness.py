@@ -759,6 +759,25 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=want):
             sweep(ck, stats, BiasSpec(kind="cb", epsilon=1e-3), [0.0], images)
 
+    @pytest.mark.parametrize(
+        "kind, message",
+        [("dual_encoder", "attention produced non-finite values"),
+         ("linear", "non-finite relation logits")],
+    )
+    def test_a_one_image_split_names_its_faulty_image(self, kind, message):
+        """A split of one image with a NaN union row: its one call fails, and
+        the image, forwarded again alone, is named."""
+        space = LabelSpace(num_object_classes=5, num_relations=4)
+        rng = np.random.default_rng(6)
+        record = make_image(rng, 3, space.num_object_classes, 6)
+        unions = record.unions.copy()
+        unions[2] = np.nan
+        images = Images.pack([replace(record, unions=unions)])
+        config = model_config(space, kind)
+        ck = Checkpoint(config, 0, model_for(config.model).init(config.model, space, 6, rng))
+        with pytest.raises(ValueError, match=f"^image 0: {re.escape(message)}$"):
+            evaluate(ck, images)
+
     def test_empty_split_rejected(self, space, data):
         train_images, _ = data
         ck, _ = train(linear_config(space), train_images)

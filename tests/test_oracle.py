@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import oracle
 from tailbias.bias import BiasSpec, compute_bias
 from tailbias.harness import (
+    FORWARD_CHUNK,
     Checkpoint,
     LossConfig,
     ModelSpec,
@@ -232,6 +233,12 @@ def outcome(run):
         return type(exc).__name__, str(exc)
 
 
+def small_model(kind):
+    if kind == "linear":
+        return ModelSpec(kind="linear")
+    return ModelSpec(kind="dual_encoder", d_model=4, n_h=2, n_o=1, n_r=1, d_ff=4, d_e=2, d_pos=2)
+
+
 @given(
     images=st.lists(training_image(), min_size=1, max_size=5),
     kind=st.sampled_from(["linear", "dual_encoder"]),
@@ -246,14 +253,10 @@ def outcome(run):
 def test_packed_training_matches_the_per_image_oracle(
     images, kind, task, loss, background_ratio, batch_size, iterations, seed
 ):
-    model = (
-        ModelSpec(kind="linear") if kind == "linear"
-        else ModelSpec(kind="dual_encoder", d_model=4, n_h=2, n_o=1, n_r=1, d_ff=4, d_e=2, d_pos=2)
-    )
     config = TrainConfig(
         label_space=SMALL,
         task=task,
-        model=model,
+        model=small_model(kind),
         loss=LossConfig(kind=loss),
         bias=BiasSpec(kind="pb" if task == "sgcls" else "cb", a=1.0, epsilon=1e-3)
         if loss == "rtpb" else None,
@@ -274,6 +277,41 @@ def test_packed_training_matches_the_per_image_oracle(
     else:
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("kind", ["linear", "dual_encoder"])
+def test_a_bucket_cut_into_calls_matches_the_per_image_oracle(kind):
+    """A batch of 20 images of three objects, each drawing two foreground and
+    two background pairs, is one bucket, forwarded in two calls of at most
+    ``FORWARD_CHUNK`` images; training equals one forward per image bit for bit."""
+    rng = np.random.default_rng(11)
+    images = []
+    for _ in range(25):
+        scores = rng.uniform(0.05, 1.0, (3, SMALL.num_object_classes))
+        x1, y1 = rng.uniform(0.05, 0.4, (2, 3))
+        images.append(SynthImage(
+            boxes=np.stack([x1, y1, x1 + 0.3, y1 + 0.3], axis=1),
+            features=rng.normal(size=(3, D_V)),
+            labels=rng.integers(0, SMALL.num_object_classes, 3),
+            scores=scores / scores.sum(axis=1, keepdims=True),
+            unions=rng.normal(size=(6, D_V)),
+            gt=np.array([(0, 1, rng.integers(1, 4)), (2, 0, rng.integers(1, 4))]),
+        ))
+    config = TrainConfig(
+        label_space=SMALL,
+        task="sgcls",
+        model=small_model(kind),
+        loss=LossConfig(kind="rtpb"),
+        bias=BiasSpec(kind="pb", a=1.0, epsilon=1e-3),
+        optimizer=OptimizerConfig(learning_rate=0.1, momentum=0.9, iterations=3, batch_size=20),
+        seed=3,
+        background_ratio=1.0,
+    )
+    assert FORWARD_CHUNK < 20
+    checkpoint, log = train(config, Images.pack(images))
+    want_params, want_losses = oracle.train(config, images)
+    assert np.array_equal(flatten(checkpoint.params), want_params)
+    assert log.losses == want_losses
 
 
 # --- dense statistics and the split-wide ground-truth check -------------------
