@@ -26,7 +26,15 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .stats import TripletStats, _is_int64, from_dict, marginal_counts, pair_counts, sppo_counts
+from .stats import (
+    TripletStats,
+    _is_int64,
+    _loads,
+    from_dict,
+    marginal_counts,
+    pair_counts,
+    sppo_counts,
+)
 
 __all__ = [
     "GLOBAL_KINDS",
@@ -245,8 +253,9 @@ def bias_from_json(text: str, num_object_classes: int | None = None) -> tuple[Bi
     """Parse :func:`bias_to_json` output; a pair table's ``entries`` must be a
     list of ``[s, o, values]`` with no ``(s, o)`` twice, ``s, o >= 0`` (below
     ``num_object_classes``, if given) and ``values`` as long as the fallback,
-    and it spans classes up to the largest."""
-    doc = json.loads(text)
+    and it spans classes up to the largest. Text that is no JSON document, or
+    one nested too deeply to read, raises ``ValueError``."""
+    doc = _loads(text, "bias file")
     spec = from_dict(BiasSpec, doc, extra=("values", "entries", "fallback"))
     pair = spec.kind in PAIR_KINDS
     for key in ("entries", "fallback") if pair else ("values",):

@@ -7,12 +7,16 @@ the pairs to draw are derived once (:func:`_pack`): every image's ordered
 pairs as global object rows, row for row with the split's unions, its sorted
 foreground pairs and targets, and its background pairs. Each batch draws
 every foreground pair of its images plus a seeded subsample of background
-pairs at a configurable ratio; the optimized scalar is the mean relation
-loss over the drawn pairs, plus a weighted mean object cross-entropy when
-the model has an object head, each loss called once per batch on the rows
-of all its images (:func:`_batch_loss`). Bias rows are gathered from a dense
-class-pair table by the pair's classes. Parameters, momentum and gradients
-are flat buffers, with trees as views of them. A non-finite loss or gradient
+pairs at a configurable ratio. The draws depend only on the seeded shuffle
+and sampler, so the batches of one epoch of steps are drawn in one call
+(:func:`_draw`), and each step takes views of its batch's rows; both
+generators are consumed as one draw per step would consume them. The
+optimized scalar is the mean relation loss over the drawn pairs, plus a
+weighted mean object cross-entropy when the model has an object head, each
+loss called once per batch on the rows of all its images
+(:func:`_batch_loss`). Bias rows are gathered from a dense class-pair table
+by the pair's classes. Parameters, momentum and gradients are flat buffers,
+with trees as views of them. A non-finite loss or gradient
 stops training with a ``FloatingPointError`` that names the iteration and,
 for a gradient, the parameter leaf.
 
@@ -74,7 +78,15 @@ from .model import (
     model_for,
 )
 from .numerics import flatten, leaf_names, leaves, running_sum, unflatten
-from .stats import LabelSpace, TripletStats, from_dict, marginal_counts, refuse_first
+from .stats import (
+    LabelSpace,
+    TripletStats,
+    _is_int64,
+    _loads,
+    from_dict,
+    marginal_counts,
+    refuse_first,
+)
 from .synth import Images, Objects, _offsets, _ranges
 
 __all__ = [
@@ -310,24 +322,34 @@ def make_loss_fn(config: TrainConfig, bias: Bias | None, class_counts: np.ndarra
 
 
 def _draw(
-    split: _Split, gt_start: np.ndarray, batch: list[int], background_ratio: float,
+    split: _Split, gt_start: np.ndarray, slots: Sequence[int], background_ratio: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pair rows drawn for ``batch``, their targets, and the ``(B + 1,)``
-    offsets of each image's block: per image, every foreground pair, then a
-    seeded subsample of its background pairs, both in pair order."""
-    fg_lo, bg_lo, after = gt_start[batch], split.bg_start[batch], np.add(batch, 1)
-    n_fg, n_bg = gt_start[after] - fg_lo, split.bg_start[after] - bg_lo
+    """The pair rows drawn for the image ``slots`` (one batch, or the batches
+    of many steps in a row), their targets, and the ``(S + 1,)`` offsets of
+    each slot's block: per slot, every foreground pair, then a seeded
+    subsample of its background pairs, both in pair order. The only per-slot
+    work is the one ``rng.choice`` of a slot with background pairs to take,
+    in slot order, so drawing many batches in one call consumes ``rng`` as
+    drawing them one call each."""
+    slots = np.asarray(slots, dtype=np.int64)
+    fg_lo, bg_lo = gt_start[slots], split.bg_start[slots]
+    n_fg, n_bg = gt_start[slots + 1] - fg_lo, split.bg_start[slots + 1] - bg_lo
     take = np.minimum(n_bg, np.round(background_ratio * np.maximum(n_fg, 1))).astype(np.int64)
-    rows = []
-    for lo, n, b_lo, b_n, t in zip(*(a.tolist() for a in (fg_lo, n_fg, bg_lo, n_bg, take))):
-        bg = rng.choice(b_n, size=t, replace=False) if t else split.bg_rows[:0]
-        bg.sort()
-        rows += [split.fg_rows[lo : lo + n], split.bg_rows[b_lo + bg]]
+    picks = [split.bg_rows[:0]]
+    for n, t in zip(n_bg.tolist(), take.tolist()):
+        if t:
+            pick = rng.choice(n, size=t, replace=False)
+            pick.sort()
+            picks.append(pick)
     starts = _offsets(n_fg + take)
+    rows = np.empty(starts[-1], dtype=np.int64)
     targets = np.zeros(starts[-1], dtype=np.int64)
-    targets[_ranges(starts[:-1], n_fg)] = split.fg_targets[_ranges(fg_lo, n_fg)]
-    return np.concatenate(rows), targets, starts
+    fg, fg_at = _ranges(fg_lo, n_fg), _ranges(starts[:-1], n_fg)
+    rows[fg_at], targets[fg_at] = split.fg_rows[fg], split.fg_targets[fg]
+    rows[_ranges(starts[:-1] + n_fg, take)] = split.bg_rows[np.concatenate(picks)
+                                                           + bg_lo.repeat(take)]
+    return rows, targets, starts
 
 
 class _Gradient:
@@ -416,7 +438,7 @@ def _batch_loss(
     loss_fn: LossFn,
     split: _Split,
     images: Images,
-    batch: list[int],
+    batch: Sequence[int],
     drawn: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> float:
     """The batch's mean relation loss over its ``drawn`` pairs (see
@@ -538,20 +560,28 @@ def train(
     grad = _Gradient(params, opt.batch_size)
 
     shuffle_rng, sample_rng = _rng(config.seed, SHUFFLE_DOMAIN), _rng(config.seed, SAMPLE_DOMAIN)
-    order: list[int] = []
+    order = np.zeros(0, dtype=np.int64)
     losses: list[float] = []
+    # The steps of one epoch are drawn in one call, so the drawn rows held at
+    # once stay within about the split's own pair rows.
+    size = opt.batch_size
+    window = -(-len(train_images) // size)
 
     for step in range(1, opt.iterations + 1):
-        batch: list[int] = []
-        while len(batch) < opt.batch_size:
-            if not order:
-                order = shuffle_rng.permutation(len(train_images)).tolist()
-            batch.append(order.pop(0))
-
-        drawn = _draw(split, train_images.gt_start, batch, config.background_ratio, sample_rng)
-        if not len(drawn[0]):
+        lo = (step - 1) % window * size  # the batch's first slot in the window
+        if not lo:
+            need = min(window, opt.iterations - step + 1) * size
+            while len(order) < need:  # the shuffled order, refilled as it runs out
+                order = np.concatenate([order, shuffle_rng.permutation(len(train_images))])
+            slots, order = order[:need], order[need:]
+            rows, targets, starts = _draw(
+                split, train_images.gt_start, slots, config.background_ratio, sample_rng)
+        at = starts[lo : lo + size + 1]
+        if at[0] == at[-1]:
             raise ValueError(f"iteration {step}: the batch draws no pairs (its images "
                              "have no ground truth and background_ratio is 0)")
+        batch = slots[lo : lo + size]
+        drawn = rows[at[0] : at[-1]], targets[at[0] : at[-1]], at - at[0]
         grad.vec.fill(0.0)
         try:
             loss_value = _batch_loss(
@@ -739,12 +769,14 @@ def load_checkpoint(path: str) -> Checkpoint:
     """Rebuild the parameter tree through the model's ``init``, as ``train``
     does, as views of the file's ``param_data``.
 
-    Every stored shape must equal the rebuilt tree's shape at the same leaf
-    and every value must be finite, or ``ValueError`` names ``path``.
+    Every stored shape must equal the rebuilt tree's shape at the same leaf,
+    every value must be finite and ``iterations`` a 64-bit integer >= 1, or
+    ``ValueError`` names ``path``; so does a file that is no JSON document
+    or nests too deeply to read.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = _loads(fh.read(), "checkpoint")
         if not isinstance(doc, dict):
             raise ValueError("checkpoint must be an object")
         config = from_dict(TrainConfig, doc["config"])
@@ -761,9 +793,11 @@ def load_checkpoint(path: str) -> Checkpoint:
         bad = _non_finite_leaf(params, data)
         if bad is not None:
             raise ValueError(f"checkpoint parameter {bad} is not finite")
-        iterations = int(doc["iterations"])
+        iterations = doc["iterations"]
+        if not (_is_int64(iterations) and iterations >= 1):
+            raise ValueError("checkpoint key 'iterations' must be a 64-bit integer >= 1")
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     return Checkpoint(config=config, iterations=iterations, params=params)

@@ -122,6 +122,9 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        for key in ("d_model", "n_h", "d_ff", "d_e", "d_pos"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
         if self.d_model % self.n_h != 0:
             raise ValueError("d_model must be divisible by n_h")
         if self.n_o < 1 or self.n_r < 1:

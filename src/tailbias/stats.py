@@ -274,6 +274,15 @@ def _check_pair(stats: TripletStats, s, o) -> None:
             raise ValueError(f"{side} class {idx} out of range [0, {ne})")
 
 
+def _loads(text: str, what: str):
+    """``json.loads(text)``; a document nested too deeply for the parser
+    raises ``ValueError`` naming ``what``, as a malformed one does."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} nests too deeply to read") from None
+
+
 def read_jsonl(path: str, parse: Callable, gather: Callable = list):
     """``gather`` of the list of ``parse`` of each nonblank line's JSON document;
     a malformed line, or a :func:`refuse_first` refusal of document ``i`` by
@@ -325,9 +334,10 @@ def stats_from_json(text: str) -> TripletStats:
 
     Every ``counts`` entry must be four integers ``[s, o, r, n]`` with
     ``(s, o, r)`` inside the label space, ``n >= 1`` and no ``(s, o, r)``
-    repeated, or ``ValueError`` names the entry's index.
+    repeated, or ``ValueError`` names the entry's index. Text that is no
+    JSON document, or one nested too deeply to read, raises ``ValueError``.
     """
-    doc = json.loads(text)
+    doc = _loads(text, "statistics file")
     if not (isinstance(doc, Mapping) and isinstance(doc.get("counts"), list)):
         raise ValueError("statistics must be an object with a list of [s, o, r, n] counts")
     ls = from_dict(LabelSpace, doc.get("label_space"))

@@ -351,6 +351,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             bias_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000, '{"kind": "pb", "entries": ' + "[" * 100_000]
+    )
+    def test_a_document_nested_too_deeply_is_refused(self, text):
+        with pytest.raises(ValueError, match="^bias file nests too deeply to read$"):
+            bias_from_json(text)
+
     def test_read_table_spans_its_largest_class_and_pads_to_the_label_space(self):
         fallback = [0.5, 1.0, 2.0]
         doc = {"kind": "pb", "fallback": fallback,

@@ -637,6 +637,35 @@ class TestErrors:
             assert error["message"].startswith(f"{deep}:1: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["bias-stats", "sweep-stats", "eval-checkpoint",
+                                         "eval-bias"])
+    def test_deeply_nested_statistics_bias_or_checkpoint_is_a_value_error(
+        self, workspace, tmp_path, capsys, command
+    ):
+        """The statistics, bias and checkpoint readers refuse a document
+        nested 100 000 deep with a ``ValueError`` of their own."""
+        _, data_dir, stats_path, _, run_dir = workspace
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "\n")
+        test, ck = str(data_dir / "test.jsonl"), str(run_dir / "checkpoint.json")
+        out = tmp_path / "out"
+        argv, message = {
+            "bias-stats": (["bias", "--kind", "cb", "--stats", str(deep)],
+                           "statistics file nests too deeply to read"),
+            "sweep-stats": (["sweep", "--checkpoint", ck, "--stats", str(deep), "--data", test,
+                             "--grid", "0,1"], "statistics file nests too deeply to read"),
+            "eval-checkpoint": (["eval", "--checkpoint", str(deep), "--data", test],
+                                f"{deep}: checkpoint nests too deeply to read"),
+            "eval-bias": (["eval", "--checkpoint", ck, "--data", test, "--bias", str(deep)],
+                          f"{deep}: bias file nests too deeply to read"),
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "fields, message",
         [

@@ -69,10 +69,10 @@ def model_specs(draw):
     n_h = draw(st.integers(1, 8))
     return ModelSpec(
         kind=draw(st.sampled_from(MODEL_KINDS)),
-        d_model=n_h * draw(st.integers(-8, 8)),
+        d_model=n_h * draw(st.integers(1, 8)),
         n_h=n_h,
         n_o=draw(positive), n_r=draw(positive),
-        d_ff=draw(ints), d_e=draw(ints), d_pos=draw(ints),
+        d_ff=draw(positive), d_e=draw(positive), d_pos=draw(positive),
         object_loss_weight=draw(floats),
     )
 

@@ -141,6 +141,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="divisible"):
             from_dict(TrainConfig, doc)
 
+    @pytest.mark.parametrize("key", ["d_model", "n_h", "d_ff", "d_e", "d_pos"])
+    @pytest.mark.parametrize("size", [0, -4])
+    def test_a_model_size_below_one_is_refused_by_its_key(self, space, key, size):
+        with pytest.raises(ValueError, match=f"^{key} must be >= 1$"):
+            ModelSpec(kind="dual_encoder", **{key: size})
+        doc = asdict(linear_config(space))
+        doc["model"][key] = size
+        with pytest.raises(ValueError, match=f"^{key} must be >= 1$"):
+            from_dict(TrainConfig, doc)
+
     @pytest.mark.parametrize("section", ["model", "loss", "optimizer"])
     def test_unknown_key_is_named(self, space, section):
         doc = asdict(linear_config(space))
@@ -170,6 +180,59 @@ def scalar_loss_fn(config, train_images):
         )
 
     return loss_fn
+
+
+class TestDraw:
+    """``_draw`` over any run of image slots, and ``train``'s windows of one
+    epoch of steps drawn in one call."""
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.5, 3.0])
+    def test_one_call_over_many_batches_draws_each_slot_as_the_oracle(self, space, ratio):
+        """Slots with repeats, an image without ground truth and one whose
+        every pair is annotated (no background pair) each get the per-image
+        draw of the oracle, from one generator in slot order."""
+        rng = np.random.default_rng(8)
+        gts = ([[0, 1, 1]], [], [[0, 1, 2], [2, 3, 1], [0, 1, 4]], [[0, 1, 3], [1, 0, 5]],
+               [[2, 0, 1]])
+        records = [replace(make_image(rng, n, space.num_object_classes, 4),
+                           gt=np.array(gt, dtype=np.int64).reshape(-1, 3))
+                   for n, gt in zip((3, 3, 4, 2, 3), gts)]
+        images = Images.pack(records)
+        config = replace(linear_config(space), background_ratio=ratio)
+        split, _ = harness._prepare(config, images)
+        slots = [2, 0, 3, 1, 4, 2, 2, 1, 3, 0, 4]
+        rows, targets, starts = harness._draw(split, images.gt_start, slots, ratio,
+                                              np.random.default_rng(3))
+        want_rng, want_rows, want_targets = np.random.default_rng(3), [], []
+        for i in slots:
+            positions, t = oracle.training_pairs(records[i], config, want_rng)
+            want_rows.append(images.pair_start[i] + positions)
+            want_targets.append(t)
+        assert np.array_equal(starts, np.cumsum([0] + [len(t) for t in want_targets]))
+        assert np.array_equal(rows, np.concatenate(want_rows))
+        assert np.array_equal(targets, np.concatenate(want_targets))
+        assert rows.dtype == targets.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "images, batch_size, iterations, calls",
+        [(5, 2, 7, [6, 6, 2]), (5, 2, 3, [6]), (3, 8, 4, [8, 8, 8, 8]), (6, 3, 5, [6, 6, 3])],
+        ids=["ends-inside", "one-window", "batch-above-split", "exact-epochs"],
+    )
+    def test_train_draws_one_epoch_of_steps_per_call(
+        self, space, data, monkeypatch, images, batch_size, iterations, calls
+    ):
+        """A window is ``ceil(len(images) / batch_size)`` steps, or the steps
+        left; each call draws its steps' slots."""
+        seen, draw = [], harness._draw
+
+        def counting(split, gt_start, slots, *args):
+            seen.append(len(slots))
+            return draw(split, gt_start, slots, *args)
+
+        monkeypatch.setattr(harness, "_draw", counting)
+        optimizer = OptimizerConfig(iterations=iterations, batch_size=batch_size)
+        train(linear_config(space, optimizer=optimizer), data[0][:images])
+        assert seen == calls
 
 
 class TestTrain:
@@ -950,10 +1013,16 @@ class TestCheckpointIo:
             (lambda d: d.pop("param_data"), "missing key 'param_data'"),
             (lambda d: d["config"].__setitem__("bias", {"kind": "cb", "epsilonn": 0.5}),
              "unknown key 'epsilonn' in bias spec"),
+            (lambda d: d["param_data"].__setitem__(0, 10**400), "int too large to convert"),
+            *[(lambda d, v=v: d.__setitem__("iterations", v),
+               "checkpoint key 'iterations' must be a 64-bit integer >= 1")
+              for v in (1.7, math.inf, True, -5, 0, 2**63, "40", None)],
         ],
         ids=[
             "null-value", "nan-string", "flat-shapes", "dict-data", "string-value",
             "nested-value", "truncated-data", "missing-shape", "missing-data", "bad-config",
+            "huge-int-value", *(f"iterations-{name}" for name in (
+                "float", "inf", "bool", "negative", "zero", "huge", "string", "null")),
         ],
     )
     def test_malformed_file_is_rejected_naming_it(
@@ -966,6 +1035,24 @@ class TestCheckpointIo:
         corrupt(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: text[:-1], "Expecting ',' delimiter"),
+            (lambda text: "[" * 100_000, "checkpoint nests too deeply to read"),
+        ],
+        ids=["syntax", "deep"],
+    )
+    def test_an_unreadable_file_is_rejected_naming_it(
+        self, space, data, tmp_path, edit, message
+    ):
+        ck, _ = train(linear_config(space), data[0])
+        path = tmp_path / "ck.json"
+        save_checkpoint(ck, str(path))
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
             load_checkpoint(str(path))
 
     @pytest.mark.parametrize("kind", ["linear", "dual_encoder"])

@@ -246,7 +246,7 @@ def small_model(kind):
     loss=st.sampled_from(["ce", "rtpb", "class_balanced"]),
     background_ratio=st.sampled_from([0.0, 0.5, 3.0]),
     batch_size=st.integers(1, 4),
-    iterations=st.integers(1, 3),
+    iterations=st.integers(1, 8),
     seed=st.integers(0, 1000),
 )
 @settings(max_examples=100, deadline=None)
@@ -279,24 +279,63 @@ def test_packed_training_matches_the_per_image_oracle(
         assert got[1] == want[1]
 
 
+def fixed_image(rng, n, gt):
+    """An image of ``n`` objects with ground truth ``gt``, drawn from ``rng``."""
+    scores = rng.uniform(0.05, 1.0, (n, SMALL.num_object_classes))
+    x1, y1 = rng.uniform(0.05, 0.4, (2, n))
+    return SynthImage(
+        boxes=np.stack([x1, y1, x1 + 0.3, y1 + 0.3], axis=1),
+        features=rng.normal(size=(n, D_V)),
+        labels=rng.integers(0, SMALL.num_object_classes, n),
+        scores=scores / scores.sum(axis=1, keepdims=True),
+        unions=rng.normal(size=(n * (n - 1), D_V)),
+        gt=np.array(gt, dtype=np.int64).reshape(-1, 3),
+    )
+
+
+@pytest.mark.parametrize("kind", ["linear", "dual_encoder"])
+@pytest.mark.parametrize("seed, bare_step", [(1, 5), (3, 7)])
+def test_a_bare_batch_after_the_first_window_names_its_iteration(kind, seed, bare_step):
+    """Five images in batches of two are drawn in windows of three steps.
+    At ``background_ratio`` 0 images 3 and 4, which have no ground truth,
+    draw no pairs, and the shuffle of ``seed`` first batches them together
+    at ``bare_step``: inside the second window for seed 1, and as the
+    one-step window that ends a 7-iteration run for seed 3. Training refuses
+    that iteration as the per-image oracle does, and the steps before it
+    match the oracle bit for bit."""
+    rng = np.random.default_rng(5)
+    images = [fixed_image(rng, 3, [(0, 1, 1), (2, 0, 3)]), fixed_image(rng, 4, [(1, 3, 2)]),
+              fixed_image(rng, 2, [(1, 0, 2)]), fixed_image(rng, 3, []), fixed_image(rng, 2, [])]
+    config = TrainConfig(
+        label_space=SMALL,
+        model=small_model(kind),
+        loss=LossConfig(kind="ce"),
+        optimizer=OptimizerConfig(learning_rate=0.1, momentum=0.9, iterations=7, batch_size=2),
+        seed=seed,
+        background_ratio=0.0,
+    )
+    message = f"^iteration {bare_step}: the batch draws no pairs"
+    with pytest.raises(ValueError, match=message):
+        oracle.train(config, images)
+    with pytest.raises(ValueError, match=message):
+        train(config, Images.pack(images))
+    before = replace(config, optimizer=replace(config.optimizer, iterations=bare_step - 1))
+    checkpoint, log = train(before, Images.pack(images))
+    want_params, want_losses = oracle.train(before, images)
+    assert np.array_equal(flatten(checkpoint.params), want_params)
+    assert log.losses == want_losses and len(want_losses) == bare_step - 1
+
+
 @pytest.mark.parametrize("kind", ["linear", "dual_encoder"])
 def test_a_bucket_cut_into_calls_matches_the_per_image_oracle(kind):
     """A batch of 20 images of three objects, each drawing two foreground and
     two background pairs, is one bucket, forwarded in two calls of at most
     ``FORWARD_CHUNK`` images; training equals one forward per image bit for bit."""
     rng = np.random.default_rng(11)
-    images = []
-    for _ in range(25):
-        scores = rng.uniform(0.05, 1.0, (3, SMALL.num_object_classes))
-        x1, y1 = rng.uniform(0.05, 0.4, (2, 3))
-        images.append(SynthImage(
-            boxes=np.stack([x1, y1, x1 + 0.3, y1 + 0.3], axis=1),
-            features=rng.normal(size=(3, D_V)),
-            labels=rng.integers(0, SMALL.num_object_classes, 3),
-            scores=scores / scores.sum(axis=1, keepdims=True),
-            unions=rng.normal(size=(6, D_V)),
-            gt=np.array([(0, 1, rng.integers(1, 4)), (2, 0, rng.integers(1, 4))]),
-        ))
+    images = [
+        fixed_image(rng, 3, [(0, 1, rng.integers(1, 4)), (2, 0, rng.integers(1, 4))])
+        for _ in range(25)
+    ]
     config = TrainConfig(
         label_space=SMALL,
         task="sgcls",

@@ -269,6 +269,12 @@ def test_stats_from_json_names_a_bad_entry(counts, message):
         stats_from_json(text)
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"counts": ' + "[" * 100_000])
+def test_stats_from_json_refuses_a_document_nested_too_deeply(text):
+    with pytest.raises(ValueError, match="^statistics file nests too deeply to read$"):
+        stats_from_json(text)
+
+
 def test_stats_from_json_reads_the_entries_it_accepts():
     text = json.dumps({"label_space": STATS_SPACE, "counts": [[2, 0, 2, 4], [0, 1, 1, 3]]})
     stats = stats_from_json(text)
