@@ -2,8 +2,9 @@
 
 Subcommands: ``synth``, ``stats``, ``bias``, ``train``, ``eval``, ``sweep``,
 ``gradcheck``. Each writes its artifacts under the ``--out`` directory along
-with a ``manifest.json`` naming them. Failures print a machine-readable JSON
-error object to stderr and exit nonzero.
+with a ``manifest.json`` naming them. A fault of a file read is a ``ValueError``
+starting with its path (see :func:`~tailbias.stats.read_json`). Failures print a
+machine-readable JSON error object to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import os
 import sys
 from dataclasses import asdict, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .stats import (
     LabelSpace,
     from_dict,
     ingest,
+    read_json,
     read_triplets_jsonl,
     stats_from_json,
     stats_to_json,
@@ -48,18 +49,18 @@ class CliError(Exception):
     pass
 
 
+def _print_error(kind: str, message: str) -> None:
+    print(json.dumps({"error": {"type": kind, "message": message}}), file=sys.stderr)
+
+
 class JsonArgumentParser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
-        print(
-            json.dumps({"error": {"type": "usage", "message": message}}),
-            file=sys.stderr,
-        )
+        _print_error("usage", message)
         raise SystemExit(2)
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _read_config(cls, path: str):
+    return read_json(path, lambda text: from_dict(cls, json.loads(text)))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -78,7 +79,7 @@ def _ensure_out(path: str) -> str:
 
 
 def cmd_synth(args) -> int:
-    config = from_dict(SynthConfig, _load_json(args.config))
+    config = _read_config(SynthConfig, args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     splits = {f"{name}.jsonl": generate_split(config, name) for name in ("train", "val", "test")}
@@ -92,7 +93,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    labels = from_dict(LabelSpace, _load_json(args.labels))
+    labels = _read_config(LabelSpace, args.labels)
     if args.images:
         images = read_images_jsonl(args.images)
         stats = training_stats(images, labels)
@@ -105,7 +106,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_bias(args) -> int:
-    stats = stats_from_json(Path(args.stats).read_text(encoding="utf-8"))
+    stats = read_json(args.stats, stats_from_json)
     keys = ("kind", "a", "epsilon", "a_eval", "background")
     spec = from_dict(BiasSpec, {key: getattr(args, key) for key in keys})
     bias = compute_bias(spec, stats)
@@ -114,7 +115,7 @@ def cmd_bias(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = from_dict(TrainConfig, _load_json(args.config))
+    config = _read_config(TrainConfig, args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     data = dict(config.data)
@@ -140,11 +141,8 @@ def cmd_eval(args) -> int:
     ks = _parse_ks(args.ks, checkpoint.config.eval_ks)
     inference_bias = None
     if args.bias:
-        try:
-            _, inference_bias = bias_from_json(Path(args.bias).read_text(encoding="utf-8"),
-                                               checkpoint.config.label_space.num_object_classes)
-        except ValueError as exc:
-            raise ValueError(f"{args.bias}: {exc}") from None
+        classes = checkpoint.config.label_space.num_object_classes
+        _, inference_bias = read_json(args.bias, lambda text: bias_from_json(text, classes))
     results = evaluate(checkpoint, images, inference_bias=inference_bias, ks=ks)
     files = {"metrics.csv": metrics_csv(checkpoint.config.task, results, ks)}
     for constraint, result in results.items():
@@ -159,7 +157,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
-    stats = stats_from_json(Path(args.stats).read_text(encoding="utf-8"))
+    stats = read_json(args.stats, stats_from_json)
     images = read_images_jsonl(args.data)
     ks = _parse_ks(args.ks, checkpoint.config.eval_ks)
     spec = checkpoint.config.bias
@@ -257,13 +255,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         with np.errstate(all="ignore"):  # every non-finite value is refused by its own check
             return args.fn(args)
-    except (
-        CliError, ValueError, ArithmeticError, OSError, KeyError, RecursionError
-    ) as exc:
-        print(
-            json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
-            file=sys.stderr,
-        )
+    except (CliError, ValueError, ArithmeticError, OSError, KeyError, RecursionError) as exc:
+        _print_error(type(exc).__name__, str(exc))
         return 1
 
 

@@ -85,9 +85,10 @@ from .stats import (
     _loads,
     from_dict,
     marginal_counts,
+    read_json,
     refuse_first,
 )
-from .synth import Images, Objects, _offsets, _ranges
+from .synth import Images, Objects, _offsets, _ranges, _rng
 
 __all__ = [
     "LOSS_KINDS",
@@ -113,10 +114,6 @@ FORWARD_CHUNK = 16
 INIT_DOMAIN = 10
 SHUFFLE_DOMAIN = 11
 SAMPLE_DOMAIN = 12
-
-
-def _rng(seed: int, domain: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(domain,))))
 
 
 @dataclass(frozen=True)
@@ -772,32 +769,28 @@ def load_checkpoint(path: str) -> Checkpoint:
     Every stored shape must equal the rebuilt tree's shape at the same leaf,
     every value must be finite and ``iterations`` a 64-bit integer >= 1, or
     ``ValueError`` names ``path``; so does a file that is no JSON document
-    or nests too deeply to read.
+    or nests too deeply to read (see :func:`~tailbias.stats.read_json`).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = _loads(fh.read(), "checkpoint")
-        if not isinstance(doc, dict):
-            raise ValueError("checkpoint must be an object")
-        config = from_dict(TrainConfig, doc["config"])
-        spec, ls = config.model, config.label_space
-        data = np.asarray(doc["param_data"], dtype=np.float64)
-        params = model_for(spec).init(spec, ls, feature_width(spec, ls, data.size))
-        expected = [list(a.shape) for a in leaves(params)]
-        for i, (want, got) in enumerate(zip_longest(expected, doc["param_shapes"])):
-            if want != got:
-                raise ValueError(
-                    f"checkpoint parameter {i} has shape {got}; the model needs {want}"
-                )
-        params = unflatten(params, data)
-        bad = _non_finite_leaf(params, data)
-        if bad is not None:
-            raise ValueError(f"checkpoint parameter {bad} is not finite")
-        iterations = doc["iterations"]
-        if not (_is_int64(iterations) and iterations >= 1):
-            raise ValueError("checkpoint key 'iterations' must be a 64-bit integer >= 1")
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return read_json(path, _checkpoint_from_json)
+
+
+def _checkpoint_from_json(text: str) -> Checkpoint:
+    doc = _loads(text, "checkpoint")
+    if not isinstance(doc, dict):
+        raise ValueError("checkpoint must be an object")
+    config = from_dict(TrainConfig, doc["config"])
+    spec, ls = config.model, config.label_space
+    data = np.asarray(doc["param_data"], dtype=np.float64)
+    params = model_for(spec).init(spec, ls, feature_width(spec, ls, data.size))
+    expected = [list(a.shape) for a in leaves(params)]
+    for i, (want, got) in enumerate(zip_longest(expected, doc["param_shapes"])):
+        if want != got:
+            raise ValueError(f"checkpoint parameter {i} has shape {got}; the model needs {want}")
+    params = unflatten(params, data)
+    bad = _non_finite_leaf(params, data)
+    if bad is not None:
+        raise ValueError(f"checkpoint parameter {bad} is not finite")
+    iterations = doc["iterations"]
+    if not (_is_int64(iterations) and iterations >= 1):
+        raise ValueError("checkpoint key 'iterations' must be a 64-bit integer >= 1")
     return Checkpoint(config=config, iterations=iterations, params=params)

@@ -8,6 +8,9 @@ downstream logit vectors and never appears in annotations), so every count
 vector returned here has length ``num_relations + 1`` and is indexed directly
 by relation label, with index 0 permanently zero. The JSON form lists the
 nonzero cells as ``[s, o, r, n]`` entries in ``(s, o, r)`` order.
+
+Every file the package reads goes through :func:`read_json` or
+:func:`read_jsonl`, which raise each fault as a ``ValueError`` naming the file.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "pair_counts",
     "sppo_counts",
     "refuse_first",
+    "read_json",
     "read_jsonl",
     "read_triplets_jsonl",
     "stats_to_json",
@@ -135,17 +139,11 @@ class LabelSpace:
         if self.num_relations < 1:
             raise ValueError("num_relations must be >= 1")
         if not self.object_names:
-            object.__setattr__(
-                self,
-                "object_names",
-                tuple(f"obj_{i}" for i in range(self.num_object_classes)),
-            )
+            names = tuple(f"obj_{i}" for i in range(self.num_object_classes))
+            object.__setattr__(self, "object_names", names)
         if not self.relation_names:
-            object.__setattr__(
-                self,
-                "relation_names",
-                tuple(f"rel_{r}" for r in range(1, self.num_relations + 1)),
-            )
+            names = tuple(f"rel_{r}" for r in range(1, self.num_relations + 1))
+            object.__setattr__(self, "relation_names", names)
         if len(self.object_names) != self.num_object_classes:
             raise ValueError("object_names length must equal num_object_classes")
         if len(self.relation_names) != self.num_relations:
@@ -283,22 +281,36 @@ def _loads(text: str, what: str):
         raise ValueError(f"{what} nests too deeply to read") from None
 
 
+def _parsed(where: str, parse: Callable, raw: bytes):
+    """``parse`` of ``raw`` decoded as UTF-8; a bad byte, or a ``KeyError``,
+    ``TypeError``, ``ValueError`` (bad JSON is one), ``OverflowError`` or
+    ``RecursionError`` of ``parse``, raises ``ValueError`` starting ``"<where>: "``."""
+    try:
+        return parse(raw.decode("utf-8"))
+    except KeyError as exc:
+        raise ValueError(f"{where}: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def read_json(path: str, parse: Callable):
+    """``parse`` of the text of the one-document file ``path``, faults named
+    by :func:`_parsed` as ``"<path>: "``."""
+    with open(path, "rb") as fh:
+        return _parsed(path, parse, fh.read())
+
+
 def read_jsonl(path: str, parse: Callable, gather: Callable = list):
-    """``gather`` of the list of ``parse`` of each nonblank line's JSON document;
-    a malformed line, or a :func:`refuse_first` refusal of document ``i`` by
-    ``gather``, raises ``ValueError`` starting ``"<path>:<line>: "``."""
+    """``gather`` of the list of ``parse`` of each nonblank line's JSON document,
+    lines ending at ``\\n``; a fault of a line (see :func:`_parsed`), or a
+    :func:`refuse_first` refusal of document ``i`` by ``gather``, raises
+    ``ValueError`` starting ``"<path>:<line>: "``."""
     out, lines = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(parse(json.loads(line)))
-            except KeyError as exc:
-                raise ValueError(f"{path}:{line_no}: missing key {exc}") from None
-            except (TypeError, ValueError, RecursionError) as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
-            lines.append(line_no)
+            if line.strip():
+                out.append(_parsed(f"{path}:{line_no}", lambda text: parse(json.loads(text)), line))
+                lines.append(line_no)
     try:
         return gather(out)
     except ValueError as exc:

@@ -436,7 +436,7 @@ class TestErrors:
         code = main([command, "--config", str(path), "--out", str(tmp_path / "run")])
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())["error"]
-        assert err == {"type": "ValueError", "message": f"unknown key '{key}' in {where}"}
+        assert err == {"type": "ValueError", "message": f"{path}: unknown key '{key}' in {where}"}
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
@@ -484,7 +484,7 @@ class TestErrors:
         code = main([command, "--config", str(path), "--out", str(tmp_path / "run")])
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())["error"]
-        assert err == {"type": "ValueError", "message": message}
+        assert err == {"type": "ValueError", "message": f"{path}: {message}"}
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
@@ -516,7 +516,7 @@ class TestErrors:
         code = main([command, "--config", str(path), "--out", str(tmp_path / "run")])
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())["error"]
-        assert err == {"type": "ValueError", "message": message}
+        assert err == {"type": "ValueError", "message": f"{path}: {message}"}
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
@@ -565,7 +565,8 @@ class TestErrors:
         code = main(["synth", "--config", str(path), "--out", str(tmp_path / "data")])
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())["error"]
-        assert err == {"type": "ValueError", "message": "detector_noise must be nonnegative"}
+        assert err == {"type": "ValueError",
+                       "message": f"{path}: detector_noise must be nonnegative"}
         assert not (tmp_path / "data").exists()
 
     def test_malformed_checkpoint_gives_json_error(self, workspace, tmp_path, capsys):
@@ -606,8 +607,8 @@ class TestErrors:
         assert main([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
-        message = {"synth": "synth config must be an object",
-                   "train": "train config must be an object",
+        message = {"synth": f"{path}: synth config must be an object",
+                   "train": f"{path}: train config must be an object",
                    "eval": f"{path}: checkpoint must be an object"}[command]
         assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
         assert not out.exists()
@@ -615,7 +616,7 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["stats-data", "stats-images", "stats-labels", "train"])
     def test_deeply_nested_json_gives_json_error(self, workspace, tmp_path, capsys, command):
         """A document nested 100 000 deep exhausts the decoder's recursion; a
-        JSONL line is named by ``path:line``, and no reader lets it escape."""
+        ``ValueError`` names the file, and a JSONL file's line."""
         _, data_dir, _, _, _ = workspace
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100_000 + "\n")
@@ -632,9 +633,9 @@ class TestErrors:
         assert "Traceback" not in err and len(err.splitlines()) == 1
         error = json.loads(err)["error"]
         assert "recursion" in error["message"]
-        if command.startswith("stats-") and command != "stats-labels":
-            assert error == {"type": "ValueError", "message": error["message"]}
-            assert error["message"].startswith(f"{deep}:1: ")
+        assert error == {"type": "ValueError", "message": error["message"]}
+        line = ":1" if command in ("stats-data", "stats-images") else ""
+        assert error["message"].startswith(f"{deep}{line}: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["bias-stats", "sweep-stats", "eval-checkpoint",
@@ -651,9 +652,9 @@ class TestErrors:
         out = tmp_path / "out"
         argv, message = {
             "bias-stats": (["bias", "--kind", "cb", "--stats", str(deep)],
-                           "statistics file nests too deeply to read"),
+                           f"{deep}: statistics file nests too deeply to read"),
             "sweep-stats": (["sweep", "--checkpoint", ck, "--stats", str(deep), "--data", test,
-                             "--grid", "0,1"], "statistics file nests too deeply to read"),
+                             "--grid", "0,1"], f"{deep}: statistics file nests too deeply to read"),
             "eval-checkpoint": (["eval", "--checkpoint", str(deep), "--data", test],
                                 f"{deep}: checkpoint nests too deeply to read"),
             "eval-bias": (["eval", "--checkpoint", ck, "--data", test, "--bias", str(deep)],
@@ -775,7 +776,73 @@ class TestErrors:
         capsys.readouterr()
         assert main(args) == 1
         err = json.loads(capsys.readouterr().err.strip())["error"]
-        assert err == {"type": "ValueError", "message": message}
+        assert err == {"type": "ValueError", "message": f"{bad}: {message}"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["truncated", "bad-byte"])
+    @pytest.mark.parametrize("command", ["synth-config", "train-config", "stats-labels",
+                                         "stats-triplets", "bias-stats", "sweep-stats",
+                                         "eval-checkpoint", "eval-bias"])
+    def test_unreadable_file_gives_one_json_error_naming_it(
+        self, workspace, tmp_path, capsys, command, fault
+    ):
+        """A file cut short, or with a byte that is no UTF-8, is named by its
+        path (and line, for JSONL) in one JSON ``ValueError``."""
+        root, data_dir, stats_path, bias_path, run_dir = workspace
+        labels, test = str(data_dir / "labels.json"), str(data_dir / "test.jsonl")
+        ck = str(run_dir / "checkpoint.json")
+        triplets = tmp_path / "triplets.jsonl"
+        triplets.write_text('{"s": 0, "o": 1, "r": 2}\n{"s": 1, "o": 0, "r": 3}\n')
+        source, argv, where = {
+            "synth-config": (root / "synth.json", ["synth", "--config"], ""),
+            "train-config": (root / "train.json", ["train", "--config"], ""),
+            "stats-labels": (data_dir / "labels.json",
+                             ["stats", "--data", str(triplets), "--labels"], ""),
+            "stats-triplets": (triplets, ["stats", "--labels", labels, "--data"], ":2"),
+            "bias-stats": (stats_path, ["bias", "--kind", "cb", "--stats"], ""),
+            "sweep-stats": (stats_path, ["sweep", "--checkpoint", ck, "--data", test,
+                                         "--grid", "0,1", "--stats"], ""),
+            "eval-checkpoint": (run_dir / "checkpoint.json",
+                                ["eval", "--data", test, "--checkpoint"], ""),
+            "eval-bias": (bias_path, ["eval", "--checkpoint", ck, "--data", test, "--bias"], ""),
+        }[command]
+        raw = source.read_bytes()
+        bad = tmp_path / f"bad-{source.name}"
+        bad.write_bytes(raw[:-6] if fault == "truncated" else raw[:-6] + b"\xff" + raw[-6:])
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*argv, str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        prefix = f"{bad}{where}: " + ("'utf-8' codec can't decode byte 0xff" if fault == "bad-byte"
+                                      else "")
+        assert error["message"].startswith(prefix)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("at", [lambda d: d["objects"][1]["feat"],
+                                    lambda d: d["objects"][1]["box"],
+                                    lambda d: d["objects"][1]["scores"],
+                                    lambda d: d["unions"][2][2]],
+                             ids=["feat", "box", "scores", "union"])
+    def test_number_beyond_the_float_range_names_the_jsonl_line(
+        self, workspace, tmp_path, capsys, at
+    ):
+        _, data_dir, _, _, _ = workspace
+        lines = (data_dir / "train.jsonl").read_text().splitlines()
+        doc = json.loads(lines[1])
+        at(doc)[0] = 10**400
+        lines[1] = json.dumps(doc)
+        bad = tmp_path / "train.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "stats.json"
+        capsys.readouterr()
+        assert main(["stats", "--labels", str(data_dir / "labels.json"), "--images", str(bad),
+                     "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "ValueError",
+                       "message": f"{bad}:2: int too large to convert to float"}
         assert not out.exists()
 
     @pytest.mark.parametrize(

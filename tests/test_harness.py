@@ -1040,10 +1040,11 @@ class TestCheckpointIo:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda text: text[:-1], "Expecting ',' delimiter"),
-            (lambda text: "[" * 100_000, "checkpoint nests too deeply to read"),
+            (lambda raw: raw[:-1], "Expecting ',' delimiter"),
+            (lambda raw: b"[" * 100_000, "checkpoint nests too deeply to read"),
+            (lambda raw: b"\xff" + raw, "'utf-8' codec can't decode byte 0xff in position 0"),
         ],
-        ids=["syntax", "deep"],
+        ids=["syntax", "deep", "bad-byte"],
     )
     def test_an_unreadable_file_is_rejected_naming_it(
         self, space, data, tmp_path, edit, message
@@ -1051,7 +1052,7 @@ class TestCheckpointIo:
         ck, _ = train(linear_config(space), data[0])
         path = tmp_path / "ck.json"
         save_checkpoint(ck, str(path))
-        path.write_text(edit(path.read_text()))
+        path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
             load_checkpoint(str(path))
 

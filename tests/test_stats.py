@@ -12,6 +12,7 @@ from tailbias.stats import (
     ingest,
     marginal_counts,
     pair_counts,
+    read_json,
     read_triplets_jsonl,
     sppo_counts,
     stats_from_json,
@@ -307,3 +308,30 @@ def test_read_triplets_jsonl_reads_valid_lines(tmp_path):
     path = tmp_path / "triplets.jsonl"
     path.write_text('{"s": 0, "o": 1, "r": 1}\n{"r": 2, "o": 0, "s": 2, "note": "x"}\n')
     assert read_triplets_jsonl(str(path)) == [(0, 1, 1), (2, 0, 2)]
+
+
+def test_read_triplets_jsonl_names_the_line_of_a_byte_that_is_no_utf8(tmp_path):
+    path = tmp_path / "triplets.jsonl"
+    path.write_bytes(b'{"s": 0, "o": 1, "r": 1}\n\n{"s": 0, "o": \xff1, "r": 1}\n')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: 'utf-8' codec can't "
+                                         "decode byte 0xff in position 14"):
+        read_triplets_jsonl(str(path))
+
+
+@pytest.mark.parametrize(
+    "raw, parse, message",
+    [
+        (b'{"a": 1', json.loads, "Expecting ',' delimiter"),
+        (b'{"a": 1}', lambda text: json.loads(text)["b"], "missing key 'b'"),
+        (b"[1]", lambda text: json.loads(text)["b"], "list indices must be integers"),
+        (b"1" + b"0" * 400, lambda text: float(json.loads(text)), "int too large to convert"),
+        (b"[" * 100_000, json.loads, "maximum recursion depth exceeded"),
+        (b'{"a": \xff1}', json.loads, "'utf-8' codec can't decode byte 0xff in position 6"),
+    ],
+    ids=["syntax", "missing-key", "type", "overflow", "recursion", "byte"],
+)
+def test_read_json_names_the_file(tmp_path, raw, parse, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+        read_json(str(path), parse)

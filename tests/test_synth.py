@@ -248,12 +248,15 @@ class TestJsonl:
             (lambda d: d["gt"][0].__setitem__(2, 1.9),
              r"ground-truth entry 0 is not three 64-bit integers \[s, o, r\]"),
             (lambda d: d["gt"].append([0, 1]), "ground-truth entry \\d+ is not three"),
+            *[(lambda d, at=at: at(d).__setitem__(0, 10**400), "int too large to convert to float")
+              for at in (lambda d: d["objects"][1]["feat"], lambda d: d["objects"][1]["box"],
+                         lambda d: d["objects"][1]["scores"], lambda d: d["unions"][2][2])],
         ],
         ids=[
             "missing-object-key", "missing-gt", "ragged-feat", "ragged-scores",
             "ragged-union", "missing-union-pair", "union-pairs-out-of-order", "bad-box",
             "short-box", "unnormalised-scores", "float-label", "bool-label", "huge-label",
-            "float-gt", "short-gt",
+            "float-gt", "short-gt", "huge-feat", "huge-box", "huge-scores", "huge-union",
         ],
     )
     def test_malformed_document_names_its_line(self, tmp_path, corrupt, why):
