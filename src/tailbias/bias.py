@@ -28,11 +28,12 @@ import numpy as np
 
 from .stats import (
     TripletStats,
-    _is_int64,
     _loads,
     from_dict,
     marginal_counts,
     pair_counts,
+    read_numbers,
+    refuse_first,
     sppo_counts,
 )
 
@@ -133,9 +134,8 @@ Bias = Union[BiasVector, PairBiasTable]
 
 def _check_finite(values: np.ndarray) -> None:
     if not np.isfinite(values).all():
-        raise ValueError(
-            "bias vector has non-finite entries; raise epsilon or drop zero-weight relations"
-        )
+        raise ValueError("bias vector has non-finite entries; raise epsilon or drop "
+                         "zero-weight relations")
 
 
 def weights_to_bias(w: np.ndarray, a: float, epsilon: float) -> np.ndarray:
@@ -239,53 +239,50 @@ def bias_to_json(spec: BiasSpec, bias: Bias) -> str:
     return json.dumps(doc)
 
 
-def _vector(values, where: str) -> BiasVector:
-    for v in values if isinstance(values, list) else ():  # refused, not converted
-        if isinstance(v, (str, bool)) or v is None:
-            raise ValueError(f"{where}: {v!r} is not a number")
-    try:
-        return BiasVector(np.asarray(values, dtype=np.float64))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{where}: {exc}") from None
-
-
 def bias_from_json(text: str, num_object_classes: int | None = None) -> tuple[BiasSpec, Bias]:
-    """Parse :func:`bias_to_json` output; a pair table's ``entries`` must be a
-    list of ``[s, o, values]`` with no ``(s, o)`` twice, ``s, o >= 0`` (below
-    ``num_object_classes``, if given) and ``values`` as long as the fallback,
-    and it spans classes up to the largest. Text that is no JSON document, or
-    one nested too deeply to read, raises ``ValueError``."""
+    """Parse :func:`bias_to_json` output; a pair table spans classes up to the
+    largest. ``ValueError`` names ``values`` or ``fallback`` unless it is two
+    or more finite numbers, and the first of a pair table's ``entries`` that
+    is no ``[s, o, values]`` with classes ``s, o >= 0`` (below
+    ``num_object_classes``, if given), the fallback's number of finite values
+    and an ``(s, o)`` of its own. Text that is no JSON document, or one nested
+    too deeply to read, raises ``ValueError``."""
     doc = _loads(text, "bias file")
     spec = from_dict(BiasSpec, doc, extra=("values", "entries", "fallback"))
     pair = spec.kind in PAIR_KINDS
-    for key in ("entries", "fallback") if pair else ("values",):
-        if key not in doc:
-            raise ValueError(f"missing key {key!r} in bias file")
-    if not pair:
-        return spec, _vector(doc["values"], "bias key 'values'")
-    fallback = _vector(doc["fallback"], "bias key 'fallback'")
-    raw = doc["entries"]
+    key = "fallback" if pair else "values"
+    for k in ("entries", key) if pair else (key,):
+        if k not in doc:
+            raise ValueError(f"missing key {k!r} in bias file")
+    raw = doc["entries"] if pair else []
     if not isinstance(raw, list):
         raise ValueError("bias entries must be a list of [s, o, values]")
-    found: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
-    for i, entry in enumerate(raw):
-        s, o, values = entry if isinstance(entry, list) and len(entry) == 3 else (None,) * 3
-        if not (_is_int64(s) and _is_int64(o) and min(s, o) >= 0):
-            raise ValueError(f"bias entry {i} is not [s, o, values] with classes s, o >= 0")
-        where = f"bias entry {i} for class pair {(s, o)}"
-        if num_object_classes is not None and max(s, o) >= num_object_classes:
-            raise ValueError(f"{where} outside {num_object_classes} object classes")
-        vec = _vector(values, where)
-        if vec.values.shape != fallback.values.shape:
-            raise ValueError(
-                f"{where} has {len(vec.values)} values; the fallback has {len(fallback.values)}"
-            )
-        if (s, o) in found:
-            raise ValueError(f"{where} repeats entry {found[(s, o)][0]}")
-        found[(s, o)] = i, vec.values
-    size = 1 + max(map(max, found), default=-1)
-    table = np.tile(fallback.values, (size, size, 1))
-    stored = np.zeros((size, size), dtype=bool)
-    for (s, o), (_, values) in found.items():
-        table[s, o], stored[s, o] = values, True
+    entries = [e if isinstance(e, list) and len(e) == 3 else [None] * 3 for e in raw]
+    # Row 0 is the key's vector, and an entry's values must be as long.
+    rows, bad_rows = read_numbers([doc[key]] + [e[2] for e in entries], np.float64, -1)
+    bad_rows |= ~np.isfinite(rows).all(axis=1)
+    if bad_rows[0] or rows.shape[1] < 2:
+        raise ValueError(f"bias key {key!r} must be a list of two or more finite numbers")
+    fallback = BiasVector(rows[0])
+    if not pair:
+        return spec, fallback
+    pairs, bad_pairs = read_numbers([e[:2] for e in entries], np.int64, 2)
+    limit = math.inf if num_object_classes is None else num_object_classes
+    repeat = np.ones(len(pairs), dtype=bool)
+    repeat[np.unique(pairs, axis=0, return_index=True)[1]] = False
+
+    def entry(i: int) -> str:
+        return f"bias entry {i} for class pair {tuple(pairs[i].tolist())}"
+
+    refuse_first([
+        (bad_pairs | (pairs < 0).any(axis=1),
+         lambda i: f"bias entry {i} is not [s, o, values] with classes s, o >= 0"),
+        ((pairs >= limit).any(axis=1), lambda i: f"{entry(i)} outside {limit} object classes"),
+        (bad_rows[1:],
+         lambda i: f"{entry(i)} needs {rows.shape[1]} finite numbers, as many as the fallback"),
+        (repeat, lambda i: f"{entry(i)} repeats entry {np.argmax((pairs == pairs[i]).all(1))}"),
+    ], None)
+    size = 1 + int(pairs.max(initial=-1))
+    table, stored = np.tile(rows[0], (size, size, 1)), np.zeros((size, size), dtype=bool)
+    table[tuple(pairs.T)], stored[tuple(pairs.T)] = rows[1:], True
     return spec, PairBiasTable(rows=table, stored=stored, fallback=fallback)

@@ -81,11 +81,13 @@ from .numerics import flatten, leaf_names, leaves, running_sum, unflatten
 from .stats import (
     LabelSpace,
     TripletStats,
+    _count,
     _is_int64,
     _loads,
     from_dict,
     marginal_counts,
     read_json,
+    read_numbers,
     refuse_first,
 )
 from .synth import Images, Objects, _offsets, _ranges, _rng
@@ -276,15 +278,10 @@ def _pack(images: Images, gt_image: np.ndarray, label_space: LabelSpace, task: s
 
 def _triplet_stats(images: Images, gt_image: np.ndarray, label_space: LabelSpace) -> TripletStats:
     """Class-level ``(s, o, relation)`` counts of the split's ground truth."""
-    num_classes = label_space.num_object_classes
-    width = label_space.num_relations + 1
     start = images.obj_start[gt_image]
     s, o, r = images.gt.T
-    s, o = images.labels[start + s], images.labels[start + o]
-    dense = np.bincount(
-        (s * num_classes + o) * width + r, minlength=num_classes**2 * width
-    ).reshape(num_classes, num_classes, width)
-    return TripletStats(label_space, dense.astype(np.int64, copy=False))
+    keys = np.column_stack([images.labels[start + s], images.labels[start + o], r])
+    return TripletStats(label_space, _count(keys, label_space))
 
 
 def training_stats(images: Images, label_space: LabelSpace) -> TripletStats:
@@ -501,14 +498,13 @@ def _batch_order(bucketed: np.ndarray, position: np.ndarray) -> np.ndarray:
     return out
 
 
-def _non_finite_leaf(tree, vec: np.ndarray) -> str | None:
-    """The name of the leaf holding ``vec``'s first non-finite entry, or None;
-    ``vec`` is the tree's values in leaf order."""
-    finite = np.isfinite(vec)
-    if finite.all():
+def _first_leaf(tree, bad: np.ndarray) -> str | None:
+    """The name of the leaf holding ``bad``'s first true entry, or None;
+    ``bad`` is over the tree's values in leaf order."""
+    if not bad.any():
         return None
     ends = np.cumsum([a.size for a in leaves(tree)])
-    return leaf_names(tree)[np.searchsorted(ends, np.argmin(finite), side="right")]
+    return leaf_names(tree)[np.searchsorted(ends, np.argmax(bad), side="right")]
 
 
 def _prepare(
@@ -588,7 +584,7 @@ def train(
             raise FloatingPointError(f"iteration {step}: {exc}") from None
         if not np.isfinite(loss_value):
             raise FloatingPointError(f"iteration {step}: non-finite loss")
-        bad = _non_finite_leaf(grad.tree, grad.vec)
+        bad = _first_leaf(grad.tree, ~np.isfinite(grad.vec))
         if bad is not None:
             raise FloatingPointError(f"iteration {step}: non-finite gradient of {bad}")
         losses.append(loss_value)
@@ -749,7 +745,7 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     """Write the checkpoint as JSON; non-finite parameters raise ``ValueError``
     naming the leaf, before the file is opened."""
     data = flatten(checkpoint.params)
-    bad = _non_finite_leaf(checkpoint.params, data)
+    bad = _first_leaf(checkpoint.params, ~np.isfinite(data))
     if bad is not None:
         raise ValueError(f"checkpoint parameter {bad} is not finite")
     doc = {
@@ -767,7 +763,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     does, as views of the file's ``param_data``.
 
     Every stored shape must equal the rebuilt tree's shape at the same leaf,
-    every value must be finite and ``iterations`` a 64-bit integer >= 1, or
+    every value a finite number and ``iterations`` a 64-bit integer >= 1, or
     ``ValueError`` names ``path``; so does a file that is no JSON document
     or nests too deeply to read (see :func:`~tailbias.stats.read_json`).
     """
@@ -780,16 +776,16 @@ def _checkpoint_from_json(text: str) -> Checkpoint:
         raise ValueError("checkpoint must be an object")
     config = from_dict(TrainConfig, doc["config"])
     spec, ls = config.model, config.label_space
-    data = np.asarray(doc["param_data"], dtype=np.float64)
+    data, no_number = read_numbers(doc["param_data"], np.float64)
     params = model_for(spec).init(spec, ls, feature_width(spec, ls, data.size))
     expected = [list(a.shape) for a in leaves(params)]
     for i, (want, got) in enumerate(zip_longest(expected, doc["param_shapes"])):
         if want != got:
             raise ValueError(f"checkpoint parameter {i} has shape {got}; the model needs {want}")
     params = unflatten(params, data)
-    bad = _non_finite_leaf(params, data)
+    bad = _first_leaf(params, no_number | ~np.isfinite(data))
     if bad is not None:
-        raise ValueError(f"checkpoint parameter {bad} is not finite")
+        raise ValueError(f"checkpoint parameter {bad} is not a finite number")
     iterations = doc["iterations"]
     if not (_is_int64(iterations) and iterations >= 1):
         raise ValueError("checkpoint key 'iterations' must be a 64-bit integer >= 1")

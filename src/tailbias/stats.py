@@ -10,7 +10,8 @@ by relation label, with index 0 permanently zero. The JSON form lists the
 nonzero cells as ``[s, o, r, n]`` entries in ``(s, o, r)`` order.
 
 Every file the package reads goes through :func:`read_json` or
-:func:`read_jsonl`, which raise each fault as a ``ValueError`` naming the file.
+:func:`read_jsonl`, which raise each fault as a ``ValueError`` naming the file,
+and each list of numbers in it through :func:`read_numbers`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from itertools import chain
 from numbers import Integral, Real
 from types import UnionType
 from typing import Callable, ClassVar, Iterable, Mapping, get_args, get_origin, get_type_hints
@@ -35,6 +37,7 @@ __all__ = [
     "refuse_first",
     "read_json",
     "read_jsonl",
+    "read_numbers",
     "read_triplets_jsonl",
     "stats_to_json",
     "stats_from_json",
@@ -44,12 +47,11 @@ __all__ = [
 def _is_int64(value) -> bool:
     # Testing ``type(value) is int`` first spares the slow ABC check for most values.
     integral = type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
-    return integral and abs(value) < 2**63
+    return integral and -(2**63) <= value < 2**63
 
 
-def _is_int64_row(row, width: int) -> bool:
-    """Whether ``row`` is a list or tuple of ``width`` 64-bit integers."""
-    return isinstance(row, (list, tuple)) and len(row) == width and all(map(_is_int64, row))
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _is_name_pair(value) -> bool:
@@ -61,14 +63,14 @@ def _float(value) -> float:
     try:
         return float(value)
     except OverflowError:  # an integer beyond the float range
-        return math.inf
+        return math.inf if value > 0 else -math.inf
 
 
 # What a config field of each annotation must hold, the test its value (each
 # item, for a tuple) must pass, and the cast it is stored by.
 _FIELD_RULES = {
     int: ("an integer", lambda v: isinstance(v, Integral) and not isinstance(v, bool), int),
-    float: ("a number", lambda v: isinstance(v, Real) and not isinstance(v, bool), _float),
+    float: ("a number", _is_real, _float),
     bool: ("a boolean", lambda v: isinstance(v, bool), bool),
     str: ("a string", lambda v: isinstance(v, str), str),
     tuple[int, ...]: ("a list of 64-bit integers", _is_int64, tuple),
@@ -184,14 +186,15 @@ def _shape(ls: LabelSpace) -> tuple[int, int, int]:
     return (ls.num_object_classes, ls.num_object_classes, ls.num_relations + 1)
 
 
-def refuse_first(checks: list[tuple[np.ndarray, Callable[[int], str]]], what: str) -> None:
-    """Raise ``ValueError`` naming ``what`` and the first row any ``(mask,
+def refuse_first(checks: list[tuple[np.ndarray, Callable[[int], str]]], what: str | None) -> None:
+    """Raise ``ValueError`` naming ``what`` (if any) and the first row any ``(mask,
     message)`` check flags, with ``message(row)`` of its first failed check;
     the error's ``row`` attribute is that row."""
-    bad = np.stack([mask for mask, _ in checks])
-    if bad.any():
+    if any(mask.any() for mask, _ in checks):
+        bad = np.stack([mask for mask, _ in checks])
         i = int(np.argmax(bad.any(axis=0)))
-        refusal = ValueError(f"{what} {i}: {checks[int(np.argmax(bad[:, i]))][1](i)}")
+        message = checks[int(np.argmax(bad[:, i]))][1](i)
+        refusal = ValueError(message if what is None else f"{what} {i}: {message}")
         refusal.row = i
         raise refusal
 
@@ -214,17 +217,13 @@ def _count(keys: np.ndarray, ls: LabelSpace, counts=1) -> np.ndarray:
     return dense
 
 
-def ingest(
-    records: Iterable[tuple[int, int, int]], label_space: LabelSpace
-) -> TripletStats:
+def ingest(records: Iterable[tuple[int, int, int]], label_space: LabelSpace) -> TripletStats:
     """Accumulate a stream of ``(s, o, relation)`` triplets into counts.
 
     Raises ValueError naming the offending stream position when a record is
     not three 64-bit integers or falls outside ``label_space``.
     """
-    records = list(records)
-    bad = np.array([not _is_int64_row(t, 3) for t in records], dtype=bool)
-    keys = np.array([(0, 0, 1) if b else t for t, b in zip(records, bad)], np.int64).reshape(-1, 3)
+    keys, bad = read_numbers(list(records), np.int64, 3)
     refuse_first([(bad, lambda i: "not three 64-bit integers (s, o, relation)")]
                  + _range_checks(keys, label_space), "record")
     return TripletStats(label_space, _count(keys, label_space))
@@ -319,6 +318,38 @@ def read_jsonl(path: str, parse: Callable, gather: Callable = list):
         raise ValueError(f"{path}:{lines[exc.row]}: {exc}") from None
 
 
+# Per dtype: the exact types of the fast path, the test of each value, its cast.
+_NUMBERS = {np.int64: ({int}, _is_int64, int), np.float64: ({int, float}, _is_real, _float)}
+
+
+def read_numbers(values, dtype, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The decoded JSON list ``values`` as a ``dtype`` array and the mask of
+    its bad items, read as zeros: with no ``width`` an item must be a number,
+    with one a list of ``width`` numbers (``-1``: as many as item 0's). An
+    int64 number is an integer in its range; a float64 one an integer or float,
+    an integer beyond the float range reading as ``±inf`` as ``1e400`` does. A
+    bool, string or null is none. ``values`` that is no list raises ``ValueError``."""
+    if not isinstance(values, list):
+        raise ValueError(f"{type(values).__name__} where a list of numbers belongs")
+    exact, is_number, cast = _NUMBERS[dtype]
+    if width is not None and width < 0:
+        width = len(values[0]) if values and isinstance(values[0], (list, tuple)) else 0
+    shape = (len(values),) if width is None else (len(values), width)
+    try:  # a number for a row, a row of another length or a huge integer takes the slow path
+        if set(map(type, values if width is None else chain.from_iterable(values))) <= exact:
+            return np.array(values, dtype).reshape(shape), np.zeros(len(values), dtype=bool)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if width is None:
+        good = [cast(v) if is_number(v) else None for v in values]
+    else:
+        good = [list(map(cast, row)) if isinstance(row, (list, tuple)) and len(row) == width
+                and all(map(is_number, row)) else None for row in values]
+    bad = np.array([v is None for v in good], dtype=bool)
+    zero = 0 if width is None else [0] * width
+    return np.array([zero if v is None else v for v in good], dtype).reshape(shape), bad
+
+
 def _triplet(doc) -> tuple[int, int, int]:
     if not isinstance(doc, Mapping):
         raise ValueError("a triplet record must be an object")
@@ -353,16 +384,14 @@ def stats_from_json(text: str) -> TripletStats:
     if not (isinstance(doc, Mapping) and isinstance(doc.get("counts"), list)):
         raise ValueError("statistics must be an object with a list of [s, o, r, n] counts")
     ls = from_dict(LabelSpace, doc.get("label_space"))
-    for i, e in enumerate(doc["counts"]):
-        if not _is_int64_row(e, 4):
-            raise ValueError(f"statistics entry {i} is not four 64-bit integers [s, o, r, n]")
-    table = np.array(doc["counts"], dtype=np.int64).reshape(-1, 4)
+    table, bad = read_numbers(doc["counts"], np.int64, 4)
     keys, n = table[:, :3], table[:, 3]
     # Row-major cell; a row out of range is named before a repeat it may fake.
     cell = (keys[:, 0] * ls.num_object_classes + keys[:, 1]) * (ls.num_relations + 1) + keys[:, 2]
     repeat = np.ones(len(cell), dtype=bool)
     repeat[np.unique(cell, return_index=True)[1]] = False
-    refuse_first(_range_checks(keys, ls) + [
+    refuse_first([(bad, lambda i: "not four 64-bit integers [s, o, r, n]")]
+                 + _range_checks(keys, ls) + [
         (n < 1, lambda i: f"count {n[i]} must be >= 1"),
         (repeat, lambda i: f"repeats the (s, o, r) of entry {np.argmax(cell == cell[i])}"),
     ], "statistics entry")

@@ -24,7 +24,7 @@ from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
-from .stats import LabelSpace, _is_int64, _is_int64_row, read_jsonl, refuse_first
+from .stats import LabelSpace, read_jsonl, read_numbers, refuse_first
 
 __all__ = [
     "SynthConfig",
@@ -163,7 +163,8 @@ class Images:
         type; ``features`` or ``scores`` not ``n`` rows or not as wide as image
         0's; ``unions`` not ``(n(n-1), d_v)``; ``gt`` not ``(m, 3)``; nonempty
         ``gt`` not of a 64-bit integer type; a box not ``0 <= x1 < x2 <= 1``,
-        ``0 <= y1 < y2 <= 1``; a score row not summing to 1 within 1e-6."""
+        ``0 <= y1 < y2 <= 1``; a score row not summing to 1 within 1e-6; a
+        feature or union value that is not finite."""
         boxes, features, scores, unions, labels, gt = (
             [np.asarray(getattr(img, name), dtype) for img in images]
             for name, dtype in (("boxes", np.float64), ("features", np.float64),
@@ -206,29 +207,32 @@ class Images:
             (shapes(gt, 2)[1] != 3, lambda i: f"ground truth has shape {gt[i].shape}, not (m, 3)"),
             (not_int[1], lambda i: f"ground truth of type {gt[i].dtype}, not 64-bit integers"),
         ]
-        # Box and score values of the images of the right shape.
+        # Object and pair values of the images of the right shape.
         ok = ~np.any([bad for bad, _ in checks], axis=0)
-        box, score = (
+        box, score, feature, union = (
             np.concatenate([np.zeros((0, cols)), *(a for a, keep in zip(arrays, ok) if keep)])
-            for arrays, cols in ((boxes, 4), (scores, max(first[1], 0)))
+            for arrays, cols in ((boxes, 4), (scores, max(first[1], 0)),
+                                 (features, max(first[0], 0)), (unions, max(first[0], 0)))
         )
-        row_image = np.repeat(np.flatnonzero(ok), n[ok])
+        row_image, pair_image = (np.repeat(np.flatnonzero(ok), c[ok]) for c in (n, n * (n - 1)))
         x1, y1, x2, y2 = box.T
         outside = ~((0.0 <= x1) & (x1 < x2) & (x2 <= 1.0) & (0.0 <= y1) & (y1 < y2) & (y2 <= 1.0))
         unnormalised = ~(np.abs(score.sum(axis=1) - 1.0) <= 1e-6)
 
-        def flagged(bad: np.ndarray) -> np.ndarray:
-            return np.bincount(row_image[bad], minlength=len(images)) > 0
+        def flagged(element_image: np.ndarray, bad: np.ndarray) -> np.ndarray:
+            return np.bincount(element_image[bad], minlength=len(images)) > 0
 
         refuse_first(checks + [
-            (flagged(outside), lambda i: "degenerate or unnormalized box "
+            (flagged(row_image, outside), lambda i: "degenerate or unnormalized box "
              f"{box[np.argmax(outside & (row_image == i))].tolist()}"),
-            (flagged(unnormalised), lambda i: "detector scores must sum to 1"),
+            (flagged(row_image, unnormalised), lambda i: "detector scores must sum to 1"),
+            (flagged(row_image, ~np.isfinite(feature).all(1)), lambda i: "features must be finite"),
+            (flagged(pair_image, ~np.isfinite(union).all(1)), lambda i: "unions must be finite"),
         ], "image")
         return cls(
-            boxes=box, features=np.concatenate([np.zeros((0, first[0])), *features]),
+            boxes=box, features=feature,
             labels=np.concatenate([np.zeros(0, dtype=np.int64), *labels]), scores=score,
-            obj_start=_offsets(n), unions=np.concatenate([np.zeros((0, first[0])), *unions]),
+            obj_start=_offsets(n), unions=union,
             gt=np.concatenate([np.zeros((0, 3), dtype=np.int64), *gt]),
             gt_start=_offsets([len(t) for t in gt]), pair_start=_offsets(n * (n - 1)),
         )
@@ -275,25 +279,14 @@ def build_world(config: SynthConfig) -> World:
     remainder_order = np.argsort(-(ideal - quota), kind="stable")
     quota[remainder_order[: num_pairs - quota.sum()]] += 1
     pref_flat = np.repeat(np.arange(ls.num_relations), quota)
-    pref = rng.permutation(pref_flat).reshape(
-        ls.num_object_classes, ls.num_object_classes
-    )
+    pref = rng.permutation(pref_flat).reshape(ls.num_object_classes, ls.num_object_classes)
     table = np.tile(0.5 * zipf, (ls.num_object_classes, ls.num_object_classes, 1))
-    s_grid, o_grid = np.meshgrid(
-        np.arange(ls.num_object_classes), np.arange(ls.num_object_classes), indexing="ij"
-    )
+    s_grid, o_grid = np.indices((ls.num_object_classes,) * 2)
     table[s_grid, o_grid, pref] += 0.5
-    return World(
-        object_prototypes=object_prototypes,
-        relation_prototypes=relation_prototypes,
-        relation_table=table,
-        zipf=zipf,
-    )
+    return World(object_prototypes, relation_prototypes, table, zipf)
 
 
-def _sample_image(
-    config: SynthConfig, world: World, rng: np.random.Generator
-) -> SynthImage:
+def _sample_image(config: SynthConfig, world: World, rng: np.random.Generator) -> SynthImage:
     ls = config.label_space
     n = int(rng.integers(config.objects_min, config.objects_max + 1))
     labels = rng.integers(0, ls.num_object_classes, n)
@@ -302,17 +295,14 @@ def _sample_image(
     cy = rng.uniform(0.1, 0.9, n)
     bw = rng.uniform(0.05, 0.2, n)
     bh = rng.uniform(0.05, 0.2, n)
-    feats = world.object_prototypes[labels] + rng.normal(
-        0.0, config.noise_sigma, (n, config.d_v)
-    )
+    feats = world.object_prototypes[labels] + rng.normal(0.0, config.noise_sigma, (n, config.d_v))
     # Finite logits give scores that sum to 1, however far apart they lie.
     with np.errstate(over="ignore"):
         det_logits = config.detector_sharpness * np.eye(ls.num_object_classes)[labels]
         det_logits += rng.normal(0.0, config.detector_noise, det_logits.shape)
         if not np.isfinite(det_logits).all():
-            raise ValueError(
-                "detector logits are not finite: detector_sharpness or detector_noise is too large"
-            )
+            raise ValueError("detector logits are not finite: detector_sharpness or "
+                             "detector_noise is too large")
         det_logits -= det_logits.max(axis=1, keepdims=True)
         e = np.exp(det_logits)
     scores = e / e.sum(axis=1, keepdims=True)
@@ -335,9 +325,7 @@ def _sample_image(
         + rng.normal(0.0, config.noise_sigma, (len(pairs), config.d_v))
     )
     gt = np.column_stack([pairs[fg], relations[fg]])
-    return SynthImage(
-        boxes=boxes, features=feats, labels=labels, scores=scores, unions=unions, gt=gt
-    )
+    return SynthImage(boxes, feats, labels, scores, unions, gt)
 
 
 def generate_split(config: SynthConfig, split: str) -> Images:
@@ -345,9 +333,7 @@ def generate_split(config: SynthConfig, split: str) -> Images:
     if split not in SPLIT_DOMAINS:
         raise ValueError(f"unknown split {split!r}")
     world = build_world(config)
-    count = {"train": config.num_train, "val": config.num_val, "test": config.num_test}[
-        split
-    ]
+    count = {"train": config.num_train, "val": config.num_val, "test": config.num_test}[split]
     domain = SPLIT_DOMAINS[split]
     return Images.pack(
         [_sample_image(config, world, _rng(config.seed, domain, i)) for i in range(count)]
@@ -378,41 +364,32 @@ def write_images_jsonl(images: Images, path: str) -> None:
             fh.write(json.dumps(doc) + "\n")
 
 
-def _matrix(rows: list, name: str, width: int = 0) -> np.ndarray:
-    """Equal-length number lists as one float array; ``(0, width)`` when empty."""
-    try:
-        out = np.array(rows, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} rows are ragged or not numeric") from None
-    return out if rows else out.reshape(0, width)
-
-
 def _image_from_doc(doc: dict, pair_lists: dict[int, list]) -> SynthImage:
-    objects = doc["objects"]
+    objects, unions = doc["objects"], doc["unions"]
     n = len(objects)
-    features = _matrix([obj["feat"] for obj in objects], "feat")
-    union_pairs = [[s, o] for s, o, _ in doc["unions"]]
-    if union_pairs != _pair_list(n, pair_lists):
+    if [[s, o] for s, o, _ in unions] != _pair_list(n, pair_lists):
         raise ValueError(f"union pairs are not the ordered pairs of {n} objects in order")
-    for i, obj in enumerate(objects):
-        if not _is_int64(obj["label"]):
-            raise ValueError(f"object {i} label must be a 64-bit integer")
-    for i, t in enumerate(doc["gt"]):
-        if not _is_int64_row(t, 3):
-            raise ValueError(f"ground-truth entry {i} is not three 64-bit integers [s, o, r]")
-    return SynthImage(
-        boxes=_matrix([obj["box"] for obj in objects], "box", 4),
-        features=features,
-        labels=np.array([obj["label"] for obj in objects], dtype=np.int64),
-        scores=_matrix([obj["scores"] for obj in objects], "scores"),
-        unions=_matrix([vec for _, _, vec in doc["unions"]], "union", features.shape[1]),
-        gt=np.array(doc["gt"], dtype=np.int64).reshape(-1, 3),
-    )
+    (box, bad_box), (feat, bad_feat), (label, bad_label), (scores, bad_scores) = (
+        read_numbers([obj[key] for obj in objects], dtype, width) for key, dtype, width in (
+            ("box", np.float64, 4), ("feat", np.float64, -1), ("label", np.int64, None),
+            ("scores", np.float64, -1)))
+    union, bad_union = read_numbers([vec for _, _, vec in unions], np.float64, feat.shape[1])
+    gt, bad_gt = read_numbers(doc["gt"], np.int64, 3)
+    same = "a list of numbers as long as object 0's"
+    refuse_first([(bad_box, lambda i: "box is not 4 numbers"),
+                  (bad_feat, lambda i: f"feat is not {same}"),
+                  (bad_label, lambda i: "label is not a 64-bit integer"),
+                  (bad_scores, lambda i: f"scores is not {same}")], "object")
+    refuse_first([(bad_union, lambda i: "not a list of numbers as long as a feat")], "union")
+    refuse_first([(bad_gt, lambda i: "not three 64-bit integers [s, o, r]")], "ground-truth entry")
+    return SynthImage(box, feat, label, scores, union, gt)
 
 
 def read_images_jsonl(path: str) -> Images:
     """Read images written by :func:`write_images_jsonl` into one packed split;
-    a malformed document, or an image :meth:`Images.pack` refuses, raises
-    ``ValueError`` starting ``"<path>:<line>: "``."""
+    a malformed document (a missing key, union pairs out of order, an object,
+    union or ground-truth entry that :func:`~tailbias.stats.read_numbers`
+    refuses), or an image :meth:`Images.pack` refuses, raises ``ValueError``
+    starting ``"<path>:<line>: "``."""
     pair_lists: dict[int, list] = {}
     return read_jsonl(path, lambda doc: _image_from_doc(doc, pair_lists), Images.pack)

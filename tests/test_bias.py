@@ -299,22 +299,25 @@ class TestSerialization:
             ({"0,1": [0.0] * 3}, r"bias entries must be a list"),
             ([[0, 1]], r"bias entry 0 is not \[s, o, values\]"),
             ([[0, 1, [0.0] * 3], ["0", 1, [0.0] * 3]], r"bias entry 1 is not"),
-            ([[0, 1, 0.5]], r"bias entry 0 for class pair \(0, 1\): bias vector must be 1-D"),
+            ([[0, 1, 0.5]], r"bias entry 0 for class pair \(0, 1\) needs 3 finite numbers"),
             (
                 [[0, 1, [0.0] * 3], [2, 3, [0.0] * 2]],
-                r"bias entry 1 for class pair \(2, 3\) has 2 values; the fallback has 3",
+                r"bias entry 1 for class pair \(2, 3\) needs 3 finite numbers, as many as the "
+                "fallback$",
             ),
-            ([[0, 1, [0.0, "x", 0.0]]], r"bias entry 0 for class pair \(0, 1\): "),
-            ([[0, 1, [0.0, None, 0.0]]], r"bias entry 0 .*: None is not a number$"),
-            ([[0, 1, [[0.0], [0.0], [0.0]]]], r"bias entry 0 .*1-D"),
+            ([[0, 1, [0.0, "x", 0.0]]], r"bias entry 0 for class pair \(0, 1\) needs 3 finite"),
+            ([[0, 1, [0.0, None, 0.0]]], r"bias entry 0 .* needs 3 finite numbers, as many as the "
+             "fallback$"),
+            ([[0, 1, [[0.0], [0.0], [0.0]]]], r"bias entry 0 .*needs 3 finite numbers"),
             (
                 [[0, 1, [0.0] * 3], [2, 3, [0.0] * 3], [0, 1, [1.0] * 3]],
                 r"^bias entry 2 for class pair \(0, 1\) repeats entry 0$",
             ),
             ([[-1, 1, [0.0] * 3]], r"^bias entry 0 is not \[s, o, values\] with classes s, o >= 0"),
             ([[0, 1, [0.0] * 3], [0, True, [0.0] * 3]], r"^bias entry 1 is not \[s, o, values\]"),
-            ([[0, 1, ["abc", 0.0, 0.0]]], r"^bias entry 0 for class pair \(0, 1\): 'abc' is not a"),
-            ([[0, 1, [0.0, True, 0.0]]], r"^bias entry 0 for class pair \(0, 1\): True is not a"),
+            ([[0, 1, ["abc", 0.0, 0.0]]], r"^bias entry 0 for class pair \(0, 1\) needs 3 finite"),
+            ([[0, 1, [0.0, True, 0.0]]], r"^bias entry 0 for class pair \(0, 1\) needs 3 finite"),
+            ([[0, 1, [0.0, math.nan, 0.0]]], r"^bias entry 0 for class pair \(0, 1\) needs 3 fin"),
         ],
     )
     def test_malformed_pair_table_names_the_entry(self, entries, message):
@@ -329,23 +332,22 @@ class TestSerialization:
             ({"kind": "cb", "entries": [], "fallback": [0.0, 1.0]}, "missing key 'values'"),
             ({"kind": "pb", "entries": []}, "missing key 'fallback' in bias file"),
             ({"kind": "eb", "fallback": [0.0, 1.0]}, "missing key 'entries' in bias file"),
-            ({"kind": "vb", "values": "abc"},
-             "bias key 'values': could not convert string to float: 'abc'"),
-            ({"kind": "cb", "values": [0.0, "abc"]}, "bias key 'values': 'abc' is not a number"),
-            ({"kind": "pb", "entries": [], "fallback": ["abc", 1.0]},
-             "bias key 'fallback': 'abc' is not a number"),
-            ({"kind": "cb", "values": ["1.5", True, 2]}, "bias key 'values': '1.5' is not a number"),
-            ({"kind": "vb", "values": [0.0, True, 2]}, "bias key 'values': True is not a number"),
-            ({"kind": "eb", "entries": [], "fallback": [0.0, None]},
-             "bias key 'fallback': None is not a number"),
-            ({"kind": "cb", "values": [0.0, 10**400]},
-             "bias key 'values': int too large to convert to float"),
-            ({"kind": "pb", "entries": [], "fallback": [0.0, math.inf]},
-             "bias key 'fallback': bias vector has non-finite entries"),
+            *[(doc, f"bias key {key!r} must be a list of two or more finite numbers")
+              for doc, key in (
+                  ({"kind": "vb", "values": "abc"}, "values"),
+                  ({"kind": "cb", "values": [0.0, "abc"]}, "values"),
+                  ({"kind": "pb", "entries": [], "fallback": ["abc", 1.0]}, "fallback"),
+                  ({"kind": "cb", "values": ["1.5", True, 2]}, "values"),
+                  ({"kind": "vb", "values": [0.0, True, 2]}, "values"),
+                  ({"kind": "eb", "entries": [], "fallback": [0.0, None]}, "fallback"),
+                  ({"kind": "cb", "values": [0.0, 10**400]}, "values"),
+                  ({"kind": "pb", "entries": [], "fallback": [0.0, math.inf]}, "fallback"),
+                  ({"kind": "cb", "values": [0.0]}, "values"),
+              )],
         ],
         ids=["no-values", "pair-keys-for-cb", "no-fallback", "no-entries", "values-string",
              "values-row", "fallback-row", "values-numeric-string", "values-bool",
-             "fallback-null", "values-huge-int", "fallback-inf"],
+             "fallback-null", "values-huge-int", "fallback-inf", "values-short"],
     )
     def test_missing_or_non_numeric_key_is_named(self, doc, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
@@ -395,7 +397,7 @@ class TestSerialization:
         spec = BiasSpec(kind="pb", a=1.0, epsilon=1e-3)
         doc = json.loads(bias_to_json(spec, compute_bias(spec, stats)))
         doc["entries"][0][2] = doc["entries"][0][2][:-1]
-        with pytest.raises(ValueError, match=r"bias entry 0 for class pair \(0, 1\) has 4"):
+        with pytest.raises(ValueError, match=r"^bias entry 0 for class pair \(0, 1\) needs 5 "):
             bias_from_json(json.dumps(doc))
 
 

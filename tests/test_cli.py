@@ -8,6 +8,12 @@ import pytest
 from tailbias.cli import main
 from tailbias.metrics import METRICS_CSV_HEADER
 from tailbias.stats import LabelSpace
+from test_synth import NO_NUMBER, NON_FINITE, NUMBER_ROWS
+
+
+# The values a test puts into a JSONL number row (see ``test_synth.NUMBER_ROWS``).
+VALUES = {"huge": 10**400, "string": "0.5", "bool": True, "null": None, "nan": math.nan,
+          "infinity": math.inf}
 
 
 @pytest.fixture(scope="module")
@@ -352,9 +358,9 @@ class TestErrors:
         "corrupt, message",
         [
             (lambda d: d["objects"][1].__setitem__("label", 1.7),
-             "object 1 label must be a 64-bit integer"),
+             "object 1: label is not a 64-bit integer"),
             (lambda d: d["gt"][0].__setitem__(2, 1.9),
-             "ground-truth entry 0 is not three 64-bit integers [s, o, r]"),
+             "ground-truth entry 0: not three 64-bit integers [s, o, r]"),
         ],
         ids=["float-label", "float-gt"],
     )
@@ -671,11 +677,11 @@ class TestErrors:
         "fields, message",
         [
             ({"entries": None}, "bias entries must be a list of [s, o, values]"),
-            ({"entries": [[0, 1, [0.0, 0.0, 0.0]]]}, "bias entry 0 for class pair (0, 1) has 3 "
-             "values; the fallback has 7"),
+            ({"entries": [[0, 1, [0.0, 0.0, 0.0]]]}, "bias entry 0 for class pair (0, 1) needs 7 "
+             "finite numbers, as many as the fallback"),
             ({"kind": "cb"}, "missing key 'values' in bias file"),
             ({"kind": "cb", "values": "abc"},
-             "bias key 'values': could not convert string to float: 'abc'"),
+             "bias key 'values' must be a list of two or more finite numbers"),
             ({"entries": [[0, 1, [0.0] * 7], [0, 1, [1.0] * 7]]},
              "bias entry 1 for class pair (0, 1) repeats entry 0"),
             ({"entries": [[0, -1, [0.0] * 7]]},
@@ -750,9 +756,9 @@ class TestErrors:
     @pytest.mark.parametrize(
         "counts, message",
         [
-            ([[0, 1, None, 3]], "statistics entry 0 is not four 64-bit integers [s, o, r, n]"),
+            ([[0, 1, None, 3]], "statistics entry 0: not four 64-bit integers [s, o, r, n]"),
             ([[0, 1, 1, 3], [0, 1, 1, 2]], "statistics entry 1: repeats the (s, o, r) of entry 0"),
-            ([[0, 1, 1, 1.7]], "statistics entry 0 is not four 64-bit integers [s, o, r, n]"),
+            ([[0, 1, 1, 1.7]], "statistics entry 0: not four 64-bit integers [s, o, r, n]"),
             ([[0, 1, 9, 3]], "statistics entry 0: relation 9 out of range [1, 6]"),
         ],
         ids=["null", "repeat", "float", "relation"],
@@ -821,28 +827,45 @@ class TestErrors:
         assert error["message"].startswith(prefix)
         assert not out.exists()
 
-    @pytest.mark.parametrize("at", [lambda d: d["objects"][1]["feat"],
-                                    lambda d: d["objects"][1]["box"],
-                                    lambda d: d["objects"][1]["scores"],
-                                    lambda d: d["unions"][2][2]],
-                             ids=["feat", "box", "scores", "union"])
+    @pytest.mark.parametrize(
+        "at, value, command",
+        [*((at, "huge", "stats") for at in NUMBER_ROWS),
+         *((at, value, command) for value in ("string", "bool", "null", "nan", "infinity")
+           for at in NUMBER_ROWS for command in ("stats", "train"))],
+        ids=[*NUMBER_ROWS, *(f"{at}-{value}-{command}"
+                             for value in ("string", "bool", "null", "nan", "infinity")
+                             for at in NUMBER_ROWS for command in ("stats", "train"))],
+    )
     def test_number_beyond_the_float_range_names_the_jsonl_line(
-        self, workspace, tmp_path, capsys, at
+        self, workspace, tmp_path, capsys, at, value, command
     ):
-        _, data_dir, _, _, _ = workspace
+        """A number row's value beyond the float range (read as inf), not
+        finite or no number at all fails ``stats --images`` and ``train
+        --data`` with one JSON error naming the line, and the object, union or
+        image."""
+        root, data_dir, _, _, _ = workspace
         lines = (data_dir / "train.jsonl").read_text().splitlines()
         doc = json.loads(lines[1])
-        at(doc)[0] = 10**400
+        row = NUMBER_ROWS[at](doc)
+        row[0] = VALUES[value]
         lines[1] = json.dumps(doc)
         bad = tmp_path / "train.jsonl"
         bad.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "stats.json"
+        out = tmp_path / "out"
+        argv = {
+            "stats": ["stats", "--labels", str(data_dir / "labels.json"), "--images", str(bad)],
+            "train": ["train", "--config", str(root / "train.json"), "--data", str(bad)],
+        }[command]
         capsys.readouterr()
-        assert main(["stats", "--labels", str(data_dir / "labels.json"), "--images", str(bad),
-                     "--out", str(out)]) == 1
-        err = json.loads(capsys.readouterr().err)["error"]
-        assert err == {"type": "ValueError",
-                       "message": f"{bad}:2: int too large to convert to float"}
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        if value in ("string", "bool", "null"):
+            message = NO_NUMBER[at]
+        else:
+            shown = [math.inf if x == 10**400 else x for x in row]
+            message = NON_FINITE[at] + (f" {shown}" if at == "box" else "")
+        assert json.loads(err)["error"] == {"type": "ValueError", "message": f"{bad}:2: {message}"}
         assert not out.exists()
 
     @pytest.mark.parametrize(

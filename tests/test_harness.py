@@ -804,15 +804,13 @@ class TestEvaluate:
     def test_a_failed_bucket_names_the_first_faulty_image(self, kind, message):
         """Image 3 sits in a bucket of 4-object images and image 4 in the
         bucket of 3-object images, which is forwarded first; both have a NaN
-        union row, and image 3 is named, in evaluation and in the sweep."""
+        union row, set after packing (which refuses one), and image 3 is
+        named, in evaluation and in the sweep."""
         space = LabelSpace(num_object_classes=5, num_relations=4)
         rng = np.random.default_rng(5)
         records = [make_image(rng, n, space.num_object_classes, 6) for n in [4, 4, 3, 4, 3, 4]]
-        for i in (3, 4):
-            unions = records[i].unions.copy()
-            unions[1] = np.nan
-            records[i] = replace(records[i], unions=unions)
         images = Images.pack(records)
+        images.unions[images.pair_start[[3, 4]] + 1] = np.nan
         config = model_config(space, kind)
         ck = Checkpoint(config, 0, model_for(config.model).init(config.model, space, 6, rng))
         want = f"^image 3: {re.escape(message)}$"
@@ -828,14 +826,12 @@ class TestEvaluate:
          ("linear", "non-finite relation logits")],
     )
     def test_a_one_image_split_names_its_faulty_image(self, kind, message):
-        """A split of one image with a NaN union row: its one call fails, and
-        the image, forwarded again alone, is named."""
+        """A split of one image with a NaN union row (set after packing): its
+        one call fails, and the image, forwarded again alone, is named."""
         space = LabelSpace(num_object_classes=5, num_relations=4)
         rng = np.random.default_rng(6)
-        record = make_image(rng, 3, space.num_object_classes, 6)
-        unions = record.unions.copy()
-        unions[2] = np.nan
-        images = Images.pack([replace(record, unions=unions)])
+        images = Images.pack([make_image(rng, 3, space.num_object_classes, 6)])
+        images.unions[2] = np.nan
         config = model_config(space, kind)
         ck = Checkpoint(config, 0, model_for(config.model).init(config.model, space, 6, rng))
         with pytest.raises(ValueError, match=f"^image 0: {re.escape(message)}$"):
@@ -920,12 +916,10 @@ class TestEvaluate:
                 sweep(ck, stats, BiasSpec(kind="cb", epsilon=1e-3), [0.0], images)
 
     def test_non_finite_logits_name_the_image(self, space):
-        images = perfect_images(space)
-        unions = images[2].unions.copy()
-        unions[2] = np.nan  # pair (1, 0)
-        images[2] = replace(images[2], unions=unions)
+        images = Images.pack(perfect_images(space))
+        images.unions[images.pair_start[2] + 2] = np.nan  # pair (1, 0), after the packing check
         with pytest.raises(ValueError, match="image 2: non-finite relation logits"):
-            evaluate(perfect_checkpoint(space), Images.pack(images))
+            evaluate(perfect_checkpoint(space), images)
 
 
 class TestSweep:
@@ -1002,18 +996,28 @@ class TestCheckpointIo:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda d: d["param_data"].__setitem__(3, None), "parameter w is not finite"),
-            (lambda d: d["param_data"].__setitem__(-1, "NaN"), "parameter b is not finite"),
+            (lambda d: d["param_data"].__setitem__(3, None),
+             "checkpoint parameter w is not a finite number"),
+            (lambda d: d["param_data"].__setitem__(-1, "NaN"),
+             "checkpoint parameter b is not a finite number"),
             (lambda d: d.__setitem__("param_shapes", [5, 6]), "parameter 0 has shape 5"),
-            (lambda d: d.__setitem__("param_data", {"w": d["param_data"]}), "float"),
-            (lambda d: d["param_data"].__setitem__(0, "abc"), "could not convert"),
-            (lambda d: d["param_data"].__setitem__(0, [1.0, 2.0]), ""),
+            (lambda d: d.__setitem__("param_data", {"w": d["param_data"]}),
+             "dict where a list of numbers belongs"),
+            (lambda d: d["param_data"].__setitem__(0, "abc"),
+             "checkpoint parameter w is not a finite number"),
+            (lambda d: d["param_data"].__setitem__(0, [1.0, 2.0]),
+             "checkpoint parameter w is not a finite number"),
             (lambda d: d["param_data"].pop(), "fit no feature width"),
             (lambda d: d["param_shapes"].pop(), "parameter 1 has shape None"),
             (lambda d: d.pop("param_data"), "missing key 'param_data'"),
             (lambda d: d["config"].__setitem__("bias", {"kind": "cb", "epsilonn": 0.5}),
              "unknown key 'epsilonn' in bias spec"),
-            (lambda d: d["param_data"].__setitem__(0, 10**400), "int too large to convert"),
+            (lambda d: d["param_data"].__setitem__(0, 10**400),
+             "checkpoint parameter w is not a finite number"),
+            (lambda d: d["param_data"].__setitem__(0, "0.5"),
+             "checkpoint parameter w is not a finite number"),
+            (lambda d: d["param_data"].__setitem__(-1, True),
+             "checkpoint parameter b is not a finite number"),
             *[(lambda d, v=v: d.__setitem__("iterations", v),
                "checkpoint key 'iterations' must be a 64-bit integer >= 1")
               for v in (1.7, math.inf, True, -5, 0, 2**63, "40", None)],
@@ -1021,7 +1025,8 @@ class TestCheckpointIo:
         ids=[
             "null-value", "nan-string", "flat-shapes", "dict-data", "string-value",
             "nested-value", "truncated-data", "missing-shape", "missing-data", "bad-config",
-            "huge-int-value", *(f"iterations-{name}" for name in (
+            "huge-int-value", "numeric-string-value", "bool-value",
+            *(f"iterations-{name}" for name in (
                 "float", "inf", "bool", "negative", "zero", "huge", "string", "null")),
         ],
     )

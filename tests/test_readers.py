@@ -4,11 +4,12 @@ Each reader goes through :func:`tailbias.stats.read_json` or
 :func:`tailbias.stats.read_jsonl`. Hypothesis starts from small valid files and
 truncates them, flips bytes, deletes keys and swaps values for ones of another
 type. A Python reader then either reads the file or raises a ``ValueError``
-starting with its path (``path:line`` for JSONL); a command either succeeds or
-exits 1 with exactly one JSON error object on stderr and nothing under
-``--out``. Sizes stay small: a swap puts no number above 1 into a file, and a
-byte flip makes a number at most one character longer, so no label space or
-model spec asks for a huge allocation.
+starting with its path (``path:line`` for JSONL); it always raises one when a
+value in a list of numbers is swapped for one that is no number. A command
+either succeeds or exits 1 with exactly one JSON error object on stderr and
+nothing under ``--out``. Sizes stay small: a swap puts no number above 1 into
+a file, and a byte flip makes a number at most one character longer, so no
+label space or model spec asks for a huge allocation.
 """
 
 import contextlib
@@ -77,6 +78,12 @@ def _parent(doc, path):
     return doc
 
 
+def _dumps(docs: list, jsonl: bool) -> bytes:
+    if not jsonl:
+        return json.dumps(docs[0]).encode()
+    return "".join(json.dumps(d) + "\n" for d in docs).encode()
+
+
 @st.composite
 def mutated(draw, text: bytes, jsonl: bool) -> bytes:
     """``text`` truncated, with bytes flipped, or with one document's key
@@ -104,9 +111,27 @@ def mutated(draw, text: bytes, jsonl: bool) -> bytes:
             parent[path[-1]] = draw(st.sampled_from(
                 [v for v in SWAPS if type(v) is not type(parent[path[-1]])]))
     docs[i] = doc
-    if not jsonl:
-        return json.dumps(doc).encode()
-    return "".join(json.dumps(d) + "\n" for d in docs).encode()
+    return _dumps(docs, jsonl)
+
+
+NON_NUMBERS = [v for v in SWAPS if type(v) not in (int, float)]
+
+
+def _numbers(value) -> bool:
+    return isinstance(value, list) and value and all(type(v) in (int, float) for v in value)
+
+
+@st.composite
+def number_swapped(draw, text: bytes, jsonl: bool) -> bytes:
+    """``text`` with one value, drawn from every value of a list of numbers in
+    its documents, swapped for one that is no number."""
+    docs = [json.loads(line) for line in text.decode().splitlines() if line.strip()]
+    values = [(i, path) for i, doc in enumerate(docs) for path in _paths(doc)
+              if len(path) > 1 and _numbers(_parent(doc, path))]
+    i, path = draw(st.sampled_from(values))
+    docs[i] = copy.deepcopy(docs[i])
+    _parent(docs[i], path)[path[-1]] = draw(st.sampled_from(NON_NUMBERS))
+    return _dumps(docs, jsonl)
 
 
 # reader name: (input file, reader, whether the file is JSONL)
@@ -139,6 +164,25 @@ def test_a_reader_reads_a_mutated_file_or_names_it(files, reader):
                 read(str(path))
             except ValueError as exc:
                 assert re.match(re.escape(str(path)) + (r":\d+: " if jsonl else ": "), str(exc))
+
+    check()
+
+
+@pytest.mark.parametrize("reader", [name for name in READERS if name not in (
+    "synth-config", "labels", "triplets")])  # these files hold no list of numbers
+def test_a_reader_refuses_a_non_number_in_a_list_of_numbers(files, reader):
+    name, read, jsonl = READERS[reader]
+    text = (files / name).read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(number_swapped(text, jsonl))
+    def check(bad):
+        with tempfile.TemporaryDirectory(dir=files) as tmp:
+            path = Path(tmp) / Path(name).name
+            path.write_bytes(bad)
+            prefix = re.escape(str(path)) + (r":\d+: " if jsonl else ": ")
+            with pytest.raises(ValueError, match=f"^{prefix}"):
+                read(str(path))
 
     check()
 

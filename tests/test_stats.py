@@ -13,6 +13,7 @@ from tailbias.stats import (
     marginal_counts,
     pair_counts,
     read_json,
+    read_numbers,
     read_triplets_jsonl,
     sppo_counts,
     stats_from_json,
@@ -248,11 +249,11 @@ STATS_SPACE = {"num_object_classes": 3, "num_relations": 2}
 @pytest.mark.parametrize(
     "counts, message",
     [
-        ([[0, 1, None, 3]], "statistics entry 0 is not four 64-bit integers [s, o, r, n]"),
-        ([[0, 1, 1, 3], [0, 1, 1.7, 2]], "statistics entry 1 is not four 64-bit integers"),
-        ([[0, 1, 1, True]], "statistics entry 0 is not four 64-bit integers"),
-        ([[0, 1, 1]], "statistics entry 0 is not four 64-bit integers"),
-        ([[0, 1, 1, 2**64]], "statistics entry 0 is not four 64-bit integers"),
+        ([[0, 1, None, 3]], "statistics entry 0: not four 64-bit integers [s, o, r, n]"),
+        ([[0, 1, 1, 3], [0, 1, 1.7, 2]], "statistics entry 1: not four 64-bit integers"),
+        ([[0, 1, 1, True]], "statistics entry 0: not four 64-bit integers"),
+        ([[0, 1, 1]], "statistics entry 0: not four 64-bit integers"),
+        ([[0, 1, 1, 2**64]], "statistics entry 0: not four 64-bit integers"),
         ([[0, 1, 1, 3], [3, 1, 1, 1]], "statistics entry 1: subject class 3 out of range [0, 3)"),
         ([[0, -1, 1, 3]], "statistics entry 0: object class -1 out of range [0, 3)"),
         ([[0, 1, 0, 3]], "statistics entry 0: relation 0 out of range [1, 2]"),
@@ -335,3 +336,64 @@ def test_read_json_names_the_file(tmp_path, raw, parse, message):
     path.write_bytes(raw)
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
         read_json(str(path), parse)
+
+
+def reference_numbers(values, dtype, width=None):
+    """:func:`read_numbers` item by item: each value tested and cast alone."""
+
+    def number(v):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            return None
+        if dtype is np.int64:
+            return v if isinstance(v, int) and -(2**63) <= v < 2**63 else None
+        try:
+            return float(v)
+        except OverflowError:
+            return math.inf if v > 0 else -math.inf
+
+    if width == -1:
+        width = len(values[0]) if values and isinstance(values[0], (list, tuple)) else 0
+    out, bad = [], []
+    for item in values:
+        if width is None:
+            got = number(item)
+        elif isinstance(item, (list, tuple)) and len(item) == width:
+            got = [number(v) for v in item]
+            got = None if None in got else got
+        else:
+            got = None
+        bad.append(got is None)
+        out.append((0 if width is None else [0] * width) if got is None else got)
+    shape = (len(values),) if width is None else (len(values), width)
+    return np.array(out, dtype).reshape(shape), np.array(bad, dtype=bool)
+
+
+# Numbers at the edges of both dtypes, and values that are no number.
+edge_values = st.sampled_from([0, 1, -1, 2**53 + 1, 2**63 - 1, -(2**63), 2**63, -(2**63) - 1,
+                               10**400, -(10**400), 0.5, -0.0, math.inf, math.nan, True, False,
+                               None, "1", [], [1.0], {}])
+number_items = st.one_of(st.integers(-(2**70), 2**70), st.floats(), edge_values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dtype=st.sampled_from([np.int64, np.float64]), width=st.sampled_from([None, -1, 0, 2, 3]),
+       data=st.data())
+def test_read_numbers_matches_reading_item_by_item(dtype, width, data):
+    """The whole-list conversion and its fallback agree with the rule applied
+    to one value at a time, on rows of any length and values of any type."""
+    if width is None:
+        values = data.draw(st.lists(number_items, max_size=6))
+    else:
+        rows = st.lists(number_items, max_size=4) | st.lists(number_items, min_size=3,
+                                                             max_size=3).map(tuple)
+        values = data.draw(st.lists(rows | number_items | st.none(), max_size=5))
+    got, got_bad = read_numbers(values, dtype, width)
+    want, want_bad = reference_numbers(values, dtype, width)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True) and np.array_equal(got_bad, want_bad)
+
+
+@pytest.mark.parametrize("values", [None, "12", {"a": 1}, 3, (1, 2)])
+def test_read_numbers_refuses_what_is_no_list(values):
+    with pytest.raises(ValueError, match="where a list of numbers belongs$"):
+        read_numbers(values, np.float64)

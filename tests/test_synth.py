@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 
 from dataclasses import asdict, replace
@@ -42,6 +43,27 @@ def small_config(**overrides):
     defaults.update(overrides)
     return SynthConfig(**defaults)
 
+
+# A number row of image 1 in a JSONL document, and the fault named when one of
+# its values is no number or not finite (regex-safe; a box's also shows the row).
+NUMBER_ROWS = {
+    "feat": lambda d: d["objects"][1]["feat"],
+    "box": lambda d: d["objects"][1]["box"],
+    "scores": lambda d: d["objects"][1]["scores"],
+    "union": lambda d: d["unions"][2][2],
+}
+NO_NUMBER = {
+    "feat": "object 1: feat is not a list of numbers as long as object 0's",
+    "box": "object 1: box is not 4 numbers",
+    "scores": "object 1: scores is not a list of numbers as long as object 0's",
+    "union": "union 2: not a list of numbers as long as a feat",
+}
+NON_FINITE = {
+    "feat": "image 1: features must be finite",
+    "box": "image 1: degenerate or unnormalized box",
+    "scores": "image 1: detector scores must sum to 1",
+    "union": "image 1: unions must be finite",
+}
 
 IMAGE_FIELDS = ("boxes", "features", "labels", "scores", "unions", "gt")
 SPLIT_FIELDS = (
@@ -231,32 +253,41 @@ class TestJsonl:
         [
             (lambda d: d["objects"][1].pop("scores"), "missing key 'scores'"),
             (lambda d: d.pop("gt"), "missing key 'gt'"),
-            (lambda d: d["objects"][1]["feat"].pop(), "feat rows are ragged"),
-            (lambda d: d["objects"][0]["scores"].append(0.0), "scores rows are ragged"),
-            (lambda d: d["unions"][2][2].pop(), "union rows are ragged"),
+            (lambda d: d["objects"][1]["feat"].pop(),
+             "object 1: feat is not a list of numbers as long as object 0's"),
+            (lambda d: d["objects"][0]["scores"].append(0.0),
+             "object 1: scores is not a list of numbers as long as object 0's"),
+            (lambda d: d["unions"][2][2].pop(), "union 2: not a list of numbers as long as a feat"),
             (lambda d: d["unions"].pop(), "union pairs are not the ordered pairs"),
             (lambda d: d["unions"].reverse(), "union pairs are not the ordered pairs"),
             (lambda d: d["objects"][2]["box"].__setitem__(2, 0.0), "degenerate"),
-            (lambda d: d["objects"][0]["box"].pop(), "box rows are ragged"),
+            (lambda d: d["objects"][0]["box"].pop(), "object 0: box is not 4 numbers"),
             (lambda d: d["objects"][1]["scores"].__setitem__(0, 2.0), "sum to 1"),
             (lambda d: d["objects"][1].__setitem__("label", 1.7),
-             "object 1 label must be a 64-bit integer"),
+             "object 1: label is not a 64-bit integer"),
             (lambda d: d["objects"][0].__setitem__("label", True),
-             "object 0 label must be a 64-bit integer"),
+             "object 0: label is not a 64-bit integer"),
             (lambda d: d["objects"][0].__setitem__("label", 2**63),
-             "object 0 label must be a 64-bit integer"),
+             "object 0: label is not a 64-bit integer"),
             (lambda d: d["gt"][0].__setitem__(2, 1.9),
-             r"ground-truth entry 0 is not three 64-bit integers \[s, o, r\]"),
-            (lambda d: d["gt"].append([0, 1]), "ground-truth entry \\d+ is not three"),
-            *[(lambda d, at=at: at(d).__setitem__(0, 10**400), "int too large to convert to float")
-              for at in (lambda d: d["objects"][1]["feat"], lambda d: d["objects"][1]["box"],
-                         lambda d: d["objects"][1]["scores"], lambda d: d["unions"][2][2])],
+             r"ground-truth entry 0: not three 64-bit integers \[s, o, r\]"),
+            (lambda d: d["gt"].append([0, 1]), r"ground-truth entry \d+: not three"),
+            # An integer beyond the float range reads as inf, as JSON's 1e400 does.
+            *[(lambda d, at=at: NUMBER_ROWS[at](d).__setitem__(0, 10**400), NON_FINITE[at])
+              for at in NUMBER_ROWS],
+            # A value that is no number is refused, not converted.
+            *[(lambda d, at=at, v=v: NUMBER_ROWS[at](d).__setitem__(0, v), NO_NUMBER[at])
+              for v in ("0.5", True, None) for at in NUMBER_ROWS],
+            *[(lambda d, at=at, v=v: NUMBER_ROWS[at](d).__setitem__(0, v), NON_FINITE[at])
+              for v in (math.nan, math.inf) for at in NUMBER_ROWS],
         ],
         ids=[
             "missing-object-key", "missing-gt", "ragged-feat", "ragged-scores",
             "ragged-union", "missing-union-pair", "union-pairs-out-of-order", "bad-box",
             "short-box", "unnormalised-scores", "float-label", "bool-label", "huge-label",
-            "float-gt", "short-gt", "huge-feat", "huge-box", "huge-scores", "huge-union",
+            "float-gt", "short-gt", *(f"huge-{at}" for at in NUMBER_ROWS),
+            *(f"{v}-{at}" for v in ("string", "bool", "null", "nan", "infinity")
+              for at in NUMBER_ROWS),
         ],
     )
     def test_malformed_document_names_its_line(self, tmp_path, corrupt, why):
@@ -327,10 +358,14 @@ class TestPack:
              "ground truth has shape (1, 2), not (m, 3)"),
             (bad_box, "degenerate or unnormalized box"),
             (unnormalised, "detector scores must sum to 1"),
+            (lambda img: replace(img, features=img.features * [1.0, np.nan, 1.0]),
+             "features must be finite"),
+            (lambda img: replace(img, unions=img.unions * [np.inf, 1.0, 1.0]),
+             "unions must be finite"),
         ],
         ids=["labels-rank", "box-width", "box-rows", "feature-rows", "score-rows",
              "feature-width", "score-width", "union-rows", "union-width", "gt-width", "bad-box",
-             "unnormalised-scores"],
+             "unnormalised-scores", "nan-feature", "infinite-union"],
     )
     def test_refusal_names_the_first_faulty_image(self, corrupt, message):
         rng = np.random.default_rng(0)
@@ -388,26 +423,27 @@ class TestPack:
         "corrupt, message",
         [
             (lambda d: [obj["box"].pop() for obj in d["objects"]],
-             "need one label and one 4-number box per object, 3 labels"),
+             "object 0: box is not 4 numbers"),
             (lambda d: [v.pop() for v in [o["feat"] for o in d["objects"]]
                         + [u[2] for u in d["unions"]]],
-             "2 feature columns; image 0 has 3"),
+             "image 1: 2 feature columns; image 0 has 3"),
             (lambda d: [obj["scores"].pop() for obj in d["objects"]],
-             "detector scores over 3 classes; image 0 has 4"),
+             "image 1: detector scores over 3 classes; image 0 has 4"),
             (lambda d: [u[2].pop() for u in d["unions"]],
-             "unions have shape (6, 2); 3 objects need (6, 3)"),
+             "union 0: not a list of numbers as long as a feat"),
             (lambda d: d["objects"][1]["box"].__setitem__(2, 0.0),
-             "degenerate or unnormalized box"),
+             "image 1: degenerate or unnormalized box"),
             (lambda d: d["objects"][2]["scores"].__setitem__(0, 2.0),
-             "detector scores must sum to 1"),
+             "image 1: detector scores must sum to 1"),
         ],
         ids=["box-width", "feature-width", "score-width", "union-width", "bad-box",
              "unnormalised-scores"],
     )
     def test_reader_names_the_line_and_the_image(self, tmp_path, corrupt, message):
-        """Only these faults can reach the check from a JSONL line: the
-        reader builds one feature and score row per object and three-integer
-        ground-truth rows."""
+        """Only the image faults here can reach the check from a JSONL line:
+        the reader builds one feature and score row per object, three-integer
+        ground-truth rows, and refuses itself, by object or union index, a box
+        of other than 4 numbers or a union row not as wide as the features."""
         rng = np.random.default_rng(3)
         path = tmp_path / "split.jsonl"
         write_images_jsonl(Images.pack([record(rng, 3) for _ in range(3)]), str(path))
@@ -416,8 +452,7 @@ class TestPack:
         corrupt(doc)
         lines[1] = json.dumps(doc)
         path.write_text("\n" + "\n".join(lines) + "\n")  # image 1 is on line 3
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: image 1: "
-                                             f"{re.escape(message)}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: {message}')}"):
             read_images_jsonl(str(path))
 
 
