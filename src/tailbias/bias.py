@@ -83,7 +83,7 @@ class BiasSpec:
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         if not 0.0 <= self.a_eval <= self.a:
-            raise ValueError("a_eval must lie in [0, a]")
+            raise ValueError(f"a_eval {self.a_eval} must lie in [0, a], a = {self.a}")
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ batched views (:func:`tailbias.numerics.unflatten`). The full-model battery
 checks every parameter coordinate on a few instances and a random coordinate
 sample on many, which keeps the runtime low without leaving any parameter
 kind unchecked. The training battery checks the gradient that one training
-step takes (``harness._batch_loss``, bucketed) against the batch's loss
-written afresh, one forward per image.
+step takes (``harness._batch_loss``: one backward per bucket, its images'
+gradient rows added in batch order) against the batch's loss written
+afresh, one forward per image.
 """
 
 from __future__ import annotations

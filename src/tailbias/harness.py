@@ -202,9 +202,9 @@ def _truth(images: Images, label_space: LabelSpace, d_v: int | None) -> np.ndarr
     each ground-truth triplet's image. ``ValueError`` names the first faulty
     image and its first fault of: with ``d_v``, fewer than two objects, other
     than ``d_v`` feature columns, or detector scores not over the label
-    space's classes; a class label outside the label space; an invalid
-    ground-truth triplet (an object index out of range, equal subject and
-    object, a relation outside ``1..L``)."""
+    space's classes; a class label outside the label space; a ground-truth
+    triplet with a relation outside ``1..L``. :meth:`Images.pack` has checked
+    the triplets' object indices."""
     num_classes, num_relations = label_space.num_object_classes, label_space.num_relations
     counts = np.diff(images.obj_start)
     image = np.arange(len(images))
@@ -213,20 +213,13 @@ def _truth(images: Images, label_space: LabelSpace, d_v: int | None) -> np.ndarr
     def flagged(element_image: np.ndarray, bad: np.ndarray) -> np.ndarray:
         return np.bincount(element_image[bad], minlength=len(images)) > 0
 
-    gt = images.gt
-    s, o, r = gt.T
-    bad_index = (s < 0) | (o < 0) | (np.maximum(s, o) >= counts[gt_image])
-    bad_pair = bad_index | (s == o)
-    bad_gt = bad_pair | (r < 1) | (r > num_relations)
+    r = images.gt[:, 2]
+    bad_gt = (r < 1) | (r > num_relations)
 
     def gt_fault(i: int) -> str:
         t = int(np.argmax(bad_gt & (gt_image == i)))
-        why = (
-            f"an object index outside 0..{counts[i] - 1}" if bad_index[t]
-            else "the same subject and object" if bad_pair[t]
-            else f"a relation outside 1..{num_relations}"
-        )
-        return f"ground-truth triplet {tuple(gt[t].tolist())} has {why}"
+        return (f"ground-truth triplet {tuple(images.gt[t].tolist())} has a relation "
+                f"outside 1..{num_relations}")
 
     checks = []
     if d_v is not None:  # the widths are the split's, so a wrong one names image 0
@@ -347,15 +340,14 @@ def _draw(
 
 
 class _Gradient:
-    """A batch's gradient under ``params``: the flat buffer ``vec`` and its
-    tree ``tree``, and ``rows``, a ``(batch_size, N)`` buffer of per-image
+    """A batch's gradient under ``params``: the flat buffer ``vec``, the sum
+    in batch order of ``rows``, a ``(batch_size, N)`` buffer of per-image
     gradients: it holds the last batch's, and each backward overwrites every
     leaf of its rows, so it is never zeroed. The tree of a slice
     ``rows[lo:hi]`` is made once, on first use."""
 
     def __init__(self, params: LinearParams | DualEncoderParams, batch_size: int):
         self.vec = np.zeros(flatten(params).size)
-        self.tree = unflatten(params, self.vec)
         self.rows = np.zeros((batch_size, self.vec.size))
         self._params = params
         self._row_trees: dict[tuple[int, int], LinearParams | DualEncoderParams] = {}
@@ -443,11 +435,8 @@ def _batch_loss(
     backward per call, and each loss once, on the rows of the whole batch
     bucket by bucket; only its per-row values are added in batch order. Each
     image's gradient is written into its own row of ``grad.rows``, and the
-    rows are added into ``grad.vec`` in batch order; the rows of a gathered
-    table (the label embedding, to which one image may add one class row
-    twice) by one ``np.add.at`` over the batch's objects in batch order. So
-    every leaf gets the per-image gradients in the order one forward and
-    backward per image gives them, and checkpoints are bit-identical to it.
+    rows are added into ``grad.vec`` in batch order, so the gradient is bit
+    for bit the sum of one backward per image, added in batch order.
     """
     spec = config.model
     rows, targets, starts = drawn
@@ -460,34 +449,26 @@ def _batch_loss(
     d_rel = np.divide(rel_loss.grad_logits, len(rel), out=rel_loss.grad_logits)
     loss_value = running_sum(_batch_order(rel_loss.value, rel)) / len(rel)
 
-    # Only a model with an object head returns object logits and gathers table
-    # rows; ``slot`` gives each object's position in batch order.
+    # Only a model with an object head returns object logits; ``slot`` gives
+    # each object's position in batch order.
     d_obj, w_obj = None, spec.object_loss_weight
     object_logits = [out.object_logits.reshape(b * n, -1) for (b, n, m, o, r), out in runs
                      if out.object_logits is not None]
-    counts, order = plan.counts, plan.order
-    slot = _ranges(_offsets(counts)[order], counts[order]) if object_logits else None
     if w_obj > 0 and object_logits:
-        labels = plan.record.labels
+        counts, order, labels = plan.counts, plan.order, plan.record.labels
+        slot = _ranges(_offsets(counts)[order], counts[order])
         obj_loss = ce(np.concatenate(object_logits), labels)
         d_obj = np.multiply(obj_loss.grad_logits, w_obj / labels.size, out=obj_loss.grad_logits)
         loss_value += w_obj * running_sum(_batch_order(obj_loss.value, slot)) / labels.size
 
-    gathered, lo = [], 0
+    lo = 0
     for (b, n, m, o, r), out in runs:
         g_obj = None if d_obj is None else d_obj[o : o + b * n].reshape(b, n, -1)
         g_rel = d_rel[r : r + b * m].reshape(b, m, width)
-        net.backward(g_obj, g_rel, out, params, spec, grad.row_tree(lo, lo + b), gathered)
+        net.backward(g_obj, g_rel, out, params, spec, grad.row_tree(lo, lo + b))
         lo += b
-    for j in np.argsort(order):  # in batch order, in place: gathering the rows copies them
+    for j in np.argsort(plan.order):  # in batch order, in place: gathering the rows copies them
         grad.vec += grad.rows[j]
-    tables: dict[str, list] = {}
-    for name, index, table_rows in gathered:  # one row per object, bucket by bucket
-        table_rows = table_rows.reshape(index.size, table_rows.shape[-1])
-        tables.setdefault(name, []).append((index.ravel(), table_rows))
-    for name, parts in tables.items():
-        index, table_rows = (_batch_order(np.concatenate(p), slot) for p in zip(*parts))
-        np.add.at(getattr(grad.tree, name), index, table_rows)
     return loss_value
 
 
@@ -584,7 +565,7 @@ def train(
             raise FloatingPointError(f"iteration {step}: {exc}") from None
         if not np.isfinite(loss_value):
             raise FloatingPointError(f"iteration {step}: non-finite loss")
-        bad = _first_leaf(grad.tree, ~np.isfinite(grad.vec))
+        bad = _first_leaf(params, ~np.isfinite(grad.vec))
         if bad is not None:
             raise FloatingPointError(f"iteration {step}: non-finite gradient of {bad}")
         losses.append(loss_value)
@@ -724,21 +705,17 @@ def sweep(
     """Evaluate with the weakened inference bias at each exponent in ``grid``.
 
     Each image is forwarded once; every grid point reuses the split's logits
-    and only re-biases, re-scores and re-ranks. An empty ``grid`` raises
-    ``ValueError``.
+    and only re-biases, re-scores and re-ranks. An empty ``grid``, or a point
+    that :class:`BiasSpec` refuses as ``a_eval``, raises ``ValueError``
+    before any image is forwarded.
     """
     ks = _check_ks(checkpoint.config.eval_ks if ks is None else ks, "ks")
     if not len(grid):
         raise ValueError("empty sweep grid")
-    for a_e in grid:
-        if a_e > spec.a:
-            raise ValueError(f"a_eval {a_e} exceeds a {spec.a}")
+    points = [replace(spec, a_eval=float(a_e)) for a_e in grid]
     scored = _forward_split(checkpoint, images)
-    rows = []
-    for a_e in grid:
-        soft = soft_bias(replace(spec, a_eval=float(a_e)), stats)
-        rows.append((float(a_e), _rank_split(checkpoint.config, scored, soft, ks)))
-    return rows
+    return [(point.a_eval, _rank_split(checkpoint.config, scored, soft_bias(point, stats), ks))
+            for point in points]
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:

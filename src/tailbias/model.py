@@ -40,12 +40,8 @@ BLAS may round by the product's height. An empty ``pairs`` gives ``(0, L +
 1)`` relation logits and no relation gradient.
 
 The label embedding is the one table whose rows the forward gathers by
-index, and two objects of an image may share a class, so the order in which
-its gradient rows are added decides the sum's last bits. A backward zeroes
-the table's leaf and adds them into it with ``np.add.at`` in object order;
-given a ``gathered`` list it appends them to it instead, as ``(leaf name,
-classes, rows)``, leaving the leaf zero, so that a caller that runs a batch
-in several buckets can add the rows of all of them in its own image order.
+index; a backward adds an image's rows into that image's own gradient with
+``np.add.at`` in object order, two objects of one class into one row.
 
 Task modes: ``predcls`` looks up label embeddings with the annotated object
 labels; ``sgcls`` uses the argmax of the detector scores.
@@ -67,7 +63,6 @@ from .numerics import (
     leaves,
     normal_init,
     row_softmax,
-    unflatten,
 )
 from .stats import LabelSpace
 from .synth import Images, Objects
@@ -275,18 +270,13 @@ def embed_objects_backward(
     params: DualEncoderParams,
     cache: tuple,
     grads: DualEncoderParams,
-    gathered: list | None = None,
 ) -> None:
     boxes, concat, labels, d_pos, d_v = cache
     np.matmul(concat.swapaxes(-1, -2), g, out=grads.w_in)
     dconcat = g @ params.w_in.T
     np.matmul(boxes.swapaxes(-1, -2), dconcat[..., :d_pos], out=grads.w_pos)
-    rows = dconcat[..., d_pos + d_v :]
     grads.embed[...] = 0.0
-    if gathered is None:
-        np.add.at(grads.embed, _slice_rows(labels), rows)
-    else:
-        gathered.append(("embed", labels, rows))
+    np.add.at(grads.embed, _slice_rows(labels), dconcat[..., d_pos + d_v :])
 
 
 def encode_objects(
@@ -392,21 +382,15 @@ def backward(
     output: ModelOutput,
     params: DualEncoderParams,
     spec: ModelSpec,
-    grads: DualEncoderParams | None = None,
-    gathered: list | None = None,
+    grads: DualEncoderParams,
 ) -> DualEncoderParams:
-    """Exact parameter gradients of one forward pass.
+    """Exact parameter gradients of one forward pass, written into ``grads``.
 
     ``d_object_logits``/``d_relation_logits`` are the loss gradients at the two
     classifier outputs; a None ``d_object_logits`` gives a zero ``w_clf_obj``
-    gradient. Every leaf of a given ``grads`` tree is overwritten, whatever
-    it held; without one, a tree over a fresh buffer is made. After a
-    bucket's forward, ``grads`` has ``(B, ...)`` leaves, one row per image.
-    With ``gathered``, the label embedding's rows go to it, not to ``grads``
-    (see the module docstring).
+    gradient. Every leaf of ``grads`` is overwritten, whatever it held. After
+    a bucket's forward, ``grads`` has ``(B, ...)`` leaves, one row per image.
     """
-    if grads is None:
-        grads = unflatten(params, np.zeros_like(flatten(params)))
     embed_cache, obj_caches, e_final, fuse_cache, rel_cache = output.cache
     rel_layer_caches, rel_final = rel_cache
 
@@ -428,7 +412,7 @@ def backward(
     dx = de_final
     for i in range(spec.n_o - 1, -1, -1):
         dx = encoder_layer_backward(dx, obj_caches[i], grads.obj_layers[i])
-    embed_objects_backward(dx, params, embed_cache, grads, gathered)
+    embed_objects_backward(dx, params, embed_cache, grads)
     return grads
 
 
@@ -461,14 +445,10 @@ def linear_backward(
     output: ModelOutput,
     params: LinearParams,
     spec: ModelSpec,
-    grads: LinearParams | None = None,
-    gathered: list | None = None,
+    grads: LinearParams,
 ) -> LinearParams:
-    """Write the gradients of the affine head into ``grads``; it has no object
-    head and gathers no table rows, so ``gathered`` stays as it is."""
+    """Write the gradients of the affine head into ``grads``; it has no object head."""
     (x,) = output.cache
-    if grads is None:
-        grads = unflatten(params, np.zeros_like(flatten(params)))
     np.matmul(x.swapaxes(-1, -2), d_relation_logits, out=grads.w)
     np.add.reduce(d_relation_logits, axis=-2, out=grads.b)
     return grads

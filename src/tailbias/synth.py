@@ -164,7 +164,8 @@ class Images:
         0's; ``unions`` not ``(n(n-1), d_v)``; ``gt`` not ``(m, 3)``; nonempty
         ``gt`` not of a 64-bit integer type; a box not ``0 <= x1 < x2 <= 1``,
         ``0 <= y1 < y2 <= 1``; a score row not summing to 1 within 1e-6; a
-        feature or union value that is not finite."""
+        feature or union value that is not finite; a ground-truth triplet with
+        an object index out of range or equal subject and object."""
         boxes, features, scores, unions, labels, gt = (
             [np.asarray(getattr(img, name), dtype) for img in images]
             for name, dtype in (("boxes", np.float64), ("features", np.float64),
@@ -215,9 +216,21 @@ class Images:
                                  (features, max(first[0], 0)), (unions, max(first[0], 0)))
         )
         row_image, pair_image = (np.repeat(np.flatnonzero(ok), c[ok]) for c in (n, n * (n - 1)))
+        kept_gt = [t for t, keep in zip(gt, ok) if keep]
+        triplets = np.concatenate([np.zeros((0, 3), dtype=np.int64), *kept_gt])
+        gt_image = np.repeat(np.flatnonzero(ok), [len(t) for t in kept_gt])
         x1, y1, x2, y2 = box.T
         outside = ~((0.0 <= x1) & (x1 < x2) & (x2 <= 1.0) & (0.0 <= y1) & (y1 < y2) & (y2 <= 1.0))
         unnormalised = ~(np.abs(score.sum(axis=1) - 1.0) <= 1e-6)
+        s, o, _ = triplets.T
+        bad_index = (np.minimum(s, o) < 0) | (np.maximum(s, o) >= n[gt_image])
+        bad_pair = bad_index | (s == o)
+
+        def gt_fault(i: int) -> str:
+            t = int(np.argmax(bad_pair & (gt_image == i)))
+            why = (f"an object index outside 0..{n[i] - 1}" if bad_index[t]
+                   else "the same subject and object")
+            return f"ground-truth triplet {tuple(triplets[t].tolist())} has {why}"
 
         def flagged(element_image: np.ndarray, bad: np.ndarray) -> np.ndarray:
             return np.bincount(element_image[bad], minlength=len(images)) > 0
@@ -228,6 +241,7 @@ class Images:
             (flagged(row_image, unnormalised), lambda i: "detector scores must sum to 1"),
             (flagged(row_image, ~np.isfinite(feature).all(1)), lambda i: "features must be finite"),
             (flagged(pair_image, ~np.isfinite(union).all(1)), lambda i: "unions must be finite"),
+            (flagged(gt_image, bad_pair), gt_fault),
         ], "image")
         return cls(
             boxes=box, features=feature,
@@ -375,11 +389,14 @@ def _image_from_doc(doc: dict, pair_lists: dict[int, list]) -> SynthImage:
             ("scores", np.float64, -1)))
     union, bad_union = read_numbers([vec for _, _, vec in unions], np.float64, feat.shape[1])
     gt, bad_gt = read_numbers(doc["gt"], np.int64, 3)
-    same = "a list of numbers as long as object 0's"
+
+    def numbers(i: int) -> str:  # object 0's row sets the width the others need
+        return "a list of numbers" + (" as long as object 0's" if i else "")
+
     refuse_first([(bad_box, lambda i: "box is not 4 numbers"),
-                  (bad_feat, lambda i: f"feat is not {same}"),
+                  (bad_feat, lambda i: f"feat is not {numbers(i)}"),
                   (bad_label, lambda i: "label is not a 64-bit integer"),
-                  (bad_scores, lambda i: f"scores is not {same}")], "object")
+                  (bad_scores, lambda i: f"scores is not {numbers(i)}")], "object")
     refuse_first([(bad_union, lambda i: "not a list of numbers as long as a feat")], "union")
     refuse_first([(bad_gt, lambda i: "not three 64-bit integers [s, o, r]")], "ground-truth entry")
     return SynthImage(box, feat, label, scores, union, gt)

@@ -31,8 +31,9 @@ are looked up by the predicted labels too.
 Training is the per-image path that ``tailbias.harness`` replaced with a
 split packed once: statistics ingested one triplet at a time, each drawn
 image's pairs worked out anew from its ground truth, and one forward, one
-loss call and one backward per image. Packed training must reproduce its
-losses and parameters bit for bit.
+loss call and one backward per image into a fresh gradient, the gradients
+added in batch order. Packed training must reproduce its losses and
+parameters bit for bit, and its divergence errors word for word.
 
 Statistics are the sparse ``(s, o, r) -> n`` map that ``tailbias.stats``
 replaced with one dense tensor, filled and checked one record at a time and
@@ -75,6 +76,8 @@ from tailbias.numerics import (
     attention,
     attention_backward,
     flatten,
+    leaf_names,
+    leaves,
     row_softmax,
     running_sum,
     unflatten,
@@ -572,15 +575,15 @@ def training_pairs(img, config, rng):
 
 def batch_loss(config, net, params, grad_vec, loss_fn, batch, sample_rng):
     """One forward, one loss call per head and one backward per image into a
-    fresh gradient, added into ``grad_vec`` in batch order; the label
-    embedding's rows of the whole batch are added by one ``np.add.at`` in
-    object order, as one shared gradient tree would have received them.
-    None when no image draws a pair."""
+    fresh gradient, added into ``grad_vec`` in batch order. None when no
+    image draws a pair."""
     w_obj = config.model.object_loss_weight
     obj_count = sum(len(img.labels) for img in batch)
+    draws = [training_pairs(img, config, sample_rng) for img in batch]
+    if not sum(len(targets) for _, targets in draws):
+        return None
     per_image = []
-    for img in batch:
-        positions, targets = training_pairs(img, config, sample_rng)
+    for img, (positions, targets) in zip(batch, draws):
         pairs = all_ordered_pairs(len(img.labels))[positions]
         out = net.forward(img, img.unions[positions], pairs, params, config.model, config.task)
         classes = class_labels_checked(img, config)[pairs]
@@ -589,16 +592,12 @@ def batch_loss(config, net, params, grad_vec, loss_fn, batch, sample_rng):
         obj = harness.ce(out.object_logits, img.labels) if use_obj else None
         per_image.append((out, rel, obj))
     rel_values = np.concatenate([rel.value for _, rel, _ in per_image])
-    if not len(rel_values):
-        return None
-    gathered = []
     for out, rel, obj in per_image:
         d_obj = None if obj is None else obj.grad_logits * (w_obj / obj_count)
-        grad_vec += flatten(net.backward(d_obj, rel.grad_logits / len(rel_values), out, params,
-                                         config.model, None, gathered))
-    if gathered:  # only the label embedding gathers rows
-        _, index, rows = zip(*gathered)
-        np.add.at(unflatten(params, grad_vec).embed, np.concatenate(index), np.concatenate(rows))
+        fresh = np.zeros_like(grad_vec)
+        net.backward(d_obj, rel.grad_logits / len(rel_values), out, params, config.model,
+                     unflatten(params, fresh))
+        grad_vec += fresh
     loss_value = running_sum(rel_values) / len(rel_values)
     if use_obj:
         obj_values = np.concatenate([obj.value for _, _, obj in per_image])
@@ -608,7 +607,9 @@ def batch_loss(config, net, params, grad_vec, loss_fn, batch, sample_rng):
 
 def train(config, images, loss_fn=None):
     """SGD with momentum over per-image draws; the final flat parameters and
-    the per-iteration losses."""
+    the per-iteration losses. A forward's ``FloatingPointError``, a non-finite
+    loss or a non-finite gradient stops training with a ``FloatingPointError``
+    naming the iteration and, for a gradient, the first parameter leaf holding one."""
     ls = config.label_space
     stats = training_stats(images, ls)
     bias = None if config.bias is None else compute_bias(config.bias, stats)
@@ -631,12 +632,20 @@ def train(config, images, loss_fn=None):
                 order = shuffle_rng.permutation(len(images)).tolist()
             batch.append(images[order.pop(0)])
         grad_vec.fill(0.0)
-        loss_value = batch_loss(config, net, params, grad_vec, loss_fn, batch, sample_rng)
+        try:
+            loss_value = batch_loss(config, net, params, grad_vec, loss_fn, batch, sample_rng)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"iteration {step}: {exc}") from None
         if loss_value is None:
             raise ValueError(
                 f"iteration {step}: the batch draws no pairs "
                 "(its images have no ground truth and background_ratio is 0)"
             )
+        if not np.isfinite(loss_value):
+            raise FloatingPointError(f"iteration {step}: non-finite loss")
+        for name, leaf in zip(leaf_names(params), leaves(unflatten(params, grad_vec))):
+            if not np.isfinite(leaf).all():
+                raise FloatingPointError(f"iteration {step}: non-finite gradient of {name}")
         losses.append(loss_value)
         velocity *= opt.momentum
         velocity += grad_vec
@@ -733,7 +742,8 @@ def check_split(images, label_space, d_v):
 def check_record(img, first):
     """Raise ``ValueError`` saying what makes the record ``img`` unfit to
     pack beside ``first``, the split's image 0: the check each image ran when
-    it was built, plus its widths against image 0's."""
+    it was built, its widths against image 0's, and its triplets' object
+    indices."""
     boxes, features, labels, scores, unions, gt = (
         np.asarray(getattr(img, name), dtype)
         for name, dtype in (("boxes", float), ("features", float), ("labels", np.int64),
@@ -764,6 +774,12 @@ def check_record(img, first):
     for row in scores:
         if not abs(row.sum() - 1.0) <= 1e-6:
             raise ValueError("detector scores must sum to 1")
+    for s, o, r in gt.tolist():
+        if not (0 <= s < n and 0 <= o < n):
+            raise ValueError(f"ground-truth triplet {(s, o, r)} has an object index outside "
+                             f"0..{n - 1}")
+        if s == o:
+            raise ValueError(f"ground-truth triplet {(s, o, r)} has the same subject and object")
 
 
 def check_records(images):

@@ -307,7 +307,7 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip())["error"]
         assert err["type"] == "ValueError"
         assert err["message"] == (
-            "image 2: ground-truth triplet (0, 0, 1) has the same subject and object"
+            f"{bad}:3: image 2: ground-truth triplet (0, 0, 1) has the same subject and object"
         )
         assert not (tmp_path / "eval").exists()
 
@@ -328,7 +328,8 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip())["error"]
         assert err["type"] == "ValueError"
         assert re.fullmatch(
-            r"image 3: ground-truth triplet \(7, 0, 1\) has an object index outside 0\.\.\d",
+            re.escape(f"{bad}:4: ")
+            + r"image 3: ground-truth triplet \(7, 0, 1\) has an object index outside 0\.\.\d",
             err["message"],
         )
         assert not (tmp_path / "run").exists()
@@ -825,6 +826,37 @@ class TestErrors:
         prefix = f"{bad}{where}: " + ("'utf-8' codec can't decode byte 0xff" if fault == "bad-byte"
                                       else "")
         assert error["message"].startswith(prefix)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["stats", "train"])
+    @pytest.mark.parametrize("triplet, why", [
+        ([0, 9, 1], "has an object index outside 0..{last}"),
+        ([1, 1, 2], "has the same subject and object"),
+    ], ids=["index", "self-pair"])
+    def test_a_ground_truth_object_fault_names_the_jsonl_line(
+        self, workspace, tmp_path, capsys, triplet, why, command
+    ):
+        """A ground-truth triplet with an object index out of range, or equal
+        subject and object, fails ``stats --images`` and ``train --data`` with
+        one JSON error naming the line and the image."""
+        root, data_dir, _, _, _ = workspace
+        lines = (data_dir / "train.jsonl").read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc["gt"].append(triplet)
+        lines[1] = json.dumps(doc)
+        bad = tmp_path / "train.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = {
+            "stats": ["stats", "--labels", str(data_dir / "labels.json"), "--images", str(bad)],
+            "train": ["train", "--config", str(root / "train.json"), "--data", str(bad)],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 1
+        message = (f"{bad}:2: image 1: ground-truth triplet {tuple(triplet)} "
+                   + why.format(last=len(doc["objects"]) - 1))
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ValueError", "message": message}
         assert not out.exists()
 
     @pytest.mark.parametrize(

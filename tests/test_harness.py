@@ -569,21 +569,23 @@ def with_gt(img, *triplets):
 
 
 def images_with_unfit_image_5(space):
-    """``perfect_images`` twice, image 5 given an out-of-range ground-truth
-    object index."""
+    """``perfect_images`` twice, image 5 given a ground-truth relation
+    outside the label space."""
     images = perfect_images(space) * 2
-    images[5] = with_gt(images[5], (0, 5, 1))
+    images[5] = with_gt(images[5], (0, 1, 9))
     return images
 
 
-def split_with_unfit_image_4(space, corrupt):
-    """``images_with_unfit_image_5``, packed with image 4 corrupted."""
+def images_with_unfit_image_4(space, corrupt):
+    """``images_with_unfit_image_5`` with image 4 corrupted."""
     images = images_with_unfit_image_5(space)
     images[4] = corrupt(images[4], space)
-    return Images.pack(images)
+    return images
 
 
 def assert_training_refuses(space, images, want):
+    """Packing the records ``images`` and training on them refuses with
+    ``want`` before the first loss call."""
     calls = []
 
     def loss_fn(z, y, s_classes, o_classes):
@@ -592,14 +594,15 @@ def assert_training_refuses(space, images, want):
 
     for task in ("predcls", "sgcls"):
         with pytest.raises(ValueError, match=want):
-            train(linear_config(space, task=task), images, loss_fn=loss_fn)
+            train(linear_config(space, task=task), Images.pack(images), loss_fn=loss_fn)
     assert calls == []
 
 
 class TestTrainingImages:
-    """Every training image is checked once, before the first iteration, and
-    the first unfit one is named by its index in the split. Statistics check
-    only the annotations they count."""
+    """Every training image is checked once, before the first iteration (its
+    triplets' object indices when the split is packed), and the first unfit
+    one is named by its index in the split. Statistics check only the
+    annotations they count."""
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -621,11 +624,11 @@ class TestTrainingImages:
              "label-high", "label-low"],
     )
     def test_first_unfit_image_is_named_before_training(self, space, corrupt, message):
-        images = split_with_unfit_image_4(space, corrupt)
+        images = images_with_unfit_image_4(space, corrupt)
         want = f"^image 4: {re.escape(message)}$"
         assert_training_refuses(space, images, want)
         with pytest.raises(ValueError, match=want):
-            training_stats(images, space)
+            training_stats(Images.pack(images), space)
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -640,10 +643,10 @@ class TestTrainingImages:
     def test_statistics_pass_an_image_only_training_refuses(self, space, corrupt, message):
         """Training runs at its split's own feature width, and packing the
         split refuses an image whose width differs from image 0's."""
-        images = Images.pack(corrupt(images_with_unfit_image_5(space), space))
+        images = corrupt(images_with_unfit_image_5(space), space)
         assert_training_refuses(space, images, f"^{re.escape(message)}$")
-        with pytest.raises(ValueError, match=r"^image 5: ground-truth triplet \(0, 5, 1\)"):
-            training_stats(images, space)
+        with pytest.raises(ValueError, match=r"^image 5: ground-truth triplet \(0, 1, 9\)"):
+            training_stats(Images.pack(images), space)
 
     @pytest.mark.parametrize("kind", ["linear", "dual_encoder"])
     def test_a_batch_that_draws_no_pair_names_the_iteration(self, space, kind):
@@ -857,13 +860,14 @@ class TestEvaluate:
     def test_invalid_ground_truth_names_the_image(self, space, triplet, why):
         images = perfect_images(space)
         images[1] = with_gt(images[1], (0, 1, 1), triplet)
-        images = Images.pack(images)
         ck = perfect_checkpoint(space)
+        # Packing refuses an object index; evaluation and the sweep a relation.
         with pytest.raises(ValueError, match=f"image 1: .*{why}"):
-            evaluate(ck, images)
+            evaluate(ck, Images.pack(images))
         with pytest.raises(ValueError, match=f"image 1: .*{why}"):
-            stats = training_stats(images[:1], space)
-            sweep(ck, stats, BiasSpec(kind="cb", epsilon=1e-3), [0.0], images)
+            split = Images.pack(images)
+            stats = training_stats(split[:1], space)
+            sweep(ck, stats, BiasSpec(kind="cb", epsilon=1e-3), [0.0], split)
 
     def test_object_class_outside_label_space_names_the_image(self, space, data):
         images = perfect_images(space)
@@ -961,6 +965,24 @@ class TestSweep:
         stats = training_stats(train_images, space)
         with pytest.raises(ValueError):
             sweep(ck, stats, spec, [1.5], test_images)
+
+    @pytest.mark.parametrize("grid, shown", [([-0.5], "-0.5"), ([0.0, float("nan")], "nan"),
+                                             ([0.5, 1.5], "1.5")],
+                             ids=["negative", "nan", "above-a"])
+    def test_a_bad_grid_point_is_refused_before_any_forward(
+        self, space, data, monkeypatch, grid, shown
+    ):
+        """Each point is checked by :class:`BiasSpec`, naming the value and
+        ``a``, before the split is forwarded."""
+        train_images, test_images = data
+        spec = BiasSpec(kind="cb", a=1.0, epsilon=1e-3)
+        ck, _ = train(linear_config(space), train_images)
+        stats = training_stats(train_images, space)
+        forwards = []
+        monkeypatch.setattr(harness, "_forward_split", lambda *args: forwards.append(args))
+        with pytest.raises(ValueError, match=rf"^a_eval {shown} must lie in \[0, a\], a = 1\.0$"):
+            sweep(ck, stats, spec, grid, test_images)
+        assert forwards == []
 
 
 class TestCheckpointIo:

@@ -46,6 +46,11 @@ def make_image(rng, n, num_classes, d_v):
     )
 
 
+def zero_grads(params):
+    """A gradient tree of ``params``'s type over a fresh zero buffer."""
+    return unflatten(params, np.zeros(flatten(params).size))
+
+
 def select(image, idx):
     """The image made of its proposals ``idx``, in that order, with each
     ordered pair keeping its union feature (any row when ``idx`` repeats)."""
@@ -261,7 +266,8 @@ class TestFullGradients:
         out = forward(image, unions, pairs, params, spec)
         d_obj = np.zeros_like(out.object_logits)
         d_obj[0, 0] = 1.0
-        grads = backward(d_obj, np.zeros_like(out.relation_logits), out, params, spec)
+        grads = backward(d_obj, np.zeros_like(out.relation_logits), out, params, spec,
+                         zero_grads(params))
         assert flatten(grads.obj_layers).any() or grads.w_clf_obj.any()
         # relation-only stages receive nothing
         assert not grads.w_fuse.any()
@@ -302,8 +308,10 @@ class TestProtocol:
         assert empty.relation_logits.shape == (0, LS.num_relations + 1)
         assert np.array_equal(empty.object_probs, one.object_probs)
         d_obj = None if one.object_logits is None else rng.normal(size=one.object_logits.shape)
-        got = net.backward(d_obj, np.zeros((0, LS.num_relations + 1)), empty, params, spec)
-        want = net.backward(d_obj, np.zeros((1, LS.num_relations + 1)), one, params, spec)
+        got = net.backward(d_obj, np.zeros((0, LS.num_relations + 1)), empty, params, spec,
+                           zero_grads(params))
+        want = net.backward(d_obj, np.zeros((1, LS.num_relations + 1)), one, params, spec,
+                            zero_grads(params))
         assert np.array_equal(flatten(got), flatten(want))
 
 
@@ -333,7 +341,7 @@ class TestBackwardOverwrites:
         if out.object_logits is not None and case != "no_object_gradient":
             d_obj = rng.normal(size=out.object_logits.shape)
         d_rel = rng.normal(size=out.relation_logits.shape)
-        once = flatten(net.backward(d_obj, d_rel, out, params, spec))
+        once = flatten(net.backward(d_obj, d_rel, out, params, spec, zero_grads(params)))
         assert once.any() == (kind == "dual_encoder" or case != "no_pairs")
         buffer = np.full_like(once, np.nan)
         grads = unflatten(params, buffer)
@@ -365,9 +373,7 @@ class TestBucketedBackward:
         """``b`` images of ``n`` objects, forwarded on ``m`` drawn pairs of
         their own, or on one ``(m, 2)`` array shared by all; the first image's
         first two objects share a class in both modes. Each image's row of the
-        bucket's gradient equals its own backward bit for bit, and so do its
-        label-embedding rows, left to the caller through ``gathered`` and
-        added by ``np.add.at``."""
+        bucket's gradient equals its own backward bit for bit."""
         m = n * (n - 1) if data is None else data.draw(st.integers(0, n * (n - 1)))
         spec = ModelSpec(kind=kind, d_model=8, d_e=4, d_pos=4, n_o=1, n_r=2, d_ff=8)
         net = model_for(spec)
@@ -387,18 +393,12 @@ class TestBucketedBackward:
         d_obj = None if out.object_logits is None else rng.normal(size=out.object_logits.shape)
         rows = np.full((b, flatten(params).size), np.nan)
         net.backward(d_obj, d_rel, out, params, spec, unflatten(params, rows))
-        gathered_rows, gathered = np.full_like(rows, np.nan), []
-        net.backward(d_obj, d_rel, out, params, spec, unflatten(params, gathered_rows), gathered)
-        assert len(gathered) == (kind == "dual_encoder")
         for i, img in enumerate(images):
             one = net.forward(img, unions[i], pairs if shared else pairs[i], params, spec, mode)
             assert np.array_equal(one.relation_logits, out.relation_logits[i])
-            want = net.backward(None if d_obj is None else d_obj[i], d_rel[i], one, params, spec)
+            want = net.backward(None if d_obj is None else d_obj[i], d_rel[i], one, params, spec,
+                                zero_grads(params))
             assert np.array_equal(rows[i], flatten(want))
-            tree = unflatten(params, gathered_rows[i])
-            for name, index, table_rows in gathered:
-                np.add.at(getattr(tree, name), index[i], table_rows[i])
-            assert np.array_equal(gathered_rows[i], flatten(want))
 
 
 class TestSanityDescent:
@@ -450,7 +450,7 @@ class TestLinearModel:
         assert out.relation_logits[0] == pytest.approx(x0 @ params.w + params.b, abs=1e-12)
 
         d_rel = rng.normal(size=out.relation_logits.shape)
-        grads = linear_backward(None, d_rel, out, params, spec)
+        grads = linear_backward(None, d_rel, out, params, spec, zero_grads(params))
         x = np.stack([x0, np.concatenate([unions[1], feats[2], feats[0]])])
         assert grads.w == pytest.approx(x.T @ d_rel, abs=1e-12)
         assert grads.b == pytest.approx(d_rel.sum(axis=0), abs=1e-12)

@@ -257,6 +257,10 @@ class TestJsonl:
              "object 1: feat is not a list of numbers as long as object 0's"),
             (lambda d: d["objects"][0]["scores"].append(0.0),
              "object 1: scores is not a list of numbers as long as object 0's"),
+            (lambda d: d["objects"][0].__setitem__("scores", "0.5"),
+             "object 0: scores is not a list of numbers$"),
+            (lambda d: d["objects"][0].__setitem__("feat", None),
+             "object 0: feat is not a list of numbers$"),
             (lambda d: d["unions"][2][2].pop(), "union 2: not a list of numbers as long as a feat"),
             (lambda d: d["unions"].pop(), "union pairs are not the ordered pairs"),
             (lambda d: d["unions"].reverse(), "union pairs are not the ordered pairs"),
@@ -272,6 +276,10 @@ class TestJsonl:
             (lambda d: d["gt"][0].__setitem__(2, 1.9),
              r"ground-truth entry 0: not three 64-bit integers \[s, o, r\]"),
             (lambda d: d["gt"].append([0, 1]), r"ground-truth entry \d+: not three"),
+            (lambda d: d["gt"].append([0, 9, 1]),
+             r"image 1: ground-truth triplet \(0, 9, 1\) has an object index outside 0\.\.\d+$"),
+            (lambda d: d["gt"].append([1, 1, 2]),
+             r"image 1: ground-truth triplet \(1, 1, 2\) has the same subject and object$"),
             # An integer beyond the float range reads as inf, as JSON's 1e400 does.
             *[(lambda d, at=at: NUMBER_ROWS[at](d).__setitem__(0, 10**400), NON_FINITE[at])
               for at in NUMBER_ROWS],
@@ -283,9 +291,11 @@ class TestJsonl:
         ],
         ids=[
             "missing-object-key", "missing-gt", "ragged-feat", "ragged-scores",
+            "string-scores-of-object-0", "null-feat-of-object-0",
             "ragged-union", "missing-union-pair", "union-pairs-out-of-order", "bad-box",
             "short-box", "unnormalised-scores", "float-label", "bool-label", "huge-label",
-            "float-gt", "short-gt", *(f"huge-{at}" for at in NUMBER_ROWS),
+            "float-gt", "short-gt", "gt-index", "gt-self-pair",
+            *(f"huge-{at}" for at in NUMBER_ROWS),
             *(f"{v}-{at}" for v in ("string", "bool", "null", "nan", "infinity")
               for at in NUMBER_ROWS),
         ],
