@@ -29,11 +29,13 @@ import numpy as np
 from .stats import (
     TripletStats,
     _loads,
+    check_fields,
     from_dict,
     marginal_counts,
     pair_counts,
     read_numbers,
     refuse_first,
+    ruled,
     sppo_counts,
 )
 
@@ -69,19 +71,14 @@ class BiasSpec:
     """
 
     config_name: ClassVar[str] = "bias spec"
-    kind: str
-    a: float = 1.0
-    epsilon: float = 0.0
+    kind: str = ruled(choices=GLOBAL_KINDS + PAIR_KINDS)
+    a: float = ruled(1.0, ge=0)
+    epsilon: float = ruled(0.0, ge=0, le=1)
     a_eval: float = 0.0
     background: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in GLOBAL_KINDS + PAIR_KINDS:
-            raise ValueError(f"unknown bias kind {self.kind!r}")
-        if self.a < 0:
-            raise ValueError("a must be >= 0")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
+        check_fields(self)
         if not 0.0 <= self.a_eval <= self.a:
             raise ValueError(f"a_eval {self.a_eval} must lie in [0, a], a = {self.a}")
 

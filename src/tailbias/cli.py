@@ -18,7 +18,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .bias import BiasSpec, bias_from_json, bias_to_json, compute_bias
+from .bias import GLOBAL_KINDS, PAIR_KINDS, BiasSpec, bias_from_json, bias_to_json, compute_bias
 from .gradcert import run_certification
 from .harness import (
     TrainConfig,
@@ -204,7 +204,7 @@ def build_parser() -> JsonArgumentParser:
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("bias", help="compute a bias from statistics")
-    p.add_argument("--kind", required=True, choices=["cb", "vb", "pb", "eb"])
+    p.add_argument("--kind", required=True, choices=GLOBAL_KINDS + PAIR_KINDS)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--a-eval", dest="a_eval", type=float, default=0.0)
@@ -233,7 +233,7 @@ def build_parser() -> JsonArgumentParser:
     p.add_argument("--stats", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--grid", required=True, help="comma-separated exponents")
-    p.add_argument("--kind", default=None, choices=["cb", "vb", "pb", "eb"])
+    p.add_argument("--kind", default=None, choices=GLOBAL_KINDS + PAIR_KINDS)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--ks", default=None)

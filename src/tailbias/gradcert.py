@@ -11,7 +11,8 @@ sample on many, which keeps the runtime low without leaving any parameter
 kind unchecked. The training battery checks the gradient that one training
 step takes (``harness._batch_loss``: one backward per bucket, its images'
 gradient rows added in batch order) against the batch's loss written
-afresh, one forward per image.
+afresh, one forward per image. A battery refuses a negative seed, and a count
+of instances that checks nothing, by the argument's name.
 """
 
 from __future__ import annotations
@@ -44,13 +45,12 @@ from .numerics import (
     grad_check,
     init_attention_params,
     init_encoder_layer_params,
-    matmul_backward,
     multi_head_attention,
     multi_head_attention_backward,
     running_sum,
     unflatten,
 )
-from .stats import LabelSpace
+from .stats import LabelSpace, check_value
 from .synth import Images, SynthImage, all_ordered_pairs
 
 __all__ = [
@@ -62,6 +62,12 @@ __all__ = [
     "certify_training",
     "run_certification",
 ]
+
+# Every battery's central-difference step; a larger one straddles relu kinks often enough
+# to spoil the difference itself on a few coordinates per hundred model instances.
+STEP = 1e-5
+KERNEL_TOL, MODEL_TOL = 1e-4, 1e-3  # of the loss and kernel batteries; of the others
+MODEL_COORDS, TRAINING_COORDS = 40, 64  # per sampled model instance; per training case
 
 
 @dataclass
@@ -96,9 +102,9 @@ def _weighted_sums(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return (g * out).reshape(len(out), -1).sum(axis=1)
 
 
-def certify_losses(
-    seed: int = 0, instances: int = 100, h: float = 1e-5, tol: float = 1e-4
-) -> list[CheckResult]:
+def certify_losses(seed: int = 0, instances: int = 100) -> list[CheckResult]:
+    check_value("seed", seed, ge=0)
+    check_value("instances", instances, ge=1)
     rng = np.random.default_rng(seed)
     worst = {kind: 0.0 for kind in ("ce", "rtpb", *BASELINE_KINDS)}
     for _ in range(instances):
@@ -118,15 +124,15 @@ def certify_losses(
         }
         for kind, fn in cases.items():
             report = grad_check(
-                lambda v: fn(v).value, z, fn(z).grad_logits, h=h, tol=tol
+                lambda v: fn(v).value, z, fn(z).grad_logits, h=STEP, tol=KERNEL_TOL
             )
             worst[kind] = max(worst[kind], report.max_rel_error)
-    return [CheckResult(f"loss/{k}", instances, v, tol) for k, v in worst.items()]
+    return [CheckResult(f"loss/{k}", instances, v, KERNEL_TOL) for k, v in worst.items()]
 
 
-def certify_numerics(
-    seed: int = 0, instances: int = 100, h: float = 1e-5, tol: float = 1e-4
-) -> list[CheckResult]:
+def certify_numerics(seed: int = 0, instances: int = 100) -> list[CheckResult]:
+    check_value("seed", seed, ge=0)
+    check_value("instances", instances, ge=1)
     rng = np.random.default_rng(seed)
     worst = {"matmul": 0.0, "attention": 0.0, "multi_head_attention": 0.0, "encoder_layer": 0.0}
 
@@ -134,27 +140,22 @@ def certify_numerics(
         a = rng.normal(0.0, 1.0, (3, 4))
         bm = rng.normal(0.0, 1.0, (4, 2))
         g = rng.normal(0.0, 1.0, (3, 2))
-        da, db = matmul_backward(g, a, bm)
-        r = grad_check(lambda s: _weighted_sums(g, s.reshape(-1, 3, 4) @ bm), a.ravel(), da.ravel(), h=h, tol=tol)
-        worst["matmul"] = max(worst["matmul"], r.max_rel_error)
-        r = grad_check(lambda s: _weighted_sums(g, a @ s.reshape(-1, 4, 2)), bm.ravel(), db.ravel(), h=h, tol=tol)
-        worst["matmul"] = max(worst["matmul"], r.max_rel_error)
-
         q = rng.normal(0.0, 1.0, (3, 4))
         k = rng.normal(0.0, 1.0, (5, 4))
         v = rng.normal(0.0, 1.0, (5, 4))
         go = rng.normal(0.0, 1.0, (3, 4))
-        out, cache = attention(q, k, v)
-        dq, dk, dv = attention_backward(go, cache)
-        for arr, grad, rebuild in (
-            (q, dq, lambda s: attention(s.reshape(-1, *q.shape), k, v)[0]),
-            (k, dk, lambda s: attention(q, s.reshape(-1, *k.shape), v)[0]),
-            (v, dv, lambda s: attention(q, k, s.reshape(-1, *v.shape))[0]),
+        dq, dk, dv = attention_backward(go, attention(q, k, v)[1])
+        # The matmul gradients of sum(g * (a @ bm)) are in the form every backward writes.
+        for name, weight, arr, grad, rebuild in (
+            ("matmul", g, a, g @ bm.T, lambda s: s.reshape(-1, 3, 4) @ bm),
+            ("matmul", g, bm, a.T @ g, lambda s: a @ s.reshape(-1, 4, 2)),
+            ("attention", go, q, dq, lambda s: attention(s.reshape(-1, *q.shape), k, v)[0]),
+            ("attention", go, k, dk, lambda s: attention(q, s.reshape(-1, *k.shape), v)[0]),
+            ("attention", go, v, dv, lambda s: attention(q, k, s.reshape(-1, *v.shape))[0]),
         ):
-            r = grad_check(
-                lambda s: _weighted_sums(go, rebuild(s)), arr.ravel(), grad.ravel(), h=h, tol=tol
-            )
-            worst["attention"] = max(worst["attention"], r.max_rel_error)
+            r = grad_check(lambda s: _weighted_sums(weight, rebuild(s)), arr.ravel(),
+                           grad.ravel(), h=STEP, tol=KERNEL_TOL)
+            worst[name] = max(worst[name], r.max_rel_error)
 
     mha_instances = max(1, instances // 5)
     for _ in range(mha_instances):
@@ -174,7 +175,7 @@ def certify_numerics(
                 (x, dx, lambda s: _weighted_sums(go, fwd(s.reshape(-1, *x.shape), tree, 2)[0])),
                 (vec, dvec, lambda s: _weighted_sums(go, fwd(x, unflatten(tree, s), 2)[0])),
             ):
-                r = grad_check(f, arg, grad, h=h, tol=tol)
+                r = grad_check(f, arg, grad, h=STEP, tol=KERNEL_TOL)
                 worst[name] = max(worst[name], r.max_rel_error)
 
     counts = {
@@ -183,7 +184,7 @@ def certify_numerics(
         "multi_head_attention": 2 * mha_instances,
         "encoder_layer": 2 * mha_instances,
     }
-    return [CheckResult(f"numerics/{k}", counts[k], v, tol) for k, v in worst.items()]
+    return [CheckResult(f"numerics/{k}", counts[k], v, KERNEL_TOL) for k, v in worst.items()]
 
 
 TOY_LABELS = LabelSpace(num_object_classes=3, num_relations=3)
@@ -238,8 +239,8 @@ def _toy_loss(out, image, targets, bias_row):
 def check_model_instance(
     rng: np.random.Generator,
     coords_per_instance: int | None = None,
-    h: float = 1e-5,
-    tol: float = 1e-3,
+    h: float = STEP,
+    tol: float = MODEL_TOL,
 ) -> GradCheckReport:
     """Draw one toy dual-encoder problem and check its analytic gradient.
 
@@ -264,28 +265,25 @@ def check_model_instance(
 
 
 def certify_model(
-    seed: int = 0,
-    full_instances: int = 2,
-    sampled_instances: int = 100,
-    coords_per_instance: int = 40,
-    h: float = 1e-5,
-    tol: float = 1e-3,
+    seed: int = 0, full_instances: int = 2, sampled_instances: int = 100
 ) -> list[CheckResult]:
     """Whole-model gradient check at toy scale.
 
     ``full_instances`` passes sweep every coordinate; the remaining instances
-    probe a seeded random subset of coordinates each. The step stays at 1e-5:
-    larger steps straddle relu kinks often enough to corrupt the central
-    difference itself on a few coordinates per hundred instances.
+    probe :data:`MODEL_COORDS` seeded random coordinates each; only
+    ``full_instances`` may be 0.
     """
+    check_value("seed", seed, ge=0)
+    check_value("full_instances", full_instances, ge=0)
+    check_value("sampled_instances", sampled_instances, ge=1)
     rng = np.random.default_rng(seed)
     worst = 0.0
     total = full_instances + sampled_instances
     for inst in range(total):
-        coords = None if inst < full_instances else coords_per_instance
-        report = check_model_instance(rng, coords, h=h, tol=tol)
+        coords = None if inst < full_instances else MODEL_COORDS
+        report = check_model_instance(rng, coords)
         worst = max(worst, report.max_rel_error)
-    return [CheckResult("model/dual_encoder", total, worst, tol)]
+    return [CheckResult("model/dual_encoder", total, worst, MODEL_TOL)]
 
 
 def _batch_objective(config, net, stack, loss_fn, images: Images, batch, drawn) -> np.ndarray:
@@ -318,9 +316,7 @@ def _batch_objective(config, net, stack, loss_fn, images: Images, batch, drawn) 
     return value
 
 
-def certify_training(
-    seed: int = 0, coords: int = 64, h: float = 1e-5, tol: float = 1e-3
-) -> list[CheckResult]:
+def certify_training(seed: int = 0) -> list[CheckResult]:
     """The gradient of one training step, against central differences of the
     batch's loss (:func:`_batch_objective`), for both model kinds, both
     tasks, ``ce``, rtpb with a ``cb`` vector and with a ``pb`` table, and the
@@ -330,8 +326,9 @@ def certify_training(
     order 2, 1, 3, 0: the two 3-object images draw as many pairs and run as
     one bucket, the 2-object image has no ground truth, and with three
     classes the 4-object image has two objects of one class. Each case
-    checks ``coords`` seeded coordinates (all of a smaller model).
+    checks :data:`TRAINING_COORDS` seeded coordinates (all of a smaller model).
     """
+    check_value("seed", seed, ge=0)
     rng = np.random.default_rng(seed)
     images = Images.pack([
         _toy_image(rng, 3, [(0, 1, 1)]),
@@ -363,11 +360,11 @@ def certify_training(
             lambda stack: _batch_objective(
                 config, net, unflatten(params, stack), loss_fn, images, batch, drawn
             ),
-            vec, grad.vec, h=h, tol=tol,
-            coords=rng.choice(vec.size, size=min(coords, vec.size), replace=False),
+            vec, grad.vec, h=STEP, tol=MODEL_TOL,
+            coords=rng.choice(vec.size, size=min(TRAINING_COORDS, vec.size), replace=False),
         )
         worst, cases = max(worst, report.max_rel_error), cases + 1
-    return [CheckResult("training/batch_loss", cases, worst, tol)]
+    return [CheckResult("training/batch_loss", cases, worst, MODEL_TOL)]
 
 
 def run_certification(seed: int = 0, instances: int = 100) -> list[CheckResult]:

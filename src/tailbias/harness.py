@@ -84,11 +84,14 @@ from .stats import (
     _count,
     _is_int64,
     _loads,
+    check_fields,
+    flagged,
     from_dict,
     marginal_counts,
     read_json,
     read_numbers,
     refuse_first,
+    ruled,
 )
 from .synth import Images, Objects, _offsets, _ranges, _rng
 
@@ -120,16 +123,13 @@ SAMPLE_DOMAIN = 12
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    learning_rate: float = 0.1
-    momentum: float = 0.9
-    iterations: int = 1000
-    batch_size: int = 8
+    learning_rate: float = ruled(0.1, gt=0)
+    momentum: float = ruled(0.9, ge=0, lt=1)
+    iterations: int = ruled(1000, ge=1)
+    batch_size: int = ruled(8, ge=1)
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_fields(self)
 
 
 def _check_ks(ks: Sequence[int], name: str) -> list[int]:
@@ -144,22 +144,19 @@ def _check_ks(ks: Sequence[int], name: str) -> list[int]:
 class TrainConfig:
     config_name: ClassVar[str] = "train config"
     label_space: LabelSpace
-    task: str = "predcls"
+    task: str = ruled("predcls", choices=MODES)
     model: ModelSpec = field(default_factory=ModelSpec)
     loss: LossConfig = field(default_factory=LossConfig)
     bias: BiasSpec | None = None
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    seed: int = 0
+    seed: int = ruled(0, ge=0)
     data: tuple[tuple[str, str], ...] = ()
     eval_ks: tuple[int, ...] = (20, 50, 100)
-    background_ratio: float = 3.0
+    background_ratio: float = ruled(3.0, ge=0)
 
     def __post_init__(self) -> None:
-        if self.task not in MODES:
-            raise ValueError(f"unknown task {self.task!r}")
+        check_fields(self)
         _check_ks(self.eval_ks, "eval_ks")
-        if self.background_ratio < 0:
-            raise ValueError("background_ratio must be nonnegative")
         if self.loss.kind == "rtpb" and self.bias is None:
             raise ValueError("loss kind 'rtpb' needs a bias spec")
 
@@ -210,9 +207,6 @@ def _truth(images: Images, label_space: LabelSpace, d_v: int | None) -> np.ndarr
     image = np.arange(len(images))
     gt_image = np.repeat(image, np.diff(images.gt_start))
 
-    def flagged(element_image: np.ndarray, bad: np.ndarray) -> np.ndarray:
-        return np.bincount(element_image[bad], minlength=len(images)) > 0
-
     r = images.gt[:, 2]
     bad_gt = (r < 1) | (r > num_relations)
 
@@ -233,9 +227,9 @@ def _truth(images: Images, label_space: LabelSpace, d_v: int | None) -> np.ndarr
         ]
     labels = images.labels
     refuse_first(checks + [
-        (flagged(np.repeat(image, counts), (labels < 0) | (labels >= num_classes)),
+        (flagged(np.repeat(image, counts), (labels < 0) | (labels >= num_classes), len(images)),
          lambda i: f"object class label outside 0..{num_classes - 1}"),
-        (flagged(gt_image, bad_gt), gt_fault),
+        (flagged(gt_image, bad_gt, len(images)), gt_fault),
     ], "image")
     return gt_image
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import row_max
+from .stats import check_fields, check_value, ruled
 
 __all__ = [
     "LOSS_KINDS",
@@ -133,16 +134,15 @@ class LossConfig:
     keeping step sizes comparable; set it to False for the raw ``1/n_y`` weight.
     """
 
-    kind: str = "ce"
-    beta: float = 0.999
-    gamma: float = 2.0
-    alpha: float = 0.25
-    margin_c: float = 0.5
+    kind: str = ruled("ce", choices=LOSS_KINDS)
+    beta: float = ruled(0.999, ge=0, lt=1)
+    gamma: float = ruled(2.0, ge=0)
+    alpha: float = ruled(0.25, gt=0)
+    margin_c: float = ruled(0.5, ge=0)
     reweight_normalize: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
+        check_fields(self)
 
 
 def _require_counts(counts: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -177,8 +177,7 @@ def baseline_loss(config: LossConfig, z, y, class_counts) -> LossOutput:
     ``class_counts`` holds per-class training sample counts aligned with the
     logit vector; every loss but ``focal`` reads it.
     """
-    if config.kind not in BASELINE_KINDS:
-        raise ValueError(f"unknown baseline kind {config.kind!r}")
+    check_value("kind", config.kind, choices=BASELINE_KINDS)
     z = _as_array(z)
     y, hot = _targets(z, y)
     if config.kind == "focal":

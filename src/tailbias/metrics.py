@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .numerics import row_softmax
-from .stats import LabelSpace
+from .stats import LabelSpace, check_value
 from .synth import _ranges
 
 __all__ = [
@@ -130,8 +130,7 @@ def rank(
     the image's candidates with a higher score, and those with an equal one
     and a lower flat index (pair index under ``with``), by bisection.
     """
-    if constraint not in CONSTRAINTS:
-        raise ValueError(f"unknown constraint {constraint!r}")
+    check_value("constraint", constraint, choices=CONSTRAINTS)
     if not np.isfinite(scores).all():
         bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))[0]
         raise ValueError(f"scores row {bad} is not finite")

@@ -64,7 +64,7 @@ from .numerics import (
     normal_init,
     row_softmax,
 )
-from .stats import LabelSpace
+from .stats import LabelSpace, check_fields, check_value, ruled
 from .synth import Images, Objects
 
 __all__ = [
@@ -104,26 +104,20 @@ class ModelSpec:
     from the data and are passed next to the spec, not stored in it.
     """
 
-    kind: str = "linear"
-    d_model: int = 32
-    n_h: int = 2
-    n_o: int = 2
-    n_r: int = 1
-    d_ff: int = 64
-    d_e: int = 16
-    d_pos: int = 16
-    object_loss_weight: float = 1.0
+    kind: str = ruled("linear", choices=MODEL_KINDS)
+    d_model: int = ruled(32, ge=1)
+    n_h: int = ruled(2, ge=1)
+    n_o: int = ruled(2, ge=1)
+    n_r: int = ruled(1, ge=1)
+    d_ff: int = ruled(64, ge=1)
+    d_e: int = ruled(16, ge=1)
+    d_pos: int = ruled(16, ge=1)
+    object_loss_weight: float = ruled(1.0, ge=0)
 
     def __post_init__(self) -> None:
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        for key in ("d_model", "n_h", "d_ff", "d_e", "d_pos"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1")
+        check_fields(self)
         if self.d_model % self.n_h != 0:
             raise ValueError("d_model must be divisible by n_h")
-        if self.n_o < 1 or self.n_r < 1:
-            raise ValueError("encoder stacks need at least one layer")
 
 
 @dataclass
@@ -240,8 +234,7 @@ def box_features(boxes: np.ndarray) -> np.ndarray:
 
 def class_labels(objects: Objects | Images, mode: str) -> np.ndarray:
     """Object classes as the task sees them: annotated in ``predcls``, detector argmax in ``sgcls``."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    check_value("mode", mode, choices=MODES)
     if mode == "predcls":
         return objects.labels
     return objects.scores.argmax(axis=-1)

@@ -38,7 +38,6 @@ __all__ = [
     "AttentionParams",
     "EncoderLayerParams",
     "GradCheckReport",
-    "matmul_backward",
     "row_max",
     "row_softmax",
     "row_softmax_backward",
@@ -100,13 +99,6 @@ def _as_tokens(x, name: str) -> np.ndarray:
     if x.ndim < 2:
         raise ValueError(f"{name} must have shape (..., tokens, dim), got {x.shape}")
     return x
-
-
-def matmul_backward(
-    g: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of ``sum(g * (a @ b))`` with respect to ``a`` and ``b``."""
-    return g @ b.T, a.T @ g
 
 
 def row_max(x: np.ndarray) -> np.ndarray:

@@ -11,13 +11,15 @@ nonzero cells as ``[s, o, r, n]`` entries in ``(s, o, r)`` order.
 
 Every file the package reads goes through :func:`read_json` or
 :func:`read_jsonl`, which raise each fault as a ``ValueError`` naming the file,
-and each list of numbers in it through :func:`read_numbers`.
+and each list of numbers in it through :func:`read_numbers`. A config's types
+are checked by :func:`from_dict`, its :func:`ruled` values by :func:`check_fields`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from itertools import chain
 from numbers import Integral, Real
@@ -28,6 +30,9 @@ import numpy as np
 
 __all__ = [
     "from_dict",
+    "ruled",
+    "check_fields",
+    "check_value",
     "LabelSpace",
     "TripletStats",
     "ingest",
@@ -35,6 +40,7 @@ __all__ = [
     "pair_counts",
     "sppo_counts",
     "refuse_first",
+    "flagged",
     "read_json",
     "read_jsonl",
     "read_numbers",
@@ -125,35 +131,60 @@ def _field(annotation, value, where: str, key: str):
     return value
 
 
+# The sign of each bound of a rule, whose test is the ``operator`` of its name.
+_SIGNS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}
+
+
+def ruled(default=MISSING, **rule):
+    """A config field of ``default`` (required if none) with the metadata
+    ``rule``: bounds ``ge``, ``gt``, ``le``, ``lt``, or a tuple of ``choices``."""
+    return field(default=default, metadata=rule)
+
+
+def check_value(key: str, value, choices: tuple | None = None, **bounds) -> None:
+    """Raise ``ValueError`` naming ``key`` when ``value`` is not one of
+    ``choices`` (``kind must be one of 'a', 'b', not 'c'``) or breaks one of
+    the :func:`ruled` ``bounds`` (``d_model must be >= 1``); NaN breaks any."""
+    if choices is not None and value not in choices:
+        raise ValueError(f"{key} must be one of {', '.join(map(repr, choices))}, not {value!r}")
+    for end, bound in bounds.items():
+        if not getattr(operator, end)(value, bound):
+            raise ValueError(f"{key} must be {_SIGNS[end]} {bound}")
+
+
+def check_fields(config) -> None:
+    """:func:`check_value` of each field of ``config`` by its :func:`ruled` rule;
+    every config's ``__post_init__`` calls it, so :func:`from_dict`, direct
+    construction and ``dataclasses.replace`` meet the same rules."""
+    for f in fields(config):
+        check_value(f.name, getattr(config, f.name), **f.metadata)
+
+
 @dataclass(frozen=True)
 class LabelSpace:
     """Sizes and names of the object-class and relation label sets."""
 
     config_name: ClassVar[str] = "label space"
-    num_object_classes: int
-    num_relations: int
+    num_object_classes: int = ruled(ge=1)
+    num_relations: int = ruled(ge=1)
     object_names: tuple[str, ...] = ()
     relation_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.num_object_classes < 1:
-            raise ValueError("num_object_classes must be >= 1")
-        if self.num_relations < 1:
-            raise ValueError("num_relations must be >= 1")
+        check_fields(self)
         if not self.object_names:
             names = tuple(f"obj_{i}" for i in range(self.num_object_classes))
             object.__setattr__(self, "object_names", names)
         if not self.relation_names:
             names = tuple(f"rel_{r}" for r in range(1, self.num_relations + 1))
             object.__setattr__(self, "relation_names", names)
-        if len(self.object_names) != self.num_object_classes:
-            raise ValueError("object_names length must equal num_object_classes")
-        if len(self.relation_names) != self.num_relations:
-            raise ValueError("relation_names length must equal num_relations")
-        if len(set(self.object_names)) != len(self.object_names):
-            raise ValueError("object_names must be unique")
-        if len(set(self.relation_names)) != len(self.relation_names):
-            raise ValueError("relation_names must be unique")
+        for key, size in (("object_names", "num_object_classes"),
+                          ("relation_names", "num_relations")):
+            names = getattr(self, key)
+            if len(names) != getattr(self, size):
+                raise ValueError(f"{key} length must equal {size}")
+            if len(set(names)) != len(names):
+                raise ValueError(f"{key} must be unique")
 
     def relation_name(self, relation: int) -> str:
         """Name of foreground relation label ``relation`` (1-based)."""
@@ -197,6 +228,12 @@ def refuse_first(checks: list[tuple[np.ndarray, Callable[[int], str]]], what: st
         refusal = ValueError(message if what is None else f"{what} {i}: {message}")
         refusal.row = i
         raise refusal
+
+
+def flagged(row_of: np.ndarray, bad: np.ndarray, rows: int) -> np.ndarray:
+    """Whether each of ``rows`` rows owns a ``bad`` element, element ``j``
+    belonging to row ``row_of[j]``: a :func:`refuse_first` mask."""
+    return np.bincount(row_of[bad], minlength=rows) > 0
 
 
 def _range_checks(keys: np.ndarray, ls: LabelSpace) -> list:

@@ -24,7 +24,9 @@ from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
-from .stats import LabelSpace, read_jsonl, read_numbers, refuse_first
+from .stats import (
+    LabelSpace, check_fields, check_value, flagged, read_jsonl, read_numbers, refuse_first, ruled,
+)
 
 __all__ = [
     "SynthConfig",
@@ -48,30 +50,23 @@ SPLIT_DOMAINS = {"train": 1, "val": 2, "test": 3}
 class SynthConfig:
     config_name: ClassVar[str] = "synth config"
     label_space: LabelSpace
-    num_train: int
-    num_val: int
-    num_test: int
-    zipf_s: float = 1.5
-    objects_min: int = 4
+    num_train: int = ruled(ge=0)
+    num_val: int = ruled(ge=0)
+    num_test: int = ruled(ge=0)
+    zipf_s: float = ruled(1.5, ge=0)
+    objects_min: int = ruled(4, ge=2)
     objects_max: int = 6
-    d_v: int = 16
-    noise_sigma: float = 0.3
-    background_fraction: float = 0.7
+    d_v: int = ruled(16, ge=1)
+    noise_sigma: float = ruled(0.3, gt=0)
+    background_fraction: float = ruled(0.7, ge=0, lt=1)
     detector_sharpness: float = 4.0
-    detector_noise: float = 0.5
-    seed: int = 0
+    detector_noise: float = ruled(0.5, ge=0)
+    seed: int = ruled(0, ge=0)
 
     def __post_init__(self) -> None:
-        if self.objects_min < 2 or self.objects_max < self.objects_min:
-            raise ValueError("objects_per_image range must be nonempty with min >= 2")
-        if not 0.0 <= self.background_fraction < 1.0:
-            raise ValueError("background_fraction must lie in [0, 1)")
-        if self.noise_sigma <= 0:
-            raise ValueError("noise_sigma must be positive")
-        if self.zipf_s < 0:
-            raise ValueError("zipf_s must be nonnegative")
-        if self.detector_noise < 0:
-            raise ValueError("detector_noise must be nonnegative")
+        check_fields(self)
+        if self.objects_max < self.objects_min:
+            raise ValueError("objects_max must be >= objects_min")
 
 
 def all_ordered_pairs(n: int) -> np.ndarray:
@@ -222,6 +217,7 @@ class Images:
         x1, y1, x2, y2 = box.T
         outside = ~((0.0 <= x1) & (x1 < x2) & (x2 <= 1.0) & (0.0 <= y1) & (y1 < y2) & (y2 <= 1.0))
         unnormalised = ~(np.abs(score.sum(axis=1) - 1.0) <= 1e-6)
+        bad_feature, bad_union = (~np.isfinite(rows).all(1) for rows in (feature, union))
         s, o, _ = triplets.T
         bad_index = (np.minimum(s, o) < 0) | (np.maximum(s, o) >= n[gt_image])
         bad_pair = bad_index | (s == o)
@@ -232,16 +228,14 @@ class Images:
                    else "the same subject and object")
             return f"ground-truth triplet {tuple(triplets[t].tolist())} has {why}"
 
-        def flagged(element_image: np.ndarray, bad: np.ndarray) -> np.ndarray:
-            return np.bincount(element_image[bad], minlength=len(images)) > 0
-
+        m = len(images)
         refuse_first(checks + [
-            (flagged(row_image, outside), lambda i: "degenerate or unnormalized box "
+            (flagged(row_image, outside, m), lambda i: "degenerate or unnormalized box "
              f"{box[np.argmax(outside & (row_image == i))].tolist()}"),
-            (flagged(row_image, unnormalised), lambda i: "detector scores must sum to 1"),
-            (flagged(row_image, ~np.isfinite(feature).all(1)), lambda i: "features must be finite"),
-            (flagged(pair_image, ~np.isfinite(union).all(1)), lambda i: "unions must be finite"),
-            (flagged(gt_image, bad_pair), gt_fault),
+            (flagged(row_image, unnormalised, m), lambda i: "detector scores must sum to 1"),
+            (flagged(row_image, bad_feature, m), lambda i: "features must be finite"),
+            (flagged(pair_image, bad_union, m), lambda i: "unions must be finite"),
+            (flagged(gt_image, bad_pair, m), gt_fault),
         ], "image")
         return cls(
             boxes=box, features=feature,
@@ -267,10 +261,8 @@ def _rng(seed: int, domain: int, index: int | None = None) -> np.random.Generato
 
 def zipf_weights(num: int, s: float) -> np.ndarray:
     """Normalized weights proportional to ``1 / rank**s`` for ranks 1..num."""
-    if num < 1:
-        raise ValueError("need at least one class")
-    if s < 0:
-        raise ValueError("skew must be nonnegative")
+    check_value("num", num, ge=1)
+    check_value("s", s, ge=0)
     w = np.arange(1, num + 1, dtype=np.float64) ** (-float(s))
     return w / w.sum()
 
@@ -344,8 +336,7 @@ def _sample_image(config: SynthConfig, world: World, rng: np.random.Generator) -
 
 def generate_split(config: SynthConfig, split: str) -> Images:
     """Generate one split; independent of whether other splits are generated."""
-    if split not in SPLIT_DOMAINS:
-        raise ValueError(f"unknown split {split!r}")
+    check_value("split", split, choices=tuple(SPLIT_DOMAINS))
     world = build_world(config)
     count = {"train": config.num_train, "val": config.num_val, "test": config.num_test}[split]
     domain = SPLIT_DOMAINS[split]

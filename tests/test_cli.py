@@ -6,6 +6,7 @@ from dataclasses import asdict
 import pytest
 
 from tailbias.cli import main
+from tailbias.gradcert import certify_losses, certify_model, certify_numerics, certify_training
 from tailbias.metrics import METRICS_CSV_HEADER
 from tailbias.stats import LabelSpace
 from test_synth import NO_NUMBER, NON_FINITE, NUMBER_ROWS
@@ -225,6 +226,42 @@ class TestGradcheckCommand:
         ]
         doc = json.loads((out / "gradcheck.json").read_text())
         assert all(entry["passed"] for entry in doc)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--instances", "-5"], "instances must be >= 1"),
+            (["--instances", "0"], "instances must be >= 1"),
+            (["--seed", "-1"], "seed must be >= 0"),
+        ],
+        ids=["negative-instances", "no-instances", "negative-seed"],
+    )
+    def test_a_battery_that_checks_nothing_gives_json_error(
+        self, tmp_path, capsys, args, message
+    ):
+        out = tmp_path / "gc"
+        code = main(["gradcheck", *args, "--out", str(out)])
+        assert code == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        err = json.loads(printed.err.strip())["error"]
+        assert err == {"type": "ValueError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "battery, kwargs, message",
+        [
+            (certify_losses, {"instances": 0}, "instances must be >= 1"),
+            (certify_numerics, {"instances": -1}, "instances must be >= 1"),
+            (certify_model, {"sampled_instances": 0}, "sampled_instances must be >= 1"),
+            (certify_model, {"full_instances": -1}, "full_instances must be >= 0"),
+            (certify_training, {"seed": -1}, "seed must be >= 0"),
+        ],
+        ids=["losses", "numerics", "model-sampled", "model-full", "training-seed"],
+    )
+    def test_each_battery_refuses_a_count_that_checks_nothing(self, battery, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            battery(**kwargs)
 
 
 @pytest.mark.filterwarnings(
@@ -497,6 +534,54 @@ class TestErrors:
     @pytest.mark.parametrize(
         "command, section, key, value, message",
         [
+            ("synth", None, "seed", -1, "seed must be >= 0"),
+            ("train", None, "seed", -1, "seed must be >= 0"),
+            ("synth", None, "num_train", -1, "num_train must be >= 0"),
+            ("synth", None, "num_val", -3, "num_val must be >= 0"),
+            ("synth", None, "num_test", -1, "num_test must be >= 0"),
+            ("synth", None, "d_v", 0, "d_v must be >= 1"),
+            ("synth", None, "d_v", -2, "d_v must be >= 1"),
+            ("train", "optimizer", "learning_rate", 0.0, "learning_rate must be > 0"),
+            ("train", "optimizer", "momentum", 5.0, "momentum must be < 1"),
+            ("train", "loss", "beta", 1.0, "beta must be < 1"),
+            ("train", "loss", "gamma", -1.0, "gamma must be >= 0"),
+            ("train", "loss", "alpha", 0.0, "alpha must be > 0"),
+            ("train", "loss", "margin_c", -0.5, "margin_c must be >= 0"),
+            ("train", "model", "object_loss_weight", -1.0, "object_loss_weight must be >= 0"),
+        ],
+        ids=["synth-seed", "train-seed", "num-train", "num-val", "num-test", "zero-d-v",
+             "negative-d-v", "learning-rate", "momentum", "beta", "gamma", "alpha", "margin-c",
+             "object-loss-weight"],
+    )
+    def test_a_value_outside_its_declared_range_gives_json_error(
+        self, workspace, tmp_path, capsys, command, section, key, value, message
+    ):
+        root, _, _, _, _ = workspace
+        bad_cfg = json.loads((root / f"{command}.json").read_text())
+        (bad_cfg if section is None else bad_cfg[section])[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad_cfg))
+        capsys.readouterr()
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {"type": "ValueError", "message": f"{path}: {message}"}
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_a_negative_seed_flag_gives_json_error(self, workspace, tmp_path, capsys, command):
+        root, _, _, _, _ = workspace
+        capsys.readouterr()
+        code = main([command, "--config", str(root / f"{command}.json"), "--seed", "-1",
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {"type": "ValueError", "message": "seed must be >= 0"}
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "command, section, key, value, message",
+        [
             ("synth", None, "noise_sigma", math.nan,
              "synth config key 'noise_sigma' must be a finite number"),
             ("train", "optimizer", "learning_rate", math.nan,
@@ -573,7 +658,7 @@ class TestErrors:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())["error"]
         assert err == {"type": "ValueError",
-                       "message": f"{path}: detector_noise must be nonnegative"}
+                       "message": f"{path}: detector_noise must be >= 0"}
         assert not (tmp_path / "data").exists()
 
     def test_malformed_checkpoint_gives_json_error(self, workspace, tmp_path, capsys):

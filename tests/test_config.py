@@ -3,30 +3,48 @@
 import hashlib
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailbias.bias import GLOBAL_KINDS, PAIR_KINDS, BiasSpec
-from tailbias.harness import LOSS_KINDS, LossConfig, ModelSpec, OptimizerConfig, TrainConfig
-from tailbias.model import MODEL_KINDS, MODES
+from tailbias.bias import BiasSpec
+from tailbias.harness import LossConfig, ModelSpec, OptimizerConfig, TrainConfig
 from tailbias.stats import LabelSpace, from_dict
 from tailbias.synth import SynthConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 floats = st.floats(allow_nan=False, allow_infinity=False)
-nonnegative = st.floats(min_value=0.0, allow_infinity=False)
-ints = st.integers(-(2**63), 2**63 - 1)
-positive = st.integers(1, 2**63 - 1)
+
+
+def declared(cls, name: str):
+    """The values the field ``name`` of ``cls`` may hold by its declared rule
+    (``stats.ruled``), within the type the reader takes: a 64-bit integer or a
+    finite float."""
+    rule = next(f.metadata for f in fields(cls) if f.name == name)
+    if "choices" in rule:
+        return st.sampled_from(rule["choices"])
+    lo, hi = rule.get("ge", rule.get("gt")), rule.get("le", rule.get("lt"))
+    if get_type_hints(cls)[name] is int:
+        lo = -(2**63) if lo is None else lo + ("gt" in rule)
+        return st.integers(lo, 2**63 - 1 if hi is None else hi - ("lt" in rule))
+    return st.floats(lo, hi, exclude_min="gt" in rule, exclude_max="lt" in rule,
+                     allow_nan=False, allow_infinity=False)
+
+
+def draw_fields(draw, cls, **given):
+    """``cls`` of ``given`` values and every other field drawn by :func:`declared`."""
+    return cls(**given, **{f.name: draw(declared(cls, f.name)) for f in fields(cls)
+                           if f.name not in given})
 
 
 @st.composite
 def label_spaces(draw):
-    ne, nr = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    ne, nr = draw(st.integers(1, 6)), draw(st.integers(1, 6))  # small, for the names drawn
     names = [
         draw(st.just(()) | st.lists(st.text(), min_size=n, max_size=n, unique=True).map(tuple))
         for n in (ne, nr)
@@ -37,71 +55,49 @@ def label_spaces(draw):
 @st.composite
 def synth_configs(draw):
     objects_min = draw(st.integers(2, 10**6))
-    return SynthConfig(
-        label_space=draw(label_spaces()),
-        num_train=draw(ints), num_val=draw(ints), num_test=draw(ints),
-        zipf_s=draw(nonnegative),
-        objects_min=objects_min,
+    return draw_fields(
+        draw, SynthConfig, label_space=draw(label_spaces()), objects_min=objects_min,
         objects_max=draw(st.integers(objects_min, 2 * objects_min)),
-        d_v=draw(ints),
-        noise_sigma=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
-        background_fraction=draw(st.floats(0.0, 1.0, exclude_max=True)),
-        detector_sharpness=draw(floats),
-        detector_noise=draw(nonnegative),
-        seed=draw(ints),
     )
 
 
 @st.composite
 def bias_specs(draw):
-    a = draw(nonnegative)
-    return BiasSpec(
-        kind=draw(st.sampled_from(GLOBAL_KINDS + PAIR_KINDS)),
-        a=a,
-        epsilon=draw(st.floats(0.0, 1.0)),
-        a_eval=draw(st.floats(0.0, a)),
-        background=draw(st.none() | floats),
-    )
+    a = draw(declared(BiasSpec, "a"))
+    return draw_fields(draw, BiasSpec, a=a, a_eval=draw(st.floats(0.0, a)),
+                       background=draw(st.none() | floats))
 
 
 @st.composite
 def model_specs(draw):
     n_h = draw(st.integers(1, 8))
-    return ModelSpec(
-        kind=draw(st.sampled_from(MODEL_KINDS)),
-        d_model=n_h * draw(st.integers(1, 8)),
-        n_h=n_h,
-        n_o=draw(positive), n_r=draw(positive),
-        d_ff=draw(positive), d_e=draw(positive), d_pos=draw(positive),
-        object_loss_weight=draw(floats),
-    )
+    return draw_fields(draw, ModelSpec, n_h=n_h, d_model=n_h * draw(st.integers(1, 8)))
 
 
-loss_configs = st.builds(
-    LossConfig, kind=st.sampled_from(LOSS_KINDS), beta=floats, gamma=floats, alpha=floats,
-    margin_c=floats, reweight_normalize=st.booleans(),
-)
-optimizer_configs = st.builds(
-    OptimizerConfig, learning_rate=floats, momentum=floats, iterations=positive,
-    batch_size=positive,
-)
+@st.composite
+def loss_configs(draw):
+    return draw_fields(draw, LossConfig, reweight_normalize=draw(st.booleans()))
+
+
+@st.composite
+def optimizer_configs(draw):
+    return draw_fields(draw, OptimizerConfig)
 
 
 @st.composite
 def train_configs(draw):
-    loss = draw(loss_configs)
+    loss = draw(loss_configs())
     bias = draw(bias_specs()) if loss.kind == "rtpb" else draw(st.none() | bias_specs())
-    return TrainConfig(
+    return draw_fields(
+        draw, TrainConfig,
         label_space=draw(label_spaces()),
-        task=draw(st.sampled_from(MODES)),
         model=draw(model_specs()),
         loss=loss,
         bias=bias,
-        optimizer=draw(optimizer_configs),
-        seed=draw(ints),
+        optimizer=draw(optimizer_configs()),
         data=tuple(draw(st.lists(st.tuples(st.text(), st.text()), max_size=3))),
-        eval_ks=tuple(draw(st.lists(positive, min_size=1, max_size=4, unique=True).map(sorted))),
-        background_ratio=draw(nonnegative),
+        eval_ks=tuple(draw(st.lists(st.integers(1, 2**63 - 1), min_size=1, max_size=4,
+                                    unique=True).map(sorted))),
     )
 
 
@@ -112,8 +108,8 @@ def train_configs(draw):
         (SynthConfig, synth_configs()),
         (BiasSpec, bias_specs()),
         (ModelSpec, model_specs()),
-        (LossConfig, loss_configs),
-        (OptimizerConfig, optimizer_configs),
+        (LossConfig, loss_configs()),
+        (OptimizerConfig, optimizer_configs()),
         (TrainConfig, train_configs()),
     ],
     ids=["LabelSpace", "SynthConfig", "BiasSpec", "ModelSpec", "LossConfig", "OptimizerConfig",
@@ -124,6 +120,31 @@ def train_configs(draw):
 def test_json_round_trip(cls, configs, data):
     config = data.draw(configs)
     assert from_dict(cls, json.loads(json.dumps(asdict(config)))) == config
+
+
+CONFIGS = (LabelSpace, SynthConfig, BiasSpec, ModelSpec, LossConfig, OptimizerConfig, TrainConfig)
+SPACE = {"num_object_classes": 2, "num_relations": 2}
+# The required keys of each config with them.
+REQUIRED = {
+    LabelSpace: SPACE,
+    SynthConfig: {"label_space": SPACE, "num_train": 1, "num_val": 1, "num_test": 1},
+    BiasSpec: {"kind": "cb"},
+    TrainConfig: {"label_space": SPACE},
+}
+# A value just outside a bound of each end, added to the bound.
+OUTSIDE = {"ge": -1, "gt": 0, "le": 1, "lt": 0}
+RULES = [(cls, f.name, end, bound) for cls in CONFIGS for f in fields(cls)
+         for end, bound in f.metadata.items()]
+
+
+@pytest.mark.parametrize("cls, key, end, bound", RULES,
+                         ids=[f"{cls.__name__}-{key}-{end}" for cls, key, end, _ in RULES])
+def test_a_value_its_declared_rule_refuses_is_named_by_its_key(cls, key, end, bound):
+    value = "nope" if end == "choices" else bound + OUTSIDE[end]
+    message = rf"^{key} must be one of .*, not 'nope'$" if end == "choices" else (
+        rf"^{key} must (be|lie in) .*{re.escape(str(bound))}")
+    with pytest.raises(ValueError, match=message):
+        from_dict(cls, {**REQUIRED.get(cls, {}), key: value})
 
 
 def readme_json(name: str) -> dict:

@@ -134,7 +134,7 @@ class TestConfig:
     def test_bad_model_spec_fails_at_construction(self, space):
         with pytest.raises(ValueError, match="divisible"):
             ModelSpec(kind="dual_encoder", d_model=10, n_h=3)
-        with pytest.raises(ValueError, match="at least one layer"):
+        with pytest.raises(ValueError, match="^n_r must be >= 1$"):
             ModelSpec(kind="dual_encoder", n_r=0)
         doc = asdict(linear_config(space))
         doc["model"] = {"kind": "dual_encoder", "d_model": 10, "n_h": 3}
