@@ -5,7 +5,10 @@ against central differences through :func:`tailbias.numerics.grad_check`, and
 reports the worst relative error observed. ``grad_check`` evaluates a chunk
 of coordinates per call, on a stack of perturbed copies: a loss takes it as
 logit rows, a kernel input as a leading batch axis, and a parameter tree as
-batched views (:func:`tailbias.numerics.unflatten`). The full-model battery
+batched views (:func:`tailbias.numerics.unflatten`). The loss battery passes
+no analytic gradient: a loss computes each row on its own, so the gradient
+row of the unperturbed copy ``grad_check`` appends to the stack is the
+analytic gradient, and each case is one loss call. The full-model battery
 checks every parameter coordinate on a few instances and a random coordinate
 sample on many, which keeps the runtime low without leaving any parameter
 kind unchecked. The training battery checks the gradient that one training
@@ -68,6 +71,7 @@ __all__ = [
 STEP = 1e-5
 KERNEL_TOL, MODEL_TOL = 1e-4, 1e-3  # of the loss and kernel batteries; of the others
 MODEL_COORDS, TRAINING_COORDS = 40, 64  # per sampled model instance; per training case
+BASELINE_CONFIGS = {kind: LossConfig(kind) for kind in BASELINE_KINDS}  # the loss battery's, built once
 
 
 @dataclass
@@ -103,6 +107,8 @@ def _weighted_sums(g: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def certify_losses(seed: int = 0, instances: int = 100) -> list[CheckResult]:
+    """Each loss kind's gradient on ``instances`` seeded logit rows, in one
+    loss call per instance and kind."""
     check_value("seed", seed, ge=0)
     check_value("instances", instances, ge=1)
     rng = np.random.default_rng(seed)
@@ -118,13 +124,13 @@ def certify_losses(seed: int = 0, instances: int = 100) -> list[CheckResult]:
             "ce": lambda v: ce(v, at(v)),
             "rtpb": lambda v: biased_ce(v, np.broadcast_to(b, v.shape), at(v)),
             **{
-                kind: lambda v, config=LossConfig(kind): baseline_loss(config, v, at(v), counts)
-                for kind in BASELINE_KINDS
+                kind: lambda v, config=config: baseline_loss(config, v, at(v), counts)
+                for kind, config in BASELINE_CONFIGS.items()
             },
         }
         for kind, fn in cases.items():
             report = grad_check(
-                lambda v: fn(v).value, z, fn(z).grad_logits, h=STEP, tol=KERNEL_TOL
+                lambda v: ((out := fn(v)).value, out.grad_logits), z, h=STEP, tol=KERNEL_TOL
             )
             worst[kind] = max(worst[kind], report.max_rel_error)
     return [CheckResult(f"loss/{k}", instances, v, KERNEL_TOL) for k, v in worst.items()]

@@ -378,9 +378,9 @@ def _rebuild(node, views):
 
 
 def grad_check(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray]],
     x: np.ndarray,
-    analytic: np.ndarray,
+    analytic: np.ndarray | None = None,
     *,
     h: float = 1e-5,
     tol: float = 1e-4,
@@ -395,28 +395,46 @@ def grad_check(
     and the report names the first coordinate of the largest. ``coords``
     restricts the check to a subset of coordinates, taken in its order. A
     non-finite value raises, naming the first coordinate that gives one.
+
+    With ``analytic=None``, ``f`` returns ``(values, row_gradients)``, the
+    gradients a ``(k, x.size)`` array, and the first chunk's stack ends in one
+    unperturbed copy of ``x``, whose gradient row is the analytic gradient:
+    one call gives both, for an ``f`` that computes each row on its own. A
+    non-finite value at ``x`` itself raises.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
     x = np.asarray(x, dtype=np.float64)
-    analytic = np.asarray(analytic, dtype=np.float64)
-    if analytic.shape != x.shape:
-        raise ValueError("analytic gradient shape must match x")
-    flat, ref = x.ravel(), analytic.ravel()
+    flat, ref = x.ravel(), None
+    if analytic is not None:
+        ref = np.asarray(analytic, dtype=np.float64)
+        if ref.shape != x.shape:
+            raise ValueError("analytic gradient shape must match x")
+        ref = ref.ravel()
     idx = np.arange(x.size) if coords is None else np.asarray(coords, dtype=np.intp)
     worst = -1
     max_rel = 0.0
     for start in range(0, idx.size, FD_CHUNK):
         chunk = idx[start : start + FD_CHUNK]
-        rows = np.arange(chunk.size)
-        stack = np.tile(flat, (2 * chunk.size, 1))
+        n = chunk.size
+        rows = np.arange(n)
+        stack = np.empty((2 * n + (ref is None), flat.size))
+        stack[:] = flat
         stack[rows, chunk] = flat[chunk] + h
-        stack[rows + chunk.size, chunk] = flat[chunk] - h
-        up, down = np.split(np.asarray(f(stack), dtype=np.float64), 2)
-        finite = np.isfinite(up) & np.isfinite(down)
-        if not finite.all():
+        stack[rows + n, chunk] = flat[chunk] - h
+        out = f(stack)
+        values, gradients = out if analytic is None else (out, None)
+        values = np.asarray(values, dtype=np.float64)
+        if not np.isfinite(values).all():
+            finite = np.isfinite(values[:n]) & np.isfinite(values[n : 2 * n])
+            if finite.all():
+                raise ValueError("function not finite at x")
             raise ValueError(f"function not finite near coordinate {chunk[np.argmin(finite)]}")
-        fd = (up - down) / (2.0 * h)
+        if ref is None:
+            ref = np.asarray(gradients, dtype=np.float64)[-1].ravel()
+            if ref.shape != flat.shape:
+                raise ValueError("analytic gradient shape must match x")
+        fd = (values[:n] - values[n : 2 * n]) / (2.0 * h)
         rel = np.abs(fd - ref[chunk]) / np.maximum(1.0, np.abs(ref[chunk]))
         rel[np.isnan(rel)] = 0.0  # a NaN error is never the worst, as with ``>``
         j = int(np.argmax(rel))

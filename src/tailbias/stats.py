@@ -96,8 +96,13 @@ def from_dict(cls, d: Mapping, extra: Iterable[str] = (), where: str | None = No
     ``where`` (by default ``cls.config_name``, and a nested section's
     ``config_name`` or ``config section '<key>'``) when ``d`` is no mapping,
     has a key that is neither a field nor in ``extra``, lacks a field
-    without a default, or holds a value its field's rule refuses."""
-    where = where or getattr(cls, "config_name", cls.__name__)
+    without a default, or holds a value its field's rule refuses. A nested
+    section's own refusal (a :func:`ruled` rule, say) starts ``"<where>: "``."""
+    return cls(**_read_fields(cls, d, extra, where or getattr(cls, "config_name", cls.__name__)))
+
+
+def _read_fields(cls, d: Mapping, extra: Iterable[str], where: str) -> dict:
+    """The fields present in ``d``, each read by :func:`_field`, for :func:`from_dict`."""
     if not isinstance(d, Mapping):
         raise ValueError(f"{where} must be an object")
     known = {f.name: f for f in fields(cls)}
@@ -108,14 +113,18 @@ def from_dict(cls, d: Mapping, extra: Iterable[str] = (), where: str | None = No
         if name not in d and f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"missing key {name!r} in {where}")
     hints = get_type_hints(cls)
-    return cls(**{key: _field(hints[key], d[key], where, key) for key in known if key in d})
+    return {key: _field(hints[key], d[key], where, key) for key in known if key in d}
 
 
 def _field(annotation, value, where: str, key: str):
     """``value`` read as a ``key`` field of ``annotation`` for :func:`from_dict`."""
     if is_dataclass(annotation):
         name = getattr(annotation, "config_name", f"config section {key!r}")
-        return from_dict(annotation, value, where=name)
+        read = _read_fields(annotation, value, (), name)
+        try:
+            return annotation(**read)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
     if get_origin(annotation) is UnionType:  # X | None
         return None if value is None else _field(get_args(annotation)[0], value, where, key)
     what, test, cast = _FIELD_RULES[annotation]

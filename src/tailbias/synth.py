@@ -59,7 +59,7 @@ class SynthConfig:
     d_v: int = ruled(16, ge=1)
     noise_sigma: float = ruled(0.3, gt=0)
     background_fraction: float = ruled(0.7, ge=0, lt=1)
-    detector_sharpness: float = 4.0
+    detector_sharpness: float = ruled(4.0, ge=0)
     detector_noise: float = ruled(0.5, ge=0)
     seed: int = ruled(0, ge=0)
 

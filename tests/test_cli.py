@@ -541,17 +541,21 @@ class TestErrors:
             ("synth", None, "num_test", -1, "num_test must be >= 0"),
             ("synth", None, "d_v", 0, "d_v must be >= 1"),
             ("synth", None, "d_v", -2, "d_v must be >= 1"),
-            ("train", "optimizer", "learning_rate", 0.0, "learning_rate must be > 0"),
-            ("train", "optimizer", "momentum", 5.0, "momentum must be < 1"),
-            ("train", "loss", "beta", 1.0, "beta must be < 1"),
-            ("train", "loss", "gamma", -1.0, "gamma must be >= 0"),
-            ("train", "loss", "alpha", 0.0, "alpha must be > 0"),
-            ("train", "loss", "margin_c", -0.5, "margin_c must be >= 0"),
-            ("train", "model", "object_loss_weight", -1.0, "object_loss_weight must be >= 0"),
+            ("train", "optimizer", "learning_rate", 0.0,
+             "config section 'optimizer': learning_rate must be > 0"),
+            ("train", "optimizer", "momentum", 5.0,
+             "config section 'optimizer': momentum must be < 1"),
+            ("train", "loss", "beta", 1.0, "config section 'loss': beta must be < 1"),
+            ("train", "loss", "gamma", -1.0, "config section 'loss': gamma must be >= 0"),
+            ("train", "loss", "alpha", 0.0, "config section 'loss': alpha must be > 0"),
+            ("train", "loss", "margin_c", -0.5, "config section 'loss': margin_c must be >= 0"),
+            ("train", "model", "object_loss_weight", -1.0,
+             "config section 'model': object_loss_weight must be >= 0"),
+            ("synth", None, "detector_sharpness", -4.0, "detector_sharpness must be >= 0"),
         ],
         ids=["synth-seed", "train-seed", "num-train", "num-val", "num-test", "zero-d-v",
              "negative-d-v", "learning-rate", "momentum", "beta", "gamma", "alpha", "margin-c",
-             "object-loss-weight"],
+             "object-loss-weight", "detector-sharpness"],
     )
     def test_a_value_outside_its_declared_range_gives_json_error(
         self, workspace, tmp_path, capsys, command, section, key, value, message
@@ -563,6 +567,33 @@ class TestErrors:
         path.write_text(json.dumps(bad_cfg))
         capsys.readouterr()
         code = main([command, "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {"type": "ValueError", "message": f"{path}: {message}"}
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            ("model", "mlp",
+             "config section 'model': kind must be one of 'linear', 'dual_encoder', not 'mlp'"),
+            ("loss", "hinge", "config section 'loss': kind must be one of 'ce', 'rtpb', "
+             "'reweight', 'class_balanced', 'focal', 'ldam', not 'hinge'"),
+            ("bias", "xb", "bias spec: kind must be one of 'cb', 'vb', 'pb', 'eb', not 'xb'"),
+        ],
+        ids=["model", "loss", "bias"],
+    )
+    def test_a_refused_kind_names_its_config_section(
+        self, workspace, tmp_path, capsys, section, value, message
+    ):
+        # ``kind`` is a key of three sections; a rule's refusal names which.
+        root, _, _, _, _ = workspace
+        bad_cfg = json.loads((root / "train.json").read_text())
+        bad_cfg[section] = {**(bad_cfg.get(section) or {}), "kind": value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad_cfg))
+        capsys.readouterr()
+        code = main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())["error"]
         assert err == {"type": "ValueError", "message": f"{path}: {message}"}

@@ -148,7 +148,7 @@ class TestConfig:
             ModelSpec(kind="dual_encoder", **{key: size})
         doc = asdict(linear_config(space))
         doc["model"][key] = size
-        with pytest.raises(ValueError, match=f"^{key} must be >= 1$"):
+        with pytest.raises(ValueError, match=f"^config section 'model': {key} must be >= 1$"):
             from_dict(TrainConfig, doc)
 
     @pytest.mark.parametrize("section", ["model", "loss", "optimizer"])

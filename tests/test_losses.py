@@ -389,7 +389,10 @@ class TestBlockMatchesScalarOracle:
         """Each loss takes a row's maximum, exponential and sum once for its
         value and gradient; they equal the two-pass forms bit for bit, on a
         block, its rows permuted, and one row, and permuting the rows only
-        permutes the results, which training's bucket-order calls rely on."""
+        permutes the results, which training's bucket-order calls rely on.
+        A single row's call equals its row of the block's call, which the
+        loss battery relies on when it reads a case's analytic gradient off
+        the row it appends to its stack of perturbed copies."""
         z, b, y, counts = block
         perm = np.array(data.draw(st.permutations(range(len(y)))))
         q = data.draw(st.integers(0, len(y) - 1))
@@ -412,6 +415,9 @@ class TestBlockMatchesScalarOracle:
             permuted = loss(z[perm], b[perm], y[perm])
             assert np.array_equal(permuted.value, whole.value[perm])
             assert np.array_equal(permuted.grad_logits, whole.grad_logits[perm])
+            one = loss(z[q], b[q], y[q])
+            assert one.value.shape == () and np.array_equal(one.value, whole.value[q])
+            assert np.array_equal(one.grad_logits, whole.grad_logits[q])
 
     def test_leading_axes_are_rows(self, rng):
         z = rng.uniform(-5, 5, (2, 3, 6))

@@ -319,6 +319,65 @@ class TestGradCheck:
             grad_check(lambda s: np.full(len(s), np.nan), np.zeros(2), np.zeros(2))
 
 
+def cubic_rows(stack, gradient=None):
+    """``sum(s**3 - s)`` of each row, and each row's own gradient ``3 s**2 - 1``
+    (or ``gradient``, if given, for every row)."""
+    values = np.sum(stack**3 - stack, axis=1)
+    rows = 3 * stack**2 - 1 if gradient is None else np.broadcast_to(gradient, stack.shape)
+    return values, rows
+
+
+class TestGradCheckFromTheStack:
+    """``analytic=None``: ``f`` gives values and row gradients, and the analytic
+    gradient is the row of one unperturbed copy of ``x`` in the first chunk."""
+
+    @pytest.mark.parametrize("coords", [None, [3, 0, 3], list(range(2 * FD_CHUNK + 5))])
+    def test_same_report_as_passing_the_gradient(self, rng, coords):
+        x = rng.uniform(-2, 2, (3, 50))  # three chunks of coordinates
+        want = grad_check(lambda s: cubic_rows(s)[0], x, 3 * x**2 - 1, coords=coords, tol=1e-8)
+        got = grad_check(cubic_rows, x, coords=coords, tol=1e-8)
+        assert got == want
+        assert got.passed and got.worst_coordinate >= 0
+
+    def test_a_wrong_row_gradient_fails_on_its_coordinate(self, rng):
+        x = rng.uniform(-2, 2, 10)
+        wrong = 3 * x**2 - 1
+        wrong[6] += 0.5
+        r = grad_check(lambda s: cubic_rows(s, wrong), x, tol=1e-6)
+        assert not r.passed
+        assert r.worst_coordinate == 6
+        assert r.max_rel_error > 0.5 / (1 + abs(wrong[6]))
+
+    def test_only_the_first_chunk_carries_the_unperturbed_row(self, rng):
+        x = rng.uniform(-2, 2, 2 * FD_CHUNK + 3)
+        stacks = []
+
+        def f(stack):
+            stacks.append(stack.copy())
+            return cubic_rows(stack)
+
+        coords = np.arange(x.size)[::-1]
+        r = grad_check(f, x, coords=coords, tol=1e-8)
+        assert r.passed, r
+        assert [len(s) for s in stacks] == [2 * FD_CHUNK + 1, 2 * FD_CHUNK, 6]
+        assert np.array_equal(stacks[0][-1], x)
+        for stack in stacks:
+            n = len(stack) // 2
+            assert (stack[: 2 * n] != x).sum(axis=1).tolist() == [1] * (2 * n)
+
+    def test_a_nonfinite_unperturbed_row_raises(self):
+        def f(stack):  # finite everywhere but at x itself
+            values = np.where(np.all(stack == 0.0, axis=1), np.nan, stack.sum(axis=1))
+            return values, np.ones_like(stack)
+
+        with pytest.raises(ValueError, match="not finite at x"):
+            grad_check(f, np.zeros(3))
+
+    def test_a_row_gradient_of_another_size_raises(self):
+        with pytest.raises(ValueError, match="shape must match x"):
+            grad_check(lambda s: cubic_rows(s[:, :2]), np.zeros(3))
+
+
 class TestParameterTrees:
     def test_unflatten_round_trip(self, rng):
         params = [init_encoder_layer_params(4, 8, rng)]
