@@ -7,7 +7,7 @@ reports graph-constrained R@k and mR@k side by side, followed by the
 inference-time soft-bias sweep on the count-bias checkpoint.
 
 Defaults reproduce the committed reference run (seed 42 data, seed 7
-training). Takes about a minute on one CPU core.
+training). Takes about 3 s on one CPU core.
 """
 
 import argparse

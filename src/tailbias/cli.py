@@ -255,7 +255,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         with np.errstate(all="ignore"):  # every non-finite value is refused by its own check
             return args.fn(args)
-    except (CliError, ValueError, ArithmeticError, OSError, KeyError, RecursionError) as exc:
+    except (CliError, ValueError, ArithmeticError, OSError, KeyError, RecursionError,
+            MemoryError) as exc:
         _print_error(type(exc).__name__, str(exc))
         return 1
 

@@ -361,7 +361,8 @@ def certify_training(seed: int = 0) -> list[CheckResult]:
         params = unflatten(params, vec)
         drawn = harness._draw(split, images.gt_start, batch, config.background_ratio, rng)
         grad = harness._Gradient(params, len(batch))
-        harness._batch_loss(config, net, params, grad, loss_fn, split, images, batch, drawn)
+        plan = harness._Buckets(images, split, batch, *drawn, len(batch))
+        harness._batch_loss(config, net, params, grad, loss_fn, plan, 0)
         report = grad_check(
             lambda stack: _batch_objective(
                 config, net, unflatten(params, stack), loss_fn, images, batch, drawn

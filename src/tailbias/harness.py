@@ -9,25 +9,29 @@ foreground pairs and targets, and its background pairs. Each batch draws
 every foreground pair of its images plus a seeded subsample of background
 pairs at a configurable ratio. The draws depend only on the seeded shuffle
 and sampler, so the batches of one epoch of steps are drawn in one call
-(:func:`_draw`), and each step takes views of its batch's rows; both
-generators are consumed as one draw per step would consume them. The
-optimized scalar is the mean relation loss over the drawn pairs, plus a
-weighted mean object cross-entropy when the model has an object head, each
-loss called once per batch on the rows of all its images
+(:func:`_draw`) and planned in one pass, and each step takes views of its
+batch's part; both generators are consumed as one draw per step would
+consume them. The optimized scalar is the mean relation loss over the drawn
+pairs, plus a weighted mean object cross-entropy when the model has an
+object head, each loss called once per batch on the rows of all its images
 (:func:`_batch_loss`). Bias rows are gathered from a dense class-pair table
 by the pair's classes. Parameters, momentum and gradients are flat buffers,
 with trees as views of them. A non-finite loss or gradient
 stops training with a ``FloatingPointError`` that names the iteration and,
 for a gradient, the parameter leaf.
 
-Training and evaluation forward images through one bucket runner
-(:class:`_Buckets`): images with the same object count and number of pairs
-run as one model call per :data:`FORWARD_CHUNK` of them, on an
-:class:`~tailbias.synth.Objects` record gathered once, and a failed call is
-run again image by image to name the first faulty image. Evaluation checks
-and derives its split as training does, at the checkpoint's feature width,
-forwards each image once over all its pairs (:func:`_forward_split`), and
-ranks the split's stacked ``(ΣP, L)`` score matrix once per constraint (see
+Training and evaluation forward images through one bucket planner
+(:class:`_Buckets`): within a step, images with the same object count and
+number of pairs run as one model call per :data:`FORWARD_CHUNK` of them,
+buckets in ascending ``(n, m)``, on an :class:`~tailbias.synth.Objects`
+record gathered once, and a failed call is run again image by image to name
+the first faulty image. Training plans every step of a window in one
+vectorized pass right after drawing it, so a step only slices its part of
+the plan (``BENCH_27.json``: ref_linear training 11525 -> 13691 img/s);
+evaluation plans its split as one step. Evaluation checks and derives its
+split as training does, at the checkpoint's feature width, forwards each
+image once over all its pairs (:func:`_forward_split`), and ranks the
+split's stacked ``(ΣP, L)`` score matrix once per constraint (see
 :mod:`tailbias.metrics`); the sweep reuses those logits at every grid point.
 In ``sgcls`` evaluation the argmax of the model's object probabilities is
 the object label throughout: inference-bias rows are gathered by it, and a
@@ -353,61 +357,93 @@ class _Gradient:
 
 
 class _Buckets:
-    """The images ``index`` of a split, image ``k`` over its pair rows
-    ``rows[starts[k]:starts[k + 1]]``, in buckets of the same object count
-    ``n`` and number ``m`` of pair rows, in order of first appearance, with
-    one model call per :data:`FORWARD_CHUNK` images of a bucket. In bucket
-    order (``order``, list positions): the split's ``objects`` rows, ``rel``
-    positions in ``rows``, the arrays the calls read, each gathered once, and
-    ``calls``, each ``(b, n, m, o, r)``: ``b`` images from object ``o``, pair ``r``."""
+    """The plan of a window of steps: the image ``slots`` of a split,
+    ``batch_size`` to a step (the last step may be short), slot ``q`` over its pair rows
+    ``rows[starts[q]:starts[q + 1]]`` with their relation ``targets``. Within
+    a step, images of the same object count ``n`` and number ``m`` of pair
+    rows form a bucket, buckets in ascending ``(n, m)``, with one model call
+    per :data:`FORWARD_CHUNK` images of a bucket. The whole window is planned
+    in one vectorized pass, so a step only takes views of it; evaluation
+    plans its split as one step.
 
-    def __init__(self, images: Images, split: _Split, index: np.ndarray, rows: np.ndarray,
-                 starts: np.ndarray):
-        first = images.obj_start[index]
-        self.index, self.counts = index, images.obj_start[index + 1] - first
-        sizes = starts[1:] - starts[:-1]
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for pos, key in enumerate(zip(self.counts.tolist(), sizes.tolist())):
-            buckets.setdefault(key, []).append(pos)
-        self.calls, o, r = [], 0, 0
-        for (n, m), at in buckets.items():
-            for lo in range(0, len(at), FORWARD_CHUNK):
-                b = min(FORWARD_CHUNK, len(at) - lo)
-                self.calls.append((b, n, m, o, r))
-                o, r = o + b * n, r + b * m
-        self.order = order = np.array([pos for at in buckets.values() for pos in at])
-        self.objects = _ranges(first[order], self.counts[order])
-        self.rel = _ranges(starts[order], sizes[order])
+    In plan order (``order``, slot positions, step by step): the split's
+    ``objects`` rows, ``rel`` positions in ``rows``, and what the calls and
+    the losses read, each gathered once: the ``record`` of the objects, the
+    ``pairs`` (global rows) and ``local`` pairs, ``unions``, ``targets`` and
+    the pairs' ``classes``. ``calls`` are ``(b, n, m, o, r)``: ``b`` images
+    from object ``o``, pair ``r``, and ``views`` each call's model arguments
+    ``(objects, unions, pairs)``, reshaped to ``b`` images. Step ``k`` holds the slots
+    ``slot_at[k]:slot_at[k + 1]``, the calls ``call_at[k]:…``, the objects
+    ``obj_at[k]:…`` and the pair rows ``rel_at[k]:…``; ``obj_slot`` and
+    ``rel_slot`` give each object and pair row its position in its step's
+    batch order, ``row`` each slot its position in its step's plan order."""
+
+    def __init__(self, images: Images, split: _Split, slots: np.ndarray, rows: np.ndarray,
+                 targets: np.ndarray, starts: np.ndarray, batch_size: int):
+        self.index = slots = np.asarray(slots, dtype=np.int64)
+        first = images.obj_start[slots]
+        self.counts, self.sizes = images.obj_start[slots + 1] - first, np.diff(starts)
+        step = np.arange(len(slots)) // batch_size
+        self.order = order = np.lexsort((self.sizes, self.counts, step))
+        n, m, k = self.counts[order], self.sizes[order], step[order]
+
+        # A call starts at each bucket's first image and every FORWARD_CHUNK-th one after it.
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (n[1:] != n[:-1]) | (m[1:] != m[:-1]) | (k[1:] != k[:-1])
+        bucket = np.flatnonzero(new)
+        place = np.arange(len(order)) - bucket.repeat(np.diff(np.append(bucket, len(order))))
+        call = np.flatnonzero(place % FORWARD_CHUNK == 0)
+        self.obj_off, self.rel_off = _offsets(n), _offsets(m)  # each plan position's first rows
+        self.calls = list(zip(np.diff(np.append(call, len(order))).tolist(), n[call].tolist(),
+                              m[call].tolist(), self.obj_off[call].tolist(),
+                              self.rel_off[call].tolist()))
+        bounds = np.minimum(np.arange(step[-1] + 2) * batch_size, len(slots))
+        obj_start = _offsets(self.counts)  # in slot order
+        obj_at, rel_at = obj_start[bounds], starts[bounds] - starts[0]
+        self.slot_at, self.obj_at, self.rel_at = bounds.tolist(), obj_at.tolist(), rel_at.tolist()
+        self.call_at = np.searchsorted(k[call], np.arange(step[-1] + 2)).tolist()
+
+        self.objects = _ranges(first[order], n)
+        self.rel = _ranges(starts[order], m)
+        # ``take`` gathers the rows of a 2-D array several times faster than indexing.
         at = rows[self.rel]
-        self.pairs, self.unions = split.pairs[at], images.unions[at]
-        self.record = images.objects(self.objects)
-        self.local = self.pairs - first[order].repeat(sizes[order])[:, None]
-
-    def run(self, forward: Callable, *args) -> Iterator[tuple[tuple, ModelOutput]]:
-        """Yield each call with its ``forward(objects, unions, pairs, *args)``.
-        After a failed call every image is forwarded alone, in the list's
-        order, to raise the first failure again with its split index as
-        ``image``; if no image fails alone, the call's error is raised."""
+        self.pairs, self.unions = split.pairs.take(at, axis=0), images.unions.take(at, axis=0)
+        self.record = Objects(*(a.take(self.objects, axis=0) for a in images.objects(slice(None))))
+        self.local = self.pairs - first[order].repeat(m)[:, None]
+        self.targets, self.classes = targets[self.rel], split.classes.take(self.pairs)
+        self.obj_slot = _ranges(obj_start[order], n) - obj_at[:-1].repeat(np.diff(obj_at))
+        self.rel_slot = self.rel - starts[bounds[:-1]].repeat(np.diff(rel_at))
+        self.row = np.empty_like(order)
+        self.row[order] = np.arange(len(order)) - k * batch_size
         record, unions, local = self.record, self.unions, self.local
-        for b, n, m, o, r in self.calls:
+        self.views = [(Objects(*(a[o : o + b * n].reshape((b, n) + a.shape[1:]) for a in record)),
+                       unions[r : r + b * m].reshape(b, m, unions.shape[-1]),
+                       local[r : r + b * m].reshape(b, m, 2)) for b, n, m, o, r in self.calls]
+
+    def run(self, k: int, forward: Callable, *args) -> Iterator[tuple[tuple, ModelOutput]]:
+        """Yield each call of step ``k`` with its ``forward(objects, unions,
+        pairs, *args)``. After a failed call every image of the step is
+        forwarded alone, in slot order, to raise the first failure again with
+        its split index as ``image``; if no image fails alone, the call's
+        error is raised."""
+        record, unions, local = self.record, self.unions, self.local
+        first, last = self.call_at[k : k + 2]
+        for call, views in zip(self.calls[first:last], self.views[first:last]):
             try:
-                out = forward(Objects(*(a[o : o + b * n].reshape((b, n) + a.shape[1:])
-                                        for a in record)),
-                              unions[r : r + b * m].reshape(b, m, unions.shape[-1]),
-                              local[r : r + b * m].reshape(b, m, 2), *args)
+                out = forward(*views, *args)
             except (ValueError, FloatingPointError):
-                alone = [(o + j * n, n, r + j * m, m) for b, n, m, o, r in self.calls
-                         for j in range(b)]
-                for k, q in enumerate(np.argsort(self.order).tolist()):
-                    o1, n1, r1, m1 = alone[q]
+                lo = self.slot_at[k]
+                for q in range(lo, self.slot_at[k + 1]):
+                    o1, r1 = self.obj_off[lo + self.row[q]], self.rel_off[lo + self.row[q]]
                     try:
-                        forward(Objects(*(a[o1 : o1 + n1] for a in record)),
-                                unions[r1 : r1 + m1], local[r1 : r1 + m1], *args)
+                        forward(Objects(*(a[o1 : o1 + self.counts[q]] for a in record)),
+                                unions[r1 : r1 + self.sizes[q]], local[r1 : r1 + self.sizes[q]],
+                                *args)
                     except (ValueError, FloatingPointError) as exc:
-                        exc.image = int(self.index[k])
+                        exc.image = int(self.index[q])
                         raise
                 raise
-            yield (b, n, m, o, r), out
+            yield call, out
 
 
 def _batch_loss(
@@ -416,16 +452,14 @@ def _batch_loss(
     params: LinearParams | DualEncoderParams,
     grad: _Gradient,
     loss_fn: LossFn,
-    split: _Split,
-    images: Images,
-    batch: Sequence[int],
-    drawn: tuple[np.ndarray, np.ndarray, np.ndarray],
+    plan: _Buckets,
+    k: int,
 ) -> float:
-    """The batch's mean relation loss over its ``drawn`` pairs (see
-    :func:`_draw`), plus the weighted mean object loss when the model has an
-    object head; adds its gradient into ``grad.vec``.
+    """Step ``k`` of ``plan``: the batch's mean relation loss over its drawn
+    pairs (see :func:`_draw`), plus the weighted mean object loss when the
+    model has an object head; adds its gradient into ``grad.vec``.
 
-    The batch runs in buckets (:class:`_Buckets`), one forward and one
+    The step takes its part of the window's plan, runs one forward and one
     backward per call, and each loss once, on the rows of the whole batch
     bucket by bucket; only its per-row values are added in batch order. Each
     image's gradient is written into its own row of ``grad.rows``, and the
@@ -433,36 +467,34 @@ def _batch_loss(
     for bit the sum of one backward per image, added in batch order.
     """
     spec = config.model
-    rows, targets, starts = drawn
-    plan = _Buckets(images, split, np.asarray(batch), rows, starts)
-    runs = list(plan.run(net.forward, params, spec, config.task))
+    (o0, o1), (r0, r1) = plan.obj_at[k : k + 2], plan.rel_at[k : k + 2]
+    runs = list(plan.run(k, net.forward, params, spec, config.task))
     width = config.label_space.num_relations + 1
     relation_logits = np.concatenate([out.relation_logits.reshape(-1, width) for _, out in runs])
-    rel, classes = plan.rel, split.classes[plan.pairs]
-    rel_loss = loss_fn(relation_logits, targets[rel], classes[:, 0], classes[:, 1])
-    d_rel = np.divide(rel_loss.grad_logits, len(rel), out=rel_loss.grad_logits)
-    loss_value = running_sum(_batch_order(rel_loss.value, rel)) / len(rel)
+    classes = plan.classes[r0:r1]
+    rel_loss = loss_fn(relation_logits, plan.targets[r0:r1], classes[:, 0], classes[:, 1])
+    d_rel = np.divide(rel_loss.grad_logits, r1 - r0, out=rel_loss.grad_logits)
+    loss_value = running_sum(_batch_order(rel_loss.value, plan.rel_slot[r0:r1])) / (r1 - r0)
 
-    # Only a model with an object head returns object logits; ``slot`` gives
-    # each object's position in batch order.
+    # Only a model with an object head returns object logits.
     d_obj, w_obj = None, spec.object_loss_weight
     object_logits = [out.object_logits.reshape(b * n, -1) for (b, n, m, o, r), out in runs
                      if out.object_logits is not None]
     if w_obj > 0 and object_logits:
-        counts, order, labels = plan.counts, plan.order, plan.record.labels
-        slot = _ranges(_offsets(counts)[order], counts[order])
+        labels = plan.record.labels[o0:o1]
         obj_loss = ce(np.concatenate(object_logits), labels)
         d_obj = np.multiply(obj_loss.grad_logits, w_obj / labels.size, out=obj_loss.grad_logits)
-        loss_value += w_obj * running_sum(_batch_order(obj_loss.value, slot)) / labels.size
+        loss_value += (w_obj * running_sum(_batch_order(obj_loss.value, plan.obj_slot[o0:o1]))
+                       / labels.size)
 
     lo = 0
     for (b, n, m, o, r), out in runs:
-        g_obj = None if d_obj is None else d_obj[o : o + b * n].reshape(b, n, -1)
-        g_rel = d_rel[r : r + b * m].reshape(b, m, width)
+        g_obj = None if d_obj is None else d_obj[o - o0 : o - o0 + b * n].reshape(b, n, -1)
+        g_rel = d_rel[r - r0 : r - r0 + b * m].reshape(b, m, width)
         net.backward(g_obj, g_rel, out, params, spec, grad.row_tree(lo, lo + b))
         lo += b
-    for j in np.argsort(plan.order):  # in batch order, in place: gathering the rows copies them
-        grad.vec += grad.rows[j]
+    for j in plan.row[plan.slot_at[k] : plan.slot_at[k + 1]].tolist():
+        grad.vec += grad.rows[j]  # in batch order, in place: gathering the rows copies them
     return loss_value
 
 
@@ -510,7 +542,9 @@ def train(
     first iteration; an image unfit to train on (fewer than two objects,
     detector scores of the wrong width, a class label outside the label
     space, invalid ground truth) raises ``ValueError`` naming its index, and
-    a batch that draws no pair one naming the iteration.
+    a batch that draws no pair one naming the iteration. Each window of
+    steps is drawn in one call (:func:`_draw`) and planned in one pass
+    (:class:`_Buckets`); a step runs its part of the plan (:func:`_batch_loss`).
     """
     if not len(train_images):
         raise ValueError("empty training dataset")
@@ -530,31 +564,26 @@ def train(
     shuffle_rng, sample_rng = _rng(config.seed, SHUFFLE_DOMAIN), _rng(config.seed, SAMPLE_DOMAIN)
     order = np.zeros(0, dtype=np.int64)
     losses: list[float] = []
-    # The steps of one epoch are drawn in one call, so the drawn rows held at
-    # once stay within about the split's own pair rows.
+    # The steps of one epoch are drawn in one call and planned in one pass, so
+    # the drawn rows held at once stay within about the split's own pair rows.
     size = opt.batch_size
     window = -(-len(train_images) // size)
 
     for step in range(1, opt.iterations + 1):
-        lo = (step - 1) % window * size  # the batch's first slot in the window
-        if not lo:
+        k = (step - 1) % window  # the step's place in its window
+        if not k:
             need = min(window, opt.iterations - step + 1) * size
             while len(order) < need:  # the shuffled order, refilled as it runs out
                 order = np.concatenate([order, shuffle_rng.permutation(len(train_images))])
             slots, order = order[:need], order[need:]
-            rows, targets, starts = _draw(
-                split, train_images.gt_start, slots, config.background_ratio, sample_rng)
-        at = starts[lo : lo + size + 1]
-        if at[0] == at[-1]:
+            drawn = _draw(split, train_images.gt_start, slots, config.background_ratio, sample_rng)
+            plan = _Buckets(train_images, split, slots, *drawn, size)
+        if plan.rel_at[k] == plan.rel_at[k + 1]:
             raise ValueError(f"iteration {step}: the batch draws no pairs (its images "
                              "have no ground truth and background_ratio is 0)")
-        batch = slots[lo : lo + size]
-        drawn = rows[at[0] : at[-1]], targets[at[0] : at[-1]], at - at[0]
         grad.vec.fill(0.0)
         try:
-            loss_value = _batch_loss(
-                config, net, params, grad, loss_fn, split, train_images, batch, drawn
-            )
+            loss_value = _batch_loss(config, net, params, grad, loss_fn, plan, k)
         except FloatingPointError as exc:
             raise FloatingPointError(f"iteration {step}: {exc}") from None
         if not np.isfinite(loss_value):
@@ -622,11 +651,13 @@ def _forward_split(checkpoint: Checkpoint, images: Images) -> _Scored:
             raise ValueError("non-finite relation logits")
         return out
 
-    plan = _Buckets(images, split, np.arange(len(images)), np.arange(pair_start[-1]), pair_start)
-    logits = np.empty((pair_start[-1], ls.num_relations + 1))
+    count = pair_start[-1]  # every pair, as one step; evaluation reads no targets
+    plan = _Buckets(images, split, np.arange(len(images)), np.arange(count),
+                    np.zeros(count, dtype=np.int64), pair_start, len(images))
+    logits = np.empty((count, ls.num_relations + 1))
     object_probs = np.empty(images.scores.shape)
     try:
-        for (b, n, m, o, r), out in plan.run(forward, params, config.model, config.task):
+        for (b, n, m, o, r), out in plan.run(0, forward, params, config.model, config.task):
             logits[plan.rel[r : r + b * m]] = out.relation_logits.reshape(b * m, -1)
             object_probs[plan.objects[o : o + b * n]] = out.object_probs.reshape(b * n, -1)
     except (ValueError, FloatingPointError) as exc:

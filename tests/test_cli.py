@@ -327,6 +327,31 @@ class TestErrors:
         assert re.match(r"iteration \d+: ", doc["error"]["message"])
         assert not (tmp_path / "run").exists()
 
+    def test_out_of_memory_gives_json_error(self, workspace, tmp_path, capsys, monkeypatch):
+        """A parameter allocation the host refuses prints one JSON error and
+        writes no run. The refusal is made to raise without allocating:
+        without an address-space limit the host may overcommit."""
+        import tailbias.model
+        import tailbias.numerics
+
+        def refuse(rng, scale, shape):
+            raise MemoryError(f"Unable to allocate 74.5 GiB for an array with shape {shape}")
+
+        for module in (tailbias.model, tailbias.numerics):
+            monkeypatch.setattr(module, "normal_init", refuse)
+        root, _, _, _, _ = workspace
+        doc = json.loads((root / "train.json").read_text())
+        doc["model"] = {"kind": "dual_encoder", "d_model": 100000, "n_h": 2}
+        train_cfg = tmp_path / "train.json"
+        train_cfg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["train", "--config", str(train_cfg), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["type"] == "MemoryError"
+        assert err["message"].startswith("Unable to allocate 74.5 GiB")
+        assert not (tmp_path / "run").exists()
+
     def test_invalid_ground_truth_gives_json_error(self, workspace, tmp_path, capsys):
         _, data_dir, _, _, run_dir = workspace
         lines = (data_dir / "test.jsonl").read_text().splitlines()

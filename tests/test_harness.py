@@ -235,6 +235,87 @@ class TestDraw:
         assert seen == calls
 
 
+def window_keys():
+    """A slot's object count ``n`` and number ``m`` of drawn pair rows."""
+    return st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n * (n - 1))))
+
+
+class TestWindowPlan:
+    """``_Buckets`` over a window of steps, as ``train`` plans one epoch of
+    steps after drawing it."""
+
+    @example(size=FORWARD_CHUNK + 2, seed=0,
+             keys=[(3, 4)] * (FORWARD_CHUNK + 1) + [(2, 0), (4, 12), (3, 4), (2, 0), (2, 2)])
+    @example(size=3, seed=1, keys=[(2, 0), (2, 0), (5, 20), (2, 1)])
+    @example(size=3, seed=2, keys=[(2, 2)] * 5)  # one key across a step boundary
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.integers(1, FORWARD_CHUNK + 3),
+           keys=st.lists(window_keys(), min_size=1, max_size=3 * FORWARD_CHUNK),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_step_runs_its_own_images_in_calls_of_one_key(self, space, size, keys, seed):
+        """Slot ``q`` is the ``n``-object image ``slots[q]`` of a shuffled
+        split, over ``m`` of its pair rows. Each call of step ``k`` holds at
+        most :data:`FORWARD_CHUNK` of step ``k``'s images, all of one ``(n,
+        m)``; the steps' calls hold each slot once; each image's objects,
+        unions, pairs, targets and classes, and its rows' batch positions,
+        are its own gather. A failing call names the image, alone, by its
+        split index: the first failing one of the step in slot order."""
+        rng = np.random.default_rng(seed)
+        d_v, count = 3, len(keys)
+        slots = rng.permutation(count)
+        records = [None] * count
+        for q, (n, m) in enumerate(keys):
+            records[slots[q]] = make_image(rng, n, space.num_object_classes, d_v)
+        images = Images.pack(records)
+        split = harness._pack(images, harness._truth(images, space, d_v), space, "predcls")
+        picks = [images.pair_start[slots[q]] + np.sort(rng.choice(n * (n - 1), m, replace=False))
+                 for q, (n, m) in enumerate(keys)]
+        rows = np.concatenate(picks).astype(np.int64)
+        targets = rng.integers(0, space.num_relations + 1, len(rows))
+        starts = np.cumsum([0] + [m for _, m in keys])
+        obj_starts = np.cumsum([0] + [n for n, _ in keys])
+        plan = harness._Buckets(images, split, slots, rows, targets, starts, size)
+
+        position = 0  # the plan position of a call's first image
+        for k in range(-(-count // size)):
+            step, seen = range(k * size, min((k + 1) * size, count)), []
+            for (b, n, m, o, r), (objects, unions, pairs) in plan.run(k, lambda *a: a):
+                assert 1 <= b <= FORWARD_CHUNK
+                assert objects.labels.shape == (b, n) and unions.shape == (b, m, d_v)
+                assert pairs.shape == (b, m, 2)
+                for j in range(b):
+                    q, i = plan.order[position + j], slots[plan.order[position + j]]
+                    assert q in step and keys[q] == (n, m)
+                    assert plan.row[q] == position + j - step[0]
+                    lo, at = images.obj_start[i], rows[starts[q] : starts[q + 1]]
+                    for got, want in zip(objects, images.objects(slice(lo, lo + n))):
+                        assert np.array_equal(got[j], want)
+                    assert np.array_equal(unions[j], images.unions[at])
+                    assert np.array_equal(pairs[j] + lo, split.pairs[at])
+                    rel = slice(r + j * m, r + (j + 1) * m)
+                    assert np.array_equal(plan.targets[rel], targets[starts[q] : starts[q + 1]])
+                    assert np.array_equal(plan.classes[rel], split.classes[split.pairs[at]])
+                    assert np.array_equal(plan.rel_slot[rel],
+                                          np.arange(starts[q], starts[q + 1]) - starts[step[0]])
+                    assert np.array_equal(
+                        plan.obj_slot[o + j * n : o + (j + 1) * n],
+                        np.arange(obj_starts[q], obj_starts[q + 1]) - obj_starts[step[0]])
+                    seen.append(q)
+                position += b
+            assert sorted(seen) == list(step)
+
+            fail = rng.choice(step, size=min(2, len(step)), replace=False)
+            bad = images.features[images.obj_start[slots[fail]], 0]
+
+            def failing(objects, *args):
+                if np.isin(objects.features[..., 0, 0], bad).any():
+                    raise ValueError("a failing image")
+
+            with pytest.raises(ValueError, match="^a failing image$") as info:
+                list(plan.run(k, failing))
+            assert info.value.image == slots[fail.min()]
+
+
 class TestTrain:
     @pytest.mark.parametrize(
         "kind, loss, bias, task",
@@ -433,10 +514,11 @@ class TestTrain:
         split, loss_fn = harness._prepare(config, images)
         params = net.init(config.model, space, 6, rng)
         batch = [0, 1, 2]
-        drawn = harness._draw(split, images.gt_start, batch, 0.0, rng)
+        plan = harness._Buckets(images, split, batch,
+                                *harness._draw(split, images.gt_start, batch, 0.0, rng), 3)
         with pytest.raises(FloatingPointError, match="^image 1 failed$"):
             harness._batch_loss(config, Model(net.init, forward, net.backward), params,
-                                harness._Gradient(params, 3), loss_fn, split, images, batch, drawn)
+                                harness._Gradient(params, 3), loss_fn, plan, 0)
 
     @pytest.mark.parametrize("w_obj", [0.0, 0.5])
     @pytest.mark.parametrize("kind", ["linear", "dual_encoder"])
@@ -462,14 +544,13 @@ class TestTrain:
         params = net.init(config.model, space, 6, rng)
         grad = harness._Gradient(params, 3)
         for batch in ([1, 0, 2], [0, 3, 2], [3, 1, 0]):
-            drawn = harness._draw(split, images.gt_start, batch, 0.0, rng)
+            plan = harness._Buckets(images, split, batch,
+                                    *harness._draw(split, images.gt_start, batch, 0.0, rng), 3)
             fresh = harness._Gradient(params, 3)
-            want = harness._batch_loss(config, net, params, fresh, loss_fn, split, images,
-                                       batch, drawn)
+            want = harness._batch_loss(config, net, params, fresh, loss_fn, plan, 0)
             grad.rows.fill(np.nan)
             grad.vec.fill(0.0)
-            got = harness._batch_loss(config, net, params, grad, loss_fn, split, images,
-                                      batch, drawn)
+            got = harness._batch_loss(config, net, params, grad, loss_fn, plan, 0)
             assert got == want
             assert np.isfinite(grad.vec).all() and grad.vec.any()
             assert np.array_equal(grad.vec, fresh.vec)
