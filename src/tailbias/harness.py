@@ -11,7 +11,11 @@ pairs at a configurable ratio. The draws depend only on the seeded shuffle
 and sampler, so the batches of one epoch of steps are drawn in one call
 (:func:`_draw`) and planned in one pass, and each step takes views of its
 batch's part; both generators are consumed as one draw per step would
-consume them. The optimized scalar is the mean relation loss over the drawn
+consume them. The window's background subsamples are one vectorized pass
+that reads the sampler's words as one ``Generator.choice`` per image slot
+reads them (:func:`_floyd`; ``BENCH_28.json``: ref_linear training 13754 ->
+16241 img/s), with the calls themselves as the rare fallback. The
+optimized scalar is the mean relation loss over the drawn
 pairs, plus a weighted mean object cross-entropy when the model has an
 object head, each loss called once per batch on the rows of all its images
 (:func:`_batch_loss`). Bias rows are gathered from a dense class-pair table
@@ -313,28 +317,105 @@ def _draw(
     """The pair rows drawn for the image ``slots`` (one batch, or the batches
     of many steps in a row), their targets, and the ``(S + 1,)`` offsets of
     each slot's block: per slot, every foreground pair, then a seeded
-    subsample of its background pairs, both in pair order. The only per-slot
-    work is the one ``rng.choice`` of a slot with background pairs to take,
-    in slot order, so drawing many batches in one call consumes ``rng`` as
-    drawing them one call each."""
+    subsample of its background pairs, both in pair order. The subsamples
+    are one ``rng.choice`` per slot with background pairs to take, in slot
+    order, drawn in one pass (:func:`_choices`), so drawing many batches in
+    one call consumes ``rng`` as drawing them one call each."""
     slots = np.asarray(slots, dtype=np.int64)
     fg_lo, bg_lo = gt_start[slots], split.bg_start[slots]
     n_fg, n_bg = gt_start[slots + 1] - fg_lo, split.bg_start[slots + 1] - bg_lo
     take = np.minimum(n_bg, np.round(background_ratio * np.maximum(n_fg, 1))).astype(np.int64)
-    picks = [split.bg_rows[:0]]
-    for n, t in zip(n_bg.tolist(), take.tolist()):
-        if t:
-            pick = rng.choice(n, size=t, replace=False)
-            pick.sort()
-            picks.append(pick)
+    picks = _choices(n_bg, take, rng)
     starts = _offsets(n_fg + take)
     rows = np.empty(starts[-1], dtype=np.int64)
     targets = np.zeros(starts[-1], dtype=np.int64)
     fg, fg_at = _ranges(fg_lo, n_fg), _ranges(starts[:-1], n_fg)
     rows[fg_at], targets[fg_at] = split.fg_rows[fg], split.fg_targets[fg]
-    rows[_ranges(starts[:-1] + n_fg, take)] = split.bg_rows[np.concatenate(picks)
-                                                           + bg_lo.repeat(take)]
+    rows[_ranges(starts[:-1] + n_fg, take)] = split.bg_rows[picks + bg_lo.repeat(take)]
     return rows, targets, starts
+
+
+def _choices(n: np.ndarray, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Each slot's ``np.sort(rng.choice(n[s], size=t[s], replace=False))``,
+    concatenated in slot order, with ``rng`` left as those calls leave it; a
+    slot with ``t[s] = 0`` makes no call. One vectorized pass (:func:`_floyd`),
+    or the calls themselves for the rare window it cannot draw."""
+    n, t = n[t > 0], t[t > 0]
+    picks = _floyd(n, t, rng)
+    if picks is None:  # only for a window of one or more slots
+        picks = np.concatenate([np.sort(rng.choice(a, size=b, replace=False))
+                                for a, b in zip(n.tolist(), t.tolist())])
+    return picks
+
+
+def _floyd(n: np.ndarray, t: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
+    """:func:`_choices` of slots with ``t >= 1`` in one pass over the window
+    that reads ``rng``'s 32-bit words as the ``choice`` calls read them;
+    ``None``, with ``rng`` untouched, when a call would draw otherwise.
+
+    For these arguments numpy's ``choice`` runs Floyd's algorithm (Bentley &
+    Floyd, CACM 1987) when ``n <= 10000`` or ``t <= n // 50``: for ``j = n -
+    t, …, n - 1`` a bounded draw ``v`` in ``[0, j]`` picks ``v``, or ``j`` when
+    ``v`` is already picked; then it shuffles the picks with one bounded draw
+    in ``[0, i]`` for each ``i = t - 1, …, 1``. A bounded draw in ``[0, r]``
+    (Lemire, arXiv 1805.10941) reads none for ``r = 0``, else one word ``u``,
+    and gives ``(u · (r + 1)) >> 32`` unless ``(u · (r + 1)) mod 2³²`` is
+    below ``(2³² − r − 1) mod (r + 1)``, when it reads another word. Such a
+    rejection (about 2e-9 per word at this problem's sizes) sends the whole
+    window back, as does a slot outside Floyd's regime. The sorted picks do
+    not depend on the shuffle, which only has to consume its words."""
+    if not len(t):
+        return np.zeros(0, dtype=np.int64)
+    if ((n > 10000) & (t > n // 50)).any():
+        return None
+    floyd = t - (t == n)  # the j = 0 draw reads no word
+    at = _offsets(floyd + t - 1)
+    bound = np.empty(at[-1], dtype=np.uint64)  # each word's r, in the order read
+    bound[_ranges(at[:-1], floyd)] = _ranges(n - floyd, floyd)
+    bound[_ranges(at[:-1] + floyd, t - 1)] = -_ranges(1 - t, t - 1)
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    scaled = _words(bitgen, state, len(bound)) * (bound + 1)
+    if ((scaled & 0xFFFFFFFF) < (2**32 - 1 - bound) % (bound + 1)).any():
+        bitgen.state = state
+        return None
+
+    # Column k of the (max t, S) picks is the slot with the k-th largest take,
+    # so the slots still drawing at step q are a prefix.
+    order = np.argsort(-t, kind="stable")
+    col = np.empty_like(order)
+    col[order] = np.arange(len(t))
+    width = int(t.max())
+    picks = np.zeros((width, len(t)), dtype=np.int64)
+    picks[_ranges(t - floyd, floyd), col.repeat(floyd)] = scaled[_ranges(at[:-1], floyd)] >> 32
+    j = (n - t)[order] + np.arange(width)[:, None]
+    drawing = len(t) - np.bincount(t, minlength=width).cumsum()
+    for q in range(1, width):
+        a = drawing[q]
+        pick = picks[q, :a]
+        np.copyto(pick, j[q, :a], where=(picks[:q, :a] == pick).any(axis=0))
+    picks = picks.T[col]  # slot order; a slot's unused places hold 0 and sort first
+    picks.sort(axis=1)
+    return picks[np.arange(width) >= width - t[:, None]]
+
+
+def _words(bitgen: np.random.BitGenerator, state: dict, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit words (as uint64) that ``bitgen``, a 64-bit
+    generator such as :func:`~tailbias.synth._rng`'s PCG64, at ``state``
+    gives numpy's bounded draws, consumed as they consume them:
+    the buffered half-word first, then the low and the high half of each raw
+    64-bit word, the high half of the last one kept (stale when used)."""
+    has = state["has_uint32"]
+    raw = bitgen.random_raw(max(count - has + 1, 0) // 2)
+    words = np.empty(has + 2 * len(raw), dtype=np.uint64)
+    words[:has] = state["uinteger"]
+    words[has::2], words[has + 1::2] = raw & 0xFFFFFFFF, raw >> 32
+    after = bitgen.state
+    after["has_uint32"] = (count - has) % 2
+    if len(raw):
+        after["uinteger"] = int(raw[-1] >> 32)
+    bitgen.state = after
+    return words[:count]
 
 
 class _Gradient:

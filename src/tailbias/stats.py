@@ -153,9 +153,13 @@ def ruled(default=MISSING, **rule):
 def check_value(key: str, value, choices: tuple | None = None, **bounds) -> None:
     """Raise ``ValueError`` naming ``key`` when ``value`` is not one of
     ``choices`` (``kind must be one of 'a', 'b', not 'c'``) or breaks one of
-    the :func:`ruled` ``bounds`` (``d_model must be >= 1``); NaN breaks any."""
+    the :func:`ruled` ``bounds`` (``d_model must be >= 1``), or when it is a
+    float outside the finite numbers and has bounds (``a must be a finite
+    number``), as :func:`from_dict` refuses NaN and ±inf by their key."""
     if choices is not None and value not in choices:
         raise ValueError(f"{key} must be one of {', '.join(map(repr, choices))}, not {value!r}")
+    if bounds and isinstance(value, float | np.floating) and not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number")
     for end, bound in bounds.items():
         if not getattr(operator, end)(value, bound):
             raise ValueError(f"{key} must be {_SIGNS[end]} {bound}")

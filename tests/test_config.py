@@ -2,8 +2,9 @@
 
 import hashlib
 import json
+import math
 import re
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -144,6 +145,23 @@ def test_a_value_its_declared_rule_refuses_is_named_by_its_key(cls, key, end, bo
     message = rf"^{key} must be one of .*, not 'nope'$" if end == "choices" else (
         rf"^{key} must (be|lie in) .*{re.escape(str(bound))}")
     with pytest.raises(ValueError, match=message):
+        from_dict(cls, {**REQUIRED.get(cls, {}), key: value})
+
+
+FLOAT_RULES = [(cls, f.name) for cls in CONFIGS for f in fields(cls)
+               if f.metadata and get_type_hints(cls)[f.name] is float]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("cls, key", FLOAT_RULES,
+                         ids=[f"{cls.__name__}-{key}" for cls, key in FLOAT_RULES])
+def test_a_ruled_float_refuses_a_non_finite_value_by_its_key(cls, key, value):
+    """Direct construction (``replace`` runs ``__post_init__``) refuses what
+    the reader refuses, so no config can be written that cannot be read back."""
+    base = from_dict(cls, REQUIRED.get(cls, {}))
+    with pytest.raises(ValueError, match=rf"^{key} must be a finite number$"):
+        replace(base, **{key: value})
+    with pytest.raises(ValueError, match=rf" key '{key}' must be a finite number$"):
         from_dict(cls, {**REQUIRED.get(cls, {}), key: value})
 
 

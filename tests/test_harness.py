@@ -235,6 +235,51 @@ class TestDraw:
         assert seen == calls
 
 
+def choice_loop(n, t, rng):
+    """The per-slot ``Generator.choice`` calls ``harness._choices`` reproduces:
+    the sorted picks of each slot with a take, in slot order."""
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        np.sort(rng.choice(a, size=b, replace=False)) for a, b in zip(n, t) if b])
+
+
+class TestChoices:
+    """``_choices``, the sampler of ``_draw``, against ``choice_loop``. It
+    reproduces numpy's own draw word for word, so a numpy release that draws
+    otherwise fails here first."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), buffered=st.booleans(),
+           slots=st.lists(st.integers(0, 60).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(0, n))), max_size=40))
+    @example(seed=0, buffered=False, slots=[])
+    @example(seed=1, buffered=True, slots=[(1, 1), (2, 1)])  # no word, then the buffered one
+    @example(seed=2, buffered=True, slots=[(3, 0), (5, 5), (0, 0), (4, 2)])
+    @example(seed=3, buffered=False, slots=[(20000, 400), (10000, 1500)])  # Floyd at its edges
+    def test_a_window_draws_the_picks_and_leaves_the_state_of_choice(self, seed, buffered, slots):
+        """Windows of ``(n_bg, take)`` slots, ``take`` from 0 to ``n_bg``, some
+        from a generator holding a buffered half-word."""
+        n, t = np.array(slots, dtype=np.int64).reshape(-1, 2).T
+        rng, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:
+            rng.integers(0, 7, dtype=np.uint32), want.integers(0, 7, dtype=np.uint32)
+        picks = harness._choices(n, t, rng)
+        assert np.array_equal(picks, choice_loop(n, t, want)) and picks.dtype == np.int64
+        assert rng.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("seed, slots", [
+        (0, [(30, 5), (20000, 401), (9, 9)]),  # n > 10000 and t > n // 50: no Floyd draw
+        (34, [(10000, 5000)]),  # a rejected word among Floyd's
+        (1842, [(10000, 5000)]),  # the first rejected word among the shuffle's
+    ], ids=["outside-floyd", "rejected-floyd-word", "rejected-shuffle-word"])
+    def test_a_window_numpy_draws_otherwise_makes_the_calls(self, seed, slots):
+        n, t = np.array(slots, dtype=np.int64).T
+        rng, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        before = rng.bit_generator.state
+        assert harness._floyd(n, t, rng) is None and rng.bit_generator.state == before
+        assert np.array_equal(harness._choices(n, t, rng), choice_loop(n, t, want))
+        assert rng.bit_generator.state == want.bit_generator.state
+
+
 def window_keys():
     """A slot's object count ``n`` and number ``m`` of drawn pair rows."""
     return st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n * (n - 1))))
