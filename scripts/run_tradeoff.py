@@ -1,120 +1,78 @@
 #!/usr/bin/env python3
-"""Head/tail trade-off experiment.
+"""Head/tail trade-off of every loss on the committed reference pipeline.
 
-Generates a long-tailed synthetic PredCls dataset, trains a plain
-cross-entropy baseline and a bias-resisted run per requested bias kind, and
-reports graph-constrained R@k and mR@k side by side, followed by the
-inference-time soft-bias sweep on the count-bias checkpoint.
-
-Defaults reproduce the committed reference run (seed 42 data, seed 7
-training). Takes about 3 s on one CPU core.
+Reads ``configs/reference/``, generates its long-tailed synthetic PredCls
+dataset and trains the linear relation head once per run: plain
+cross-entropy (``train_ce.json``), the four cost-sensitive baselines with
+their default options, and the resistance-biased loss (``train_cb.json``)
+with each bias kind. Prints graph-constrained R@50 and mR@50 per run with
+its ratio to cross-entropy, then the inference-time soft-bias sweep on the
+count-bias checkpoint. Takes about 7 s on one CPU core.
 """
 
 import argparse
 import sys
 import time
+from dataclasses import replace
+from pathlib import Path
 
-from tailbias.bias import BiasSpec
-from tailbias.harness import (
-    LossConfig,
-    ModelSpec,
-    OptimizerConfig,
-    TrainConfig,
-    evaluate,
-    sweep,
-    train,
-    training_stats,
-)
-from tailbias.stats import LabelSpace
+from tailbias.harness import LossConfig, TrainConfig, evaluate, sweep, train, training_stats
+from tailbias.stats import read_config
 from tailbias.synth import SynthConfig, generate_split
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs" / "reference"
+BASELINES = ("reweight", "class_balanced", "focal", "ldam")
+BIAS_KINDS = ("cb", "vb", "pb", "eb")
+GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
+K = 50
 
 
 def main() -> int:
+    synth = read_config(SynthConfig, str(CONFIGS / "synth.json"))
+    ce = read_config(TrainConfig, str(CONFIGS / "train_ce.json"))
+    cb = read_config(TrainConfig, str(CONFIGS / "train_cb.json"))
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--kinds", default="cb", help="comma list from cb,vb,pb,eb")
-    ap.add_argument("--num-train", type=int, default=2000)
-    ap.add_argument("--num-test", type=int, default=500)
-    ap.add_argument("--iterations", type=int, default=2000)
-    ap.add_argument("--zipf", type=float, default=1.5)
-    ap.add_argument("--noise", type=float, default=1.5)
-    ap.add_argument("--a", type=float, default=1.0)
-    ap.add_argument("--epsilon", type=float, default=1e-3)
-    ap.add_argument("--data-seed", type=int, default=42)
-    ap.add_argument("--train-seed", type=int, default=7)
-    ap.add_argument("--k", type=int, default=50)
+    ap.add_argument("--num-train", type=int, default=synth.num_train)
+    ap.add_argument("--num-test", type=int, default=synth.num_test)
+    ap.add_argument("--iterations", type=int, default=cb.optimizer.iterations)
     args = ap.parse_args()
+    started = time.time()
 
-    labels = LabelSpace(num_object_classes=20, num_relations=30)
-    synth = SynthConfig(
-        label_space=labels,
-        num_train=args.num_train,
-        num_val=0,
-        num_test=args.num_test,
-        zipf_s=args.zipf,
-        objects_min=4,
-        objects_max=6,
-        d_v=16,
-        noise_sigma=args.noise,
-        background_fraction=0.7,
-        seed=args.data_seed,
-    )
-    print(f"generating {args.num_train}+{args.num_test} images ...", flush=True)
+    synth = replace(synth, num_train=args.num_train, num_test=args.num_test)
+    print(f"generating {synth.num_train}+{synth.num_test} images ...", flush=True)
     train_images = generate_split(synth, "train")
     test_images = generate_split(synth, "test")
 
-    def run(loss_kind, bias_spec):
-        config = TrainConfig(
-            label_space=labels,
-            task="predcls",
-            model=ModelSpec(kind="linear"),
-            loss=LossConfig(kind=loss_kind),
-            bias=bias_spec,
-            optimizer=OptimizerConfig(
-                learning_rate=0.3, momentum=0.9, iterations=args.iterations, batch_size=8
-            ),
-            seed=args.train_seed,
-            eval_ks=(20, args.k, 100),
-        )
+    ce, cb = (
+        replace(c, optimizer=replace(c.optimizer, iterations=args.iterations)) for c in (ce, cb)
+    )
+    runs = {
+        "ce": ce,
+        **{kind: replace(ce, loss=LossConfig(kind=kind)) for kind in BASELINES},
+        **{kind: replace(cb, bias=replace(cb.bias, kind=kind)) for kind in BIAS_KINDS},
+    }
+    print(f"{'run':<15} {f'R@{K}':>8} {f'mR@{K}':>8} {'R ratio':>8} {'mR ratio':>9} {'time':>6}")
+    base = None
+    for name, config in runs.items():
         t0 = time.time()
-        checkpoint, log = train(config, train_images)
-        results = evaluate(checkpoint, test_images)
-        elapsed = time.time() - t0
-        return checkpoint, results["with"], log.losses[-1], elapsed
-
-    k = args.k
-    rows = []
-    print("training baseline (ce) ...", flush=True)
-    _, base, base_loss, base_t = run("ce", None)
-    rows.append(("ce", base, base_loss, base_t))
-
-    cb_checkpoint = None
-    for kind in [s.strip() for s in args.kinds.split(",") if s.strip()]:
-        spec = BiasSpec(kind=kind, a=args.a, epsilon=args.epsilon)
-        print(f"training biased run ({kind}) ...", flush=True)
-        ck, res, final_loss, elapsed = run("rtpb", spec)
-        rows.append((kind, res, final_loss, elapsed))
-        if kind == "cb":
-            cb_checkpoint = ck
-
-    print()
-    print(f"{'run':<6} {'R@' + str(k):>8} {'mR@' + str(k):>8} {'R ratio':>8} {'mR ratio':>9} {'loss':>8} {'time':>6}")
-    for name, res, final_loss, elapsed in rows:
-        r, mr = res.recall_at[k], res.mean_recall_at[k]
+        checkpoint, _ = train(config, train_images)
+        res = evaluate(checkpoint, test_images)["with"]
+        r, mr = res.recall_at[K], res.mean_recall_at[K]
+        base = base or (r, mr)
         print(
-            f"{name:<6} {r:>8.4f} {mr:>8.4f} "
-            f"{r / base.recall_at[k]:>8.3f} {mr / base.mean_recall_at[k]:>9.3f} "
-            f"{final_loss:>8.4f} {elapsed:>5.0f}s"
+            f"{name:<15} {r:>8.4f} {mr:>8.4f} {r / base[0]:>8.3f} {mr / base[1]:>9.3f} "
+            f"{time.time() - t0:>5.1f}s",
+            flush=True,
         )
+        if name == "cb":
+            cb_checkpoint = checkpoint
 
-    if cb_checkpoint is not None:
-        print("\nsoft-bias sweep on the cb checkpoint (inference-time only):")
-        stats = training_stats(train_images, labels)
-        spec = BiasSpec(kind="cb", a=args.a, epsilon=args.epsilon)
-        for a_e, res in sweep(
-            cb_checkpoint, stats, spec, [0.0, 0.25, 0.5, 0.75, 1.0], test_images
-        ):
-            w = res["with"]
-            print(f"  a_e={a_e:<5} R@{k}={w.recall_at[k]:.4f} mR@{k}={w.mean_recall_at[k]:.4f}")
+    print("\nsoft-bias sweep on the cb checkpoint (inference-time only):")
+    stats = training_stats(train_images, cb.label_space)
+    for a_e, res in sweep(cb_checkpoint, stats, cb.bias, GRID, test_images):
+        w = res["with"]
+        print(f"  a_e={a_e:<5} R@{K}={w.recall_at[K]:.4f} mR@{K}={w.mean_recall_at[K]:.4f}")
+    print(f"\n{len(runs)} runs and the sweep in {time.time() - started:.1f}s")
     return 0
 
 

@@ -35,6 +35,7 @@ from .stats import (
     LabelSpace,
     from_dict,
     ingest,
+    read_config,
     read_json,
     read_triplets_jsonl,
     stats_from_json,
@@ -59,10 +60,6 @@ class JsonArgumentParser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _read_config(cls, path: str):
-    return read_json(path, lambda text: from_dict(cls, json.loads(text)))
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -79,7 +76,7 @@ def _ensure_out(path: str) -> str:
 
 
 def cmd_synth(args) -> int:
-    config = _read_config(SynthConfig, args.config)
+    config = read_config(SynthConfig, args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     splits = {f"{name}.jsonl": generate_split(config, name) for name in ("train", "val", "test")}
@@ -93,14 +90,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    labels = _read_config(LabelSpace, args.labels)
-    if args.images:
-        images = read_images_jsonl(args.images)
-        stats = training_stats(images, labels)
-    elif args.data:
-        stats = ingest(read_triplets_jsonl(args.data), labels)
+    labels = read_config(LabelSpace, args.labels)
+    if args.images is not None:
+        stats = training_stats(read_images_jsonl(args.images), labels)
     else:
-        raise CliError("stats needs --images or --data")
+        stats = ingest(read_triplets_jsonl(args.data), labels)
     _write_text(args.out, stats_to_json(stats) + "\n")
     return 0
 
@@ -115,7 +109,7 @@ def cmd_bias(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _read_config(TrainConfig, args.config)
+    config = read_config(TrainConfig, args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     data = dict(config.data)
@@ -198,8 +192,9 @@ def build_parser() -> JsonArgumentParser:
 
     p = sub.add_parser("stats", help="build annotation statistics")
     p.add_argument("--labels", required=True)
-    p.add_argument("--images", default=None, help="image JSONL to read gt from")
-    p.add_argument("--data", default=None, help="triplet JSONL {s,o,r}")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--images", help="image JSONL to read gt from")
+    source.add_argument("--data", help="triplet JSONL {s,o,r}")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_stats)
 

@@ -45,6 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .model import MODES
 from .numerics import row_softmax
 from .stats import LabelSpace, check_value
 from .synth import _ranges
@@ -85,10 +86,9 @@ def object_pair_scores(
 ) -> np.ndarray | None:
     """``p(s) * p(o)`` per ``(s, o)`` row of ``pairs`` from each object's top
     probability in ``sgcls``; None in ``predcls``, where object scores are fixed to 1."""
+    check_value("mode", mode, choices=MODES)
     if mode == "predcls":
         return None
-    if mode != "sgcls":
-        raise ValueError(f"unknown mode {mode!r}")
     top = object_probs.max(axis=1)
     return top[pairs[:, 0]] * top[pairs[:, 1]]
 

@@ -12,7 +12,8 @@ nonzero cells as ``[s, o, r, n]`` entries in ``(s, o, r)`` order.
 Every file the package reads goes through :func:`read_json` or
 :func:`read_jsonl`, which raise each fault as a ``ValueError`` naming the file,
 and each list of numbers in it through :func:`read_numbers`. A config's types
-are checked by :func:`from_dict`, its :func:`ruled` values by :func:`check_fields`.
+are checked by :func:`from_dict`, its :func:`ruled` values by :func:`check_fields`;
+:func:`read_config` reads a config document by both.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "refuse_first",
     "flagged",
     "read_json",
+    "read_config",
     "read_jsonl",
     "read_numbers",
     "read_triplets_jsonl",
@@ -347,6 +349,12 @@ def read_json(path: str, parse: Callable):
     by :func:`_parsed` as ``"<path>: "``."""
     with open(path, "rb") as fh:
         return _parsed(path, parse, fh.read())
+
+
+def read_config(cls, path: str):
+    """The ``cls`` config document at ``path``, read by :func:`from_dict` under
+    :func:`read_json`'s rule."""
+    return read_json(path, lambda text: from_dict(cls, json.loads(text)))
 
 
 def read_jsonl(path: str, parse: Callable, gather: Callable = list):

@@ -1,27 +1,26 @@
 """Acceptance suite: one test per numbered criterion, one printed line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The directional criteria
-(8-10) share one committed reference pipeline: a PredCls dataset with 20
-object classes, 30 relations, Zipf skew 1.5, 2000/500 train/test images at
-synth seed 42, and two 2000-iteration linear-model runs at train seed 7, one
-with plain cross-entropy and one with the count bias (a=1, epsilon=1e-3).
-Reference-run values: ce R@50=0.7398 mR@50=0.4480; biased R@50=0.6668
-mR@50=0.5337 (graph-constrained).
+(8-10) share one reference pipeline, committed as the documents in
+``configs/reference/``: ``synth.json`` (a long-tailed PredCls dataset) and
+``train_ce.json`` / ``train_cb.json`` (two linear-model runs, plain
+cross-entropy and the count bias). Reference-run values: ce R@50=0.7398
+mR@50=0.4480; biased R@50=0.6668 mR@50=0.5337 (graph-constrained).
 """
 
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tailbias.bias import BiasSpec, compute_bias
-from tailbias.gradcert import run_certification
+from tailbias.cli import main
+from tailbias.gradcert import _random_instance, run_certification
 from tailbias.harness import (
     LossConfig,
-    ModelSpec,
-    OptimizerConfig,
     TrainConfig,
     evaluate,
     save_checkpoint,
@@ -31,75 +30,36 @@ from tailbias.harness import (
 )
 from tailbias.losses import baseline_loss, bias_gap, biased_ce, ce
 from tailbias.metrics import METRICS_CSV_HEADER, metrics_csv
-from tailbias.stats import LabelSpace, ingest
+from tailbias.stats import LabelSpace, ingest, read_config
 from tailbias.synth import SynthConfig, generate_split, write_images_jsonl
 
-LABELS = LabelSpace(num_object_classes=20, num_relations=30)
-SYNTH = SynthConfig(
-    label_space=LABELS,
-    num_train=2000,
-    num_val=0,
-    num_test=500,
-    zipf_s=1.5,
-    objects_min=4,
-    objects_max=6,
-    d_v=16,
-    noise_sigma=1.5,
-    background_fraction=0.7,
-    seed=42,
-)
-EVAL_KS = (20, 50, 100)
-CB_SPEC = BiasSpec(kind="cb", a=1.0, epsilon=1e-3)
-
-
-def train_config(loss_kind: str, bias: BiasSpec | None, iterations: int = 2000) -> TrainConfig:
-    return TrainConfig(
-        label_space=LABELS,
-        task="predcls",
-        model=ModelSpec(kind="linear"),
-        loss=LossConfig(kind=loss_kind),
-        bias=bias,
-        optimizer=OptimizerConfig(
-            learning_rate=0.3, momentum=0.9, iterations=iterations, batch_size=8
-        ),
-        seed=7,
-        eval_ks=EVAL_KS,
-    )
-
-
-def run_reference_pipeline(root: Path) -> dict:
-    """Criterion-8 pipeline: datasets, two training runs, metrics CSVs."""
-    train_images = generate_split(SYNTH, "train")
-    test_images = generate_split(SYNTH, "test")
-    write_images_jsonl(train_images, str(root / "train.jsonl"))
-    write_images_jsonl(test_images, str(root / "test.jsonl"))
-    out = {"root": root, "train_images": train_images, "test_images": test_images}
-    for name, kind, bias in (("ce", "ce", None), ("cb", "rtpb", CB_SPEC)):
-        checkpoint, _ = train(train_config(kind, bias), train_images)
-        save_checkpoint(checkpoint, str(root / f"checkpoint_{name}.json"))
-        results = evaluate(checkpoint, test_images)
-        (root / f"metrics_{name}.csv").write_text(
-            metrics_csv("predcls", results, list(EVAL_KS))
-        )
-        out[name] = {"checkpoint": checkpoint, "results": results}
-    return out
+CONFIGS = Path(__file__).resolve().parent.parent / "configs" / "reference"
+RUNS = ("ce", "cb")
 
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
+    """Criterion-8 pipeline through the Python API: datasets, two training
+    runs, metrics CSVs."""
     root = tmp_path_factory.mktemp("reference_run")
     started = time.time()
-    out = run_reference_pipeline(root)
+    synth = read_config(SynthConfig, str(CONFIGS / "synth.json"))
+    train_images = generate_split(synth, "train")
+    test_images = generate_split(synth, "test")
+    write_images_jsonl(train_images, str(root / "train.jsonl"))
+    write_images_jsonl(test_images, str(root / "test.jsonl"))
+    out = {"root": root, "train_images": train_images, "test_images": test_images}
+    for name in RUNS:
+        config = read_config(TrainConfig, str(CONFIGS / f"train_{name}.json"))
+        checkpoint, _ = train(config, train_images)
+        save_checkpoint(checkpoint, str(root / f"checkpoint_{name}.json"))
+        results = evaluate(checkpoint, test_images)
+        (root / f"metrics_{name}.csv").write_text(
+            metrics_csv(config.task, results, list(config.eval_ks))
+        )
+        out[name] = {"config": config, "checkpoint": checkpoint, "results": results}
     out["elapsed"] = time.time() - started
     return out
-
-
-def random_instance(rng):
-    dim = int(rng.integers(2, 65))
-    z = rng.uniform(-5.0, 5.0, dim)
-    b = rng.uniform(-5.0, 5.0, dim)
-    y = int(rng.integers(0, dim))
-    return z, b, y
 
 
 def test_criterion_1_gradient_certification():
@@ -121,7 +81,7 @@ def test_criterion_2_decomposition_identity():
     rng = np.random.default_rng(100)
     worst = 0.0
     for _ in range(10_000):
-        z, b, y = random_instance(rng)
+        z, b, y = _random_instance(rng)
         gap = abs(biased_ce(z, b, y).value - (ce(z, y).value + bias_gap(z, b, y)))
         worst = max(worst, gap)
     assert worst < 1e-10
@@ -133,7 +93,7 @@ def test_criterion_3_theta_monotonicity():
     delta = 1e-3
     violations = 0
     for _ in range(10_000):
-        z, b, y = random_instance(rng)
+        z, b, y = _random_instance(rng)
         bumped = b.copy()
         bumped[y] += delta
         if not bias_gap(z, bumped, y) > bias_gap(z, b, y):
@@ -146,12 +106,15 @@ def test_criterion_4_uniform_bias_neutrality(pipeline):
     # an a=0 bias is flat over the foreground; the background override makes
     # the whole vector one constant, which softmax losses cannot distinguish
     # from no bias at all
+    plain = pipeline["ce"]["config"]
+    plain = replace(plain, optimizer=replace(plain.optimizer, iterations=1000))
     eps = 1e-3
-    uniform = -math.log(1.0 / LABELS.num_relations + eps)
+    uniform = -math.log(1.0 / plain.label_space.num_relations + eps)
     flat_spec = BiasSpec(kind="cb", a=0.0, epsilon=eps, background=uniform)
+    flat = replace(pipeline["cb"]["config"], optimizer=plain.optimizer, bias=flat_spec)
     images = pipeline["train_images"]
-    _, log_plain = train(train_config("ce", None, iterations=1000), images)
-    _, log_flat = train(train_config("rtpb", flat_spec, iterations=1000), images)
+    _, log_plain = train(plain, images)
+    _, log_flat = train(flat, images)
     diffs = np.abs(np.array(log_plain.losses) - np.array(log_flat.losses))
     assert diffs.max() < 1e-12
     print(
@@ -183,7 +146,7 @@ def test_criterion_6_ldam_as_indicator_bias():
     worst_v = 0.0
     worst_g = 0.0
     for _ in range(1000):
-        z, _, y = random_instance(rng)
+        z, _, y = _random_instance(rng)
         counts = rng.integers(1, 500, z.size)
         out = baseline_loss(LossConfig(kind="ldam", margin_c=0.5), z, y, counts)
         indicator = np.zeros_like(z)
@@ -224,10 +187,11 @@ def test_criterion_8_directional_tradeoff(pipeline):
 
 
 def test_criterion_9_soft_bias_sweep(pipeline):
-    stats = training_stats(pipeline["train_images"], LABELS)
+    config = pipeline["cb"]["config"]
+    stats = training_stats(pipeline["train_images"], config.label_space)
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]
     rows = sweep(
-        pipeline["cb"]["checkpoint"], stats, CB_SPEC, grid, pipeline["test_images"]
+        pipeline["cb"]["checkpoint"], stats, config.bias, grid, pipeline["test_images"]
     )
     mrs = [res["with"].mean_recall_at[50] for _, res in rows]
     rs = [res["with"].recall_at[50] for _, res in rows]
@@ -239,32 +203,45 @@ def test_criterion_9_soft_bias_sweep(pipeline):
     print(f"\nACCEPTANCE 9 soft-bias-sweep: PASS ({table})")
 
 
+def run_cli_pipeline(root: Path) -> None:
+    """Criterion-8 pipeline through the command line, on the committed files."""
+    data = root / "data"
+    assert main(["synth", "--config", str(CONFIGS / "synth.json"), "--out", str(data)]) == 0
+    for name in RUNS:
+        run = root / f"run_{name}"
+        assert main(["train", "--config", str(CONFIGS / f"train_{name}.json"),
+                     "--data", str(data / "train.jsonl"), "--out", str(run)]) == 0
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+                     "--data", str(data / "test.jsonl"), "--out", str(root / f"eval_{name}")]) == 0
+
+
 def test_criterion_10_determinism_and_formats(pipeline, tmp_path_factory):
     repeat_root = tmp_path_factory.mktemp("repeat_run")
-    run_reference_pipeline(repeat_root)
+    run_cli_pipeline(repeat_root)
     first_root = pipeline["root"]
-    names = [
-        "train.jsonl",
-        "test.jsonl",
-        "checkpoint_ce.json",
-        "checkpoint_cb.json",
-        "metrics_ce.csv",
-        "metrics_cb.csv",
-    ]
-    for name in names:
+    # each artifact of the API run, and where the command line writes it
+    names = {
+        "train.jsonl": "data/train.jsonl",
+        "test.jsonl": "data/test.jsonl",
+        **{f"checkpoint_{name}.json": f"run_{name}/checkpoint.json" for name in RUNS},
+        **{f"metrics_{name}.csv": f"eval_{name}/metrics.csv" for name in RUNS},
+    }
+    for name, cli_name in names.items():
         a = (first_root / name).read_bytes()
-        b = (repeat_root / name).read_bytes()
-        assert a == b, f"{name} differs between repeated runs"
-    for name in ("metrics_ce.csv", "metrics_cb.csv"):
-        lines = (first_root / name).read_text().strip().split("\n")
+        b = (repeat_root / cli_name).read_bytes()
+        assert a == b, f"{name} differs between the API and the command line run"
+    eval_ks = pipeline["ce"]["config"].eval_ks
+    for name in RUNS:
+        lines = (first_root / f"metrics_{name}.csv").read_text().strip().split("\n")
         assert lines[0] == METRICS_CSV_HEADER
-        assert len(lines) == 1 + 2 * len(EVAL_KS)
+        assert len(lines) == 1 + 2 * len(eval_ks)
         for line in lines[1:]:
             mode, constraint, k, r, mr = line.split(",")
             assert mode == "predcls" and constraint in ("with", "without")
-            assert int(k) in EVAL_KS
+            assert int(k) in eval_ks
             assert 0.0 <= float(r) <= 1.0 and 0.0 <= float(mr) <= 1.0
     print(
         f"\nACCEPTANCE 10 determinism-and-formats: PASS "
-        f"({len(names)} artifacts byte-identical; CSV schema '{METRICS_CSV_HEADER}')"
+        f"({len(names)} artifacts byte-identical between the API and the command line; "
+        f"CSV schema '{METRICS_CSV_HEADER}')"
     )

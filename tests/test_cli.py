@@ -288,9 +288,15 @@ class TestErrors:
         doc = json.loads(err.strip())
         assert "error" in doc
 
-    def test_usage_error_is_json(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["bias", "--kind", "zz", "--stats", "s", "--out", "o"],
+        # stats reads exactly one source: both flags, or neither, is a usage error
+        ["stats", "--labels", "l", "--images", "i", "--data", "d", "--out", "o"],
+        ["stats", "--labels", "l", "--out", "o"],
+    ], ids=["bad-choice", "stats-both-sources", "stats-no-source"])
+    def test_usage_error_is_json(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["bias", "--kind", "zz", "--stats", "s", "--out", "o"])
+            main(argv)
         assert exc.value.code == 2
         doc = json.loads(capsys.readouterr().err.strip())
         assert doc["error"]["type"] == "usage"

@@ -5,7 +5,6 @@ import json
 import math
 import re
 from dataclasses import asdict, fields, replace
-from pathlib import Path
 from typing import get_type_hints
 
 import pytest
@@ -16,8 +15,6 @@ from tailbias.bias import BiasSpec
 from tailbias.harness import LossConfig, ModelSpec, OptimizerConfig, TrainConfig
 from tailbias.stats import LabelSpace, from_dict
 from tailbias.synth import SynthConfig
-
-README = Path(__file__).resolve().parents[1] / "README.md"
 
 floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -165,25 +162,34 @@ def test_a_ruled_float_refuses_a_non_finite_value_by_its_key(cls, key, value):
         from_dict(cls, {**REQUIRED.get(cls, {}), key: value})
 
 
-def readme_json(name: str) -> dict:
-    """The JSON block that follows the README's description of ``name``."""
-    text = README.read_text(encoding="utf-8")
-    return json.loads(re.search(rf"`{name}` is a .*?```json\n(.*?)```", text, re.S).group(1))
+# Two config documents, and the sha256 of the JSON they were read and written
+# back as before one reader and asdict replaced each class's from_dict and
+# to_dict. README showed both documents then.
+WRITTEN_BACK = [
+    (SynthConfig,
+     {"label_space": {"num_object_classes": 20, "num_relations": 30},
+      "num_train": 2000, "num_val": 100, "num_test": 500,
+      "zipf_s": 1.5, "objects_min": 4, "objects_max": 6,
+      "d_v": 16, "noise_sigma": 1.5, "background_fraction": 0.7, "seed": 42},
+     "02a96544211833490ad85aee61fe5c7902cab9387219142fae575287aa60143f"),
+    (TrainConfig,
+     {"label_space": {"num_object_classes": 20, "num_relations": 30},
+      "task": "predcls",
+      "model": {"kind": "linear"},
+      "loss": {"kind": "rtpb"},
+      "bias": {"kind": "cb", "a": 1.0, "epsilon": 0.001},
+      "optimizer": {"learning_rate": 0.3, "momentum": 0.9,
+                    "iterations": 2000, "batch_size": 8},
+      "seed": 7,
+      "data": [["train", "data/train.jsonl"]],
+      "eval_ks": [20, 50, 100]},
+     "b03f86062d6df943e45f4db669ca42000d13238dbfdda5f96d4ba9ee75db5d97"),
+]
 
 
-@pytest.mark.parametrize(
-    "name, cls, digest",
-    [
-        ("synth.json", SynthConfig,
-         "02a96544211833490ad85aee61fe5c7902cab9387219142fae575287aa60143f"),
-        ("train.json", TrainConfig,
-         "b03f86062d6df943e45f4db669ca42000d13238dbfdda5f96d4ba9ee75db5d97"),
-    ],
-)
-def test_readme_configs_are_written_back_as_before(name, cls, digest):
-    # sha256 of the JSON the readme's configs were read and written back as,
-    # before one reader and asdict replaced each class's from_dict and to_dict.
-    text = json.dumps(asdict(from_dict(cls, readme_json(name))))
+@pytest.mark.parametrize("cls, doc, digest", WRITTEN_BACK, ids=["synth", "train"])
+def test_config_documents_are_written_back_as_before(cls, doc, digest):
+    text = json.dumps(asdict(from_dict(cls, doc)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

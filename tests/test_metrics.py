@@ -44,6 +44,10 @@ class TestScoreTriplets:
             0.5 * 0.4 * 0.3, abs=1e-12
         )
 
+    def test_unknown_mode_is_refused_by_the_choices_rule(self):
+        with pytest.raises(ValueError, match="^mode must be one of 'predcls', 'sgcls', not 'x'$"):
+            object_pair_scores(np.ones((2, 3)), np.array([[0, 1]]), "x")
+
     def test_foreground_renormalization_ignores_background(self, rng):
         logits = rng.normal(size=(2, 4))
         shifted = logits.copy()

@@ -5,6 +5,7 @@ regular suite, rather than at benchmark time."""
 
 import importlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,10 @@ import tailbias.metrics as metrics
 import tailbias.model as model
 import tailbias.numerics as numerics
 from tailbias import bias, synth
-from tailbias.stats import LabelSpace, ingest
+from tailbias.stats import LabelSpace, ingest, read_config
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_every_probe_target_resolves(monkeypatch):
@@ -27,6 +29,19 @@ def test_every_probe_target_resolves(monkeypatch):
     assert layers.PROBES
     for name in layers.PROBES:
         assert callable(layers._resolve(name)), name
+
+
+def test_ref_linear_is_the_committed_reference_pipeline(monkeypatch):
+    """The ref_linear workload writes the reference configuration out itself;
+    its seed-0 configs must be ``configs/reference/``, trained for fewer
+    iterations per cycle."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    ref_linear = importlib.import_module("workloads").WORKLOADS["ref_linear"]
+    configs = ROOT / "configs" / "reference"
+    assert ref_linear.synth_config(0) == read_config(synth.SynthConfig, str(configs / "synth.json"))
+    config = ref_linear.train_config(0)
+    config = replace(config, optimizer=replace(config.optimizer, iterations=2000))
+    assert config == read_config(harness.TrainConfig, str(configs / "train_cb.json"))
 
 
 def test_traced_functions_keep_their_module_bindings():

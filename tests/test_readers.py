@@ -25,9 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailbias.bias import bias_from_json
-from tailbias.cli import _read_config, main
+from tailbias.cli import main
 from tailbias.harness import TrainConfig, load_checkpoint
-from tailbias.stats import LabelSpace, read_json, read_triplets_jsonl, stats_from_json
+from tailbias.stats import LabelSpace, read_config, read_json, read_triplets_jsonl, stats_from_json
 from tailbias.synth import SynthConfig, read_images_jsonl
 
 SWAPS = [None, True, "x", [], {}, [[0]], 0, -1, 1.5]
@@ -136,9 +136,9 @@ def number_swapped(draw, text: bytes, jsonl: bool) -> bytes:
 
 # reader name: (input file, reader, whether the file is JSONL)
 READERS = {
-    "synth-config": ("synth.json", lambda p: _read_config(SynthConfig, p), False),
-    "train-config": ("train_linear.json", lambda p: _read_config(TrainConfig, p), False),
-    "labels": ("data/labels.json", lambda p: _read_config(LabelSpace, p), False),
+    "synth-config": ("synth.json", lambda p: read_config(SynthConfig, p), False),
+    "train-config": ("train_linear.json", lambda p: read_config(TrainConfig, p), False),
+    "labels": ("data/labels.json", lambda p: read_config(LabelSpace, p), False),
     "statistics": ("stats.json", lambda p: read_json(p, stats_from_json), False),
     "bias-cb": ("bias_cb.json", lambda p: read_json(p, lambda t: bias_from_json(t, 3)), False),
     "bias-pb": ("bias_pb.json", lambda p: read_json(p, lambda t: bias_from_json(t, 3)), False),
