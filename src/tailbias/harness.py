@@ -22,21 +22,22 @@ object head, each loss called once per batch on the rows of all its images
 by the pair's classes. Parameters, momentum and gradients are flat buffers,
 with trees as views of them. A non-finite loss or gradient
 stops training with a ``FloatingPointError`` that names the iteration and,
-for a gradient, the parameter leaf.
+for a gradient, the parameter leaf; a forward that diverges shows as one of them.
 
 Training and evaluation forward images through one bucket planner
 (:class:`_Buckets`): within a step, images with the same object count and
 number of pairs run as one model call per :data:`FORWARD_CHUNK` of them,
 buckets in ascending ``(n, m)``, on an :class:`~tailbias.synth.Objects`
-record gathered once, and a failed call is run again image by image to name
-the first faulty image. Training plans every step of a window in one
+record gathered once. Training plans every step of a window in one
 vectorized pass right after drawing it, so a step only slices its part of
 the plan (``BENCH_27.json``: ref_linear training 11525 -> 13691 img/s);
 evaluation plans its split as one step. Evaluation checks and derives its
 split as training does, at the checkpoint's feature width, forwards each
-image once over all its pairs (:func:`_forward_split`), and ranks the
-split's stacked ``(ΣP, L)`` score matrix once per constraint (see
-:mod:`tailbias.metrics`); the sweep reuses those logits at every grid point.
+image once over all its pairs (:func:`_forward_split`), names the first
+image whose outputs are not finite, by the same array rule that checks the
+ground truth, and ranks the split's stacked ``(ΣP, L)`` score matrix once
+per constraint (see :mod:`tailbias.metrics`); the sweep reuses those logits
+at every grid point.
 In ``sgcls`` evaluation the argmax of the model's object probabilities is
 the object label throughout: inference-bias rows are gathered by it, and a
 ground-truth triplet can be recalled only when it equals the annotated label
@@ -55,7 +56,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from itertools import zip_longest
-from typing import Callable, ClassVar, Iterator, NamedTuple, Sequence
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,7 +79,6 @@ from .model import (
     DualEncoderParams,
     LinearParams,
     Model,
-    ModelOutput,
     ModelSpec,
     class_labels,
     feature_width,
@@ -450,23 +450,23 @@ class _Buckets:
     In plan order (``order``, slot positions, step by step): the split's
     ``objects`` rows, ``rel`` positions in ``rows``, and what the calls and
     the losses read, each gathered once: the ``record`` of the objects, the
-    ``pairs`` (global rows) and ``local`` pairs, ``unions``, ``targets`` and
-    the pairs' ``classes``. ``calls`` are ``(b, n, m, o, r)``: ``b`` images
-    from object ``o``, pair ``r``, and ``views`` each call's model arguments
-    ``(objects, unions, pairs)``, reshaped to ``b`` images. Step ``k`` holds the slots
-    ``slot_at[k]:slot_at[k + 1]``, the calls ``call_at[k]:…``, the objects
-    ``obj_at[k]:…`` and the pair rows ``rel_at[k]:…``; ``obj_slot`` and
+    pairs' unions and image-local rows, ``targets`` and the pairs'
+    ``classes``. ``calls`` are ``(b, n, m, o, r)``: ``b`` images from object
+    ``o``, pair ``r``, and ``views`` each call's model arguments ``(objects,
+    unions, pairs)``, reshaped to ``b`` images. Step ``k`` holds the slots
+    ``slot_at[k]:slot_at[k + 1]``, the calls ``call_at[k]:…`` (:meth:`step`),
+    the objects ``obj_at[k]:…`` and the pair rows ``rel_at[k]:…``; ``obj_slot`` and
     ``rel_slot`` give each object and pair row its position in its step's
     batch order, ``row`` each slot its position in its step's plan order."""
 
     def __init__(self, images: Images, split: _Split, slots: np.ndarray, rows: np.ndarray,
                  targets: np.ndarray, starts: np.ndarray, batch_size: int):
-        self.index = slots = np.asarray(slots, dtype=np.int64)
+        slots = np.asarray(slots, dtype=np.int64)
         first = images.obj_start[slots]
-        self.counts, self.sizes = images.obj_start[slots + 1] - first, np.diff(starts)
+        counts, sizes = images.obj_start[slots + 1] - first, np.diff(starts)
         step = np.arange(len(slots)) // batch_size
-        self.order = order = np.lexsort((self.sizes, self.counts, step))
-        n, m, k = self.counts[order], self.sizes[order], step[order]
+        self.order = order = np.lexsort((sizes, counts, step))
+        n, m, k = counts[order], sizes[order], step[order]
 
         # A call starts at each bucket's first image and every FORWARD_CHUNK-th one after it.
         new = np.ones(len(order), dtype=bool)
@@ -474,12 +474,11 @@ class _Buckets:
         bucket = np.flatnonzero(new)
         place = np.arange(len(order)) - bucket.repeat(np.diff(np.append(bucket, len(order))))
         call = np.flatnonzero(place % FORWARD_CHUNK == 0)
-        self.obj_off, self.rel_off = _offsets(n), _offsets(m)  # each plan position's first rows
         self.calls = list(zip(np.diff(np.append(call, len(order))).tolist(), n[call].tolist(),
-                              m[call].tolist(), self.obj_off[call].tolist(),
-                              self.rel_off[call].tolist()))
+                              m[call].tolist(), _offsets(n)[call].tolist(),
+                              _offsets(m)[call].tolist()))
         bounds = np.minimum(np.arange(step[-1] + 2) * batch_size, len(slots))
-        obj_start = _offsets(self.counts)  # in slot order
+        obj_start = _offsets(counts)  # in slot order
         obj_at, rel_at = obj_start[bounds], starts[bounds] - starts[0]
         self.slot_at, self.obj_at, self.rel_at = bounds.tolist(), obj_at.tolist(), rel_at.tolist()
         self.call_at = np.searchsorted(k[call], np.arange(step[-1] + 2)).tolist()
@@ -488,43 +487,23 @@ class _Buckets:
         self.rel = _ranges(starts[order], m)
         # ``take`` gathers the rows of a 2-D array several times faster than indexing.
         at = rows[self.rel]
-        self.pairs, self.unions = split.pairs.take(at, axis=0), images.unions.take(at, axis=0)
-        self.record = Objects(*(a.take(self.objects, axis=0) for a in images.objects(slice(None))))
-        self.local = self.pairs - first[order].repeat(m)[:, None]
-        self.targets, self.classes = targets[self.rel], split.classes.take(self.pairs)
+        pairs, unions = split.pairs.take(at, axis=0), images.unions.take(at, axis=0)
+        self.record = record = Objects(*(a.take(self.objects, axis=0)
+                                         for a in images.objects(slice(None))))
+        local = pairs - first[order].repeat(m)[:, None]
+        self.targets, self.classes = targets[self.rel], split.classes.take(pairs)
         self.obj_slot = _ranges(obj_start[order], n) - obj_at[:-1].repeat(np.diff(obj_at))
         self.rel_slot = self.rel - starts[bounds[:-1]].repeat(np.diff(rel_at))
         self.row = np.empty_like(order)
         self.row[order] = np.arange(len(order)) - k * batch_size
-        record, unions, local = self.record, self.unions, self.local
         self.views = [(Objects(*(a[o : o + b * n].reshape((b, n) + a.shape[1:]) for a in record)),
                        unions[r : r + b * m].reshape(b, m, unions.shape[-1]),
                        local[r : r + b * m].reshape(b, m, 2)) for b, n, m, o, r in self.calls]
 
-    def run(self, k: int, forward: Callable, *args) -> Iterator[tuple[tuple, ModelOutput]]:
-        """Yield each call of step ``k`` with its ``forward(objects, unions,
-        pairs, *args)``. After a failed call every image of the step is
-        forwarded alone, in slot order, to raise the first failure again with
-        its split index as ``image``; if no image fails alone, the call's
-        error is raised."""
-        record, unions, local = self.record, self.unions, self.local
+    def step(self, k: int) -> list[tuple[tuple, tuple]]:
+        """Step ``k``'s calls, each with its view ``(objects, unions, pairs)``."""
         first, last = self.call_at[k : k + 2]
-        for call, views in zip(self.calls[first:last], self.views[first:last]):
-            try:
-                out = forward(*views, *args)
-            except (ValueError, FloatingPointError):
-                lo = self.slot_at[k]
-                for q in range(lo, self.slot_at[k + 1]):
-                    o1, r1 = self.obj_off[lo + self.row[q]], self.rel_off[lo + self.row[q]]
-                    try:
-                        forward(Objects(*(a[o1 : o1 + self.counts[q]] for a in record)),
-                                unions[r1 : r1 + self.sizes[q]], local[r1 : r1 + self.sizes[q]],
-                                *args)
-                    except (ValueError, FloatingPointError) as exc:
-                        exc.image = int(self.index[q])
-                        raise
-                raise
-            yield call, out
+        return list(zip(self.calls[first:last], self.views[first:last]))
 
 
 def _batch_loss(
@@ -549,7 +528,8 @@ def _batch_loss(
     """
     spec = config.model
     (o0, o1), (r0, r1) = plan.obj_at[k : k + 2], plan.rel_at[k : k + 2]
-    runs = list(plan.run(k, net.forward, params, spec, config.task))
+    runs = [(call, net.forward(*views, params, spec, config.task))
+            for call, views in plan.step(k)]
     width = config.label_space.num_relations + 1
     relation_logits = np.concatenate([out.relation_logits.reshape(-1, width) for _, out in runs])
     classes = plan.classes[r0:r1]
@@ -626,6 +606,8 @@ def train(
     a batch that draws no pair one naming the iteration. Each window of
     steps is drawn in one call (:func:`_draw`) and planned in one pass
     (:class:`_Buckets`); a step runs its part of the plan (:func:`_batch_loss`).
+    A non-finite batch loss or gradient, as a diverging forward gives, raises
+    ``FloatingPointError`` naming the iteration.
     """
     if not len(train_images):
         raise ValueError("empty training dataset")
@@ -663,10 +645,7 @@ def train(
             raise ValueError(f"iteration {step}: the batch draws no pairs (its images "
                              "have no ground truth and background_ratio is 0)")
         grad.vec.fill(0.0)
-        try:
-            loss_value = _batch_loss(config, net, params, grad, loss_fn, plan, k)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"iteration {step}: {exc}") from None
+        loss_value = _batch_loss(config, net, params, grad, loss_fn, plan, k)
         if not np.isfinite(loss_value):
             raise FloatingPointError(f"iteration {step}: non-finite loss")
         bad = _first_leaf(params, ~np.isfinite(grad.vec))
@@ -710,41 +689,39 @@ class _Scored(NamedTuple):
 
 
 def _forward_split(checkpoint: Checkpoint, images: Images) -> _Scored:
-    """Check the split's ground truth as for training, at the checkpoint's
-    feature width, and forward every image once over all its ordered pairs,
-    in buckets (:class:`_Buckets`); each call's outputs are scattered into
-    split-wide arrays before the next call runs. An image failing the check,
-    its forward, or with non-finite logits raises ``ValueError`` naming its
-    index (see :meth:`_Buckets.run`).
+    """Check the checkpoint's parameters as :func:`save_checkpoint` does and
+    the split's ground truth as for training, at the checkpoint's feature
+    width; forward every image once over all its ordered pairs, in buckets
+    (:class:`_Buckets`), each call's outputs scattered into split-wide arrays.
+    An image failing the check, or with non-finite relation logits (or, in
+    ``sgcls``, object probabilities), raises ``ValueError`` naming its index.
     """
     if not len(images):
         raise ValueError("empty evaluation split")
     config, ls = checkpoint.config, checkpoint.config.label_space
-    d_v = feature_width(config.model, ls, sum(a.size for a in leaves(checkpoint.params)))
+    net, params = model_for(config.model), checkpoint.params
+    d_v = feature_width(config.model, ls, _finite_params(params).size)
     gt_image = _truth(images, ls, d_v)
     split = _pack(images, gt_image, ls, config.task)
     pair_start = images.pair_start
-    net, params = model_for(config.model), checkpoint.params
-
-    def forward(*args) -> ModelOutput:
-        out = net.forward(*args)
-        if not np.isfinite(out.relation_logits).all():
-            raise ValueError("non-finite relation logits")
-        return out
 
     count = pair_start[-1]  # every pair, as one step; evaluation reads no targets
     plan = _Buckets(images, split, np.arange(len(images)), np.arange(count),
                     np.zeros(count, dtype=np.int64), pair_start, len(images))
     logits = np.empty((count, ls.num_relations + 1))
     object_probs = np.empty(images.scores.shape)
-    try:
-        for (b, n, m, o, r), out in plan.run(0, forward, params, config.model, config.task):
-            logits[plan.rel[r : r + b * m]] = out.relation_logits.reshape(b * m, -1)
-            object_probs[plan.objects[o : o + b * n]] = out.object_probs.reshape(b * n, -1)
-    except (ValueError, FloatingPointError) as exc:
-        if not hasattr(exc, "image"):
-            raise
-        raise ValueError(f"image {exc.image}: {exc}") from None
+    for (b, n, m, o, r), views in plan.step(0):
+        out = net.forward(*views, params, config.model, config.task)
+        logits[plan.rel[r : r + b * m]] = out.relation_logits.reshape(b * m, -1)
+        object_probs[plan.objects[o : o + b * n]] = out.object_probs.reshape(b * n, -1)
+    outputs = [(logits, pair_start, "non-finite relation logits")]
+    if config.task == "sgcls":  # predcls reads no object probabilities
+        outputs.append((object_probs, images.obj_start, "non-finite object probabilities"))
+    if not all(np.isfinite(rows).all() for rows, _, _ in outputs):
+        image = np.arange(len(images))
+        refuse_first([(flagged(np.repeat(image, np.diff(start)), ~np.isfinite(rows).all(axis=1),
+                               len(images)), lambda i, why=why: why)
+                      for rows, start, why in outputs], "image")
     classes, matched = images.labels, np.ones(len(split.fg_rows), dtype=bool)
     if config.task == "sgcls":
         classes = object_probs.argmax(axis=1)
@@ -811,26 +788,38 @@ def sweep(
     """Evaluate with the weakened inference bias at each exponent in ``grid``.
 
     Each image is forwarded once; every grid point reuses the split's logits
-    and only re-biases, re-scores and re-ranks. An empty ``grid``, or a point
-    that :class:`BiasSpec` refuses as ``a_eval``, raises ``ValueError``
-    before any image is forwarded.
+    and only re-biases, re-scores and re-ranks. An empty ``grid``, a point
+    that :class:`BiasSpec` refuses as ``a_eval``, or one whose bias
+    :func:`soft_bias` refuses (the error then names the point's ``a_eval``),
+    raises ``ValueError`` before any image is forwarded.
     """
     ks = _check_ks(checkpoint.config.eval_ks if ks is None else ks, "ks")
     if not len(grid):
         raise ValueError("empty sweep grid")
-    points = [replace(spec, a_eval=float(a_e)) for a_e in grid]
+    biases = []
+    for point in [replace(spec, a_eval=float(a_e)) for a_e in grid]:
+        try:
+            biases.append((point.a_eval, soft_bias(point, stats)))
+        except ValueError as exc:
+            raise ValueError(f"a_eval {point.a_eval}: {exc}") from None
     scored = _forward_split(checkpoint, images)
-    return [(point.a_eval, _rank_split(checkpoint.config, scored, soft_bias(point, stats), ks))
-            for point in points]
+    return [(a_e, _rank_split(checkpoint.config, scored, bias, ks)) for a_e, bias in biases]
+
+
+def _finite_params(params: LinearParams | DualEncoderParams) -> np.ndarray:
+    """The flat parameters; ``ValueError`` names the first leaf holding a
+    non-finite value."""
+    data = flatten(params)
+    bad = _first_leaf(params, ~np.isfinite(data))
+    if bad is not None:
+        raise ValueError(f"checkpoint parameter {bad} is not finite")
+    return data
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     """Write the checkpoint as JSON; non-finite parameters raise ``ValueError``
     naming the leaf, before the file is opened."""
-    data = flatten(checkpoint.params)
-    bad = _first_leaf(checkpoint.params, ~np.isfinite(data))
-    if bad is not None:
-        raise ValueError(f"checkpoint parameter {bad} is not finite")
+    data = _finite_params(checkpoint.params)
     doc = {
         "config": asdict(checkpoint.config),
         "iterations": checkpoint.iterations,

@@ -607,9 +607,9 @@ def batch_loss(config, net, params, grad_vec, loss_fn, batch, sample_rng):
 
 def train(config, images, loss_fn=None):
     """SGD with momentum over per-image draws; the final flat parameters and
-    the per-iteration losses. A forward's ``FloatingPointError``, a non-finite
-    loss or a non-finite gradient stops training with a ``FloatingPointError``
-    naming the iteration and, for a gradient, the first parameter leaf holding one."""
+    the per-iteration losses. A non-finite loss or a non-finite gradient stops
+    training with a ``FloatingPointError`` naming the iteration and, for a
+    gradient, the first parameter leaf holding one."""
     ls = config.label_space
     stats = training_stats(images, ls)
     bias = None if config.bias is None else compute_bias(config.bias, stats)
@@ -632,10 +632,7 @@ def train(config, images, loss_fn=None):
                 order = shuffle_rng.permutation(len(images)).tolist()
             batch.append(images[order.pop(0)])
         grad_vec.fill(0.0)
-        try:
-            loss_value = batch_loss(config, net, params, grad_vec, loss_fn, batch, sample_rng)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"iteration {step}: {exc}") from None
+        loss_value = batch_loss(config, net, params, grad_vec, loss_fn, batch, sample_rng)
         if loss_value is None:
             raise ValueError(
                 f"iteration {step}: the batch draws no pairs "

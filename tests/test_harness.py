@@ -41,7 +41,7 @@ from tailbias.model import (
     model_for,
 )
 from tailbias.numerics import flatten, leaves
-from tailbias.stats import LabelSpace, from_dict
+from tailbias.stats import LabelSpace, from_dict, ingest
 from tailbias.synth import Images, SynthConfig, SynthImage, all_ordered_pairs, generate_split
 from test_model import make_image
 
@@ -303,8 +303,7 @@ class TestWindowPlan:
         most :data:`FORWARD_CHUNK` of step ``k``'s images, all of one ``(n,
         m)``; the steps' calls hold each slot once; each image's objects,
         unions, pairs, targets and classes, and its rows' batch positions,
-        are its own gather. A failing call names the image, alone, by its
-        split index: the first failing one of the step in slot order."""
+        are its own gather."""
         rng = np.random.default_rng(seed)
         d_v, count = 3, len(keys)
         slots = rng.permutation(count)
@@ -324,7 +323,7 @@ class TestWindowPlan:
         position = 0  # the plan position of a call's first image
         for k in range(-(-count // size)):
             step, seen = range(k * size, min((k + 1) * size, count)), []
-            for (b, n, m, o, r), (objects, unions, pairs) in plan.run(k, lambda *a: a):
+            for (b, n, m, o, r), (objects, unions, pairs) in plan.step(k):
                 assert 1 <= b <= FORWARD_CHUNK
                 assert objects.labels.shape == (b, n) and unions.shape == (b, m, d_v)
                 assert pairs.shape == (b, m, 2)
@@ -348,17 +347,6 @@ class TestWindowPlan:
                     seen.append(q)
                 position += b
             assert sorted(seen) == list(step)
-
-            fail = rng.choice(step, size=min(2, len(step)), replace=False)
-            bad = images.features[images.obj_start[slots[fail]], 0]
-
-            def failing(objects, *args):
-                if np.isin(objects.features[..., 0, 0], bad).any():
-                    raise ValueError("a failing image")
-
-            with pytest.raises(ValueError, match="^a failing image$") as info:
-                list(plan.run(k, failing))
-            assert info.value.image == slots[fail.min()]
 
 
 class TestTrain:
@@ -536,35 +524,6 @@ class TestTrain:
             sum(per_image_rows[i : i + size]) for i in range(0, len(per_image_rows), size)
         ]
 
-    def test_a_failed_bucket_raises_what_the_first_faulty_image_raises(self, space):
-        """Images 0 and 2 share a bucket, run first; image 1, of another
-        object count, fails with its own error, and so does image 2. The
-        batch raises image 1's error, as one forward per image in batch
-        order does."""
-        rng = np.random.default_rng(2)
-        records = [make_image(rng, n, space.num_object_classes, 6) for n in (3, 4, 3)]
-        records = [replace(img, gt=np.array([[0, 1, 1]])) for img in records]
-        for i in (1, 2):
-            records[i].features[0, 0] = 100.0 + i
-        images = Images.pack(records)
-        config = linear_config(space)
-        net = model_for(config.model)
-
-        def forward(image, *args):
-            tags = image.features[..., 0, 0].ravel()
-            if (tags >= 100.0).any():
-                raise FloatingPointError(f"image {int(tags[tags >= 100.0][0]) - 100} failed")
-            return net.forward(image, *args)
-
-        split, loss_fn = harness._prepare(config, images)
-        params = net.init(config.model, space, 6, rng)
-        batch = [0, 1, 2]
-        plan = harness._Buckets(images, split, batch,
-                                *harness._draw(split, images.gt_start, batch, 0.0, rng), 3)
-        with pytest.raises(FloatingPointError, match="^image 1 failed$"):
-            harness._batch_loss(config, Model(net.init, forward, net.backward), params,
-                                harness._Gradient(params, 3), loss_fn, plan, 0)
-
     @pytest.mark.parametrize("w_obj", [0.0, 0.5])
     @pytest.mark.parametrize("kind", ["linear", "dual_encoder"])
     def test_a_batch_gradient_ignores_what_the_row_buffer_held(self, space, kind, w_obj):
@@ -676,6 +635,35 @@ def perfect_checkpoint(space):
         eval_ks=(10, 50),
     )
     return Checkpoint(config=config, iterations=1, params=params)
+
+
+FAULTS = ["unions", "object-probs", "parameter"]
+
+
+def inject(fault, images, checkpoint, faulty):
+    """Put ``fault`` into the images ``faulty`` of a packed split (after
+    packing, which refuses a non-finite row) or into the checkpoint; return
+    the refusal evaluation must raise, or None when the task reads no faulty
+    value. A NaN union row gives non-finite relation logits. The linear
+    model's object probabilities are the detector scores; the dual encoder's
+    overflow at every image when ``w_clf_obj`` is 1e308, so image 0 is named;
+    predcls reads neither. A NaN parameter is named as ``save_checkpoint``
+    names it."""
+    kind, task = checkpoint.config.model.kind, checkpoint.config.task
+    if fault == "unions":
+        images.unions[images.pair_start[faulty] + 1] = np.nan
+        return f"image {min(faulty)}: non-finite relation logits"
+    if fault == "parameter":
+        leaf = "w" if kind == "linear" else "w_clf_rel"
+        getattr(checkpoint.params, leaf)[0, 0] = np.nan
+        return f"checkpoint parameter {leaf} is not finite"
+    if kind == "linear":
+        images.scores[images.obj_start[faulty]] = np.nan
+        first = min(faulty)
+    else:
+        checkpoint.params.w_clf_obj[...] = 1e308
+        first = 0
+    return f"image {first}: non-finite object probabilities" if task == "sgcls" else None
 
 
 def one_object_image(space):
@@ -925,45 +913,49 @@ class TestEvaluate:
         else:
             assert np.array_equal(scored.pair_scores, want)
 
-    @pytest.mark.parametrize(
-        "kind, message",
-        [("dual_encoder", "attention produced non-finite values"),
-         ("linear", "non-finite relation logits")],
-    )
-    def test_a_failed_bucket_names_the_first_faulty_image(self, kind, message):
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("task", ["predcls", "sgcls"])
+    @pytest.mark.parametrize("kind", ["linear", "dual_encoder"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_a_failed_bucket_names_the_first_faulty_image(self, kind, task, fault):
         """Image 3 sits in a bucket of 4-object images and image 4 in the
-        bucket of 3-object images, which is forwarded first; both have a NaN
-        union row, set after packing (which refuses one), and image 3 is
-        named, in evaluation and in the sweep."""
+        bucket of 3-object images, which is forwarded first; both are given
+        ``fault``, and image 3 is named, in evaluation and in the sweep."""
         space = LabelSpace(num_object_classes=5, num_relations=4)
         rng = np.random.default_rng(5)
         records = [make_image(rng, n, space.num_object_classes, 6) for n in [4, 4, 3, 4, 3, 4]]
         images = Images.pack(records)
-        images.unions[images.pair_start[[3, 4]] + 1] = np.nan
-        config = model_config(space, kind)
+        config = replace(model_config(space, kind), task=task)
         ck = Checkpoint(config, 0, model_for(config.model).init(config.model, space, 6, rng))
-        want = f"^image 3: {re.escape(message)}$"
+        message = inject(fault, images, ck, [3, 4])
+        stats = training_stats(images, space)
+        if message is None:
+            evaluate(ck, images)
+            return
+        want = f"^{re.escape(message)}$"
         with pytest.raises(ValueError, match=want):
             evaluate(ck, images)
-        stats = training_stats(images, space)
         with pytest.raises(ValueError, match=want):
             sweep(ck, stats, BiasSpec(kind="cb", epsilon=1e-3), [0.0], images)
 
-    @pytest.mark.parametrize(
-        "kind, message",
-        [("dual_encoder", "attention produced non-finite values"),
-         ("linear", "non-finite relation logits")],
-    )
-    def test_a_one_image_split_names_its_faulty_image(self, kind, message):
-        """A split of one image with a NaN union row (set after packing): its
-        one call fails, and the image, forwarded again alone, is named."""
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("task", ["predcls", "sgcls"])
+    @pytest.mark.parametrize("kind", ["linear", "dual_encoder"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_a_one_image_split_names_its_faulty_image(self, kind, task, fault):
+        """A split of one image, given ``fault``: its one call's outputs name it."""
         space = LabelSpace(num_object_classes=5, num_relations=4)
         rng = np.random.default_rng(6)
         images = Images.pack([make_image(rng, 3, space.num_object_classes, 6)])
-        images.unions[2] = np.nan
-        config = model_config(space, kind)
+        config = replace(model_config(space, kind), task=task)
         ck = Checkpoint(config, 0, model_for(config.model).init(config.model, space, 6, rng))
-        with pytest.raises(ValueError, match=f"^image 0: {re.escape(message)}$"):
+        message = inject(fault, images, ck, [0])
+        if message is None:
+            evaluate(ck, images)
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             evaluate(ck, images)
 
     def test_empty_split_rejected(self, space, data):
@@ -1092,21 +1084,27 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(ck, stats, spec, [1.5], test_images)
 
-    @pytest.mark.parametrize("grid, shown", [([-0.5], "-0.5"), ([0.0, float("nan")], "nan"),
-                                             ([0.5, 1.5], "1.5")],
-                             ids=["negative", "nan", "above-a"])
+    @pytest.mark.parametrize("epsilon, grid, message", [
+        (1e-3, [-0.5], "a_eval -0.5 must lie in [0, a], a = 1.0"),
+        (1e-3, [0.0, float("nan")], "a_eval nan must lie in [0, a], a = 1.0"),
+        (1e-3, [0.5, 1.5], "a_eval 1.5 must lie in [0, a], a = 1.0"),
+        (0.0, [0.0, 0.5], "a_eval 0.5: bias vector has non-finite entries; raise epsilon or "
+         "drop zero-weight relations"),
+    ], ids=["negative", "nan", "above-a", "zero-weight-relation"])
     def test_a_bad_grid_point_is_refused_before_any_forward(
-        self, space, data, monkeypatch, grid, shown
+        self, space, data, monkeypatch, epsilon, grid, message
     ):
         """Each point is checked by :class:`BiasSpec`, naming the value and
-        ``a``, before the split is forwarded."""
+        ``a``, and its bias built, before the split is forwarded; statistics
+        without relations 3..8 give a zero-weight relation an infinite bias at
+        ``epsilon`` 0 once ``a_eval`` > 0, and the refusal names the point."""
         train_images, test_images = data
-        spec = BiasSpec(kind="cb", a=1.0, epsilon=1e-3)
+        spec = BiasSpec(kind="cb", a=1.0, epsilon=epsilon)
         ck, _ = train(linear_config(space), train_images)
-        stats = training_stats(train_images, space)
+        stats = ingest([(0, 1, 1), (1, 2, 2)], space)
         forwards = []
         monkeypatch.setattr(harness, "_forward_split", lambda *args: forwards.append(args))
-        with pytest.raises(ValueError, match=rf"^a_eval {shown} must lie in \[0, a\], a = 1\.0$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sweep(ck, stats, spec, grid, test_images)
         assert forwards == []
 

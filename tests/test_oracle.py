@@ -29,7 +29,7 @@ from tailbias.harness import (
     training_stats,
 )
 from tailbias.metrics import CONSTRAINTS, MISS, candidate_index, evaluate_split, rank
-from tailbias.model import init_linear
+from tailbias.model import init_linear, model_for
 from tailbias.stats import LabelSpace, ingest, stats_from_json, stats_to_json
 from tailbias.numerics import flatten
 from tailbias.synth import Images, SynthConfig, SynthImage, all_ordered_pairs, generate_split
@@ -274,6 +274,9 @@ def diverging(seed, task):
     seed=st.integers(0, 1000),
 )
 @settings(max_examples=100, deadline=None)
+# A diverging example overflows in the encoder before its loss is refused.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
 def test_packed_training_matches_the_per_image_oracle(
     images, kind, task, loss, background_ratio, batch_size, iterations, seed
 ):
@@ -361,6 +364,27 @@ def test_a_bucket_cut_into_calls_matches_the_per_image_oracle(kind):
     want_params, want_losses = oracle.train(config, images)
     assert np.array_equal(flatten(checkpoint.params), want_params)
     assert log.losses == want_losses
+
+
+@given(
+    images=st.lists(training_image(), min_size=1, max_size=FORWARD_CHUNK + 4),
+    kind=st.sampled_from(["linear", "dual_encoder"]),
+    task=st.sampled_from(["predcls", "sgcls"]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_evaluation_names_the_smallest_faulty_image(images, kind, task, data):
+    """A random nonempty set of images each get a NaN union row after packing
+    (which refuses one); evaluation names the smallest of their indices,
+    whichever bucket or call of a bucket each is forwarded in."""
+    split = Images.pack(images)
+    faulty = data.draw(st.sets(st.integers(0, len(images) - 1), min_size=1))
+    for i in faulty:
+        split.unions[data.draw(st.integers(split.pair_start[i], split.pair_start[i + 1] - 1))] = np.nan
+    config = TrainConfig(label_space=SMALL, task=task, model=small_model(kind))
+    params = model_for(config.model).init(config.model, SMALL, D_V, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"^image {min(faulty)}: non-finite relation logits$"):
+        evaluate(Checkpoint(config, 0, params), split)
 
 
 # --- dense statistics and the split-wide ground-truth check -------------------
