@@ -1,19 +1,25 @@
 """Command line front end.
 
 Subcommands: ``synth``, ``stats``, ``bias``, ``train``, ``eval``, ``sweep``,
-``gradcheck``. Each writes its artifacts under the ``--out`` directory along
-with a ``manifest.json`` naming them. A fault of a file read is a ``ValueError``
-starting with its path (see :func:`~tailbias.stats.read_json`). Failures print a
-machine-readable JSON error object to stderr and exit nonzero.
+``gradcheck``. Each command returns its exit code and artifacts, which
+:func:`main` alone writes through :func:`~tailbias.stats.write_text`: the text
+of the one file ``--out`` names (``stats``, ``bias``), or ``{name: text}`` under
+the ``--out`` directory with a ``manifest.json`` of their sha256 digests. A
+fault of a file read is a ``ValueError`` starting with its path (see
+:func:`~tailbias.stats.read_json`). Failures print a machine-readable JSON
+error object to stderr and exit nonzero; a refused input writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import platform
 import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -22,9 +28,9 @@ from .bias import GLOBAL_KINDS, PAIR_KINDS, BiasSpec, bias_from_json, bias_to_js
 from .gradcert import run_certification
 from .harness import (
     TrainConfig,
+    checkpoint_to_json,
     evaluate,
     load_checkpoint,
-    save_checkpoint,
     sweep,
     sweep_csv,
     train,
@@ -40,8 +46,9 @@ from .stats import (
     read_triplets_jsonl,
     stats_from_json,
     stats_to_json,
+    write_text,
 )
-from .synth import SynthConfig, generate_split, read_images_jsonl, write_images_jsonl
+from .synth import SynthConfig, generate_split, images_to_jsonl, read_images_jsonl
 
 __all__ = ["main"]
 
@@ -60,123 +67,108 @@ class JsonArgumentParser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _write_outputs(command: str, out: str | None, files: str | dict) -> None:
+    """Write what ``command`` returned: a ``str`` as the file ``out``, or each
+    ``{name: text}`` under the directory ``out``, created here, then a
+    ``manifest.json`` giving each file's sha256. No ``out`` writes nothing."""
+    if out is None:
+        return
+    if isinstance(files, str):
+        return write_text(out, files)
+    os.makedirs(out, exist_ok=True)
+    for name, text in files.items():
+        write_text(os.path.join(out, name), text)
+    outputs = {name: {"sha256": hashlib.sha256(Path(out, name).read_bytes()).hexdigest()}
+               for name in sorted(files)}
+    doc = {"command": command, "version": __version__, "numpy": np.__version__,
+           "python": platform.python_version(), "outputs": outputs}
+    write_text(os.path.join(out, "manifest.json"), json.dumps(doc, indent=2) + "\n")
 
 
-def _write_manifest(out_dir: str, command: str, outputs: list[str]) -> None:
-    doc = {"command": command, "version": __version__, "outputs": sorted(outputs)}
-    _write_text(os.path.join(out_dir, "manifest.json"), json.dumps(doc, indent=2) + "\n")
-
-
-def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> tuple[int, dict]:
     config = read_config(SynthConfig, args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    splits = {f"{name}.jsonl": generate_split(config, name) for name in ("train", "val", "test")}
-    out = _ensure_out(args.out)
-    for name, images in splits.items():
-        write_images_jsonl(images, os.path.join(out, name))
-    _write_text(os.path.join(out, "labels.json"), json.dumps(asdict(config.label_space)) + "\n")
-    _write_text(os.path.join(out, "config.json"), json.dumps(asdict(config)) + "\n")
-    _write_manifest(out, "synth", [*splits, "labels.json", "config.json"])
-    return 0
+    splits = {f"{name}.jsonl": images_to_jsonl(generate_split(config, name))  # made as written
+              for name in ("train", "val", "test")}
+    return 0, {**splits, "labels.json": json.dumps(asdict(config.label_space)) + "\n",
+               "config.json": json.dumps(asdict(config)) + "\n"}
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> tuple[int, str]:
     labels = read_config(LabelSpace, args.labels)
     if args.images is not None:
         stats = training_stats(read_images_jsonl(args.images), labels)
     else:
         stats = ingest(read_triplets_jsonl(args.data), labels)
-    _write_text(args.out, stats_to_json(stats) + "\n")
-    return 0
+    return 0, stats_to_json(stats) + "\n"
 
 
-def cmd_bias(args) -> int:
+def cmd_bias(args) -> tuple[int, str]:
     stats = read_json(args.stats, stats_from_json)
     keys = ("kind", "a", "epsilon", "a_eval", "background")
     spec = from_dict(BiasSpec, {key: getattr(args, key) for key in keys})
     bias = compute_bias(spec, stats)
-    _write_text(args.out, bias_to_json(spec, bias) + "\n")
-    return 0
+    return 0, bias_to_json(spec, bias) + "\n"
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> tuple[int, dict]:
     config = read_config(TrainConfig, args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    data = dict(config.data)
-    train_path = args.data or data.get("train")
+    train_path = args.data or dict(config.data).get("train")
     if not train_path:
         raise CliError("no training data path in config or --data")
     images = read_images_jsonl(train_path)
     checkpoint, runlog = train(config, images)
-    out = _ensure_out(args.out)
-    save_checkpoint(checkpoint, os.path.join(out, "checkpoint.json"))
-    _write_text(os.path.join(out, "runlog.json"), json.dumps(asdict(runlog)) + "\n")
-    _write_manifest(out, "train", ["checkpoint.json", "runlog.json"])
-    return 0
+    return 0, {"checkpoint.json": checkpoint_to_json(checkpoint),
+               "runlog.json": json.dumps(asdict(runlog)) + "\n"}
 
 
-def _parse_ks(text: str | None, default) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok] if text else list(default)
+def _list_of(cast):
+    """An argparse type: a flag's comma-separated ``cast`` values, empty tokens
+    skipped; a bad token is a usage error naming the flag."""
+    def parse(text: str) -> list:
+        return [cast(tok) for tok in text.split(",") if tok]
+    parse.__name__ = f"comma-separated {cast.__name__}"  # argparse's "invalid <name> value"
+    return parse
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[int, dict]:
     checkpoint = load_checkpoint(args.checkpoint)
     images = read_images_jsonl(args.data)
-    ks = _parse_ks(args.ks, checkpoint.config.eval_ks)
+    ks = checkpoint.config.eval_ks if args.ks is None else args.ks
     inference_bias = None
     if args.bias:
         classes = checkpoint.config.label_space.num_object_classes
         _, inference_bias = read_json(args.bias, lambda text: bias_from_json(text, classes))
     results = evaluate(checkpoint, images, inference_bias=inference_bias, ks=ks)
-    files = {"metrics.csv": metrics_csv(checkpoint.config.task, results, ks)}
-    for constraint, result in results.items():
-        text = per_relation_csv(checkpoint.config.label_space, result, ks)
-        files[f"per_relation_{constraint}.csv"] = text
-    out = _ensure_out(args.out)
-    for name, text in files.items():
-        _write_text(os.path.join(out, name), text)
-    _write_manifest(out, "eval", list(files))
-    return 0
+    ls = checkpoint.config.label_space
+    return 0, {"metrics.csv": metrics_csv(checkpoint.config.task, results, ks), **{
+        f"per_relation_{c}.csv": per_relation_csv(ls, result, ks) for c, result in results.items()}}
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[int, dict]:
     checkpoint = load_checkpoint(args.checkpoint)
     stats = read_json(args.stats, stats_from_json)
     images = read_images_jsonl(args.data)
-    ks = _parse_ks(args.ks, checkpoint.config.eval_ks)
+    ks = checkpoint.config.eval_ks if args.ks is None else args.ks
     spec = checkpoint.config.bias
     if args.kind:
         spec = from_dict(BiasSpec, {"kind": args.kind, "a": args.a, "epsilon": args.epsilon})
     if spec is None:
         raise CliError("checkpoint has no bias spec; pass --kind/--a/--epsilon")
-    grid = [float(tok) for tok in args.grid.split(",") if tok]
-    rows = sweep(checkpoint, stats, spec, grid, images, ks=ks)
-    out = _ensure_out(args.out)
-    _write_text(os.path.join(out, "sweep.csv"), sweep_csv(rows, ks))
-    _write_manifest(out, "sweep", ["sweep.csv"])
-    return 0
+    rows = sweep(checkpoint, stats, spec, args.grid, images, ks=ks)
+    return 0, {"sweep.csv": sweep_csv(rows, ks)}
 
 
-def cmd_gradcheck(args) -> int:
+def cmd_gradcheck(args) -> tuple[int, dict]:
     results = run_certification(seed=args.seed, instances=args.instances)
     for r in results:
         print(r.line())
-    if args.out:
-        out = _ensure_out(args.out)
-        doc = [{**vars(r), "passed": r.passed} for r in results]
-        _write_text(os.path.join(out, "gradcheck.json"), json.dumps(doc, indent=2) + "\n")
-        _write_manifest(out, "gradcheck", ["gradcheck.json"])
-    return 0 if all(r.passed for r in results) else 1
+    doc = [{**vars(r), "passed": r.passed} for r in results]
+    return int(not all(r.passed for r in results)), {
+        "gradcheck.json": json.dumps(doc, indent=2) + "\n"}
 
 
 def build_parser() -> JsonArgumentParser:
@@ -219,7 +211,7 @@ def build_parser() -> JsonArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--bias", default=None, help="optional inference bias JSON")
-    p.add_argument("--ks", default=None)
+    p.add_argument("--ks", type=_list_of(int))
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_eval)
 
@@ -227,11 +219,11 @@ def build_parser() -> JsonArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--stats", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--grid", required=True, help="comma-separated exponents")
+    p.add_argument("--grid", required=True, type=_list_of(float), help="exponents")
     p.add_argument("--kind", default=None, choices=GLOBAL_KINDS + PAIR_KINDS)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--ks", default=None)
+    p.add_argument("--ks", type=_list_of(int))
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_sweep)
 
@@ -249,7 +241,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         with np.errstate(all="ignore"):  # every non-finite value is refused by its own check
-            return args.fn(args)
+            code, files = args.fn(args)
+        _write_outputs(args.command, args.out, files)
+        return code
     except (CliError, ValueError, ArithmeticError, OSError, KeyError, RecursionError,
             MemoryError) as exc:
         _print_error(type(exc).__name__, str(exc))

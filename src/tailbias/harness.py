@@ -55,8 +55,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
-from itertools import zip_longest
-from typing import Callable, ClassVar, NamedTuple, Sequence
+from itertools import chain, zip_longest
+from typing import Callable, ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,6 +100,7 @@ from .stats import (
     read_numbers,
     refuse_first,
     ruled,
+    write_text,
 )
 from .synth import Images, Objects, _offsets, _ranges, _rng
 
@@ -115,6 +116,7 @@ __all__ = [
     "evaluate",
     "sweep",
     "sweep_csv",
+    "checkpoint_to_json",
     "save_checkpoint",
     "load_checkpoint",
     "training_stats",
@@ -141,8 +143,11 @@ class OptimizerConfig:
 
 
 def _check_ks(ks: Sequence[int], name: str) -> list[int]:
-    """``ks`` as a list, if nonempty, strictly ascending and every k >= 1."""
+    """``ks`` as a list, if 64-bit integers (a larger k recalls every triplet at
+    :data:`~tailbias.metrics.MISS`), nonempty, strictly ascending, every k >= 1."""
     ks = list(ks)
+    if not all(map(_is_int64, ks)):
+        raise ValueError(f"{name} must be a list of 64-bit integers")
     if not ks or ks != sorted(set(ks)) or ks[0] < 1:
         raise ValueError(f"{name} must be nonempty and strictly ascending, every k >= 1")
     return ks
@@ -816,18 +821,21 @@ def _finite_params(params: LinearParams | DualEncoderParams) -> np.ndarray:
     return data
 
 
-def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
-    """Write the checkpoint as JSON; non-finite parameters raise ``ValueError``
-    naming the leaf, before the file is opened."""
+def checkpoint_to_json(checkpoint: Checkpoint) -> Iterator[str]:
+    """The checkpoint as one JSON document in chunks of 1024 parameters, so no more numbers'
+    text is held at once; non-finite parameters raise ``ValueError`` naming the leaf."""
     data = _finite_params(checkpoint.params)
-    doc = {
-        "config": asdict(checkpoint.config),
-        "iterations": checkpoint.iterations,
-        "param_shapes": [list(a.shape) for a in leaves(checkpoint.params)],
-        "param_data": data.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    head = json.dumps({"config": asdict(checkpoint.config), "iterations": checkpoint.iterations,
+                       "param_shapes": [list(a.shape) for a in leaves(checkpoint.params)],
+                       "param_data": []})[:-2]  # up to the parameter list's "["
+    numbers = (", " * (lo > 0) + json.dumps(data[lo : lo + 1024].tolist())[1:-1]
+               for lo in range(0, data.size, 1024))
+    return chain([head], numbers, ["]}"])
+
+
+def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
+    """Write :func:`checkpoint_to_json`; a refused checkpoint opens no file."""
+    write_text(path, checkpoint_to_json(checkpoint))
 
 
 def load_checkpoint(path: str) -> Checkpoint:

@@ -11,8 +11,9 @@ nonzero cells as ``[s, o, r, n]`` entries in ``(s, o, r)`` order.
 
 Every file the package reads goes through :func:`read_json` or
 :func:`read_jsonl`, which raise each fault as a ``ValueError`` naming the file,
-and each list of numbers in it through :func:`read_numbers`. A config's types
-are checked by :func:`from_dict`, its :func:`ruled` values by :func:`check_fields`;
+and each list of numbers in it through :func:`read_numbers`; every file it
+writes goes through :func:`write_text`. A config's types are checked by
+:func:`from_dict`, its :func:`ruled` values by :func:`check_fields`;
 :func:`read_config` reads a config document by both.
 """
 
@@ -43,6 +44,7 @@ __all__ = [
     "refuse_first",
     "flagged",
     "read_json",
+    "write_text",
     "read_config",
     "read_jsonl",
     "read_numbers",
@@ -349,6 +351,12 @@ def read_json(path: str, parse: Callable):
     by :func:`_parsed` as ``"<path>: "``."""
     with open(path, "rb") as fh:
         return _parsed(path, parse, fh.read())
+
+
+def write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, a ``str`` or ``str`` chunks in turn, to ``path`` as UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines((text,) if isinstance(text, str) else text)
 
 
 def read_config(cls, path: str):

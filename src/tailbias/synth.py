@@ -20,12 +20,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple, Sequence
+from typing import ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .stats import (
     LabelSpace, check_fields, check_value, flagged, read_jsonl, read_numbers, refuse_first, ruled,
+    write_text,
 )
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "zipf_weights",
     "build_world",
     "generate_split",
+    "images_to_jsonl",
     "write_images_jsonl",
     "read_images_jsonl",
 ]
@@ -352,21 +354,20 @@ def _pair_list(n: int, built: dict[int, list]) -> list:
     return built[n]
 
 
-def write_images_jsonl(images: Images, path: str) -> None:
+def images_to_jsonl(images: Images) -> Iterator[str]:
+    """Each image's JSON document as one line, made as it is asked for."""
     pair_lists: dict[int, list] = {}
-    with open(path, "w", encoding="utf-8") as fh:
-        for img in images:
-            rows = (a.tolist() for a in (img.boxes, img.features, img.labels, img.scores))
-            pairs = _pair_list(len(img.labels), pair_lists)
-            doc = {
-                "objects": [
-                    {"box": box, "feat": feat, "label": label, "scores": scores}
-                    for box, feat, label, scores in zip(*rows)
-                ],
-                "unions": [[s, o, vec] for (s, o), vec in zip(pairs, img.unions.tolist())],
-                "gt": img.gt.tolist(),
-            }
-            fh.write(json.dumps(doc) + "\n")
+    for img in images:
+        rows = (a.tolist() for a in (img.boxes, img.features, img.labels, img.scores))
+        pairs = _pair_list(len(img.labels), pair_lists)
+        objects = [{"box": box, "feat": feat, "label": label, "scores": scores}
+                   for box, feat, label, scores in zip(*rows)]
+        unions = [[s, o, vec] for (s, o), vec in zip(pairs, img.unions.tolist())]
+        yield json.dumps({"objects": objects, "unions": unions, "gt": img.gt.tolist()}) + "\n"
+
+
+def write_images_jsonl(images: Images, path: str) -> None:
+    write_text(path, images_to_jsonl(images))
 
 
 def _image_from_doc(doc: dict, pair_lists: dict[int, list]) -> SynthImage:

@@ -462,9 +462,15 @@ class TestErrors:
             ("sweep", "--ks", "10,5", "ks must be nonempty and strictly ascending, every k >= 1"),
             ("sweep", "--ks", ",", "ks must be nonempty and strictly ascending, every k >= 1"),
             ("sweep", "--grid", ",", "empty sweep grid"),
+            ("eval", "--ks", "", "ks must be nonempty and strictly ascending, every k >= 1"),
+            ("sweep", "--ks", "", "ks must be nonempty and strictly ascending, every k >= 1"),
+            # a dropped triplet's rank position is the int64 maximum, below any larger k
+            ("eval", "--ks", "99999999999999999999", "ks must be a list of 64-bit integers"),
+            ("sweep", "--ks", "5,9223372036854775808", "ks must be a list of 64-bit integers"),
         ],
         ids=["eval-unordered", "eval-empty", "eval-zero", "sweep-unordered", "sweep-empty",
-             "empty-grid"],
+             "empty-grid", "eval-blank", "sweep-blank", "eval-beyond-int64",
+             "sweep-beyond-int64"],
     )
     def test_bad_ks_or_grid_gives_json_error(
         self, workspace, tmp_path, capsys, command, flag, value, message
@@ -481,6 +487,33 @@ class TestErrors:
         assert main(args) == 1
         err = json.loads(capsys.readouterr().err.strip())["error"]
         assert err == {"type": "ValueError", "message": message}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("eval", "--ks", "a,b", "argument --ks: invalid comma-separated int value: 'a,b'"),
+            ("sweep", "--ks", "5,1.5",
+             "argument --ks: invalid comma-separated int value: '5,1.5'"),
+            ("sweep", "--grid", "0,x",
+             "argument --grid: invalid comma-separated float value: '0,x'"),
+        ],
+        ids=["eval-ks", "sweep-ks", "sweep-grid"],
+    )
+    def test_a_bad_list_token_is_a_usage_error_naming_its_flag(
+        self, workspace, tmp_path, capsys, command, flag, value, message
+    ):
+        _, data_dir, stats_path, _, run_dir = workspace
+        args = [command, "--checkpoint", str(run_dir / "checkpoint.json"), "--data",
+                str(data_dir / "test.jsonl"), "--out", str(tmp_path / "out"), flag + "=" + value]
+        if command == "sweep":
+            args += ["--stats", str(stats_path)] + (["--grid", "0,1"] if flag != "--grid" else [])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {"type": "usage", "message": message}
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -845,6 +845,32 @@ class TestEvaluate:
         recall = evaluate(ck, images, ks=[k])["without"].recall_at[k]
         assert recall == pytest.approx(np.mean(matched), abs=1e-12)
 
+    def test_a_k_beyond_int64_is_refused_where_it_would_recall_dropped_triplets(self, space):
+        # A triplet with a wrong predicted label ranks at the int64 maximum
+        # (metrics.MISS), which a larger k would count as recalled; the
+        # largest int64 k recalls what any k covering every candidate does.
+        cfg = SynthConfig(
+            label_space=space, num_train=0, num_val=0, num_test=20, zipf_s=1.3,
+            objects_min=3, objects_max=4, d_v=8, detector_sharpness=1.0, seed=21,
+        )
+        images = generate_split(cfg, "test")
+        params = init_linear(ModelSpec(), space, 8, np.random.default_rng(0))
+        ck = Checkpoint(linear_config(space, task="sgcls"), iterations=0, params=params)
+        top = np.iinfo(np.int64).max
+        covering, largest = evaluate(ck, images, ks=[1000]), evaluate(ck, images, ks=[top])
+        for constraint in ("with", "without"):
+            assert covering[constraint].recall_at[1000] < 1.0
+            assert largest[constraint].recall_at[top] == covering[constraint].recall_at[1000]
+            assert (largest[constraint].mean_recall_at[top]
+                    == covering[constraint].mean_recall_at[1000])
+        stats = ingest([(0, 1, 1), (1, 2, 2)], space)
+        spec = BiasSpec(kind="cb", a=1.0, epsilon=1e-3)
+        for ks in ([top + 1], [5, 2**64], [5.0]):
+            with pytest.raises(ValueError, match="^ks must be a list of 64-bit integers$"):
+                evaluate(ck, images, ks=ks)
+            with pytest.raises(ValueError, match="^ks must be a list of 64-bit integers$"):
+                sweep(ck, stats, spec, [0.0], images, ks=ks)
+
     def test_sgcls_bias_rows_follow_the_predicted_labels(self, space, data):
         # An untrained dual encoder's object head often disagrees with the
         # detector. Inference-bias rows are gathered by the head's argmax,
@@ -1250,6 +1276,32 @@ class TestCheckpointIo:
         path = tmp_path / "checkpoint.json"
         save_checkpoint(ck, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind", ["linear", "dual_encoder"])
+    def test_save_writes_what_json_dump_writes(self, space, data, tmp_path, kind):
+        # save_checkpoint encodes with json.dumps (the C encoder); json.dump
+        # into a file runs the pure-Python encoder, which wrote checkpoints before.
+        config = replace(model_config(space, kind), task="sgcls", loss=LossConfig(kind="rtpb"),
+                         bias=BiasSpec(kind="pb", a=1.0, epsilon=1e-3))
+        ck, _ = train(config, data[0])
+        path, dumped = tmp_path / "checkpoint.json", tmp_path / "dumped.json"
+        save_checkpoint(ck, str(path))
+        doc = {"config": asdict(ck.config), "iterations": ck.iterations,
+               "param_shapes": [list(a.shape) for a in leaves(ck.params)],
+               "param_data": flatten(ck.params).tolist()}
+        with open(dumped, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert path.read_bytes() == dumped.read_bytes()
+
+    @pytest.mark.parametrize("d_v", [1, 37, 38, 75, 76], ids=lambda d_v: f"d_v={d_v}")
+    def test_the_chunks_join_to_json_dumps_of_the_document(self, space, d_v):
+        # 9 * (3 * d_v + 1) parameters: 36, then either side of 1024 and of 2048.
+        params = init_linear(ModelSpec(), space, d_v, np.random.default_rng(d_v))
+        ck = Checkpoint(linear_config(space), iterations=4, params=params)
+        doc = {"config": asdict(ck.config), "iterations": 4,
+               "param_shapes": [list(a.shape) for a in leaves(params)],
+               "param_data": flatten(params).tolist()}
+        assert "".join(harness.checkpoint_to_json(ck)) == json.dumps(doc)
 
     def test_save_is_byte_stable(self, space, data, tmp_path):
         train_images, _ = data
