@@ -155,7 +155,8 @@ def cmd_sweep(args) -> tuple[int, dict]:
     ks = checkpoint.config.eval_ks if args.ks is None else args.ks
     spec = checkpoint.config.bias
     if args.kind:
-        spec = from_dict(BiasSpec, {"kind": args.kind, "a": args.a, "epsilon": args.epsilon})
+        spec = from_dict(BiasSpec, {"kind": args.kind, "a": 1.0 if args.a is None else args.a,
+                                    "epsilon": 1e-3 if args.epsilon is None else args.epsilon})
     if spec is None:
         raise CliError("checkpoint has no bias spec; pass --kind/--a/--epsilon")
     rows = sweep(checkpoint, stats, spec, args.grid, images, ks=ks)
@@ -221,8 +222,8 @@ def build_parser() -> JsonArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--grid", required=True, type=_list_of(float), help="exponents")
     p.add_argument("--kind", default=None, choices=GLOBAL_KINDS + PAIR_KINDS)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=1e-3)
+    p.add_argument("--a", type=float, help="with --kind (default 1.0)")
+    p.add_argument("--epsilon", type=float, help="with --kind (default 1e-3)")
     p.add_argument("--ks", type=_list_of(int))
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_sweep)
@@ -240,6 +241,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "sweep" and not args.kind:  # --a and --epsilon shape its bias
+            for flag in ("a", "epsilon"):
+                if getattr(args, flag) is not None:
+                    parser.error(f"argument --{flag}: not allowed without argument --kind")
         with np.errstate(all="ignore"):  # every non-finite value is refused by its own check
             code, files = args.fn(args)
         _write_outputs(args.command, args.out, files)

@@ -20,7 +20,7 @@ of instances that checks nothing, by the argument's name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -30,10 +30,8 @@ from .bias import BiasSpec
 from .losses import BASELINE_KINDS, LossConfig, baseline_loss, biased_ce, ce
 from .model import (
     MODEL_KINDS,
-    MODES,
     ModelSpec,
     backward,
-    class_labels,
     forward,
     init_dual_encoder,
     model_for,
@@ -254,14 +252,14 @@ def check_model_instance(
     checks a seeded random subset of coordinates instead of all of them.
     """
     spec, params, image, pairs, targets, bias_row = _toy_setup(rng)
-    out = forward(image, image.unions, pairs, params, spec, "predcls")
+    out = forward(image, image.unions, pairs, params, spec)
     _, d_obj, d_rel = _toy_loss(out, image, targets, bias_row)
     vec = flatten(params)
     dvec = np.zeros_like(vec)
     backward(d_obj, d_rel, out, params, spec, unflatten(params, dvec))
 
     def loss_at(stack):
-        out = forward(image, image.unions, pairs, unflatten(params, stack), spec, "predcls")
+        out = forward(image, image.unions, pairs, unflatten(params, stack), spec)
         return _toy_loss(out, image, targets, bias_row)[0]
 
     coords = None
@@ -295,18 +293,20 @@ def certify_model(
 def _batch_objective(config, net, stack, loss_fn, images: Images, batch, drawn) -> np.ndarray:
     """The training loss of ``batch`` over its ``drawn`` pairs at each copy of
     ``stack``, a parameter tree of ``(k, ...)`` leaves: one forward per image on
-    its own ordered pairs, relation rows (and object rows) concatenated along
-    the row axis in batch order, bias rows gathered by each image's classes."""
-    spec, task = config.model, config.task
+    its own ordered pairs with its task labels, relation rows (and object rows)
+    concatenated along the row axis in batch order, bias rows gathered by each
+    image's task labels, the object loss reading its annotated ones."""
+    spec = config.model
     rows, targets, starts = drawn
     relation, classes, objects, labels = [], [], [], []
     for i, lo, hi in zip(batch, starts[:-1], starts[1:]):
         image = images[i]
+        task_labels = harness.class_labels(image, config.task)
         at = rows[lo:hi] - images.pair_start[i]  # the image's own ordered pairs
         pairs = all_ordered_pairs(len(image.labels))[at]
-        out = net.forward(image, image.unions[at], pairs, stack, spec, task)
+        out = net.forward(replace(image, labels=task_labels), image.unions[at], pairs, stack, spec)
         relation.append(out.relation_logits)
-        classes.append(class_labels(image, task)[pairs])
+        classes.append(task_labels[pairs])
         if out.object_logits is not None:
             objects.append(out.object_logits)
             labels.append(image.labels)
@@ -346,7 +346,7 @@ def certify_training(seed: int = 0) -> list[CheckResult]:
     losses = [("ce", None), ("rtpb", "cb"), ("rtpb", "pb")]
     losses += [(kind, None) for kind in BASELINE_KINDS]
     worst, cases = 0.0, 0
-    for kind, task, (loss, bias) in product(MODEL_KINDS, MODES, losses):
+    for kind, task, (loss, bias) in product(MODEL_KINDS, harness.MODES, losses):
         config = harness.TrainConfig(
             label_space=TOY_LABELS,
             task=task,

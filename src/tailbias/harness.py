@@ -38,12 +38,14 @@ image whose outputs are not finite, by the same array rule that checks the
 ground truth, and ranks the split's stacked ``(ΣP, L)`` score matrix once
 per constraint (see :mod:`tailbias.metrics`); the sweep reuses those logits
 at every grid point.
-In ``sgcls`` evaluation the argmax of the model's object probabilities is
-the object label throughout: inference-bias rows are gathered by it, and a
-ground-truth triplet can be recalled only when it equals the annotated label
-of both its subject and its object; otherwise its rank position is
-:data:`~tailbias.metrics.MISS`. Training (and the dual encoder's label
-embedding) keeps the detector argmax.
+Only this module reads the task (:data:`MODES`): each model call's objects
+carry the labels of :func:`class_labels`, by which training gathers bias
+rows; the object loss reads the annotated ones. In ``sgcls`` evaluation the
+argmax of the model's object probabilities is the object label throughout:
+inference-bias rows are gathered by it, its object scores weight the
+candidates, and a ground-truth triplet can be recalled only when it equals
+the annotated label of both its subject and its object; otherwise its rank
+position is :data:`~tailbias.metrics.MISS`.
 
 All randomness derives from ``SeedSequence(config.seed, spawn_key=(domain,))``
 so identical configs produce bitwise-identical checkpoints. Checkpoints and
@@ -75,12 +77,10 @@ from .metrics import (
     sweep_csv,
 )
 from .model import (
-    MODES,
     DualEncoderParams,
     LinearParams,
     Model,
     ModelSpec,
-    class_labels,
     feature_width,
     forward,  # noqa: F401 - perfbench/tests check that tracing restores this binding
     model_for,
@@ -93,6 +93,7 @@ from .stats import (
     _is_int64,
     _loads,
     check_fields,
+    check_value,
     flagged,
     from_dict,
     marginal_counts,
@@ -106,10 +107,12 @@ from .synth import Images, Objects, _offsets, _ranges, _rng
 
 __all__ = [
     "LOSS_KINDS",
+    "MODES",
     "OptimizerConfig",
     "LossConfig",
     "ModelSpec",
     "TrainConfig",
+    "class_labels",
     "Checkpoint",
     "RunLog",
     "train",
@@ -125,6 +128,8 @@ __all__ = [
 # Images of one bucket forwarded per model call: a larger chunk holds more
 # forward caches at once and runs no faster.
 FORWARD_CHUNK = 16
+
+MODES = ("predcls", "sgcls")
 
 INIT_DOMAIN = 10
 SHUFFLE_DOMAIN = 11
@@ -193,7 +198,7 @@ class RunLog:
 @dataclass(frozen=True)
 class _Split:
     """The pairs of a checked :class:`Images` split: ``classes``, its object
-    rows' classes as the task sees them; ``pairs``, every ordered pair as
+    rows' :func:`class_labels`; ``pairs``, every ordered pair as
     global ``(subject, object)`` object rows, row for row with its ``unions``;
     image ``i``'s sorted foreground pair rows and relation targets ``fg_rows``
     / ``fg_targets`` at its ground-truth rows ``gt_start[i]:gt_start[i + 1]``,
@@ -245,6 +250,14 @@ def _truth(images: Images, label_space: LabelSpace, d_v: int | None) -> np.ndarr
         (flagged(gt_image, bad_gt, len(images)), gt_fault),
     ], "image")
     return gt_image
+
+
+def class_labels(objects: Objects | Images, task: str) -> np.ndarray:
+    """The object classes ``task`` sees: annotated in ``predcls``, detector argmax in ``sgcls``."""
+    check_value("task", task, choices=MODES)
+    if task == "predcls":
+        return objects.labels
+    return objects.scores.argmax(axis=-1)
 
 
 def _pack(images: Images, gt_image: np.ndarray, label_space: LabelSpace, task: str) -> _Split:
@@ -454,11 +467,12 @@ class _Buckets:
 
     In plan order (``order``, slot positions, step by step): the split's
     ``objects`` rows, ``rel`` positions in ``rows``, and what the calls and
-    the losses read, each gathered once: the ``record`` of the objects, the
-    pairs' unions and image-local rows, ``targets`` and the pairs'
+    the losses read, each gathered once: the annotated ``record`` of the
+    objects, the pairs' unions and image-local rows, ``targets`` and the pairs'
     ``classes``. ``calls`` are ``(b, n, m, o, r)``: ``b`` images from object
     ``o``, pair ``r``, and ``views`` each call's model arguments ``(objects,
-    unions, pairs)``, reshaped to ``b`` images. Step ``k`` holds the slots
+    unions, pairs)``, reshaped to ``b`` images, the objects labelled by the
+    split's ``classes``. Step ``k`` holds the slots
     ``slot_at[k]:slot_at[k + 1]``, the calls ``call_at[k]:…`` (:meth:`step`),
     the objects ``obj_at[k]:…`` and the pair rows ``rel_at[k]:…``; ``obj_slot`` and
     ``rel_slot`` give each object and pair row its position in its step's
@@ -495,13 +509,14 @@ class _Buckets:
         pairs, unions = split.pairs.take(at, axis=0), images.unions.take(at, axis=0)
         self.record = record = Objects(*(a.take(self.objects, axis=0)
                                          for a in images.objects(slice(None))))
+        called = record._replace(labels=split.classes.take(self.objects))
         local = pairs - first[order].repeat(m)[:, None]
         self.targets, self.classes = targets[self.rel], split.classes.take(pairs)
         self.obj_slot = _ranges(obj_start[order], n) - obj_at[:-1].repeat(np.diff(obj_at))
         self.rel_slot = self.rel - starts[bounds[:-1]].repeat(np.diff(rel_at))
         self.row = np.empty_like(order)
         self.row[order] = np.arange(len(order)) - k * batch_size
-        self.views = [(Objects(*(a[o : o + b * n].reshape((b, n) + a.shape[1:]) for a in record)),
+        self.views = [(Objects(*(a[o : o + b * n].reshape((b, n) + a.shape[1:]) for a in called)),
                        unions[r : r + b * m].reshape(b, m, unions.shape[-1]),
                        local[r : r + b * m].reshape(b, m, 2)) for b, n, m, o, r in self.calls]
 
@@ -533,8 +548,7 @@ def _batch_loss(
     """
     spec = config.model
     (o0, o1), (r0, r1) = plan.obj_at[k : k + 2], plan.rel_at[k : k + 2]
-    runs = [(call, net.forward(*views, params, spec, config.task))
-            for call, views in plan.step(k)]
+    runs = [(call, net.forward(*views, params, spec)) for call, views in plan.step(k)]
     width = config.label_space.num_relations + 1
     relation_logits = np.concatenate([out.relation_logits.reshape(-1, width) for _, out in runs])
     classes = plan.classes[r0:r1]
@@ -716,24 +730,24 @@ def _forward_split(checkpoint: Checkpoint, images: Images) -> _Scored:
     logits = np.empty((count, ls.num_relations + 1))
     object_probs = np.empty(images.scores.shape)
     for (b, n, m, o, r), views in plan.step(0):
-        out = net.forward(*views, params, config.model, config.task)
+        out = net.forward(*views, params, config.model)
         logits[plan.rel[r : r + b * m]] = out.relation_logits.reshape(b * m, -1)
         object_probs[plan.objects[o : o + b * n]] = out.object_probs.reshape(b * n, -1)
     outputs = [(logits, pair_start, "non-finite relation logits")]
+    classes, matched, pair_scores = images.labels, np.ones(len(split.fg_rows), dtype=bool), None
     if config.task == "sgcls":  # predcls reads no object probabilities
         outputs.append((object_probs, images.obj_start, "non-finite object probabilities"))
+        classes = object_probs.argmax(axis=1)
+        matched = (classes == images.labels)[split.pairs[split.fg_rows]].all(axis=1)
+        pair_scores = object_pair_scores(object_probs, split.pairs)
     if not all(np.isfinite(rows).all() for rows, _, _ in outputs):
         image = np.arange(len(images))
         refuse_first([(flagged(np.repeat(image, np.diff(start)), ~np.isfinite(rows).all(axis=1),
                                len(images)), lambda i, why=why: why)
                       for rows, start, why in outputs], "image")
-    classes, matched = images.labels, np.ones(len(split.fg_rows), dtype=bool)
-    if config.task == "sgcls":
-        classes = object_probs.argmax(axis=1)
-        matched = (classes == images.labels)[split.pairs[split.fg_rows]].all(axis=1)
     return _Scored(
         relation_logits=logits,
-        pair_scores=object_pair_scores(object_probs, split.pairs, config.task),
+        pair_scores=pair_scores,
         pair_classes=classes[split.pairs],
         pair_start=pair_start,
         gt_index=split.fg_rows * ls.num_relations + split.fg_targets - 1,

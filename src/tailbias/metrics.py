@@ -3,12 +3,13 @@
 An image's candidates are every (ordered pair, foreground relation)
 combination. :func:`score_triplets` scores them into a ``(P, L)`` matrix,
 one row per pair in pair order and column ``r - 1`` for relation ``r``; a
-candidate's flat index is ``q * L + (r - 1)``. A score is the product of the
-two object probabilities and the relation probability; ``predcls`` fixes the
-object probabilities to 1. Relation probabilities renormalize the softmax
-over foreground labels only, so adding any constant to the foreground logits
-(for example a uniform inference bias) leaves every ranking unchanged, and
-the background logit never influences scores.
+candidate's flat index is ``q * L + (r - 1)``. A score is the relation
+probability, times the pair's two object scores when the caller gives them
+(:func:`object_pair_scores`); without them the object scores are 1. Relation
+probabilities renormalize the softmax over foreground labels only, so adding
+any constant to the foreground logits (for example a uniform inference bias)
+leaves every ranking unchanged, and the background logit never influences
+scores.
 
 Two ranking protocols, both by descending score with exact ties broken by
 (pair position, relation label) ascending, the order of a stable sort.
@@ -45,7 +46,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import MODES
 from .numerics import row_softmax
 from .stats import LabelSpace, check_value
 from .synth import _ranges
@@ -81,14 +81,8 @@ class EvalResult:
     constraint_mode: str
 
 
-def object_pair_scores(
-    object_probs: np.ndarray, pairs: np.ndarray, mode: str
-) -> np.ndarray | None:
-    """``p(s) * p(o)`` per ``(s, o)`` row of ``pairs`` from each object's top
-    probability in ``sgcls``; None in ``predcls``, where object scores are fixed to 1."""
-    check_value("mode", mode, choices=MODES)
-    if mode == "predcls":
-        return None
+def object_pair_scores(object_probs: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """``p(s) * p(o)`` per ``(s, o)`` row of ``pairs``, from each object's top probability."""
     top = object_probs.max(axis=1)
     return top[pairs[:, 0]] * top[pairs[:, 1]]
 
@@ -96,7 +90,8 @@ def object_pair_scores(
 def score_triplets(pair_scores: np.ndarray | None, relation_logits: np.ndarray) -> np.ndarray:
     """``(P, L)`` candidate scores in (pair, relation) order.
 
-    ``pair_scores`` is the :func:`object_pair_scores` of the same pairs.
+    ``pair_scores`` is the :func:`object_pair_scores` of the same pairs, or
+    None to score the relations alone.
     """
     rel_probs = row_softmax(relation_logits[:, 1:])
     if pair_scores is None:

@@ -2,7 +2,7 @@
 
 Two models share one protocol, resolved from a :class:`ModelSpec` by
 :func:`model_for`: ``init(spec, label_space, d_v, rng)`` builds the parameter
-tree, ``forward(objects, unions, pairs, params, spec, mode)`` gives a
+tree, ``forward(objects, unions, pairs, params, spec)`` gives a
 :class:`ModelOutput`, and ``backward(d_obj, d_rel, output, params, spec,
 grads)`` writes the parameter gradients into ``grads``, a tree of the
 parameters' type (usually views of one flat gradient buffer, see
@@ -12,16 +12,16 @@ kernel below writes the leaves of the ``grads`` it is given in the same way.
 object rows, read whole (``split[i]`` has its fields); ``pairs`` is a ``(P,
 2)`` array of (subject, object) row indices and ``unions`` their ``(P, d_v)``
 union rows, so a caller may forward any subset of an image's ordered pairs,
-such as the pairs drawn for a training step. The dual-stack encoder builds object
-tokens from box geometry, visual features, and a learned label embedding, runs
-them through a stack of encoder layers, classifies objects, fuses ordered
-pairs with their union-box features, runs a second encoder stack over the pair
-tokens, and classifies relations. Its ``forward`` also takes a tree of
-``(k, ...)`` leaves (``unflatten`` of a ``(k, N)`` stack) and runs the k
-parameter copies at once. Every stage has a hand-written backward pass, so
-the whole network is certifiable by finite differences. The linear
-model is a single affine relation head over the raw fused pair features; it
-has no object head, so its ``object_logits`` are None.
+such as the pairs drawn for a training step. The dual-stack encoder builds
+object tokens from box geometry, visual features, and a learned embedding of
+``objects.labels``, runs them through a stack of encoder layers, classifies
+objects, fuses ordered pairs with their union-box features, runs a second
+encoder stack over the pair tokens, and classifies relations. Its
+``forward`` also takes a tree of ``(k, ...)`` leaves (``unflatten`` of a
+``(k, N)`` stack) and runs the k parameter copies at once. Every stage has a
+hand-written backward pass, so the whole network is certifiable by finite
+differences. The linear model is a single affine relation head over the raw
+fused pair features; it has no object head, so its ``object_logits`` are None.
 
 Both ``forward`` functions take a bucket of images with the same object
 count ``n``, the record's arrays with one leading axis (boxes ``(B, n, 4)``)
@@ -43,8 +43,8 @@ The label embedding is the one table whose rows the forward gathers by
 index; a backward adds an image's rows into that image's own gradient with
 ``np.add.at`` in object order, two objects of one class into one row.
 
-Task modes: ``predcls`` looks up label embeddings with the annotated object
-labels; ``sgcls`` uses the argmax of the detector scores.
+A model embeds ``objects.labels`` as given and reads no task: the caller
+chooses which labels an image's objects carry (see :mod:`tailbias.harness`).
 """
 
 from __future__ import annotations
@@ -64,11 +64,10 @@ from .numerics import (
     normal_init,
     row_softmax,
 )
-from .stats import LabelSpace, check_fields, check_value, ruled
-from .synth import Images, Objects
+from .stats import LabelSpace, check_fields, ruled
+from .synth import Objects
 
 __all__ = [
-    "MODES",
     "MODEL_KINDS",
     "ModelSpec",
     "Model",
@@ -78,7 +77,6 @@ __all__ = [
     "LinearParams",
     "ModelOutput",
     "box_features",
-    "class_labels",
     "embed_objects",
     "encode_objects",
     "fuse_pairs",
@@ -91,7 +89,6 @@ __all__ = [
     "linear_backward",
 ]
 
-MODES = ("predcls", "sgcls")
 MODEL_KINDS = ("linear", "dual_encoder")
 
 
@@ -232,25 +229,13 @@ def box_features(boxes: np.ndarray) -> np.ndarray:
     return np.stack([x1, y1, x2, y2, x2 - x1, y2 - y1, (x1 + x2) / 2, (y1 + y2) / 2], axis=-1)
 
 
-def class_labels(objects: Objects | Images, mode: str) -> np.ndarray:
-    """Object classes as the task sees them: annotated in ``predcls``, detector argmax in ``sgcls``."""
-    check_value("mode", mode, choices=MODES)
-    if mode == "predcls":
-        return objects.labels
-    return objects.scores.argmax(axis=-1)
-
-
-def embed_objects(
-    objects: Objects,
-    params: DualEncoderParams,
-    mode: str = "predcls",
-) -> tuple[np.ndarray, tuple]:
-    """Fuse box geometry, visual feature, and label embedding into one token per object."""
+def embed_objects(objects: Objects, params: DualEncoderParams) -> tuple[np.ndarray, tuple]:
+    """Fuse box geometry, visual feature, and the embedding of ``objects.labels``
+    into one token per object."""
     if not objects.labels.shape[-1]:
         raise ValueError("no objects to embed")
     boxes = box_features(objects.boxes)
-    feats = objects.features
-    labels = class_labels(objects, mode)
+    feats, labels = objects.features, objects.labels
     pos = boxes @ params.w_pos
     feats_b = np.broadcast_to(feats, pos.shape[:-1] + feats.shape[-1:])
     concat = np.concatenate([pos, feats_b, params.embed[..., labels, :]], axis=-1)
@@ -354,12 +339,11 @@ def forward(
     pairs: np.ndarray,
     params: DualEncoderParams,
     spec: ModelSpec,
-    mode: str = "predcls",
 ) -> ModelOutput:
     """Full pipeline: object encoding, object head, pair fusion, relation head."""
     if objects.labels.shape[-1] < 2:
         raise ValueError("no pairs: need at least two objects")
-    tokens, embed_cache = embed_objects(objects, params, mode)
+    tokens, embed_cache = embed_objects(objects, params)
     e_final, obj_caches = encode_objects(tokens, params, spec.n_h)
     object_logits = e_final @ params.w_clf_obj
     pair_tokens, fuse_cache = fuse_pairs(e_final, unions, pairs, params)
@@ -415,14 +399,14 @@ def linear_forward(
     pairs: np.ndarray,
     params: LinearParams,
     spec: ModelSpec,
-    mode: str = "predcls",
 ) -> ModelOutput:
     """Affine relation head over ``[union, subject feature, object feature]``.
 
-    ``spec`` and ``mode`` complete the shared protocol; the linear head reads
-    neither, and its object probabilities are the detector scores. ``params``
-    may be a tree of ``(k, ...)`` leaves, giving ``(k, P, C)`` logits, or
-    ``objects`` a bucket of ``B`` images, giving ``(B, P, C)`` logits.
+    ``spec`` completes the shared protocol; the linear head reads no spec
+    field and no label, and its object probabilities are the detector
+    scores. ``params`` may be a tree of ``(k, ...)`` leaves, giving ``(k, P,
+    C)`` logits, or ``objects`` a bucket of ``B`` images, giving ``(B, P,
+    C)`` logits.
     """
     if objects.labels.shape[-1] < 2:
         raise ValueError("no pairs: need at least two objects")

@@ -70,7 +70,7 @@ from tailbias.bias import (
 )
 from tailbias.losses import LossOutput
 from tailbias.metrics import CONSTRAINTS, EvalResult
-from tailbias.model import class_labels, model_for
+from tailbias.model import model_for
 from tailbias.numerics import (
     GradCheckReport,
     attention,
@@ -487,9 +487,8 @@ def evaluate(checkpoint, images, inference_bias=None, ks=None):
     for img in images:
         pair_array = all_ordered_pairs(len(img.labels))
         pairs = [tuple(p) for p in pair_array.tolist()]
-        out = net.forward(
-            img, img.unions, pair_array, checkpoint.params, config.model, config.task
-        )
+        out = net.forward(replace(img, labels=task_labels(img, config.task)), img.unions,
+                          pair_array, checkpoint.params, config.model)
         logits = out.relation_logits
         predicted = [int(np.argmax(row)) for row in out.object_probs]
         if inference_bias is not None:
@@ -551,8 +550,14 @@ def class_counts(images, stats):
     return counts
 
 
+def task_labels(image, task):
+    """The object labels the model embeds under ``task``: annotated in
+    ``predcls``, the detector argmax in ``sgcls``."""
+    return image.labels if task == "predcls" else image.scores.argmax(axis=1)
+
+
 def class_labels_checked(image, config):
-    labels = class_labels(image, config.task)
+    labels = task_labels(image, config.task)
     n = config.label_space.num_object_classes
     if labels.size and (labels.min() < 0 or labels.max() >= n):
         raise ValueError(f"object class label outside 0..{n - 1}")
@@ -585,8 +590,10 @@ def batch_loss(config, net, params, grad_vec, loss_fn, batch, sample_rng):
     per_image = []
     for img, (positions, targets) in zip(batch, draws):
         pairs = all_ordered_pairs(len(img.labels))[positions]
-        out = net.forward(img, img.unions[positions], pairs, params, config.model, config.task)
-        classes = class_labels_checked(img, config)[pairs]
+        labels = class_labels_checked(img, config)
+        out = net.forward(replace(img, labels=labels), img.unions[positions], pairs, params,
+                          config.model)
+        classes = labels[pairs]
         rel = loss_fn(out.relation_logits, targets, classes[:, 0], classes[:, 1])
         use_obj = w_obj > 0 and out.object_logits is not None
         obj = harness.ce(out.object_logits, img.labels) if use_obj else None

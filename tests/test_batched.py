@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from tailbias.harness import MODES
 from tailbias.model import (
     MODEL_KINDS,
     ModelSpec,
@@ -40,7 +41,7 @@ from tailbias.numerics import (
 )
 from tailbias.stats import LabelSpace
 from tailbias.synth import all_ordered_pairs
-from test_model import make_image
+from test_model import make_image, task_view
 
 SEEDS = st.integers(0, 2**32 - 1)
 COPIES = st.integers(1, 5)
@@ -139,18 +140,18 @@ def test_heads_axis_matches_the_per_head_loop(seed, t, n_h):
 
 
 @settings(max_examples=15, deadline=None)
-@given(seed=SEEDS, k=COPIES, n=st.integers(2, 5), mode=st.sampled_from(["predcls", "sgcls"]))
-def test_model_forward_on_a_parameter_stack(seed, k, n, mode):
+@given(seed=SEEDS, k=COPIES, n=st.integers(2, 5), task=st.sampled_from(MODES))
+def test_model_forward_on_a_parameter_stack(seed, k, n, task):
     rng = np.random.default_rng(seed)
     ls = LabelSpace(num_object_classes=4, num_relations=3)
     spec = ModelSpec(kind="dual_encoder", d_model=8, d_e=4, d_pos=4, n_o=2, n_r=1, d_ff=8)
     params = init_dual_encoder(spec, ls, 6, rng)
-    image = make_image(rng, n, ls.num_object_classes, 6)
+    image = task_view(make_image(rng, n, ls.num_object_classes, 6), task)
     pairs = all_ordered_pairs(n)
     batch, stack = stacked(params, k, rng)
-    out = forward(image, image.unions, pairs, batch, spec, mode)
+    out = forward(image, image.unions, pairs, batch, spec)
     for i, row in enumerate(stack):
-        one = forward(image, image.unions, pairs, unflatten(params, row), spec, mode)
+        one = forward(image, image.unions, pairs, unflatten(params, row), spec)
         for name in ("object_logits", "object_probs", "relation_logits"):
             assert np.array_equal(getattr(out, name)[i], getattr(one, name)), name
 

@@ -193,6 +193,34 @@ class TestPipeline:
         assert lines[0] == "a_e,constraint,k,R,mR"
         assert len(lines) == 1 + 3 * 2 * 3
 
+    @pytest.mark.parametrize("flag", ["--a", "--epsilon"])
+    def test_sweep_refuses_a_bias_flag_without_kind(self, workspace, tmp_path, capsys, flag):
+        """``--a`` and ``--epsilon`` shape the ``--kind`` bias: without it, either
+        is a usage error naming the flag, and nothing is written."""
+        _, data_dir, stats_path, _, run_dir = workspace
+        out = tmp_path / "sweep"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--checkpoint", str(run_dir / "checkpoint.json"), "--stats",
+                  str(stats_path), "--data", str(data_dir / "test.jsonl"), "--grid", "0,1",
+                  flag, "0.5", "--out", str(out)])
+        assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {"type": "usage",
+                       "message": f"argument {flag}: not allowed without argument --kind"}
+        assert not out.exists()
+
+    def test_sweep_kind_without_a_or_epsilon_takes_their_defaults(self, workspace, tmp_path):
+        _, data_dir, stats_path, _, run_dir = workspace
+        argv = ["sweep", "--checkpoint", str(run_dir / "checkpoint.json"), "--stats",
+                str(stats_path), "--data", str(data_dir / "test.jsonl"), "--grid", "0,0.5,1",
+                "--kind", "pb"]
+        assert main(argv + ["--out", str(tmp_path / "implicit")]) == 0
+        assert main(argv + ["--a", "1.0", "--epsilon", "1e-3",
+                            "--out", str(tmp_path / "explicit")]) == 0
+        assert ((tmp_path / "implicit" / "sweep.csv").read_bytes()
+                == (tmp_path / "explicit" / "sweep.csv").read_bytes())
+
     def test_synth_is_byte_deterministic(self, workspace, tmp_path):
         root, data_dir, _, _, _ = workspace
         again = tmp_path / "again"

@@ -14,12 +14,14 @@ import tailbias.harness as harness
 from tailbias.bias import BiasSpec, BiasVector, compute_bias
 from tailbias.harness import (
     FORWARD_CHUNK,
+    MODES,
     Checkpoint,
     LossConfig,
     ModelSpec,
     OptimizerConfig,
     TrainConfig,
     _forward_split,
+    class_labels,
     evaluate,
     load_checkpoint,
     make_loss_fn,
@@ -34,7 +36,6 @@ from tailbias.metrics import metrics_csv, object_pair_scores
 from tailbias.model import (
     LinearParams,
     Model,
-    class_labels,
     forward,
     init_dual_encoder,
     init_linear,
@@ -43,7 +44,7 @@ from tailbias.model import (
 from tailbias.numerics import flatten, leaves
 from tailbias.stats import LabelSpace, from_dict, ingest
 from tailbias.synth import Images, SynthConfig, SynthImage, all_ordered_pairs, generate_split
-from test_model import make_image
+from test_model import make_image, task_view
 
 NO_GT = np.zeros((0, 3), dtype=np.int64)
 
@@ -347,6 +348,42 @@ class TestWindowPlan:
                     seen.append(q)
                 position += b
             assert sorted(seen) == list(step)
+
+    @pytest.mark.parametrize("task", MODES)
+    def test_each_call_embeds_the_task_labels_and_the_object_loss_reads_the_annotated(
+        self, space, task
+    ):
+        """Each call's objects carry their rows of ``split.classes`` as labels
+        (the detector argmax in ``sgcls``), with every other field their own;
+        the plan's ``record``, which the object loss reads, keeps the
+        annotated labels."""
+        rng = np.random.default_rng(3)
+        images = Images.pack([make_image(rng, n, space.num_object_classes, 3)
+                              for n in (3, 2, 4, 3, 2, 4)])
+        split = harness._pack(images, harness._truth(images, space, 3), space, task)
+        detector = images.scores.argmax(axis=1)
+        assert (detector != images.labels).any()
+        assert np.array_equal(split.classes, images.labels if task == "predcls" else detector)
+        count = images.pair_start[-1]
+        plan = harness._Buckets(images, split, np.arange(len(images)), np.arange(count),
+                                np.zeros(count, dtype=np.int64), images.pair_start, 2)
+        assert np.array_equal(plan.record.labels, images.labels[plan.objects])
+        calls = 0
+        for k in range(len(plan.slot_at) - 1):
+            for (b, n, m, o, r), (objects, _, _) in plan.step(k):
+                at = plan.objects[o : o + b * n]
+                assert np.array_equal(objects.labels, split.classes[at].reshape(b, n))
+                for name in ("boxes", "features", "scores"):
+                    got = getattr(objects, name)
+                    assert np.array_equal(got, getattr(images, name)[at].reshape(got.shape))
+                calls += 1
+        assert calls == len(plan.calls)
+
+
+def test_an_unknown_task_is_refused_by_the_choices_rule(space):
+    images = Images.pack([make_image(np.random.default_rng(0), 2, space.num_object_classes, 3)])
+    with pytest.raises(ValueError, match="^task must be one of 'predcls', 'sgcls', not 'x'$"):
+        class_labels(images, "x")
 
 
 class TestTrain:
@@ -883,7 +920,7 @@ class TestEvaluate:
         differing = 0
         for i, img in enumerate(test_images):
             pairs = all_ordered_pairs(len(img.labels))
-            out = forward(img, img.unions, pairs, params, config.model, "sgcls")
+            out = forward(task_view(img, "sgcls"), img.unions, pairs, params, config.model)
             predicted = out.object_probs.argmax(axis=1)
             rows = slice(scored.pair_start[i], scored.pair_start[i + 1])
             assert np.array_equal(scored.pair_classes[rows, 0], predicted[pairs[:, 0]])
@@ -900,7 +937,7 @@ class TestEvaluate:
     @given(
         seed=st.integers(0, 2**32 - 1),
         kind=st.sampled_from(["linear", "dual_encoder"]),
-        task=st.sampled_from(["predcls", "sgcls"]),
+        task=st.sampled_from(MODES),
         buckets=st.dictionaries(
             st.integers(2, 7), st.sampled_from([1, FORWARD_CHUNK, FORWARD_CHUNK + 1]),
             min_size=1, max_size=3,
@@ -923,7 +960,7 @@ class TestEvaluate:
         logits, probs, pairs, start = [], [], [], 0
         for img in records:
             local = all_ordered_pairs(len(img.labels))
-            out = net.forward(img, img.unions, local, params, config.model, task)
+            out = net.forward(task_view(img, task), img.unions, local, params, config.model)
             logits.append(out.relation_logits)
             probs.append(out.object_probs)
             pairs.append(local + start)
@@ -933,11 +970,10 @@ class TestEvaluate:
         classes = probs.argmax(axis=1) if task == "sgcls" else labels
         assert np.array_equal(scored.relation_logits, np.concatenate(logits))
         assert np.array_equal(scored.pair_classes, classes[pairs])
-        want = object_pair_scores(probs, pairs, task)
-        if want is None:
+        if task == "predcls":
             assert scored.pair_scores is None
         else:
-            assert np.array_equal(scored.pair_scores, want)
+            assert np.array_equal(scored.pair_scores, object_pair_scores(probs, pairs))
 
     @pytest.mark.parametrize("fault", FAULTS)
     @pytest.mark.parametrize("task", ["predcls", "sgcls"])

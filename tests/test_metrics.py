@@ -31,7 +31,6 @@ class TestScoreTriplets:
 
     def test_predcls_scores_are_relation_probs(self, rng):
         logits = rng.normal(size=(2, 4))
-        assert object_pair_scores(None, np.array([[0, 1], [1, 0]]), "predcls") is None
         got = score_triplets(None, logits)
         assert got == pytest.approx(row_softmax(logits[:, 1:]), abs=1e-12)
 
@@ -39,14 +38,10 @@ class TestScoreTriplets:
         # object probabilities 0.5 and 0.4; relation probability 0.3
         object_probs = np.array([[0.5, 0.3, 0.2], [0.4, 0.35, 0.25]])
         logits = np.concatenate([[[0.0]], np.log([[0.3, 0.7]])], axis=1)
-        pair_scores = object_pair_scores(object_probs, np.array([[0, 1]]), "sgcls")
+        pair_scores = object_pair_scores(object_probs, np.array([[0, 1]]))
         assert score_triplets(pair_scores, logits)[0, 0] == pytest.approx(
             0.5 * 0.4 * 0.3, abs=1e-12
         )
-
-    def test_unknown_mode_is_refused_by_the_choices_rule(self):
-        with pytest.raises(ValueError, match="^mode must be one of 'predcls', 'sgcls', not 'x'$"):
-            object_pair_scores(np.ones((2, 3)), np.array([[0, 1]]), "x")
 
     def test_foreground_renormalization_ignores_background(self, rng):
         logits = rng.normal(size=(2, 4))

@@ -1,11 +1,18 @@
+import ast
+import inspect
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tailbias.metrics
+import tailbias.model
 from tailbias.gradcert import check_model_instance
+from tailbias.harness import MODES, class_labels
 from tailbias.model import (
     MODEL_KINDS,
     ModelSpec,
@@ -74,6 +81,11 @@ def toy():
     return spec, params, image, all_ordered_pairs(4), image.unions, rng
 
 
+def task_view(image, task):
+    """``image`` with the object labels ``task`` embeds (see ``harness.class_labels``)."""
+    return replace(image, labels=class_labels(image, task))
+
+
 def one_proposal(box=(0.1, 0.1, 0.4, 0.4), scores=(1.0,), label=0, d_v=3):
     return SynthImage(
         boxes=np.array([box]), features=np.zeros((1, d_v)), labels=np.array([label]),
@@ -133,13 +145,17 @@ class TestEmbedObjects:
         with pytest.raises(ValueError):
             embed_objects(select(make_image(np.random.default_rng(0), 2, 4, D_V), []), params)
 
-    def test_mode_switches_embedding_label(self, toy):
+    def test_embeds_the_labels_it_is_given(self, toy):
+        """The tokens embed ``labels`` as given: the annotated label and the
+        detector argmax embed differently, and scores that move no label
+        move no token."""
         spec, params, image, _, _, rng = toy
-        # force disagreement between annotation and detector argmax
         p = one_proposal(scores=(0.1, 0.7, 0.1, 0.1), label=2, d_v=D_V)
-        t_pred, _ = embed_objects(p, params, mode="predcls")
-        t_sg, _ = embed_objects(p, params, mode="sgcls")
+        t_pred, _ = embed_objects(task_view(p, "predcls"), params)
+        t_sg, _ = embed_objects(task_view(p, "sgcls"), params)
         assert not np.array_equal(t_pred, t_sg)
+        t_moved, _ = embed_objects(replace(p, scores=np.array([[0.1, 0.1, 0.1, 0.7]])), params)
+        assert np.array_equal(t_moved, t_pred)
 
 
 class TestEncodeObjects:
@@ -294,17 +310,17 @@ class TestProtocol:
         assert [a.shape for a in leaves(seeded)] == [a.shape for a in leaves(undrawn)]
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
-    @pytest.mark.parametrize("mode", ["predcls", "sgcls"])
-    def test_an_empty_pair_block_gives_no_relation_rows(self, kind, mode):
+    @pytest.mark.parametrize("task", MODES)
+    def test_an_empty_pair_block_gives_no_relation_rows(self, kind, task):
         """A forward over no pairs gives ``(0, L + 1)`` logits; its backward
         writes what a one-pair forward with a zero relation gradient writes."""
         spec = ModelSpec(kind=kind, d_model=8, d_e=4, d_pos=4, n_o=1, n_r=2, d_ff=8)
         net = model_for(spec)
         rng = np.random.default_rng(5)
         params = net.init(spec, LS, D_V, rng)
-        image = make_image(rng, 3, LS.num_object_classes, D_V)
-        empty = net.forward(image, image.unions[:0], all_ordered_pairs(3)[:0], params, spec, mode)
-        one = net.forward(image, image.unions[:1], all_ordered_pairs(3)[:1], params, spec, mode)
+        image = task_view(make_image(rng, 3, LS.num_object_classes, D_V), task)
+        empty = net.forward(image, image.unions[:0], all_ordered_pairs(3)[:0], params, spec)
+        one = net.forward(image, image.unions[:1], all_ordered_pairs(3)[:1], params, spec)
         assert empty.relation_logits.shape == (0, LS.num_relations + 1)
         assert np.array_equal(empty.object_probs, one.object_probs)
         d_obj = None if one.object_logits is None else rng.normal(size=one.object_logits.shape)
@@ -356,23 +372,24 @@ class TestBackwardOverwrites:
 
 
 class TestBucketedBackward:
-    @example(seed=0, kind="dual_encoder", mode="predcls", b=3, n=4, shared=False, data=None)
+    @example(seed=0, kind="dual_encoder", task="predcls", b=3, n=4, shared=False, data=None)
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         kind=st.sampled_from(MODEL_KINDS),
-        mode=st.sampled_from(["predcls", "sgcls"]),
+        task=st.sampled_from(MODES),
         b=st.integers(1, 5),
         n=st.integers(2, 5),
         shared=st.booleans(),
         data=st.data(),
     )
     def test_a_buckets_backward_equals_each_images_own(
-        self, seed, kind, mode, b, n, shared, data
+        self, seed, kind, task, b, n, shared, data
     ):
-        """``b`` images of ``n`` objects, forwarded on ``m`` drawn pairs of
-        their own, or on one ``(m, 2)`` array shared by all; the first image's
-        first two objects share a class in both modes. Each image's row of the
+        """``b`` images of ``n`` objects with the labels ``task`` embeds,
+        forwarded on ``m`` drawn pairs of their own, or on one ``(m, 2)`` array
+        shared by all; the first image's first two objects share a class in
+        both tasks. Each image's row of the
         bucket's gradient equals its own backward bit for bit."""
         m = n * (n - 1) if data is None else data.draw(st.integers(0, n * (n - 1)))
         spec = ModelSpec(kind=kind, d_model=8, d_e=4, d_pos=4, n_o=1, n_r=2, d_ff=8)
@@ -381,6 +398,7 @@ class TestBucketedBackward:
         params = net.init(spec, LS, D_V, rng)
         images = [make_image(rng, n, LS.num_object_classes, D_V) for _ in range(b)]
         images[0].labels[1], images[0].scores[1] = images[0].labels[0], images[0].scores[0]
+        images = [task_view(img, task) for img in images]
         pairs = np.stack([all_ordered_pairs(n)[rng.permutation(n * (n - 1))[:m]] for _ in images])
         if shared:
             pairs = pairs[0]
@@ -388,13 +406,13 @@ class TestBucketedBackward:
         bucket = SynthImage(*(np.stack([getattr(img, f) for img in images])
                               for f in ("boxes", "features", "labels", "scores")),
                             unions=unions, gt=NO_GT)
-        out = net.forward(bucket, unions, pairs, params, spec, mode)
+        out = net.forward(bucket, unions, pairs, params, spec)
         d_rel = rng.normal(size=out.relation_logits.shape)
         d_obj = None if out.object_logits is None else rng.normal(size=out.object_logits.shape)
         rows = np.full((b, flatten(params).size), np.nan)
         net.backward(d_obj, d_rel, out, params, spec, unflatten(params, rows))
         for i, img in enumerate(images):
-            one = net.forward(img, unions[i], pairs if shared else pairs[i], params, spec, mode)
+            one = net.forward(img, unions[i], pairs if shared else pairs[i], params, spec)
             assert np.array_equal(one.relation_logits, out.relation_logits[i])
             want = net.backward(None if d_obj is None else d_obj[i], d_rel[i], one, params, spec,
                                 zero_grads(params))
@@ -461,3 +479,25 @@ class TestLinearModel:
         params = init_linear(spec, LabelSpace(num_object_classes=3, num_relations=2), 4, rng)
         out = linear_forward(image, rng.normal(size=(1, 4)), np.array([[0, 1]]), params, spec)
         assert np.array_equal(out.object_probs, image.scores)
+
+
+TASK_WORDS = {"predcls", "sgcls", "MODES", "class_labels"}
+
+
+def test_model_and_metrics_read_no_task():
+    """The task is read in ``harness`` alone: ``model.py`` and ``metrics.py``
+    name no task, their code and text alike, ``metrics`` imports nothing
+    from ``model``, and no model entry point takes a task argument."""
+    named, imports = [], []
+    for module in (tailbias.model, tailbias.metrics):
+        path = Path(module.__file__)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            words = [getattr(node, field, None) for field in ("id", "attr", "name", "arg")]
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                words += re.findall(r"\w+", node.value)
+            named += [f"{path.stem}: {w}" for w in words if w in TASK_WORDS]
+            if path.stem == "metrics" and isinstance(node, ast.ImportFrom):
+                imports += [node.module] if (node.module or "").endswith("model") else []
+    assert named == [] and imports == []
+    for entry in (forward, linear_forward, embed_objects):
+        assert not {"mode", "task"} & set(inspect.signature(entry).parameters), entry
