@@ -1,10 +1,12 @@
 """Command line front end.
 
 Subcommands: ``synth``, ``stats``, ``bias``, ``train``, ``eval``, ``sweep``,
-``gradcheck``. Each command returns its exit code and artifacts, which
-:func:`main` alone writes through :func:`~tailbias.stats.write_text`: the text
-of the one file ``--out`` names (``stats``, ``bias``), or ``{name: text}`` under
-the ``--out`` directory with a ``manifest.json`` of their sha256 digests. A
+``gradcheck``. Each command returns its exit code, its artifacts, and the
+files it read, keyed by the flag that named them (``data.<name>`` for a file
+a train config names). :func:`main` alone writes the artifacts, through
+:func:`~tailbias.stats.write_text`: the text of the one file ``--out`` names
+(``stats``, ``bias``), or ``{name: text}`` under the ``--out`` directory with
+a ``manifest.json`` of the sha256 digests of the files read and written. A
 fault of a file read is a ``ValueError`` starting with its path (see
 :func:`~tailbias.stats.read_json`). Failures print a machine-readable JSON
 error object to stderr and exit nonzero; a refused input writes nothing.
@@ -67,52 +69,64 @@ class JsonArgumentParser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _write_outputs(command: str, out: str | None, files: str | dict) -> None:
+def _digests(paths: dict[str, str]) -> dict[str, dict[str, str]]:
+    return {key: {"sha256": hashlib.sha256(Path(paths[key]).read_bytes()).hexdigest()}
+            for key in sorted(paths)}
+
+
+def _write_outputs(command: str, out: str | None, files: str | dict, inputs: dict) -> None:
     """Write what ``command`` returned: a ``str`` as the file ``out``, or each
     ``{name: text}`` under the directory ``out``, created here, then a
-    ``manifest.json`` giving each file's sha256. No ``out`` writes nothing."""
+    ``manifest.json`` giving the sha256 of each file in ``inputs``, taken
+    before any output is written, and of each file written. No ``out``
+    writes nothing."""
     if out is None:
         return
     if isinstance(files, str):
         return write_text(out, files)
+    read = _digests(inputs)
     os.makedirs(out, exist_ok=True)
     for name, text in files.items():
         write_text(os.path.join(out, name), text)
-    outputs = {name: {"sha256": hashlib.sha256(Path(out, name).read_bytes()).hexdigest()}
-               for name in sorted(files)}
     doc = {"command": command, "version": __version__, "numpy": np.__version__,
-           "python": platform.python_version(), "outputs": outputs}
+           "python": platform.python_version(), "inputs": read,
+           "outputs": _digests({name: os.path.join(out, name) for name in files})}
     write_text(os.path.join(out, "manifest.json"), json.dumps(doc, indent=2) + "\n")
 
 
-def cmd_synth(args) -> tuple[int, dict]:
+def _named(args, *flags: str) -> dict[str, str]:
+    """``{"--flag": path}`` for each of ``flags`` given a file path."""
+    return {f"--{flag}": getattr(args, flag) for flag in flags if getattr(args, flag)}
+
+
+def cmd_synth(args) -> tuple[int, dict, dict]:
     config = read_config(SynthConfig, args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     splits = {f"{name}.jsonl": images_to_jsonl(generate_split(config, name))  # made as written
               for name in ("train", "val", "test")}
     return 0, {**splits, "labels.json": json.dumps(asdict(config.label_space)) + "\n",
-               "config.json": json.dumps(asdict(config)) + "\n"}
+               "config.json": json.dumps(asdict(config)) + "\n"}, _named(args, "config")
 
 
-def cmd_stats(args) -> tuple[int, str]:
+def cmd_stats(args) -> tuple[int, str, dict]:
     labels = read_config(LabelSpace, args.labels)
     if args.images is not None:
         stats = training_stats(read_images_jsonl(args.images), labels)
     else:
         stats = ingest(read_triplets_jsonl(args.data), labels)
-    return 0, stats_to_json(stats) + "\n"
+    return 0, stats_to_json(stats) + "\n", _named(args, "labels", "images", "data")
 
 
-def cmd_bias(args) -> tuple[int, str]:
+def cmd_bias(args) -> tuple[int, str, dict]:
     stats = read_json(args.stats, stats_from_json)
     keys = ("kind", "a", "epsilon", "a_eval", "background")
     spec = from_dict(BiasSpec, {key: getattr(args, key) for key in keys})
     bias = compute_bias(spec, stats)
-    return 0, bias_to_json(spec, bias) + "\n"
+    return 0, bias_to_json(spec, bias) + "\n", _named(args, "stats")
 
 
-def cmd_train(args) -> tuple[int, dict]:
+def cmd_train(args) -> tuple[int, dict, dict]:
     config = read_config(TrainConfig, args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -122,7 +136,8 @@ def cmd_train(args) -> tuple[int, dict]:
     images = read_images_jsonl(train_path)
     checkpoint, runlog = train(config, images)
     return 0, {"checkpoint.json": checkpoint_to_json(checkpoint),
-               "runlog.json": json.dumps(asdict(runlog)) + "\n"}
+               "runlog.json": json.dumps(asdict(runlog)) + "\n"}, {
+        "--config": args.config, "--data" if args.data else "data.train": train_path}
 
 
 def _list_of(cast):
@@ -134,7 +149,7 @@ def _list_of(cast):
     return parse
 
 
-def cmd_eval(args) -> tuple[int, dict]:
+def cmd_eval(args) -> tuple[int, dict, dict]:
     checkpoint = load_checkpoint(args.checkpoint)
     images = read_images_jsonl(args.data)
     ks = checkpoint.config.eval_ks if args.ks is None else args.ks
@@ -145,10 +160,11 @@ def cmd_eval(args) -> tuple[int, dict]:
     results = evaluate(checkpoint, images, inference_bias=inference_bias, ks=ks)
     ls = checkpoint.config.label_space
     return 0, {"metrics.csv": metrics_csv(checkpoint.config.task, results, ks), **{
-        f"per_relation_{c}.csv": per_relation_csv(ls, result, ks) for c, result in results.items()}}
+        f"per_relation_{c}.csv": per_relation_csv(ls, result, ks) for c, result in results.items()}
+    }, _named(args, "checkpoint", "data", "bias")
 
 
-def cmd_sweep(args) -> tuple[int, dict]:
+def cmd_sweep(args) -> tuple[int, dict, dict]:
     checkpoint = load_checkpoint(args.checkpoint)
     stats = read_json(args.stats, stats_from_json)
     images = read_images_jsonl(args.data)
@@ -160,16 +176,16 @@ def cmd_sweep(args) -> tuple[int, dict]:
     if spec is None:
         raise CliError("checkpoint has no bias spec; pass --kind/--a/--epsilon")
     rows = sweep(checkpoint, stats, spec, args.grid, images, ks=ks)
-    return 0, {"sweep.csv": sweep_csv(rows, ks)}
+    return 0, {"sweep.csv": sweep_csv(rows, ks)}, _named(args, "checkpoint", "stats", "data")
 
 
-def cmd_gradcheck(args) -> tuple[int, dict]:
+def cmd_gradcheck(args) -> tuple[int, dict, dict]:
     results = run_certification(seed=args.seed, instances=args.instances)
     for r in results:
         print(r.line())
     doc = [{**vars(r), "passed": r.passed} for r in results]
     return int(not all(r.passed for r in results)), {
-        "gradcheck.json": json.dumps(doc, indent=2) + "\n"}
+        "gradcheck.json": json.dumps(doc, indent=2) + "\n"}, {}
 
 
 def build_parser() -> JsonArgumentParser:
@@ -246,8 +262,8 @@ def main(argv=None) -> int:
                 if getattr(args, flag) is not None:
                     parser.error(f"argument --{flag}: not allowed without argument --kind")
         with np.errstate(all="ignore"):  # every non-finite value is refused by its own check
-            code, files = args.fn(args)
-        _write_outputs(args.command, args.out, files)
+            code, files, inputs = args.fn(args)
+        _write_outputs(args.command, args.out, files, inputs)
         return code
     except (CliError, ValueError, ArithmeticError, OSError, KeyError, RecursionError,
             MemoryError) as exc:

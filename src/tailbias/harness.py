@@ -36,8 +36,10 @@ split as training does, at the checkpoint's feature width, forwards each
 image once over all its pairs (:func:`_forward_split`), names the first
 image whose outputs are not finite, by the same array rule that checks the
 ground truth, and ranks the split's stacked ``(ΣP, L)`` score matrix once
-per constraint (see :mod:`tailbias.metrics`); the sweep reuses those logits
-at every grid point.
+per constraint (see :mod:`tailbias.metrics`). The sweep forwards the split
+once too, and scores and ranks :data:`GRID_BLOCK` grid points at a time as
+one block, the split stacked once per point (:func:`_rank_split`);
+evaluation is that block's one-point case.
 Only this module reads the task (:data:`MODES`): each model call's objects
 carry the labels of :func:`class_labels`, by which training gathers bias
 rows; the object loss reads the annotated ones. In ``sgcls`` evaluation the
@@ -128,6 +130,9 @@ __all__ = [
 # Images of one bucket forwarded per model call: a larger chunk holds more
 # forward caches at once and runs no faster.
 FORWARD_CHUNK = 16
+# Sweep grid points scored and ranked as one block (:func:`_rank_split`): a
+# longer grid holds this many points' score arrays at once, not its own.
+GRID_BLOCK = 5
 
 MODES = ("predcls", "sgcls")
 
@@ -408,10 +413,14 @@ def _floyd(n: np.ndarray, t: np.ndarray, rng: np.random.Generator) -> np.ndarray
     picks[_ranges(t - floyd, floyd), col.repeat(floyd)] = scaled[_ranges(at[:-1], floyd)] >> 32
     j = (n - t)[order] + np.arange(width)[:, None]
     drawing = len(t) - np.bincount(t, minlength=width).cumsum()
+    first = _offsets(n[order])  # column k's candidates are picked[first[k]:first[k + 1]]
+    picked = np.zeros(first[-1], dtype=bool)
+    picked[first[:-1] + picks[0]] = True
     for q in range(1, width):
         a = drawing[q]
         pick = picks[q, :a]
-        np.copyto(pick, j[q, :a], where=(picks[:q, :a] == pick).any(axis=0))
+        np.copyto(pick, j[q, :a], where=picked[first[:a] + pick])
+        picked[first[:a] + pick] = True
     picks = picks.T[col]  # slot order; a slot's unused places hold 0 and sort first
     picks.sort(axis=1)
     return picks[np.arange(width) >= width - t[:, None]]
@@ -758,23 +767,50 @@ def _forward_split(checkpoint: Checkpoint, images: Images) -> _Scored:
 
 
 def _rank_split(
-    config: TrainConfig, scored: _Scored, inference_bias: Bias | None, ks: list[int]
-) -> dict[str, EvalResult]:
-    """Subtract the inference bias, score, rank, and aggregate per constraint."""
+    config: TrainConfig, scored: _Scored, biases: Sequence[Bias | None], ks: list[int]
+) -> list[dict[str, EvalResult]]:
+    """One result per constraint for each inference bias of ``biases``, in
+    order: subtract it, score, rank, and aggregate.
+
+    Up to :data:`GRID_BLOCK` biases are handled as one block of G: bias g's
+    logits fill rows ``g·ΣP … (g + 1)·ΣP`` of one ``(G·ΣP, L + 1)`` array,
+    scored by one :func:`score_triplets` call (the ``sgcls`` pair scores
+    tiled G times) and ranked by one :func:`rank` call per constraint over
+    the split stacked G times. Each copy of an image is ranked only against
+    itself, so every bias gets the positions it would get alone, and its
+    own :func:`evaluate_split` call per constraint. A lone ``None`` ranks
+    the logits themselves, uncopied.
+    """
     ls = config.label_space
-    logits = scored.relation_logits
-    if inference_bias is not None:
-        table = _check_bias_compatible(inference_bias, ls)
-        logits = logits - table[scored.pair_classes[:, 0], scored.pair_classes[:, 1]]
-    scores = score_triplets(scored.pair_scores, logits)
-    return {
-        c: evaluate_split(
-            scored.gt_relations,
-            np.where(scored.gt_matched, rank(scores, scored.pair_start, scored.gt_index, c), MISS),
-            scored.gt_image, len(scored.pair_start) - 1, ks, ls.num_relations, c,
-        )
-        for c in CONSTRAINTS
-    }
+    logits, L = scored.relation_logits, ls.num_relations
+    count, num_images = len(logits), len(scored.pair_start) - 1
+    s, o = scored.pair_classes.T
+    results = []
+    for lo in range(0, len(biases), GRID_BLOCK):
+        tables = [None if b is None else _check_bias_compatible(b, ls)
+                  for b in biases[lo : lo + GRID_BLOCK]]
+        g = np.arange(len(tables))[:, None]
+        block = logits
+        if len(tables) > 1 or tables[0] is not None:
+            block = np.empty((len(tables) * count, logits.shape[1]))
+            for rows, table in zip(np.split(block, len(tables)), tables):
+                np.subtract(logits, 0.0 if table is None else table[s, o], out=rows)
+        pair_scores = scored.pair_scores
+        if pair_scores is not None:
+            pair_scores = np.tile(pair_scores, len(tables))
+        scores = score_triplets(pair_scores, block)
+        starts = np.append((scored.pair_start[:-1] + count * g).ravel(), len(block))
+        index = (scored.gt_index + count * L * g).ravel()
+        points = [{} for _ in tables]
+        for c in CONSTRAINTS:
+            positions = rank(scores, starts, index, c).reshape(len(tables), -1)
+            for point, row in zip(points, positions):
+                point[c] = evaluate_split(
+                    scored.gt_relations, np.where(scored.gt_matched, row, MISS),
+                    scored.gt_image, num_images, ks, L, c,
+                )
+        results += points
+    return results
 
 
 def evaluate(
@@ -790,10 +826,12 @@ def evaluate(
     argmax of the object probabilities in ``sgcls``); by default the
     logits are used as produced, since the training bias is training-only.
     ``ks`` defaults to the config's ``eval_ks`` and is checked by the same
-    rule. Returns one result per ranking constraint.
+    rule. Returns one result per ranking constraint: the one-point case of
+    :func:`sweep`'s block (:func:`_rank_split`).
     """
     ks = _check_ks(checkpoint.config.eval_ks if ks is None else ks, "ks")
-    return _rank_split(checkpoint.config, _forward_split(checkpoint, images), inference_bias, ks)
+    scored = _forward_split(checkpoint, images)
+    return _rank_split(checkpoint.config, scored, [inference_bias], ks)[0]
 
 
 def sweep(
@@ -806,23 +844,25 @@ def sweep(
 ) -> list[tuple[float, dict[str, EvalResult]]]:
     """Evaluate with the weakened inference bias at each exponent in ``grid``.
 
-    Each image is forwarded once; every grid point reuses the split's logits
-    and only re-biases, re-scores and re-ranks. An empty ``grid``, a point
-    that :class:`BiasSpec` refuses as ``a_eval``, or one whose bias
-    :func:`soft_bias` refuses (the error then names the point's ``a_eval``),
-    raises ``ValueError`` before any image is forwarded.
+    Each image is forwarded once; the grid's points re-bias, score and rank
+    the split's logits :data:`GRID_BLOCK` points at a time, each point's
+    results those :func:`evaluate` gives with its bias (:func:`_rank_split`).
+    An empty ``grid``, a point that :class:`BiasSpec` refuses as ``a_eval``,
+    or one whose bias :func:`soft_bias` refuses (the error then names the
+    point's ``a_eval``), raises ``ValueError`` before any image is forwarded.
     """
     ks = _check_ks(checkpoint.config.eval_ks if ks is None else ks, "ks")
     if not len(grid):
         raise ValueError("empty sweep grid")
-    biases = []
-    for point in [replace(spec, a_eval=float(a_e)) for a_e in grid]:
+    points, biases = [replace(spec, a_eval=float(a_e)) for a_e in grid], []
+    for point in points:
         try:
-            biases.append((point.a_eval, soft_bias(point, stats)))
+            biases.append(soft_bias(point, stats))
         except ValueError as exc:
             raise ValueError(f"a_eval {point.a_eval}: {exc}") from None
     scored = _forward_split(checkpoint, images)
-    return [(a_e, _rank_split(checkpoint.config, scored, bias, ks)) for a_e, bias in biases]
+    results = _rank_split(checkpoint.config, scored, biases, ks)
+    return [(point.a_eval, result) for point, result in zip(points, results)]
 
 
 def _finite_params(params: LinearParams | DualEncoderParams) -> np.ndarray:

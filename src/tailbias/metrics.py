@@ -24,7 +24,11 @@ within its image, of each ground-truth triplet, which :func:`rank` computes
 for the whole split once per constraint by counting the candidates ahead of
 it; the triplet is in the top k exactly when its position is below k, so
 one ranking serves every k. Under ``with`` a triplet whose relation is not
-its pair's best is never retrieved (position :data:`MISS`).
+its pair's best is never retrieved (position :data:`MISS`). A split may
+stack copies of itself, each under other scores (the sweep's grid points,
+copy g's rows and ``starts`` shifted by g·ΣP and its flat indices by
+g·ΣP·L): a copy of an image is just another image, ranked only against
+itself.
 
 ``recall@k`` is the fraction of an image's ground-truth triplets, matched on
 exact ``(s, o, relation)``, found in its top k; the dataset value averages

@@ -267,6 +267,17 @@ class TestChoices:
         assert np.array_equal(picks, choice_loop(n, t, want)) and picks.dtype == np.int64
         assert rng.bit_generator.state == want.bit_generator.state
 
+    @pytest.mark.parametrize("take", [40, 150, 380])
+    def test_a_dense_window_draws_the_picks_and_leaves_the_state_of_choice(self, take):
+        """Dense scenes: 250 slots of 380 background pairs, each taking
+        ``take`` of them, with some slots drawing every pair."""
+        n = np.full(250, 380, dtype=np.int64)
+        t = np.where(np.arange(250) % 7 == 0, 380, take).astype(np.int64)
+        rng, want = np.random.default_rng(take), np.random.default_rng(take)
+        picks = harness._floyd(n, t, rng)
+        assert picks is not None and np.array_equal(picks, choice_loop(n, t, want))
+        assert rng.bit_generator.state == want.bit_generator.state
+
     @pytest.mark.parametrize("seed, slots", [
         (0, [(30, 5), (20000, 401), (9, 9)]),  # n > 10000 and t > n // 50: no Floyd draw
         (34, [(10000, 5000)]),  # a rejected word among Floyd's

@@ -15,9 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from tailbias.bias import BiasSpec, compute_bias
+from tailbias import harness
+from tailbias.bias import BiasSpec, compute_bias, soft_bias
 from tailbias.harness import (
     FORWARD_CHUNK,
+    GRID_BLOCK,
     Checkpoint,
     LossConfig,
     ModelSpec,
@@ -132,6 +134,29 @@ def test_ranking_and_recall_match_oracle(split):
         assert_same_results({constraint: got}, {constraint: want})
 
 
+@given(scored_split(), st.integers(1, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_stacked_split_ranks_each_copy_as_that_copy_alone(split, copies, data):
+    """G copies of a split stacked into one, as the sweep stacks its grid
+    points: copy g's rows and ``starts`` shifted by g·ΣP, its flat indices by
+    g·ΣP·L. Each copy holds the split's scores, or a shuffle of them, so
+    equal scores meet within and across copies."""
+    num_relations, images = split
+    starts = np.cumsum([0] + [len(pairs) for _, pairs, _, _ in images])
+    scores = np.concatenate([scores for _, _, scores, _ in images])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    blocks = [scores if data.draw(st.booleans()) else
+              rng.permutation(scores.ravel()).reshape(scores.shape) for _ in range(copies)]
+    g = np.arange(copies)
+    stacked_starts = np.append((starts[:-1] + starts[-1] * g[:, None]).ravel(), starts[-1] * copies)
+    index = np.arange(scores.size)
+    for constraint in CONSTRAINTS:
+        got = rank(np.concatenate(blocks), stacked_starts, (index + scores.size * g[:, None]).ravel(),
+                   constraint)
+        want = np.concatenate([rank(block, starts, index, constraint) for block in blocks])
+        assert got.tolist() == want.tolist()
+
+
 LABELS = LabelSpace(num_object_classes=6, num_relations=8)
 TINY_DUAL = ModelSpec(
     kind="dual_encoder", d_model=16, n_h=2, n_o=1, n_r=1, d_ff=16, d_e=4, d_pos=4
@@ -186,6 +211,19 @@ def test_sweep_matches_oracle(trained):
     assert [a for a, _ in got] == [a for a, _ in want] == grid
     for (_, a), (_, b) in zip(got, want):
         assert_same_results(a, b)
+
+
+@pytest.mark.parametrize("block", [GRID_BLOCK, 2], ids=["one-block", "blocks-of-2"])
+def test_each_sweep_row_is_that_points_evaluation(trained, block, monkeypatch):
+    """A grid that repeats a point, in one block and across three."""
+    checkpoint, stats, spec, images = trained
+    monkeypatch.setattr(harness, "GRID_BLOCK", block)
+    grid = [0.0, 0.5, 1.0, 0.5, 0.25]
+    rows = sweep(checkpoint, stats, spec, grid, images)
+    assert [a_e for a_e, _ in rows] == grid
+    for a_e, row in rows:
+        bias = soft_bias(replace(spec, a_eval=a_e), stats)
+        assert_same_results(row, evaluate(checkpoint, images, inference_bias=bias))
 
 
 # --- packed training against per-image training -------------------------------

@@ -4,7 +4,8 @@
 for writing. A command returns its artifacts and :func:`tailbias.cli.main`
 writes them: the one file ``--out`` names for ``stats`` and ``bias``, else each
 file under the ``--out`` directory followed by a ``manifest.json`` that gives
-every file's sha256 and the numpy and Python versions that made it.
+the sha256 of every file the command read and wrote and the numpy and Python
+versions that made it.
 """
 
 import ast
@@ -31,6 +32,22 @@ OUTPUTS = {
     "sweep": ["sweep.csv"],
     "gradcheck": ["gradcheck.json"],
 }
+
+
+# The files each of those commands read, by manifest key, relative to the run's root.
+INPUTS = {
+    "data": {"--config": "synth.json"},
+    "run": {"--config": "train.json", "--data": "data/train.jsonl"},
+    "eval": {"--checkpoint": "run/checkpoint.json", "--data": "data/test.jsonl",
+             "--bias": "bias.json"},
+    "sweep": {"--checkpoint": "run/checkpoint.json", "--stats": "stats.json",
+              "--data": "data/test.jsonl"},
+    "gradcheck": {},
+}
+
+
+def sha256(path: Path) -> dict:
+    return {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 def run_pipeline(root: Path) -> None:
@@ -114,11 +131,46 @@ def test_each_manifest_gives_the_sha256_of_every_file_it_names(pipelines):
         assert sorted(doc["outputs"]) == names
         assert sorted(p.name for p in (root / out).iterdir()) == sorted(names + ["manifest.json"])
         for name, entry in doc["outputs"].items():
-            assert entry == {"sha256": hashlib.sha256((root / out / name).read_bytes()).hexdigest()}
+            assert entry == sha256(root / out / name)
+
+
+def test_each_manifest_gives_the_sha256_of_every_file_it_read(pipelines):
+    """Keyed by the flag that named the file, never by its path."""
+    root = pipelines[0]
+    for out, inputs in INPUTS.items():
+        assert manifest(root, out)["inputs"] == {
+            key: sha256(root / path) for key, path in inputs.items()}, out
+
+
+def test_a_train_config_names_its_data_file_as_data_dot_name(pipelines, tmp_path):
+    root = pipelines[0]
+    config = json.loads((root / "train.json").read_text())
+    config["data"] = [["train", str(root / "data" / "train.jsonl")]]
+    (tmp_path / "train.json").write_text(json.dumps(config))
+    assert main(["train", "--config", str(tmp_path / "train.json"),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert manifest(tmp_path, "run")["inputs"] == {
+        "--config": sha256(tmp_path / "train.json"),
+        "data.train": sha256(root / "data" / "train.jsonl")}
+
+
+def test_a_changed_input_gives_a_different_digest(pipelines, tmp_path):
+    root = pipelines[0]
+    lines = (root / "data" / "test.jsonl").read_text().splitlines(keepends=True)
+    (tmp_path / "test.jsonl").write_text("".join(lines[:-1]))
+    assert main(["eval", "--checkpoint", str(root / "run" / "checkpoint.json"),
+                 "--data", str(tmp_path / "test.jsonl"), "--bias", str(root / "bias.json"),
+                 "--out", str(tmp_path / "eval")]) == 0
+    changed, parent = manifest(tmp_path, "eval")["inputs"], manifest(root, "eval")["inputs"]
+    assert changed["--data"] != parent["--data"]
+    assert changed["--data"] == sha256(tmp_path / "test.jsonl")
+    assert {k: v for k, v in changed.items() if k != "--data"} == {
+        k: v for k, v in parent.items() if k != "--data"}
 
 
 def test_a_pipeline_run_in_two_directories_gives_equal_manifests(pipelines):
-    """Every artifact is the same in both runs, but the run log's timestamps."""
+    """Every file read and every artifact is the same in both runs, but the
+    run log's timestamps; no manifest holds a path."""
     a, b = pipelines
     for out in OUTPUTS:
         doc_a, doc_b = manifest(a, out), manifest(b, out)
@@ -129,6 +181,7 @@ def test_a_pipeline_run_in_two_directories_gives_equal_manifests(pipelines):
             assert logs[0] == logs[1]
             del doc_a["outputs"]["runlog.json"], doc_b["outputs"]["runlog.json"]
         assert doc_a == doc_b, out
+        assert str(a) not in (a / out / "manifest.json").read_text()
 
 
 def test_stats_and_bias_write_the_one_file_out_names(pipelines):
