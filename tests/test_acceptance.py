@@ -5,10 +5,15 @@ Run with ``pytest tests/test_acceptance.py -v -s``. The directional criteria
 ``configs/reference/``: ``synth.json`` (a long-tailed PredCls dataset) and
 ``train_ce.json`` / ``train_cb.json`` (two linear-model runs, plain
 cross-entropy and the count bias). Reference-run values: ce R@50=0.7398
-mR@50=0.4480; biased R@50=0.6668 mR@50=0.5337 (graph-constrained).
+mR@50=0.4480; biased R@50=0.6668 mR@50=0.5337 (graph-constrained). The
+pipeline's artifacts are pinned by sha256 in ``configs/reference/digests.json``
+(:func:`test_reference_artifacts_match_their_pinned_digests`).
 """
 
+import hashlib
+import json
 import math
+import platform
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -29,12 +34,15 @@ from tailbias.harness import (
     training_stats,
 )
 from tailbias.losses import baseline_loss, bias_gap, biased_ce, ce
-from tailbias.metrics import METRICS_CSV_HEADER, metrics_csv
+from tailbias.metrics import METRICS_CSV_HEADER, metrics_csv, per_relation_csv, sweep_csv
 from tailbias.stats import LabelSpace, ingest, read_config
 from tailbias.synth import SynthConfig, generate_split, write_images_jsonl
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs" / "reference"
 RUNS = ("ce", "cb")
+# Criterion 9's grid, and one that spans two of the sweep's grid blocks.
+SWEEP_GRIDS = {"sweep_cb_5.csv": [0.0, 0.25, 0.5, 0.75, 1.0],
+               "sweep_cb_7.csv": [0.0, 0.25, 0.5, 0.75, 1.0, 0.5, 0.1]}
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +197,7 @@ def test_criterion_8_directional_tradeoff(pipeline):
 def test_criterion_9_soft_bias_sweep(pipeline):
     config = pipeline["cb"]["config"]
     stats = training_stats(pipeline["train_images"], config.label_space)
-    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+    grid = SWEEP_GRIDS["sweep_cb_5.csv"]
     rows = sweep(
         pipeline["cb"]["checkpoint"], stats, config.bias, grid, pipeline["test_images"]
     )
@@ -245,3 +253,51 @@ def test_criterion_10_determinism_and_formats(pipeline, tmp_path_factory):
         f"({len(names)} artifacts byte-identical between the API and the command line; "
         f"CSV schema '{METRICS_CSV_HEADER}')"
     )
+
+
+def environment() -> dict:
+    """The numpy, Python and BLAS a digest was taken under: OpenBLAS picks
+    its kernels by CPU, and training draws follow numpy's generator streams."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "python": platform.python_version(),
+            "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")}}
+
+
+def reference_artifacts(pipeline) -> dict[str, bytes]:
+    """Criterion 10's six artifacts, the per-relation CSVs of both evaluations,
+    and the cb checkpoint's sweeps over :data:`SWEEP_GRIDS`, by name."""
+    root = pipeline["root"]
+    names = ["train.jsonl", "test.jsonl", *(f"{kind}_{name}.{ext}" for kind, ext in
+                                           (("checkpoint", "json"), ("metrics", "csv"))
+                                           for name in RUNS)]
+    out = {name: (root / name).read_bytes() for name in names}
+    for name in RUNS:
+        config, results = pipeline[name]["config"], pipeline[name]["results"]
+        for constraint, result in results.items():
+            out[f"per_relation_{name}_{constraint}.csv"] = per_relation_csv(
+                config.label_space, result, list(config.eval_ks)).encode()
+    config = pipeline["cb"]["config"]
+    stats = training_stats(pipeline["train_images"], config.label_space)
+    for name, grid in SWEEP_GRIDS.items():
+        rows = sweep(pipeline["cb"]["checkpoint"], stats, config.bias, grid,
+                     pipeline["test_images"])
+        out[name] = sweep_csv(rows, config.eval_ks).encode()
+    return out
+
+
+def test_reference_artifacts_match_their_pinned_digests(pipeline):
+    """Each artifact's sha256 equals the one ``configs/reference/digests.json``
+    pins. Another numpy, Python or BLAS may give other bytes; a mismatch names
+    the keys that differ and both environments, and its message ends with the
+    document this environment gives, to re-pin a deliberate change."""
+    pinned = json.loads((CONFIGS / "digests.json").read_text())
+    got = {name: hashlib.sha256(data).hexdigest()
+           for name, data in sorted(reference_artifacts(pipeline).items())}
+    wrong = sorted(key for key in got.keys() | pinned["sha256"].keys()
+                   if got.get(key) != pinned["sha256"].get(key))
+    doc = {"environment": environment(), "sha256": got}
+    assert not wrong, (
+        f"digests differ for {wrong}; pinned under {pinned['environment']}, "
+        f"taken under {doc['environment']}; this environment gives:\n"
+        + json.dumps(doc, indent=1))
+    print(f"\nDIGESTS: PASS ({len(got)} artifacts byte-identical to configs/reference/digests.json)")
