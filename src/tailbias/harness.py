@@ -37,8 +37,9 @@ image once over all its pairs (:func:`_forward_split`), names the first
 image whose outputs are not finite, by the same array rule that checks the
 ground truth, and ranks the split's stacked ``(ΣP, L)`` score matrix once
 per constraint (see :mod:`tailbias.metrics`). The sweep forwards the split
-once too, and scores and ranks :data:`GRID_BLOCK` grid points at a time as
-one block, the split stacked once per point (:func:`_rank_split`);
+once too, and scores, ranks and counts :data:`GRID_BLOCK` grid points at a
+time as one block, the split stacked once per point and the recalls of
+every point and constraint counted in one pass (:func:`_rank_split`);
 evaluation is that block's one-point case.
 Only this module reads the task (:data:`MODES`): each model call's objects
 carry the labels of :func:`class_labels`, by which training gathers bias
@@ -72,7 +73,7 @@ from .metrics import (
     MISS,
     EvalResult,
     candidate_index,
-    evaluate_split,
+    evaluate_rows,
     object_pair_scores,
     rank,
     score_triplets,
@@ -777,9 +778,10 @@ def _rank_split(
     scored by one :func:`score_triplets` call (the ``sgcls`` pair scores
     tiled G times) and ranked by one :func:`rank` call per constraint over
     the split stacked G times. Each copy of an image is ranked only against
-    itself, so every bias gets the positions it would get alone, and its
-    own :func:`evaluate_split` call per constraint. A lone ``None`` ranks
-    the logits themselves, uncopied.
+    itself, so every bias gets the positions it would get alone. The block's
+    ``(G·2, T)`` positions, one row per bias and constraint, are counted by
+    one :func:`evaluate_rows` call, each row's recalls those it gets alone.
+    A lone ``None`` ranks the logits themselves, uncopied.
     """
     ls = config.label_space
     logits, L = scored.relation_logits, ls.num_relations
@@ -801,15 +803,16 @@ def _rank_split(
         scores = score_triplets(pair_scores, block)
         starts = np.append((scored.pair_start[:-1] + count * g).ravel(), len(block))
         index = (scored.gt_index + count * L * g).ravel()
-        points = [{} for _ in tables]
-        for c in CONSTRAINTS:
-            positions = rank(scores, starts, index, c).reshape(len(tables), -1)
-            for point, row in zip(points, positions):
-                point[c] = evaluate_split(
-                    scored.gt_relations, np.where(scored.gt_matched, row, MISS),
-                    scored.gt_image, num_images, ks, L, c,
-                )
-        results += points
+        # (G, constraint, T), one row per point and constraint
+        positions = np.stack([rank(scores, starts, index, c).reshape(len(tables), -1)
+                              for c in CONSTRAINTS], axis=1)
+        rows = evaluate_rows(
+            scored.gt_relations, np.where(scored.gt_matched, positions, MISS).reshape(
+                len(tables) * len(CONSTRAINTS), -1),
+            scored.gt_image, num_images, ks, L, CONSTRAINTS * len(tables),
+        )
+        results += [dict(zip(CONSTRAINTS, rows[i : i + len(CONSTRAINTS)]))
+                    for i in range(0, len(rows), len(CONSTRAINTS))]
     return results
 
 

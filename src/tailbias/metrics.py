@@ -28,7 +28,9 @@ its pair's best is never retrieved (position :data:`MISS`). A split may
 stack copies of itself, each under other scores (the sweep's grid points,
 copy g's rows and ``starts`` shifted by g·ΣP and its flat indices by
 g·ΣP·L): a copy of an image is just another image, ranked only against
-itself.
+itself. The recalls of such a stack, one row of positions per copy and
+constraint, are counted in one pass (:func:`evaluate_rows`), each row's
+exactly as :func:`evaluate_split` counts it alone.
 
 ``recall@k`` is the fraction of an image's ground-truth triplets, matched on
 exact ``(s, o, relation)``, found in its top k; the dataset value averages
@@ -62,6 +64,7 @@ __all__ = [
     "score_triplets",
     "candidate_index",
     "rank",
+    "evaluate_rows",
     "evaluate_split",
     "metrics_csv",
     "sweep_csv",
@@ -183,6 +186,61 @@ def rank(
     return ranked
 
 
+def evaluate_rows(
+    relations: np.ndarray, positions: np.ndarray, image: np.ndarray, num_images: int,
+    ks: Sequence[int], num_relations: int, constraints: Sequence[str],
+) -> list[EvalResult]:
+    """:func:`evaluate_split` for each row of ``positions``, counted in one pass.
+
+    Row ``j`` of the ``(R, T)`` ``positions`` holds the rank positions of the
+    split's T ground-truth triplets under ``constraints[j]``, the others as
+    :func:`evaluate_split` takes them. The hits of every (row, k) are counted
+    per image by one ``np.bincount`` over a combined ``(row·k, image)``
+    index, and per relation the same way; each R@k and mR@k is a 1-D sum
+    over its own row's contiguous values divided by their number, as
+    ``np.mean`` computes it, so a row's result is bit for bit the one it
+    gets alone. No two results share an array.
+    """
+    if len(constraints) != len(positions):
+        raise ValueError("one constraint is required per row of positions")
+    ks = np.asarray(ks, dtype=np.int64)
+    sizes = np.bincount(image, minlength=num_images)
+    with_gt = sizes > 0
+    gt_counts = np.bincount(relations, minlength=num_relations + 1)
+    present = gt_counts > 0
+    cells = len(positions) * ks.size  # one per (row, k), row-major
+    cell, t = np.nonzero((positions[:, None, :] < ks[:, None]).reshape(cells, -1))
+    per_image = np.bincount(cell * num_images + image[t], minlength=cells * num_images)
+    image_recall = per_image.reshape(cells, num_images)[:, with_gt] / sizes[with_gt]
+    hits = np.bincount(cell * (num_relations + 1) + relations[t],
+                       minlength=cells * (num_relations + 1)).reshape(cells, -1)
+    per_rel = np.full(hits.shape, np.nan)
+    per_rel[:, present] = hits[:, present] / gt_counts[present]
+    relation_recall = per_rel[:, present]
+    results = []
+    for j, constraint in enumerate(constraints):
+        recall, mean_recall, per_relation = {}, {}, {}
+        for i, k in enumerate(ks.tolist()):
+            c = j * ks.size + i
+            recall[k] = _mean(image_recall[c])
+            mean_recall[k] = _mean(relation_recall[c])
+            per_relation[k] = per_rel[c].copy()
+        results.append(EvalResult(
+            recall_at=recall,
+            mean_recall_at=mean_recall,
+            per_relation_recall=per_relation,
+            gt_relation_counts=gt_counts.copy(),
+            num_images=num_images,
+            constraint_mode=constraint,
+        ))
+    return results
+
+
+def _mean(values: np.ndarray) -> float:
+    """``np.mean`` of a 1-D contiguous array, bit for bit; 0.0 when it is empty."""
+    return float(np.add.reduce(values) / values.size) if values.size else 0.0
+
+
 def evaluate_split(
     relations: np.ndarray, positions: np.ndarray, image: np.ndarray, num_images: int,
     ks: Sequence[int], num_relations: int, constraint: str,
@@ -192,31 +250,11 @@ def evaluate_split(
     Ground-truth triplet ``t`` belongs to image ``image[t]`` of
     ``num_images``, has relation label ``relations[t]`` and rank position
     ``positions[t]`` (from :func:`rank` under ``constraint``); images without
-    ground truth are skipped for R@k. Every k in ``ks`` is at least 1.
+    ground truth are skipped for R@k. Every k in ``ks`` is at least 1. The
+    one-row case of :func:`evaluate_rows`.
     """
-    sizes = np.bincount(image, minlength=num_images)
-    with_gt = sizes > 0
-    gt_counts = np.bincount(relations, minlength=num_relations + 1)
-    present = gt_counts > 0
-    recall = {}
-    mean_recall = {}
-    per_rel = {}
-    for k in ks:
-        hit = positions < k
-        per_image_hits = np.bincount(image, weights=hit, minlength=num_images)[with_gt]
-        recall[k] = float(np.mean(per_image_hits / sizes[with_gt])) if with_gt.any() else 0.0
-        hits = np.bincount(relations[hit], minlength=num_relations + 1)
-        per_rel[k] = np.full(num_relations + 1, np.nan)
-        per_rel[k][present] = hits[present] / gt_counts[present]
-        mean_recall[k] = float(np.mean(per_rel[k][present])) if present.any() else 0.0
-    return EvalResult(
-        recall_at=recall,
-        mean_recall_at=mean_recall,
-        per_relation_recall=per_rel,
-        gt_relation_counts=gt_counts,
-        num_images=num_images,
-        constraint_mode=constraint,
-    )
+    return evaluate_rows(relations, np.asarray(positions)[None], image, num_images, ks,
+                         num_relations, [constraint])[0]
 
 
 def _rows(first, results: dict[str, EvalResult], ks: Sequence[int]) -> str:

@@ -30,7 +30,14 @@ from tailbias.harness import (
     train,
     training_stats,
 )
-from tailbias.metrics import CONSTRAINTS, MISS, candidate_index, evaluate_split, rank
+from tailbias.metrics import (
+    CONSTRAINTS,
+    MISS,
+    candidate_index,
+    evaluate_rows,
+    evaluate_split,
+    rank,
+)
 from tailbias.model import init_linear, model_for
 from tailbias.stats import LabelSpace, ingest, stats_from_json, stats_to_json
 from tailbias.numerics import flatten
@@ -155,6 +162,51 @@ def test_a_stacked_split_ranks_each_copy_as_that_copy_alone(split, copies, data)
                    constraint)
         want = np.concatenate([rank(block, starts, index, constraint) for block in blocks])
         assert got.tolist() == want.tolist()
+
+
+@given(scored_split(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_the_block_counter_counts_each_row_as_that_row_alone(split, data):
+    """Rows of positions stacked as a sweep block stacks its points and
+    constraints: each row ranks a shuffle of the split's scores under a drawn
+    constraint, or drops every triplet (:data:`MISS`). A drawn subset of the
+    ks leaves positions beyond every k, and one relation label more than the
+    scores hold never occurs; the split has an image without ground truth."""
+    num_relations, images = split
+    ks = sorted(data.draw(st.sets(st.sampled_from([1, 2, 3, 5, 8, 50]), min_size=1)))
+    labels = num_relations + 1  # relation ``labels`` never occurs
+    starts = np.cumsum([0] + [len(pairs) for _, pairs, _, _ in images])
+    scores = np.concatenate([scores for _, _, scores, _ in images])
+    index = np.concatenate(
+        [candidate_index(gt, n, num_relations) + start * num_relations
+         for (n, _, _, gt), start in zip(images, starts)]
+    )
+    relations = np.array([r for *_, gt in images for _, _, r in gt], dtype=np.int64)
+    image = np.repeat(np.arange(len(images)), [len(gt) for *_, gt in images])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows, constraints, oracle_rows = [], [], []
+    for _ in range(data.draw(st.integers(1, 6))):
+        constraint = data.draw(st.sampled_from(CONSTRAINTS))
+        if data.draw(st.booleans()):
+            rows.append(np.full(index.size, MISS))
+            oracle_rows.append([(gt, []) for *_, gt in images])
+        else:
+            block = rng.permutation(scores.ravel()).reshape(scores.shape)
+            rows.append(rank(block, starts, index, constraint))
+            oracle_rows.append([
+                (gt, oracle.rank(oracle_candidates(pairs, block[lo:hi]), constraint))
+                for (_, pairs, _, gt), lo, hi in zip(images, starts, starts[1:])])
+        constraints.append(constraint)
+    got = evaluate_rows(relations, np.stack(rows), image, len(images), ks, labels, constraints)
+    assert len(got) == len(rows)
+    for result, row, constraint, per_image in zip(got, rows, constraints, oracle_rows):
+        alone = evaluate_split(relations, row, image, len(images), ks, labels, constraint)
+        want = oracle.evaluate_split(per_image, ks, labels, constraint)
+        assert_same_results({constraint: result}, {constraint: alone})
+        assert_same_results({constraint: result}, {constraint: want})
+    arrays = [a for r in got for a in (r.gt_relation_counts, *r.per_relation_recall.values())]
+    assert len({id(a) for a in arrays}) == len(arrays)
+    assert all(a.base is None for a in arrays)
 
 
 LABELS = LabelSpace(num_object_classes=6, num_relations=8)
