@@ -6,10 +6,11 @@ files it read, keyed by the flag that named them (``data.<name>`` for a file
 a train config names). :func:`main` alone writes the artifacts, through
 :func:`~tailbias.stats.write_text`: the text of the one file ``--out`` names
 (``stats``, ``bias``), or ``{name: text}`` under the ``--out`` directory with
-a ``manifest.json`` of the sha256 digests of the files read and written. A
-fault of a file read is a ``ValueError`` starting with its path (see
-:func:`~tailbias.stats.read_json`). Failures print a machine-readable JSON
-error object to stderr and exit nonzero; a refused input writes nothing.
+a ``manifest.json`` of the sha256 digests of the files read and written and
+the values of the command's other arguments. A fault of a file read is a
+``ValueError`` starting with its path (see :func:`~tailbias.stats.read_json`).
+Failures print a machine-readable JSON error object to stderr and exit
+nonzero; a refused input writes nothing.
 """
 
 from __future__ import annotations
@@ -74,22 +75,30 @@ def _digests(paths: dict[str, str]) -> dict[str, dict[str, str]]:
             for key in sorted(paths)}
 
 
-def _write_outputs(command: str, out: str | None, files: str | dict, inputs: dict) -> None:
-    """Write what ``command`` returned: a ``str`` as the file ``out``, or each
-    ``{name: text}`` under the directory ``out``, created here, then a
-    ``manifest.json`` giving the sha256 of each file in ``inputs``, taken
-    before any output is written, and of each file written. No ``out``
-    writes nothing."""
+# Flags that name a file the command reads: ``inputs`` keys their digests.
+_FILE_FLAGS = ("config", "data", "labels", "images", "stats", "checkpoint", "bias")
+
+
+def _write_outputs(args, files: str | dict, inputs: dict) -> None:
+    """Write what ``args.command`` returned: a ``str`` as the file ``args.out``,
+    or each ``{name: text}`` under the directory ``args.out``, created here,
+    then a ``manifest.json`` giving the sha256 of each file in ``inputs``,
+    taken before any output is written, and of each file written, and under
+    ``arguments`` every other parsed argument, defaults filled in. No
+    ``out`` writes nothing."""
+    out = args.out
     if out is None:
         return
     if isinstance(files, str):
         return write_text(out, files)
     read = _digests(inputs)
+    arguments = {key: value for key, value in sorted(vars(args).items())
+                 if key not in ("command", "fn", "out", *_FILE_FLAGS)}
     os.makedirs(out, exist_ok=True)
     for name, text in files.items():
         write_text(os.path.join(out, name), text)
-    doc = {"command": command, "version": __version__, "numpy": np.__version__,
-           "python": platform.python_version(), "inputs": read,
+    doc = {"command": args.command, "version": __version__, "numpy": np.__version__,
+           "python": platform.python_version(), "arguments": arguments, "inputs": read,
            "outputs": _digests({name: os.path.join(out, name) for name in files})}
     write_text(os.path.join(out, "manifest.json"), json.dumps(doc, indent=2) + "\n")
 
@@ -171,8 +180,7 @@ def cmd_sweep(args) -> tuple[int, dict, dict]:
     ks = checkpoint.config.eval_ks if args.ks is None else args.ks
     spec = checkpoint.config.bias
     if args.kind:
-        spec = from_dict(BiasSpec, {"kind": args.kind, "a": 1.0 if args.a is None else args.a,
-                                    "epsilon": 1e-3 if args.epsilon is None else args.epsilon})
+        spec = from_dict(BiasSpec, {"kind": args.kind, "a": args.a, "epsilon": args.epsilon})
     if spec is None:
         raise CliError("checkpoint has no bias spec; pass --kind/--a/--epsilon")
     rows = sweep(checkpoint, stats, spec, args.grid, images, ks=ks)
@@ -257,13 +265,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "sweep" and not args.kind:  # --a and --epsilon shape its bias
-            for flag in ("a", "epsilon"):
-                if getattr(args, flag) is not None:
+        if args.command == "sweep":  # --a and --epsilon shape the bias --kind names
+            for flag, default in (("a", 1.0), ("epsilon", 1e-3)):
+                if args.kind and getattr(args, flag) is None:
+                    setattr(args, flag, default)
+                elif not args.kind and getattr(args, flag) is not None:
                     parser.error(f"argument --{flag}: not allowed without argument --kind")
         with np.errstate(all="ignore"):  # every non-finite value is refused by its own check
             code, files, inputs = args.fn(args)
-        _write_outputs(args.command, args.out, files, inputs)
+        _write_outputs(args, files, inputs)
         return code
     except (CliError, ValueError, ArithmeticError, OSError, KeyError, RecursionError,
             MemoryError) as exc:

@@ -4,8 +4,8 @@
 for writing. A command returns its artifacts and :func:`tailbias.cli.main`
 writes them: the one file ``--out`` names for ``stats`` and ``bias``, else each
 file under the ``--out`` directory followed by a ``manifest.json`` that gives
-the sha256 of every file the command read and wrote and the numpy and Python
-versions that made it.
+the sha256 of every file the command read and wrote, the values of its other
+arguments, and the numpy and Python versions that made it.
 """
 
 import ast
@@ -166,6 +166,48 @@ def test_a_changed_input_gives_a_different_digest(pipelines, tmp_path):
     assert changed["--data"] == sha256(tmp_path / "test.jsonl")
     assert {k: v for k, v in changed.items() if k != "--data"} == {
         k: v for k, v in parent.items() if k != "--data"}
+
+
+# Each command's arguments but ``--out`` and the files ``inputs`` keys, as
+# :func:`run_pipeline` passes them, defaults filled in.
+ARGUMENTS = {
+    "data": {"seed": None},
+    "run": {"seed": None},
+    "eval": {"ks": None},
+    "sweep": {"a": None, "epsilon": None, "grid": [0.0, 0.5, 1.0], "kind": None, "ks": None},
+    "gradcheck": {"instances": 1, "seed": 0},
+}
+
+
+def test_each_manifest_gives_the_commands_other_arguments(pipelines):
+    root = pipelines[0]
+    for out, arguments in ARGUMENTS.items():
+        assert manifest(root, out)["arguments"] == arguments, out
+
+
+def test_a_sweep_manifest_gives_the_bias_it_swept(pipelines, tmp_path):
+    """``--kind`` fills in the defaults of ``--a`` and ``--epsilon``."""
+    root = pipelines[0]
+    common = ["sweep", "--checkpoint", str(root / "run" / "checkpoint.json"),
+              "--stats", str(root / "stats.json"), "--data", str(root / "data" / "test.jsonl"),
+              "--grid", "0,0.5", "--ks", "5"]
+    assert main([*common, "--kind", "pb", "--a", "0.5", "--out", str(tmp_path / "pb")]) == 0
+    assert main([*common, "--kind", "cb", "--out", str(tmp_path / "cb")]) == 0
+    assert manifest(tmp_path, "pb")["arguments"] == {
+        "a": 0.5, "epsilon": 1e-3, "grid": [0.0, 0.5], "kind": "pb", "ks": [5]}
+    assert manifest(tmp_path, "cb")["arguments"] == {
+        "a": 1.0, "epsilon": 1e-3, "grid": [0.0, 0.5], "kind": "cb", "ks": [5]}
+
+
+def test_eval_runs_differing_only_in_ks_give_different_arguments(pipelines, tmp_path):
+    root = pipelines[0]
+    for ks in ("5", "1,10"):
+        assert main(["eval", "--checkpoint", str(root / "run" / "checkpoint.json"),
+                     "--data", str(root / "data" / "test.jsonl"), "--ks", ks,
+                     "--out", str(tmp_path / ks)]) == 0
+    first, second = manifest(tmp_path, "5"), manifest(tmp_path, "1,10")
+    assert (first["arguments"], second["arguments"]) == ({"ks": [5]}, {"ks": [1, 10]})
+    assert first["inputs"] == second["inputs"]
 
 
 def test_a_pipeline_run_in_two_directories_gives_equal_manifests(pipelines):
