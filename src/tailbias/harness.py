@@ -803,14 +803,11 @@ def _rank_split(
         scores = score_triplets(pair_scores, block)
         starts = np.append((scored.pair_start[:-1] + count * g).ravel(), len(block))
         index = (scored.gt_index + count * L * g).ravel()
-        # (G, constraint, T), one row per point and constraint
-        positions = np.stack([rank(scores, starts, index, c).reshape(len(tables), -1)
-                              for c in CONSTRAINTS], axis=1)
-        rows = evaluate_rows(
-            scored.gt_relations, np.where(scored.gt_matched, positions, MISS).reshape(
-                len(tables) * len(CONSTRAINTS), -1),
-            scored.gt_image, num_images, ks, L, CONSTRAINTS * len(tables),
-        )
+        ranked = [rank(scores, starts, index, c).reshape(len(tables), -1) for c in CONSTRAINTS]
+        positions = np.where(scored.gt_matched, np.stack(ranked, axis=1), MISS)  # (G, 2, T)
+        constraints = CONSTRAINTS * len(tables)  # one row per point and constraint
+        rows = evaluate_rows(scored.gt_relations, positions.reshape(len(constraints), -1),
+                             scored.gt_image, num_images, ks, L, constraints)
         results += [dict(zip(CONSTRAINTS, rows[i : i + len(CONSTRAINTS)]))
                     for i in range(0, len(rows), len(CONSTRAINTS))]
     return results

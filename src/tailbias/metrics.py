@@ -217,11 +217,11 @@ def evaluate_rows(
     per_rel = np.full(hits.shape, np.nan)
     per_rel[:, present] = hits[:, present] / gt_counts[present]
     relation_recall = per_rel[:, present]
-    results = []
+    results, ks = [], ks.tolist()
     for j, constraint in enumerate(constraints):
         recall, mean_recall, per_relation = {}, {}, {}
-        for i, k in enumerate(ks.tolist()):
-            c = j * ks.size + i
+        for i, k in enumerate(ks):
+            c = j * len(ks) + i
             recall[k] = _mean(image_recall[c])
             mean_recall[k] = _mean(relation_recall[c])
             per_relation[k] = per_rel[c].copy()
