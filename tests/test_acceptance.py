@@ -267,9 +267,8 @@ def reference_artifacts(pipeline) -> dict[str, bytes]:
     """Criterion 10's six artifacts, the per-relation CSVs of both evaluations,
     and the cb checkpoint's sweeps over :data:`SWEEP_GRIDS`, by name."""
     root = pipeline["root"]
-    names = ["train.jsonl", "test.jsonl", *(f"{kind}_{name}.{ext}" for kind, ext in
-                                           (("checkpoint", "json"), ("metrics", "csv"))
-                                           for name in RUNS)]
+    names = ["train.jsonl", "test.jsonl", *(f"checkpoint_{name}.json" for name in RUNS),
+             *(f"metrics_{name}.csv" for name in RUNS)]
     out = {name: (root / name).read_bytes() for name in names}
     for name in RUNS:
         config, results = pipeline[name]["config"], pipeline[name]["results"]
