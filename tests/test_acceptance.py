@@ -6,7 +6,8 @@ Run with ``pytest tests/test_acceptance.py -v -s``. The directional criteria
 ``train_ce.json`` / ``train_cb.json`` (two linear-model runs, plain
 cross-entropy and the count bias). Reference-run values: ce R@50=0.7398
 mR@50=0.4480; biased R@50=0.6668 mR@50=0.5337 (graph-constrained). The
-pipeline's artifacts are pinned by sha256 in ``configs/reference/digests.json``
+pipeline's artifacts, and the exact floats of its run logs and results, are
+pinned by sha256 in ``configs/reference/digests.json``
 (:func:`test_reference_artifacts_match_their_pinned_digests`).
 """
 
@@ -34,7 +35,7 @@ from tailbias.harness import (
     training_stats,
 )
 from tailbias.losses import baseline_loss, bias_gap, biased_ce, ce
-from tailbias.metrics import METRICS_CSV_HEADER, metrics_csv, per_relation_csv, sweep_csv
+from tailbias.metrics import METRICS_CSV_HEADER, EvalResult, metrics_csv, per_relation_csv, sweep_csv
 from tailbias.stats import LabelSpace, ingest, read_config
 from tailbias.synth import SynthConfig, generate_split, write_images_jsonl
 
@@ -59,13 +60,14 @@ def pipeline(tmp_path_factory):
     out = {"root": root, "train_images": train_images, "test_images": test_images}
     for name in RUNS:
         config = read_config(TrainConfig, str(CONFIGS / f"train_{name}.json"))
-        checkpoint, _ = train(config, train_images)
+        checkpoint, runlog = train(config, train_images)
         save_checkpoint(checkpoint, str(root / f"checkpoint_{name}.json"))
         results = evaluate(checkpoint, test_images)
         (root / f"metrics_{name}.csv").write_text(
             metrics_csv(config.task, results, list(config.eval_ks))
         )
-        out[name] = {"config": config, "checkpoint": checkpoint, "results": results}
+        out[name] = {"config": config, "checkpoint": checkpoint, "runlog": runlog,
+                     "results": results}
     out["elapsed"] = time.time() - started
     return out
 
@@ -263,9 +265,25 @@ def environment() -> dict:
             "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")}}
 
 
+def float_lines(values) -> bytes:
+    """One ``float.hex`` line per value: the CSVs print six decimals, so only
+    these bytes change with a recall's or a loss's last bit."""
+    return "".join(f"{float(v).hex()}\n" for v in values).encode()
+
+
+def result_floats(results: dict[str, EvalResult]) -> list[float]:
+    """Every float of one result per constraint, in order: per k, R@k, mR@k
+    and the per-relation recalls."""
+    return [v for result in results.values() for k in result.recall_at
+            for v in (result.recall_at[k], result.mean_recall_at[k],
+                      *result.per_relation_recall[k].tolist())]
+
+
 def reference_artifacts(pipeline) -> dict[str, bytes]:
     """Criterion 10's six artifacts, the per-relation CSVs of both evaluations,
-    and the cb checkpoint's sweeps over :data:`SWEEP_GRIDS`, by name."""
+    and the cb checkpoint's sweeps over :data:`SWEEP_GRIDS`, by name; with
+    the :func:`float_lines` of each run's losses and every float of both
+    evaluations and both sweeps."""
     root = pipeline["root"]
     names = ["train.jsonl", "test.jsonl", *(f"checkpoint_{name}.json" for name in RUNS),
              *(f"metrics_{name}.csv" for name in RUNS)]
@@ -275,12 +293,16 @@ def reference_artifacts(pipeline) -> dict[str, bytes]:
         for constraint, result in results.items():
             out[f"per_relation_{name}_{constraint}.csv"] = per_relation_csv(
                 config.label_space, result, list(config.eval_ks)).encode()
+        out[f"losses_{name}.hex"] = float_lines(pipeline[name]["runlog"].losses)
+        out[f"results_{name}.hex"] = float_lines(result_floats(results))
     config = pipeline["cb"]["config"]
     stats = training_stats(pipeline["train_images"], config.label_space)
     for name, grid in SWEEP_GRIDS.items():
         rows = sweep(pipeline["cb"]["checkpoint"], stats, config.bias, grid,
                      pipeline["test_images"])
         out[name] = sweep_csv(rows, config.eval_ks).encode()
+        out[name.replace(".csv", ".hex")] = float_lines(
+            v for _, results in rows for v in result_floats(results))
     return out
 
 
