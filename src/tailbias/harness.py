@@ -12,14 +12,15 @@ and sampler, so the batches of one epoch of steps are drawn in one call
 (:func:`_draw`) and planned in one pass, and each step takes views of its
 batch's part; both generators are consumed as one draw per step would
 consume them. The window's background subsamples are one vectorized pass
-that reads the sampler's words as one ``Generator.choice`` per image slot
-reads them (:func:`_floyd`; ``BENCH_28.json``: ref_linear training 13754 ->
-16241 img/s), with the calls themselves as the rare fallback. The
-optimized scalar is the mean relation loss over the drawn
-pairs, plus a weighted mean object cross-entropy when the model has an
-object head, each loss called once per batch on the rows of all its images
-(:func:`_batch_loss`). Bias rows are gathered from a dense class-pair table
-by the pair's classes. Parameters, momentum and gradients are flat buffers,
+whose bounded draws are one public ``Generator.integers`` call, consumed as
+one ``Generator.choice`` per image slot consumes them (:func:`_choices`;
+``BENCH_28.json``: ref_linear training 13754 -> 16241 img/s), so no window
+falls back on a rejected word; only a slot outside numpy's Floyd regime
+makes the calls themselves. The optimized scalar is the mean relation
+loss over the drawn pairs, plus a weighted mean object cross-entropy when
+the model has an object head, each loss called once per batch on the rows
+of all its images (:func:`_batch_loss`). Bias rows are gathered from a
+dense class-pair table by the pair's classes. Parameters, momentum and gradients are flat buffers,
 with trees as views of them. A non-finite loss or gradient
 stops training with a ``FloatingPointError`` that names the iteration and,
 for a gradient, the parameter leaf; a forward that diverges shows as one of them.
@@ -343,8 +344,9 @@ def _draw(
     each slot's block: per slot, every foreground pair, then a seeded
     subsample of its background pairs, both in pair order. The subsamples
     are one ``rng.choice`` per slot with background pairs to take, in slot
-    order, drawn in one pass (:func:`_choices`), so drawing many batches in
-    one call consumes ``rng`` as drawing them one call each."""
+    order, drawn in one pass with one ``rng.integers`` call (:func:`_choices`),
+    a rejected word included, so drawing many batches in one call consumes
+    ``rng`` as drawing them one call each."""
     slots = np.asarray(slots, dtype=np.int64)
     fg_lo, bg_lo = gt_start[slots], split.bg_start[slots]
     n_fg, n_bg = gt_start[slots + 1] - fg_lo, split.bg_start[slots + 1] - bg_lo
@@ -362,62 +364,42 @@ def _draw(
 def _choices(n: np.ndarray, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Each slot's ``np.sort(rng.choice(n[s], size=t[s], replace=False))``,
     concatenated in slot order, with ``rng`` left as those calls leave it; a
-    slot with ``t[s] = 0`` makes no call. One vectorized pass (:func:`_floyd`),
-    or the calls themselves for the rare window it cannot draw."""
-    n, t = n[t > 0], t[t > 0]
-    picks = _floyd(n, t, rng)
-    if picks is None:  # only for a window of one or more slots
-        picks = np.concatenate([np.sort(rng.choice(a, size=b, replace=False))
-                                for a, b in zip(n.tolist(), t.tolist())])
-    return picks
-
-
-def _floyd(n: np.ndarray, t: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
-    """:func:`_choices` of slots with ``t >= 1`` in one pass over the window
-    that reads ``rng``'s 32-bit words as the ``choice`` calls read them;
-    ``None``, with ``rng`` untouched, when a call would draw otherwise.
+    slot with ``t[s] = 0`` makes no call.
 
     For these arguments numpy's ``choice`` runs Floyd's algorithm (Bentley &
-    Floyd, CACM 1987) when ``n <= 10000`` or ``t <= n // 50``: for ``j = n -
+    Floyd, CACM 1987) unless ``n > 10000`` and ``t > n // 50``: for ``j = n -
     t, …, n - 1`` a bounded draw ``v`` in ``[0, j]`` picks ``v``, or ``j`` when
     ``v`` is already picked; then it shuffles the picks with one bounded draw
-    in ``[0, i]`` for each ``i = t - 1, …, 1``. A bounded draw in ``[0, r]``
-    (Lemire, arXiv 1805.10941) reads none for ``r = 0``, else one word ``u``,
-    and gives ``(u · (r + 1)) >> 32`` unless ``(u · (r + 1)) mod 2³²`` is
-    below ``(2³² − r − 1) mod (r + 1)``, when it reads another word. Such a
-    rejection (about 2e-9 per word at this problem's sizes) sends the whole
-    window back, as does a slot outside Floyd's regime. The sorted picks do
-    not depend on the shuffle, which only has to consume its words."""
-    if not len(t):
-        return np.zeros(0, dtype=np.int64)
-    if ((n > 10000) & (t > n // 50)).any():
-        return None
-    floyd = t - (t == n)  # the j = 0 draw reads no word
-    at = _offsets(floyd + t - 1)
-    bound = np.empty(at[-1], dtype=np.uint64)  # each word's r, in the order read
-    bound[_ranges(at[:-1], floyd)] = _ranges(n - floyd, floyd)
-    bound[_ranges(at[:-1] + floyd, t - 1)] = -_ranges(1 - t, t - 1)
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    scaled = _words(bitgen, state, len(bound)) * (bound + 1)
-    if ((scaled & 0xFFFFFFFF) < (2**32 - 1 - bound) % (bound + 1)).any():
-        bitgen.state = state
-        return None
+    in ``[0, i]`` for each ``i = t - 1, …, 1``. The window's bounded draws, in
+    that order slot by slot, are one ``rng.integers`` call over their bounds,
+    which runs numpy's own bounded draw and so consumes ``rng`` draw for draw
+    as the calls do, rejected words and the ``j = 0`` draw (which reads no
+    word) included. The sorted picks do not depend on the shuffle, which only
+    has to consume its draws. A window with a slot outside Floyd's regime
+    makes the calls themselves."""
+    n, t = n[t > 0], t[t > 0]
+    if ((n > 10000) & (t > n // 50)).any():  # numpy's tail shuffle
+        return np.concatenate([np.sort(rng.choice(a, size=b, replace=False))
+                               for a, b in zip(n.tolist(), t.tolist())])
+    at = _offsets(2 * t - 1)
+    bound = np.empty(at[-1], dtype=np.int64)  # each draw's largest value, in draw order
+    bound[_ranges(at[:-1], t)] = _ranges(n - t, t)
+    bound[_ranges(at[:-1] + t, t - 1)] = -_ranges(1 - t, t - 1)
+    draws = rng.integers(0, bound, endpoint=True)
 
     # Column k of the (max t, S) picks is the slot with the k-th largest take,
     # so the slots still drawing at step q are a prefix.
     order = np.argsort(-t, kind="stable")
     col = np.empty_like(order)
     col[order] = np.arange(len(t))
-    width = int(t.max())
+    width = int(t.max(initial=0))
     picks = np.zeros((width, len(t)), dtype=np.int64)
-    picks[_ranges(t - floyd, floyd), col.repeat(floyd)] = scaled[_ranges(at[:-1], floyd)] >> 32
+    picks[_ranges(0 * t, t), col.repeat(t)] = draws[_ranges(at[:-1], t)]
     j = (n - t)[order] + np.arange(width)[:, None]
     drawing = len(t) - np.bincount(t, minlength=width).cumsum()
     first = _offsets(n[order])  # column k's candidates are picked[first[k]:first[k + 1]]
     picked = np.zeros(first[-1], dtype=bool)
-    picked[first[:-1] + picks[0]] = True
-    for q in range(1, width):
+    for q in range(width):
         a = drawing[q]
         pick = picks[q, :a]
         np.copyto(pick, j[q, :a], where=picked[first[:a] + pick])
@@ -425,25 +407,6 @@ def _floyd(n: np.ndarray, t: np.ndarray, rng: np.random.Generator) -> np.ndarray
     picks = picks.T[col]  # slot order; a slot's unused places hold 0 and sort first
     picks.sort(axis=1)
     return picks[np.arange(width) >= width - t[:, None]]
-
-
-def _words(bitgen: np.random.BitGenerator, state: dict, count: int) -> np.ndarray:
-    """The next ``count`` 32-bit words (as uint64) that ``bitgen``, a 64-bit
-    generator such as :func:`~tailbias.synth._rng`'s PCG64, at ``state``
-    gives numpy's bounded draws, consumed as they consume them:
-    the buffered half-word first, then the low and the high half of each raw
-    64-bit word, the high half of the last one kept (stale when used)."""
-    has = state["has_uint32"]
-    raw = bitgen.random_raw(max(count - has + 1, 0) // 2)
-    words = np.empty(has + 2 * len(raw), dtype=np.uint64)
-    words[:has] = state["uinteger"]
-    words[has::2], words[has + 1::2] = raw & 0xFFFFFFFF, raw >> 32
-    after = bitgen.state
-    after["has_uint32"] = (count - has) % 2
-    if len(raw):
-        after["uinteger"] = int(raw[-1] >> 32)
-    bitgen.state = after
-    return words[:count]
 
 
 class _Gradient:
@@ -847,11 +810,18 @@ def sweep(
     Each image is forwarded once; the grid's points re-bias, score and rank
     the split's logits :data:`GRID_BLOCK` points at a time, each point's
     results those :func:`evaluate` gives with its bias (:func:`_rank_split`).
-    An empty ``grid``, a point that :class:`BiasSpec` refuses as ``a_eval``,
-    or one whose bias :func:`soft_bias` refuses (the error then names the
-    point's ``a_eval``), raises ``ValueError`` before any image is forwarded.
+    ``stats`` over another number of object classes or relations than the
+    checkpoint's label space, an empty ``grid``, a point that
+    :class:`BiasSpec` refuses as ``a_eval``, or one whose bias
+    :func:`soft_bias` refuses (the error then names the point's ``a_eval``),
+    raises ``ValueError`` before any image is forwarded.
     """
     ks = _check_ks(checkpoint.config.eval_ks if ks is None else ks, "ks")
+    sizes = [(space.num_object_classes, space.num_relations)
+             for space in (stats.label_space, checkpoint.config.label_space)]
+    if sizes[0] != sizes[1]:
+        raise ValueError("statistics over {} object classes and {} relations; the checkpoint "
+                         "has {} and {}".format(*sizes[0], *sizes[1]))
     if not len(grid):
         raise ValueError("empty sweep grid")
     points, biases = [replace(spec, a_eval=float(a_e)) for a_e in grid], []

@@ -8,7 +8,7 @@ import pytest
 from tailbias.cli import main
 from tailbias.gradcert import certify_losses, certify_model, certify_numerics, certify_training
 from tailbias.metrics import METRICS_CSV_HEADER
-from tailbias.stats import LabelSpace
+from tailbias.stats import LabelSpace, ingest, stats_to_json
 from test_synth import NO_NUMBER, NON_FINITE, NUMBER_ROWS
 
 
@@ -208,6 +208,24 @@ class TestPipeline:
         err = json.loads(capsys.readouterr().err.strip())["error"]
         assert err == {"type": "usage",
                        "message": f"argument {flag}: not allowed without argument --kind"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["pb", "cb"])
+    def test_sweep_refuses_statistics_of_another_label_space(
+        self, workspace, tmp_path, capsys, kind
+    ):
+        """Statistics over 3 object classes, for a checkpoint over 5: a JSON
+        error naming both label spaces' sizes, and nothing is written."""
+        _, data_dir, _, _, run_dir = workspace
+        stats_path, out = tmp_path / "stats.json", tmp_path / "sweep"
+        stats_path.write_text(stats_to_json(ingest([(0, 1, 1)], LabelSpace(3, 6))))
+        capsys.readouterr()
+        assert main(["sweep", "--checkpoint", str(run_dir / "checkpoint.json"), "--stats",
+                     str(stats_path), "--data", str(data_dir / "test.jsonl"), "--grid", "0,1",
+                     "--kind", kind, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {"type": "ValueError", "message": "statistics over 3 object classes and "
+                       "6 relations; the checkpoint has 5 and 6"}
         assert not out.exists()
 
     def test_sweep_kind_without_a_or_epsilon_takes_their_defaults(self, workspace, tmp_path):

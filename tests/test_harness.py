@@ -42,7 +42,7 @@ from tailbias.model import (
     model_for,
 )
 from tailbias.numerics import flatten, leaves
-from tailbias.stats import LabelSpace, from_dict, ingest
+from tailbias.stats import LabelSpace, TripletStats, from_dict, ingest
 from tailbias.synth import Images, SynthConfig, SynthImage, all_ordered_pairs, generate_split
 from test_model import make_image, task_view
 
@@ -244,9 +244,10 @@ def choice_loop(n, t, rng):
 
 
 class TestChoices:
-    """``_choices``, the sampler of ``_draw``, against ``choice_loop``. It
-    reproduces numpy's own draw word for word, so a numpy release that draws
-    otherwise fails here first."""
+    """``_choices``, the sampler of ``_draw``, against ``choice_loop``. Its
+    one ``integers`` call consumes the generator as numpy's ``choice`` does,
+    so a numpy release whose ``choice`` draws otherwise (NEP 19) fails here
+    first."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), buffered=st.booleans(),
@@ -256,6 +257,7 @@ class TestChoices:
     @example(seed=1, buffered=True, slots=[(1, 1), (2, 1)])  # no word, then the buffered one
     @example(seed=2, buffered=True, slots=[(3, 0), (5, 5), (0, 0), (4, 2)])
     @example(seed=3, buffered=False, slots=[(20000, 400), (10000, 1500)])  # Floyd at its edges
+    @example(seed=311, buffered=True, slots=[(6, 3), (10000, 5000), (9, 4)])  # a rejected word
     def test_a_window_draws_the_picks_and_leaves_the_state_of_choice(self, seed, buffered, slots):
         """Windows of ``(n_bg, take)`` slots, ``take`` from 0 to ``n_bg``, some
         from a generator holding a buffered half-word."""
@@ -274,22 +276,38 @@ class TestChoices:
         n = np.full(250, 380, dtype=np.int64)
         t = np.where(np.arange(250) % 7 == 0, 380, take).astype(np.int64)
         rng, want = np.random.default_rng(take), np.random.default_rng(take)
-        picks = harness._floyd(n, t, rng)
-        assert picks is not None and np.array_equal(picks, choice_loop(n, t, want))
-        assert rng.bit_generator.state == want.bit_generator.state
-
-    @pytest.mark.parametrize("seed, slots", [
-        (0, [(30, 5), (20000, 401), (9, 9)]),  # n > 10000 and t > n // 50: no Floyd draw
-        (34, [(10000, 5000)]),  # a rejected word among Floyd's
-        (1842, [(10000, 5000)]),  # the first rejected word among the shuffle's
-    ], ids=["outside-floyd", "rejected-floyd-word", "rejected-shuffle-word"])
-    def test_a_window_numpy_draws_otherwise_makes_the_calls(self, seed, slots):
-        n, t = np.array(slots, dtype=np.int64).T
-        rng, want = np.random.default_rng(seed), np.random.default_rng(seed)
-        before = rng.bit_generator.state
-        assert harness._floyd(n, t, rng) is None and rng.bit_generator.state == before
         assert np.array_equal(harness._choices(n, t, rng), choice_loop(n, t, want))
         assert rng.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [34, 1842], ids=["floyd-word", "shuffle-word"])
+    def test_a_rejected_word_draws_as_choice_with_no_call(self, seed):
+        """Seed 34 rejects a word among Floyd's draws of ``choice(10000, 5000)``,
+        seed 1842 first among its shuffle's; the window still takes ``rng``'s
+        words as the call does, without making it."""
+        n, t = np.array([10000]), np.array([5000])
+        rng, want = CountingGenerator(seed), np.random.default_rng(seed)
+        assert np.array_equal(harness._choices(n, t, rng), choice_loop(n, t, want))
+        assert rng.bit_generator.state == want.bit_generator.state and rng.choices == 0
+
+    def test_a_window_outside_floyd_makes_the_calls(self):
+        """A slot with ``n > 10000`` and ``t > n // 50`` takes numpy's tail
+        shuffle, which Floyd's draws do not cover: every slot makes its call."""
+        n, t = np.array([30, 20000, 9]), np.array([5, 401, 9])
+        rng, want = CountingGenerator(0), np.random.default_rng(0)
+        assert np.array_equal(harness._choices(n, t, rng), choice_loop(n, t, want))
+        assert rng.bit_generator.state == want.bit_generator.state and rng.choices == 3
+
+
+class CountingGenerator(np.random.Generator):
+    """``default_rng(seed)``, counting its ``choice`` calls."""
+
+    def __init__(self, seed: int):
+        super().__init__(np.random.PCG64(seed))
+        self.choices = 0
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        return super().choice(*args, **kwargs)
 
 
 def window_keys():
@@ -1180,6 +1198,35 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sweep(ck, stats, spec, grid, test_images)
         assert forwards == []
+
+    @pytest.mark.parametrize("kind", ["pb", "cb"])
+    @pytest.mark.parametrize("classes, relations", [(3, 8), (6, 5)])
+    def test_statistics_of_another_label_space_are_refused_before_any_forward(
+        self, space, data, monkeypatch, kind, classes, relations
+    ):
+        """The statistics' numbers of object classes and relations must be the
+        checkpoint's; the refusal names both before the split is forwarded."""
+        train_images, test_images = data
+        ck, _ = train(linear_config(space), train_images)
+        stats = ingest([(0, 1, 1), (1, 2, 2)], LabelSpace(classes, relations))
+        forwards = []
+        monkeypatch.setattr(harness, "_forward_split", lambda *args: forwards.append(args))
+        message = (f"statistics over {classes} object classes and {relations} relations; "
+                   "the checkpoint has 6 and 8")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep(ck, stats, BiasSpec(kind=kind, a=1.0, epsilon=1e-3), [0.0, 1.0], test_images)
+        assert forwards == []
+
+    def test_statistics_are_matched_by_size_not_by_name(self, space, data):
+        train_images, test_images = data
+        ck, _ = train(linear_config(space), train_images)
+        stats = training_stats(train_images, space)
+        renamed = replace(space, object_names=tuple("abcdef"),
+                          relation_names=tuple(f"r{i}" for i in range(8)))
+        spec = BiasSpec(kind="pb", a=1.0, epsilon=1e-3)
+        a, b = (sweep_csv(sweep(ck, s, spec, [0.5], test_images), [5])
+                for s in (stats, TripletStats(renamed, stats.dense)))
+        assert a == b
 
 
 class TestCheckpointIo:
