@@ -1,22 +1,22 @@
 """Training, evaluation, and the inference-bias sweep, over packed
 :class:`~tailbias.synth.Images` splits.
 
-Training is plain SGD with momentum over seeded shuffled image batches. The
-split's ground truth is checked once, by array masks (:func:`_truth`), and
-the pairs to draw are derived once (:func:`_pack`): every image's ordered
-pairs as global object rows, row for row with the split's unions, its sorted
-foreground pairs and targets, and its background pairs. Each batch draws
-every foreground pair of its images plus a seeded subsample of background
-pairs at a configurable ratio. The draws depend only on the seeded shuffle
-and sampler, so the batches of one epoch of steps are drawn in one call
-(:func:`_draw`) and planned in one pass, and each step takes views of its
-batch's part; both generators are consumed as one draw per step would
-consume them. The window's background subsamples are one vectorized pass
-whose bounded draws are one public ``Generator.integers`` call, consumed as
-one ``Generator.choice`` per image slot consumes them (:func:`_choices`;
-``BENCH_28.json``: ref_linear training 13754 -> 16241 img/s), so no window
-falls back on a rejected word; only a slot outside numpy's Floyd regime
-makes the calls themselves. The optimized scalar is the mean relation
+Training is plain SGD with momentum over image batches in a seeded permuted
+order. The split's ground truth is checked once, by array masks
+(:func:`_truth`), and the pairs to draw are derived once (:func:`_pack`):
+every image's ordered pairs as global object rows, row for row with the
+split's unions, its sorted foreground pairs and targets, and its background
+pairs. Each batch draws every foreground pair of its images plus a seeded
+subsample of background pairs at a configurable ratio. The draws depend only
+on the seeded order and sampler, so the batches of one epoch of steps are
+drawn in one call (:func:`_draw`) and planned in one pass, and each step
+takes views of its batch's part; both generators are consumed as one draw
+per step would consume them. The window's background subsamples are Floyd's
+algorithm over every slot at once, its draws one ``Generator.integers`` call
+(:func:`_choices`); a slot taking none or all of its background pairs draws
+nothing, as at synth's background fraction 0.7, where an image's 4, 7 or 10
+foreground pairs at the default ratio 3 ask for more than its 8, 13 or 20
+background pairs. The optimized scalar is the mean relation
 loss over the drawn pairs, plus a weighted mean object cross-entropy when
 the model has an object head, each loss called once per batch on the rows
 of all its images (:func:`_batch_loss`). Bias rows are gathered from a
@@ -343,10 +343,10 @@ def _draw(
     of many steps in a row), their targets, and the ``(S + 1,)`` offsets of
     each slot's block: per slot, every foreground pair, then a seeded
     subsample of its background pairs, both in pair order. The subsamples
-    are one ``rng.choice`` per slot with background pairs to take, in slot
-    order, drawn in one pass with one ``rng.integers`` call (:func:`_choices`),
-    a rejected word included, so drawing many batches in one call consumes
-    ``rng`` as drawing them one call each."""
+    are Floyd's picks, slot by slot, from one ``rng.integers`` call
+    (:func:`_choices`), so drawing many batches in one call consumes ``rng``
+    as drawing them one call each; a slot taking none or all of its
+    background pairs draws nothing."""
     slots = np.asarray(slots, dtype=np.int64)
     fg_lo, bg_lo = gt_start[slots], split.bg_start[slots]
     n_fg, n_bg = gt_start[slots + 1] - fg_lo, split.bg_start[slots + 1] - bg_lo
@@ -362,51 +362,32 @@ def _draw(
 
 
 def _choices(n: np.ndarray, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Each slot's ``np.sort(rng.choice(n[s], size=t[s], replace=False))``,
-    concatenated in slot order, with ``rng`` left as those calls leave it; a
-    slot with ``t[s] = 0`` makes no call.
-
-    For these arguments numpy's ``choice`` runs Floyd's algorithm (Bentley &
-    Floyd, CACM 1987) unless ``n > 10000`` and ``t > n // 50``: for ``j = n -
-    t, …, n - 1`` a bounded draw ``v`` in ``[0, j]`` picks ``v``, or ``j`` when
-    ``v`` is already picked; then it shuffles the picks with one bounded draw
-    in ``[0, i]`` for each ``i = t - 1, …, 1``. The window's bounded draws, in
-    that order slot by slot, are one ``rng.integers`` call over their bounds,
-    which runs numpy's own bounded draw and so consumes ``rng`` draw for draw
-    as the calls do, rejected words and the ``j = 0`` draw (which reads no
-    word) included. The sorted picks do not depend on the shuffle, which only
-    has to consume its draws. A window with a slot outside Floyd's regime
-    makes the calls themselves."""
-    n, t = n[t > 0], t[t > 0]
-    if ((n > 10000) & (t > n // 50)).any():  # numpy's tail shuffle
-        return np.concatenate([np.sort(rng.choice(a, size=b, replace=False))
-                               for a, b in zip(n.tolist(), t.tolist())])
-    at = _offsets(2 * t - 1)
-    bound = np.empty(at[-1], dtype=np.int64)  # each draw's largest value, in draw order
-    bound[_ranges(at[:-1], t)] = _ranges(n - t, t)
-    bound[_ranges(at[:-1] + t, t - 1)] = -_ranges(1 - t, t - 1)
+    """Each slot's sorted pick of ``t[s]`` of ``range(n[s])``, concatenated in
+    slot order, by Floyd's algorithm (Bentley & Floyd, CACM 1987), which
+    picks each ``t``-subset with equal probability: for ``j = n - t, …, n - 1``
+    a draw ``v`` in ``[0, j]`` picks ``v``, or ``j`` when ``v`` is already
+    picked. The draws of every slot with ``0 < t < n``, slot by slot, are one
+    ``rng.integers`` call; a slot taking none or all of its ``n`` draws
+    nothing."""
+    first = _offsets(n)  # slot s's candidates are picked[first[s]:first[s + 1]]
+    picked = np.zeros(first[-1], dtype=bool)
+    full = t == n
+    picked[_ranges(first[:-1][full], n[full])] = True
+    part = (t > 0) & ~full
+    lo, take = first[:-1][part], t[part]
+    bound = _ranges((n - t)[part], take)  # each draw's largest value, slot by slot
     draws = rng.integers(0, bound, endpoint=True)
 
-    # Column k of the (max t, S) picks is the slot with the k-th largest take,
-    # so the slots still drawing at step q are a prefix.
-    order = np.argsort(-t, kind="stable")
-    col = np.empty_like(order)
-    col[order] = np.arange(len(t))
-    width = int(t.max(initial=0))
-    picks = np.zeros((width, len(t)), dtype=np.int64)
-    picks[_ranges(0 * t, t), col.repeat(t)] = draws[_ranges(at[:-1], t)]
-    j = (n - t)[order] + np.arange(width)[:, None]
-    drawing = len(t) - np.bincount(t, minlength=width).cumsum()
-    first = _offsets(n[order])  # column k's candidates are picked[first[k]:first[k + 1]]
-    picked = np.zeros(first[-1], dtype=bool)
-    for q in range(width):
-        a = drawing[q]
-        pick = picks[q, :a]
-        np.copyto(pick, j[q, :a], where=picked[first[:a] + pick])
-        picked[first[:a] + pick] = True
-    picks = picks.T[col]  # slot order; a slot's unused places hold 0 and sort first
-    picks.sort(axis=1)
-    return picks[np.arange(width) >= width - t[:, None]]
+    # Floyd's steps in turn: step q draws for each slot taking more than q pairs.
+    step = _ranges(0 * take, take)
+    by_step = np.argsort(step, kind="stable")
+    at = lo.repeat(take)[by_step]
+    v, j = at + draws[by_step], at + bound[by_step]
+    cut = _offsets(np.bincount(step)).tolist()
+    for a, b in zip(cut[:-1], cut[1:]):
+        pick = v[a:b]
+        picked[np.where(picked[pick], j[a:b], pick)] = True
+    return np.flatnonzero(picked) - first[:-1].repeat(t)
 
 
 class _Gradient:
@@ -616,7 +597,7 @@ def train(
     velocity = np.zeros_like(param_vec)
     grad = _Gradient(params, opt.batch_size)
 
-    shuffle_rng, sample_rng = _rng(config.seed, SHUFFLE_DOMAIN), _rng(config.seed, SAMPLE_DOMAIN)
+    order_rng, sample_rng = _rng(config.seed, SHUFFLE_DOMAIN), _rng(config.seed, SAMPLE_DOMAIN)
     order = np.zeros(0, dtype=np.int64)
     losses: list[float] = []
     # The steps of one epoch are drawn in one call and planned in one pass, so
@@ -628,8 +609,8 @@ def train(
         k = (step - 1) % window  # the step's place in its window
         if not k:
             need = min(window, opt.iterations - step + 1) * size
-            while len(order) < need:  # the shuffled order, refilled as it runs out
-                order = np.concatenate([order, shuffle_rng.permutation(len(train_images))])
+            while len(order) < need:  # the permuted order, refilled as it runs out
+                order = np.concatenate([order, order_rng.permutation(len(train_images))])
             slots, order = order[:need], order[need:]
             drawn = _draw(split, train_images.gt_start, slots, config.background_ratio, sample_rng)
             plan = _Buckets(train_images, split, slots, *drawn, size)

@@ -564,6 +564,20 @@ def class_labels_checked(image, config):
     return labels
 
 
+def floyd(n, t, rng):
+    """The sorted ``t`` of ``range(n)`` that Floyd's algorithm picks, one
+    scalar draw at a time: for ``j = n - t, …, n - 1`` a draw ``v`` in ``[0,
+    j]`` picks ``v``, or ``j`` when ``v`` is already picked. Taking none or
+    all of ``range(n)`` draws nothing."""
+    if t == n:
+        return np.arange(n, dtype=np.int64)
+    picked = set()
+    for j in range(n - t, n):
+        v = int(rng.integers(0, j, endpoint=True))
+        picked.add(j if v in picked else v)
+    return np.array(sorted(picked), dtype=np.int64)
+
+
 def training_pairs(img, config, rng):
     """Foreground pairs plus a seeded subsample of background pairs, as
     positions in ``all_ordered_pairs`` order, and their target labels."""
@@ -574,7 +588,7 @@ def training_pairs(img, config, rng):
     is_bg[fg] = False
     bg = np.flatnonzero(is_bg)
     take = min(len(bg), int(round(config.background_ratio * max(len(fg), 1))))
-    bg = bg[np.sort(rng.choice(len(bg), size=take, replace=False))] if take else bg[:0]
+    bg = bg[floyd(len(bg), take, rng)]
     return np.concatenate([fg, bg]), np.concatenate([fg_targets + 1, np.zeros_like(bg)])
 
 

@@ -22,10 +22,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tailbias import harness
 from tailbias.bias import BiasSpec, compute_bias
 from tailbias.cli import main
 from tailbias.gradcert import _random_instance, run_certification
 from tailbias.harness import (
+    SAMPLE_DOMAIN,
+    SHUFFLE_DOMAIN,
     LossConfig,
     TrainConfig,
     evaluate,
@@ -37,10 +40,13 @@ from tailbias.harness import (
 from tailbias.losses import baseline_loss, bias_gap, biased_ce, ce
 from tailbias.metrics import METRICS_CSV_HEADER, EvalResult, metrics_csv, per_relation_csv, sweep_csv
 from tailbias.stats import LabelSpace, ingest, read_config
-from tailbias.synth import SynthConfig, generate_split, write_images_jsonl
+from tailbias.synth import SynthConfig, _rng, generate_split, write_images_jsonl
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs" / "reference"
 RUNS = ("ce", "cb")
+# Iterations of the cb run at background_ratio 1.0, whose images take part
+# of their background pairs.
+PARTIAL_ITERATIONS = 200
 # Criterion 9's grid, and one that spans two of the sweep's grid blocks.
 SWEEP_GRIDS = {"sweep_cb_5.csv": [0.0, 0.25, 0.5, 0.75, 1.0],
                "sweep_cb_7.csv": [0.0, 0.25, 0.5, 0.75, 1.0, 0.5, 0.1]}
@@ -283,7 +289,10 @@ def reference_artifacts(pipeline) -> dict[str, bytes]:
     """Criterion 10's six artifacts, the per-relation CSVs of both evaluations,
     and the cb checkpoint's sweeps over :data:`SWEEP_GRIDS`, by name; with
     the :func:`float_lines` of each run's losses and every float of both
-    evaluations and both sweeps."""
+    evaluations and both sweeps. The cb run at ``background_ratio`` 1.0 adds
+    its checkpoint and losses: its images take 4 of 8, 7 of 13 and 10 of 20
+    background pairs, so these two pin the background sampler's draws,
+    which the reference runs, taking every pair, never make."""
     root = pipeline["root"]
     names = ["train.jsonl", "test.jsonl", *(f"checkpoint_{name}.json" for name in RUNS),
              *(f"metrics_{name}.csv" for name in RUNS)]
@@ -296,6 +305,12 @@ def reference_artifacts(pipeline) -> dict[str, bytes]:
         out[f"losses_{name}.hex"] = float_lines(pipeline[name]["runlog"].losses)
         out[f"results_{name}.hex"] = float_lines(result_floats(results))
     config = pipeline["cb"]["config"]
+    partial = replace(config, background_ratio=1.0,
+                      optimizer=replace(config.optimizer, iterations=PARTIAL_ITERATIONS))
+    checkpoint, runlog = train(partial, pipeline["train_images"])
+    save_checkpoint(checkpoint, str(root / "checkpoint_cb_ratio1.json"))
+    out["checkpoint_cb_ratio1.json"] = (root / "checkpoint_cb_ratio1.json").read_bytes()
+    out["losses_cb_ratio1.hex"] = float_lines(runlog.losses)
     stats = training_stats(pipeline["train_images"], config.label_space)
     for name, grid in SWEEP_GRIDS.items():
         rows = sweep(pipeline["cb"]["checkpoint"], stats, config.bias, grid,
@@ -304,6 +319,31 @@ def reference_artifacts(pipeline) -> dict[str, bytes]:
         out[name.replace(".csv", ".hex")] = float_lines(
             v for _, results in rows for v in result_floats(results))
     return out
+
+
+def test_a_reference_window_takes_every_pair_and_draws_nothing(pipeline):
+    """Synth's background fraction 0.7 gives a 4-, 5- or 6-object image 4, 7
+    or 10 foreground and 8, 13 or 20 background pairs, so the reference
+    ratio 3 takes every pair: each slot of a training window gets all its
+    pairs, foreground then background, each part in pair order, and the
+    sample generator draws nothing."""
+    images = pipeline["train_images"]
+    n_fg = np.diff(images.gt_start)
+    for name in RUNS:
+        config = pipeline[name]["config"]
+        split, _ = harness._prepare(config, images)
+        slots = _rng(config.seed, SHUFFLE_DOMAIN).permutation(len(images))
+        rng = _rng(config.seed, SAMPLE_DOMAIN)
+        state = rng.bit_generator.state
+        rows, targets, starts = harness._draw(split, images.gt_start, slots,
+                                              config.background_ratio, rng)
+        assert rng.bit_generator.state == state, f"{name}: the window drew from the generator"
+        for q, i in enumerate(slots.tolist()):
+            block, y, k = rows[starts[q]:starts[q + 1]], targets[starts[q]:starts[q + 1]], n_fg[i]
+            assert np.array_equal(np.sort(block),
+                                  np.arange(images.pair_start[i], images.pair_start[i + 1]))
+            assert (y[:k] > 0).all() and not y[k:].any()
+            assert (np.diff(block[:k]) > 0).all() and (np.diff(block[k:]) > 0).all()
 
 
 def test_reference_artifacts_match_their_pinned_digests(pipeline):

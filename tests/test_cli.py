@@ -255,7 +255,9 @@ class TestGradcheckCommand:
         printed = capsys.readouterr().out
         # the battery's output before parameter trees became views of one
         # flat buffer; differencing through the buffer must print the same.
-        # The last line is the training step's battery, added after.
+        # The last line is the training step's battery, added after; its
+        # batch takes 3 of 5 and 6 of 10 background pairs, so its value
+        # follows the background sampler's draws.
         assert printed.splitlines() == [
             "PASS loss/ce: max_rel_error=1.200e-10 tol=1e-04 instances=4",
             "PASS loss/rtpb: max_rel_error=2.285e-10 tol=1e-04 instances=4",
@@ -268,7 +270,7 @@ class TestGradcheckCommand:
             "PASS numerics/multi_head_attention: max_rel_error=1.259e-10 tol=1e-04 instances=2",
             "PASS numerics/encoder_layer: max_rel_error=2.747e-10 tol=1e-04 instances=2",
             "PASS model/dual_encoder: max_rel_error=1.481e-09 tol=1e-03 instances=6",
-            "PASS training/batch_loss: max_rel_error=2.668e-10 tol=1e-03 instances=28",
+            "PASS training/batch_loss: max_rel_error=1.732e-10 tol=1e-03 instances=28",
         ]
         doc = json.loads((out / "gradcheck.json").read_text())
         assert all(entry["passed"] for entry in doc)

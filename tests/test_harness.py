@@ -236,29 +236,25 @@ class TestDraw:
         assert seen == calls
 
 
-def choice_loop(n, t, rng):
-    """The per-slot ``Generator.choice`` calls ``harness._choices`` reproduces:
-    the sorted picks of each slot with a take, in slot order."""
-    return np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        np.sort(rng.choice(a, size=b, replace=False)) for a, b in zip(n, t) if b])
-
-
 class TestChoices:
-    """``_choices``, the sampler of ``_draw``, against ``choice_loop``. Its
-    one ``integers`` call consumes the generator as numpy's ``choice`` does,
-    so a numpy release whose ``choice`` draws otherwise (NEP 19) fails here
-    first."""
+    """``_choices``, the sampler of ``_draw``: Floyd's algorithm over every
+    slot of a window, its draws one ``integers`` call. Its picks and the
+    generator it leaves are pinned to ``oracle.floyd``'s scalar draws, and
+    the reference run with partial takes in ``configs/reference/digests.json``
+    pins its stream, so a numpy release whose ``integers`` draws otherwise
+    (NEP 19) fails there."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), buffered=st.booleans(),
            slots=st.lists(st.integers(0, 60).flatmap(
                lambda n: st.tuples(st.just(n), st.integers(0, n))), max_size=40))
     @example(seed=0, buffered=False, slots=[])
-    @example(seed=1, buffered=True, slots=[(1, 1), (2, 1)])  # no word, then the buffered one
+    @example(seed=1, buffered=True, slots=[(1, 1), (2, 1)])
     @example(seed=2, buffered=True, slots=[(3, 0), (5, 5), (0, 0), (4, 2)])
-    @example(seed=3, buffered=False, slots=[(20000, 400), (10000, 1500)])  # Floyd at its edges
-    @example(seed=311, buffered=True, slots=[(6, 3), (10000, 5000), (9, 4)])  # a rejected word
-    def test_a_window_draws_the_picks_and_leaves_the_state_of_choice(self, seed, buffered, slots):
+    @example(seed=3, buffered=False, slots=[(20000, 401), (10000, 5000), (9, 4)])  # large takes
+    def test_a_window_draws_the_picks_and_leaves_the_state_of_the_oracle(
+        self, seed, buffered, slots
+    ):
         """Windows of ``(n_bg, take)`` slots, ``take`` from 0 to ``n_bg``, some
         from a generator holding a buffered half-word."""
         n, t = np.array(slots, dtype=np.int64).reshape(-1, 2).T
@@ -266,48 +262,31 @@ class TestChoices:
         if buffered:
             rng.integers(0, 7, dtype=np.uint32), want.integers(0, 7, dtype=np.uint32)
         picks = harness._choices(n, t, rng)
-        assert np.array_equal(picks, choice_loop(n, t, want)) and picks.dtype == np.int64
+        expected = [oracle.floyd(a, b, want) for a, b in zip(n.tolist(), t.tolist())]
+        assert np.array_equal(picks, np.concatenate([np.zeros(0, dtype=np.int64), *expected]))
+        assert picks.dtype == np.int64
         assert rng.bit_generator.state == want.bit_generator.state
 
-    @pytest.mark.parametrize("take", [40, 150, 380])
-    def test_a_dense_window_draws_the_picks_and_leaves_the_state_of_choice(self, take):
-        """Dense scenes: 250 slots of 380 background pairs, each taking
-        ``take`` of them, with some slots drawing every pair."""
-        n = np.full(250, 380, dtype=np.int64)
-        t = np.where(np.arange(250) % 7 == 0, 380, take).astype(np.int64)
-        rng, want = np.random.default_rng(take), np.random.default_rng(take)
-        assert np.array_equal(harness._choices(n, t, rng), choice_loop(n, t, want))
-        assert rng.bit_generator.state == want.bit_generator.state
+    def test_each_subset_is_equally_likely(self):
+        """20000 slots taking 2 of 5 pairs, in one window: the counts of the
+        10 subsets pass a chi-square test at p = 0.001 (9 degrees of freedom)."""
+        slots = 20000
+        picks = harness._choices(np.full(slots, 5), np.full(slots, 2), np.random.default_rng(39))
+        a, b = picks.reshape(slots, 2).T
+        counts = np.bincount(5 * a + b, minlength=25).reshape(5, 5)[np.triu_indices(5, 1)]
+        assert counts.sum() == slots  # each slot picks two distinct values, sorted
+        expected = slots / 10
+        assert ((counts - expected) ** 2 / expected).sum() < 27.877
 
-    @pytest.mark.parametrize("seed", [34, 1842], ids=["floyd-word", "shuffle-word"])
-    def test_a_rejected_word_draws_as_choice_with_no_call(self, seed):
-        """Seed 34 rejects a word among Floyd's draws of ``choice(10000, 5000)``,
-        seed 1842 first among its shuffle's; the window still takes ``rng``'s
-        words as the call does, without making it."""
-        n, t = np.array([10000]), np.array([5000])
-        rng, want = CountingGenerator(seed), np.random.default_rng(seed)
-        assert np.array_equal(harness._choices(n, t, rng), choice_loop(n, t, want))
-        assert rng.bit_generator.state == want.bit_generator.state and rng.choices == 0
-
-    def test_a_window_outside_floyd_makes_the_calls(self):
-        """A slot with ``n > 10000`` and ``t > n // 50`` takes numpy's tail
-        shuffle, which Floyd's draws do not cover: every slot makes its call."""
-        n, t = np.array([30, 20000, 9]), np.array([5, 401, 9])
-        rng, want = CountingGenerator(0), np.random.default_rng(0)
-        assert np.array_equal(harness._choices(n, t, rng), choice_loop(n, t, want))
-        assert rng.bit_generator.state == want.bit_generator.state and rng.choices == 3
-
-
-class CountingGenerator(np.random.Generator):
-    """``default_rng(seed)``, counting its ``choice`` calls."""
-
-    def __init__(self, seed: int):
-        super().__init__(np.random.PCG64(seed))
-        self.choices = 0
-
-    def choice(self, *args, **kwargs):
-        self.choices += 1
-        return super().choice(*args, **kwargs)
+    def test_a_window_of_full_and_empty_slots_draws_nothing(self):
+        """Slots taking all of their pairs get them in order, slots taking
+        none get nothing, and the generator is left untouched."""
+        n, t = np.array([4, 0, 7, 3, 12, 1]), np.array([4, 0, 0, 3, 12, 1])
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        picks = harness._choices(n, t, rng)
+        assert np.array_equal(picks, np.concatenate([np.arange(k) for k in (4, 3, 12, 1)]))
+        assert rng.bit_generator.state == state
 
 
 def window_keys():
