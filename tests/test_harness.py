@@ -267,6 +267,30 @@ class TestChoices:
         assert picks.dtype == np.int64
         assert rng.bit_generator.state == want.bit_generator.state
 
+    @pytest.mark.parametrize("take", [40, 150, 380])
+    def test_a_dense_window_draws_the_picks_and_leaves_the_state_of_the_oracle(self, take):
+        """Dense scenes: 250 slots of 380 background pairs, each taking
+        ``take`` of them, with some slots drawing every pair; at 150 many of
+        Floyd's draws land on a value already picked."""
+        n = np.full(250, 380, dtype=np.int64)
+        t = np.where(np.arange(250) % 7 == 0, 380, take).astype(np.int64)
+        rng, want = np.random.default_rng(take), np.random.default_rng(take)
+        expected = np.concatenate([oracle.floyd(380, b, want) for b in t.tolist()])
+        assert np.array_equal(harness._choices(n, t, rng), expected)
+        assert rng.bit_generator.state == want.bit_generator.state
+
+    def test_a_rejected_word_draws_as_the_oracle(self):
+        """Seed 34 rejects one 32-bit word among the 5000 draws of a slot
+        taking 5000 of 10000 pairs: the one ``integers`` call takes 5001 words,
+        two to each of PCG64's 2501 steps, as the scalar draws do."""
+        n, t = np.array([10000]), np.array([5000])
+        rng, want = np.random.default_rng(34), np.random.default_rng(34)
+        assert np.array_equal(harness._choices(n, t, rng), oracle.floyd(10000, 5000, want))
+        assert rng.bit_generator.state == want.bit_generator.state
+        stepped = np.random.PCG64(34)
+        stepped.advance(2501)
+        assert rng.bit_generator.state["state"] == stepped.state["state"]
+
     def test_each_subset_is_equally_likely(self):
         """20000 slots taking 2 of 5 pairs, in one window: the counts of the
         10 subsets pass a chi-square test at p = 0.001 (9 degrees of freedom)."""
