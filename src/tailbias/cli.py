@@ -129,7 +129,7 @@ def cmd_stats(args) -> tuple[int, str, dict]:
 
 def cmd_bias(args) -> tuple[int, str, dict]:
     stats = read_json(args.stats, stats_from_json)
-    keys = ("kind", "a", "epsilon", "a_eval", "background")
+    keys = ("kind", "a", "epsilon", "background")
     spec = from_dict(BiasSpec, {key: getattr(args, key) for key in keys})
     bias = compute_bias(spec, stats)
     return 0, bias_to_json(spec, bias) + "\n", _named(args, "stats")
@@ -219,7 +219,6 @@ def build_parser() -> JsonArgumentParser:
     p.add_argument("--kind", required=True, choices=GLOBAL_KINDS + PAIR_KINDS)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--a-eval", dest="a_eval", type=float, default=0.0)
     p.add_argument("--background", type=float, default=None)
     p.add_argument("--stats", required=True)
     p.add_argument("--out", required=True)

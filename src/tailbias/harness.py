@@ -27,14 +27,18 @@ for a gradient, the parameter leaf; a forward that diverges shows as one of them
 
 Training and evaluation forward images through one bucket planner
 (:class:`_Buckets`): within a step, images with the same object count and
-number of pairs run as one model call per :data:`FORWARD_CHUNK` of them,
-buckets in ascending ``(n, m)``, on an :class:`~tailbias.synth.Objects`
-record gathered once. Training plans every step of a window in one
-vectorized pass right after drawing it, so a step only slices its part of
-the plan (``BENCH_27.json``: ref_linear training 11525 -> 13691 img/s);
-evaluation plans its split as one step. Evaluation checks and derives its
-split as training does, at the checkpoint's feature width, forwards each
-image once over all its pairs (:func:`_forward_split`), names the first
+number of pairs form a bucket, buckets in ascending ``(n, m)``, on an
+:class:`~tailbias.synth.Objects` record gathered once. Training plans every
+step of a window in one vectorized pass right after drawing it, so a step
+only slices its part of the plan (``BENCH_27.json``: ref_linear training
+11525 -> 13691 img/s), and runs each bucket as one model call; evaluation
+plans its split as one step. Evaluation checks and derives its split as
+training does, at the checkpoint's feature width, and forwards each image
+once over all its pairs (:func:`_forward_split`) in the model's two stages:
+the object stage over slices of a bucket, the pair stage over
+:data:`FORWARD_CHUNK` images of a slice at a time, so the caches held at
+once stay bounded whatever the split's size (``BENCH_40.json``: dual_sgcls
+evaluation 5096 -> 5837 img/s). It names the first
 image whose outputs are not finite, by the same array rule that checks the
 ground truth, and ranks the split's stacked ``(ΣP, L)`` score matrix once
 per constraint (see :mod:`tailbias.metrics`). The sweep forwards the split
@@ -129,8 +133,9 @@ __all__ = [
     "training_stats",
 ]
 
-# Images of one bucket forwarded per model call: a larger chunk holds more
-# forward caches at once and runs no faster.
+# Images of one bucket per pair-stage call in evaluation: a larger chunk
+# holds more pair caches at once and runs no faster. An object-stage call
+# takes as many object rows as this many images' pair rows.
 FORWARD_CHUNK = 16
 # Sweep grid points scored and ranked as one block (:func:`_rank_split`): a
 # longer grid holds this many points' score arrays at once, not its own.
@@ -414,8 +419,9 @@ class _Buckets:
     ``batch_size`` to a step (the last step may be short), slot ``q`` over its pair rows
     ``rows[starts[q]:starts[q + 1]]`` with their relation ``targets``. Within
     a step, images of the same object count ``n`` and number ``m`` of pair
-    rows form a bucket, buckets in ascending ``(n, m)``, with one model call
-    per :data:`FORWARD_CHUNK` images of a bucket. The whole window is planned
+    rows form a bucket, buckets in ascending ``(n, m)``, and each bucket is
+    one call (a training bucket holds at most a batch of images, and a step's
+    caches are all held until its backward anyway). The whole window is planned
     in one vectorized pass, so a step only takes views of it; evaluation
     plans its split as one step.
 
@@ -441,12 +447,10 @@ class _Buckets:
         self.order = order = np.lexsort((sizes, counts, step))
         n, m, k = counts[order], sizes[order], step[order]
 
-        # A call starts at each bucket's first image and every FORWARD_CHUNK-th one after it.
+        # A call is a bucket: it starts where the step, n or m changes.
         new = np.ones(len(order), dtype=bool)
         new[1:] = (n[1:] != n[:-1]) | (m[1:] != m[:-1]) | (k[1:] != k[:-1])
-        bucket = np.flatnonzero(new)
-        place = np.arange(len(order)) - bucket.repeat(np.diff(np.append(bucket, len(order))))
-        call = np.flatnonzero(place % FORWARD_CHUNK == 0)
+        call = np.flatnonzero(new)
         self.calls = list(zip(np.diff(np.append(call, len(order))).tolist(), n[call].tolist(),
                               m[call].tolist(), _offsets(n)[call].tolist(),
                               _offsets(m)[call].tolist()))
@@ -665,9 +669,15 @@ def _forward_split(checkpoint: Checkpoint, images: Images) -> _Scored:
     """Check the checkpoint's parameters as :func:`save_checkpoint` does and
     the split's ground truth as for training, at the checkpoint's feature
     width; forward every image once over all its ordered pairs, in buckets
-    (:class:`_Buckets`), each call's outputs scattered into split-wide arrays.
-    An image failing the check, or with non-finite relation logits (or, in
-    ``sgcls``, object probabilities), raises ``ValueError`` naming its index.
+    (:class:`_Buckets`), each stage call's outputs scattered into split-wide
+    arrays. A bucket of ``b`` images with ``n`` objects and ``m`` pairs each
+    runs the model's object stage on slices of at most ``FORWARD_CHUNK * m //
+    n`` images, as many object rows as :data:`FORWARD_CHUNK` images have pair
+    rows, and its pair stage on at most :data:`FORWARD_CHUNK` images of a
+    slice; each stage's cache is dropped as it returns, so the memory held at
+    once does not grow with the split. An image failing the check, or with
+    non-finite relation logits (or, in ``sgcls``, object probabilities),
+    raises ``ValueError`` naming its index.
     """
     if not len(images):
         raise ValueError("empty evaluation split")
@@ -683,10 +693,18 @@ def _forward_split(checkpoint: Checkpoint, images: Images) -> _Scored:
                     np.zeros(count, dtype=np.int64), pair_start, len(images))
     logits = np.empty((count, ls.num_relations + 1))
     object_probs = np.empty(images.scores.shape)
-    for (b, n, m, o, r), views in plan.step(0):
-        out = net.forward(*views, params, config.model)
-        logits[plan.rel[r : r + b * m]] = out.relation_logits.reshape(b * m, -1)
-        object_probs[plan.objects[o : o + b * n]] = out.object_probs.reshape(b * n, -1)
+    for (b, n, m, o, r), (objects, unions, pairs) in plan.step(0):
+        size = FORWARD_CHUNK * m // n  # images whose object rows are a pair call's pair rows
+        for lo in range(0, b, size):
+            hi = min(lo + size, b)
+            tokens, _, probs, _ = net.object_stage(
+                Objects._make(a[lo:hi] for a in objects), params, config.model)
+            object_probs[plan.objects[o + lo * n : o + hi * n]] = probs.reshape((hi - lo) * n, -1)
+            for at in range(lo, hi, FORWARD_CHUNK):
+                to = min(at + FORWARD_CHUNK, hi)
+                rel, _ = net.pair_stage(tokens[at - lo : to - lo], unions[at:to], pairs[at:to],
+                                        params, config.model)
+                logits[plan.rel[r + at * m : r + to * m]] = rel.reshape((to - at) * m, -1)
     outputs = [(logits, pair_start, "non-finite relation logits")]
     classes, matched, pair_scores = images.labels, np.ones(len(split.fg_rows), dtype=bool), None
     if config.task == "sgcls":  # predcls reads no object probabilities

@@ -23,6 +23,16 @@ hand-written backward pass, so the whole network is certifiable by finite
 differences. The linear model is a single affine relation head over the raw
 fused pair features; it has no object head, so its ``object_logits`` are None.
 
+Each ``forward`` is an object stage, ``(objects, params, spec) -> (tokens,
+object_logits, object_probs, cache)``, then a pair stage, ``(tokens, unions,
+pairs, params, spec) -> (relation_logits, cache)``, its cache the two in
+turn: :func:`object_stage` and :func:`pair_stage` for the dual encoder,
+:func:`linear_object_stage` (the detector features as tokens) and
+:func:`linear_pair_stage` for the linear model. :class:`Model` carries both,
+so that evaluation can encode a bucket's objects in larger calls than it
+scores their pairs (see :mod:`tailbias.harness`); the pair stage takes any
+run of the object stage's images.
+
 Both ``forward`` functions take a bucket of images with the same object
 count ``n``, the record's arrays with one leading axis (boxes ``(B, n, 4)``)
 and ``(B, P, d_v)`` union rows, and give ``(B, P, L + 1)`` relation logits
@@ -81,10 +91,14 @@ __all__ = [
     "encode_objects",
     "fuse_pairs",
     "encode_relations_and_classify",
+    "object_stage",
+    "pair_stage",
     "forward",
     "backward",
     "init_dual_encoder",
     "init_linear",
+    "linear_object_stage",
+    "linear_pair_stage",
     "linear_forward",
     "linear_backward",
 ]
@@ -144,18 +158,22 @@ class ModelOutput:
 
 
 class Model(NamedTuple):
-    """The three entry points of one model kind."""
+    """The entry points of one model kind; ``forward`` is ``pair_stage`` over
+    the tokens of ``object_stage``."""
 
     init: Callable
     forward: Callable
     backward: Callable
+    object_stage: Callable
+    pair_stage: Callable
 
 
 def model_for(spec: ModelSpec) -> Model:
     """The entry points of ``spec.kind``; the one place that reads the kind."""
     if spec.kind == "linear":
-        return Model(init_linear, linear_forward, linear_backward)
-    return Model(init_dual_encoder, forward, backward)
+        return Model(init_linear, linear_forward, linear_backward, linear_object_stage,
+                     linear_pair_stage)
+    return Model(init_dual_encoder, forward, backward, object_stage, pair_stage)
 
 
 def feature_width(spec: ModelSpec, label_space: LabelSpace, num_params: int) -> int:
@@ -333,6 +351,42 @@ def encode_relations_and_classify(
     return logits, [caches, x]
 
 
+def object_stage(
+    objects: Objects, params: DualEncoderParams, spec: ModelSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """The object tokens, object logits and probabilities, and their cache:
+    embedding, object encoder stack, object head."""
+    if objects.labels.shape[-1] < 2:
+        raise ValueError("no pairs: need at least two objects")
+    tokens, embed_cache = embed_objects(objects, params)
+    e_final, obj_caches = encode_objects(tokens, params, spec.n_h)
+    object_logits = e_final @ params.w_clf_obj
+    return e_final, object_logits, row_softmax(object_logits), (embed_cache, obj_caches, e_final)
+
+
+def pair_stage(
+    tokens: np.ndarray,
+    unions: np.ndarray,
+    pairs: np.ndarray,
+    params: DualEncoderParams,
+    spec: ModelSpec,
+) -> tuple[np.ndarray, tuple]:
+    """The relation logits of ``pairs`` over the object ``tokens``, and their
+    cache: pair fusion, relation encoder stack, relation head."""
+    pair_tokens, fuse_cache = fuse_pairs(tokens, unions, pairs, params)
+    relation_logits, rel_cache = encode_relations_and_classify(pair_tokens, params, spec.n_h)
+    return relation_logits, (fuse_cache, rel_cache)
+
+
+def _stages(object_fn: Callable, pair_fn: Callable, objects: Objects, unions: np.ndarray,
+            pairs: np.ndarray, params, spec: ModelSpec) -> ModelOutput:
+    """``pair_fn`` over the tokens of ``object_fn``, one cache after the other."""
+    tokens, object_logits, object_probs, object_cache = object_fn(objects, params, spec)
+    relation_logits, pair_cache = pair_fn(tokens, unions, pairs, params, spec)
+    return ModelOutput(object_logits=object_logits, object_probs=object_probs,
+                       relation_logits=relation_logits, cache=object_cache + pair_cache)
+
+
 def forward(
     objects: Objects,
     unions: np.ndarray,
@@ -340,17 +394,8 @@ def forward(
     params: DualEncoderParams,
     spec: ModelSpec,
 ) -> ModelOutput:
-    """Full pipeline: object encoding, object head, pair fusion, relation head."""
-    if objects.labels.shape[-1] < 2:
-        raise ValueError("no pairs: need at least two objects")
-    tokens, embed_cache = embed_objects(objects, params)
-    e_final, obj_caches = encode_objects(tokens, params, spec.n_h)
-    object_logits = e_final @ params.w_clf_obj
-    pair_tokens, fuse_cache = fuse_pairs(e_final, unions, pairs, params)
-    relation_logits, rel_cache = encode_relations_and_classify(pair_tokens, params, spec.n_h)
-    return ModelOutput(object_logits=object_logits, object_probs=row_softmax(object_logits),
-                       relation_logits=relation_logits,
-                       cache=(embed_cache, obj_caches, e_final, fuse_cache, rel_cache))
+    """Full pipeline: :func:`object_stage`, then :func:`pair_stage`."""
+    return _stages(object_stage, pair_stage, objects, unions, pairs, params, spec)
 
 
 def backward(
@@ -393,6 +438,28 @@ def backward(
     return grads
 
 
+def linear_object_stage(
+    objects: Objects, params: LinearParams, spec: ModelSpec
+) -> tuple[np.ndarray, None, np.ndarray, tuple]:
+    """The linear model's object stage: the detector's features are its tokens
+    and its scores the object probabilities; no object logits, no cache."""
+    if objects.labels.shape[-1] < 2:
+        raise ValueError("no pairs: need at least two objects")
+    return objects.features, None, objects.scores, ()
+
+
+def linear_pair_stage(
+    tokens: np.ndarray,
+    unions: np.ndarray,
+    pairs: np.ndarray,
+    params: LinearParams,
+    spec: ModelSpec,
+) -> tuple[np.ndarray, tuple]:
+    """The affine head over ``[union, tokens[s], tokens[o]]``, and its input."""
+    x = np.concatenate([unions, _pair_rows(tokens, pairs)], axis=-1)
+    return x @ params.w + params.b[..., None, :], (x,)
+
+
 def linear_forward(
     objects: Objects,
     unions: np.ndarray,
@@ -400,7 +467,8 @@ def linear_forward(
     params: LinearParams,
     spec: ModelSpec,
 ) -> ModelOutput:
-    """Affine relation head over ``[union, subject feature, object feature]``.
+    """Affine relation head over ``[union, subject feature, object feature]``:
+    :func:`linear_object_stage`, then :func:`linear_pair_stage`.
 
     ``spec`` completes the shared protocol; the linear head reads no spec
     field and no label, and its object probabilities are the detector
@@ -408,12 +476,7 @@ def linear_forward(
     C)`` logits, or ``objects`` a bucket of ``B`` images, giving ``(B, P,
     C)`` logits.
     """
-    if objects.labels.shape[-1] < 2:
-        raise ValueError("no pairs: need at least two objects")
-    x = np.concatenate([unions, _pair_rows(objects.features, pairs)], axis=-1)
-    logits = x @ params.w + params.b[..., None, :]
-    return ModelOutput(object_logits=None, object_probs=objects.scores, relation_logits=logits,
-                       cache=(x,))
+    return _stages(linear_object_stage, linear_pair_stage, objects, unions, pairs, params, spec)
 
 
 def linear_backward(

@@ -50,6 +50,11 @@ PARTIAL_ITERATIONS = 200
 # Criterion 9's grid, and one that spans two of the sweep's grid blocks.
 SWEEP_GRIDS = {"sweep_cb_5.csv": [0.0, 0.25, 0.5, 0.75, 1.0],
                "sweep_cb_7.csv": [0.0, 0.25, 0.5, 0.75, 1.0, 0.5, 0.1]}
+# The dual-encoder SGCls run: 400 training and 200 test images at detector
+# sharpness 1.0, whose argmax is wrong for about 44 % of objects, trained
+# with a pb bias for this many iterations and swept over a 3-point grid.
+DUAL_ITERATIONS = 60
+DUAL_GRID = [0.0, 0.5, 1.0]
 
 
 @pytest.fixture(scope="module")
@@ -292,7 +297,8 @@ def reference_artifacts(pipeline) -> dict[str, bytes]:
     evaluations and both sweeps. The cb run at ``background_ratio`` 1.0 adds
     its checkpoint and losses: its images take 4 of 8, 7 of 13 and 10 of 20
     background pairs, so these two pin the background sampler's draws,
-    which the reference runs, taking every pair, never make."""
+    which the reference runs, taking every pair, never make. The dual-encoder
+    SGCls run (:func:`dual_sgcls_artifacts`) adds its own four."""
     root = pipeline["root"]
     names = ["train.jsonl", "test.jsonl", *(f"checkpoint_{name}.json" for name in RUNS),
              *(f"metrics_{name}.csv" for name in RUNS)]
@@ -318,7 +324,34 @@ def reference_artifacts(pipeline) -> dict[str, bytes]:
         out[name] = sweep_csv(rows, config.eval_ks).encode()
         out[name.replace(".csv", ".hex")] = float_lines(
             v for _, results in rows for v in result_floats(results))
-    return out
+    return out | dual_sgcls_artifacts(root)
+
+
+def dual_sgcls_artifacts(root: Path) -> dict[str, bytes]:
+    """The dual encoder's checkpoint, losses, and the floats of its SGCls
+    evaluation and of a :data:`DUAL_GRID` sweep of its pb bias. Each of the
+    test split's three object-count buckets holds more than
+    ``harness.FORWARD_CHUNK`` images, so evaluation runs each in several
+    model calls."""
+    synth = replace(read_config(SynthConfig, str(CONFIGS / "synth.json")),
+                    num_train=400, num_test=200, detector_sharpness=1.0)
+    train_images, test_images = (generate_split(synth, s) for s in ("train", "test"))
+    config = read_config(TrainConfig, str(CONFIGS / "train_cb.json"))
+    config = replace(config, task="sgcls", model=replace(config.model, kind="dual_encoder"),
+                     bias=replace(config.bias, kind="pb"),
+                     optimizer=replace(config.optimizer, learning_rate=0.05,
+                                       iterations=DUAL_ITERATIONS))
+    counts = np.bincount(np.diff(test_images.obj_start))
+    assert counts[counts > 0].min() > harness.FORWARD_CHUNK, counts
+    checkpoint, runlog = train(config, train_images)
+    save_checkpoint(checkpoint, str(root / "checkpoint_dual_sgcls.json"))
+    stats = training_stats(train_images, config.label_space)
+    rows = sweep(checkpoint, stats, config.bias, DUAL_GRID, test_images)
+    return {"checkpoint_dual_sgcls.json": (root / "checkpoint_dual_sgcls.json").read_bytes(),
+            "losses_dual_sgcls.hex": float_lines(runlog.losses),
+            "results_dual_sgcls.hex": float_lines(result_floats(evaluate(checkpoint, test_images))),
+            "sweep_dual_sgcls_3.hex": float_lines(
+                v for _, results in rows for v in result_floats(results))}
 
 
 def test_a_reference_window_takes_every_pair_and_draws_nothing(pipeline):

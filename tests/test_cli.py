@@ -775,6 +775,22 @@ class TestErrors:
         assert err == {"type": "ValueError", "message": message}
         assert not out.exists()
 
+    def test_bias_has_no_a_eval_flag(self, workspace, tmp_path, capsys):
+        """``bias`` builds its bias at ``--a``; the weakened exponent is the
+        sweep's grid. ``--a-eval`` is a usage error that writes nothing, and
+        the output without it is the default spec's, ``a_eval`` 0.0."""
+        _, _, stats_path, bias_path, _ = workspace
+        out = tmp_path / "bias.json"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["bias", "--kind", "cb", "--stats", str(stats_path), "--out", str(out),
+                  "--a-eval", "0.5"])
+        assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {"type": "usage", "message": "unrecognized arguments: --a-eval 0.5"}
+        assert not out.exists()
+        assert json.loads(bias_path.read_text())["a_eval"] == 0.0
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_synth_leaves_no_out_directory(self, workspace, tmp_path, capsys):
         # Detector noise this large overflows the detector logits of some image;

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracle
 import tailbias.harness as harness
+import tailbias.model as model
 from tailbias.bias import BiasSpec, BiasVector, compute_bias
 from tailbias.harness import (
     FORWARD_CHUNK,
@@ -35,7 +36,6 @@ from tailbias.losses import LossOutput, biased_ce, ce
 from tailbias.metrics import metrics_csv, object_pair_scores
 from tailbias.model import (
     LinearParams,
-    Model,
     forward,
     init_dual_encoder,
     init_linear,
@@ -332,9 +332,9 @@ class TestWindowPlan:
            seed=st.integers(0, 2**32 - 1))
     def test_each_step_runs_its_own_images_in_calls_of_one_key(self, space, size, keys, seed):
         """Slot ``q`` is the ``n``-object image ``slots[q]`` of a shuffled
-        split, over ``m`` of its pair rows. Each call of step ``k`` holds at
-        most :data:`FORWARD_CHUNK` of step ``k``'s images, all of one ``(n,
-        m)``; the steps' calls hold each slot once; each image's objects,
+        split, over ``m`` of its pair rows. Each call of step ``k`` holds
+        every one of step ``k``'s images of one ``(n, m)``, however many, and
+        no other; the steps' calls hold each slot once; each image's objects,
         unions, pairs, targets and classes, and its rows' batch positions,
         are its own gather."""
         rng = np.random.default_rng(seed)
@@ -356,8 +356,10 @@ class TestWindowPlan:
         position = 0  # the plan position of a call's first image
         for k in range(-(-count // size)):
             step, seen = range(k * size, min((k + 1) * size, count)), []
-            for (b, n, m, o, r), (objects, unions, pairs) in plan.step(k):
-                assert 1 <= b <= FORWARD_CHUNK
+            calls = plan.step(k)
+            assert len({(n, m) for (b, n, m, o, r), _ in calls}) == len(calls)
+            for (b, n, m, o, r), (objects, unions, pairs) in calls:
+                assert b == sum(keys[q] == (n, m) for q in step)
                 assert objects.labels.shape == (b, n) and unions.shape == (b, m, d_v)
                 assert pairs.shape == (b, m, 2)
                 for j in range(b):
@@ -647,7 +649,8 @@ class TestTrain:
             calls.append(None)
             return net.backward(*args)
 
-        monkeypatch.setattr(harness, "model_for", lambda spec: Model(net.init, forward, backward))
+        monkeypatch.setattr(harness, "model_for",
+                            lambda spec: net._replace(forward=forward, backward=backward))
         train(config, data[0])
         steps = "".join("f" if c else "b" for c in calls).replace("bf", "b|f").split("|")
         assert len(steps) == config.optimizer.iterations
@@ -1006,6 +1009,45 @@ class TestEvaluate:
             assert scored.pair_scores is None
         else:
             assert np.array_equal(scored.pair_scores, object_pair_scores(probs, pairs))
+
+    def test_a_bucket_encodes_its_objects_once_and_its_pairs_in_chunks(self, monkeypatch):
+        """Twenty 4-object images are one bucket of m = 12 pairs each. An
+        object slice holds up to ``FORWARD_CHUNK * m // n`` = 48 images, so
+        ``evaluate`` runs the object stage once, on all 20, and the pair
+        stage on 16 and then 4 of them; what it ranks equals one forward
+        per image."""
+        space = LabelSpace(num_object_classes=5, num_relations=8)
+        rng = np.random.default_rng(6)
+        records = [replace(make_image(rng, 4, space.num_object_classes, 6),
+                           gt=np.array([[0, 1, 1 + i % 8]])) for i in range(20)]
+        config = replace(model_config(space, "dual_encoder"), task="sgcls")
+        params = init_dual_encoder(config.model, space, 6, rng)
+        calls, scored = [], []
+        for name in ("embed_objects", "fuse_pairs"):
+            stage = getattr(model, name)
+
+            def counted(first, *rest, stage=stage, name=name):
+                calls.append((name, len(first.labels if name == "embed_objects" else first)))
+                return stage(first, *rest)
+
+            monkeypatch.setattr(model, name, counted)
+        rank_split = harness._rank_split
+        monkeypatch.setattr(harness, "_rank_split",
+                            lambda config, got, *rest: scored.append(got) or rank_split(
+                                config, got, *rest))
+        evaluate(Checkpoint(config, 0, params), Images.pack(records))
+        assert calls == [("embed_objects", 20), ("fuse_pairs", 16), ("fuse_pairs", 4)]
+        monkeypatch.undo()
+
+        pairs = all_ordered_pairs(4)
+        outs = [forward(task_view(img, "sgcls"), img.unions, pairs, params, config.model)
+                for img in records]
+        probs = np.concatenate([out.object_probs for out in outs])
+        every = np.concatenate([pairs + 4 * i for i in range(20)])
+        assert np.array_equal(scored[0].relation_logits,
+                              np.concatenate([out.relation_logits for out in outs]))
+        assert np.array_equal(scored[0].pair_scores, object_pair_scores(probs, every))
+        assert np.array_equal(scored[0].pair_classes, probs.argmax(axis=1)[every])
 
     @pytest.mark.parametrize("fault", FAULTS)
     @pytest.mark.parametrize("task", ["predcls", "sgcls"])

@@ -430,10 +430,11 @@ def test_a_bare_batch_after_the_first_window_names_its_iteration(kind, seed, bar
 
 
 @pytest.mark.parametrize("kind", ["linear", "dual_encoder"])
-def test_a_bucket_cut_into_calls_matches_the_per_image_oracle(kind):
+def test_a_bucket_larger_than_a_chunk_in_one_call_matches_the_per_image_oracle(kind):
     """A batch of 20 images of three objects, each drawing two foreground and
-    two background pairs, is one bucket, forwarded in two calls of at most
-    ``FORWARD_CHUNK`` images; training equals one forward per image bit for bit."""
+    two background pairs, is one bucket, forwarded in one call of all 20
+    images, more than evaluation's ``FORWARD_CHUNK``; training equals one
+    forward per image bit for bit."""
     rng = np.random.default_rng(11)
     images = [
         fixed_image(rng, 3, [(0, 1, rng.integers(1, 4)), (2, 0, rng.integers(1, 4))])
