@@ -298,7 +298,8 @@ def reference_artifacts(pipeline) -> dict[str, bytes]:
     its checkpoint and losses: its images take 4 of 8, 7 of 13 and 10 of 20
     background pairs, so these two pin the background sampler's draws,
     which the reference runs, taking every pair, never make. The dual-encoder
-    SGCls run (:func:`dual_sgcls_artifacts`) adds its own four."""
+    SGCls run (:func:`dual_sgcls_artifacts`) adds its own four, and the
+    dual-encoder PredCls run (:func:`dual_predcls_artifacts`) three."""
     root = pipeline["root"]
     names = ["train.jsonl", "test.jsonl", *(f"checkpoint_{name}.json" for name in RUNS),
              *(f"metrics_{name}.csv" for name in RUNS)]
@@ -324,7 +325,22 @@ def reference_artifacts(pipeline) -> dict[str, bytes]:
         out[name] = sweep_csv(rows, config.eval_ks).encode()
         out[name.replace(".csv", ".hex")] = float_lines(
             v for _, results in rows for v in result_floats(results))
-    return out | dual_sgcls_artifacts(root)
+    return out | dual_sgcls_artifacts(root) | dual_predcls_artifacts(root)
+
+
+def dual_run(task: str):
+    """The splits and config of a dual-encoder run on ``task``: the reference
+    synth at 400 training and 200 test images, detector sharpness 1.0, and
+    the cb run's config with a pb bias for :data:`DUAL_ITERATIONS`."""
+    synth = replace(read_config(SynthConfig, str(CONFIGS / "synth.json")),
+                    num_train=400, num_test=200, detector_sharpness=1.0)
+    train_images, test_images = (generate_split(synth, s) for s in ("train", "test"))
+    config = read_config(TrainConfig, str(CONFIGS / "train_cb.json"))
+    config = replace(config, task=task, model=replace(config.model, kind="dual_encoder"),
+                     bias=replace(config.bias, kind="pb"),
+                     optimizer=replace(config.optimizer, learning_rate=0.05,
+                                       iterations=DUAL_ITERATIONS))
+    return train_images, test_images, config
 
 
 def dual_sgcls_artifacts(root: Path) -> dict[str, bytes]:
@@ -333,14 +349,7 @@ def dual_sgcls_artifacts(root: Path) -> dict[str, bytes]:
     test split's three object-count buckets holds more than
     ``harness.FORWARD_CHUNK`` images, so evaluation runs each in several
     model calls."""
-    synth = replace(read_config(SynthConfig, str(CONFIGS / "synth.json")),
-                    num_train=400, num_test=200, detector_sharpness=1.0)
-    train_images, test_images = (generate_split(synth, s) for s in ("train", "test"))
-    config = read_config(TrainConfig, str(CONFIGS / "train_cb.json"))
-    config = replace(config, task="sgcls", model=replace(config.model, kind="dual_encoder"),
-                     bias=replace(config.bias, kind="pb"),
-                     optimizer=replace(config.optimizer, learning_rate=0.05,
-                                       iterations=DUAL_ITERATIONS))
+    train_images, test_images, config = dual_run("sgcls")
     counts = np.bincount(np.diff(test_images.obj_start))
     assert counts[counts > 0].min() > harness.FORWARD_CHUNK, counts
     checkpoint, runlog = train(config, train_images)
@@ -352,6 +361,19 @@ def dual_sgcls_artifacts(root: Path) -> dict[str, bytes]:
             "results_dual_sgcls.hex": float_lines(result_floats(evaluate(checkpoint, test_images))),
             "sweep_dual_sgcls_3.hex": float_lines(
                 v for _, results in rows for v in result_floats(results))}
+
+
+def dual_predcls_artifacts(root: Path) -> dict[str, bytes]:
+    """The checkpoint, losses and evaluation floats of the dual encoder trained
+    on PredCls, whose objects carry their annotated labels and whose object
+    head is still trained."""
+    train_images, test_images, config = dual_run("predcls")
+    checkpoint, runlog = train(config, train_images)
+    save_checkpoint(checkpoint, str(root / "checkpoint_dual_predcls.json"))
+    return {"checkpoint_dual_predcls.json": (root / "checkpoint_dual_predcls.json").read_bytes(),
+            "losses_dual_predcls.hex": float_lines(runlog.losses),
+            "results_dual_predcls.hex": float_lines(
+                result_floats(evaluate(checkpoint, test_images)))}
 
 
 def test_a_reference_window_takes_every_pair_and_draws_nothing(pipeline):
