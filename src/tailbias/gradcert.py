@@ -12,10 +12,11 @@ analytic gradient, and each case is one loss call. The full-model battery
 checks every parameter coordinate on a few instances and a random coordinate
 sample on many, which keeps the runtime low without leaving any parameter
 kind unchecked. The training battery checks the gradient that one training
-step takes (``harness._batch_loss``: one backward per bucket, its images'
-gradient rows added in batch order) against the batch's loss written
-afresh, one forward per image. A battery refuses a negative seed, and a count
-of instances that checks nothing, by the argument's name.
+step takes (``harness._batch_loss``: each bucket's stage backwards, its
+images' gradient rows added in batch order) against the batch's loss
+written afresh, one :func:`~tailbias.model.forward` per image. A battery
+refuses a negative seed, and a count of instances that checks nothing, by
+the argument's name.
 """
 
 from __future__ import annotations
@@ -290,7 +291,7 @@ def certify_model(
     return [CheckResult("model/dual_encoder", total, worst, MODEL_TOL)]
 
 
-def _batch_objective(config, net, stack, loss_fn, images: Images, batch, drawn) -> np.ndarray:
+def _batch_objective(config, stack, loss_fn, images: Images, batch, drawn) -> np.ndarray:
     """The training loss of ``batch`` over its ``drawn`` pairs at each copy of
     ``stack``, a parameter tree of ``(k, ...)`` leaves: one forward per image on
     its own ordered pairs with its task labels, relation rows (and object rows)
@@ -304,7 +305,7 @@ def _batch_objective(config, net, stack, loss_fn, images: Images, batch, drawn) 
         task_labels = harness.class_labels(image, config.task)
         at = rows[lo:hi] - images.pair_start[i]  # the image's own ordered pairs
         pairs = all_ordered_pairs(len(image.labels))[at]
-        out = net.forward(replace(image, labels=task_labels), image.unions[at], pairs, stack, spec)
+        out = forward(replace(image, labels=task_labels), image.unions[at], pairs, stack, spec)
         relation.append(out.relation_logits)
         classes.append(task_labels[pairs])
         if out.object_logits is not None:
@@ -365,7 +366,7 @@ def certify_training(seed: int = 0) -> list[CheckResult]:
         harness._batch_loss(config, net, params, grad, loss_fn, plan, 0)
         report = grad_check(
             lambda stack: _batch_objective(
-                config, net, unflatten(params, stack), loss_fn, images, batch, drawn
+                config, unflatten(params, stack), loss_fn, images, batch, drawn
             ),
             vec, grad.vec, h=STEP, tol=MODEL_TOL,
             coords=rng.choice(vec.size, size=min(TRAINING_COORDS, vec.size), replace=False),

@@ -25,20 +25,19 @@ with trees as views of them. A non-finite loss or gradient
 stops training with a ``FloatingPointError`` that names the iteration and,
 for a gradient, the parameter leaf; a forward that diverges shows as one of them.
 
-Training and evaluation forward images through one bucket planner
-(:class:`_Buckets`): within a step, images with the same object count and
-number of pairs form a bucket, buckets in ascending ``(n, m)``, on an
-:class:`~tailbias.synth.Objects` record gathered once. Training plans every
-step of a window in one vectorized pass right after drawing it, so a step
-only slices its part of the plan (``BENCH_27.json``: ref_linear training
-11525 -> 13691 img/s), and runs each bucket as one model call; evaluation
-plans its split as one step. Evaluation checks and derives its split as
-training does, at the checkpoint's feature width, and forwards each image
-once over all its pairs (:func:`_forward_split`) in the model's two stages:
-the object stage over slices of a bucket, the pair stage over
-:data:`FORWARD_CHUNK` images of a slice at a time, so the caches held at
-once stay bounded whatever the split's size (``BENCH_40.json``: dual_sgcls
-evaluation 5096 -> 5837 img/s). It names the first
+Training and evaluation run the model's two stages (see
+:mod:`tailbias.model`) over one bucket planner (:class:`_Buckets`): within a
+step, images with the same object count and number of pairs form a bucket,
+buckets in ascending ``(n, m)``, on an :class:`~tailbias.synth.Objects`
+record gathered once. Training plans every step of a window in one
+vectorized pass right after drawing it, so a step only slices its part of
+the plan, and runs each bucket's stages and their backwards once;
+evaluation plans its split as one step. Evaluation checks and derives its
+split as training does, at the checkpoint's feature width, and forwards
+each image once over all its pairs (:func:`_forward_split`): the object
+stage over slices of a bucket, the pair stage over :data:`FORWARD_CHUNK`
+images of a slice at a time, so the caches held at once stay bounded
+whatever the split's size. It names the first
 image whose outputs are not finite, by the same array rule that checks the
 ground truth, and ranks the split's stacked ``(ΣP, L)`` score matrix once
 per constraint (see :mod:`tailbias.metrics`). The sweep forwards the split
@@ -497,18 +496,24 @@ def _batch_loss(
     pairs (see :func:`_draw`), plus the weighted mean object loss when the
     model has an object head; adds its gradient into ``grad.vec``.
 
-    The step takes its part of the window's plan, runs one forward and one
-    backward per call, and each loss once, on the rows of the whole batch
-    bucket by bucket; only its per-row values are added in batch order. Each
-    image's gradient is written into its own row of ``grad.rows``, and the
+    Each call of the step's part of the plan runs the model's object stage
+    and pair stage on its bucket, unchecked (the plan's pairs are valid by
+    construction); each loss is called once, on the rows of the whole batch
+    bucket by bucket, and only its per-row values are added in batch order.
+    Then each call runs the pair stage's backward and the object stage's,
+    writing each image's gradient into its own row of ``grad.rows``, and the
     rows are added into ``grad.vec`` in batch order, so the gradient is bit
-    for bit the sum of one backward per image, added in batch order.
+    for bit the sum of one ``model.backward`` per image, added in batch order.
     """
     spec = config.model
     (o0, o1), (r0, r1) = plan.obj_at[k : k + 2], plan.rel_at[k : k + 2]
-    runs = [(call, net.forward(*views, params, spec)) for call, views in plan.step(k)]
+    runs = []
+    for call, (objects, unions, pairs) in plan.step(k):
+        tokens, object_logits, _, object_cache = net.object_stage(objects, params, spec)
+        relation_logits, pair_cache = net.pair_stage(tokens, unions, pairs, params, spec)
+        runs.append((call, object_logits, relation_logits, object_cache, pair_cache))
     width = config.label_space.num_relations + 1
-    relation_logits = np.concatenate([out.relation_logits.reshape(-1, width) for _, out in runs])
+    relation_logits = np.concatenate([rel.reshape(-1, width) for _, _, rel, *_ in runs])
     classes = plan.classes[r0:r1]
     rel_loss = loss_fn(relation_logits, plan.targets[r0:r1], classes[:, 0], classes[:, 1])
     d_rel = np.divide(rel_loss.grad_logits, r1 - r0, out=rel_loss.grad_logits)
@@ -516,8 +521,8 @@ def _batch_loss(
 
     # Only a model with an object head returns object logits.
     d_obj, w_obj = None, spec.object_loss_weight
-    object_logits = [out.object_logits.reshape(b * n, -1) for (b, n, m, o, r), out in runs
-                     if out.object_logits is not None]
+    object_logits = [obj.reshape(b * n, -1) for (b, n, m, o, r), obj, *_ in runs
+                     if obj is not None]
     if w_obj > 0 and object_logits:
         labels = plan.record.labels[o0:o1]
         obj_loss = ce(np.concatenate(object_logits), labels)
@@ -526,10 +531,12 @@ def _batch_loss(
                        / labels.size)
 
     lo = 0
-    for (b, n, m, o, r), out in runs:
+    for (b, n, m, o, r), _, _, object_cache, pair_cache in runs:
         g_obj = None if d_obj is None else d_obj[o - o0 : o - o0 + b * n].reshape(b, n, -1)
         g_rel = d_rel[r - r0 : r - r0 + b * m].reshape(b, m, width)
-        net.backward(g_obj, g_rel, out, params, spec, grad.row_tree(lo, lo + b))
+        rows = grad.row_tree(lo, lo + b)
+        d_tokens = net.pair_backward(g_rel, pair_cache, params, rows)
+        net.object_backward(d_tokens, g_obj, object_cache, params, rows)
         lo += b
     for j in plan.row[plan.slot_at[k] : plan.slot_at[k + 1]].tolist():
         grad.vec += grad.rows[j]  # in batch order, in place: gathering the rows copies them

@@ -1,57 +1,56 @@
 """Relation classifiers over the detected objects of an image, or of a bucket of images.
 
-Two models share one protocol, resolved from a :class:`ModelSpec` by
-:func:`model_for`: ``init(spec, label_space, d_v, rng)`` builds the parameter
-tree, ``forward(objects, unions, pairs, params, spec)`` gives a
-:class:`ModelOutput`, and ``backward(d_obj, d_rel, output, params, spec,
-grads)`` writes the parameter gradients into ``grads``, a tree of the
-parameters' type (usually views of one flat gradient buffer, see
-:func:`~tailbias.numerics.unflatten`), overwriting every leaf; every backward
-kernel below writes the leaves of the ``grads`` it is given in the same way.
+A model kind is two stages, each with its backward, resolved from a
+:class:`ModelSpec` by :func:`model_for` as a :class:`Model` with ``init(spec,
+label_space, d_v, rng)``. The object stage ``(objects, params, spec) ->
+(tokens, object_logits, object_probs, cache)`` encodes the objects; the pair
+stage ``(tokens, unions, pairs, params, spec) -> (relation_logits, cache)``
+classifies ordered pairs over the tokens of any run of its images. Their
+backwards run in reverse: ``pair_backward(d_relation_logits, cache, params,
+grads)`` returns the tokens' gradient, which ``object_backward(d_tokens,
+d_object_logits, cache, params, grads)`` takes on. Each overwrites its
+stage's leaves of ``grads``, a tree of the parameters' type (usually views
+of one flat gradient buffer, see :func:`~tailbias.numerics.unflatten`), as
+every backward kernel below overwrites the leaves it is given.
+
+:func:`forward` and :func:`backward` compose the stages of either kind, with
+cache ``(object_cache, pair_cache)``. ``forward`` alone checks its
+arguments: fewer than two objects, a pair relating an object to itself or
+out of range, or a union row count other than the pair count raises
+``ValueError``. The stages take checked pairs, as the planner of
+:mod:`tailbias.harness` builds them.
+
 ``objects`` is an :class:`~tailbias.synth.Objects` record of an image's
-object rows, read whole (``split[i]`` has its fields); ``pairs`` is a ``(P,
-2)`` array of (subject, object) row indices and ``unions`` their ``(P, d_v)``
-union rows, so a caller may forward any subset of an image's ordered pairs,
-such as the pairs drawn for a training step. The dual-stack encoder builds
-object tokens from box geometry, visual features, and a learned embedding of
-``objects.labels``, runs them through a stack of encoder layers, classifies
-objects, fuses ordered pairs with their union-box features, runs a second
-encoder stack over the pair tokens, and classifies relations. Its
-``forward`` also takes a tree of ``(k, ...)`` leaves (``unflatten`` of a
-``(k, N)`` stack) and runs the k parameter copies at once. Every stage has a
-hand-written backward pass, so the whole network is certifiable by finite
-differences. The linear model is a single affine relation head over the raw
-fused pair features; it has no object head, so its ``object_logits`` are None.
+object rows; ``pairs`` is a ``(P, 2)`` array of (subject, object) row
+indices and ``unions`` their ``(P, d_v)`` union rows, any subset of an
+image's ordered pairs. The dual-stack encoder (:func:`object_stage`,
+:func:`pair_stage`) builds object tokens from box geometry, visual features
+and a learned embedding of ``objects.labels``, runs them through an encoder
+stack, classifies objects, fuses ordered pairs with their union features,
+runs a second encoder stack over the pair tokens, and classifies relations;
+each step has a hand-written backward, certifiable by finite differences.
+The linear model (:func:`linear_object_stage`, :func:`linear_pair_stage`)
+is one affine relation head over ``[union, subject, object]`` features. Its
+tokens and object probabilities are the detector's features and scores,
+which no parameter makes: its ``object_logits`` are None, its pair backward
+returns no token gradient, and its object backward writes nothing.
 
-Each ``forward`` is an object stage, ``(objects, params, spec) -> (tokens,
-object_logits, object_probs, cache)``, then a pair stage, ``(tokens, unions,
-pairs, params, spec) -> (relation_logits, cache)``, its cache the two in
-turn: :func:`object_stage` and :func:`pair_stage` for the dual encoder,
-:func:`linear_object_stage` (the detector features as tokens) and
-:func:`linear_pair_stage` for the linear model. :class:`Model` carries both,
-so that evaluation can encode a bucket's objects in larger calls than it
-scores their pairs (see :mod:`tailbias.harness`); the pair stage takes any
-run of the object stage's images.
-
-Both ``forward`` functions take a bucket of images with the same object
-count ``n``, the record's arrays with one leading axis (boxes ``(B, n, 4)``)
-and ``(B, P, d_v)`` union rows, and give ``(B, P, L + 1)`` relation logits
-and ``(B, n, L_e)`` object outputs; a single image is a bucket of one,
-unbatched. ``pairs`` is either one ``(P, 2)`` array for every image of the
-bucket alike, or a ``(B, P, 2)`` array of each image's own, as the bucket
-runner of :mod:`tailbias.harness` passes them; the dual encoder attends
-within an image only. Both ``backward`` functions take the bucket axis too:
-``grads`` is then a tree of ``(B, ...)`` leaves (``unflatten`` of a ``(B,
-N)`` stack), and each image's gradient is written into its own row. A
-stacked product runs one matrix product per image, so a bucket's outputs and
-gradient rows equal its images' own forwards and backwards bit for bit; the
+Every entry takes a bucket of images with the same object count ``n``: the
+record's arrays with a leading axis (boxes ``(B, n, 4)``), ``(B, P, d_v)``
+unions, and pairs ``(P, 2)`` for all alike or ``(B, P, 2)`` each, giving
+``(B, P, L + 1)`` relation logits and ``(B, n, L_e)`` object outputs; a
+single image is a bucket of one, unbatched, and the dual encoder attends
+within an image only. A backward's ``grads`` then has ``(B, ...)`` leaves,
+one row per image. A stacked product runs one matrix product per image, so
+a bucket's outputs and gradient rows equal its images' own bit for bit; the
 bucket axis is never folded into the row axis of a 2-D product, whose rows
-BLAS may round by the product's height. An empty ``pairs`` gives ``(0, L +
-1)`` relation logits and no relation gradient.
+BLAS may round by the product's height. ``forward`` also runs a tree of
+``(k, ...)`` leaves, k parameter copies, at once. An empty ``pairs`` gives
+``(0, L + 1)`` relation logits and no relation gradient.
 
-The label embedding is the one table whose rows the forward gathers by
-index; a backward adds an image's rows into that image's own gradient with
-``np.add.at`` in object order, two objects of one class into one row.
+Gathered rows get their gradient with ``np.add.at``: token rows in pair
+order, subjects first, and the label embedding's rows per image in object
+order, two objects of one class into one row.
 
 A model embeds ``objects.labels`` as given and reads no task: the caller
 chooses which labels an image's objects carry (see :mod:`tailbias.harness`).
@@ -93,12 +92,16 @@ __all__ = [
     "encode_relations_and_classify",
     "object_stage",
     "pair_stage",
+    "object_backward",
+    "pair_backward",
     "forward",
     "backward",
     "init_dual_encoder",
     "init_linear",
     "linear_object_stage",
     "linear_pair_stage",
+    "linear_object_backward",
+    "linear_pair_backward",
     "linear_forward",
     "linear_backward",
 ]
@@ -158,22 +161,22 @@ class ModelOutput:
 
 
 class Model(NamedTuple):
-    """The entry points of one model kind; ``forward`` is ``pair_stage`` over
-    the tokens of ``object_stage``."""
+    """The entry points of one model kind: its parameters, its two stages,
+    and their backwards."""
 
     init: Callable
-    forward: Callable
-    backward: Callable
     object_stage: Callable
     pair_stage: Callable
+    object_backward: Callable
+    pair_backward: Callable
 
 
 def model_for(spec: ModelSpec) -> Model:
     """The entry points of ``spec.kind``; the one place that reads the kind."""
     if spec.kind == "linear":
-        return Model(init_linear, linear_forward, linear_backward, linear_object_stage,
-                     linear_pair_stage)
-    return Model(init_dual_encoder, forward, backward, object_stage, pair_stage)
+        return Model(init_linear, linear_object_stage, linear_pair_stage,
+                     linear_object_backward, linear_pair_backward)
+    return Model(init_dual_encoder, object_stage, pair_stage, object_backward, pair_backward)
 
 
 def feature_width(spec: ModelSpec, label_space: LabelSpace, num_params: int) -> int:
@@ -308,19 +311,11 @@ def fuse_pairs(
     pairs: np.ndarray,
     params: DualEncoderParams,
 ) -> tuple[np.ndarray, tuple]:
-    """One token per ordered pair: ``[union, subject, object] @ w_fuse``."""
-    n = e_final.shape[-2]
-    s_idx, o_idx = pairs[..., 0], pairs[..., 1]
-    bad = np.flatnonzero((s_idx == o_idx) | ((pairs < 0) | (pairs >= n)).any(axis=-1))
-    if bad.size:
-        s, o = pairs.reshape(-1, 2)[bad[0]].tolist()
-        why = "relates an object to itself" if s == o else f"out of range for {n} objects"
-        raise ValueError(f"pair ({s}, {o}) {why}")
-    if pairs.shape[-2] != unions.shape[-2]:
-        raise ValueError("one union feature row is required per pair")
+    """One token per ordered pair: ``[union, subject, object] @ w_fuse``, for
+    checked ``pairs`` (see :func:`forward`)."""
     stacked = np.broadcast_to(unions, e_final.shape[:-2] + unions.shape[-2:])
     concat = np.concatenate([stacked, _pair_rows(e_final, pairs)], axis=-1)
-    return concat @ params.w_fuse, (concat, s_idx, o_idx, unions.shape[-1], n)
+    return concat @ params.w_fuse, (concat, pairs, e_final.shape[-2])
 
 
 def fuse_pairs_backward(
@@ -328,13 +323,13 @@ def fuse_pairs_backward(
 ) -> np.ndarray:
     """Write ``w_fuse``'s gradient into ``grads``; return the gradient of the
     object tokens, whose pair rows are added with ``np.add.at`` in pair order."""
-    concat, s_idx, o_idx, d_u, n = cache
+    concat, pairs, n = cache
     np.matmul(concat.swapaxes(-1, -2), g, out=grads.w_fuse)
     dconcat = g @ params.w_fuse.T
-    d_model = (dconcat.shape[-1] - d_u) // 2
+    d_model = g.shape[-1]
     de = np.zeros(dconcat.shape[:-2] + (n, d_model))
-    d_s, d_o = dconcat[..., d_u : d_u + d_model], dconcat[..., d_u + d_model :]
-    for idx, rows in ((s_idx, d_s), (o_idx, d_o)):
+    d_s, d_o = dconcat[..., -2 * d_model : -d_model], dconcat[..., -d_model:]
+    for idx, rows in ((pairs[..., 0], d_s), (pairs[..., 1], d_o)):
         np.add.at(de, _slice_rows(np.broadcast_to(idx, rows.shape[:-1])), rows)
     return de
 
@@ -356,86 +351,53 @@ def object_stage(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """The object tokens, object logits and probabilities, and their cache:
     embedding, object encoder stack, object head."""
-    if objects.labels.shape[-1] < 2:
-        raise ValueError("no pairs: need at least two objects")
     tokens, embed_cache = embed_objects(objects, params)
     e_final, obj_caches = encode_objects(tokens, params, spec.n_h)
     object_logits = e_final @ params.w_clf_obj
     return e_final, object_logits, row_softmax(object_logits), (embed_cache, obj_caches, e_final)
 
 
-def pair_stage(
-    tokens: np.ndarray,
-    unions: np.ndarray,
-    pairs: np.ndarray,
-    params: DualEncoderParams,
-    spec: ModelSpec,
-) -> tuple[np.ndarray, tuple]:
-    """The relation logits of ``pairs`` over the object ``tokens``, and their
-    cache: pair fusion, relation encoder stack, relation head."""
+def pair_stage(tokens: np.ndarray, unions: np.ndarray, pairs: np.ndarray,
+               params: DualEncoderParams, spec: ModelSpec) -> tuple[np.ndarray, tuple]:
+    """The relation logits of checked ``pairs`` (see :func:`forward`) over the
+    object ``tokens``, and their cache: pair fusion, relation encoder stack,
+    relation head."""
     pair_tokens, fuse_cache = fuse_pairs(tokens, unions, pairs, params)
     relation_logits, rel_cache = encode_relations_and_classify(pair_tokens, params, spec.n_h)
     return relation_logits, (fuse_cache, rel_cache)
 
 
-def _stages(object_fn: Callable, pair_fn: Callable, objects: Objects, unions: np.ndarray,
-            pairs: np.ndarray, params, spec: ModelSpec) -> ModelOutput:
-    """``pair_fn`` over the tokens of ``object_fn``, one cache after the other."""
-    tokens, object_logits, object_probs, object_cache = object_fn(objects, params, spec)
-    relation_logits, pair_cache = pair_fn(tokens, unions, pairs, params, spec)
-    return ModelOutput(object_logits=object_logits, object_probs=object_probs,
-                       relation_logits=relation_logits, cache=object_cache + pair_cache)
-
-
-def forward(
-    objects: Objects,
-    unions: np.ndarray,
-    pairs: np.ndarray,
-    params: DualEncoderParams,
-    spec: ModelSpec,
-) -> ModelOutput:
-    """Full pipeline: :func:`object_stage`, then :func:`pair_stage`."""
-    return _stages(object_stage, pair_stage, objects, unions, pairs, params, spec)
-
-
-def backward(
-    d_object_logits: np.ndarray | None,
-    d_relation_logits: np.ndarray,
-    output: ModelOutput,
-    params: DualEncoderParams,
-    spec: ModelSpec,
-    grads: DualEncoderParams,
-) -> DualEncoderParams:
-    """Exact parameter gradients of one forward pass, written into ``grads``.
-
-    ``d_object_logits``/``d_relation_logits`` are the loss gradients at the two
-    classifier outputs; a None ``d_object_logits`` gives a zero ``w_clf_obj``
-    gradient. Every leaf of ``grads`` is overwritten, whatever it held. After
-    a bucket's forward, ``grads`` has ``(B, ...)`` leaves, one row per image.
-    """
-    embed_cache, obj_caches, e_final, fuse_cache, rel_cache = output.cache
-    rel_layer_caches, rel_final = rel_cache
-
+def pair_backward(d_relation_logits: np.ndarray, cache: tuple, params: DualEncoderParams,
+                  grads: DualEncoderParams) -> np.ndarray:
+    """Write the relation head's, relation stack's and fusion's gradients
+    into ``grads``; return the object tokens' gradient. Over no pairs the
+    skipped relation stack gets zeros."""
+    fuse_cache, (rel_layer_caches, rel_final) = cache
     np.matmul(rel_final.swapaxes(-1, -2), d_relation_logits, out=grads.w_clf_rel)
     dx = d_relation_logits @ params.w_clf_rel.T
-    if not rel_layer_caches:  # an empty pair block skipped the relation stack
+    if not rel_layer_caches:
         for leaf in leaves(grads.rel_layers):
             leaf[...] = 0.0
-    for i in range(len(rel_layer_caches) - 1, -1, -1):
-        dx = encoder_layer_backward(dx, rel_layer_caches[i], grads.rel_layers[i])
-    de_final = fuse_pairs_backward(dx, params, fuse_cache, grads)
+    for layer_cache, layer_grads in zip(reversed(rel_layer_caches), reversed(grads.rel_layers)):
+        dx = encoder_layer_backward(dx, layer_cache, layer_grads)
+    return fuse_pairs_backward(dx, params, fuse_cache, grads)
 
+
+def object_backward(d_tokens: np.ndarray, d_object_logits: np.ndarray | None, cache: tuple,
+                    params: DualEncoderParams, grads: DualEncoderParams) -> None:
+    """Write the object head's, object stack's and embedding's gradients into
+    ``grads``, from the tokens' gradient ``d_tokens`` and the object logits'
+    ``d_object_logits``; a None ``d_object_logits`` gives a zero ``w_clf_obj``
+    gradient."""
+    embed_cache, obj_caches, e_final = cache
     if d_object_logits is None:
         grads.w_clf_obj[...] = 0.0
     else:
         np.matmul(e_final.swapaxes(-1, -2), d_object_logits, out=grads.w_clf_obj)
-        de_final += d_object_logits @ params.w_clf_obj.T
-
-    dx = de_final
-    for i in range(spec.n_o - 1, -1, -1):
-        dx = encoder_layer_backward(dx, obj_caches[i], grads.obj_layers[i])
-    embed_objects_backward(dx, params, embed_cache, grads)
-    return grads
+        d_tokens = d_tokens + d_object_logits @ params.w_clf_obj.T
+    for layer_cache, layer_grads in zip(reversed(obj_caches), reversed(grads.obj_layers)):
+        d_tokens = encoder_layer_backward(d_tokens, layer_cache, layer_grads)
+    embed_objects_backward(d_tokens, params, embed_cache, grads)
 
 
 def linear_object_stage(
@@ -443,52 +405,72 @@ def linear_object_stage(
 ) -> tuple[np.ndarray, None, np.ndarray, tuple]:
     """The linear model's object stage: the detector's features are its tokens
     and its scores the object probabilities; no object logits, no cache."""
-    if objects.labels.shape[-1] < 2:
-        raise ValueError("no pairs: need at least two objects")
     return objects.features, None, objects.scores, ()
 
 
-def linear_pair_stage(
-    tokens: np.ndarray,
-    unions: np.ndarray,
-    pairs: np.ndarray,
-    params: LinearParams,
-    spec: ModelSpec,
-) -> tuple[np.ndarray, tuple]:
-    """The affine head over ``[union, tokens[s], tokens[o]]``, and its input."""
+def linear_pair_stage(tokens: np.ndarray, unions: np.ndarray, pairs: np.ndarray,
+                      params: LinearParams, spec: ModelSpec) -> tuple[np.ndarray, tuple]:
+    """The affine head over ``[union, tokens[s], tokens[o]]`` of checked
+    ``pairs`` (see :func:`forward`), and its input."""
     x = np.concatenate([unions, _pair_rows(tokens, pairs)], axis=-1)
     return x @ params.w + params.b[..., None, :], (x,)
 
 
-def linear_forward(
-    objects: Objects,
-    unions: np.ndarray,
-    pairs: np.ndarray,
-    params: LinearParams,
-    spec: ModelSpec,
-) -> ModelOutput:
-    """Affine relation head over ``[union, subject feature, object feature]``:
-    :func:`linear_object_stage`, then :func:`linear_pair_stage`.
-
-    ``spec`` completes the shared protocol; the linear head reads no spec
-    field and no label, and its object probabilities are the detector
-    scores. ``params`` may be a tree of ``(k, ...)`` leaves, giving ``(k, P,
-    C)`` logits, or ``objects`` a bucket of ``B`` images, giving ``(B, P,
-    C)`` logits.
-    """
-    return _stages(linear_object_stage, linear_pair_stage, objects, unions, pairs, params, spec)
-
-
-def linear_backward(
-    d_object_logits: None,
-    d_relation_logits: np.ndarray,
-    output: ModelOutput,
-    params: LinearParams,
-    spec: ModelSpec,
-    grads: LinearParams,
-) -> LinearParams:
-    """Write the gradients of the affine head into ``grads``; it has no object head."""
-    (x,) = output.cache
+def linear_pair_backward(d_relation_logits: np.ndarray, cache: tuple, params: LinearParams,
+                         grads: LinearParams) -> None:
+    """Write the affine head's gradients into ``grads``. The tokens are the
+    detector's features, which no parameter makes: no token gradient."""
+    (x,) = cache
     np.matmul(x.swapaxes(-1, -2), d_relation_logits, out=grads.w)
     np.add.reduce(d_relation_logits, axis=-2, out=grads.b)
+
+
+def linear_object_backward(d_tokens: None, d_object_logits: None, cache: tuple,
+                           params: LinearParams, grads: LinearParams) -> None:
+    """The linear object stage has no parameters: nothing to write."""
+
+
+def forward(objects: Objects, unions: np.ndarray, pairs: np.ndarray,
+            params: DualEncoderParams | LinearParams, spec: ModelSpec) -> ModelOutput:
+    """Check ``pairs`` and ``unions`` against ``objects``, then run the object
+    stage and the pair stage of ``spec``'s kind; the cache holds both stages'."""
+    n = objects.labels.shape[-1]
+    if n < 2:
+        raise ValueError("no pairs: need at least two objects")
+    bad = np.flatnonzero((pairs[..., 0] == pairs[..., 1])
+                         | ((pairs < 0) | (pairs >= n)).any(axis=-1))
+    if bad.size:
+        s, o = pairs.reshape(-1, 2)[bad[0]].tolist()
+        why = "relates an object to itself" if s == o else f"out of range for {n} objects"
+        raise ValueError(f"pair ({s}, {o}) {why}")
+    if pairs.shape[-2] != unions.shape[-2]:
+        raise ValueError(f"{unions.shape[-2]} union rows for {pairs.shape[-2]} pairs: "
+                         "one union feature row is required per pair")
+    net = model_for(spec)
+    tokens, object_logits, object_probs, object_cache = net.object_stage(objects, params, spec)
+    relation_logits, pair_cache = net.pair_stage(tokens, unions, pairs, params, spec)
+    return ModelOutput(object_logits, object_probs, relation_logits, (object_cache, pair_cache))
+
+
+def backward(d_object_logits: np.ndarray | None, d_relation_logits: np.ndarray,
+             output: ModelOutput, params: DualEncoderParams | LinearParams, spec: ModelSpec,
+             grads: DualEncoderParams | LinearParams) -> DualEncoderParams | LinearParams:
+    """Exact parameter gradients of one :func:`forward`, written into
+    ``grads``: the pair stage's backward, then the object stage's.
+
+    ``d_object_logits``/``d_relation_logits`` are the loss gradients at the two
+    classifier outputs; ``d_object_logits`` is None for a model without an
+    object head, and may be for one with it. Every leaf of ``grads`` is
+    overwritten, whatever it held. After a bucket's forward, ``grads`` has
+    ``(B, ...)`` leaves, one row per image.
+    """
+    net = model_for(spec)
+    object_cache, pair_cache = output.cache
+    d_tokens = net.pair_backward(d_relation_logits, pair_cache, params, grads)
+    net.object_backward(d_tokens, d_object_logits, object_cache, params, grads)
     return grads
+
+
+# ``perfbench/layers.py``'s probe table still names these two; they are the
+# one forward and backward.
+linear_forward, linear_backward = forward, backward

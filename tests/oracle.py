@@ -70,7 +70,7 @@ from tailbias.bias import (
 )
 from tailbias.losses import LossOutput
 from tailbias.metrics import CONSTRAINTS, EvalResult
-from tailbias.model import model_for
+from tailbias.model import backward, forward, model_for
 from tailbias.numerics import (
     GradCheckReport,
     attention,
@@ -482,13 +482,12 @@ def evaluate(checkpoint, images, inference_bias=None, ks=None):
     """Forward every image, build and rank its candidates, aggregate recall."""
     config = checkpoint.config
     ks = list(config.eval_ks if ks is None else ks)
-    net = model_for(config.model)
     per_image = {c: [] for c in CONSTRAINTS}
     for img in images:
         pair_array = all_ordered_pairs(len(img.labels))
         pairs = [tuple(p) for p in pair_array.tolist()]
-        out = net.forward(replace(img, labels=task_labels(img, config.task)), img.unions,
-                          pair_array, checkpoint.params, config.model)
+        out = forward(replace(img, labels=task_labels(img, config.task)), img.unions,
+                      pair_array, checkpoint.params, config.model)
         logits = out.relation_logits
         predicted = [int(np.argmax(row)) for row in out.object_probs]
         if inference_bias is not None:
@@ -592,7 +591,7 @@ def training_pairs(img, config, rng):
     return np.concatenate([fg, bg]), np.concatenate([fg_targets + 1, np.zeros_like(bg)])
 
 
-def batch_loss(config, net, params, grad_vec, loss_fn, batch, sample_rng):
+def batch_loss(config, params, grad_vec, loss_fn, batch, sample_rng):
     """One forward, one loss call per head and one backward per image into a
     fresh gradient, added into ``grad_vec`` in batch order. None when no
     image draws a pair."""
@@ -605,8 +604,8 @@ def batch_loss(config, net, params, grad_vec, loss_fn, batch, sample_rng):
     for img, (positions, targets) in zip(batch, draws):
         pairs = all_ordered_pairs(len(img.labels))[positions]
         labels = class_labels_checked(img, config)
-        out = net.forward(replace(img, labels=labels), img.unions[positions], pairs, params,
-                          config.model)
+        out = forward(replace(img, labels=labels), img.unions[positions], pairs, params,
+                      config.model)
         classes = labels[pairs]
         rel = loss_fn(out.relation_logits, targets, classes[:, 0], classes[:, 1])
         use_obj = w_obj > 0 and out.object_logits is not None
@@ -616,8 +615,8 @@ def batch_loss(config, net, params, grad_vec, loss_fn, batch, sample_rng):
     for out, rel, obj in per_image:
         d_obj = None if obj is None else obj.grad_logits * (w_obj / obj_count)
         fresh = np.zeros_like(grad_vec)
-        net.backward(d_obj, rel.grad_logits / len(rel_values), out, params, config.model,
-                     unflatten(params, fresh))
+        backward(d_obj, rel.grad_logits / len(rel_values), out, params, config.model,
+                 unflatten(params, fresh))
         grad_vec += fresh
     loss_value = running_sum(rel_values) / len(rel_values)
     if use_obj:
@@ -636,9 +635,9 @@ def train(config, images, loss_fn=None):
     bias = None if config.bias is None else compute_bias(config.bias, stats)
     if loss_fn is None:
         loss_fn = harness.make_loss_fn(config, bias, class_counts(images, stats))
-    net = model_for(config.model)
     d_v = images[0].features.shape[1]
-    params = net.init(config.model, ls, d_v, harness._rng(config.seed, harness.INIT_DOMAIN))
+    params = model_for(config.model).init(config.model, ls, d_v,
+                                          harness._rng(config.seed, harness.INIT_DOMAIN))
     param_vec = flatten(params)
     params = unflatten(params, param_vec)
     velocity = np.zeros_like(param_vec)
@@ -653,7 +652,7 @@ def train(config, images, loss_fn=None):
                 order = shuffle_rng.permutation(len(images)).tolist()
             batch.append(images[order.pop(0)])
         grad_vec.fill(0.0)
-        loss_value = batch_loss(config, net, params, grad_vec, loss_fn, batch, sample_rng)
+        loss_value = batch_loss(config, params, grad_vec, loss_fn, batch, sample_rng)
         if loss_value is None:
             raise ValueError(
                 f"iteration {step}: the batch draws no pairs "

@@ -632,8 +632,10 @@ class TestTrain:
 
     @pytest.mark.parametrize("kind", ["linear", "dual_encoder"])
     def test_the_model_runs_once_per_bucket_of_a_batch(self, space, data, kind, monkeypatch):
-        """Per iteration, one forward and then one backward call per bucket:
-        images of one object count ``n`` drawing ``m`` pairs, each key once."""
+        """Per iteration, each bucket's object stage and pair stage, then each
+        bucket's pair backward and object backward, in bucket order: one call
+        of each per bucket of images of one object count ``n`` drawing ``m``
+        pairs, each key once."""
         config = replace(
             model_config(space, kind),
             optimizer=OptimizerConfig(learning_rate=0.01, iterations=5, batch_size=8),
@@ -641,27 +643,31 @@ class TestTrain:
         net = model_for(config.model)
         calls = []
 
-        def forward(image, unions, pairs, *rest):
-            calls.append((image.labels.shape, pairs.shape))
-            return net.forward(image, unions, pairs, *rest)
+        def counted(name, fn, key=lambda args: None):
+            def call(*args):
+                calls.append((name, key(args)))
+                return fn(*args)
+            return call
 
-        def backward(*args):
-            calls.append(None)
-            return net.backward(*args)
-
-        monkeypatch.setattr(harness, "model_for",
-                            lambda spec: net._replace(forward=forward, backward=backward))
+        monkeypatch.setattr(harness, "model_for", lambda spec: net._replace(
+            object_stage=counted("o", net.object_stage, lambda a: a[0].labels.shape),
+            pair_stage=counted("p", net.pair_stage, lambda a: a[2].shape),
+            pair_backward=counted("P", net.pair_backward),
+            object_backward=counted("O", net.object_backward)))
         train(config, data[0])
-        steps = "".join("f" if c else "b" for c in calls).replace("bf", "b|f").split("|")
+        names = "".join(name for name, _ in calls)
+        steps = names.replace("Oo", "O|o").split("|")
         assert len(steps) == config.optimizer.iterations
         at = 0
         for step in steps:
-            forwards = calls[at : at + step.count("f")]
-            assert step == "f" * len(forwards) + "b" * len(forwards)
-            keys = [(labels[-1], pairs[-2]) for labels, pairs in forwards]
+            buckets = step.count("o")
+            assert step == "op" * buckets + "PO" * buckets
+            keys = [(calls[at + 2 * i][1][-1], calls[at + 2 * i + 1][1][-2])
+                    for i in range(buckets)]
             assert len(set(keys)) == len(keys)
-            assert sum(labels[0] for labels, _ in forwards) == config.optimizer.batch_size
-            assert len(keys) < config.optimizer.batch_size
+            assert sum(calls[at + 2 * i][1][0] for i in range(buckets)) == \
+                config.optimizer.batch_size
+            assert buckets < config.optimizer.batch_size
             at += len(step)
 
 
@@ -995,7 +1001,7 @@ class TestEvaluate:
         logits, probs, pairs, start = [], [], [], 0
         for img in records:
             local = all_ordered_pairs(len(img.labels))
-            out = net.forward(task_view(img, task), img.unions, local, params, config.model)
+            out = forward(task_view(img, task), img.unions, local, params, config.model)
             logits.append(out.relation_logits)
             probs.append(out.object_probs)
             pairs.append(local + start)

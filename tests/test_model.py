@@ -28,11 +28,15 @@ from tailbias.model import (
     init_linear,
     linear_backward,
     linear_forward,
+    linear_object_backward,
+    linear_object_stage,
     model_for,
+    object_backward,
+    object_stage,
 )
-from tailbias.numerics import flatten, leaves, unflatten
+from tailbias.numerics import flatten, grad_check, leaves, unflatten
 from tailbias.stats import LabelSpace
-from tailbias.synth import Images, SynthImage, all_ordered_pairs
+from tailbias.synth import Images, Objects, SynthImage, all_ordered_pairs
 
 LS = LabelSpace(num_object_classes=4, num_relations=3)
 D_V = 6
@@ -79,6 +83,15 @@ def toy():
     params = init_dual_encoder(spec, LS, D_V, rng)
     image = make_image(rng, 4, LS.num_object_classes, D_V)
     return spec, params, image, all_ordered_pairs(4), image.unions, rng
+
+
+def small_model(kind, n, seed=0):
+    """A small spec of ``kind``, its seeded parameters, and an image of ``n``
+    objects."""
+    spec = ModelSpec(kind=kind, d_model=8, d_e=4, d_pos=4, n_o=2, n_r=1, d_ff=8)
+    rng = np.random.default_rng(seed)
+    params = model_for(spec).init(spec, LS, D_V, rng)
+    return spec, params, make_image(rng, n, LS.num_object_classes, D_V)
 
 
 def task_view(image, task):
@@ -215,18 +228,6 @@ class TestFusePairs:
         fused, _ = fuse_pairs(tokens, unions, pairs, params)
         assert not fused.any()
 
-    def test_self_pair_rejected(self, toy):
-        spec, params, image, _, unions, _ = toy
-        tokens, _ = embed_objects(image, params)
-        with pytest.raises(ValueError, match="itself"):
-            fuse_pairs(tokens, unions[:2], np.array([[0, 1], [1, 1]]), params)
-
-    def test_out_of_range_rejected(self, toy):
-        spec, params, image, _, unions, _ = toy
-        tokens, _ = embed_objects(image, params)
-        with pytest.raises(ValueError, match="out of range"):
-            fuse_pairs(tokens, unions[:2], np.array([[0, 1], [0, 9]]), params)
-
 
 class TestRelationHead:
     def test_logit_shape(self, toy):
@@ -257,6 +258,35 @@ class TestForward:
         spec, params, image, _, _, _ = toy
         with pytest.raises(ValueError, match="no pairs"):
             forward(select(image, [0]), np.zeros((0, D_V)), all_ordered_pairs(1), params, spec)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_self_pair_rejected(self, kind):
+        """Both kinds refuse a pair relating an object to itself, in one
+        image's pairs and in a bucket's."""
+        spec, params, image = small_model(kind, 3)
+        with pytest.raises(ValueError, match=r"^pair \(1, 1\) relates an object to itself$"):
+            forward(image, image.unions[:2], np.array([[0, 1], [1, 1]]), params, spec)
+        bucket = Objects(*(np.stack([getattr(image, f)] * 2) for f in Objects._fields))
+        with pytest.raises(ValueError, match=r"^pair \(2, 2\) relates an object to itself$"):
+            forward(bucket, np.zeros((2, 1, D_V)), np.array([[[0, 1]], [[2, 2]]]), params, spec)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("bad", [(-1, 0), (0, 3), (9, 1)], ids=["negative", "at_n", "past_n"])
+    def test_out_of_range_rejected(self, kind, bad):
+        """A negative index, which numpy would read from the end, and an
+        index past ``n`` are refused by name for both kinds."""
+        spec, params, image = small_model(kind, 3)
+        pairs = np.array([[0, 1], bad])
+        why = rf"^pair \({bad[0]}, {bad[1]}\) out of range for 3 objects$"
+        with pytest.raises(ValueError, match=why):
+            forward(image, image.unions[:2], pairs, params, spec)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_union_rows_must_match_pairs(self, kind, rows):
+        spec, params, image = small_model(kind, 3)
+        with pytest.raises(ValueError, match=rf"^{rows} union rows for 2 pairs: one union"):
+            forward(image, image.unions[:rows], np.array([[0, 1], [2, 0]]), params, spec)
 
     def test_relation_logits_permutation_invariant(self, toy):
         spec, params, image, pairs, unions, _ = toy
@@ -315,19 +345,18 @@ class TestProtocol:
         """A forward over no pairs gives ``(0, L + 1)`` logits; its backward
         writes what a one-pair forward with a zero relation gradient writes."""
         spec = ModelSpec(kind=kind, d_model=8, d_e=4, d_pos=4, n_o=1, n_r=2, d_ff=8)
-        net = model_for(spec)
         rng = np.random.default_rng(5)
-        params = net.init(spec, LS, D_V, rng)
+        params = model_for(spec).init(spec, LS, D_V, rng)
         image = task_view(make_image(rng, 3, LS.num_object_classes, D_V), task)
-        empty = net.forward(image, image.unions[:0], all_ordered_pairs(3)[:0], params, spec)
-        one = net.forward(image, image.unions[:1], all_ordered_pairs(3)[:1], params, spec)
+        empty = forward(image, image.unions[:0], all_ordered_pairs(3)[:0], params, spec)
+        one = forward(image, image.unions[:1], all_ordered_pairs(3)[:1], params, spec)
         assert empty.relation_logits.shape == (0, LS.num_relations + 1)
         assert np.array_equal(empty.object_probs, one.object_probs)
         d_obj = None if one.object_logits is None else rng.normal(size=one.object_logits.shape)
-        got = net.backward(d_obj, np.zeros((0, LS.num_relations + 1)), empty, params, spec,
-                           zero_grads(params))
-        want = net.backward(d_obj, np.zeros((1, LS.num_relations + 1)), one, params, spec,
-                            zero_grads(params))
+        got = backward(d_obj, np.zeros((0, LS.num_relations + 1)), empty, params, spec,
+                       zero_grads(params))
+        want = backward(d_obj, np.zeros((1, LS.num_relations + 1)), one, params, spec,
+                        zero_grads(params))
         assert np.array_equal(flatten(got), flatten(want))
 
 
@@ -346,29 +375,100 @@ class TestBackwardOverwrites:
         gradient the dual encoder writes a zero ``w_clf_obj`` gradient, and
         over no pairs, zeros for the relation stack it skipped."""
         spec = ModelSpec(kind=kind, d_model=8, d_e=4, d_pos=4, n_o=2, n_r=1, d_ff=8)
-        net = model_for(spec)
         rng = np.random.default_rng(11)
-        params = net.init(spec, LS, D_V, rng)
+        params = model_for(spec).init(spec, LS, D_V, rng)
         image = make_image(rng, 4, LS.num_object_classes, D_V)
         image.labels[1] = image.labels[0]  # two rows of one embedding class
         pairs = all_ordered_pairs(4)[: 0 if case == "no_pairs" else None]
-        out = net.forward(image, image.unions[: len(pairs)], pairs, params, spec)
+        out = forward(image, image.unions[: len(pairs)], pairs, params, spec)
         d_obj = None
         if out.object_logits is not None and case != "no_object_gradient":
             d_obj = rng.normal(size=out.object_logits.shape)
         d_rel = rng.normal(size=out.relation_logits.shape)
-        once = flatten(net.backward(d_obj, d_rel, out, params, spec, zero_grads(params)))
+        once = flatten(backward(d_obj, d_rel, out, params, spec, zero_grads(params)))
         assert once.any() == (kind == "dual_encoder" or case != "no_pairs")
         buffer = np.full_like(once, np.nan)
         grads = unflatten(params, buffer)
         for stale in (np.nan, 1.5):
             buffer.fill(stale)
-            assert net.backward(d_obj, d_rel, out, params, spec, grads) is grads
+            assert backward(d_obj, d_rel, out, params, spec, grads) is grads
             assert np.array_equal(buffer, once)
         if kind == "dual_encoder":
             tree = unflatten(params, once)
             assert tree.w_clf_obj.any() == (d_obj is not None)
             assert flatten(tree.rel_layers).any() == (case != "no_pairs")
+
+
+class TestStageBackwards:
+    """Each stage's backward alone against central differences of
+    ``sum(g * stage output)``, on the tokens and on every parameter; a
+    stage's backward writes only its own leaves, and the others' differences
+    are zero."""
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("m", [12, 5, 0])
+    def test_pair_backward(self, kind, m):
+        """The parameter gradient of ``m`` of 4 objects' ordered pairs, and the
+        dual encoder's token gradient, whose subject and object rows add up;
+        over no pairs, both are zero. The linear model's tokens are the
+        detector's features and have no gradient."""
+        spec, params, image = small_model(kind, 4, seed=m)
+        net = model_for(spec)
+        rng = np.random.default_rng(m)
+        pairs = all_ordered_pairs(4)[rng.permutation(12)[:m]]
+        unions = rng.normal(size=(m, D_V))
+        tokens = net.object_stage(image, params, spec)[0]
+        logits, cache = net.pair_stage(tokens, unions, pairs, params, spec)
+        g = rng.normal(size=logits.shape)
+        grads = zero_grads(params)
+        d_tokens = net.pair_backward(g, cache, params, grads)
+
+        def at_params(stack):
+            out = net.pair_stage(tokens, unions, pairs, unflatten(params, stack), spec)[0]
+            return (g * out).sum(axis=(-2, -1))
+
+        assert grad_check(at_params, flatten(params), flatten(grads)).passed
+        if kind == "linear":
+            assert d_tokens is None
+            return
+        assert d_tokens.shape == tokens.shape and d_tokens.any() == (m > 0)
+
+        def at_tokens(stack):
+            stacked = stack.reshape((-1,) + tokens.shape)
+            return (g * net.pair_stage(stacked, unions, pairs, params, spec)[0]).sum(axis=(-2, -1))
+
+        assert grad_check(at_tokens, tokens, d_tokens).passed
+
+    @pytest.mark.parametrize("with_object_gradient", [True, False])
+    def test_object_backward(self, with_object_gradient):
+        """The dual encoder's object-stage gradient from a token gradient, and
+        from an object-logit gradient when one is given; without one, a zero
+        ``w_clf_obj`` gradient."""
+        spec, params, image = small_model("dual_encoder", 4, seed=3)
+        image.labels[1] = image.labels[0]  # two rows of one embedding class
+        rng = np.random.default_rng(3)
+        tokens, object_logits, _, cache = object_stage(image, params, spec)
+        g_tok = rng.normal(size=tokens.shape)
+        g_obj = rng.normal(size=object_logits.shape) if with_object_gradient else None
+        grads = zero_grads(params)
+        object_backward(g_tok, g_obj, cache, params, grads)
+
+        def at_params(stack):
+            tokens, logits, _, _ = object_stage(image, unflatten(params, stack), spec)
+            value = (g_tok * tokens).sum(axis=(-2, -1))
+            return value if g_obj is None else value + (g_obj * logits).sum(axis=(-2, -1))
+
+        assert grad_check(at_params, flatten(params), flatten(grads)).passed
+        assert grads.w_clf_obj.any() == with_object_gradient
+        assert not (grads.w_fuse.any() or grads.w_clf_rel.any() or flatten(grads.rel_layers).any())
+
+    def test_the_linear_object_backward_writes_nothing(self):
+        spec, params, image = small_model("linear", 3)
+        tokens, object_logits, _, cache = linear_object_stage(image, params, spec)
+        assert tokens is image.features and object_logits is None and cache == ()
+        buffer = np.full(flatten(params).size, np.nan)
+        linear_object_backward(None, None, cache, params, unflatten(params, buffer))
+        assert np.isnan(buffer).all()
 
 
 class TestBucketedBackward:
@@ -393,9 +493,8 @@ class TestBucketedBackward:
         bucket's gradient equals its own backward bit for bit."""
         m = n * (n - 1) if data is None else data.draw(st.integers(0, n * (n - 1)))
         spec = ModelSpec(kind=kind, d_model=8, d_e=4, d_pos=4, n_o=1, n_r=2, d_ff=8)
-        net = model_for(spec)
         rng = np.random.default_rng(seed)
-        params = net.init(spec, LS, D_V, rng)
+        params = model_for(spec).init(spec, LS, D_V, rng)
         images = [make_image(rng, n, LS.num_object_classes, D_V) for _ in range(b)]
         images[0].labels[1], images[0].scores[1] = images[0].labels[0], images[0].scores[0]
         images = [task_view(img, task) for img in images]
@@ -406,16 +505,16 @@ class TestBucketedBackward:
         bucket = SynthImage(*(np.stack([getattr(img, f) for img in images])
                               for f in ("boxes", "features", "labels", "scores")),
                             unions=unions, gt=NO_GT)
-        out = net.forward(bucket, unions, pairs, params, spec)
+        out = forward(bucket, unions, pairs, params, spec)
         d_rel = rng.normal(size=out.relation_logits.shape)
         d_obj = None if out.object_logits is None else rng.normal(size=out.object_logits.shape)
         rows = np.full((b, flatten(params).size), np.nan)
-        net.backward(d_obj, d_rel, out, params, spec, unflatten(params, rows))
+        backward(d_obj, d_rel, out, params, spec, unflatten(params, rows))
         for i, img in enumerate(images):
-            one = net.forward(img, unions[i], pairs if shared else pairs[i], params, spec)
+            one = forward(img, unions[i], pairs if shared else pairs[i], params, spec)
             assert np.array_equal(one.relation_logits, out.relation_logits[i])
-            want = net.backward(None if d_obj is None else d_obj[i], d_rel[i], one, params, spec,
-                                zero_grads(params))
+            want = backward(None if d_obj is None else d_obj[i], d_rel[i], one, params, spec,
+                            zero_grads(params))
             assert np.array_equal(rows[i], flatten(want))
 
 

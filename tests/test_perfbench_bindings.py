@@ -18,6 +18,8 @@ import tailbias.model as model
 import tailbias.numerics as numerics
 from tailbias import bias, synth
 from tailbias.stats import LabelSpace, ingest, read_config
+from tailbias.synth import all_ordered_pairs
+from test_model import make_image
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -55,6 +57,40 @@ def test_traced_functions_keep_their_module_bindings():
     assert gradcert.grad_check is numerics.grad_check
     assert gradcert.encoder_layer is numerics.encoder_layer
     assert model.encoder_layer is numerics.encoder_layer
+
+
+def test_tracing_restores_every_binding_of_a_function_with_two_probe_names(monkeypatch):
+    """``model.linear_forward`` and ``model.forward`` name one function, as do
+    the two backwards. With the benchmark's tracer installed, one forward and
+    one backward per model kind run through its wrappers; afterwards every
+    ``tailbias`` module attribute is the object it was before. The span test
+    in ``perfbench/tests`` checks this too, but that suite is not run here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    spans = importlib.import_module("spans")
+    assert model.linear_forward is model.forward and model.linear_backward is model.backward
+    before = [(mod, dict(vars(mod))) for mod in spans.tailbias_modules()]
+    tracer, untraced = spans.Tracer(layers.PROBES), model.forward
+    rng = np.random.default_rng(0)
+    space = LabelSpace(num_object_classes=4, num_relations=3)
+    with tracer.installed():
+        assert harness.forward is model.forward is model.linear_forward is not untraced
+        for kind in model.MODEL_KINDS:
+            spec = model.ModelSpec(kind=kind, d_model=8, d_e=4, d_pos=4, n_o=1, n_r=1, d_ff=8)
+            params = model.model_for(spec).init(spec, space, 5, rng)
+            image = make_image(rng, 3, space.num_object_classes, 5)
+            out = model.forward(image, image.unions, all_ordered_pairs(3), params, spec)
+            d_obj = None if out.object_logits is None else np.ones_like(out.object_logits)
+            grads = numerics.unflatten(params, np.zeros(numerics.flatten(params).size))
+            model.backward(d_obj, np.ones_like(out.relation_logits), out, params, spec, grads)
+    for mod, attrs in before:
+        now = vars(mod)
+        assert now.keys() == attrs.keys(), mod.__name__
+        moved = [name for name, value in attrs.items() if now[name] is not value]
+        assert not moved, (mod.__name__, moved)
+    traced = [tracer.names[i] for i in tracer.name_id]
+    assert traced.count("model.forward") == traced.count("model.backward") == 2
+    assert "model.embed_objects" in traced
 
 
 def test_biased_ce_calls_ce_through_the_module_global(monkeypatch):
