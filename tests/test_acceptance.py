@@ -299,7 +299,9 @@ def reference_artifacts(pipeline) -> dict[str, bytes]:
     background pairs, so these two pin the background sampler's draws,
     which the reference runs, taking every pair, never make. The dual-encoder
     SGCls run (:func:`dual_sgcls_artifacts`) adds its own four, and the
-    dual-encoder PredCls run (:func:`dual_predcls_artifacts`) three."""
+    dual-encoder PredCls run (:func:`dual_predcls_artifacts`) three, and
+    ``tailbias gradcheck --instances 10`` its ``gradcheck.json``, whose
+    worst errors move with the last bit of any certified gradient."""
     root = pipeline["root"]
     names = ["train.jsonl", "test.jsonl", *(f"checkpoint_{name}.json" for name in RUNS),
              *(f"metrics_{name}.csv" for name in RUNS)]
@@ -325,6 +327,8 @@ def reference_artifacts(pipeline) -> dict[str, bytes]:
         out[name] = sweep_csv(rows, config.eval_ks).encode()
         out[name.replace(".csv", ".hex")] = float_lines(
             v for _, results in rows for v in result_floats(results))
+    assert main(["gradcheck", "--instances", "10", "--out", str(root / "gradcheck")]) == 0
+    out["gradcheck.json"] = (root / "gradcheck" / "gradcheck.json").read_bytes()
     return out | dual_sgcls_artifacts(root) | dual_predcls_artifacts(root)
 
 
