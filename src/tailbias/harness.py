@@ -26,25 +26,24 @@ stops training with a ``FloatingPointError`` that names the iteration and,
 for a gradient, the parameter leaf; a forward that diverges shows as one of them.
 
 Training and evaluation run the model's two stages (see
-:mod:`tailbias.model`) over one bucket planner (:class:`_Buckets`): within a
-step, images with the same object count and number of pairs form a bucket,
-buckets in ascending ``(n, m)``, on an :class:`~tailbias.synth.Objects`
-record gathered once. Training plans every step of a window in one
-vectorized pass right after drawing it, so a step only slices its part of
-the plan, and runs each bucket's stages and their backwards once;
-evaluation plans its split as one step. Evaluation checks and derives its
-split as training does, at the checkpoint's feature width, and forwards
-each image once over all its pairs (:func:`_forward_split`): the object
-stage over slices of a bucket, the pair stage over :data:`FORWARD_CHUNK`
-images of a slice at a time, so the caches held at once stay bounded
-whatever the split's size. It names the first
-image whose outputs are not finite, by the same array rule that checks the
-ground truth, and ranks the split's stacked ``(ΣP, L)`` score matrix once
-per constraint (see :mod:`tailbias.metrics`). The sweep forwards the split
-once too, and scores, ranks and counts :data:`GRID_BLOCK` grid points at a
-time as one block, the split stacked once per point and the recalls of
-every point and constraint counted in one pass (:func:`_rank_split`);
-evaluation is that block's one-point case.
+:mod:`tailbias.model`) over one planner (:class:`_Buckets`): within a step,
+images of one object count ``n`` and number ``m`` of pairs form a bucket, one
+pair-stage call, and the images of one ``n``, or where exact of every ``n``
+from 4 to 7, padded and masked, one object-stage call. Training plans every
+step of a window in one vectorized pass right after drawing it, so a step
+only indexes its part of the plan. Evaluation plans its split as one step,
+unpadded, checks and derives it as training does, at the checkpoint's feature
+width, and forwards each image once over all its pairs
+(:func:`_forward_split`): the object stage over slices of a bucket, the pair
+stage over :data:`FORWARD_CHUNK` images of a slice at a time, so the caches
+held at once stay bounded whatever the split's size. It names the first image
+whose outputs are not finite, by the same array rule that checks the ground
+truth, and ranks the split's stacked ``(ΣP, L)`` score matrix once per
+constraint (see :mod:`tailbias.metrics`). The sweep forwards the split once
+too, and scores, ranks and counts :data:`GRID_BLOCK` grid points at a time as
+one block, the split stacked once per point and the recalls of every point
+and constraint counted in one pass (:func:`_rank_split`); evaluation is that
+block's one-point case.
 Only this module reads the task (:data:`MODES`): each model call's objects
 carry the labels of :func:`class_labels`, by which training gathers bias
 rows; the object loss reads the annotated ones. In ``sgcls`` evaluation the
@@ -415,30 +414,31 @@ class _Gradient:
 
 class _Buckets:
     """The plan of a window of steps: the image ``slots`` of a split,
-    ``batch_size`` to a step (the last step may be short), slot ``q`` over its pair rows
-    ``rows[starts[q]:starts[q + 1]]`` with their relation ``targets``. Within
-    a step, images of the same object count ``n`` and number ``m`` of pair
-    rows form a bucket, buckets in ascending ``(n, m)``, and each bucket is
-    one call (a training bucket holds at most a batch of images, and a step's
-    caches are all held until its backward anyway). The whole window is planned
-    in one vectorized pass, so a step only takes views of it; evaluation
-    plans its split as one step.
+    ``batch_size`` to a step (the last step may be short), slot ``q`` over its
+    pair rows ``rows[starts[q]:starts[q + 1]]`` with their relation
+    ``targets``. Within a step, images of one object count ``n`` and number
+    ``m`` of pair rows form a bucket, one pair-stage call, in ascending ``(n,
+    m)``; the buckets of one ``n``, or of every ``n`` in ``pad``, form a group,
+    one object-stage call (a step's caches are all held until its backward
+    anyway). The window is planned in one vectorized pass, so a step only
+    indexes a list; evaluation plans its split as one step.
 
     In plan order (``order``, slot positions, step by step): the split's
-    ``objects`` rows, ``rel`` positions in ``rows``, and what the calls and
-    the losses read, each gathered once: the annotated ``record`` of the
-    objects, the pairs' unions and image-local rows, ``targets`` and the pairs'
-    ``classes``. ``calls`` are ``(b, n, m, o, r)``: ``b`` images from object
-    ``o``, pair ``r``, and ``views`` each call's model arguments ``(objects,
-    unions, pairs)``, reshaped to ``b`` images, the objects labelled by the
-    split's ``classes``. Step ``k`` holds the slots
-    ``slot_at[k]:slot_at[k + 1]``, the calls ``call_at[k]:…`` (:meth:`step`),
-    the objects ``obj_at[k]:…`` and the pair rows ``rel_at[k]:…``; ``obj_slot`` and
-    ``rel_slot`` give each object and pair row its position in its step's
+    ``objects`` rows, ``rel`` positions in ``rows``, and what the calls and the
+    losses read, each gathered once: the objects' annotated ``labels``, the
+    pairs' unions and image-local rows, ``targets`` and the pairs' ``classes``.
+    A group is ``(objects, mask, calls)``: its objects labelled by the split's
+    ``classes``, each image's padded with copies of its last to the group's
+    last and largest ``n``; the ``(b, n)`` ``mask`` of the real ones; and per
+    bucket ``((j, b, n, m, o, r), unions, pairs)``, ``b`` images from the
+    group's ``j``-th, object ``o`` and pair ``r``. Step ``k`` holds the slots
+    ``slot_at[k]:slot_at[k + 1]``, the groups ``group_at[k]:…`` (:meth:`step`),
+    the objects ``obj_at[k]:…`` and the pair rows ``rel_at[k]:…``; ``obj_slot``
+    and ``rel_slot`` give each object and pair row its position in its step's
     batch order, ``row`` each slot its position in its step's plan order."""
 
     def __init__(self, images: Images, split: _Split, slots: np.ndarray, rows: np.ndarray,
-                 targets: np.ndarray, starts: np.ndarray, batch_size: int):
+                 targets: np.ndarray, starts: np.ndarray, batch_size: int, pad: range = range(0)):
         slots = np.asarray(slots, dtype=np.int64)
         first = images.obj_start[slots]
         counts, sizes = images.obj_start[slots + 1] - first, np.diff(starts)
@@ -446,41 +446,49 @@ class _Buckets:
         self.order = order = np.lexsort((sizes, counts, step))
         n, m, k = counts[order], sizes[order], step[order]
 
-        # A call is a bucket: it starts where the step, n or m changes.
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (n[1:] != n[:-1]) | (m[1:] != m[:-1]) | (k[1:] != k[:-1])
-        call = np.flatnonzero(new)
-        self.calls = list(zip(np.diff(np.append(call, len(order))).tolist(), n[call].tolist(),
-                              m[call].tolist(), _offsets(n)[call].tolist(),
-                              _offsets(m)[call].tolist()))
+        # A group starts at a new step or n outside ``pad``, a call also at a new n or m.
+        key = np.stack([k, np.where(np.isin(n, pad), 0, n), n, m])
+        group, call = (np.flatnonzero(np.diff(key[:j], prepend=-1).any(axis=0)) for j in (2, 4))
+        size = np.diff(np.append(group, len(order)))
+        width = n[group + size - 1].repeat(size)  # each image's padded object count
+        t = _ranges(0 * width, width)
+        real = t < n.repeat(width)
+        padded = first[order].repeat(width) + np.minimum(t, (n - 1).repeat(width))
+        objects = [a.take(padded, axis=0)
+                   for a in images.objects(slice(None))._replace(labels=split.classes)]
+
         bounds = np.minimum(np.arange(step[-1] + 2) * batch_size, len(slots))
         obj_start = _offsets(counts)  # in slot order
         obj_at, rel_at = obj_start[bounds], starts[bounds] - starts[0]
         self.slot_at, self.obj_at, self.rel_at = bounds.tolist(), obj_at.tolist(), rel_at.tolist()
-        self.call_at = np.searchsorted(k[call], np.arange(step[-1] + 2)).tolist()
+        self.group_at = np.searchsorted(k[group], np.arange(step[-1] + 2)).tolist()
 
         self.objects = _ranges(first[order], n)
         self.rel = _ranges(starts[order], m)
         # ``take`` gathers the rows of a 2-D array several times faster than indexing.
         at = rows[self.rel]
         pairs, unions = split.pairs.take(at, axis=0), images.unions.take(at, axis=0)
-        self.record = record = Objects(*(a.take(self.objects, axis=0)
-                                         for a in images.objects(slice(None))))
-        called = record._replace(labels=split.classes.take(self.objects))
+        self.labels = images.labels.take(self.objects)
         local = pairs - first[order].repeat(m)[:, None]
         self.targets, self.classes = targets[self.rel], split.classes.take(pairs)
         self.obj_slot = _ranges(obj_start[order], n) - obj_at[:-1].repeat(np.diff(obj_at))
         self.rel_slot = self.rel - starts[bounds[:-1]].repeat(np.diff(rel_at))
         self.row = np.empty_like(order)
         self.row[order] = np.arange(len(order)) - k * batch_size
-        self.views = [(Objects(*(a[o : o + b * n].reshape((b, n) + a.shape[1:]) for a in called)),
-                       unions[r : r + b * m].reshape(b, m, unions.shape[-1]),
-                       local[r : r + b * m].reshape(b, m, 2)) for b, n, m, o, r in self.calls]
+        cut = np.searchsorted(call, np.append(group, len(order)))  # each group's first call
+        calls = [((j, b, n, m, o, r), unions[r : r + b * m].reshape(b, m, unions.shape[-1]),
+                  local[r : r + b * m].reshape(b, m, 2))
+                 for j, b, n, m, o, r in zip(*(a.tolist() for a in (
+                     call - group.repeat(np.diff(cut)), np.diff(np.append(call, len(order))),
+                     n[call], m[call], _offsets(n)[call], _offsets(m)[call])))]
+        at = _offsets(size * width[group])
+        self.groups = [(Objects(*(a[lo:hi].reshape((b, -1) + a.shape[1:]) for a in objects)),
+                        real[lo:hi].reshape(b, -1), calls[c0:c1])
+                       for b, lo, hi, c0, c1 in zip(size, at, at[1:], cut, cut[1:])]
 
-    def step(self, k: int) -> list[tuple[tuple, tuple]]:
-        """Step ``k``'s calls, each with its view ``(objects, unions, pairs)``."""
-        first, last = self.call_at[k : k + 2]
-        return list(zip(self.calls[first:last], self.views[first:last]))
+    def step(self, k: int) -> list[tuple[Objects, np.ndarray, list]]:
+        """Step ``k``'s groups, each ``(objects, mask, calls)``."""
+        return self.groups[self.group_at[k] : self.group_at[k + 1]]
 
 
 def _batch_loss(
@@ -496,24 +504,26 @@ def _batch_loss(
     pairs (see :func:`_draw`), plus the weighted mean object loss when the
     model has an object head; adds its gradient into ``grad.vec``.
 
-    Each call of the step's part of the plan runs the model's object stage
-    and pair stage on its bucket, unchecked (the plan's pairs are valid by
-    construction); each loss is called once, on the rows of the whole batch
-    bucket by bucket, and only its per-row values are added in batch order.
-    Then each call runs the pair stage's backward and the object stage's,
-    writing each image's gradient into its own row of ``grad.rows``, and the
-    rows are added into ``grad.vec`` in batch order, so the gradient is bit
-    for bit the sum of one ``model.backward`` per image, added in batch order.
+    Each group of the step's part of the plan runs the model's object stage
+    under its mask, each bucket the pair stage on its images' padded tokens,
+    unchecked (the plan's pairs are valid by construction); each loss is called
+    once, on the batch's (real) rows bucket by bucket, and only its per-row
+    values are added in batch order. Then each bucket runs the pair stage's
+    backward, and each group the object stage's, writing each image's gradient
+    into its own row of ``grad.rows``, added into ``grad.vec`` in batch order:
+    bit for bit the sum of one ``model.backward`` per image.
     """
     spec = config.model
     (o0, o1), (r0, r1) = plan.obj_at[k : k + 2], plan.rel_at[k : k + 2]
     runs = []
-    for call, (objects, unions, pairs) in plan.step(k):
-        tokens, object_logits, _, object_cache = net.object_stage(objects, params, spec)
-        relation_logits, pair_cache = net.pair_stage(tokens, unions, pairs, params, spec)
-        runs.append((call, object_logits, relation_logits, object_cache, pair_cache))
+    for objects, mask, calls in plan.step(k):
+        tokens, object_logits, _, object_cache = net.object_stage(objects, params, spec, mask)
+        runs.append((mask, object_logits, object_cache, [
+            (call, *net.pair_stage(tokens[call[0] : call[0] + call[1]], unions, pairs, params,
+                                   spec)) for call, unions, pairs in calls]))
     width = config.label_space.num_relations + 1
-    relation_logits = np.concatenate([rel.reshape(-1, width) for _, _, rel, *_ in runs])
+    relation_logits = np.concatenate([rel.reshape(-1, width) for *_, buckets in runs
+                                      for _, rel, _ in buckets])
     classes = plan.classes[r0:r1]
     rel_loss = loss_fn(relation_logits, plan.targets[r0:r1], classes[:, 0], classes[:, 1])
     d_rel = np.divide(rel_loss.grad_logits, r1 - r0, out=rel_loss.grad_logits)
@@ -521,23 +531,26 @@ def _batch_loss(
 
     # Only a model with an object head returns object logits.
     d_obj, w_obj = None, spec.object_loss_weight
-    object_logits = [obj.reshape(b * n, -1) for (b, n, m, o, r), obj, *_ in runs
-                     if obj is not None]
+    object_logits = [obj[mask] for mask, obj, *_ in runs if obj is not None]
     if w_obj > 0 and object_logits:
-        labels = plan.record.labels[o0:o1]
+        labels = plan.labels[o0:o1]
         obj_loss = ce(np.concatenate(object_logits), labels)
         d_obj = np.multiply(obj_loss.grad_logits, w_obj / labels.size, out=obj_loss.grad_logits)
         loss_value += (w_obj * running_sum(_batch_order(obj_loss.value, plan.obj_slot[o0:o1]))
                        / labels.size)
+        d_obj = np.split(d_obj, np.cumsum([len(z) for z in object_logits])[:-1])
 
     lo = 0
-    for (b, n, m, o, r), _, _, object_cache, pair_cache in runs:
-        g_obj = None if d_obj is None else d_obj[o - o0 : o - o0 + b * n].reshape(b, n, -1)
-        g_rel = d_rel[r - r0 : r - r0 + b * m].reshape(b, m, width)
-        rows = grad.row_tree(lo, lo + b)
-        d_tokens = net.pair_backward(g_rel, pair_cache, params, rows)
-        net.object_backward(d_tokens, g_obj, object_cache, params, rows)
-        lo += b
+    for i, (mask, obj, object_cache, buckets) in enumerate(runs):
+        d_tokens = [net.pair_backward(d_rel[r - r0 : r - r0 + b * m].reshape(b, m, width),
+                                      pair_cache, params, grad.row_tree(lo + j, lo + j + b))
+                    for (j, b, n, m, o, r), _, pair_cache in buckets]
+        g_obj = None if d_obj is None else np.zeros(obj.shape)
+        if g_obj is not None:
+            g_obj[mask] = d_obj[i]
+        net.object_backward(None if d_tokens[0] is None else np.concatenate(d_tokens), g_obj,
+                            object_cache, params, grad.row_tree(lo, lo + len(mask)))
+        lo += len(mask)
     for j in plan.row[plan.slot_at[k] : plan.slot_at[k + 1]].tolist():
         grad.vec += grad.rows[j]  # in batch order, in place: gathering the rows copies them
     return loss_value
@@ -600,13 +613,15 @@ def train(
     d_v = train_images.features.shape[1]
     split, loss_fn = _prepare(config, train_images, loss_fn)
 
-    net = model_for(config.model)
-    opt = config.optimizer
-    params = net.init(config.model, ls, d_v, _rng(config.seed, INIT_DOMAIN))
+    spec, opt = config.model, config.optimizer
+    net = model_for(spec)
+    params = net.init(spec, ls, d_v, _rng(config.seed, INIT_DOMAIN))
     param_vec = flatten(params)
     params = unflatten(params, param_vec)
     velocity = np.zeros_like(param_vec)
     grad = _Gradient(params, opt.batch_size)
+    pad = range(4, 8) if min(spec.d_pos, spec.d_ff, spec.d_model // spec.n_h,  # exact padding,
+                             ls.num_object_classes) > 1 else range(0)  # see tailbias.model
 
     order_rng, sample_rng = _rng(config.seed, SHUFFLE_DOMAIN), _rng(config.seed, SAMPLE_DOMAIN)
     order = np.zeros(0, dtype=np.int64)
@@ -624,7 +639,7 @@ def train(
                 order = np.concatenate([order, order_rng.permutation(len(train_images))])
             slots, order = order[:need], order[need:]
             drawn = _draw(split, train_images.gt_start, slots, config.background_ratio, sample_rng)
-            plan = _Buckets(train_images, split, slots, *drawn, size)
+            plan = _Buckets(train_images, split, slots, *drawn, size, pad)
         if plan.rel_at[k] == plan.rel_at[k + 1]:
             raise ValueError(f"iteration {step}: the batch draws no pairs (its images "
                              "have no ground truth and background_ratio is 0)")
@@ -700,7 +715,7 @@ def _forward_split(checkpoint: Checkpoint, images: Images) -> _Scored:
                     np.zeros(count, dtype=np.int64), pair_start, len(images))
     logits = np.empty((count, ls.num_relations + 1))
     object_probs = np.empty(images.scores.shape)
-    for (b, n, m, o, r), (objects, unions, pairs) in plan.step(0):
+    for objects, _, [((_, b, n, m, o, r), unions, pairs)] in plan.step(0):  # one bucket per n
         size = FORWARD_CHUNK * m // n  # images whose object rows are a pair call's pair rows
         for lo in range(0, b, size):
             hi = min(lo + size, b)

@@ -2,8 +2,8 @@
 
 A model kind is two stages, each with its backward, resolved from a
 :class:`ModelSpec` by :func:`model_for` as a :class:`Model` with ``init(spec,
-label_space, d_v, rng)``. The object stage ``(objects, params, spec) ->
-(tokens, object_logits, object_probs, cache)`` encodes the objects; the pair
+label_space, d_v, rng)``. The object stage ``(objects, params, spec[, mask])
+-> (tokens, object_logits, object_probs, cache)`` encodes the objects; the pair
 stage ``(tokens, unions, pairs, params, spec) -> (relation_logits, cache)``
 classifies ordered pairs over the tokens of any run of its images. Their
 backwards run in reverse: ``pair_backward(d_relation_logits, cache, params,
@@ -40,13 +40,20 @@ record's arrays with a leading axis (boxes ``(B, n, 4)``), ``(B, P, d_v)``
 unions, and pairs ``(P, 2)`` for all alike or ``(B, P, 2)`` each, giving
 ``(B, P, L + 1)`` relation logits and ``(B, n, L_e)`` object outputs; a
 single image is a bucket of one, unbatched, and the dual encoder attends
-within an image only. A backward's ``grads`` then has ``(B, ...)`` leaves,
-one row per image. A stacked product runs one matrix product per image, so
-a bucket's outputs and gradient rows equal its images' own bit for bit; the
-bucket axis is never folded into the row axis of a 2-D product, whose rows
-BLAS may round by the product's height. ``forward`` also runs a tree of
-``(k, ...)`` leaves, k parameter copies, at once. An empty ``pairs`` gives
-``(0, L + 1)`` relation logits and no relation gradient.
+within an image only. The object stage also takes images padded to ``n``
+with copies of their last object and a ``(B, n)`` key ``mask`` False at the
+copies, which no object attends to and whose zero gradients add zero to
+every parameter's. A backward's ``grads`` then has ``(B, ...)`` leaves, one
+row per image. A stacked product runs one matrix product per image, so a
+bucket's outputs and gradient rows equal its images' own bit for bit; the
+bucket axis is never folded into the row axis of a 2-D product. Yet BLAS
+(OpenBLAS 0.3.31's Haswell kernels, numpy 2.4) rounds a row of a ``(B, n,
+K) @ (K, N)`` product by its height when ``N`` is 1, and when an ``n`` of 3
+or less is padded past 3 or one of 5 to 7 past 7: padding is exact only among
+counts 4 to 7, with no object-stage width (``d_pos``, ``d_ff``, a head's, the
+class count) of 1. ``forward`` also runs a tree of ``(k, ...)`` leaves, k
+parameter copies, at once. An empty ``pairs`` gives ``(0, L + 1)`` relation
+logits and no relation gradient.
 
 Gathered rows get their gradient with ``np.add.at``: token rows in pair
 order, subjects first, and the label embedding's rows per image in object
@@ -279,11 +286,11 @@ def embed_objects_backward(
 
 
 def encode_objects(
-    tokens: np.ndarray, params: DualEncoderParams, n_h: int
+    tokens: np.ndarray, params: DualEncoderParams, n_h: int, mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, list]:
     caches, x = [], tokens
     for layer in params.obj_layers:
-        x, cache = encoder_layer(x, layer, n_h)
+        x, cache = encoder_layer(x, layer, n_h, mask)
         caches.append(cache)
     return x, caches
 
@@ -347,12 +354,12 @@ def encode_relations_and_classify(
 
 
 def object_stage(
-    objects: Objects, params: DualEncoderParams, spec: ModelSpec
+    objects: Objects, params: DualEncoderParams, spec: ModelSpec, mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """The object tokens, object logits and probabilities, and their cache:
-    embedding, object encoder stack, object head."""
+    embedding, object encoder stack under the key ``mask``, object head."""
     tokens, embed_cache = embed_objects(objects, params)
-    e_final, obj_caches = encode_objects(tokens, params, spec.n_h)
+    e_final, obj_caches = encode_objects(tokens, params, spec.n_h, mask)
     object_logits = e_final @ params.w_clf_obj
     return e_final, object_logits, row_softmax(object_logits), (embed_cache, obj_caches, e_final)
 
@@ -401,7 +408,7 @@ def object_backward(d_tokens: np.ndarray, d_object_logits: np.ndarray | None, ca
 
 
 def linear_object_stage(
-    objects: Objects, params: LinearParams, spec: ModelSpec
+    objects: Objects, params: LinearParams, spec: ModelSpec, mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, None, np.ndarray, tuple]:
     """The linear model's object stage: the detector's features are its tokens
     and its scores the object probabilities; no object logits, no cache."""

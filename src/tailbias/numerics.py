@@ -155,9 +155,10 @@ def layer_norm_backward(
 
 
 def attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, tuple]:
-    """Scaled dot-product attention ``row_softmax(q kᵀ / sqrt(d_k)) v``."""
+    """Scaled dot-product attention ``row_softmax(q kᵀ / sqrt(d_k)) v``; the
+    False keys of a boolean key ``mask`` ``(..., T)`` score ``-inf``, weight 0."""
     q = _as_tokens(q, "q")
     k = _as_tokens(k, "k")
     v = _as_tokens(v, "v")
@@ -166,7 +167,8 @@ def attention(
     if k.shape[-2] != v.shape[-2]:
         raise ValueError(f"key/value row counts differ: {k.shape[-2]} vs {v.shape[-2]}")
     scale = 1.0 / np.sqrt(q.shape[-1])
-    p = row_softmax((q @ k.swapaxes(-1, -2)) * scale)
+    scores = (q @ k.swapaxes(-1, -2)) * scale
+    p = row_softmax(scores if mask is None else np.where(mask[..., None, :], scores, -np.inf))
     return p @ v, (q, k, v, p, scale)
 
 
@@ -192,9 +194,9 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
 
 
 def multi_head_attention(
-    x: np.ndarray, params: AttentionParams, n_h: int
+    x: np.ndarray, params: AttentionParams, n_h: int, mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, tuple]:
-    """Multi-head self-attention over the rows of ``x``.
+    """Multi-head self-attention over the rows of ``x``, under a key ``mask``.
 
     Projections are split column-wise into ``n_h`` equal heads, attended
     independently as one more leading axis, concatenated, and mixed by the
@@ -204,7 +206,8 @@ def multi_head_attention(
     if x.shape[-1] % n_h != 0:
         raise ValueError(f"model dimension {x.shape[-1]} not divisible by {n_h} heads")
     heads, att_cache = attention(
-        *(_split_heads(x @ w, n_h) for w in (params.wq, params.wk, params.wv))
+        *(_split_heads(x @ w, n_h) for w in (params.wq, params.wk, params.wv)),
+        None if mask is None else mask[..., None, :],
     )
     concat = _merge_heads(heads)
     return concat @ params.wo, (x, params, n_h, concat, att_cache)
@@ -247,12 +250,12 @@ def _ffn_backward(
 
 
 def encoder_layer(
-    x: np.ndarray, params: EncoderLayerParams, n_h: int
+    x: np.ndarray, params: EncoderLayerParams, n_h: int, mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, tuple]:
-    """One pre-norm transformer encoder layer (self-attention + ffn residuals)."""
+    """One pre-norm transformer encoder layer (masked self-attention + ffn residuals)."""
     x = _as_tokens(x, "x")
     ln1, ln1_cache = layer_norm(x, params.ln1_gain, params.ln1_bias)
-    att, att_cache = multi_head_attention(ln1, params.attn, n_h)
+    att, att_cache = multi_head_attention(ln1, params.attn, n_h, mask)
     h = x + att
     ln2, ln2_cache = layer_norm(h, params.ln2_gain, params.ln2_bias)
     ff, ff_cache = _ffn(ln2, params)

@@ -315,28 +315,45 @@ class TestChoices:
 
 def window_keys():
     """A slot's object count ``n`` and number ``m`` of drawn pair rows."""
-    return st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n * (n - 1))))
+    return st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n * (n - 1))))
+
+
+def padded_rows(plan, objects, calls):
+    """The split's object rows of a group's ``(b, n)`` padded objects, as its
+    calls name them: each image's own, then copies of its last."""
+    top, at = objects.labels.shape[1], []
+    for (j, b, n, m, o, r), _, _ in calls:
+        own = plan.objects[o : o + b * n].reshape(b, n)
+        at.append(np.concatenate([own, own[:, -1:].repeat(top - n, axis=1)], axis=1))
+    return np.concatenate(at)
 
 
 class TestWindowPlan:
     """``_Buckets`` over a window of steps, as ``train`` plans one epoch of
     steps after drawing it."""
 
-    @example(size=FORWARD_CHUNK + 2, seed=0,
+    @example(size=FORWARD_CHUNK + 2, seed=0, pad=range(4, 8),
              keys=[(3, 4)] * (FORWARD_CHUNK + 1) + [(2, 0), (4, 12), (3, 4), (2, 0), (2, 2)])
-    @example(size=3, seed=1, keys=[(2, 0), (2, 0), (5, 20), (2, 1)])
-    @example(size=3, seed=2, keys=[(2, 2)] * 5)  # one key across a step boundary
+    @example(size=3, seed=1, pad=range(0), keys=[(2, 0), (2, 0), (5, 20), (2, 1)])
+    @example(size=3, seed=2, pad=range(4, 8), keys=[(2, 2)] * 5)  # one key across a step boundary
+    @example(size=5, seed=3, pad=range(4, 8),
+             keys=[(6, 30), (3, 2), (4, 5), (8, 7), (4, 12), (7, 0), (5, 20), (4, 5), (6, 1)])
     @settings(max_examples=40, deadline=None)
     @given(size=st.integers(1, FORWARD_CHUNK + 3),
            keys=st.lists(window_keys(), min_size=1, max_size=3 * FORWARD_CHUNK),
-           seed=st.integers(0, 2**32 - 1))
-    def test_each_step_runs_its_own_images_in_calls_of_one_key(self, space, size, keys, seed):
+           seed=st.integers(0, 2**32 - 1), pad=st.sampled_from([range(0), range(4, 8)]))
+    def test_each_step_runs_its_own_images_in_groups_and_calls_of_one_key(
+        self, space, size, keys, seed, pad
+    ):
         """Slot ``q`` is the ``n``-object image ``slots[q]`` of a shuffled
-        split, over ``m`` of its pair rows. Each call of step ``k`` holds
-        every one of step ``k``'s images of one ``(n, m)``, however many, and
-        no other; the steps' calls hold each slot once; each image's objects,
-        unions, pairs, targets and classes, and its rows' batch positions,
-        are its own gather."""
+        split, over ``m`` of its pair rows. Each group of step ``k`` holds
+        every one of step ``k``'s images of one ``n``, or of every ``n`` in
+        ``pad``, and no other, its objects padded to its largest ``n`` with
+        copies of each image's last and its mask False at the copies; each of
+        its calls holds every one of the step's images of one ``(n, m)``, the
+        group's images ``j`` on; the steps' calls hold each slot once; each
+        image's objects, unions, pairs, targets and classes, and its rows'
+        batch positions, are its own gather."""
         rng = np.random.default_rng(seed)
         d_v, count = 3, len(keys)
         slots = rng.permutation(count)
@@ -351,67 +368,83 @@ class TestWindowPlan:
         targets = rng.integers(0, space.num_relations + 1, len(rows))
         starts = np.cumsum([0] + [m for _, m in keys])
         obj_starts = np.cumsum([0] + [n for n, _ in keys])
-        plan = harness._Buckets(images, split, slots, rows, targets, starts, size)
+        plan = harness._Buckets(images, split, slots, rows, targets, starts, size, pad)
+        key = {n: -1 if n in pad else n for n, _ in keys}  # a group's key
 
         position = 0  # the plan position of a call's first image
         for k in range(-(-count // size)):
             step, seen = range(k * size, min((k + 1) * size, count)), []
-            calls = plan.step(k)
-            assert len({(n, m) for (b, n, m, o, r), _ in calls}) == len(calls)
-            for (b, n, m, o, r), (objects, unions, pairs) in calls:
-                assert b == sum(keys[q] == (n, m) for q in step)
-                assert objects.labels.shape == (b, n) and unions.shape == (b, m, d_v)
-                assert pairs.shape == (b, m, 2)
-                for j in range(b):
-                    q, i = plan.order[position + j], slots[plan.order[position + j]]
-                    assert q in step and keys[q] == (n, m)
-                    assert plan.row[q] == position + j - step[0]
-                    lo, at = images.obj_start[i], rows[starts[q] : starts[q + 1]]
-                    for got, want in zip(objects, images.objects(slice(lo, lo + n))):
-                        assert np.array_equal(got[j], want)
-                    assert np.array_equal(unions[j], images.unions[at])
-                    assert np.array_equal(pairs[j] + lo, split.pairs[at])
-                    rel = slice(r + j * m, r + (j + 1) * m)
-                    assert np.array_equal(plan.targets[rel], targets[starts[q] : starts[q + 1]])
-                    assert np.array_equal(plan.classes[rel], split.classes[split.pairs[at]])
-                    assert np.array_equal(plan.rel_slot[rel],
-                                          np.arange(starts[q], starts[q + 1]) - starts[step[0]])
-                    assert np.array_equal(
-                        plan.obj_slot[o + j * n : o + (j + 1) * n],
-                        np.arange(obj_starts[q], obj_starts[q + 1]) - obj_starts[step[0]])
-                    seen.append(q)
-                position += b
+            groups = plan.step(k)
+            group_keys = [key[calls[0][0][2]] for _, _, calls in groups]
+            assert len(set(group_keys)) == len(groups)
+            for (objects, mask, calls), group_key in zip(groups, group_keys):
+                top = max(n for (j, b, n, *_), _, _ in calls)
+                width = sum(b for (j, b, *_), _, _ in calls)
+                assert width == sum(key[keys[q][0]] == group_key for q in step)
+                assert objects.labels.shape == mask.shape == (width, top)
+                assert len({(n, m) for (j, b, n, m, o, r), _, _ in calls}) == len(calls)
+                at = padded_rows(plan, objects, calls)
+                for got, want in zip(objects, images.objects(at)._replace(
+                        labels=split.classes[at])):
+                    assert np.array_equal(got, want)
+                first = 0
+                for (j, b, n, m, o, r), unions, pairs in calls:
+                    assert j == first and key[n] == group_key
+                    assert b == sum(keys[q] == (n, m) for q in step)
+                    assert unions.shape == (b, m, d_v) and pairs.shape == (b, m, 2)
+                    assert np.array_equal(mask[j : j + b], np.tile(np.arange(top) < n, (b, 1)))
+                    for i in range(b):
+                        q, image = plan.order[position + i], slots[plan.order[position + i]]
+                        assert q in step and keys[q] == (n, m)
+                        assert plan.row[q] == position + i - step[0]
+                        lo, at = images.obj_start[image], rows[starts[q] : starts[q + 1]]
+                        assert np.array_equal(objects.boxes[j + i, :n],
+                                              images.boxes[lo : lo + n])
+                        assert np.array_equal(unions[i], images.unions[at])
+                        assert np.array_equal(pairs[i] + lo, split.pairs[at])
+                        rel = slice(r + i * m, r + (i + 1) * m)
+                        assert np.array_equal(plan.targets[rel],
+                                              targets[starts[q] : starts[q + 1]])
+                        assert np.array_equal(plan.classes[rel], split.classes[split.pairs[at]])
+                        assert np.array_equal(
+                            plan.rel_slot[rel], np.arange(starts[q], starts[q + 1]) - starts[step[0]])
+                        assert np.array_equal(
+                            plan.obj_slot[o + i * n : o + (i + 1) * n],
+                            np.arange(obj_starts[q], obj_starts[q + 1]) - obj_starts[step[0]])
+                        seen.append(q)
+                    first += b
+                    position += b
             assert sorted(seen) == list(step)
 
     @pytest.mark.parametrize("task", MODES)
-    def test_each_call_embeds_the_task_labels_and_the_object_loss_reads_the_annotated(
+    def test_each_group_embeds_the_task_labels_and_the_object_loss_reads_the_annotated(
         self, space, task
     ):
-        """Each call's objects carry their rows of ``split.classes`` as labels
-        (the detector argmax in ``sgcls``), with every other field their own;
-        the plan's ``record``, which the object loss reads, keeps the
-        annotated labels."""
+        """Each group's objects, copies included, carry their rows of
+        ``split.classes`` as labels (the detector argmax in ``sgcls``), with
+        every other field their own; the plan's ``labels``, which the object
+        loss reads, are the real objects' annotated labels."""
         rng = np.random.default_rng(3)
         images = Images.pack([make_image(rng, n, space.num_object_classes, 3)
-                              for n in (3, 2, 4, 3, 2, 4)])
+                              for n in (3, 5, 4, 3, 2, 4, 6, 5)])
         split = harness._pack(images, harness._truth(images, space, 3), space, task)
         detector = images.scores.argmax(axis=1)
         assert (detector != images.labels).any()
         assert np.array_equal(split.classes, images.labels if task == "predcls" else detector)
         count = images.pair_start[-1]
         plan = harness._Buckets(images, split, np.arange(len(images)), np.arange(count),
-                                np.zeros(count, dtype=np.int64), images.pair_start, 2)
-        assert np.array_equal(plan.record.labels, images.labels[plan.objects])
-        calls = 0
+                                np.zeros(count, dtype=np.int64), images.pair_start, 4,
+                                range(4, 8))
+        assert np.array_equal(plan.labels, images.labels[plan.objects])
+        copies = 0
         for k in range(len(plan.slot_at) - 1):
-            for (b, n, m, o, r), (objects, _, _) in plan.step(k):
-                at = plan.objects[o : o + b * n]
-                assert np.array_equal(objects.labels, split.classes[at].reshape(b, n))
+            for objects, mask, calls in plan.step(k):
+                at = padded_rows(plan, objects, calls)
+                assert np.array_equal(objects.labels, split.classes[at])
                 for name in ("boxes", "features", "scores"):
-                    got = getattr(objects, name)
-                    assert np.array_equal(got, getattr(images, name)[at].reshape(got.shape))
-                calls += 1
-        assert calls == len(plan.calls)
+                    assert np.array_equal(getattr(objects, name), getattr(images, name)[at])
+                copies += (~mask).sum()
+        assert copies == (5 - 4) + (6 - 4) + (6 - 5)  # steps (3, 5, 4, 3) and (2, 4, 6, 5)
 
 
 def test_an_unknown_task_is_refused_by_the_choices_rule(space):
@@ -631,11 +664,18 @@ class TestTrain:
             assert np.array_equal(grad.vec, fresh.vec)
 
     @pytest.mark.parametrize("kind", ["linear", "dual_encoder"])
-    def test_the_model_runs_once_per_bucket_of_a_batch(self, space, data, kind, monkeypatch):
-        """Per iteration, each bucket's object stage and pair stage, then each
-        bucket's pair backward and object backward, in bucket order: one call
-        of each per bucket of images of one object count ``n`` drawing ``m``
-        pairs, each key once."""
+    def test_a_step_runs_the_object_stage_per_group_and_the_pair_stage_per_bucket(
+        self, space, kind, monkeypatch
+    ):
+        """Per iteration: each group's object stage, then its buckets' pair
+        stages; then, group by group, its buckets' pair backwards and its
+        object backward. A group is the batch's images of one object count
+        ``n``, or of every ``n`` from 4 to 7, padded to its largest under a
+        key mask False at the copies; a bucket its images of one ``(n, m)``,
+        each key once a step, reading its images' rows of the padded tokens."""
+        images = generate_split(SynthConfig(label_space=space, num_train=40, num_val=0,
+                                            num_test=0, objects_min=3, objects_max=6, d_v=8,
+                                            seed=5), "train")
         config = replace(
             model_config(space, kind),
             optimizer=OptimizerConfig(learning_rate=0.01, iterations=5, batch_size=8),
@@ -650,25 +690,40 @@ class TestTrain:
             return call
 
         monkeypatch.setattr(harness, "model_for", lambda spec: net._replace(
-            object_stage=counted("o", net.object_stage, lambda a: a[0].labels.shape),
-            pair_stage=counted("p", net.pair_stage, lambda a: a[2].shape),
+            object_stage=counted("o", net.object_stage, lambda a: (a[0].labels.shape, a[3])),
+            pair_stage=counted("p", net.pair_stage, lambda a: (a[0].shape, a[2].shape)),
             pair_backward=counted("P", net.pair_backward),
             object_backward=counted("O", net.object_backward)))
-        train(config, data[0])
+        train(config, images)
         names = "".join(name for name, _ in calls)
         steps = names.replace("Oo", "O|o").split("|")
         assert len(steps) == config.optimizer.iterations
-        at = 0
+        at, padded = 0, 0
         for step in steps:
-            buckets = step.count("o")
-            assert step == "op" * buckets + "PO" * buckets
-            keys = [(calls[at + 2 * i][1][-1], calls[at + 2 * i + 1][1][-2])
-                    for i in range(buckets)]
+            forward, backward = re.fullmatch(r"((?:op+)+)((?:P+O)+)", step).groups()
+            groups = re.findall("op+", forward)
+            assert [len(g) for g in groups] == [len(g) for g in re.findall("P+O", backward)]
+            keys, images_seen = [], 0
+            for group in groups:
+                (b, top), mask = calls[at][1]
+                counts = mask.sum(axis=1)
+                assert mask.shape == (b, top) and top == counts.max()
+                assert np.array_equal(mask, np.arange(top) < counts[:, None])
+                assert len(set(counts)) == 1 or set(counts) <= set(range(4, 8))
+                padded += len(set(counts)) > 1
+                lo = 0
+                for _, (tokens, pairs) in calls[at + 1 : at + len(group)]:
+                    bucket, m = pairs[0], pairs[1]
+                    assert tokens[:2] == (bucket, top) and len(set(counts[lo : lo + bucket])) == 1
+                    keys.append((counts[lo], m))
+                    lo += bucket
+                assert lo == b
+                images_seen += b
+                at += len(group)
             assert len(set(keys)) == len(keys)
-            assert sum(calls[at + 2 * i][1][0] for i in range(buckets)) == \
-                config.optimizer.batch_size
-            assert buckets < config.optimizer.batch_size
-            at += len(step)
+            assert images_seen == config.optimizer.batch_size
+            at += len(backward)
+        assert padded
 
 
 def perfect_images(space):

@@ -204,6 +204,60 @@ class TestEncoderLayer:
         )
         assert r.passed, r
 
+    def test_masked_layer_gradients(self, rng):
+        """Under a key mask, the backward is the masked layer's, by finite
+        differences over the parameters and the input; the masked rows are
+        queries still, so their outputs are weighted too."""
+        d, mask = 8, np.array([True, True, False, True, True, False])
+        x = rng.normal(size=(len(mask), d))
+        params = init_encoder_layer_params(d, 16, rng)
+        vec = flatten(params)
+        g = rng.normal(size=x.shape)
+        _, cache = encoder_layer(x, params, 2, mask)
+        dvec = np.zeros_like(vec)
+        dx = encoder_layer_backward(g, cache, unflatten(params, dvec))
+        masked = encoder_layer(x, params, 2, mask)[0]
+        assert not np.allclose(masked, encoder_layer(x, params, 2)[0])
+
+        def f(stack):  # one parameter copy per row of the stack
+            return weighted_sums(g, encoder_layer(x, unflatten(params, stack), 2, mask)[0])
+
+        r = grad_check(f, vec, dvec, tol=1e-4)
+        assert r.passed, r
+        r = grad_check(
+            lambda s: weighted_sums(g, encoder_layer(s.reshape(-1, *x.shape), params, 2,
+                                                     mask)[0]),
+            x.ravel(),
+            dx.ravel(),
+            tol=1e-4,
+        )
+        assert r.passed, r
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 7), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_padded_masked_rows_equal_the_unpadded_layer(self, n, data, seed):
+        """A bucket of ``n``-row instances, n from 4 to 7, padded to at most 7
+        rows with copies of each one's last and masked there: the real rows'
+        outputs and input gradients and every instance's parameter gradient
+        equal the unpadded bucket's bit for bit, the copies' outputs given a
+        zero gradient."""
+        rng = np.random.default_rng(seed)
+        top, n_h = data.draw(st.integers(n, 7)), data.draw(st.integers(1, 2))
+        d = n_h * data.draw(st.integers(2, 4))
+        params = init_encoder_layer_params(d, data.draw(st.integers(2, 20)), rng)
+        x, g = rng.normal(size=(2, data.draw(st.integers(1, 4)), n, d))
+        padded = np.concatenate([x, x[:, -1:].repeat(top - n, axis=1)], axis=1)
+        mask = np.broadcast_to(np.arange(top) < n, padded.shape[:2])
+        rows = np.zeros((2, len(x), flatten(params).size))
+        out, cache = encoder_layer(x, params, n_h)
+        dx = encoder_layer_backward(g, cache, unflatten(params, rows[0]))
+        out_pad, cache = encoder_layer(padded, params, n_h, mask)
+        dx_pad = encoder_layer_backward(np.pad(g, ((0, 0), (0, top - n), (0, 0))), cache,
+                                        unflatten(params, rows[1]))
+        assert np.array_equal(out_pad[:, :n], out)
+        assert np.array_equal(dx_pad[:, :n], dx)
+        assert np.array_equal(rows[1], rows[0])
+
     def test_determinism(self, rng):
         params = init_encoder_layer_params(8, 16, rng)
         x = rng.normal(size=(4, 8))

@@ -285,10 +285,11 @@ D_V = 3
 
 
 @st.composite
-def training_image(draw):
-    """A random image whose ground truth covers none, all, or some of its
-    ordered pairs, a pair possibly twice."""
-    n = draw(st.integers(2, 4))
+def training_image(draw, space=SMALL, counts=(2, 4)):
+    """A random image of ``space`` with an object count in ``counts``, whose
+    ground truth covers none, all, or some of its ordered pairs, a pair
+    possibly twice."""
+    n = draw(st.integers(*counts))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pairs = [tuple(p) for p in all_ordered_pairs(n).tolist()]
     cover = draw(st.sampled_from(["none", "all", "some"]))
@@ -299,15 +300,15 @@ def training_image(draw):
     else:
         annotated = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs)))
     relations = draw(
-        st.lists(st.integers(1, SMALL.num_relations), min_size=len(annotated),
+        st.lists(st.integers(1, space.num_relations), min_size=len(annotated),
                  max_size=len(annotated))
     )
-    scores = rng.uniform(0.05, 1.0, (n, SMALL.num_object_classes))
+    scores = rng.uniform(0.05, 1.0, (n, space.num_object_classes))
     x1, y1 = rng.uniform(0.05, 0.4, (2, n))
     return SynthImage(
         boxes=np.stack([x1, y1, x1 + 0.3, y1 + 0.3], axis=1),
         features=rng.normal(size=(n, D_V)),
-        labels=rng.integers(0, SMALL.num_object_classes, n),
+        labels=rng.integers(0, space.num_object_classes, n),
         scores=scores / scores.sum(axis=1, keepdims=True),
         unions=rng.normal(size=(n * (n - 1), D_V)),
         gt=np.array([(s, o, r) for (s, o), r in zip(annotated, relations)],
@@ -394,6 +395,45 @@ def test_packed_training_matches_the_per_image_oracle(
     else:
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
+
+
+@st.composite
+def narrow_spec(draw):
+    """A small dual encoder whose ``d_pos``, ``d_ff`` and head width may be 1."""
+    n_h = draw(st.integers(1, 2))
+    return ModelSpec(kind="dual_encoder", d_model=n_h * draw(st.integers(1, 3)), n_h=n_h,
+                     n_o=draw(st.integers(1, 2)), n_r=1, d_ff=draw(st.integers(1, 3)),
+                     d_e=draw(st.integers(1, 2)), d_pos=draw(st.integers(1, 3)))
+
+
+@given(spec=narrow_spec(), classes=st.integers(1, 7), task=st.sampled_from(["predcls", "sgcls"]),
+       batch_size=st.integers(2, 6), seed=st.integers(0, 1000), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_padded_object_calls_train_like_the_per_image_oracle(
+    spec, classes, task, batch_size, seed, data
+):
+    """Images of 2 to 9 objects, batched so that a step holds several counts,
+    under object-stage widths and numbers of object classes from 1 up:
+    where a step's object call pads its images to a larger count, training
+    still equals one forward per image bit for bit. Padding a count below 4
+    or of 5 to 7 past 7, or padding under a width of 1, fails here. The
+    object loss needs two classes, so one class trains without it."""
+    space = LabelSpace(num_object_classes=classes, num_relations=3)
+    images = data.draw(st.lists(training_image(space, (2, 9)), min_size=2, max_size=8))
+    config = TrainConfig(
+        label_space=space,
+        task=task,
+        model=replace(spec, object_loss_weight=float(classes > 1)),
+        loss=LossConfig(kind="ce"),
+        optimizer=OptimizerConfig(learning_rate=0.1, momentum=0.9, iterations=3,
+                                  batch_size=batch_size),
+        seed=seed,
+        background_ratio=1.0,
+    )
+    checkpoint, log = train(config, Images.pack(images))
+    want_params, want_losses = oracle.train(config, images)
+    assert np.array_equal(flatten(checkpoint.params), want_params)
+    assert log.losses == want_losses
 
 
 @pytest.mark.parametrize("kind", ["linear", "dual_encoder"])
