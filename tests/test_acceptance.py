@@ -16,14 +16,14 @@ import json
 import math
 import platform
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tailbias import harness
-from tailbias.bias import BiasSpec, compute_bias
+from tailbias.bias import BiasSpec, bias_from_json, compute_bias
 from tailbias.cli import main
 from tailbias.gradcert import _random_instance, run_certification
 from tailbias.harness import (
@@ -301,7 +301,8 @@ def reference_artifacts(pipeline) -> dict[str, bytes]:
     SGCls run (:func:`dual_sgcls_artifacts`) adds its own four, and the
     dual-encoder PredCls run (:func:`dual_predcls_artifacts`) three, and
     ``tailbias gradcheck --instances 10`` its ``gradcheck.json``, whose
-    worst errors move with the last bit of any certified gradient."""
+    worst errors move with the last bit of any certified gradient; the
+    command line's statistics and biases (:func:`bias_artifacts`) add five."""
     root = pipeline["root"]
     names = ["train.jsonl", "test.jsonl", *(f"checkpoint_{name}.json" for name in RUNS),
              *(f"metrics_{name}.csv" for name in RUNS)]
@@ -329,7 +330,33 @@ def reference_artifacts(pipeline) -> dict[str, bytes]:
             v for _, results in rows for v in result_floats(results))
     assert main(["gradcheck", "--instances", "10", "--out", str(root / "gradcheck")]) == 0
     out["gradcheck.json"] = (root / "gradcheck" / "gradcheck.json").read_bytes()
-    return out | dual_sgcls_artifacts(root) | dual_predcls_artifacts(root)
+    return (out | bias_artifacts(pipeline) | dual_sgcls_artifacts(root)
+            | dual_predcls_artifacts(root))
+
+
+def bias_artifacts(pipeline) -> dict[str, bytes]:
+    """``tailbias stats`` of the training split, ``tailbias bias`` of a cb and
+    a pb table from it, and ``tailbias eval --bias`` of the cb checkpoint
+    with the pb table: its metrics CSV and the floats of the same evaluation
+    through the API, pair-table rows gathered by the annotated labels."""
+    root = pipeline["root"]
+    config = pipeline["cb"]["config"]
+    (root / "labels.json").write_text(json.dumps(asdict(config.label_space)) + "\n")
+    assert main(["stats", "--labels", str(root / "labels.json"), "--images",
+                 str(root / "train.jsonl"), "--out", str(root / "stats.json")]) == 0
+    for kind in ("cb", "pb"):
+        assert main(["bias", "--kind", kind, "--stats", str(root / "stats.json"),
+                     "--out", str(root / f"bias_{kind}.json")]) == 0
+    assert main(["eval", "--checkpoint", str(root / "checkpoint_cb.json"), "--data",
+                 str(root / "test.jsonl"), "--bias", str(root / "bias_pb.json"),
+                 "--out", str(root / "eval_cb_pb")]) == 0
+    _, pb = bias_from_json((root / "bias_pb.json").read_text(),
+                           config.label_space.num_object_classes)
+    results = evaluate(pipeline["cb"]["checkpoint"], pipeline["test_images"], inference_bias=pb)
+    return {**{name: (root / name).read_bytes()
+               for name in ("stats.json", "bias_cb.json", "bias_pb.json")},
+            "metrics_cb_pb.csv": (root / "eval_cb_pb" / "metrics.csv").read_bytes(),
+            "results_cb_pb.hex": float_lines(result_floats(results))}
 
 
 def dual_run(task: str):
