@@ -354,6 +354,7 @@ def certify_training(seed: int = 0) -> list[CheckResult]:
             model=TOY_SPEC if kind == "dual_encoder" else ModelSpec(kind=kind),
             loss=LossConfig(kind=loss),
             bias=None if bias is None else BiasSpec(kind=bias, a=1.0, epsilon=1e-3),
+            optimizer=harness.OptimizerConfig(batch_size=len(batch)),
         )
         split, loss_fn = harness._prepare(config, images)
         net = model_for(config.model)
@@ -362,7 +363,7 @@ def certify_training(seed: int = 0) -> list[CheckResult]:
         params = unflatten(params, vec)
         drawn = harness._draw(split, images.gt_start, batch, config.background_ratio, rng)
         grad = harness._Gradient(params, len(batch))
-        plan = harness._Buckets(images, split, batch, *drawn, len(batch))
+        plan = harness._Buckets(config, images, split, batch, *drawn)
         harness._batch_loss(config, net, params, grad, loss_fn, plan, 0)
         report = grad_check(
             lambda stack: _batch_objective(

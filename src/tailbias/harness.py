@@ -26,17 +26,17 @@ stops training with a ``FloatingPointError`` that names the iteration and,
 for a gradient, the parameter leaf; a forward that diverges shows as one of them.
 
 Training and evaluation run the model's two stages (see
-:mod:`tailbias.model`) over one planner (:class:`_Buckets`): within a step,
-images of one object count ``n`` and number ``m`` of pairs form a bucket, one
-pair-stage call, and the images of one ``n``, or where exact of every ``n``
-from 4 to 7, padded and masked, one object-stage call. Training plans every
-step of a window in one vectorized pass right after drawing it, so a step
-only indexes its part of the plan. Evaluation plans its split as one step,
-unpadded, checks and derives it as training does, at the checkpoint's feature
-width, and forwards each image once over all its pairs
-(:func:`_forward_split`): the object stage over slices of a bucket, the pair
-stage over :data:`FORWARD_CHUNK` images of a slice at a time, so the caches
-held at once stay bounded whatever the split's size. It names the first image
+:mod:`tailbias.model`). Training plans every step of a window in one
+vectorized pass right after drawing it (:class:`_Buckets`), so a step only
+indexes its part of the plan: within a step, images of one object count ``n``
+and number ``m`` of pairs form a bucket, one pair-stage call, and the images
+of one ``n``, or where exact of every ``n`` from 4 to 7, padded and masked,
+one object-stage call. Evaluation checks and derives its split as training
+does, at the checkpoint's feature width, and forwards each image once over
+all its pairs, which the images of one ``n`` share (:func:`_forward_split`):
+the object stage over slices of them, the pair stage over
+:data:`FORWARD_CHUNK` images of a slice at a time, so the caches held at
+once stay bounded whatever the split's size. It names the first image
 whose outputs are not finite, by the same array rule that checks the ground
 truth, and ranks the split's stacked ``(ΣP, L)`` score matrix once per
 constraint (see :mod:`tailbias.metrics`). The sweep forwards the split once
@@ -109,7 +109,7 @@ from .stats import (
     ruled,
     write_text,
 )
-from .synth import Images, Objects, _offsets, _ranges, _rng
+from .synth import Images, Objects, _offsets, _ranges, _rng, all_ordered_pairs
 
 __all__ = [
     "LOSS_KINDS",
@@ -131,7 +131,7 @@ __all__ = [
     "training_stats",
 ]
 
-# Images of one bucket per pair-stage call in evaluation: a larger chunk
+# Images of one object count per pair-stage call in evaluation: a larger chunk
 # holds more pair caches at once and runs no faster. An object-stage call
 # takes as many object rows as this many images' pair rows.
 FORWARD_CHUNK = 16
@@ -413,32 +413,31 @@ class _Gradient:
 
 
 class _Buckets:
-    """The plan of a window of steps: the image ``slots`` of a split,
-    ``batch_size`` to a step (the last step may be short), slot ``q`` over its
-    pair rows ``rows[starts[q]:starts[q + 1]]`` with their relation
-    ``targets``. Within a step, images of one object count ``n`` and number
-    ``m`` of pair rows form a bucket, one pair-stage call, in ascending ``(n,
-    m)``; the buckets of one ``n``, or of every ``n`` in ``pad``, form a group,
-    one object-stage call (a step's caches are all held until its backward
-    anyway). The window is planned in one vectorized pass, so a step only
-    indexes a list; evaluation plans its split as one step.
+    """The plan of a window of training steps under ``config``: the image
+    ``slots`` of a split, ``batch_size`` to a step (the last may be short),
+    slot ``q`` over its pair rows ``rows[starts[q]:starts[q + 1]]`` with their
+    relation ``targets``. Within a step, images of one object count ``n`` and
+    number ``m`` of pair rows form a bucket, one pair-stage call, in ascending
+    ``(n, m)``; the buckets of one ``n``, or where padding is exact (see
+    :mod:`tailbias.model`) of every ``n`` from 4 to 7, form a group, one
+    object-stage call; a step's caches are all held until its backward anyway.
 
-    In plan order (``order``, slot positions, step by step): the split's
-    ``objects`` rows, ``rel`` positions in ``rows``, and what the calls and the
-    losses read, each gathered once: the objects' annotated ``labels``, the
-    pairs' unions and image-local rows, ``targets`` and the pairs' ``classes``.
-    A group is ``(objects, mask, calls)``: its objects labelled by the split's
-    ``classes``, each image's padded with copies of its last to the group's
-    last and largest ``n``; the ``(b, n)`` ``mask`` of the real ones; and per
-    bucket ``((j, b, n, m, o, r), unions, pairs)``, ``b`` images from the
-    group's ``j``-th, object ``o`` and pair ``r``. Step ``k`` holds the slots
-    ``slot_at[k]:slot_at[k + 1]``, the groups ``group_at[k]:…`` (:meth:`step`),
-    the objects ``obj_at[k]:…`` and the pair rows ``rel_at[k]:…``; ``obj_slot``
-    and ``rel_slot`` give each object and pair row its position in its step's
-    batch order, ``row`` each slot its position in its step's plan order."""
+    In plan order (``order``, slot positions, step by step), what the calls
+    and the losses read, each gathered once: the objects' annotated
+    ``labels``, the pairs' unions and image-local rows, ``targets`` and the
+    pairs' ``classes``. A group is ``(objects, mask, calls)``: its objects
+    labelled by the split's ``classes``, each image's padded with copies of
+    its last to the group's last and largest ``n``; the ``(b, n)`` ``mask`` of
+    the real ones; and per bucket ``((j, b, m, r), unions, pairs)``, ``b``
+    images from the group's ``j``-th, pair ``r`` on. Step ``k`` holds the
+    slots ``slot_at[k]:slot_at[k + 1]``, the groups ``group_at[k]:…``
+    (:meth:`step`), the objects ``obj_at[k]:…`` and the pair rows
+    ``rel_at[k]:…``; ``obj_slot`` and ``rel_slot`` give each object and pair
+    row its batch position, ``row`` each slot its plan position, in its step."""
 
-    def __init__(self, images: Images, split: _Split, slots: np.ndarray, rows: np.ndarray,
-                 targets: np.ndarray, starts: np.ndarray, batch_size: int, pad: range = range(0)):
+    def __init__(self, config: TrainConfig, images: Images, split: _Split, slots: np.ndarray,
+                 rows: np.ndarray, targets: np.ndarray, starts: np.ndarray):
+        spec, batch_size = config.model, config.optimizer.batch_size
         slots = np.asarray(slots, dtype=np.int64)
         first = images.obj_start[slots]
         counts, sizes = images.obj_start[slots + 1] - first, np.diff(starts)
@@ -446,8 +445,11 @@ class _Buckets:
         self.order = order = np.lexsort((sizes, counts, step))
         n, m, k = counts[order], sizes[order], step[order]
 
-        # A group starts at a new step or n outside ``pad``, a call also at a new n or m.
-        key = np.stack([k, np.where(np.isin(n, pad), 0, n), n, m])
+        # A group starts at a new step or an n it does not pad, a call also at a new n or m;
+        # padding is exact among counts 4 to 7 with no object-stage width of 1.
+        pad = (n > 3) & (n < 8) & (min(spec.d_pos, spec.d_ff, spec.d_model // spec.n_h,
+                                       config.label_space.num_object_classes) > 1)
+        key = np.stack([k, np.where(pad, 0, n), n, m])
         group, call = (np.flatnonzero(np.diff(key[:j], prepend=-1).any(axis=0)) for j in (2, 4))
         size = np.diff(np.append(group, len(order)))
         width = n[group + size - 1].repeat(size)  # each image's padded object count
@@ -463,24 +465,23 @@ class _Buckets:
         self.slot_at, self.obj_at, self.rel_at = bounds.tolist(), obj_at.tolist(), rel_at.tolist()
         self.group_at = np.searchsorted(k[group], np.arange(step[-1] + 2)).tolist()
 
-        self.objects = _ranges(first[order], n)
-        self.rel = _ranges(starts[order], m)
+        rel = _ranges(starts[order], m)
         # ``take`` gathers the rows of a 2-D array several times faster than indexing.
-        at = rows[self.rel]
+        at = rows[rel]
         pairs, unions = split.pairs.take(at, axis=0), images.unions.take(at, axis=0)
-        self.labels = images.labels.take(self.objects)
+        self.labels = images.labels.take(_ranges(first[order], n))
         local = pairs - first[order].repeat(m)[:, None]
-        self.targets, self.classes = targets[self.rel], split.classes.take(pairs)
+        self.targets, self.classes = targets[rel], split.classes.take(pairs)
         self.obj_slot = _ranges(obj_start[order], n) - obj_at[:-1].repeat(np.diff(obj_at))
-        self.rel_slot = self.rel - starts[bounds[:-1]].repeat(np.diff(rel_at))
+        self.rel_slot = rel - starts[bounds[:-1]].repeat(np.diff(rel_at))
         self.row = np.empty_like(order)
         self.row[order] = np.arange(len(order)) - k * batch_size
         cut = np.searchsorted(call, np.append(group, len(order)))  # each group's first call
-        calls = [((j, b, n, m, o, r), unions[r : r + b * m].reshape(b, m, unions.shape[-1]),
+        calls = [((j, b, m, r), unions[r : r + b * m].reshape(b, m, unions.shape[-1]),
                   local[r : r + b * m].reshape(b, m, 2))
-                 for j, b, n, m, o, r in zip(*(a.tolist() for a in (
+                 for j, b, m, r in zip(*(a.tolist() for a in (
                      call - group.repeat(np.diff(cut)), np.diff(np.append(call, len(order))),
-                     n[call], m[call], _offsets(n)[call], _offsets(m)[call])))]
+                     m[call], _offsets(m)[call])))]
         at = _offsets(size * width[group])
         self.groups = [(Objects(*(a[lo:hi].reshape((b, -1) + a.shape[1:]) for a in objects)),
                         real[lo:hi].reshape(b, -1), calls[c0:c1])
@@ -544,7 +545,7 @@ def _batch_loss(
     for i, (mask, obj, object_cache, buckets) in enumerate(runs):
         d_tokens = [net.pair_backward(d_rel[r - r0 : r - r0 + b * m].reshape(b, m, width),
                                       pair_cache, params, grad.row_tree(lo + j, lo + j + b))
-                    for (j, b, n, m, o, r), _, pair_cache in buckets]
+                    for (j, b, m, r), _, pair_cache in buckets]
         g_obj = None if d_obj is None else np.zeros(obj.shape)
         if g_obj is not None:
             g_obj[mask] = d_obj[i]
@@ -620,8 +621,6 @@ def train(
     params = unflatten(params, param_vec)
     velocity = np.zeros_like(param_vec)
     grad = _Gradient(params, opt.batch_size)
-    pad = range(4, 8) if min(spec.d_pos, spec.d_ff, spec.d_model // spec.n_h,  # exact padding,
-                             ls.num_object_classes) > 1 else range(0)  # see tailbias.model
 
     order_rng, sample_rng = _rng(config.seed, SHUFFLE_DOMAIN), _rng(config.seed, SAMPLE_DOMAIN)
     order = np.zeros(0, dtype=np.int64)
@@ -639,7 +638,7 @@ def train(
                 order = np.concatenate([order, order_rng.permutation(len(train_images))])
             slots, order = order[:need], order[need:]
             drawn = _draw(split, train_images.gt_start, slots, config.background_ratio, sample_rng)
-            plan = _Buckets(train_images, split, slots, *drawn, size, pad)
+            plan = _Buckets(config, train_images, split, slots, *drawn)
         if plan.rel_at[k] == plan.rel_at[k + 1]:
             raise ValueError(f"iteration {step}: the batch draws no pairs (its images "
                              "have no ground truth and background_ratio is 0)")
@@ -690,16 +689,14 @@ class _Scored(NamedTuple):
 def _forward_split(checkpoint: Checkpoint, images: Images) -> _Scored:
     """Check the checkpoint's parameters as :func:`save_checkpoint` does and
     the split's ground truth as for training, at the checkpoint's feature
-    width; forward every image once over all its ordered pairs, in buckets
-    (:class:`_Buckets`), each stage call's outputs scattered into split-wide
-    arrays. A bucket of ``b`` images with ``n`` objects and ``m`` pairs each
-    runs the model's object stage on slices of at most ``FORWARD_CHUNK * m //
-    n`` images, as many object rows as :data:`FORWARD_CHUNK` images have pair
-    rows, and its pair stage on at most :data:`FORWARD_CHUNK` images of a
-    slice; each stage's cache is dropped as it returns, so the memory held at
-    once does not grow with the split. An image failing the check, or with
-    non-finite relation logits (or, in ``sgcls``, object probabilities),
-    raises ``ValueError`` naming its index.
+    width; forward every image once over all its ordered pairs, the images of
+    each object count ``n`` apart, into split-wide arrays: the object stage on
+    slices of ``FORWARD_CHUNK * (n - 1)`` images, as many object rows as
+    :data:`FORWARD_CHUNK` images have pair rows, the pair stage on
+    :data:`FORWARD_CHUNK` images of a slice at a time, each cache dropped as
+    its stage returns. An image failing the check, or with non-finite
+    relation logits (or, in ``sgcls``, object probabilities), raises
+    ``ValueError`` naming its index.
     """
     if not len(images):
         raise ValueError("empty evaluation split")
@@ -708,25 +705,24 @@ def _forward_split(checkpoint: Checkpoint, images: Images) -> _Scored:
     d_v = feature_width(config.model, ls, _finite_params(params).size)
     gt_image = _truth(images, ls, d_v)
     split = _pack(images, gt_image, ls, config.task)
-    pair_start = images.pair_start
-
-    count = pair_start[-1]  # every pair, as one step; evaluation reads no targets
-    plan = _Buckets(images, split, np.arange(len(images)), np.arange(count),
-                    np.zeros(count, dtype=np.int64), pair_start, len(images))
-    logits = np.empty((count, ls.num_relations + 1))
+    pair_start, counts = images.pair_start, np.diff(images.obj_start)
+    logits = np.empty((pair_start[-1], ls.num_relations + 1))
     object_probs = np.empty(images.scores.shape)
-    for objects, _, [((_, b, n, m, o, r), unions, pairs)] in plan.step(0):  # one bucket per n
-        size = FORWARD_CHUNK * m // n  # images whose object rows are a pair call's pair rows
-        for lo in range(0, b, size):
-            hi = min(lo + size, b)
-            tokens, _, probs, _ = net.object_stage(
-                Objects._make(a[lo:hi] for a in objects), params, config.model)
-            object_probs[plan.objects[o + lo * n : o + hi * n]] = probs.reshape((hi - lo) * n, -1)
-            for at in range(lo, hi, FORWARD_CHUNK):
-                to = min(at + FORWARD_CHUNK, hi)
-                rel, _ = net.pair_stage(tokens[at - lo : to - lo], unions[at:to], pairs[at:to],
-                                        params, config.model)
-                logits[plan.rel[r + at * m : r + to * m]] = rel.reshape((to - at) * m, -1)
+    objects = images.objects(slice(None))._replace(labels=split.classes)
+    for n in np.unique(counts).tolist():  # the images of one n share every pair
+        image, pairs = np.flatnonzero(counts == n), all_ordered_pairs(n)
+        obj = images.obj_start[image, None] + np.arange(n)
+        rel = pair_start[image, None] + np.arange(len(pairs))
+        size = FORWARD_CHUNK * (n - 1)  # images whose object rows are a pair call's pair rows
+        for lo in range(0, len(image), size):
+            at = obj[lo : lo + size]
+            tokens, _, object_probs[at], _ = net.object_stage(
+                Objects._make(a.take(at, axis=0) for a in objects), params, config.model)
+            for c in range(0, len(at), FORWARD_CHUNK):
+                rows = rel[lo + c : lo + c + FORWARD_CHUNK]
+                logits[rows], _ = net.pair_stage(tokens[c : c + FORWARD_CHUNK],
+                                                 images.unions.take(rows, axis=0), pairs, params,
+                                                 config.model)
     outputs = [(logits, pair_start, "non-finite relation logits")]
     classes, matched, pair_scores = images.labels, np.ones(len(split.fg_rows), dtype=bool), None
     if config.task == "sgcls":  # predcls reads no object probabilities

@@ -158,7 +158,8 @@ def _require_counts(counts: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndar
 
 def _focal(config: LossConfig, z: np.ndarray, hot: np.ndarray) -> LossOutput:
     lse, p = _logsumexp_softmax(z)
-    ce_val, u = lse - _at(z, hot), _at(p, hot)
+    # At least 1-D, so a single row's powers take a block's array path, not scalar pow.
+    ce_val, u = np.atleast_1d(lse - _at(z, hot)), np.atleast_1d(_at(p, hot))
     f = (1.0 - u) ** config.gamma
     value = config.alpha * f * ce_val
     # scale = -u * dL/du; sharing p keeps the gamma=0, alpha=1 case equal to ce.
@@ -168,7 +169,8 @@ def _focal(config: LossConfig, z: np.ndarray, hot: np.ndarray) -> LossOutput:
         scale = config.alpha * (
             config.gamma * u * (1.0 - u) ** (config.gamma - 1.0) * ce_val + f
         )
-    return LossOutput(value=value, grad_logits=(p - hot) * scale[..., np.newaxis])
+    return LossOutput(value=value.reshape(hot.shape[:-1]),
+                      grad_logits=(p - hot) * scale.reshape(hot.shape[:-1] + (1,)))
 
 
 def baseline_loss(config: LossConfig, z, y, class_counts) -> LossOutput:

@@ -17,8 +17,8 @@ every backward kernel below overwrites the leaves it is given.
 cache ``(object_cache, pair_cache)``. ``forward`` alone checks its
 arguments: fewer than two objects, a pair relating an object to itself or
 out of range, or a union row count other than the pair count raises
-``ValueError``. The stages take checked pairs, as the planner of
-:mod:`tailbias.harness` builds them.
+``ValueError``. The stages take checked pairs, as :mod:`tailbias.harness`
+builds them.
 
 ``objects`` is an :class:`~tailbias.synth.Objects` record of an image's
 object rows; ``pairs`` is a ``(P, 2)`` array of (subject, object) row

@@ -233,10 +233,10 @@ def block_biased_ce(z, b, y) -> LossOutput:
 def block_baseline_loss(config, z, y, class_counts) -> LossOutput:
     """``losses.baseline_loss`` over :func:`block_ce` and a two-pass focal loss."""
     z, y, hot = _block_targets(z, y)
-    if config.kind == "focal":
-        ce_val = _block_logsumexp(z) - z[hot].reshape(y.shape)
+    if config.kind == "focal":  # a single row's powers on a 1-D array, as a block's
+        ce_val = np.atleast_1d(_block_logsumexp(z) - z[hot].reshape(y.shape))
         p = two_pass_softmax(z)
-        u = p[hot].reshape(y.shape)
+        u = np.atleast_1d(p[hot].reshape(y.shape))
         f = (1.0 - u) ** config.gamma
         if config.gamma == 0.0:
             scale = config.alpha * f
@@ -244,8 +244,8 @@ def block_baseline_loss(config, z, y, class_counts) -> LossOutput:
             scale = config.alpha * (
                 config.gamma * u * (1.0 - u) ** (config.gamma - 1.0) * ce_val + f
             )
-        return LossOutput(value=config.alpha * f * ce_val,
-                          grad_logits=(p - hot) * scale[..., np.newaxis])
+        return LossOutput(value=(config.alpha * f * ce_val).reshape(y.shape),
+                          grad_logits=(p - hot) * scale.reshape(y.shape)[..., np.newaxis])
     counts = np.asarray(class_counts, dtype=np.int64)
     n_y = counts[y]
     if config.kind == "ldam":

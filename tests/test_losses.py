@@ -1,8 +1,9 @@
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -328,6 +329,7 @@ BASELINE_CONFIGS = {
     "class_balanced": LossConfig(kind="class_balanced"),
     "focal_gamma0": LossConfig(kind="focal", gamma=0.0),
     "focal_gamma2": LossConfig(kind="focal", gamma=2.0),
+    "focal_gamma1.5": LossConfig(kind="focal", gamma=1.5),
     "ldam": LossConfig(kind="ldam"),
 }
 
@@ -383,19 +385,23 @@ class TestBlockMatchesScalarOracle:
         assert_within(got.value, want.value)
         assert_within(got.grad_logits, want.grad_logits)
 
-    @given(block=logit_blocks(), data=st.data())
+    @given(block=logit_blocks(), draw=st.randoms(use_true_random=False))
+    @example(block=(np.array([[0.9] + [0.0] * 11]), np.zeros((1, 12)), np.array([0]),
+                    np.ones(12, dtype=np.int64)), draw=random.Random(0))  # focal's scalar pow
     @settings(max_examples=60, deadline=None)
-    def test_one_pass_equals_the_two_pass_form(self, block, data):
+    def test_one_pass_equals_the_two_pass_form(self, block, draw):
         """Each loss takes a row's maximum, exponential and sum once for its
         value and gradient; they equal the two-pass forms bit for bit, on a
         block, its rows permuted, and one row, and permuting the rows only
         permutes the results, which training's bucket-order calls rely on.
         A single row's call equals its row of the block's call, which the
         loss battery relies on when it reads a case's analytic gradient off
-        the row it appends to its stack of perturbed copies."""
+        the row it appends to its stack of perturbed copies; at ``gamma`` 2 a
+        lone focal row ``[0.9, 0, …]`` once differed from its block row in
+        the gradient's last bit, its powers taken by scalar ``pow``."""
         z, b, y, counts = block
-        perm = np.array(data.draw(st.permutations(range(len(y)))))
-        q = data.draw(st.integers(0, len(y) - 1))
+        perm = np.array(draw.sample(range(len(y)), len(y)))
+        q = draw.randrange(len(y))
         losses = [(lambda z, b, y: ce(z, y), lambda z, b, y: oracle.block_ce(z, y)),
                   (biased_ce, oracle.block_biased_ce)]
         losses += [
