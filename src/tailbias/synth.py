@@ -13,6 +13,13 @@ Randomness: every stream is a ``numpy`` PCG64 generator keyed by
 domains 1/2/3 are the train/val/test splits with one child per image index.
 PCG64 output for a given seed is platform-independent, and splits never share
 a stream, so regenerating any single split reproduces it bit for bit.
+
+Generation draws per image and computes per block. Each image's stream makes
+the same calls in the same order: its object count, labels, box centres and
+sizes, feature noise, detector noise, a permutation of its pairs, one uniform
+per foreground pair and union noise. Everything derived from the draws is
+computed on the draws of :data:`SYNTH_BLOCK` images at once, elementwise or
+row by row, so a split's bytes do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, NamedTuple, Sequence
+from typing import ClassVar, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -294,20 +301,49 @@ def build_world(config: SynthConfig) -> World:
     return World(object_prototypes, relation_prototypes, table, zipf)
 
 
-def _sample_image(config: SynthConfig, world: World, rng: np.random.Generator) -> SynthImage:
-    ls = config.label_space
-    n = int(rng.integers(config.objects_min, config.objects_max + 1))
-    labels = rng.integers(0, ls.num_object_classes, n)
+# Images whose arithmetic runs as one set of array operations. Larger blocks
+# were no faster, and their larger temporaries left a process that generates
+# splits repeatedly with a higher peak RSS.
+SYNTH_BLOCK = 32
 
-    cx = rng.uniform(0.1, 0.9, n)
-    cy = rng.uniform(0.1, 0.9, n)
-    bw = rng.uniform(0.05, 0.2, n)
-    bh = rng.uniform(0.05, 0.2, n)
-    feats = world.object_prototypes[labels] + rng.normal(0.0, config.noise_sigma, (n, config.d_v))
+
+def _draw_block(config: SynthConfig, domain: int, images: range, num_fg: list[int]) -> list:
+    """The draws of ``images``, each from its own stream and in its order:
+    count, labels, box centres and sizes, feature noise, detector noise, the
+    first ``num_fg[n]`` of a permutation of the pairs, one uniform per
+    foreground pair and union noise, each kind concatenated over the images."""
+    ls, lo, hi = config.label_space, config.objects_min, config.objects_max + 1
+    draws: list[list] = [[] for _ in range(11)]
+    counts, labels, cx, cy, bw, bh, feat_noise, det_noise, chosen, uniforms, union_noise = draws
+    for i in images:
+        rng = _rng(config.seed, domain, i)
+        n = int(rng.integers(lo, hi))
+        counts.append(n)
+        labels.append(rng.integers(0, ls.num_object_classes, n))
+        cx.append(rng.uniform(0.1, 0.9, n))
+        cy.append(rng.uniform(0.1, 0.9, n))
+        bw.append(rng.uniform(0.05, 0.2, n))
+        bh.append(rng.uniform(0.05, 0.2, n))
+        feat_noise.append(rng.normal(0.0, config.noise_sigma, (n, config.d_v)))
+        det_noise.append(rng.normal(0.0, config.detector_noise, (n, ls.num_object_classes)))
+        chosen.append(rng.permutation(n * (n - 1))[: num_fg[n]])
+        uniforms.append(rng.random(num_fg[n]))
+        union_noise.append(rng.normal(0.0, config.noise_sigma, (n * (n - 1), config.d_v)))
+    return [np.array(counts, dtype=np.int64), *(np.concatenate(d) for d in draws[1:])]
+
+
+def _block(config: SynthConfig, world: World, cdf: np.ndarray, num_fg: list[int],
+           draws: list) -> tuple:
+    """The object counts and the ``boxes, features, labels, scores, unions, gt``
+    of one block's :func:`_draw_block` ``draws``; ``cdf`` is the relation
+    table's per-row CDF."""
+    n, labels, cx, cy, bw, bh, feat_noise, det_noise, chosen, uniforms, union_noise = draws
+    features = world.object_prototypes[labels] + feat_noise
     # Finite logits give scores that sum to 1, however far apart they lie.
     with np.errstate(over="ignore"):
-        det_logits = config.detector_sharpness * np.eye(ls.num_object_classes)[labels]
-        det_logits += rng.normal(0.0, config.detector_noise, det_logits.shape)
+        det_logits = np.eye(config.label_space.num_object_classes)[labels]
+        det_logits *= config.detector_sharpness
+        det_logits += det_noise
         if not np.isfinite(det_logits).all():
             raise ValueError("detector logits are not finite: detector_sharpness or "
                              "detector_noise is too large")
@@ -316,34 +352,63 @@ def _sample_image(config: SynthConfig, world: World, rng: np.random.Generator) -
     scores = e / e.sum(axis=1, keepdims=True)
     boxes = np.stack([cx - bw / 2, cy - bh / 2, cx + bw / 2, cy + bh / 2], axis=1)
 
-    pairs = all_ordered_pairs(n)
-    num_fg = math.ceil((1.0 - config.background_fraction) * len(pairs))
-    fg = np.sort(rng.permutation(len(pairs))[:num_fg])
-    # One inverse-CDF draw per foreground pair, as ``rng.choice(p=row)`` draws:
-    # the row's cumsum over its last entry, searched right of a uniform.
-    cdf = world.relation_table[labels[pairs[fg, 0]], labels[pairs[fg, 1]]].cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    relations = np.zeros(len(pairs), dtype=np.int64)
-    relations[fg] = (cdf <= rng.random(num_fg)[:, None]).sum(axis=1) + 1
-
-    s_labels, o_labels = labels[pairs[:, 0]], labels[pairs[:, 1]]
-    unions = (
-        0.5 * (world.object_prototypes[s_labels] + world.object_prototypes[o_labels])
-        + world.relation_prototypes[relations]
-        + rng.normal(0.0, config.noise_sigma, (len(pairs), config.d_v))
-    )
-    gt = np.column_stack([pairs[fg], relations[fg]])
-    return SynthImage(boxes, feats, labels, scores, unions, gt)
+    # Pair k of an image is all_ordered_pairs(n)[k]: subject k // (n - 1), then
+    # the (k % (n - 1))-th other object.
+    m = n * (n - 1)
+    k = _ranges(np.zeros_like(m), m)
+    s, rest = np.divmod(k, (n - 1).repeat(m))
+    o = rest + (rest >= s)
+    obj_start = _offsets(n)[:-1].repeat(m)
+    s_labels, o_labels = labels[obj_start + s], labels[obj_start + o]
+    # The chosen pairs in pair order, each drawn as ``rng.choice(p=row)`` draws:
+    # the row's CDF searched right of a uniform.
+    is_fg = np.zeros(len(k), dtype=bool)
+    is_fg[chosen + _offsets(m)[:-1].repeat(np.take(num_fg, n))] = True
+    fg = np.flatnonzero(is_fg)
+    relations = np.zeros(len(k), dtype=np.int64)
+    relations[fg] = (cdf[s_labels[fg], o_labels[fg]] <= uniforms[:, None]).sum(axis=1) + 1
+    # 0.5 * (prototype sum) + relation prototype + noise, in place.
+    unions = world.object_prototypes[s_labels]
+    unions += world.object_prototypes[o_labels]
+    unions *= 0.5
+    unions += world.relation_prototypes[relations]
+    unions += union_noise
+    gt = np.column_stack([s[fg], o[fg], relations[fg]])
+    return n, boxes, features, labels, scores, unions, gt
 
 
 def generate_split(config: SynthConfig, split: str) -> Images:
-    """Generate one split; independent of whether other splits are generated."""
+    """Generate one split; independent of whether other splits are generated.
+    Each image draws from its own stream; the arithmetic on the draws runs
+    :data:`SYNTH_BLOCK` images at a time. The split equals :meth:`Images.pack`
+    of its images, which refuses a feature or union value that is not finite."""
     check_value("split", split, choices=tuple(SPLIT_DOMAINS))
     world = build_world(config)
     count = {"train": config.num_train, "val": config.num_val, "test": config.num_test}[split]
+    if not count:
+        return Images.pack([])
     domain = SPLIT_DOMAINS[split]
-    return Images.pack(
-        [_sample_image(config, world, _rng(config.seed, domain, i)) for i in range(count)]
+    num_fg = [math.ceil((1.0 - config.background_fraction) * (n * (n - 1)))
+              for n in range(config.objects_max + 1)]
+    cdf = world.relation_table.cumsum(axis=2)
+    cdf /= cdf[..., -1:]
+    blocks = [
+        _block(config, world, cdf, num_fg,
+               _draw_block(config, domain, range(a, min(a + SYNTH_BLOCK, count)), num_fg))
+        for a in range(0, count, SYNTH_BLOCK)
+    ]
+    n, boxes, features, labels, scores, unions, gt = map(np.concatenate, zip(*blocks))
+    m = n * (n - 1)
+    image = np.arange(count)
+    refuse_first([
+        (flagged(image.repeat(n), ~np.isfinite(features).all(1), count),
+         lambda i: "features must be finite"),
+        (flagged(image.repeat(m), ~np.isfinite(unions).all(1), count),
+         lambda i: "unions must be finite"),
+    ], "image")
+    return Images(
+        boxes=boxes, features=features, labels=labels, scores=scores, obj_start=_offsets(n),
+        unions=unions, gt=gt, gt_start=_offsets(np.take(num_fg, n)), pair_start=_offsets(m),
     )
 
 
@@ -370,15 +435,35 @@ def write_images_jsonl(images: Images, path: str) -> None:
     write_text(path, images_to_jsonl(images))
 
 
-def _image_from_doc(doc: dict, pair_lists: dict[int, list]) -> SynthImage:
+def _first_fault(entries: list, what: str, fault: str, fits) -> ValueError:
+    """The refusal of the first of ``entries`` that does not ``fits``."""
+    i = next(i for i, entry in enumerate(entries) if not fits(entry))
+    return ValueError(f"{what} {i}: {fault}")
+
+
+def _image_from_doc(doc, pair_lists: dict[int, list]) -> SynthImage:
+    if not isinstance(doc, Mapping):
+        raise ValueError("an image record must be an object")
     objects, unions = doc["objects"], doc["unions"]
+    for key, value in (("objects", objects), ("unions", unions)):
+        if not isinstance(value, list):
+            raise ValueError(f"{key} must be a list, not {type(value).__name__}")
     n = len(objects)
-    if [[s, o] for s, o, _ in unions] != _pair_list(n, pair_lists):
+    try:
+        union_pairs = [[s, o] for s, o, _ in unions]
+    except (TypeError, ValueError):
+        raise _first_fault(unions, "union", "not a list [s, o, feat]",
+                           lambda u: isinstance(u, list) and len(u) == 3) from None
+    if union_pairs != _pair_list(n, pair_lists):
         raise ValueError(f"union pairs are not the ordered pairs of {n} objects in order")
+    try:
+        columns = [[obj[key] for obj in objects] for key in ("box", "feat", "label", "scores")]
+    except TypeError:
+        raise _first_fault(objects, "object", "not an object",
+                           lambda obj: isinstance(obj, Mapping)) from None
     (box, bad_box), (feat, bad_feat), (label, bad_label), (scores, bad_scores) = (
-        read_numbers([obj[key] for obj in objects], dtype, width) for key, dtype, width in (
-            ("box", np.float64, 4), ("feat", np.float64, -1), ("label", np.int64, None),
-            ("scores", np.float64, -1)))
+        read_numbers(column, dtype, width) for column, (dtype, width) in zip(
+            columns, ((np.float64, 4), (np.float64, -1), (np.int64, None), (np.float64, -1))))
     union, bad_union = read_numbers([vec for _, _, vec in unions], np.float64, feat.shape[1])
     gt, bad_gt = read_numbers(doc["gt"], np.int64, 3)
 
@@ -396,9 +481,10 @@ def _image_from_doc(doc: dict, pair_lists: dict[int, list]) -> SynthImage:
 
 def read_images_jsonl(path: str) -> Images:
     """Read images written by :func:`write_images_jsonl` into one packed split;
-    a malformed document (a missing key, union pairs out of order, an object,
-    union or ground-truth entry that :func:`~tailbias.stats.read_numbers`
-    refuses), or an image :meth:`Images.pack` refuses, raises ``ValueError``
-    starting ``"<path>:<line>: "``."""
+    a malformed document (no JSON object, a missing key, ``objects`` or
+    ``unions`` no list, an object no JSON object, a union no ``[s, o, feat]``,
+    union pairs out of order, an object, union or ground-truth entry that
+    :func:`~tailbias.stats.read_numbers` refuses), or an image
+    :meth:`Images.pack` refuses, raises ``ValueError`` starting ``"<path>:<line>: "``."""
     pair_lists: dict[int, list] = {}
     return read_jsonl(path, lambda doc: _image_from_doc(doc, pair_lists), Images.pack)

@@ -49,6 +49,13 @@ one dense array of rows: a pair table built as one validated ``BiasVector``
 per stored class pair, then tiled and scattered into a dense table one entry
 at a time. The dense rows, their ``bias_table``, their ``entries`` and their
 JSON must equal it bit for bit.
+
+Synthetic generation is the one-image-at-a-time sampler that
+``tailbias.synth.generate_split`` replaced with arithmetic on blocks of
+images: each image's record derived from its own stream's draws as they are
+drawn, the records packed by ``Images.pack``. The block generator must equal
+it field by field, bit for bit and dtype for dtype, and refuse what it
+refuses with the same message.
 """
 
 from __future__ import annotations
@@ -83,7 +90,9 @@ from tailbias.numerics import (
     unflatten,
 )
 from tailbias.stats import TripletStats, marginal_counts, pair_counts, sppo_counts
-from tailbias.synth import all_ordered_pairs
+from tailbias.synth import (
+    SPLIT_DOMAINS, Images, SynthImage, _rng, all_ordered_pairs, build_world,
+)
 
 
 # --- losses, one row at a time ------------------------------------------------
@@ -806,6 +815,55 @@ def check_records(images):
             check_record(img, images[0])
         except ValueError as exc:
             raise ValueError(f"image {i}: {exc}") from None
+
+
+def sample_image(config, world, rng):
+    """One image's record, every value derived from ``rng``'s draws as they are drawn."""
+    ls = config.label_space
+    n = int(rng.integers(config.objects_min, config.objects_max + 1))
+    labels = rng.integers(0, ls.num_object_classes, n)
+
+    cx = rng.uniform(0.1, 0.9, n)
+    cy = rng.uniform(0.1, 0.9, n)
+    bw = rng.uniform(0.05, 0.2, n)
+    bh = rng.uniform(0.05, 0.2, n)
+    feats = world.object_prototypes[labels] + rng.normal(0.0, config.noise_sigma, (n, config.d_v))
+    with np.errstate(over="ignore"):
+        det_logits = config.detector_sharpness * np.eye(ls.num_object_classes)[labels]
+        det_logits += rng.normal(0.0, config.detector_noise, det_logits.shape)
+        if not np.isfinite(det_logits).all():
+            raise ValueError("detector logits are not finite: detector_sharpness or "
+                             "detector_noise is too large")
+        det_logits -= det_logits.max(axis=1, keepdims=True)
+        e = np.exp(det_logits)
+    scores = e / e.sum(axis=1, keepdims=True)
+    boxes = np.stack([cx - bw / 2, cy - bh / 2, cx + bw / 2, cy + bh / 2], axis=1)
+
+    pairs = all_ordered_pairs(n)
+    num_fg = math.ceil((1.0 - config.background_fraction) * len(pairs))
+    fg = np.sort(rng.permutation(len(pairs))[:num_fg])
+    cdf = world.relation_table[labels[pairs[fg, 0]], labels[pairs[fg, 1]]].cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    relations = np.zeros(len(pairs), dtype=np.int64)
+    relations[fg] = (cdf <= rng.random(num_fg)[:, None]).sum(axis=1) + 1
+
+    s_labels, o_labels = labels[pairs[:, 0]], labels[pairs[:, 1]]
+    unions = (
+        0.5 * (world.object_prototypes[s_labels] + world.object_prototypes[o_labels])
+        + world.relation_prototypes[relations]
+        + rng.normal(0.0, config.noise_sigma, (len(pairs), config.d_v))
+    )
+    gt = np.column_stack([pairs[fg], relations[fg]])
+    return SynthImage(boxes, feats, labels, scores, unions, gt)
+
+
+def generate_split(config, split):
+    """One split as ``Images.pack`` of :func:`sample_image`'s records, image ``i``
+    from its own stream."""
+    world = build_world(config)
+    count = getattr(config, f"num_{split}")
+    rngs = (_rng(config.seed, SPLIT_DOMAINS[split], i) for i in range(count))
+    return Images.pack([sample_image(config, world, rng) for rng in rngs])
 
 
 def _assemble(spec, foreground, num_relations):

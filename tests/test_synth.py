@@ -2,16 +2,19 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from tailbias.stats import LabelSpace, from_dict
 from tailbias.synth import (
+    SYNTH_BLOCK,
     Images,
     SynthConfig,
     SynthImage,
@@ -64,6 +67,13 @@ NON_FINITE = {
     "scores": "image 1: detector scores must sum to 1",
     "union": "image 1: unions must be finite",
 }
+
+
+def replacing(corrupt):
+    """Mark ``corrupt`` as returning the document that replaces the one it is given."""
+    corrupt.replaces = True
+    return corrupt
+
 
 IMAGE_FIELDS = ("boxes", "features", "labels", "scores", "unions", "gt")
 SPLIT_FIELDS = (
@@ -217,6 +227,82 @@ class TestGenerate:
         assert np.mean(agree) > 0.95
 
 
+def reference_like(**overrides):
+    """The reference pipeline's synth config, at a given size."""
+    defaults = dict(label_space=LabelSpace(num_object_classes=20, num_relations=30),
+                    num_train=0, num_val=0, num_test=0, zipf_s=1.5, d_v=16, noise_sigma=1.5,
+                    background_fraction=0.7, seed=42)
+    return SynthConfig(**{**defaults, **overrides})
+
+
+@st.composite
+def synth_configs(draw):
+    objects_min = draw(st.integers(2, 9))
+    space = LabelSpace(num_object_classes=draw(st.integers(1, 6)),
+                       num_relations=draw(st.integers(1, 5)))
+    return SynthConfig(
+        label_space=space,
+        num_train=draw(st.sampled_from([0, 1, 2, 7, SYNTH_BLOCK + 1])),
+        num_val=draw(st.integers(0, 3)), num_test=0,
+        zipf_s=draw(st.floats(0, 2)),
+        objects_min=objects_min, objects_max=draw(st.integers(objects_min, 9)),
+        d_v=draw(st.integers(1, 5)),
+        noise_sigma=draw(st.floats(0.01, 3)),
+        background_fraction=draw(st.one_of(st.just(0.0), st.floats(0, 0.95))),
+        detector_sharpness=draw(st.one_of(st.just(0.0), st.floats(0, 8))),
+        detector_noise=draw(st.one_of(st.just(0.0), st.floats(0, 2))),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestGenerateMatchesOracle:
+    """The block generator against ``oracle.generate_split``: one record per
+    image from its own stream, packed by ``Images.pack``."""
+
+    @given(synth_configs(), st.sampled_from(["train", "val"]))
+    @example(reference_like(num_train=2 * SYNTH_BLOCK + 1), "train")
+    @example(reference_like(), "train")  # empty: the shapes packing gives no records
+    @example(reference_like(num_train=SYNTH_BLOCK + 1, background_fraction=0.0, objects_min=2,
+                            objects_max=2, d_v=1, detector_sharpness=0.0), "train")
+    @settings(max_examples=60, deadline=None)
+    def test_split_equals_packing_the_oracle_records(self, cfg, split):
+        assert_same_split(generate_split(cfg, split), oracle.generate_split(cfg, split))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_detector_logits_are_refused_without_a_warning(self):
+        cfg = reference_like(num_train=SYNTH_BLOCK + 1, detector_noise=1e308)
+        message = ("^detector logits are not finite: "
+                   "detector_sharpness or detector_noise is too large$")
+        with pytest.raises(ValueError, match=message):
+            generate_split(cfg, "train")
+        with pytest.raises(ValueError, match=message):
+            oracle.generate_split(cfg, "train")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_values_that_are_not_finite_are_refused_as_packing_refuses_them(self):
+        cfg = reference_like(num_train=SYNTH_BLOCK + 1, noise_sigma=1e308)
+        with pytest.raises(ValueError) as want:
+            oracle.generate_split(cfg, "train")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            generate_split(cfg, "train")
+
+    def test_peak_memory_stays_within_a_multiple_of_the_split(self):
+        """The traced peak of a 400-image split, in multiples of its arrays'
+        bytes: 2.2 block by block, 3.3 when the whole split's arithmetic runs
+        at once, 2.4 for packing per-image records."""
+        assert SYNTH_BLOCK < 400  # more than one block
+        cfg = reference_like(num_train=400)
+        generate_split(reference_like(num_train=2), "train")  # first-call allocations
+        tracemalloc.start()
+        try:
+            split = generate_split(cfg, "train")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(getattr(split, f.name).nbytes for f in fields(split))
+        assert peak <= 2.5 * nbytes, peak / nbytes
+
+
 class TestJsonl:
     def test_round_trip(self, tmp_path):
         cfg = small_config(num_train=6)
@@ -280,6 +366,11 @@ class TestJsonl:
              r"image 1: ground-truth triplet \(0, 9, 1\) has an object index outside 0\.\.\d+$"),
             (lambda d: d["gt"].append([1, 1, 2]),
              r"image 1: ground-truth triplet \(1, 1, 2\) has the same subject and object$"),
+            (replacing(lambda d: [d]), "an image record must be an object$"),
+            (lambda d: d.__setitem__("objects", 5), "objects must be a list, not int$"),
+            (lambda d: d.__setitem__("unions", None), "unions must be a list, not NoneType$"),
+            (lambda d: d["objects"].__setitem__(1, [0.5]), "object 1: not an object$"),
+            (lambda d: d["unions"].__setitem__(0, [0]), r"union 0: not a list \[s, o, feat\]$"),
             # An integer beyond the float range reads as inf, as JSON's 1e400 does.
             *[(lambda d, at=at: NUMBER_ROWS[at](d).__setitem__(0, 10**400), NON_FINITE[at])
               for at in NUMBER_ROWS],
@@ -295,6 +386,7 @@ class TestJsonl:
             "ragged-union", "missing-union-pair", "union-pairs-out-of-order", "bad-box",
             "short-box", "unnormalised-scores", "float-label", "bool-label", "huge-label",
             "float-gt", "short-gt", "gt-index", "gt-self-pair",
+            "list-document", "int-objects", "null-unions", "list-object", "short-union",
             *(f"huge-{at}" for at in NUMBER_ROWS),
             *(f"{v}-{at}" for v in ("string", "bool", "null", "nan", "infinity")
               for at in NUMBER_ROWS),
@@ -306,8 +398,8 @@ class TestJsonl:
         write_images_jsonl(images, str(path))
         lines = path.read_text().splitlines()
         doc = json.loads(lines[1])
-        corrupt(doc)
-        lines[1] = json.dumps(doc)
+        replaced = corrupt(doc)
+        lines[1] = json.dumps(replaced if getattr(corrupt, "replaces", False) else doc)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: .*{why}"):
             read_images_jsonl(str(path))
